@@ -18,12 +18,8 @@ from .functionals import (
     HeatPartition,
     TrajectoryFunctional,
     average,
-    classical_mutual_info_content,
     entropy_production,
-    heat_exponent,
-    mutual_info_content,
     restricted_average,
-    stochastic_entropy_change,
     tuple_functionals,
 )
 from .linalg import (
@@ -50,15 +46,12 @@ from .scenarios import (
     werner_isothermal,
 )
 from .tables import (
-    AnalyticSystem,
     ForwardJointDistribution,
     OutcomeTuple,
     ReverseJointDistribution,
     SystemSpectra,
     UnitarySystem,
     augmented_forward,
-    conditional_local,
-    global_tmp_joint,
     marginal,
     reverse_joint,
     spectra_from_analytic,

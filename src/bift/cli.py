@@ -155,35 +155,25 @@ def build_analysis(cfg: dict, p_value: float | None = None,
                    corruption: float | None = None):
     """Returns (analysis, reference, scenario_descr)."""
     tol = tolerances_from(cfg)
+    name = cfg.get("scenario")
     if "system" in cfg:
         system = explicit_system(cfg)
-        analysis = evaluate(spectra_from_unitary(system, tol=tol), tol=tol,
-                            _reverse_corruption=corruption)
+        reference = {}
         descr = {"name": "explicit", "dims": [system.dim_a, system.dim_b,
                                               system.reservoir.dim]}
-        return analysis, {}, descr
-
-    name = cfg.get("scenario")
-    if name == "werner":
+    elif name == "werner":
         p = p_value if p_value is not None else _scalar_p(cfg)
         beta = float(cfg.get("beta", 1.0))
-        result = werner_isothermal(p, beta, tol=tol)
-        if corruption is not None:
-            analysis = evaluate(result.analysis.spectra, tol=tol,
-                                _reverse_corruption=corruption)
-            result = dataclasses.replace(result, analysis=analysis)
+        result = werner_isothermal(p, beta, tol=tol, _reverse_corruption=corruption)
         return result.analysis, result.reference, {"name": "werner", "p": p, "beta": beta}
-    if name == "counterexample":
+    elif name == "counterexample":
         p = p_value if p_value is not None else _scalar_p(cfg)
         route = cfg.get("route", "unitary")
-        result = bell_adiabatic_counterexample(p, route, tol=tol)
-        if corruption is not None:
-            analysis = evaluate(result.analysis.spectra, tol=tol,
-                                _reverse_corruption=corruption)
-            result = dataclasses.replace(result, analysis=analysis)
+        result = bell_adiabatic_counterexample(p, route, tol=tol,
+                                               _reverse_corruption=corruption)
         return result.analysis, result.reference, {"name": "counterexample", "p": p,
                                                    "route": route}
-    if name == "random":
+    elif name == "random":
         seed = int(cfg.get("seed", 0))
         dims = cfg.get("dims", [2, 2, 2])
         if len(dims) != 3:
@@ -192,15 +182,16 @@ def build_analysis(cfg: dict, p_value: float | None = None,
         beta = float(cfg.get("beta", 1.0))
         system = random_instance(d_a, d_b, d_r, seed, beta=beta,
                                  rank_deficient=bool(cfg.get("rank_deficient", False)))
-        analysis = evaluate(spectra_from_unitary(system, tol=tol), tol=tol,
-                            _reverse_corruption=corruption)
         reference = {}
         if not cfg.get("rank_deficient", False):
             reference = {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
-        return analysis, reference, {"name": "random", "seed": seed,
-                                     "dims": [d_a, d_b, d_r], "beta": beta}
-    raise DomainError(f"scenario: unknown or missing (got {name!r}); "
-                      "expected werner, counterexample, random, or an explicit system")
+        descr = {"name": "random", "seed": seed, "dims": [d_a, d_b, d_r], "beta": beta}
+    else:
+        raise DomainError(f"scenario: unknown or missing (got {name!r}); "
+                          "expected werner, counterexample, random, or an explicit system")
+    analysis = evaluate(spectra_from_unitary(system, tol=tol), tol=tol,
+                        _reverse_corruption=corruption)
+    return analysis, reference, descr
 
 
 def core_checks(analysis: Analysis, reference: dict, tol: Tolerances) -> list[Check]:
@@ -384,9 +375,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_verify(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Per-trajectory informational and thermodynamic functionals.
 
 All logarithms are natural (values in nats).  Zero-probability
-convention: the log of a weight at or below the support cutoff is set to
-0, and the info content of a trajectory whose global weight is zero is
-set to 0 outright.  Distribution averages additionally skip zero-weight
+convention: the log of a weight at or below the support cutoff (relative
+to the largest weight of its distribution) is set to 0, and the info
+content of a trajectory whose global weight is zero is set to 0
+outright.  Distribution averages additionally skip zero-weight
 trajectories, so the convention can never leak into a result.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import NotApplicable, PartitionUnavailable
 from .linalg import DEFAULT_TOL, Tolerances
-from .tables import ReverseJointDistribution, SystemSpectra
+from .tables import ReverseJointDistribution, SystemSpectra, _initial_support
 
 
 def log_or_zero(p, reference: float | None = None, tol: Tolerances = DEFAULT_TOL):
@@ -30,37 +31,6 @@ def log_or_zero(p, reference: float | None = None, tol: Tolerances = DEFAULT_TOL
     safe = np.where(arr > cut, arr, 1.0)
     out = np.where(arr > cut, np.log(safe), 0.0)
     return float(out) if np.isscalar(p) else out
-
-
-def stochastic_entropy_change(p_initial, p_final):
-    """Surprisal drop ln p_initial - ln p_final (zero convention applies
-    to each term separately)."""
-    return log_or_zero(p_initial, 1.0) - log_or_zero(p_final, 1.0)
-
-
-def mutual_info_content(p_m, p_a, p_b):
-    """ln[p_m / (p_a p_b)], the per-outcome quantum correlation content.
-
-    Set to 0 outright wherever the global weight p_m is zero.
-    """
-    val = log_or_zero(p_m, 1.0) - log_or_zero(p_a, 1.0) - log_or_zero(p_b, 1.0)
-    zero = np.asarray(p_m, dtype=float) <= DEFAULT_TOL.support
-    out = np.where(zero, 0.0, val)
-    return float(out) if np.isscalar(p_m) else out
-
-
-def classical_mutual_info_content(p_ab, p_a, p_b):
-    """ln[p_{a,b} / (p_a p_b)] built from a genuine joint probability;
-    zero outright where the joint weight vanishes."""
-    val = log_or_zero(p_ab, 1.0) - log_or_zero(p_a, 1.0) - log_or_zero(p_b, 1.0)
-    zero = np.asarray(p_ab, dtype=float) <= DEFAULT_TOL.support
-    out = np.where(zero, 0.0, val)
-    return float(out) if np.isscalar(p_ab) else out
-
-
-def heat_exponent(e_r: float, e_r_final: float, beta: float) -> float:
-    """Dimensionless heat absorbed from the reservoir, beta (E_r - E_r')."""
-    return beta * (e_r - e_r_final)
 
 
 def shannon_entropy(probabilities) -> float:
@@ -159,8 +129,7 @@ def tuple_functionals(spectra: SystemSpectra,
     ds_a = (l_pa[:, None] - l_paf[None, :]).reshape(1, d_a, 1, 1, d_a, 1, 1, 1)
     ds_b = (l_pb[:, None] - l_pbf[None, :]).reshape(1, 1, d_b, 1, 1, d_b, 1, 1)
 
-    info_i = _info_content_table(spectra.p_m, l_pa, l_pb, tol)
-    info_f = _info_content_table(spectra.p_m_final, l_paf, l_pbf, tol)
+    info_i, info_f = info_content_tables(spectra, tol)
     d_i = (info_f[None, None, None, :, :, :]
            - info_i[:, :, :, None, None, None]).reshape(d_m, d_a, d_b, d_m, d_a, d_b, 1, 1)
 
@@ -218,7 +187,7 @@ def restricted_average(dist: ReverseJointDistribution, values) -> float:
     """Reverse-table average restricted to trajectories whose initial
     (m, r) lies in the forward support (the only region where the
     detailed relation links the two tables)."""
-    mask = dist.forward_support[:, None, None, None, None, None, :, None]
+    mask = _initial_support(dist.forward_support)
     table = dist.table
     f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
     return float(np.sum(np.where((table > 0.0) & mask, table * f, 0.0)))

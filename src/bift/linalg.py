@@ -160,13 +160,8 @@ def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spe
     n = len(vals)
     scale = max(1.0, float(np.max(np.abs(vals)))) if n else 1.0
     fixed = np.zeros_like(vecs)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(vals[j] - vals[i]) <= tol.degeneracy * scale:
-            j += 1
+    for i, j in degenerate_blocks(vals, tol):
         fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
-        i = j
     sup = np.abs(vals) > tol.support * scale if n else np.zeros(0, dtype=bool)
     return SpectralDecomposition(probabilities=vals, vectors=fixed, support_mask=sup)
 

@@ -44,7 +44,7 @@ from .linalg import (
     density_operator,
     haar_unitary,
 )
-from .tables import AnalyticSystem, SystemSpectra, UnitarySystem, spectra_from_analytic, spectra_from_unitary
+from .tables import SystemSpectra, UnitarySystem, spectra_from_analytic, spectra_from_unitary
 from .theorems import Analysis, WorkInputs, evaluate
 
 LN2 = math.log(2.0)
@@ -114,7 +114,7 @@ def werner_delta_i_avg(p: float) -> float:
     return out
 
 
-def _werner_spectra(p: float) -> SystemSpectra:
+def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
     p_m = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
     cond_i = np.zeros((4, 2, 2))
     cond_i[0, 0, 0] = cond_i[0, 1, 1] = 0.5   # (|00>+|11>)/sqrt2
@@ -128,8 +128,8 @@ def _werner_spectra(p: float) -> SystemSpectra:
     kernel[:, 0, 0, 0] = 1.0                  # every m relaxes to the final ground state
     reverse_kernel = np.full((4, 1, 4, 1), 0.25)  # re-expansion is uniform over m
 
-    system = AnalyticSystem(
-        dim_a=2, dim_b=2,
+    return spectra_from_analytic(SystemSpectra(
+        dim_a=2, dim_b=2, dim_r=1,
         p_m=p_m,
         p_a=np.array([0.5, 0.5]), p_b=np.array([0.5, 0.5]),
         p_m_final=np.array([1.0, 0.0, 0.0, 0.0]),
@@ -139,26 +139,31 @@ def _werner_spectra(p: float) -> SystemSpectra:
         kernel=kernel, reverse_kernel=reverse_kernel,
         # Quasi-static heat bookkeeping: each qubit absorbs -ln2 / beta,
         # deterministic along every trajectory.
-        heat_exponent=np.array([[-2.0 * LN2]]),
-    )
-    return spectra_from_analytic(system)
+        beta_q=np.array([[-2.0 * LN2]]),
+    ), tol)
 
 
 def werner_isothermal(p: float, beta: float = 1.0,
-                      tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
-    """Isothermal gap sweep on both halves of a Werner state."""
+                      tol: Tolerances = DEFAULT_TOL,
+                      _reverse_corruption: float | None = None) -> ScenarioResult:
+    """Isothermal gap sweep on both halves of a Werner state.
+
+    ``_reverse_corruption`` is passed to :func:`evaluate` (negative
+    control).
+    """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     # The dimensionless heat exponent -2 ln 2 does not depend on beta;
     # beta only scales the work/free-energy bookkeeping below.
-    spectra = _werner_spectra(p)
+    spectra = _werner_spectra(p, tol)
     # Work done on each qubit is ln2 / beta, so extracted work is its
     # negative; each subsystem free energy rises by ln2 / beta.
     work = WorkInputs(work_a=-LN2 / beta, work_b=-LN2 / beta,
                       delta_f_a=LN2 / beta, delta_f_b=LN2 / beta, beta=beta)
-    analysis = evaluate(spectra, work_inputs=work, tol=tol)
+    analysis = evaluate(spectra, work_inputs=work, tol=tol,
+                        _reverse_corruption=_reverse_corruption)
     gamma = 0.25 if p == 1.0 else 1.0
     di = werner_delta_i_avg(p)
     reference = {
@@ -194,7 +199,7 @@ def _counterexample_unitary_system(p: float) -> UnitarySystem:
                          unitary=u)
 
 
-def _counterexample_analytic_spectra(p: float) -> SystemSpectra:
+def _counterexample_analytic_spectra(p: float, tol: Tolerances) -> SystemSpectra:
     p_m = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
     cond_i = np.zeros((4, 2, 2))              # initial basis is the product basis
     cond_i[0, 0, 0] = cond_i[1, 0, 1] = cond_i[2, 1, 0] = cond_i[3, 1, 1] = 1.0
@@ -207,32 +212,36 @@ def _counterexample_analytic_spectra(p: float) -> SystemSpectra:
     for m in range(4):
         kernel[m, 0, m, 0] = 1.0              # adiabatic: each level follows itself
     local = np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0])
-    system = AnalyticSystem(
-        dim_a=2, dim_b=2,
+    return spectra_from_analytic(SystemSpectra(
+        dim_a=2, dim_b=2, dim_r=1,
         p_m=p_m, p_a=local, p_b=local,
         p_m_final=p_m.copy(),
         p_a_final=np.array([0.5, 0.5]), p_b_final=np.array([0.5, 0.5]),
         cond_initial=cond_i, cond_final=cond_f,
         p_r=np.array([1.0]), p_r_reverse=np.array([1.0]),
         kernel=kernel, reverse_kernel=kernel.copy(),
-        heat_exponent=np.array([[0.0]]),
-    )
-    return spectra_from_analytic(system)
+        beta_q=np.array([[0.0]]),
+    ), tol)
 
 
 def bell_adiabatic_counterexample(p: float, route: str = "unitary",
-                                  tol: Tolerances = DEFAULT_TOL) -> ScenarioResult:
+                                  tol: Tolerances = DEFAULT_TOL,
+                                  _reverse_corruption: float | None = None) -> ScenarioResult:
     """Adiabatic product-to-Bell dynamics where the reverse-averaged
-    information bound loses to the plain one."""
+    information bound loses to the plain one.
+
+    ``_reverse_corruption`` is passed to :func:`evaluate` (negative
+    control).
+    """
     if not 0.0 < p < 1.0:
         raise DomainError(f"counterexample fraction must lie in (0, 1), got {p}")
     if route == "unitary":
         spectra = spectra_from_unitary(_counterexample_unitary_system(p), tol=tol)
     elif route == "analytic":
-        spectra = _counterexample_analytic_spectra(p)
+        spectra = _counterexample_analytic_spectra(p, tol)
     else:
         raise DomainError(f"unknown route {route!r}; expected 'unitary' or 'analytic'")
-    analysis = evaluate(spectra, tol=tol)
+    analysis = evaluate(spectra, tol=tol, _reverse_corruption=_reverse_corruption)
     di = counterexample_delta_i_avg(p)
     rev = counterexample_reverse_avg(p)
     reference = {

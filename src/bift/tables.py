@@ -14,16 +14,17 @@ reverse weight for the trajectory that runs m' -> m), so forward and
 reverse entries for one trajectory sit at the same position and
 per-trajectory ratios are elementwise.
 
-Two system descriptions feed the same bundle of ingredients
-(``SystemSpectra``):
+Every table is built from one bundle of ingredients (``SystemSpectra``),
+which comes from one of two routes:
 
-* ``UnitarySystem`` -- an explicit global propagator on AB (x) R; the
-  final-state decomposition is always derived from the evolved state,
-  never user-supplied (a caller may only re-gauge degenerate blocks).
-* ``AnalyticSystem`` -- transition kernels injected directly, for
-  processes (quasi-static limits) that have no finite-dimensional
-  propagator.  Kernels must be row-stochastic and consistent with the
-  attached final spectrum.
+* ``spectra_from_unitary`` -- an explicit global propagator on AB (x) R
+  (``UnitarySystem``); the final-state decomposition is always derived
+  from the evolved state, never user-supplied (a caller may only
+  re-gauge degenerate blocks).
+* ``spectra_from_analytic`` -- a ``SystemSpectra`` with transition
+  kernels injected directly, for processes (quasi-static limits) that
+  have no finite-dimensional propagator.  Kernels must be row-stochastic
+  and consistent with the attached final spectrum.
 
 Summations use a fixed lexicographic (C-order) reduction so results are
 bit-reproducible for identical inputs.
@@ -96,7 +97,9 @@ class ReverseJointDistribution:
 
 @dataclass(frozen=True)
 class SystemSpectra:
-    """Everything the tuple-space machinery needs, route-independent.
+    """Everything the tuple-space machinery needs, route-independent:
+    built by :func:`spectra_from_unitary`, or injected directly and
+    checked by :func:`spectra_from_analytic`.
 
     Kernels are *conditional* transition probabilities.  ``kernel`` has
     axes [m, r, m', r'] with rows (m, r) summing to 1;
@@ -152,44 +155,6 @@ class UnitarySystem:
     unitary: np.ndarray
 
 
-@dataclass(frozen=True)
-class AnalyticSystem:
-    """Kernel-injection route for processes with no finite propagator.
-
-    ``heat_exponent`` replaces the reservoir-level bookkeeping: it is the
-    dimensionless heat exponent attached to each (r, r') pair, which for
-    a physical reservoir would be beta (E_r - E_r').
-    """
-
-    dim_a: int
-    dim_b: int
-    p_m: np.ndarray
-    p_a: np.ndarray
-    p_b: np.ndarray
-    p_m_final: np.ndarray
-    p_a_final: np.ndarray
-    p_b_final: np.ndarray
-    cond_initial: np.ndarray
-    cond_final: np.ndarray
-    p_r: np.ndarray
-    p_r_reverse: np.ndarray
-    kernel: np.ndarray            # [m, r, m', r'], rows (m, r) sum to 1
-    reverse_kernel: np.ndarray    # same axes; sums to 1 over (m, r) per (m', r')
-    heat_exponent: np.ndarray     # [r, r']
-
-
-def conditional_local(m_vec: np.ndarray, a_vec: np.ndarray, b_vec: np.ndarray) -> float:
-    """|<m | a (x) b>|^2, the weight of local labels (a, b) given the
-    global outcome m.  Summing over complete local bases gives 1."""
-    m_vec = np.asarray(m_vec, dtype=complex).ravel()
-    a_vec = np.asarray(a_vec, dtype=complex).ravel()
-    b_vec = np.asarray(b_vec, dtype=complex).ravel()
-    if m_vec.size != a_vec.size * b_vec.size:
-        raise DimensionError(
-            f"global dim {m_vec.size} != {a_vec.size} x {b_vec.size}")
-    return float(np.abs(np.vdot(m_vec, np.kron(a_vec, b_vec))) ** 2)
-
-
 def conditional_table(global_vectors: np.ndarray, a_vectors: np.ndarray,
                       b_vectors: np.ndarray) -> np.ndarray:
     """All |<m|a,b>|^2 at once; shape (M, A, B)."""
@@ -203,34 +168,6 @@ def _guard_size(dims: tuple[int, ...]) -> None:
     n = int(np.prod(dims))
     if n > TABLE_SIZE_GUARD:
         raise SizeError(f"dense tuple table would hold {n} > {TABLE_SIZE_GUARD} entries")
-
-
-def global_tmp_joint(initial: SpectralDecomposition, reservoir: ReservoirSpec,
-                     unitary: np.ndarray,
-                     final: SpectralDecomposition | None = None,
-                     tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Joint probability of the two global measurements,
-    p_{m,m';r,r'} = |<m',r'| U |m,r>|^2 p_m p_r, as an array [m, m', r, r'].
-
-    ``final`` defaults to the decomposition of the evolved reduced state;
-    if supplied it must reconstruct that state (ConsistencyError
-    otherwise) -- only the gauge inside degenerate blocks may differ.
-    """
-    u = check_unitary(unitary, tol)
-    d_m = initial.dim
-    d_r = reservoir.dim
-    if u.shape[0] != d_m * d_r:
-        raise DimensionError(f"propagator dim {u.shape[0]} != {d_m} x {d_r}")
-    p_r = reservoir.gibbs_probabilities()
-    rho_abr = np.kron(initial.reconstruct(), np.diag(p_r).astype(complex))
-    rho_ab_final = partial_trace(u @ rho_abr @ dagger(u), (d_m, d_r), keep=0)
-    if final is None:
-        final = spectral_decompose(rho_ab_final, tol)
-    else:
-        assert_same_operator(final, rho_ab_final)
-    kernel = transition_kernel(initial.vectors, final.vectors, d_r, u)
-    p_m = np.clip(initial.probabilities, 0.0, None)
-    return kernel.transpose(0, 2, 1, 3) * p_m[:, None, None, None] * p_r[None, None, :, None]
 
 
 def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
@@ -309,17 +246,19 @@ def spectra_from_unitary(system: UnitarySystem,
     )
 
 
-def spectra_from_analytic(system: AnalyticSystem,
+def spectra_from_analytic(spectra: SystemSpectra,
                           tol: Tolerances = DEFAULT_TOL) -> SystemSpectra:
-    """Validate an injected-kernel description and bundle it.
+    """Validate an injected-kernel bundle and return it with float arrays
+    and clipped probabilities.
 
-    Checks: probability vectors normalized, conditional tables complete,
-    kernels row-stochastic, and the forward kernel's image marginal equal
-    to the attached final spectrum (ConsistencyError on any failure).
+    Checks: array shapes match ``dim_a``, ``dim_b`` and ``dim_r``
+    (DimensionError); probability vectors normalized, conditional tables
+    complete, kernels row-stochastic, and the forward kernel's image
+    marginal equal to the attached final spectrum (ConsistencyError, each
+    to ``tol.equality``).
     """
-    d_a, d_b = system.dim_a, system.dim_b
+    d_a, d_b, d_r = spectra.dim_a, spectra.dim_b, spectra.dim_r
     d_m = d_a * d_b
-    d_r = len(np.asarray(system.p_r))
     _guard_size((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
 
     def vec(x, n, name):
@@ -328,46 +267,46 @@ def spectra_from_analytic(system: AnalyticSystem,
             raise DimensionError(f"{name} must have shape ({n},), got {arr.shape}")
         if np.any(arr < -tol.psd):
             raise ConsistencyError(f"{name} has negative entries")
-        if abs(arr.sum() - 1.0) > 1e-10:
+        if abs(arr.sum() - 1.0) > tol.equality:
             raise ConsistencyError(f"{name} sums to {arr.sum():.12f}, not 1")
         return np.clip(arr, 0.0, None)
 
-    p_m = vec(system.p_m, d_m, "p_m")
-    p_a = vec(system.p_a, d_a, "p_a")
-    p_b = vec(system.p_b, d_b, "p_b")
-    p_mf = vec(system.p_m_final, d_m, "p_m_final")
-    p_af = vec(system.p_a_final, d_a, "p_a_final")
-    p_bf = vec(system.p_b_final, d_b, "p_b_final")
-    p_r = vec(system.p_r, d_r, "p_r")
-    p_rr = vec(system.p_r_reverse, d_r, "p_r_reverse")
+    p_m = vec(spectra.p_m, d_m, "p_m")
+    p_a = vec(spectra.p_a, d_a, "p_a")
+    p_b = vec(spectra.p_b, d_b, "p_b")
+    p_mf = vec(spectra.p_m_final, d_m, "p_m_final")
+    p_af = vec(spectra.p_a_final, d_a, "p_a_final")
+    p_bf = vec(spectra.p_b_final, d_b, "p_b_final")
+    p_r = vec(spectra.p_r, d_r, "p_r")
+    p_rr = vec(spectra.p_r_reverse, d_r, "p_r_reverse")
 
-    cond_i = np.asarray(system.cond_initial, dtype=float)
-    cond_f = np.asarray(system.cond_final, dtype=float)
+    cond_i = np.asarray(spectra.cond_initial, dtype=float)
+    cond_f = np.asarray(spectra.cond_final, dtype=float)
     for name, c in (("cond_initial", cond_i), ("cond_final", cond_f)):
         if c.shape != (d_m, d_a, d_b):
             raise DimensionError(f"{name} must have shape ({d_m},{d_a},{d_b})")
-        if np.max(np.abs(c.sum(axis=(1, 2)) - 1.0)) > 1e-10:
+        if np.max(np.abs(c.sum(axis=(1, 2)) - 1.0)) > tol.equality:
             raise ConsistencyError(f"{name} rows do not sum to 1")
 
-    kernel = np.asarray(system.kernel, dtype=float)
-    rkernel = np.asarray(system.reverse_kernel, dtype=float)
+    kernel = np.asarray(spectra.kernel, dtype=float)
+    rkernel = np.asarray(spectra.reverse_kernel, dtype=float)
     shape = (d_m, d_r, d_m, d_r)
     if kernel.shape != shape or rkernel.shape != shape:
         raise DimensionError(f"kernels must have shape {shape}")
-    if np.max(np.abs(kernel.sum(axis=(2, 3)) - 1.0)) > 1e-10:
+    if np.max(np.abs(kernel.sum(axis=(2, 3)) - 1.0)) > tol.equality:
         raise ConsistencyError("forward kernel rows do not sum to 1")
-    if np.max(np.abs(rkernel.sum(axis=(0, 1)) - 1.0)) > 1e-10:
+    if np.max(np.abs(rkernel.sum(axis=(0, 1)) - 1.0)) > tol.equality:
         raise ConsistencyError("reverse kernel rows do not sum to 1")
 
     # Final-state consistency: the forward process must land on the
     # attached final spectrum (there is no propagator to guarantee it).
     image = np.einsum("m,r,mrns->n", p_m, p_r, kernel)
-    if np.max(np.abs(image - p_mf)) > 1e-10:
+    if np.max(np.abs(image - p_mf)) > tol.equality:
         raise ConsistencyError("forward kernel image disagrees with final spectrum")
 
-    heat = np.asarray(system.heat_exponent, dtype=float)
-    if heat.shape != (d_r, d_r):
-        raise DimensionError(f"heat_exponent must have shape ({d_r},{d_r})")
+    beta_q = np.asarray(spectra.beta_q, dtype=float)
+    if beta_q.shape != (d_r, d_r):
+        raise DimensionError(f"beta_q must have shape ({d_r},{d_r})")
 
     return SystemSpectra(
         dim_a=d_a, dim_b=d_b, dim_r=d_r,
@@ -375,7 +314,7 @@ def spectra_from_analytic(system: AnalyticSystem,
         p_m_final=p_mf, p_a_final=p_af, p_b_final=p_bf,
         cond_initial=cond_i, cond_final=cond_f,
         p_r=p_r, p_r_reverse=p_rr,
-        kernel=kernel, reverse_kernel=rkernel, beta_q=heat,
+        kernel=kernel, reverse_kernel=rkernel, beta_q=beta_q,
     )
 
 
@@ -434,12 +373,27 @@ def reverse_joint(spectra: SystemSpectra, forward: ForwardJointDistribution,
     absolutely irreversible.
     """
     table = _attach_conditionals(reverse_global_table(spectra), spectra)
-    mask = forward.forward_support[:, None, None, None, None, None, :, None]
-    restricted = float(np.sum(np.where(mask, table, 0.0)))
+    return _reverse_distribution(spectra.dims, table, forward.forward_support)
+
+
+def _initial_support(forward_support: np.ndarray) -> np.ndarray:
+    """The (m, r) forward-support mask broadcast over the eight axes."""
+    return forward_support[:, None, None, None, None, None, :, None]
+
+
+def _reverse_distribution(dims: tuple[int, ...], table: np.ndarray,
+                          forward_support: np.ndarray) -> ReverseJointDistribution:
+    """Wrap a reverse table with its support-restricted mass."""
+    restricted = float(np.sum(np.where(_initial_support(forward_support), table, 0.0)))
     return ReverseJointDistribution(
-        dims=spectra.dims, table=table,
-        forward_support=forward.forward_support.copy(),
+        dims=dims, table=table,
+        forward_support=forward_support.copy(),
         restricted_mass=restricted)
+
+
+def _above_cutoff(table: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Entries above the support cutoff relative to the largest entry."""
+    return table > tol.support * float(table.max())
 
 
 _AXIS_NAMES = ("m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final")

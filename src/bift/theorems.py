@@ -42,6 +42,8 @@ from .tables import (
     OutcomeTuple,
     ReverseJointDistribution,
     SystemSpectra,
+    _above_cutoff,
+    _reverse_distribution,
     augmented_forward,
     reverse_joint,
 )
@@ -140,8 +142,7 @@ def detailed_ft_check(forward: ForwardJointDistribution,
     | p_rev/p_fwd - exp(-ds_A - ds_B + dI + beta Q) |,
     together with the trajectory attaining it."""
     f = forward.table
-    cut = tol.support * float(f.max())
-    mask = f > cut
+    mask = _above_cutoff(f, tol)
     if not mask.any():
         return 0.0, None
     expo = np.broadcast_to(np.exp(traj.ft_exponent()), f.shape)
@@ -201,7 +202,7 @@ def classical_reduction_check(spectra: SystemSpectra,
     lhs = average(forward, np.exp(traj.classical_exponent()))
     residual = abs(lhs - reverse.restricted_mass)
     f = forward.table
-    mask = f > tol.support * float(f.max())
+    mask = _above_cutoff(f, tol)
     gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, f.shape))
     max_gap = float(np.max(np.where(mask, gap, 0.0)))
     return residual, max_gap
@@ -283,10 +284,7 @@ def corrupt_reverse(reverse: ReverseJointDistribution,
     table = reverse.table.copy()
     flat = int(np.argmax(table))
     table.flat[flat] *= factor
-    mask = reverse.forward_support[:, None, None, None, None, None, :, None]
-    restricted = float(np.sum(np.where(mask, table, 0.0)))
-    return ReverseJointDistribution(reverse.dims, table, reverse.forward_support.copy(),
-                                    restricted)
+    return _reverse_distribution(reverse.dims, table, reverse.forward_support)
 
 
 def evaluate(spectra: SystemSpectra,

@@ -4,10 +4,12 @@ Oracles here are deliberately naive (nested loops, direct sums) and
 independent of the broadcast/einsum paths they check.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bift.scenarios import bell_basis
+from bift.scenarios import bell_basis, werner_isothermal
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -24,6 +26,12 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def bell_ket(k: int) -> np.ndarray:
     return bell_basis()[:, k].astype(complex)
+
+
+def werner_spectra(p: float = 0.5, **fields):
+    """The Werner scenario's spectra with ``fields`` swapped in (not
+    re-validated)."""
+    return dataclasses.replace(werner_isothermal(p).analysis.spectra, **fields)
 
 
 def oracle_forward_table(spectra) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -65,6 +66,36 @@ class TestRun:
         assert doc["report"]["reverse_avg_exp_di"] == pytest.approx(10 / 9, abs=1e-10)
 
 
+# sha256 of the output bytes, pinned from the seed implementation; none
+# of these cases draws a Haar sample.
+GOLDEN = {
+    "werner-p0": (("run", "--scenario", "werner", "--p", "0"),
+                  "c6b09c46250bb7a033946c32423dd3f1e15cd5899833766c1985730d3f8f4c62"),
+    "werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37"),
+                     "e727e4045a7c5e888fd0214f08dbfec7ceda68702d73d92ff36fa394287cf946"),
+    "werner-p1": (("run", "--scenario", "werner", "--p", "1"),
+                  "9f749c52d8d1e8451f18bad8bbd8e976db2acce7a006dc8727d64e1817982bcd"),
+    "counterexample-unitary": (
+        ("run", "--scenario", "counterexample", "--p", "0.5"),
+        "dae1bd2375197ecd51e162bc1f9cab5898f3511dd583e564f4e1e0f599b97d8e"),
+    "counterexample-analytic": (
+        ("run", "--scenario", "counterexample", "--p", "0.5", "--config", "analytic.json"),
+        "457c7f4e87064d6f24a09b979600087932f3e12712d768649cc00acca336bb39"),
+    "sweep-werner": (("sweep", "--scenario", "werner", "--p", "0:1:11"),
+                     "dc8b80773a5af83de32b7c95baaf7d51153ae4f94e9070005f641a1f91aebc28"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_bytes(tmp_path, monkeypatch, case):
+    argv, digest = GOLDEN[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "analytic.json").write_text(json.dumps({"route": "analytic"}))
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestSweep:
     def test_werner_grid_monotone_gap(self, tmp_path):
         code, text = run_cli(tmp_path, "sweep", "--scenario", "werner",
@@ -123,6 +154,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL detailed_ft" in text
         assert "worst trajectory (0, 0, 0, 0, 0, 0, 0, 0)" in text
+
+    def test_corrupted_werner_keeps_work_bounds(self, tmp_path):
+        out = tmp_path / "v.txt"
+        code = main(["verify", "--scenario", "werner", "--p", "1",
+                     "--corrupt-reverse", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert code == 1
+        assert any(line.startswith("FAIL detailed_ft") for line in lines)
+        for name in ("work_bound_info_gamma", "work_bound_reverse_info"):
+            (line,) = [ln for ln in lines if f"bound:{name} " in ln]
+            assert "kind=upper" in line
 
     def test_random_passes(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--scenario", "random",

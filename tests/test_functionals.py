@@ -10,79 +10,109 @@ from bift.functionals import (
     HeatPartition,
     TrajectoryFunctional,
     average,
-    classical_mutual_info_content,
     entropy_production,
-    heat_exponent,
     info_content_tables,
     log_or_zero,
-    mutual_info_content,
     restricted_average,
     shannon_entropy,
-    stochastic_entropy_change,
     tuple_functionals,
 )
+from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
-from bift.tables import augmented_forward, marginal, spectra_from_unitary
+from bift.tables import UnitarySystem, augmented_forward, marginal, spectra_from_unitary
+
+from conftest import werner_spectra
 
 LN2 = math.log(2.0)
 
 finite_probs = st.floats(min_value=1e-6, max_value=1.0)
 
 
+def reservoir_spectra(reservoir: ReservoirSpec):
+    """A one-level system coupled trivially to ``reservoir``."""
+    d_r = reservoir.dim
+    system = UnitarySystem(1, 1, density_operator(np.eye(1, dtype=complex)), reservoir,
+                           np.eye(d_r, dtype=complex))
+    return spectra_from_unitary(system)
+
+
 class TestScalarFunctionals:
+    """Per-outcome entries of the table functionals: entropy changes
+    (``log_or_zero``), info contents (``info_content_tables`` and
+    ``tuple_functionals``) and the heat exponent (``beta_q``)."""
+
     def test_entropy_change_examples(self):
-        assert stochastic_entropy_change(0.5, 1.0) == pytest.approx(-LN2)
-        assert stochastic_entropy_change(0.25, 0.5) == pytest.approx(-LN2)
+        got = log_or_zero(np.array([0.5, 0.25]), 1.0) - log_or_zero(np.array([1.0, 0.5]), 1.0)
+        assert got == pytest.approx([-LN2, -LN2])
 
     @given(q=finite_probs)
     def test_entropy_change_no_change(self, q):
-        assert stochastic_entropy_change(q, q) == 0.0
+        local = np.array([q, 1.0 - q])
+        traj = tuple_functionals(werner_spectra(p_a=local, p_a_final=local))
+        for a in range(2):
+            assert traj.delta_s_a[0, a, 0, 0, a, 0, 0, 0] == 0.0
 
     def test_entropy_change_zero_convention(self):
-        assert stochastic_entropy_change(0.0, 0.5) == pytest.approx(LN2)
+        traj = tuple_functionals(werner_spectra(p_a=np.array([1.0, 0.0]),
+                                                p_a_final=np.array([0.5, 0.5])))
+        # ln 0 := 0 for the vanished initial weight
+        assert traj.delta_s_a[0, 1, 0, 0, 0, 0, 0, 0] == pytest.approx(LN2)
 
     @pytest.mark.parametrize("p", [0.2, 0.6, 1.0])
     def test_info_content_werner_rows(self, p):
-        top = (1 + 3 * p) / 4
-        assert mutual_info_content(top, 0.5, 0.5) == pytest.approx(math.log(1 + 3 * p))
+        info_i, _ = info_content_tables(werner_spectra(p))
+        assert np.all(np.abs(info_i[0] - math.log(1 + 3 * p)) < 1e-12)
         if p < 1.0:
-            rest = (1 - p) / 4
-            assert mutual_info_content(rest, 0.5, 0.5) == pytest.approx(math.log(1 - p))
+            assert np.all(np.abs(info_i[1:] - math.log(1 - p)) < 1e-12)
 
     def test_info_content_zero_outright(self):
         # a vanished global weight zeroes the whole content, not just one log
-        assert mutual_info_content(0.0, 0.5, 0.5) == 0.0
+        info_i, _ = info_content_tables(werner_spectra(1.0))
+        assert np.all(info_i[1:] == 0.0)
 
     @given(pa=finite_probs, pb=finite_probs)
     def test_info_content_product(self, pa, pb):
-        assert mutual_info_content(pa * pb, pa, pb) == pytest.approx(0.0, abs=1e-10)
+        p_a = np.array([pa, 1.0 - pa])
+        p_b = np.array([pb, 1.0 - pb])
+        info_i, _ = info_content_tables(werner_spectra(p_m=np.kron(p_a, p_b),
+                                                       p_a=p_a, p_b=p_b))
+        for a in range(2):
+            for b in range(2):
+                assert info_i[2 * a + b, a, b] == pytest.approx(0.0, abs=1e-10)
 
     def test_classical_content(self):
-        assert classical_mutual_info_content(0.5, 0.5, 0.5) == pytest.approx(LN2)
-        assert classical_mutual_info_content(0.25, 0.5, 0.5) == pytest.approx(0.0)
-        assert classical_mutual_info_content(0.0, 0.5, 0.5) == 0.0
+        # the final Werner joint is a point mass with J = 0 on it, so
+        # -delta_j over (a, b) with (a', b') = (0, 0) is the initial J table
+        j_pure = -tuple_functionals(werner_spectra(1.0)).delta_j[0, :, :, 0, 0, 0, 0, 0]
+        assert j_pure[0, 0] == pytest.approx(LN2)       # p_ab = 1/2
+        assert j_pure[0, 1] == 0.0                      # p_ab = 0: zero outright
+        j_mixed = -tuple_functionals(werner_spectra(0.0)).delta_j[0, :, :, 0, 0, 0, 0, 0]
+        assert np.max(np.abs(j_mixed)) < 1e-12          # p_ab = 1/4 = p_a p_b
 
     def test_classical_content_werner_pure(self):
         # marginal (a, b) joint of the pure-state table: both aligned pairs
-        # carry 1/2
-        fwd = werner_isothermal(1.0).analysis.forward
-        joint = marginal(fwd, ("a", "b"))
+        # carry 1/2, and it is the joint the J table is built from
+        spectra = werner_spectra(1.0)
+        joint = marginal(werner_isothermal(1.0).analysis.forward, ("a", "b"))
         assert joint[0, 0] == pytest.approx(0.5)
-        assert classical_mutual_info_content(joint[0, 0], 0.5, 0.5) == pytest.approx(LN2)
+        assert np.max(np.abs(joint - spectra.classical_joint_initial())) < 1e-15
+        traj = tuple_functionals(spectra)
+        assert -traj.delta_j[0, 0, 0, 0, 0, 0, 0, 0] == pytest.approx(LN2)
 
     def test_heat_exponent(self):
-        assert heat_exponent(1.0, 1.0, 2.0) == 0.0
-        assert heat_exponent(3.0, 0.0, 2.0) == pytest.approx(6.0)
+        beta_q = reservoir_spectra(ReservoirSpec((0.0, 3.0), 2.0)).beta_q
+        assert beta_q[0, 0] == 0.0
+        assert beta_q[1, 1] == 0.0
+        assert beta_q[1, 0] == pytest.approx(6.0)
 
     @given(e_r=st.floats(0, 5), e_rf=st.floats(0, 5),
            beta=st.floats(0.1, 3.0))
     @settings(max_examples=40)
     def test_heat_exponent_gibbs_consistency(self, e_r, e_rf, beta):
-        z = math.exp(-beta * e_r) + math.exp(-beta * e_rf) + 1.0
-        p_r = math.exp(-beta * e_r) / z
-        p_rf = math.exp(-beta * e_rf) / z
-        assert heat_exponent(e_r, e_rf, beta) == pytest.approx(
-            math.log(p_rf) - math.log(p_r), abs=1e-10)
+        reservoir = ReservoirSpec((e_r, e_rf, 0.0), beta)
+        p_r = reservoir.gibbs_probabilities()
+        assert reservoir_spectra(reservoir).beta_q[0, 1] == pytest.approx(
+            math.log(p_r[1]) - math.log(p_r[0]), abs=1e-10)
 
     def test_log_or_zero_threshold(self):
         vals = log_or_zero(np.array([0.5, 0.0, 1e-20]), reference=1.0)

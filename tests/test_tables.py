@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from bift.errors import ConsistencyError, DimensionError, SizeError
 from bift.linalg import (
     ReservoirSpec,
+    Tolerances,
     density_operator,
     haar_unitary,
     remix_degenerate_blocks,
@@ -13,57 +16,61 @@ from bift.linalg import (
 )
 from bift.scenarios import (
     bell_adiabatic_counterexample,
+    bell_basis,
     random_instance,
     werner_isothermal,
 )
 from bift.tables import (
-    AnalyticSystem,
     UnitarySystem,
     augmented_forward,
-    conditional_local,
-    global_tmp_joint,
+    conditional_table,
+    global_table,
     marginal,
     reverse_joint,
     spectra_from_analytic,
     spectra_from_unitary,
 )
 
-from conftest import bell_ket, oracle_forward_table, oracle_reverse_table
-
-E0 = np.array([1.0, 0.0])
-E1 = np.array([0.0, 1.0])
+from conftest import oracle_forward_table, oracle_reverse_table, werner_spectra
 
 
 class TestConditionalLocal:
+    """The conditional weights |<m|a,b>|^2 (``conditional_table``)."""
+
     def test_bell_half(self):
-        assert conditional_local(bell_ket(0), E0, E0) == pytest.approx(0.5)
-        assert conditional_local(bell_ket(0), E1, E1) == pytest.approx(0.5)
+        cond = conditional_table(bell_basis(), np.eye(2), np.eye(2))
+        assert cond[0, 0, 0] == pytest.approx(0.5)
+        assert cond[0, 1, 1] == pytest.approx(0.5)
 
     def test_bell_zero(self):
-        assert conditional_local(bell_ket(0), E0, E1) == 0.0
-        assert conditional_local(bell_ket(0), E1, E0) == 0.0
+        cond = conditional_table(bell_basis(), np.eye(2), np.eye(2))
+        assert cond[0, 0, 1] == 0.0
+        assert cond[0, 1, 0] == 0.0
 
     def test_product_vector(self, rng):
-        a = haar_unitary(2, rng)[:, 0]
-        b = haar_unitary(3, rng)[:, 0]
-        assert conditional_local(np.kron(a, b), a, b) == pytest.approx(1.0)
+        u_a = haar_unitary(2, rng)
+        u_b = haar_unitary(3, rng)
+        m = np.kron(u_a[:, 0], u_b[:, 0])[:, None]
+        assert conditional_table(m, u_a, u_b)[0, 0, 0] == pytest.approx(1.0)
 
     def test_completeness(self, rng):
-        m = haar_unitary(6, rng)[:, 0]
-        total = sum(conditional_local(m, np.eye(2)[:, a], np.eye(3)[:, b])
-                    for a in range(2) for b in range(3))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        cond = conditional_table(haar_unitary(6, rng), np.eye(2), np.eye(3))
+        assert np.max(np.abs(cond.sum(axis=(1, 2)) - 1.0)) < 1e-12
 
     def test_dimension_mismatch(self):
+        # an injected conditional table whose global dimension is not A x B
+        s = werner_spectra()
         with pytest.raises(DimensionError):
-            conditional_local(np.ones(3), E0, E0)
+            spectra_from_analytic(dataclasses.replace(s, cond_initial=s.cond_initial[:3]))
 
 
 class TestGlobalTmpJoint:
+    """The global two-point table p_{m,m';r,r'} (``global_table``)."""
+
     def test_identity_propagator_delta_structure(self, rng):
         system = random_instance(2, 2, 2, seed=5)
-        dec = system.rho_ab.decomposition
-        table = global_tmp_joint(dec, system.reservoir, np.eye(8))
+        system = dataclasses.replace(system, unitary=np.eye(8, dtype=complex))
+        table = global_table(spectra_from_unitary(system))
         # with U = I the endpoint bases coincide, so the kernel part is
         # the identity permutation on (m, r)
         for m in range(4):
@@ -81,8 +88,8 @@ class TestGlobalTmpJoint:
         for a in range(2):
             for b in range(2):
                 swap[2 * b + a, 2 * a + b] = 1.0
-        dec = rho.decomposition
-        got = global_tmp_joint(dec, ReservoirSpec((0.0,), 1.0), swap.astype(complex))
+        system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0,), 1.0), swap.astype(complex))
+        got = global_table(spectra_from_unitary(system))
         # oracle: explicit enumeration over the 4x4 outcome pairs;
         # eigenvalues sort descending so eigenvector k is computational
         # state order[k]
@@ -100,17 +107,14 @@ class TestGlobalTmpJoint:
         assert np.max(np.abs(got - oracle)) < 1e-14
 
     def test_sums_to_one(self, rng):
-        system = random_instance(2, 3, 2, seed=9)
-        table = global_tmp_joint(system.rho_ab.decomposition, system.reservoir,
-                                 system.unitary)
+        table = global_table(spectra_from_unitary(random_instance(2, 3, 2, seed=9)))
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_inconsistent_final(self, rng):
         system = random_instance(2, 2, 2, seed=3)
         wrong = spectral_decompose(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
         with pytest.raises(ConsistencyError):
-            global_tmp_joint(system.rho_ab.decomposition, system.reservoir,
-                             system.unitary, final=wrong)
+            spectra_from_unitary(system, final_decomposition=wrong)
 
 
 class TestForwardTable:
@@ -240,35 +244,33 @@ class TestMarginal:
 
 
 class TestAnalyticValidation:
-    def _base(self):
-        return werner_isothermal(0.5).analysis.spectra
+    """``spectra_from_analytic`` on an injected-kernel ``SystemSpectra``."""
 
     def test_kernel_image_must_match_final(self):
-        s = self._base()
-        bad = AnalyticSystem(
-            dim_a=2, dim_b=2, p_m=s.p_m, p_a=s.p_a, p_b=s.p_b,
-            p_m_final=np.array([0.0, 1.0, 0.0, 0.0]),   # wrong target
-            p_a_final=s.p_a_final, p_b_final=s.p_b_final,
-            cond_initial=s.cond_initial, cond_final=s.cond_final,
-            p_r=s.p_r, p_r_reverse=s.p_r_reverse,
-            kernel=s.kernel, reverse_kernel=s.reverse_kernel,
-            heat_exponent=s.beta_q)
+        bad = dataclasses.replace(werner_spectra(),
+                                  p_m_final=np.array([0.0, 1.0, 0.0, 0.0]))  # wrong target
         with pytest.raises(ConsistencyError):
             spectra_from_analytic(bad)
 
     def test_kernel_rows_must_be_stochastic(self):
-        s = self._base()
+        s = werner_spectra()
         bad_kernel = s.kernel.copy()
         bad_kernel[0, 0, 0, 0] = 0.5
-        bad = AnalyticSystem(
-            dim_a=2, dim_b=2, p_m=s.p_m, p_a=s.p_a, p_b=s.p_b,
-            p_m_final=s.p_m_final, p_a_final=s.p_a_final, p_b_final=s.p_b_final,
-            cond_initial=s.cond_initial, cond_final=s.cond_final,
-            p_r=s.p_r, p_r_reverse=s.p_r_reverse,
-            kernel=bad_kernel, reverse_kernel=s.reverse_kernel,
-            heat_exponent=s.beta_q)
         with pytest.raises(ConsistencyError):
-            spectra_from_analytic(bad)
+            spectra_from_analytic(dataclasses.replace(s, kernel=bad_kernel))
+
+    def test_equality_tolerance_reaches_kernel_checks(self):
+        s = werner_spectra()
+        off = s.kernel.copy()
+        off[0, 0, 0, 0] += 1e-11
+        near = dataclasses.replace(s, kernel=off)
+        spectra_from_analytic(near)
+        with pytest.raises(ConsistencyError):
+            spectra_from_analytic(near, Tolerances(equality=1e-12))
+
+    def test_dim_r_must_match_p_r(self):
+        with pytest.raises(DimensionError):
+            spectra_from_analytic(dataclasses.replace(werner_spectra(), dim_r=2))
 
 
 class TestGuardsAndOverrides:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from bift.scenarios import (
     werner_state,
 )
 from bift.tables import (
-    AnalyticSystem,
     UnitarySystem,
     augmented_forward,
     reverse_joint,
@@ -362,25 +362,14 @@ class TestEdgesAndControls:
         # artificial kernels whose reversed flow never returns to the
         # forward support: the factor is 0, its log the -inf sentinel,
         # and the log-based bounds are flagged vacuous
-        cond = np.zeros((4, 2, 2))
-        cond[0, 0, 0] = cond[0, 1, 1] = 0.5
-        cond[1, 0, 0] = cond[1, 1, 1] = 0.5
-        cond[2, 0, 1] = cond[2, 1, 0] = 0.5
-        cond[3, 0, 1] = cond[3, 1, 0] = 0.5
-        kernel = np.zeros((4, 1, 4, 1))
-        kernel[:, 0, 0, 0] = 1.0
+        base = werner_isothermal(1.0).analysis.spectra   # p_m = p_m_final = (1, 0, 0, 0)
         rkernel = np.zeros((4, 1, 4, 1))
         rkernel[3, 0, :, 0] = 1.0     # reverse flow lands on the empty level
-        system = AnalyticSystem(
-            dim_a=2, dim_b=2,
-            p_m=np.array([1.0, 0.0, 0.0, 0.0]),
-            p_a=np.array([0.5, 0.5]), p_b=np.array([0.5, 0.5]),
-            p_m_final=np.array([1.0, 0.0, 0.0, 0.0]),
+        system = dataclasses.replace(
+            base,
             p_a_final=np.array([0.5, 0.5]), p_b_final=np.array([0.5, 0.5]),
-            cond_initial=cond, cond_final=cond,
-            p_r=np.array([1.0]), p_r_reverse=np.array([1.0]),
-            kernel=kernel, reverse_kernel=rkernel,
-            heat_exponent=np.array([[0.0]]))
+            cond_final=base.cond_initial,
+            reverse_kernel=rkernel, beta_q=np.array([[0.0]]))
         rep = evaluate(spectra_from_analytic(system)).report
         assert rep.gamma_restricted == 0.0
         assert rep.ln_gamma == float("-inf")
