@@ -15,12 +15,11 @@ from .errors import (
     UnitarityError,
 )
 from .functionals import (
+    EndpointFunctionals,
     HeatPartition,
     TrajectoryFunctional,
-    average,
+    endpoint_functionals,
     entropy_production,
-    restricted_average,
-    tuple_functionals,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -46,12 +45,14 @@ from .scenarios import (
     werner_isothermal,
 )
 from .tables import (
+    FactoredJoint,
     ForwardJointDistribution,
     OutcomeTuple,
     ReverseJointDistribution,
     SystemSpectra,
     UnitarySystem,
     augmented_forward,
+    factored_joint,
     marginal,
     reverse_joint,
     spectra_from_analytic,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, reportio
 from .errors import BiftError, DomainError
-from .functionals import average, info_content_tables, shannon_entropy
+from .functionals import shannon_entropy
 from .linalg import DEFAULT_TOL, ReservoirSpec, Tolerances, density_operator
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
 from .scenarios import (
@@ -32,7 +32,7 @@ from .scenarios import (
     report_value,
     werner_isothermal,
 )
-from .tables import UnitarySystem, global_table, marginal, spectra_from_unitary
+from .tables import UnitarySystem, augmented_forward, reverse_joint, spectra_from_unitary
 from .theorems import Analysis, evaluate
 
 SWEEP_COLUMNS = (
@@ -94,11 +94,71 @@ def merge_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.dims is not None:
-        cfg["dims"] = [int(tok) for tok in str(args.dims).split(",")]
+        try:
+            cfg["dims"] = [int(tok) for tok in str(args.dims).split(",")]
+        except ValueError as exc:
+            raise DomainError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
     if args.tolerance is not None:
         cfg["tolerance"] = args.tolerance
     if args.emit_tuples:
         cfg["emit_tuples"] = True
+    return validate_config(cfg)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _number(value, name: str, positive: bool) -> None:
+    ok = _is_real(value) and math.isfinite(value) and (value > 0 if positive else value >= 0)
+    if not ok:
+        kind = "positive" if positive else "non-negative"
+        raise DomainError(f"{name}: expected a finite {kind} number, got {value!r}")
+
+
+def _dims(value, name: str) -> None:
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(_is_int(d) and d > 0 for d in value)):
+        raise DomainError(f"{name}: expected three positive integers d_A,d_B,d_R, got {value!r}")
+
+
+def validate_config(cfg: dict) -> dict:
+    """Reject malformed values where the config enters, so that a bad
+    input exits 2 with a message instead of failing inside the numerics:
+    finite positive betas, positive dims, an integer seed, finite
+    non-negative tolerances and a ``system`` block that is an object."""
+    if "beta" in cfg:
+        _number(cfg["beta"], "beta", positive=True)
+    if "dims" in cfg:
+        _dims(cfg["dims"], "dims")
+    if "seed" in cfg and not _is_int(cfg["seed"]):
+        raise DomainError(f"seed: expected an integer, got {cfg['seed']!r}")
+    tol = cfg.get("tolerance")
+    if isinstance(tol, dict):
+        for key, value in tol.items():
+            _number(value, f"tolerance.{key}", positive=False)
+    elif tol is not None:
+        _number(tol, "tolerance", positive=False)
+    if "system" in cfg:
+        sysc = cfg["system"]
+        if not isinstance(sysc, dict):
+            raise DomainError(f"system: expected an object, got {sysc!r}")
+        if "dims" in sysc:
+            _dims(sysc["dims"], "system.dims")
+        res = sysc.get("reservoir")
+        if res is not None:
+            if not isinstance(res, dict):
+                raise DomainError(f"system.reservoir: expected an object, got {res!r}")
+            if "beta" in res:
+                _number(res["beta"], "system.reservoir.beta", positive=True)
+            energies = res.get("energies", [])
+            if not (isinstance(energies, list)
+                    and all(_is_real(e) and math.isfinite(e) for e in energies)):
+                raise DomainError("system.reservoir.energies: expected a list of finite numbers")
     return cfg
 
 
@@ -130,10 +190,7 @@ def explicit_system(cfg: dict) -> UnitarySystem:
     for field in ("dims", "rho_ab", "unitary", "reservoir"):
         if field not in sysc:
             raise DomainError(f"system.{field}: missing")
-    dims = sysc["dims"]
-    if not (isinstance(dims, (list, tuple)) and len(dims) == 3):
-        raise DomainError("system.dims: expected [d_A, d_B, d_R]")
-    d_a, d_b, d_r = (int(d) for d in dims)
+    d_a, d_b, d_r = sysc["dims"]
     rho = decode_complex_matrix(sysc["rho_ab"], "system.rho_ab")
     u = decode_complex_matrix(sysc["unitary"], "system.unitary")
     res = sysc["reservoir"]
@@ -175,10 +232,7 @@ def build_analysis(cfg: dict, p_value: float | None = None,
                                                    "route": route}
     elif name == "random":
         seed = int(cfg.get("seed", 0))
-        dims = cfg.get("dims", [2, 2, 2])
-        if len(dims) != 3:
-            raise DomainError("dims: expected d_A,d_B,d_R")
-        d_a, d_b, d_r = (int(d) for d in dims)
+        d_a, d_b, d_r = cfg.get("dims", [2, 2, 2])
         beta = float(cfg.get("beta", 1.0))
         system = random_instance(d_a, d_b, d_r, seed, beta=beta,
                                  rank_deficient=bool(cfg.get("rank_deficient", False)))
@@ -223,38 +277,42 @@ def core_checks(analysis: Analysis, reference: dict, tol: Tolerances) -> list[Ch
 
 
 def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
-    """Structural identities re-derived from the ingredient bundle."""
+    """Structural identities re-derived from the ingredient bundle, on
+    the factored tables."""
     s = analysis.spectra
-    fwd, rev = analysis.forward, analysis.reverse
+    joint = analysis.joint
     checks = []
 
-    checks.append(Check("forward_normalization", abs(fwd.total() - 1.0),
-                        abs(fwd.total() - 1.0) <= tol.equality))
-    checks.append(Check("reverse_normalization", abs(rev.total() - 1.0),
-                        abs(rev.total() - 1.0) <= tol.equality))
+    for name, table in (("forward_normalization", joint.forward),
+                        ("reverse_normalization", joint.reverse)):
+        dev = abs(joint.expectation(table) - 1.0)
+        checks.append(Check(name, dev, dev <= tol.equality))
 
-    g = global_table(s)
-    refactored = np.einsum("mnrs,mab,nAB->mabnABrs", g, s.cond_initial, s.cond_final)
-    fact = float(np.max(np.abs(refactored - fwd.table)))
+    # Summing the local labels out of the augmented table returns G.
+    sum_i = s.cond_initial.sum(axis=(1, 2))
+    sum_f = s.cond_final.sum(axis=(1, 2))
+    fact = float(np.max(np.abs(
+        joint.forward * (sum_i[:, None, None, None] * sum_f[None, :, None, None] - 1.0))))
     checks.append(Check("forward_factorization", fact, fact <= 1e-12))
 
-    got = marginal(fwd, ("m", "a", "b", "r"))
+    # Forward marginal over (m, a, b, r): the conditional weight times the
+    # final-side sum of G.
+    w_mr = np.einsum("mnrs,n->mr", joint.forward, sum_f)
+    got = s.cond_initial[:, :, :, None] * w_mr[:, None, None, :]
     want = (s.cond_initial[:, :, :, None]
             * s.p_m[:, None, None, None] * s.p_r[None, None, None, :])
     mdev = float(np.max(np.abs(got - want)))
     checks.append(Check("initial_marginal_identity", mdev, mdev <= tol.equality))
 
-    p_a_dev = float(np.max(np.abs(marginal(fwd, ("a",)) - s.p_a)))
+    p_a_dev = float(np.max(np.abs(got.sum(axis=(0, 2, 3)) - s.p_a)))
     checks.append(Check("local_marginal_identity", p_a_dev, p_a_dev <= tol.equality))
 
-    info_i, _ = info_content_tables(s, tol)
-    d = s.dims
-    avg_info = average(fwd, info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1))
+    avg_info = joint.expectation(joint.forward, initial=analysis.functionals.info_initial)
     qmi = shannon_entropy(s.p_a) + shannon_entropy(s.p_b) - shannon_entropy(s.p_m)
     checks.append(Check("info_avg_is_mutual_information", abs(avg_info - qmi),
                         abs(avg_info - qmi) <= tol.equality))
 
-    rest = rev.restricted_mass
+    rest = joint.restricted_mass()
     checks.append(Check("restricted_mass_in_range", 0.0,
                         -tol.equality <= rest <= 1.0 + tol.equality,
                         detail=f"gamma={rest:.15g}"))
@@ -292,11 +350,13 @@ def report_document(command: str, cfg: dict, descr: dict, analysis: Analysis,
         "passed": all(c.passed for c in checks),
     }
     if emit_tuples:
+        forward = augmented_forward(analysis.spectra, tol)
+        reverse = reverse_joint(analysis.spectra, forward, tol)
         doc["tables"] = {
             "axes": ["m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final"],
-            "dims": list(analysis.forward.dims),
-            "forward": analysis.forward.table.tolist(),
-            "reverse": analysis.reverse.table.tolist(),
+            "dims": list(forward.dims),
+            "forward": forward.table.tolist(),
+            "reverse": reverse.table.tolist(),
         }
     return doc
 
@@ -304,9 +364,12 @@ def report_document(command: str, cfg: dict, descr: dict, analysis: Analysis,
 def write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"out {out}: {exc.strerror or exc}") from exc
 
 
 def cmd_run(args) -> int:

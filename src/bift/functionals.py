@@ -4,32 +4,41 @@ All logarithms are natural (values in nats).  Zero-probability
 convention: the log of a weight at or below the support cutoff (relative
 to the largest weight of its distribution) is set to 0, and the info
 content of a trajectory whose global weight is zero is set to 0
-outright.  Distribution averages additionally skip zero-weight
-trajectories, so the convention can never leak into a result.
+outright.  Every functional is finite, so a zero-weight trajectory adds
+exactly 0 to any sum over the tuple space and the convention can never
+leak into a result.
+
+Each functional splits by endpoint (:class:`EndpointFunctionals`), which
+is what lets the theorems contract them against the factored tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotApplicable, PartitionUnavailable
 from .linalg import DEFAULT_TOL, Tolerances
-from .tables import ReverseJointDistribution, SystemSpectra, _initial_support
+from .tables import SystemSpectra
 
 
-def log_or_zero(p, reference: float | None = None, tol: Tolerances = DEFAULT_TOL):
-    """ln p with ln 0 := 0.
+def _or_one(p, reference: float | None = None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """p with every entry at or below the support cutoff set to 1: the
+    multiplicative form of ln 0 := 0 (``log_or_zero`` is its log).
 
     ``reference`` sets the scale of the support cutoff (defaults to the
-    largest entry of ``p``); anything at or below cutoff counts as zero.
+    largest entry of ``p``).
     """
     arr = np.asarray(p, dtype=float)
     ref = float(np.max(arr)) if reference is None else float(reference)
-    cut = tol.support * max(ref, 0.0)
-    safe = np.where(arr > cut, arr, 1.0)
-    out = np.where(arr > cut, np.log(safe), 0.0)
+    return np.where(arr > tol.support * max(ref, 0.0), arr, 1.0)
+
+
+def log_or_zero(p, reference: float | None = None, tol: Tolerances = DEFAULT_TOL):
+    """ln p with ln 0 := 0; anything at or below the support cutoff (see
+    :func:`_or_one`) counts as zero."""
+    out = np.log(_or_one(p, reference, tol))
     return float(out) if np.isscalar(p) else out
 
 
@@ -44,10 +53,9 @@ def shannon_entropy(probabilities) -> float:
 class TrajectoryFunctional:
     """Per-trajectory quantities entering the fluctuation relations.
 
-    Fields hold scalars or arrays broadcastable against a joint table
-    (the bundle built by :func:`tuple_functionals` uses full eight-axis
-    broadcast shapes).  ``sigma_a``/``sigma_b``/``delta_gamma`` stay None
-    until a heat partition is applied.
+    Fields hold scalars or arrays broadcastable against a joint table.
+    ``sigma_a``/``sigma_b``/``delta_gamma`` stay None until a heat
+    partition is applied.
     """
 
     delta_s_a: np.ndarray | float
@@ -77,8 +85,10 @@ class TrajectoryFunctional:
 @dataclass(frozen=True)
 class HeatPartition:
     """Caller-supplied split of the absorbed heat into per-subsystem
-    shares Q_A and Q_B (energy units, scalars or per-trajectory arrays);
-    the remainder Q' = Q - (Q_A + Q_B) is attributed to the interaction."""
+    shares Q_A and Q_B (energy units); the remainder Q' = Q - (Q_A + Q_B)
+    is attributed to the interaction.  :func:`entropy_production` takes
+    scalars or per-trajectory arrays; ``theorems.evaluate`` takes scalars
+    or arrays over the reservoir pair (r, r'), like ``beta_q``."""
 
     q_a: np.ndarray | float
     q_b: np.ndarray | float
@@ -105,43 +115,90 @@ def entropy_production(traj: TrajectoryFunctional, partition: HeatPartition):
     return sigma_a, sigma_b, delta_gamma
 
 
-def with_entropy_production(traj: TrajectoryFunctional,
-                            partition: HeatPartition) -> TrajectoryFunctional:
-    """Return a copy of ``traj`` with the partition-derived fields set."""
-    sigma_a, sigma_b, delta_gamma = entropy_production(traj, partition)
-    return replace(traj, sigma_a=sigma_a, sigma_b=sigma_b, delta_gamma=delta_gamma)
+@dataclass(frozen=True)
+class EndpointFunctionals:
+    """Every per-trajectory functional, split by endpoint.  On the tuple
+    (m, a, b, m', a', b', r, r'):
 
+        ds_A   = l_pa[a] - l_pa_final[a']          (ds_B likewise)
+        dI     = info_final[m', a', b'] - info_initial[m, a, b]
+        dJ     = classical_final[a', b'] - classical_initial[a, b]
+        beta Q = beta_q[r, r']
 
-def tuple_functionals(spectra: SystemSpectra,
-                      tol: Tolerances = DEFAULT_TOL) -> TrajectoryFunctional:
-    """Evaluate every functional on the whole tuple space at once.
-
-    Each field is an eight-axis broadcastable array over
-    (m, a, b, m', a', b', r, r').
+    so each exponential entering the relations is a product of an
+    initial, a final and a reservoir-pair factor; the ``*_factors``
+    methods return that triple, ready for ``FactoredJoint.expectation``.
+    The factors are formed from the probabilities themselves -- ``local_*``
+    is p_a p_b and ``*_ratio_*`` the ratio whose log is the content, each
+    under the zero conventions -- not as exponentials of the logs, so a
+    relation that holds exactly in the probabilities is not lost to a
+    log/exp round trip.
     """
-    d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
 
-    l_pa = log_or_zero(spectra.p_a, tol=tol)
-    l_pb = log_or_zero(spectra.p_b, tol=tol)
-    l_paf = log_or_zero(spectra.p_a_final, tol=tol)
-    l_pbf = log_or_zero(spectra.p_b_final, tol=tol)
+    l_pa: np.ndarray
+    l_pb: np.ndarray
+    l_pa_final: np.ndarray
+    l_pb_final: np.ndarray
+    info_initial: np.ndarray              # [m, a, b]
+    info_final: np.ndarray                # [m', a', b']
+    classical_initial: np.ndarray         # [a, b]
+    classical_final: np.ndarray           # [a', b']
+    beta_q: np.ndarray                    # [r, r']
+    local_initial: np.ndarray             # [a, b] = p_a p_b
+    local_final: np.ndarray               # [a', b']
+    info_ratio_initial: np.ndarray        # [m, a, b] = p_m / (p_a p_b)
+    info_ratio_final: np.ndarray
+    classical_ratio_initial: np.ndarray   # [a, b] = p_ab / (p_a p_b)
+    classical_ratio_final: np.ndarray
 
-    ds_a = (l_pa[:, None] - l_paf[None, :]).reshape(1, d_a, 1, 1, d_a, 1, 1, 1)
-    ds_b = (l_pb[:, None] - l_pbf[None, :]).reshape(1, 1, d_b, 1, 1, d_b, 1, 1)
+    def ft_factors(self):
+        """exp(-ds_A - ds_B + dI + beta Q), the detailed-relation exponential."""
+        return (1.0 / (self.local_initial[None] * self.info_ratio_initial),
+                self.local_final[None] * self.info_ratio_final, np.exp(self.beta_q))
 
-    info_i, info_f = info_content_tables(spectra, tol)
-    d_i = (info_f[None, None, None, :, :, :]
-           - info_i[:, :, :, None, None, None]).reshape(d_m, d_a, d_b, d_m, d_a, d_b, 1, 1)
+    def local_factors(self):
+        """exp(-ds_A - ds_B + beta Q)."""
+        return 1.0 / self.local_initial[None], self.local_final[None], np.exp(self.beta_q)
 
+    def classical_factors(self):
+        """exp(-ds_A - ds_B + dJ + beta Q)."""
+        return (1.0 / (self.local_initial * self.classical_ratio_initial)[None],
+                (self.local_final * self.classical_ratio_final)[None], np.exp(self.beta_q))
+
+    def info_factors(self):
+        """exp(-dI)."""
+        return self.info_ratio_initial, 1.0 / self.info_ratio_final, 1.0
+
+
+def endpoint_functionals(spectra: SystemSpectra,
+                         tol: Tolerances = DEFAULT_TOL) -> EndpointFunctionals:
+    """The per-endpoint tables of every functional of ``spectra``."""
+    w_a, w_b, w_af, w_bf = (_or_one(p, tol=tol) for p in (
+        spectra.p_a, spectra.p_b, spectra.p_a_final, spectra.p_b_final))
+    l_pa, l_pb, l_paf, l_pbf = (np.log(w) for w in (w_a, w_b, w_af, w_bf))
+    local_i = w_a[:, None] * w_b[None, :]
+    local_f = w_af[:, None] * w_bf[None, :]
     p_ab_i = spectra.classical_joint_initial()
     p_ab_f = spectra.classical_joint_final()
-    j_i = _classical_content_table(p_ab_i, l_pa, l_pb, tol)
-    j_f = _classical_content_table(p_ab_f, l_paf, l_pbf, tol)
-    d_j = (j_f[None, None, :, :] - j_i[:, :, None, None]).reshape(1, d_a, d_b, 1, d_a, d_b, 1, 1)
+    return EndpointFunctionals(
+        l_pa=l_pa, l_pb=l_pb, l_pa_final=l_paf, l_pb_final=l_pbf,
+        info_initial=_info_content_table(spectra.p_m, l_pa, l_pb, tol),
+        info_final=_info_content_table(spectra.p_m_final, l_paf, l_pbf, tol),
+        classical_initial=_classical_content_table(p_ab_i, l_pa, l_pb, tol),
+        classical_final=_classical_content_table(p_ab_f, l_paf, l_pbf, tol),
+        beta_q=np.asarray(spectra.beta_q, dtype=float),
+        local_initial=local_i, local_final=local_f,
+        info_ratio_initial=_content_ratio(spectra.p_m[:, None, None], local_i, tol),
+        info_ratio_final=_content_ratio(spectra.p_m_final[:, None, None], local_f, tol),
+        classical_ratio_initial=_content_ratio(p_ab_i, local_i, tol),
+        classical_ratio_final=_content_ratio(p_ab_f, local_f, tol))
 
-    b_q = np.asarray(spectra.beta_q, dtype=float).reshape(1, 1, 1, 1, 1, 1, d_r, d_r)
-    return TrajectoryFunctional(delta_s_a=ds_a, delta_s_b=ds_b,
-                                delta_i=d_i, beta_q=b_q, delta_j=d_j)
+
+def _content_ratio(p: np.ndarray, local: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """p / (p_a p_b), or 1 where ``p`` is at or below its cutoff (content
+    0 outright); the exponential of an info or classical content table."""
+    cut = tol.support * max(float(np.max(p)), 0.0)
+    return np.where(p > cut, p / local, 1.0)
 
 
 def info_content_tables(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
@@ -173,21 +230,3 @@ def _classical_content_table(p_ab: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarra
     cut = tol.support * max(float(np.max(p_ab)), 0.0)
     val = l_pab - l_pa[:, None] - l_pb[None, :]
     return np.where(p_ab > cut, val, 0.0)
-
-
-def average(dist, values) -> float:
-    """Distribution average sum p f with zero-weight trajectories skipped
-    and a fixed lexicographic reduction order."""
-    table = dist.table if hasattr(dist, "table") else np.asarray(dist)
-    f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
-    return float(np.sum(np.where(table > 0.0, table * f, 0.0)))
-
-
-def restricted_average(dist: ReverseJointDistribution, values) -> float:
-    """Reverse-table average restricted to trajectories whose initial
-    (m, r) lies in the forward support (the only region where the
-    detailed relation links the two tables)."""
-    mask = _initial_support(dist.forward_support)
-    table = dist.table
-    f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
-    return float(np.sum(np.where((table > 0.0) & mask, table * f, 0.0)))

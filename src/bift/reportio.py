@@ -85,8 +85,11 @@ def config_hash(config: dict) -> str:
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(f"config {path}: {exc.strerror or exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:

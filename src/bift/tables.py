@@ -14,6 +14,18 @@ reverse weight for the trajectory that runs m' -> m), so forward and
 reverse entries for one trajectory sit at the same position and
 per-trajectory ratios are elementwise.
 
+Only the global states are measured, so every eight-index entry is a
+global two-point entry times the two conditional weights,
+
+    p[m,a,b,m',a',b',r,r'] = G[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
+
+``FactoredJoint`` keeps the tables in this form (four-index ``G`` and
+``G_rev`` plus the (M, A, B) conditional tables), and its
+``expectation`` sums a functional that factors across the endpoints over
+the whole tuple space without building the eight-index tables.  The
+dense tables (``augmented_forward``, ``reverse_joint``) are built only
+for emission.
+
 Every table is built from one bundle of ingredients (``SystemSpectra``),
 which comes from one of two routes:
 
@@ -373,22 +385,52 @@ def reverse_joint(spectra: SystemSpectra, forward: ForwardJointDistribution,
     absolutely irreversible.
     """
     table = _attach_conditionals(reverse_global_table(spectra), spectra)
-    return _reverse_distribution(spectra.dims, table, forward.forward_support)
-
-
-def _initial_support(forward_support: np.ndarray) -> np.ndarray:
-    """The (m, r) forward-support mask broadcast over the eight axes."""
-    return forward_support[:, None, None, None, None, None, :, None]
-
-
-def _reverse_distribution(dims: tuple[int, ...], table: np.ndarray,
-                          forward_support: np.ndarray) -> ReverseJointDistribution:
-    """Wrap a reverse table with its support-restricted mass."""
-    restricted = float(np.sum(np.where(_initial_support(forward_support), table, 0.0)))
+    support = forward.forward_support[:, None, None, None, None, None, :, None]
     return ReverseJointDistribution(
-        dims=dims, table=table,
-        forward_support=forward_support.copy(),
-        restricted_mass=restricted)
+        dims=spectra.dims, table=table,
+        forward_support=forward.forward_support.copy(),
+        restricted_mass=float(np.sum(np.where(support, table, 0.0))))
+
+
+@dataclass(frozen=True)
+class FactoredJoint:
+    """Forward and time-reversed joint distributions in factored form:
+    the eight-index entry of either table is its four-index global entry
+    times ``cond_initial[m,a,b] * cond_final[m',a',b']``."""
+
+    forward: np.ndarray              # G [m, m', r, r']
+    reverse: np.ndarray              # G_rev on forward-aligned axes
+    cond_initial: np.ndarray         # [m, a, b]
+    cond_final: np.ndarray           # [m', a', b']
+    forward_support: np.ndarray      # bool, shape (M, R)
+
+    def expectation(self, table: np.ndarray, initial=1.0, final=1.0, pair=1.0) -> float:
+        """Sum over the tuple space of the eight-index table built from
+        the global ``table`` times initial[m,a,b] final[m',a',b'] pair[r,r'];
+        each factor is a scalar or broadcasts against its endpoint's
+        (M, A, B) or (R, R) table.  Costs O(M^2 R^2 + M A B)."""
+        u = (self.cond_initial * initial).sum(axis=(1, 2))
+        v = (self.cond_final * final).sum(axis=(1, 2))
+        return float((table * u[:, None, None, None] * v[None, :, None, None] * pair).sum())
+
+    def restricted(self, table: np.ndarray) -> np.ndarray:
+        """``table`` with the blocks whose initial (m, r) lies outside the
+        forward support set to zero."""
+        return np.where(self.forward_support[:, None, :, None], table, 0.0)
+
+    def restricted_mass(self) -> float:
+        """Support-restricted reverse mass (the absolute-irreversibility
+        factor gamma)."""
+        return self.expectation(self.restricted(self.reverse))
+
+
+def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> FactoredJoint:
+    """Both joint distributions of ``spectra`` in factored form."""
+    return FactoredJoint(forward=global_table(spectra),
+                         reverse=reverse_global_table(spectra),
+                         cond_initial=spectra.cond_initial,
+                         cond_final=spectra.cond_final,
+                         forward_support=forward_support_mask(spectra, tol))
 
 
 def _above_cutoff(table: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -15,6 +15,26 @@ average:
   memory-erasure specializations, and the extracted-work bounds when
   free-energy inputs are available.
 
+Every number is a contraction of the factored tables
+(``tables.FactoredJoint``) with the per-endpoint functionals
+(``functionals.EndpointFunctionals``); no eight-index table is built.
+
+Support rule of the per-trajectory checks (detailed relation, classical
+info gap): a trajectory counts as supported when each of its three
+factors is above the support cutoff relative to the largest entry of its
+own table -- the global block G[m,m',r,r'], the initial weight
+|<m|a,b>|^2 and the final weight |<m'|a',b'>|^2.  (Dense tables would
+instead cut their product relative to the largest product.  On the
+random systems tested, the rules differed only on trajectories whose
+factors clear their own cutoffs while the product falls below the
+product cutoff, and the relation holds there too.)
+Within one supported block the detailed ratio p_rev/p_fwd is the single
+number G_rev/G and the exponential is e^{beta Q} E_i[m,a,b] E_f[m',a',b']
+with positive E, so the block's largest residual sits at the largest or
+the smallest product E_i E_f; the reported worst trajectory is the first
+supported tuple in C order of (m, a, b, m', a', b', r, r') attaining the
+maximum.
+
 Bound records carry lhs, rhs and slack = rhs - lhs (for equalities,
 slack = -|lhs - rhs|), so "satisfied" always means slack >= -tolerance.
 Inapplicable bounds are reported as such, never silently dropped.
@@ -23,30 +43,20 @@ Inapplicable bounds are reported as such, never silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotApplicable
 from .functionals import (
+    EndpointFunctionals,
     HeatPartition,
     TrajectoryFunctional,
-    average,
-    restricted_average,
-    tuple_functionals,
-    with_entropy_production,
+    endpoint_functionals,
+    entropy_production,
 )
 from .linalg import DEFAULT_TOL, Tolerances
-from .tables import (
-    ForwardJointDistribution,
-    OutcomeTuple,
-    ReverseJointDistribution,
-    SystemSpectra,
-    _above_cutoff,
-    _reverse_distribution,
-    augmented_forward,
-    reverse_joint,
-)
+from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, _above_cutoff, factored_joint
 
 NEG_INF = float("-inf")
 
@@ -124,52 +134,105 @@ class FTReport:
 
 @dataclass(frozen=True)
 class Analysis:
-    """A system run end to end: ingredient bundle, both tables, the
-    per-trajectory functionals and the assembled report."""
+    """A system run end to end: ingredient bundle, both joint tables in
+    factored form, the per-endpoint functionals and the assembled report.
+    The eight-index tables are ``augmented_forward(spectra)`` and
+    ``reverse_joint``; nothing here holds them."""
 
     spectra: SystemSpectra
-    forward: ForwardJointDistribution
-    reverse: ReverseJointDistribution
-    functionals: TrajectoryFunctional
+    joint: FactoredJoint
+    functionals: EndpointFunctionals
     report: FTReport
 
 
-def detailed_ft_check(forward: ForwardJointDistribution,
-                      reverse: ReverseJointDistribution,
-                      traj: TrajectoryFunctional,
+def _supports(joint: FactoredJoint, tol: Tolerances):
+    """Per-factor supports (see the module docstring): blocks [m,m',r,r'],
+    initial [m,a,b] and final [m',a',b'] weights above cutoff."""
+    return (_above_cutoff(joint.forward, tol), _above_cutoff(joint.cond_initial, tol),
+            _above_cutoff(joint.cond_final, tol))
+
+
+def _extremes(values: np.ndarray, support: np.ndarray):
+    """Per-row (largest, smallest) of an (M, A, B) table over ``support``."""
+    return (np.where(support, values, -np.inf).max(axis=(1, 2)),
+            np.where(support, values, np.inf).min(axis=(1, 2)))
+
+
+def _residual(ratio, pair, e_i, e_f):
+    """|p_rev/p_fwd - e^{beta Q} E_i E_f|; every caller evaluates it with
+    this one expression, so a block maximum equals a tuple's residual bit
+    for bit."""
+    return np.abs(ratio - pair * (e_i * e_f))
+
+
+def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals,
                       tol: Tolerances = DEFAULT_TOL):
     """Max over the forward support of
     | p_rev/p_fwd - exp(-ds_A - ds_B + dI + beta Q) |,
-    together with the trajectory attaining it."""
-    f = forward.table
-    mask = _above_cutoff(f, tol)
-    if not mask.any():
+    together with the trajectory attaining it.  Costs O(M^2 R^2 + M A B)."""
+    block, sup_i, sup_f = _supports(joint, tol)
+    if not block.any():
         return 0.0, None
-    expo = np.broadcast_to(np.exp(traj.ft_exponent()), f.shape)
-    ratio = np.where(mask, reverse.table / np.where(mask, f, 1.0), 0.0)
-    resid = np.abs(np.where(mask, ratio - expo, 0.0))
-    flat = int(np.argmax(resid))
-    worst = OutcomeTuple(*(int(i) for i in np.unravel_index(flat, f.shape)))
-    return float(resid.flat[flat]), worst
+    e_i, e_f, pair = funcs.ft_factors()          # (M, A, B), (M, A, B), (R, R)
+    ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
+    hi_i, lo_i = _extremes(e_i, sup_i)
+    hi_f, lo_f = _extremes(e_f, sup_f)
+    per_block = np.maximum(
+        _residual(ratio, pair, hi_i[:, None, None, None], hi_f[None, :, None, None]),
+        _residual(ratio, pair, lo_i[:, None, None, None], lo_f[None, :, None, None]))
+    per_block = np.where(block, per_block, -1.0)
+    worst = float(per_block.max())
+
+    # First attaining tuple in C order: the smallest m, then the smallest
+    # (a, b) reaching the maximum in one of that m's attaining blocks
+    # (for fixed (a, b) a block's largest residual sits at an extreme
+    # of E_f), then the smallest (m', a', b', r, r').
+    attain = per_block == worst
+    m = int(np.argmax(attain.reshape(attain.shape[0], -1).any(axis=1)))
+    n, r, s = np.nonzero(attain[m])
+    ratio_b, c_b = ratio[m, n, r, s], pair[r, s]
+    row = np.maximum(_residual(ratio_b, c_b, e_i[m][..., None], hi_f[n]),
+                     _residual(ratio_b, c_b, e_i[m][..., None], lo_f[n]))
+    a, b = np.unravel_index(
+        int(np.argmax((sup_i[m][..., None] & (row == worst)).any(axis=2))), sup_i.shape[1:])
+    full = _residual(ratio_b[:, None, None], c_b[:, None, None], e_i[m, a, b], e_f[n])
+    j, af, bf = np.nonzero(sup_f[n] & (full == worst))
+    first = np.lexsort((s[j], r[j], bf, af, n[j]))[0]
+    return worst, OutcomeTuple(m, int(a), int(b), int(n[j[first]]), int(af[first]),
+                               int(bf[first]), int(r[j[first]]), int(s[j[first]]))
 
 
-def integral_ft(forward: ForwardJointDistribution,
-                traj: TrajectoryFunctional) -> float:
+def integral_ft(joint: FactoredJoint, funcs: EndpointFunctionals) -> float:
     """Forward average of exp(-ds_A - ds_B + dI + beta Q); equals the
     restricted reverse mass when the detailed relation holds."""
-    return average(forward, np.exp(traj.ft_exponent()))
+    return joint.expectation(joint.forward, *funcs.ft_factors())
 
 
-def reverse_averaged_ft(forward: ForwardJointDistribution,
-                        reverse: ReverseJointDistribution,
-                        traj: TrajectoryFunctional):
+def reverse_averaged_ft(joint: FactoredJoint, funcs: EndpointFunctionals):
     """(lhs, rhs) of the reverse-averaged relation:
     lhs = <exp(-ds_A - ds_B + beta Q)> over the forward table,
     rhs = <exp(-dI)> over the reverse table restricted to the forward
     support."""
-    lhs = average(forward, np.exp(traj.local_exponent()))
-    rhs = restricted_average(reverse, np.exp(-traj.delta_i))
+    lhs = joint.expectation(joint.forward, *funcs.local_factors())
+    rhs = joint.expectation(joint.restricted(joint.reverse), *funcs.info_factors())
     return lhs, rhs
+
+
+def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averages:
+    """Forward averages of the five functionals, endpoint part by part."""
+    def mean(**factor):
+        return joint.expectation(joint.forward, **factor)
+
+    return Averages(
+        delta_s_a=mean(initial=funcs.l_pa[None, :, None])
+        - mean(final=funcs.l_pa_final[None, :, None]),
+        delta_s_b=mean(initial=funcs.l_pb[None, None, :])
+        - mean(final=funcs.l_pb_final[None, None, :]),
+        delta_i=mean(final=funcs.info_final) - mean(initial=funcs.info_initial),
+        delta_j=mean(final=funcs.classical_final[None])
+        - mean(initial=funcs.classical_initial[None]),
+        beta_q=mean(pair=funcs.beta_q),
+    )
 
 
 def product_basis_flags(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
@@ -182,16 +245,14 @@ def product_basis_flags(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
     return init, fin
 
 
-def classical_reduction_check(spectra: SystemSpectra,
-                              forward: ForwardJointDistribution,
-                              reverse: ReverseJointDistribution,
-                              traj: TrajectoryFunctional,
+def classical_reduction_check(spectra: SystemSpectra, joint: FactoredJoint,
+                              funcs: EndpointFunctionals,
                               tol: Tolerances = DEFAULT_TOL):
     """When both global eigenbases are product bases the protocol
     coincides with local two-point measurements and the info content
     reduces to its classical counterpart.  Returns
 
-        (ft_residual, max |dI - dJ| over weighted trajectories)
+        (ft_residual, max |dI - dJ| over supported trajectories)
 
     and raises NotApplicable on a non-product eigenbasis.
     """
@@ -199,13 +260,17 @@ def classical_reduction_check(spectra: SystemSpectra,
     if not (init_prod and fin_prod):
         raise NotApplicable(
             f"global eigenbases are not product bases (initial={init_prod}, final={fin_prod})")
-    lhs = average(forward, np.exp(traj.classical_exponent()))
-    residual = abs(lhs - reverse.restricted_mass)
-    f = forward.table
-    mask = _above_cutoff(f, tol)
-    gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, f.shape))
-    max_gap = float(np.max(np.where(mask, gap, 0.0)))
-    return residual, max_gap
+    lhs = joint.expectation(joint.forward, *funcs.classical_factors())
+    residual = abs(lhs - joint.restricted_mass())
+    block, sup_i, sup_f = _supports(joint, tol)
+    pairs = block.any(axis=(2, 3))
+    if not pairs.any():
+        return residual, 0.0
+    hi_i, lo_i = _extremes(funcs.info_initial - funcs.classical_initial[None], sup_i)
+    hi_f, lo_f = _extremes(funcs.info_final - funcs.classical_final[None], sup_f)
+    gap = np.maximum(np.abs(hi_f[None, :] - lo_i[:, None]),
+                     np.abs(lo_f[None, :] - hi_i[:, None]))
+    return residual, float(gap[pairs].max())
 
 
 def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
@@ -277,14 +342,13 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
     return tuple(records)
 
 
-def corrupt_reverse(reverse: ReverseJointDistribution,
-                    factor: float = 1.5) -> ReverseJointDistribution:
-    """Negative-control helper: scale the largest reverse entry so the
-    detailed relation must fail.  Debug use only."""
-    table = reverse.table.copy()
-    flat = int(np.argmax(table))
-    table.flat[flat] *= factor
-    return _reverse_distribution(reverse.dims, table, reverse.forward_support)
+def corrupt_reverse(joint: FactoredJoint, factor: float = 1.5) -> FactoredJoint:
+    """Negative-control helper: scale the largest entry of the global
+    reverse table (the first in C order) so the detailed relation must
+    fail.  Debug use only."""
+    reverse = joint.reverse.copy()
+    reverse.flat[int(np.argmax(reverse))] *= factor
+    return replace(joint, reverse=reverse)
 
 
 def evaluate(spectra: SystemSpectra,
@@ -292,53 +356,43 @@ def evaluate(spectra: SystemSpectra,
              work_inputs: WorkInputs | None = None,
              tol: Tolerances = DEFAULT_TOL,
              _reverse_corruption: float | None = None) -> Analysis:
-    """Run a system through tables, functionals and every check.
+    """Run a system through the factored tables, the functionals and
+    every check.
 
     ``_reverse_corruption`` injects the negative-control corruption
     factor into the reverse table before checking (debug flag wiring).
     """
-    forward = augmented_forward(spectra, tol)
-    reverse = reverse_joint(spectra, forward, tol)
+    joint = factored_joint(spectra, tol)
     if _reverse_corruption is not None:
-        reverse = corrupt_reverse(reverse, _reverse_corruption)
-    traj = tuple_functionals(spectra, tol)
-    if heat_partition is not None:
-        traj = with_entropy_production(traj, heat_partition)
+        joint = corrupt_reverse(joint, _reverse_corruption)
+    funcs = endpoint_functionals(spectra, tol)
 
-    gamma = reverse.restricted_mass
-    int_lhs = integral_ft(forward, traj)
-    rev_lhs, rev_rhs = reverse_averaged_ft(forward, reverse, traj)
-    rev_full = average(reverse, np.exp(-traj.delta_i))
-    detail_resid, detail_worst = detailed_ft_check(forward, reverse, traj, tol)
+    gamma = joint.restricted_mass()
+    int_lhs = integral_ft(joint, funcs)
+    rev_lhs, rev_rhs = reverse_averaged_ft(joint, funcs)
+    rev_full = joint.expectation(joint.reverse, *funcs.info_factors())
+    detail_resid, detail_worst = detailed_ft_check(joint, funcs, tol)
+    averages = forward_averages(joint, funcs)
 
-    averages = Averages(
-        delta_s_a=average(forward, traj.delta_s_a),
-        delta_s_b=average(forward, traj.delta_s_b),
-        delta_i=average(forward, traj.delta_i),
-        delta_j=average(forward, traj.delta_j),
-        beta_q=average(forward, traj.beta_q),
-    )
-
-    try:
-        cls_residual, cls_gap = classical_reduction_check(spectra, forward, reverse, traj, tol)
-        classical = {
-            "lhs": average(forward, np.exp(traj.classical_exponent())),
-            "residual": cls_residual,
-            "max_gap": cls_gap,
-        }
-    except NotApplicable:
-        classical = None
+    classical = None
+    if all(product_basis_flags(spectra, tol)):
+        classical = {"lhs": joint.expectation(joint.forward, *funcs.classical_factors())}
 
     bounds = inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol)
     ln_gamma = math.log(gamma) if gamma > 0.0 else NEG_INF
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
     sigma = None
     if heat_partition is not None:
-        sigma = SigmaAverages(
-            sigma_a=average(forward, traj.sigma_a),
-            sigma_b=average(forward, traj.sigma_b),
-            delta_gamma=average(forward, traj.delta_gamma),
-        )
+        # sigma_X and dGamma are linear in the functionals and the heat
+        # shares, so their averages follow from the averaged inputs.
+        shares = HeatPartition(
+            q_a=joint.expectation(joint.forward, pair=heat_partition.q_a),
+            q_b=joint.expectation(joint.forward, pair=heat_partition.q_b),
+            beta=heat_partition.beta)
+        sigma = SigmaAverages(*(float(x) for x in entropy_production(
+            TrajectoryFunctional(delta_s_a=averages.delta_s_a, delta_s_b=averages.delta_s_b,
+                                 delta_i=averages.delta_i, beta_q=averages.beta_q),
+            shares)))
 
     report = FTReport(
         integral_ft_lhs=int_lhs,
@@ -354,4 +408,4 @@ def evaluate(spectra: SystemSpectra,
         bounds=bounds,
         sigma=sigma,
     )
-    return Analysis(spectra, forward, reverse, traj, report)
+    return Analysis(spectra, joint, funcs, report)

@@ -1,15 +1,41 @@
 """Shared helpers: small reference states and brute-force oracles.
 
-Oracles here are deliberately naive (nested loops, direct sums) and
-independent of the broadcast/einsum paths they check.
+Oracles here are deliberately naive (nested loops, direct sums, or the
+dense eight-index tables) and independent of the factored contractions
+they check.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from bift.functionals import (
+    TrajectoryFunctional,
+    entropy_production,
+    info_content_tables,
+    log_or_zero,
+    shannon_entropy,
+)
+from bift.errors import NotApplicable
+from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_basis, werner_isothermal
+from bift.tables import (
+    OutcomeTuple,
+    ReverseJointDistribution,
+    augmented_forward,
+    marginal,
+    reverse_joint,
+)
+from bift.theorems import (
+    NEG_INF,
+    Averages,
+    FTReport,
+    SigmaAverages,
+    inequality_suite,
+    product_basis_flags,
+)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -72,6 +98,176 @@ def oracle_reverse_table(spectra) -> np.ndarray:
                                         * spectra.cond_initial[m, a, b]
                                         * spectra.cond_final[mf, af, bf])
     return out
+
+
+# -- the dense engine: every check summed over the eight-index tables ----
+
+def _initial_support(forward_support: np.ndarray) -> np.ndarray:
+    """The (m, r) forward-support mask broadcast over the eight axes."""
+    return forward_support[:, None, None, None, None, None, :, None]
+
+
+def dense_tables(spectra, reverse_global=None, tol=DEFAULT_TOL):
+    """(forward, reverse) eight-index distributions; ``reverse_global``
+    replaces the reverse two-point table (e.g. a corrupted one)."""
+    forward = augmented_forward(spectra, tol)
+    if reverse_global is None:
+        return forward, reverse_joint(spectra, forward, tol)
+    table = (reverse_global[:, None, None, :, None, None, :, :]
+             * spectra.cond_initial[:, :, :, None, None, None, None, None]
+             * spectra.cond_final[None, None, None, :, :, :, None, None])
+    mask = _initial_support(forward.forward_support)
+    return forward, ReverseJointDistribution(
+        dims=spectra.dims, table=table, forward_support=forward.forward_support,
+        restricted_mass=float(np.sum(np.where(mask, table, 0.0))))
+
+
+def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
+    """Every functional on the whole tuple space, as eight-axis
+    broadcastable arrays over (m, a, b, m', a', b', r, r')."""
+    d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
+    l_pa = log_or_zero(spectra.p_a, tol=tol)
+    l_pb = log_or_zero(spectra.p_b, tol=tol)
+    l_paf = log_or_zero(spectra.p_a_final, tol=tol)
+    l_pbf = log_or_zero(spectra.p_b_final, tol=tol)
+    ds_a = (l_pa[:, None] - l_paf[None, :]).reshape(1, d_a, 1, 1, d_a, 1, 1, 1)
+    ds_b = (l_pb[:, None] - l_pbf[None, :]).reshape(1, 1, d_b, 1, 1, d_b, 1, 1)
+    info_i, info_f = info_content_tables(spectra, tol)
+    d_i = (info_f[None, None, None, :, :, :]
+           - info_i[:, :, :, None, None, None]).reshape(d_m, d_a, d_b, d_m, d_a, d_b, 1, 1)
+
+    def classical(p_ab, la, lb):
+        cut = tol.support * max(float(np.max(p_ab)), 0.0)
+        return np.where(p_ab > cut, log_or_zero(p_ab, tol=tol) - la[:, None] - lb[None, :], 0.0)
+
+    j_i = classical(spectra.classical_joint_initial(), l_pa, l_pb)
+    j_f = classical(spectra.classical_joint_final(), l_paf, l_pbf)
+    d_j = (j_f[None, None, :, :] - j_i[:, :, None, None]).reshape(1, d_a, d_b, 1, d_a, d_b, 1, 1)
+    b_q = np.asarray(spectra.beta_q, dtype=float).reshape(1, 1, 1, 1, 1, 1, d_r, d_r)
+    return TrajectoryFunctional(delta_s_a=ds_a, delta_s_b=ds_b,
+                                delta_i=d_i, beta_q=b_q, delta_j=d_j)
+
+
+def dense_with_entropy_production(traj, partition) -> TrajectoryFunctional:
+    sigma_a, sigma_b, delta_gamma = entropy_production(traj, partition)
+    return dataclasses.replace(traj, sigma_a=sigma_a, sigma_b=sigma_b,
+                               delta_gamma=delta_gamma)
+
+
+def dense_average(dist, values) -> float:
+    """Distribution average sum p f with zero-weight trajectories skipped."""
+    table = dist.table if hasattr(dist, "table") else np.asarray(dist)
+    f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
+    return float(np.sum(np.where(table > 0.0, table * f, 0.0)))
+
+
+def dense_restricted_average(dist, values) -> float:
+    """Reverse-table average restricted to trajectories whose initial
+    (m, r) lies in the forward support."""
+    mask = _initial_support(dist.forward_support)
+    table = dist.table
+    f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
+    return float(np.sum(np.where((table > 0.0) & mask, table * f, 0.0)))
+
+
+def dense_support(forward, tol=DEFAULT_TOL) -> np.ndarray:
+    """Entries above the cutoff relative to the largest entry."""
+    return forward.table > tol.support * float(forward.table.max())
+
+
+def dense_detailed_ft_check(forward, reverse, traj, tol=DEFAULT_TOL):
+    """Max over the forward support of |p_rev/p_fwd - exp(exponent)| and
+    the first trajectory attaining it."""
+    f = forward.table
+    mask = dense_support(forward, tol)
+    if not mask.any():
+        return 0.0, None
+    expo = np.broadcast_to(np.exp(traj.ft_exponent()), f.shape)
+    ratio = np.where(mask, reverse.table / np.where(mask, f, 1.0), 0.0)
+    resid = np.abs(np.where(mask, ratio - expo, 0.0))
+    flat = int(np.argmax(resid))
+    worst = OutcomeTuple(*(int(i) for i in np.unravel_index(flat, f.shape)))
+    return float(resid.flat[flat]), worst
+
+
+def dense_integral_ft(forward, traj) -> float:
+    return dense_average(forward, np.exp(traj.ft_exponent()))
+
+
+def dense_reverse_averaged_ft(forward, reverse, traj):
+    lhs = dense_average(forward, np.exp(traj.local_exponent()))
+    rhs = dense_restricted_average(reverse, np.exp(-traj.delta_i))
+    return lhs, rhs
+
+
+def dense_classical_reduction_check(spectra, forward, reverse, traj, tol=DEFAULT_TOL):
+    init_prod, fin_prod = product_basis_flags(spectra, tol)
+    if not (init_prod and fin_prod):
+        raise NotApplicable("global eigenbases are not product bases")
+    lhs = dense_average(forward, np.exp(traj.classical_exponent()))
+    residual = abs(lhs - reverse.restricted_mass)
+    f = forward.table
+    gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, f.shape))
+    max_gap = float(np.max(np.where(dense_support(forward, tol), gap, 0.0)))
+    return residual, max_gap
+
+
+def dense_evaluate(spectra, heat_partition=None, work_inputs=None, tol=DEFAULT_TOL,
+                   reverse_global=None) -> FTReport:
+    """``theorems.evaluate``'s report, summed over the dense tables."""
+    forward, reverse = dense_tables(spectra, reverse_global, tol)
+    traj = dense_tuple_functionals(spectra, tol)
+    if heat_partition is not None:
+        traj = dense_with_entropy_production(traj, heat_partition)
+    gamma = reverse.restricted_mass
+    rev_lhs, rev_rhs = dense_reverse_averaged_ft(forward, reverse, traj)
+    resid, worst = dense_detailed_ft_check(forward, reverse, traj, tol)
+    averages = Averages(*(dense_average(forward, x) for x in (
+        traj.delta_s_a, traj.delta_s_b, traj.delta_i, traj.delta_j, traj.beta_q)))
+    classical = None
+    if all(product_basis_flags(spectra, tol)):
+        classical = {"lhs": dense_average(forward, np.exp(traj.classical_exponent()))}
+    ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
+    sigma = None
+    if heat_partition is not None:
+        sigma = SigmaAverages(*(dense_average(forward, x) for x in (
+            traj.sigma_a, traj.sigma_b, traj.delta_gamma)))
+    return FTReport(
+        integral_ft_lhs=dense_integral_ft(forward, traj),
+        gamma_restricted=gamma,
+        ln_gamma=math.log(gamma) if gamma > 0.0 else NEG_INF,
+        reverse_ft_lhs=rev_lhs,
+        reverse_avg_exp_di=rev_rhs,
+        reverse_avg_exp_di_full=dense_average(reverse, np.exp(-traj.delta_i)),
+        detailed_max_residual=resid,
+        detailed_worst=worst,
+        bound_gap=(-ln_rev) - averages.delta_i,
+        averages=averages,
+        bounds=inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol),
+        sigma=sigma)
+
+
+def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
+    """The values of ``cli.invariant_checks``, on the dense tables."""
+    s = spectra
+    g = forward.table.sum(axis=(1, 2, 4, 5))          # local labels summed out
+    info_i, _ = info_content_tables(s, tol)
+    d = s.dims
+    want = s.cond_initial[:, :, :, None] * s.p_m[:, None, None, None] * s.p_r[None, None, None, :]
+    return {
+        "forward_normalization": abs(forward.total() - 1.0),
+        "reverse_normalization": abs(reverse.total() - 1.0),
+        "forward_factorization": float(np.max(np.abs(
+            g - (s.kernel.transpose(0, 2, 1, 3) * s.p_m[:, None, None, None]
+                 * s.p_r[None, None, :, None])))),
+        "initial_marginal_identity": float(np.max(np.abs(
+            marginal(forward, ("m", "a", "b", "r")) - want))),
+        "local_marginal_identity": float(np.max(np.abs(marginal(forward, ("a",)) - s.p_a))),
+        "info_avg_is_mutual_information": abs(
+            dense_average(forward, info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1))
+            - (shannon_entropy(s.p_a) + shannon_entropy(s.p_b) - shannon_entropy(s.p_m))),
+        "restricted_mass_in_range": 0.0,
+    }
 
 
 @pytest.fixture

@@ -9,19 +9,24 @@ from bift.errors import PartitionUnavailable
 from bift.functionals import (
     HeatPartition,
     TrajectoryFunctional,
-    average,
+    endpoint_functionals,
     entropy_production,
     info_content_tables,
     log_or_zero,
-    restricted_average,
     shannon_entropy,
-    tuple_functionals,
 )
 from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
-from bift.tables import UnitarySystem, augmented_forward, marginal, spectra_from_unitary
+from bift.tables import (
+    UnitarySystem,
+    augmented_forward,
+    factored_joint,
+    marginal,
+    spectra_from_unitary,
+)
+from bift.theorems import forward_averages
 
-from conftest import werner_spectra
+from conftest import dense_tuple_functionals, werner_spectra
 
 LN2 = math.log(2.0)
 
@@ -39,7 +44,7 @@ def reservoir_spectra(reservoir: ReservoirSpec):
 class TestScalarFunctionals:
     """Per-outcome entries of the table functionals: entropy changes
     (``log_or_zero``), info contents (``info_content_tables`` and
-    ``tuple_functionals``) and the heat exponent (``beta_q``)."""
+    ``endpoint_functionals``) and the heat exponent (``beta_q``)."""
 
     def test_entropy_change_examples(self):
         got = log_or_zero(np.array([0.5, 0.25]), 1.0) - log_or_zero(np.array([1.0, 0.5]), 1.0)
@@ -48,15 +53,15 @@ class TestScalarFunctionals:
     @given(q=finite_probs)
     def test_entropy_change_no_change(self, q):
         local = np.array([q, 1.0 - q])
-        traj = tuple_functionals(werner_spectra(p_a=local, p_a_final=local))
+        funcs = endpoint_functionals(werner_spectra(p_a=local, p_a_final=local))
         for a in range(2):
-            assert traj.delta_s_a[0, a, 0, 0, a, 0, 0, 0] == 0.0
+            assert funcs.l_pa[a] - funcs.l_pa_final[a] == 0.0
 
     def test_entropy_change_zero_convention(self):
-        traj = tuple_functionals(werner_spectra(p_a=np.array([1.0, 0.0]),
-                                                p_a_final=np.array([0.5, 0.5])))
+        funcs = endpoint_functionals(werner_spectra(p_a=np.array([1.0, 0.0]),
+                                                    p_a_final=np.array([0.5, 0.5])))
         # ln 0 := 0 for the vanished initial weight
-        assert traj.delta_s_a[0, 1, 0, 0, 0, 0, 0, 0] == pytest.approx(LN2)
+        assert funcs.l_pa[1] - funcs.l_pa_final[0] == pytest.approx(LN2)
 
     @pytest.mark.parametrize("p", [0.2, 0.6, 1.0])
     def test_info_content_werner_rows(self, p):
@@ -83,21 +88,25 @@ class TestScalarFunctionals:
     def test_classical_content(self):
         # the final Werner joint is a point mass with J = 0 on it, so
         # -delta_j over (a, b) with (a', b') = (0, 0) is the initial J table
-        j_pure = -tuple_functionals(werner_spectra(1.0)).delta_j[0, :, :, 0, 0, 0, 0, 0]
+        def minus_delta_j(spectra):
+            funcs = endpoint_functionals(spectra)
+            return funcs.classical_initial - funcs.classical_final[0, 0]
+
+        j_pure = minus_delta_j(werner_spectra(1.0))
         assert j_pure[0, 0] == pytest.approx(LN2)       # p_ab = 1/2
         assert j_pure[0, 1] == 0.0                      # p_ab = 0: zero outright
-        j_mixed = -tuple_functionals(werner_spectra(0.0)).delta_j[0, :, :, 0, 0, 0, 0, 0]
+        j_mixed = minus_delta_j(werner_spectra(0.0))
         assert np.max(np.abs(j_mixed)) < 1e-12          # p_ab = 1/4 = p_a p_b
 
     def test_classical_content_werner_pure(self):
         # marginal (a, b) joint of the pure-state table: both aligned pairs
         # carry 1/2, and it is the joint the J table is built from
         spectra = werner_spectra(1.0)
-        joint = marginal(werner_isothermal(1.0).analysis.forward, ("a", "b"))
+        joint = marginal(augmented_forward(spectra), ("a", "b"))
         assert joint[0, 0] == pytest.approx(0.5)
         assert np.max(np.abs(joint - spectra.classical_joint_initial())) < 1e-15
-        traj = tuple_functionals(spectra)
-        assert -traj.delta_j[0, 0, 0, 0, 0, 0, 0, 0] == pytest.approx(LN2)
+        funcs = endpoint_functionals(spectra)
+        assert funcs.classical_initial[0, 0] - funcs.classical_final[0, 0] == pytest.approx(LN2)
 
     def test_heat_exponent(self):
         beta_q = reservoir_spectra(ReservoirSpec((0.0, 3.0), 2.0)).beta_q
@@ -123,20 +132,19 @@ class TestScalarFunctionals:
 
 class TestAverages:
     def test_average_of_one(self):
-        fwd = werner_isothermal(0.4).analysis.forward
-        assert average(fwd, 1.0) == pytest.approx(1.0, abs=1e-12)
+        joint = werner_isothermal(0.4).analysis.joint
+        assert joint.expectation(joint.forward) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_info_average_is_quantum_mutual_information(self, seed):
         spectra = spectra_from_unitary(random_instance(2, 3, 2, seed))
-        fwd = augmented_forward(spectra)
+        joint = factored_joint(spectra)
         info_i, info_f = info_content_tables(spectra)
-        d = spectra.dims
-        got_i = average(fwd, info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1))
+        got_i = joint.expectation(joint.forward, initial=info_i)
         want_i = (shannon_entropy(spectra.p_a) + shannon_entropy(spectra.p_b)
                   - shannon_entropy(spectra.p_m))
         assert got_i == pytest.approx(want_i, abs=1e-10)
-        got_f = average(fwd, info_f.reshape(1, 1, 1, d[0], d[1], d[2], 1, 1))
+        got_f = joint.expectation(joint.forward, final=info_f)
         want_f = (shannon_entropy(spectra.p_a_final) + shannon_entropy(spectra.p_b_final)
                   - shannon_entropy(spectra.p_m_final))
         assert got_f == pytest.approx(want_f, abs=1e-10)
@@ -144,8 +152,7 @@ class TestAverages:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_classical_average_is_shannon_mutual_information(self, seed):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, seed))
-        fwd = augmented_forward(spectra)
-        traj = tuple_functionals(spectra)
+        averages = forward_averages(factored_joint(spectra), endpoint_functionals(spectra))
         # delta_j averages to MI(final joint) - MI(initial joint)
         p_ab_i = spectra.classical_joint_initial()
         p_ab_f = spectra.classical_joint_final()
@@ -156,19 +163,22 @@ class TestAverages:
 
         want = (mi(p_ab_f, spectra.p_a_final, spectra.p_b_final)
                 - mi(p_ab_i, spectra.p_a, spectra.p_b))
-        assert average(fwd, traj.delta_j) == pytest.approx(want, abs=1e-10)
+        assert averages.delta_j == pytest.approx(want, abs=1e-10)
 
     def test_zero_weight_tuples_contribute_nothing(self):
         analysis = werner_isothermal(1.0).analysis
+        spectra, joint = analysis.spectra, analysis.joint
         # a functional that explodes off the support must not leak in
-        spiked = np.where(analysis.forward.table > 0.0, 1.0, 1e300)
-        assert average(analysis.forward, spiked) == pytest.approx(1.0, abs=1e-12)
+        weight_i = spectra.p_m[:, None, None] * spectra.cond_initial
+        spiked = np.where(weight_i > 0.0, 1.0, 1e300)
+        assert joint.expectation(joint.forward, initial=spiked) == pytest.approx(1.0, abs=1e-12)
+        spiked_f = np.where(spectra.cond_final > 0.0, 1.0, 1e300)
+        assert joint.expectation(joint.forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
 
     def test_restricted_vs_full_reverse_average(self):
-        analysis = werner_isothermal(1.0).analysis
-        ones = np.ones(analysis.reverse.dims)
-        assert restricted_average(analysis.reverse, ones) == pytest.approx(0.25)
-        assert average(analysis.reverse, ones) == pytest.approx(1.0)
+        joint = werner_isothermal(1.0).analysis.joint
+        assert joint.restricted_mass() == pytest.approx(0.25)
+        assert joint.expectation(joint.reverse) == pytest.approx(1.0)
 
 
 class TestEntropyProduction:
@@ -211,17 +221,33 @@ class TestEntropyProduction:
 
 
 class TestTupleFunctionals:
+    """The per-endpoint tables (``endpoint_functionals``) against the
+    dense eight-axis functionals of the test oracle."""
+
     def test_werner_fields(self):
         spectra = werner_isothermal(0.5).analysis.spectra
-        traj = tuple_functionals(spectra)
+        funcs = endpoint_functionals(spectra)
         # every trajectory drops both local surprisals by ln 2
-        assert np.max(np.abs(traj.delta_s_a + LN2)) < 1e-12
-        assert np.max(np.abs(traj.delta_s_b + LN2)) < 1e-12
-        assert traj.beta_q.ravel()[0] == pytest.approx(-2 * LN2)
+        assert np.max(np.abs(np.subtract.outer(funcs.l_pa, funcs.l_pa_final) + LN2)) < 1e-12
+        assert np.max(np.abs(np.subtract.outer(funcs.l_pb, funcs.l_pb_final) + LN2)) < 1e-12
+        assert funcs.beta_q.ravel()[0] == pytest.approx(-2 * LN2)
 
     def test_exponent_composition(self, rng):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, seed=17))
-        traj = tuple_functionals(spectra)
-        composed = traj.ft_exponent()
+        traj = dense_tuple_functionals(spectra)
         manual = -traj.delta_s_a - traj.delta_s_b + traj.delta_i + traj.beta_q
-        assert np.max(np.abs(composed - manual)) == 0.0
+        assert np.max(np.abs(traj.ft_exponent() - manual)) == 0.0
+        # the factors multiply back to the exponential on every tuple
+        funcs = endpoint_functionals(spectra)
+        for factors, exponent in ((funcs.ft_factors(), traj.ft_exponent()),
+                                  (funcs.local_factors(), traj.local_exponent()),
+                                  (funcs.classical_factors(), traj.classical_exponent()),
+                                  (funcs.info_factors(), -traj.delta_i)):
+            e_i, e_f, pair = (np.asarray(x, dtype=float) for x in factors)
+            e_i = np.broadcast_to(e_i, spectra.cond_initial.shape)
+            e_f = np.broadcast_to(e_f, spectra.cond_final.shape)
+            pair = np.broadcast_to(pair, spectra.beta_q.shape)
+            composed = (e_i[:, :, :, None, None, None, None, None]
+                        * e_f[None, None, None, :, :, :, None, None] * pair)
+            want = np.broadcast_to(np.exp(exponent), composed.shape)
+            assert np.max(np.abs(composed / want - 1.0)) < 1e-12

@@ -16,7 +16,7 @@ from bift.scenarios import (
     werner_isothermal,
     werner_state,
 )
-from bift.tables import spectra_from_unitary
+from bift.tables import augmented_forward, reverse_joint, spectra_from_unitary
 from bift.theorems import evaluate
 
 LN2 = math.log(2.0)
@@ -25,7 +25,7 @@ LN2 = math.log(2.0)
 class TestWernerScenario:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_forward_table_matches_listing(self, p):
-        fwd = werner_isothermal(p).analysis.forward
+        fwd = augmented_forward(werner_isothermal(p).analysis.spectra)
         top = (1 + 3 * p) / 8
         rest = (1 - p) / 8
         want = {
@@ -44,7 +44,8 @@ class TestWernerScenario:
         assert np.max(fwd.table[mask]) == 0.0
 
     def test_reverse_table_eight_eighths(self):
-        rev = werner_isothermal(0.4).analysis.reverse
+        spectra = werner_isothermal(0.4).analysis.spectra
+        rev = reverse_joint(spectra, augmented_forward(spectra))
         nz = np.argwhere(rev.table > 0.0)
         assert len(nz) == 8
         assert np.max(np.abs(rev.table[rev.table > 0.0] - 0.125)) < 1e-15

@@ -18,7 +18,6 @@ from bift.scenarios import (
     bell_adiabatic_counterexample,
     bell_basis,
     random_instance,
-    werner_isothermal,
 )
 from bift.tables import (
     UnitarySystem,
@@ -135,7 +134,7 @@ class TestForwardTable:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_werner_pure_support(self):
-        fwd = werner_isothermal(1.0).analysis.forward
+        fwd = augmented_forward(werner_spectra(1.0))
         nz = np.argwhere(fwd.table > 1e-12)
         assert len(nz) == 2
         entries = {tuple(int(i) for i in idx): fwd.table[tuple(idx)] for idx in nz}
@@ -177,16 +176,19 @@ class TestReverseTable:
         assert np.max(np.abs(rev.table - oracle_reverse_table(spectra))) < 1e-15
 
     def test_werner_pure_restricted_quarter(self):
-        rev = werner_isothermal(1.0).analysis.reverse
+        spectra = werner_spectra(1.0)
+        rev = reverse_joint(spectra, augmented_forward(spectra))
         assert rev.restricted_mass == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_werner_mixed_no_irreversibility(self, p):
-        rev = werner_isothermal(p).analysis.reverse
+        spectra = werner_spectra(p)
+        rev = reverse_joint(spectra, augmented_forward(spectra))
         assert rev.restricted_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_werner_reverse_entries(self):
-        rev = werner_isothermal(0.7).analysis.reverse
+        spectra = werner_spectra(0.7)
+        rev = reverse_joint(spectra, augmented_forward(spectra))
         nz = np.argwhere(rev.table > 1e-12)
         assert len(nz) == 8
         for idx in nz:
@@ -215,7 +217,7 @@ class TestReverseTable:
 
 class TestMarginal:
     def test_everything_dropped(self):
-        fwd = werner_isothermal(0.3).analysis.forward
+        fwd = augmented_forward(werner_spectra(0.3))
         assert marginal(fwd, ()) == pytest.approx(1.0, abs=1e-12)
 
     def test_local_marginal_matches_state(self):
@@ -226,19 +228,19 @@ class TestMarginal:
         assert np.max(np.abs(marginal(fwd, ("b",)) - spectra.p_b)) < 1e-12
 
     def test_werner_global_marginal(self):
-        fwd = werner_isothermal(0.5).analysis.forward
+        fwd = augmented_forward(werner_spectra(0.5))
         p_m = marginal(fwd, ("m",))
         assert p_m[0] == pytest.approx(5 / 8)   # (1 + 3p)/4 at p = 1/2
         assert p_m[1:] == pytest.approx([1 / 8] * 3)
 
     def test_axis_order_respected(self):
-        fwd = werner_isothermal(0.5).analysis.forward
+        fwd = augmented_forward(werner_spectra(0.5))
         ab = marginal(fwd, ("a", "b"))
         ba = marginal(fwd, ("b", "a"))
         assert np.max(np.abs(ab - ba.T)) == 0.0
 
     def test_rejects_bad_axis(self):
-        fwd = werner_isothermal(0.5).analysis.forward
+        fwd = augmented_forward(werner_spectra(0.5))
         with pytest.raises(DimensionError):
             marginal(fwd, ("q",))
 
@@ -299,13 +301,13 @@ class TestGuardsAndOverrides:
 
 class TestCounterexampleTables:
     def test_routes_share_global_marginals(self):
-        a = bell_adiabatic_counterexample(0.4, route="unitary").analysis
-        b = bell_adiabatic_counterexample(0.4, route="analytic").analysis
+        a = augmented_forward(bell_adiabatic_counterexample(0.4, route="unitary").analysis.spectra)
+        b = augmented_forward(bell_adiabatic_counterexample(0.4, route="analytic").analysis.spectra)
         # per-tuple tables differ by the degenerate-block gauge, but the
         # endpoint marginals must agree
         for keep in (("m",), ("a", "b"), ("a_final", "b_final")):
-            ga = marginal(a.forward, keep)
-            gb = marginal(b.forward, keep)
+            ga = marginal(a, keep)
+            gb = marginal(b, keep)
             assert np.max(np.abs(np.sort(ga.ravel()) - np.sort(gb.ravel()))) < 1e-10
 
     def test_unitary_route_uses_bell_image(self):

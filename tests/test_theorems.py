@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bift.cli import invariant_checks
 from bift.errors import NotApplicable
-from bift.functionals import HeatPartition, average, tuple_functionals
+from bift.functionals import EndpointFunctionals, HeatPartition, endpoint_functionals
 from bift.linalg import (
+    DEFAULT_TOL,
     ReservoirSpec,
     density_operator,
     haar_unitary,
@@ -20,19 +24,32 @@ from bift.scenarios import (
     werner_state,
 )
 from bift.tables import (
+    FactoredJoint,
     UnitarySystem,
     augmented_forward,
-    reverse_joint,
+    factored_joint,
     spectra_from_analytic,
     spectra_from_unitary,
 )
 from bift.theorems import (
+    _supports,
     classical_reduction_check,
     corrupt_reverse,
     detailed_ft_check,
     evaluate,
-    integral_ft,
     reverse_averaged_ft,
+)
+
+from conftest import (
+    dense_average,
+    dense_classical_reduction_check,
+    dense_detailed_ft_check,
+    dense_evaluate,
+    dense_invariant_values,
+    dense_support,
+    dense_tables,
+    dense_tuple_functionals,
+    dense_with_entropy_production,
 )
 
 LN2 = math.log(2.0)
@@ -60,14 +77,17 @@ class TestDetailedFT:
     def test_werner_pure_trajectory_ratio(self):
         analysis = werner_isothermal(1.0).analysis
         idx = (0, 0, 0, 0, 0, 0, 0, 0)
-        p_fwd = analysis.forward.table[idx]
-        p_rev = analysis.reverse.table[idx]
+        forward, reverse = dense_tables(analysis.spectra)
+        p_fwd = forward.table[idx]
+        p_rev = reverse.table[idx]
         assert p_fwd == pytest.approx(0.5)
         assert p_rev == pytest.approx(0.125)
-        expo = np.broadcast_to(analysis.functionals.ft_exponent(),
-                               analysis.forward.table.shape)[idx]
+        expo = np.broadcast_to(dense_tuple_functionals(analysis.spectra).ft_exponent(),
+                               forward.table.shape)[idx]
         assert expo == pytest.approx(-2 * LN2)
         assert p_rev / p_fwd == pytest.approx(math.exp(expo), abs=1e-12)
+        e_i, e_f, pair = analysis.functionals.ft_factors()
+        assert e_i[0, 0, 0] * e_f[0, 0, 0] * pair[0, 0] == pytest.approx(math.exp(expo))
         assert analysis.report.detailed_max_residual < 1e-10
 
     def test_identity_on_product_full_rank(self):
@@ -75,10 +95,12 @@ class TestDetailedFT:
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0, 1.0), 1.0),
                                np.eye(8, dtype=complex))
         analysis = analyze(system)
-        f, r = analysis.forward.table, analysis.reverse.table
+        forward, reverse = dense_tables(analysis.spectra)
+        f, r = forward.table, reverse.table
         mask = f > 1e-12 * f.max()
         ratios = r[mask] / f[mask]
-        expo = np.broadcast_to(np.exp(analysis.functionals.ft_exponent()), f.shape)[mask]
+        traj = dense_tuple_functionals(analysis.spectra)
+        expo = np.broadcast_to(np.exp(traj.ft_exponent()), f.shape)[mask]
         assert np.max(np.abs(ratios - expo)) < 1e-12
         assert analysis.report.detailed_max_residual < 1e-12
 
@@ -89,8 +111,8 @@ class TestDetailedFT:
 
     def test_reports_worst_trajectory(self):
         analysis = analyze(random_instance(2, 2, 2, 7))
-        resid, worst = detailed_ft_check(analysis.forward, analysis.reverse,
-                                         analysis.functionals)
+        resid, worst = detailed_ft_check(analysis.joint, analysis.functionals)
+        assert resid == analysis.report.detailed_max_residual
         assert worst is not None
         assert all(isinstance(i, int) for i in worst)
 
@@ -121,8 +143,7 @@ class TestIntegralFT:
 class TestReverseAveragedFT:
     def test_werner_pure_expansion(self):
         analysis = werner_isothermal(1.0).analysis
-        lhs, rhs = reverse_averaged_ft(analysis.forward, analysis.reverse,
-                                       analysis.functionals)
+        lhs, rhs = reverse_averaged_ft(analysis.joint, analysis.functionals)
         # two restricted reverse trajectories of mass 1/8, each with
         # exp(-dI) = exp(2 ln 2) = 4
         assert rhs == pytest.approx(2 * 0.125 * 4.0, abs=1e-12)
@@ -226,12 +247,13 @@ class TestBounds:
         # every trajectory while dI genuinely fluctuates between
         # -ln(1+3p) and -ln(1-p); the reverse-info bound must saturate
         analysis = werner_isothermal(0.5).analysis
-        traj = analysis.functionals
-        shape = analysis.forward.table.shape
+        traj = dense_tuple_functionals(analysis.spectra)
+        forward = augmented_forward(analysis.spectra)
+        shape = forward.table.shape
         exponent = np.broadcast_to(traj.delta_s_a + traj.delta_s_b - traj.beta_q, shape)
-        weighted = exponent[analysis.forward.table > 1e-12]
+        weighted = exponent[forward.table > 1e-12]
         assert float(np.var(weighted)) < 1e-20
-        d_i = np.broadcast_to(traj.delta_i, shape)[analysis.forward.table > 1e-12]
+        d_i = np.broadcast_to(traj.delta_i, shape)[forward.table > 1e-12]
         assert float(np.ptp(d_i)) > 0.1
         assert analysis.report.bound("heat_bound_reverse_info").slack < 1e-10
 
@@ -249,26 +271,27 @@ class TestClassicalReduction:
     @pytest.mark.parametrize("seed", [0, 9, 27])
     def test_holds_on_diagonal_instances(self, seed):
         spectra = spectra_from_unitary(random_classical_instance(2, 3, 2, seed))
-        fwd = augmented_forward(spectra)
-        rev = reverse_joint(spectra, fwd)
-        traj = tuple_functionals(spectra)
-        residual, max_gap = classical_reduction_check(spectra, fwd, rev, traj)
+        residual, max_gap = classical_reduction_check(
+            spectra, factored_joint(spectra), endpoint_functionals(spectra))
         assert residual < 1e-10
         assert max_gap < 1e-12
+        fwd, rev = dense_tables(spectra)
+        dense = dense_classical_reduction_check(spectra, fwd, rev,
+                                                dense_tuple_functionals(spectra))
+        assert residual == pytest.approx(dense[0], abs=1e-13)
+        assert max_gap == pytest.approx(dense[1], abs=1e-13)
 
     def test_not_applicable_for_entangled_eigenbasis(self):
         analysis = werner_isothermal(0.5).analysis
         with pytest.raises(NotApplicable):
-            classical_reduction_check(analysis.spectra, analysis.forward,
-                                      analysis.reverse, analysis.functionals)
+            classical_reduction_check(analysis.spectra, analysis.joint, analysis.functionals)
         rec = analysis.report.bound("classical_ft")
         assert rec.applicable is False
 
     def test_not_applicable_for_counterexample_final_basis(self):
         analysis = bell_adiabatic_counterexample(0.5, route="analytic").analysis
         with pytest.raises(NotApplicable):
-            classical_reduction_check(analysis.spectra, analysis.forward,
-                                      analysis.reverse, analysis.functionals)
+            classical_reduction_check(analysis.spectra, analysis.joint, analysis.functionals)
 
     def test_report_record_when_applicable(self):
         rep = analyze(random_classical_instance(2, 2, 2, 4)).report
@@ -283,13 +306,14 @@ class TestClassicalReduction:
                                np.eye(4, dtype=complex))
         analysis = analyze(system)
         residual, max_gap = classical_reduction_check(
-            analysis.spectra, analysis.forward, analysis.reverse, analysis.functionals)
+            analysis.spectra, analysis.joint, analysis.functionals)
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-12)
         assert residual < 1e-12
         assert max_gap < 1e-12
-        shape = analysis.forward.table.shape
-        expo = np.broadcast_to(analysis.functionals.ft_exponent(), shape)
-        assert np.max(np.abs(expo[analysis.forward.table > 0.5])) < 1e-12
+        forward = augmented_forward(analysis.spectra)
+        expo = np.broadcast_to(dense_tuple_functionals(analysis.spectra).ft_exponent(),
+                               forward.table.shape)
+        assert np.max(np.abs(expo[forward.table > 0.5])) < 1e-12
 
 
 class TestHeatPartitionForm:
@@ -301,9 +325,9 @@ class TestHeatPartitionForm:
             spectra = werner_isothermal(p).analysis.spectra
             partition = HeatPartition(q_a=q_a, q_b=-0.9 - q_a, beta=1.0)
             analysis = evaluate(spectra, heat_partition=partition)
-            traj = analysis.functionals
-            rewritten = average(
-                analysis.forward,
+            traj = dense_with_entropy_production(dense_tuple_functionals(spectra), partition)
+            rewritten = dense_average(
+                augmented_forward(spectra),
                 np.exp(-traj.sigma_a - traj.sigma_b + traj.delta_gamma))
             assert rewritten == pytest.approx(analysis.report.gamma_restricted,
                                               abs=1e-12)
@@ -348,10 +372,21 @@ class TestGaugeRobustness:
 class TestEdgesAndControls:
     def test_corrupted_reverse_breaks_detailed(self):
         analysis = werner_isothermal(0.8).analysis
-        bad = corrupt_reverse(analysis.reverse)
-        resid, worst = detailed_ft_check(analysis.forward, bad, analysis.functionals)
+        bad = corrupt_reverse(analysis.joint)
+        resid, worst = detailed_ft_check(bad, analysis.functionals)
         assert resid > 1e-3
         assert worst is not None
+
+    def test_werner_pure_corruption_lands_in_support(self):
+        # the (0, 0, 0, 0) block is the only forward block at p = 1, and the
+        # largest reverse entry (the first in C order) is that block
+        joint = werner_isothermal(1.0).analysis.joint
+        assert np.argwhere(joint.forward > 0.0).tolist() == [[0, 0, 0, 0]]
+        bad = corrupt_reverse(joint)
+        assert np.argwhere(bad.reverse != joint.reverse).tolist() == [[0, 0, 0, 0]]
+        assert bad.reverse[0, 0, 0, 0] == 1.5 * joint.reverse[0, 0, 0, 0]
+        assert joint.forward_support[0, 0]
+        assert bad.restricted_mass() == pytest.approx(0.375)
 
     def test_corruption_flag_threads_through_evaluate(self):
         clean = werner_isothermal(0.8).analysis
@@ -376,3 +411,186 @@ class TestEdgesAndControls:
         rec = rep.bound("heat_bound_info_gamma")
         assert rec.applicable is False
         assert "vacuous" in rec.note
+
+
+def report_numbers(rep) -> dict:
+    """Every number of an FTReport, by name."""
+    out = {name: getattr(rep, name) for name in (
+        "integral_ft_lhs", "gamma_restricted", "ln_gamma", "reverse_ft_lhs",
+        "reverse_avg_exp_di", "reverse_avg_exp_di_full", "detailed_max_residual", "bound_gap")}
+    out.update({f"averages.{k}": v for k, v in dataclasses.asdict(rep.averages).items()})
+    if rep.sigma is not None:
+        out.update({f"sigma.{k}": v for k, v in dataclasses.asdict(rep.sigma).items()})
+    for rec in rep.bounds:
+        out.update({f"{rec.name}.lhs": rec.lhs, f"{rec.name}.rhs": rec.rhs,
+                    f"{rec.name}.slack": rec.slack})
+    return out
+
+
+def assert_matches_dense_oracle(spectra, corruption=None, **kwargs):
+    """The factored report and verify invariants agree with the dense
+    engine to 1e-13 (relative for numbers above 1, e.g. a reverse
+    average of 75).
+
+    The detailed residual is each engine's own rounding noise on a clean
+    system (up to ~1e-12 for the dense one at (3, 3, 3)), so it is held
+    to the check's tolerance, 1e-10, instead."""
+    analysis = evaluate(spectra, _reverse_corruption=corruption, **kwargs)
+    reverse_global = analysis.joint.reverse if corruption is not None else None
+    got = report_numbers(analysis.report)
+    want = report_numbers(dense_evaluate(spectra, reverse_global=reverse_global, **kwargs))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if math.isnan(value) or math.isinf(value):
+            assert got[key] == value or (math.isnan(got[key]) and math.isnan(value)), key
+        else:
+            bound = 1e-10 if key == "detailed_max_residual" else 1e-13 * max(1.0, abs(value))
+            assert abs(got[key] - value) <= bound, (key, got[key], value)
+
+    forward, reverse = dense_tables(spectra, reverse_global)
+    checks = invariant_checks(analysis, DEFAULT_TOL)
+    dense = dense_invariant_values(spectra, forward, reverse)
+    assert [c.name for c in checks] == list(dense)
+    for check in checks:
+        assert abs(check.value - dense[check.name]) <= 1e-13, check.name
+    return analysis
+
+
+def per_factor_support(joint) -> np.ndarray:
+    """The detailed check's support rule, broadcast over the eight axes."""
+    block, sup_i, sup_f = _supports(joint, DEFAULT_TOL)
+    return (block[:, None, None, :, None, None, :, :]
+            & sup_i[:, :, :, None, None, None, None, None]
+            & sup_f[None, None, None, :, :, :, None, None])
+
+
+class TestDenseOracle:
+    """The factored engine against the dense eight-index engine of the
+    test oracle (``conftest.dense_evaluate``)."""
+
+    @given(seed=st.integers(0, 10_000),
+           dims=st.sampled_from([(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3),
+                                 (3, 3, 1), (3, 3, 2), (2, 3, 3), (3, 3, 3)]),
+           kind=st.sampled_from(["full_rank", "rank_deficient", "degenerate", "classical"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems(self, seed, dims, kind):
+        if kind == "classical":
+            system = random_classical_instance(*dims, seed=seed)
+        else:
+            system = random_instance(*dims, seed=seed, rank_deficient=kind == "rank_deficient",
+                                     degenerate=kind == "degenerate")
+        analysis = assert_matches_dense_oracle(spectra_from_unitary(system))
+        assert analysis.report.detailed_max_residual < 1e-10
+        fwd, rev = dense_tables(analysis.spectra)
+        traj = dense_tuple_functionals(analysis.spectra)
+        dense_resid, _ = dense_detailed_ft_check(fwd, rev, traj)
+        assert dense_resid < 1e-10
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_werner(self, p):
+        analysis = assert_matches_dense_oracle(werner_isothermal(p).analysis.spectra)
+        forward = augmented_forward(analysis.spectra)
+        assert np.array_equal(per_factor_support(analysis.joint), dense_support(forward))
+
+    def test_support_rules_differ_on_small_products(self):
+        # Each factor of this trajectory is well above its own cutoff (the
+        # block is 1.0e-5 of the largest block, the conditional weights
+        # are 2.5e-5 and 2.0e-3) but the product is 6.2e-13 of the largest
+        # dense entry: only the per-factor rule keeps it, and the detailed
+        # relation holds there to rounding.
+        spectra = spectra_from_unitary(random_instance(2, 2, 3, seed=54))
+        analysis = assert_matches_dense_oracle(spectra)
+        forward, reverse = dense_tables(spectra)
+        extra = per_factor_support(analysis.joint) & ~dense_support(forward)
+        assert [tuple(int(i) for i in idx) for idx in np.argwhere(extra)] == [
+            (3, 0, 0, 3, 0, 0, 2, 0)]
+        assert not (dense_support(forward) & ~per_factor_support(analysis.joint)).any()
+        idx = (3, 0, 0, 3, 0, 0, 2, 0)
+        expo = np.broadcast_to(dense_tuple_functionals(spectra).ft_exponent(),
+                               forward.table.shape)[idx]
+        assert abs(reverse.table[idx] / forward.table[idx] - math.exp(expo)) < 1e-10
+        assert analysis.report.detailed_max_residual < 1e-10
+
+    @pytest.mark.parametrize("route", ["unitary", "analytic"])
+    def test_counterexample(self, route):
+        assert_matches_dense_oracle(bell_adiabatic_counterexample(0.5, route).analysis.spectra)
+
+    def test_rank_deficient_gamma_below_one(self):
+        spectra = spectra_from_unitary(random_instance(2, 2, 2, 1, rank_deficient=True))
+        analysis = assert_matches_dense_oracle(spectra)
+        assert analysis.report.gamma_restricted < 1.0 - 1e-6
+
+    def test_heat_partition(self):
+        partition = HeatPartition(q_a=np.array([[0.1, -0.3], [0.2, 0.0]]), q_b=0.25, beta=1.3)
+        spectra = spectra_from_unitary(random_instance(2, 2, 2, 5))
+        analysis = assert_matches_dense_oracle(spectra, heat_partition=partition)
+        assert analysis.report.sigma is not None
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3)])
+    def test_corrupted_reverse(self, dims):
+        spectra = spectra_from_unitary(random_instance(*dims, seed=8))
+        analysis = assert_matches_dense_oracle(spectra, corruption=1.5)
+        assert analysis.report.detailed_max_residual > 1e-3
+
+
+class TestFactoredExtremes:
+    """The block-extremes shortcuts of the detailed check and the
+    classical gap against a brute-force pass over all eight axes, on
+    arbitrary factored inputs whose factors depend on the local labels
+    (the physical ones cancel them up to rounding) and that tie often."""
+
+    @staticmethod
+    def pieces(seed, d_m=4, d_a=2, d_b=2, d_r=2):
+        rng = np.random.default_rng(seed)
+
+        def coarse(shape, zeros=0.0):
+            # few distinct values, so residual ties are common
+            x = rng.integers(1, 4, size=shape) / 2.0
+            return np.where(rng.random(shape) < zeros, 0.0, x)
+
+        cond_i = coarse((d_m, d_a, d_b), zeros=0.4)
+        cond_f = coarse((d_m, d_a, d_b), zeros=0.4)
+        cond_i[:, 0, 0] += 1.0        # no empty rows
+        cond_f[:, 0, 0] += 1.0
+        joint = FactoredJoint(forward=coarse((d_m, d_m, d_r, d_r), zeros=0.3),
+                              reverse=coarse((d_m, d_m, d_r, d_r)),
+                              cond_initial=cond_i, cond_final=cond_f,
+                              forward_support=np.ones((d_m, d_r), dtype=bool))
+        zero_a, zero_b = np.zeros(d_a), np.zeros(d_b)
+        funcs = EndpointFunctionals(
+            l_pa=zero_a, l_pb=zero_b, l_pa_final=zero_a, l_pb_final=zero_b,
+            info_initial=coarse((d_m, d_a, d_b)), info_final=coarse((d_m, d_a, d_b)),
+            classical_initial=coarse((d_a, d_b)), classical_final=coarse((d_a, d_b)),
+            beta_q=np.log(coarse((d_r, d_r))),
+            local_initial=coarse((d_a, d_b)), local_final=coarse((d_a, d_b)),
+            info_ratio_initial=coarse((d_m, d_a, d_b)), info_ratio_final=coarse((d_m, d_a, d_b)),
+            classical_ratio_initial=np.ones((d_a, d_b)), classical_ratio_final=np.ones((d_a, d_b)))
+        return joint, funcs
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_detailed_matches_brute_force(self, seed):
+        joint, funcs = self.pieces(seed)
+        resid, worst = detailed_ft_check(joint, funcs)
+        e_i, e_f, pair = funcs.ft_factors()
+        block = joint.forward > DEFAULT_TOL.support * joint.forward.max()
+        ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
+        every = np.abs(ratio[:, None, None, :, None, None, :, :]
+                       - pair * (e_i[:, :, :, None, None, None, None, None]
+                                 * e_f[None, None, None, :, :, :, None, None]))
+        every = np.where(per_factor_support(joint), every, -1.0)
+        assert resid == every.max()
+        assert worst == tuple(int(i) for i in np.unravel_index(np.argmax(every), every.shape))
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_classical_gap_matches_brute_force(self, seed):
+        joint, funcs = self.pieces(seed)
+        spectra = spectra_from_unitary(random_classical_instance(2, 2, 2, seed))
+        _, gap = classical_reduction_check(spectra, joint, funcs)
+        d_i = funcs.info_initial - funcs.classical_initial[None]
+        d_f = funcs.info_final - funcs.classical_final[None]
+        every = np.abs(d_f[None, None, None, :, :, :, None, None]
+                       - d_i[:, :, :, None, None, None, None, None])
+        every = np.broadcast_to(every, per_factor_support(joint).shape)
+        assert gap == every[per_factor_support(joint)].max()
