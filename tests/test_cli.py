@@ -90,6 +90,12 @@ GOLDEN = {
         "f2a767253aaa57318ab653815c95ac87dffa8a5cb97faeae7613eee64eb0ec7a"),
     "sweep-werner": (("sweep", "--scenario", "werner", "--p", "0:1:11"),
                      "dc8b80773a5af83de32b7c95baaf7d51153ae4f94e9070005f641a1f91aebc28"),
+    # the dense eight-index tables, built only for emission
+    "emit-werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37", "--emit-tuples"),
+                          "fe30625c56cfef19db62563267dacf045a933c892d3996863d62f35685c23470"),
+    "emit-counterexample": (
+        ("run", "--scenario", "counterexample", "--p", "0.5", "--emit-tuples"),
+        "4203792e623a339aba486eded9935f2c0567025e28eefff337a6bd6ca77037a1"),
 }
 
 
