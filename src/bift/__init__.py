@@ -45,10 +45,9 @@ from .scenarios import (
     werner_isothermal,
 )
 from .tables import (
+    DenseJoint,
     FactoredJoint,
-    ForwardJointDistribution,
     OutcomeTuple,
-    ReverseJointDistribution,
     SystemSpectra,
     UnitarySystem,
     augmented_forward,

@@ -74,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float,
                        help="override equality/bound tolerance")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--emit-tuples", action="store_true",
-                       help="include the dense per-trajectory tables in the report")
+        if name == "run":
+            p.add_argument("--emit-tuples", action="store_true",
+                           help="include the dense per-trajectory tables in the report")
         if name == "verify":
             p.add_argument("--corrupt-reverse", action="store_true",
                            help="debug: corrupt the reverse table so the "
@@ -100,7 +101,7 @@ def merge_config(args) -> dict:
             raise DomainError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
     if args.tolerance is not None:
         cfg["tolerance"] = args.tolerance
-    if args.emit_tuples:
+    if getattr(args, "emit_tuples", False):
         cfg["emit_tuples"] = True
     return validate_config(cfg)
 
@@ -185,7 +186,7 @@ def _scalar_p(cfg: dict) -> float:
     return values[0]
 
 
-def explicit_system(cfg: dict) -> UnitarySystem:
+def explicit_system(cfg: dict, tol: Tolerances) -> UnitarySystem:
     sysc = cfg["system"]
     for field in ("dims", "rho_ab", "unitary", "reservoir"):
         if field not in sysc:
@@ -200,7 +201,7 @@ def explicit_system(cfg: dict) -> UnitarySystem:
         raise DomainError("system.reservoir.energies: length must equal d_R")
     try:
         return UnitarySystem(dim_a=d_a, dim_b=d_b,
-                             rho_ab=density_operator(rho),
+                             rho_ab=density_operator(rho, tol),
                              reservoir=ReservoirSpec(tuple(res["energies"]),
                                                      float(res["beta"])),
                              unitary=u)
@@ -214,7 +215,7 @@ def build_analysis(cfg: dict, p_value: float | None = None,
     tol = tolerances_from(cfg)
     name = cfg.get("scenario")
     if "system" in cfg:
-        system = explicit_system(cfg)
+        system = explicit_system(cfg, tol)
         reference = {}
         descr = {"name": "explicit", "dims": [system.dim_a, system.dim_b,
                                               system.reservoir.dim]}
@@ -293,7 +294,7 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     sum_f = s.cond_final.sum(axis=(1, 2))
     fact = float(np.max(np.abs(
         joint.forward * (sum_i[:, None, None, None] * sum_f[None, :, None, None] - 1.0))))
-    checks.append(Check("forward_factorization", fact, fact <= 1e-12))
+    checks.append(Check("forward_factorization", fact, fact <= tol.trace))
 
     # Forward marginal over (m, a, b, r): the conditional weight times the
     # final-side sum of G.
@@ -350,8 +351,8 @@ def report_document(command: str, cfg: dict, descr: dict, analysis: Analysis,
         "passed": all(c.passed for c in checks),
     }
     if emit_tuples:
-        forward = augmented_forward(analysis.spectra, tol)
-        reverse = reverse_joint(analysis.spectra, forward, tol)
+        forward = augmented_forward(analysis.spectra)
+        reverse = reverse_joint(analysis.spectra)
         doc["tables"] = {
             "axes": ["m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final"],
             "dims": list(forward.dims),

@@ -20,25 +20,21 @@ import numpy as np
 
 from .errors import NotApplicable, PartitionUnavailable
 from .linalg import DEFAULT_TOL, Tolerances
-from .tables import SystemSpectra
+from .tables import SystemSpectra, _above_cutoff
 
 
-def _or_one(p, reference: float | None = None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """p with every entry at or below the support cutoff set to 1: the
-    multiplicative form of ln 0 := 0 (``log_or_zero`` is its log).
-
-    ``reference`` sets the scale of the support cutoff (defaults to the
-    largest entry of ``p``).
-    """
+def _or_one(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """p with every entry at or below the support cutoff (relative to the
+    largest entry of ``p``) set to 1: the multiplicative form of
+    ln 0 := 0 (``log_or_zero`` is its log)."""
     arr = np.asarray(p, dtype=float)
-    ref = float(np.max(arr)) if reference is None else float(reference)
-    return np.where(arr > tol.support * max(ref, 0.0), arr, 1.0)
+    return np.where(_above_cutoff(arr, tol), arr, 1.0)
 
 
-def log_or_zero(p, reference: float | None = None, tol: Tolerances = DEFAULT_TOL):
+def log_or_zero(p, tol: Tolerances = DEFAULT_TOL):
     """ln p with ln 0 := 0; anything at or below the support cutoff (see
     :func:`_or_one`) counts as zero."""
-    out = np.log(_or_one(p, reference, tol))
+    out = np.log(_or_one(p, tol))
     return float(out) if np.isscalar(p) else out
 
 
@@ -173,23 +169,25 @@ class EndpointFunctionals:
 def endpoint_functionals(spectra: SystemSpectra,
                          tol: Tolerances = DEFAULT_TOL) -> EndpointFunctionals:
     """The per-endpoint tables of every functional of ``spectra``."""
-    w_a, w_b, w_af, w_bf = (_or_one(p, tol=tol) for p in (
+    w_a, w_b, w_af, w_bf = (_or_one(p, tol) for p in (
         spectra.p_a, spectra.p_b, spectra.p_a_final, spectra.p_b_final))
     l_pa, l_pb, l_paf, l_pbf = (np.log(w) for w in (w_a, w_b, w_af, w_bf))
     local_i = w_a[:, None] * w_b[None, :]
     local_f = w_af[:, None] * w_bf[None, :]
+    p_m_i = spectra.p_m[:, None, None]
+    p_m_f = spectra.p_m_final[:, None, None]
     p_ab_i = spectra.classical_joint_initial()
     p_ab_f = spectra.classical_joint_final()
     return EndpointFunctionals(
         l_pa=l_pa, l_pb=l_pb, l_pa_final=l_paf, l_pb_final=l_pbf,
-        info_initial=_info_content_table(spectra.p_m, l_pa, l_pb, tol),
-        info_final=_info_content_table(spectra.p_m_final, l_paf, l_pbf, tol),
-        classical_initial=_classical_content_table(p_ab_i, l_pa, l_pb, tol),
-        classical_final=_classical_content_table(p_ab_f, l_paf, l_pbf, tol),
+        info_initial=_content_table(p_m_i, l_pa, l_pb, tol),
+        info_final=_content_table(p_m_f, l_paf, l_pbf, tol),
+        classical_initial=_content_table(p_ab_i, l_pa, l_pb, tol),
+        classical_final=_content_table(p_ab_f, l_paf, l_pbf, tol),
         beta_q=np.asarray(spectra.beta_q, dtype=float),
         local_initial=local_i, local_final=local_f,
-        info_ratio_initial=_content_ratio(spectra.p_m[:, None, None], local_i, tol),
-        info_ratio_final=_content_ratio(spectra.p_m_final[:, None, None], local_f, tol),
+        info_ratio_initial=_content_ratio(p_m_i, local_i, tol),
+        info_ratio_final=_content_ratio(p_m_f, local_f, tol),
         classical_ratio_initial=_content_ratio(p_ab_i, local_i, tol),
         classical_ratio_final=_content_ratio(p_ab_f, local_f, tol))
 
@@ -197,36 +195,13 @@ def endpoint_functionals(spectra: SystemSpectra,
 def _content_ratio(p: np.ndarray, local: np.ndarray, tol: Tolerances) -> np.ndarray:
     """p / (p_a p_b), or 1 where ``p`` is at or below its cutoff (content
     0 outright); the exponential of an info or classical content table."""
-    cut = tol.support * max(float(np.max(p)), 0.0)
-    return np.where(p > cut, p / local, 1.0)
+    return np.where(_above_cutoff(p, tol), p / local, 1.0)
 
 
-def info_content_tables(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
-    """(initial, final) per-outcome info-content tables, shapes (M, A, B);
-    their forward averages are the quantum mutual informations of the
-    endpoint states."""
-    initial = _info_content_table(spectra.p_m,
-                                  log_or_zero(spectra.p_a, tol=tol),
-                                  log_or_zero(spectra.p_b, tol=tol), tol)
-    final = _info_content_table(spectra.p_m_final,
-                                log_or_zero(spectra.p_a_final, tol=tol),
-                                log_or_zero(spectra.p_b_final, tol=tol), tol)
-    return initial, final
-
-
-def _info_content_table(p_m: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarray,
-                        tol: Tolerances) -> np.ndarray:
-    """I[m, a, b] with the zero-outright convention on p_m."""
-    l_pm = log_or_zero(p_m, tol=tol)
-    cut = tol.support * max(float(np.max(p_m)), 0.0)
-    val = l_pm[:, None, None] - l_pa[None, :, None] - l_pb[None, None, :]
-    return np.where(p_m[:, None, None] > cut, val, 0.0)
-
-
-def _classical_content_table(p_ab: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarray,
-                             tol: Tolerances) -> np.ndarray:
-    """J[a, b] with the zero-outright convention on p_{a,b}."""
-    l_pab = log_or_zero(p_ab, tol=tol)
-    cut = tol.support * max(float(np.max(p_ab)), 0.0)
-    val = l_pab - l_pa[:, None] - l_pb[None, :]
-    return np.where(p_ab > cut, val, 0.0)
+def _content_table(p: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarray,
+                   tol: Tolerances) -> np.ndarray:
+    """ln p - ln p_a - ln p_b over the local labels (a, b), 0 outright
+    where ``p`` is at or below its cutoff: the classical content J[a, b]
+    for p = p_{a,b}, the info content I[m, a, b] for p = p_m[:, None, None]."""
+    val = log_or_zero(p, tol) - l_pa[:, None] - l_pb[None, :]
+    return np.where(_above_cutoff(p, tol), val, 0.0)

@@ -81,12 +81,10 @@ class SpectralDecomposition:
     probabilities -- eigenvalues, descending
     vectors       -- orthonormal eigenvectors as columns, deterministically
                      phase- and gauge-fixed
-    support_mask  -- True where p_k exceeds the (relative) support cutoff
     """
 
     probabilities: np.ndarray
     vectors: np.ndarray
-    support_mask: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -157,13 +155,10 @@ def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spe
     vals = vals[order]
     vecs = vecs[:, order]
 
-    n = len(vals)
-    scale = max(1.0, float(np.max(np.abs(vals)))) if n else 1.0
     fixed = np.zeros_like(vecs)
     for i, j in degenerate_blocks(vals, tol):
         fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
-    sup = np.abs(vals) > tol.support * scale if n else np.zeros(0, dtype=bool)
-    return SpectralDecomposition(probabilities=vals, vectors=fixed, support_mask=sup)
+    return SpectralDecomposition(probabilities=vals, vectors=fixed)
 
 
 def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
@@ -182,20 +177,9 @@ def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
             accepted.append(cand / norm)
         if len(accepted) == k:
             break
-    if len(accepted) < k:
-        # Pathological alignment: fall back to picking, at each step, the
-        # computational direction with the largest residual.
-        accepted = []
-        for _ in range(k):
-            best, best_norm = None, -1.0
-            for col in range(n):
-                cand = proj[:, col].copy()
-                for u in accepted:
-                    cand -= u * (np.conj(u) @ cand)
-                norm = float(np.linalg.norm(cand))
-                if norm > best_norm + 1e-15:
-                    best, best_norm = cand / norm, norm
-            accepted.append(best)
+    # The pass always finds k vectors: with j < k accepted, every column's
+    # residual would be <= 1e-8, yet their squared norms sum to tr Q = k - j >= 1,
+    # where Q projects onto the part of the block the j vectors miss.
     out = np.column_stack(accepted)
     for col in range(k):
         v = out[:, col]
@@ -221,7 +205,7 @@ def density_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Densi
     if lo < -tol.psd:
         raise ConsistencyError(f"negative eigenvalue {lo:.3e} below PSD tolerance")
     probs = np.clip(dec.probabilities, 0.0, 1.0)
-    dec = SpectralDecomposition(probs, dec.vectors, dec.support_mask)
+    dec = SpectralDecomposition(probs, dec.vectors)
     return DensityOperator(dim=m.shape[0], matrix=m, decomposition=dec)
 
 
@@ -289,7 +273,7 @@ def time_reverse(decomp: SpectralDecomposition,
     vecs = np.conj(decomp.vectors)
     if unitary_factor is not None:
         vecs = check_unitary(unitary_factor) @ vecs
-    return SpectralDecomposition(decomp.probabilities.copy(), vecs, decomp.support_mask.copy())
+    return SpectralDecomposition(decomp.probabilities.copy(), vecs)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -334,12 +318,13 @@ def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Genera
     for i, j in degenerate_blocks(decomp.probabilities, tol):
         if j - i > 1:
             vecs[:, i:j] = vecs[:, i:j] @ haar_unitary(j - i, rng)
-    return SpectralDecomposition(decomp.probabilities.copy(), vecs, decomp.support_mask.copy())
+    return SpectralDecomposition(decomp.probabilities.copy(), vecs)
 
 
 def assert_same_operator(decomp: SpectralDecomposition, matrix: np.ndarray,
-                         tol: float = 1e-10) -> None:
-    """Raise ConsistencyError unless the decomposition reconstructs ``matrix``."""
+                         tol: Tolerances = DEFAULT_TOL) -> None:
+    """Raise ConsistencyError unless the decomposition reconstructs
+    ``matrix`` to ``tol.equality``."""
     dev = float(np.max(np.abs(decomp.reconstruct() - np.asarray(matrix, dtype=complex))))
-    if dev > tol:
+    if dev > tol.equality:
         raise ConsistencyError(f"decomposition fails to reconstruct its operator by {dev:.3e}")

@@ -2,9 +2,10 @@
 
 Configs are JSON: key-value with nested arrays, matrices row-major,
 complex entries as two-element [real, imaginary] pairs.  Reports are
-emitted by a small fixed-format serializer (sorted keys, floats printed
-with 15 significant digits, infinities as +/-Infinity tokens) so that
-re-running the same config reproduces the report byte for byte.
+emitted by a small fixed-format serializer (keys in insertion order,
+floats printed with 15 significant digits, infinities as +/-Infinity
+tokens) so that re-running the same config reproduces the report byte
+for byte; only the config hash sorts keys.
 """
 
 from __future__ import annotations

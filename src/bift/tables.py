@@ -80,31 +80,12 @@ class OutcomeTuple(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ForwardJointDistribution:
-    """Joint probability of the time-forward protocol on the full
-    eight-index space, plus the initial (m, r) support set."""
+class DenseJoint:
+    """A joint distribution on the full eight-index space, built only
+    for emission."""
 
     dims: tuple[int, ...]            # (M, A, B, M, A, B, R, R)
     table: np.ndarray
-    forward_support: np.ndarray      # bool, shape (M, R)
-
-    def total(self) -> float:
-        return float(self.table.sum())
-
-
-@dataclass(frozen=True)
-class ReverseJointDistribution:
-    """Time-reversed joint probability on the same axes, the forward
-    support it is checked against, and the support-restricted mass
-    (the absolute-irreversibility factor)."""
-
-    dims: tuple[int, ...]
-    table: np.ndarray
-    forward_support: np.ndarray
-    restricted_mass: float
-
-    def total(self) -> float:
-        return float(self.table.sum())
 
 
 @dataclass(frozen=True)
@@ -222,7 +203,7 @@ def spectra_from_unitary(system: UnitarySystem,
 
     init = initial_decomposition or system.rho_ab.decomposition
     if initial_decomposition is not None:
-        assert_same_operator(initial_decomposition, system.rho_ab.matrix)
+        assert_same_operator(initial_decomposition, system.rho_ab.matrix, tol)
 
     p_r = system.reservoir.gibbs_probabilities()
     rho_abr = np.kron(system.rho_ab.matrix, np.diag(p_r).astype(complex))
@@ -231,7 +212,7 @@ def spectra_from_unitary(system: UnitarySystem,
 
     fin = final_decomposition or spectral_decompose(rho_ab_final, tol)
     if final_decomposition is not None:
-        assert_same_operator(final_decomposition, rho_ab_final)
+        assert_same_operator(final_decomposition, rho_ab_final, tol)
 
     dec_a = spectral_decompose(partial_trace(system.rho_ab.matrix, (d_a, d_b), 0), tol)
     dec_b = spectral_decompose(partial_trace(system.rho_ab.matrix, (d_a, d_b), 1), tol)
@@ -330,14 +311,18 @@ def spectra_from_analytic(spectra: SystemSpectra,
     )
 
 
+def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Entries above the support cutoff, ``tol.support`` times the largest
+    entry (or 0 when no entry is positive): the one support rule of the
+    package."""
+    return p > tol.support * max(float(np.max(p)), 0.0)
+
+
 def forward_support_mask(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Initial (m, r) pairs carrying nonzero two-point weight:
-    p_m p_r sum_{m',r'} K > support cutoff (relative to the largest weight)."""
+    p_m p_r sum_{m',r'} K above the support cutoff."""
     w = (spectra.p_m[:, None] * spectra.p_r[None, :]) * spectra.kernel.sum(axis=(2, 3))
-    top = float(w.max())
-    if top <= 0.0:
-        return np.zeros_like(w, dtype=bool)
-    return w > tol.support * top
+    return _above_cutoff(w, tol)
 
 
 def global_table(spectra: SystemSpectra) -> np.ndarray:
@@ -360,36 +345,25 @@ def _attach_conditionals(g: np.ndarray, spectra: SystemSpectra) -> np.ndarray:
             * spectra.cond_final[None, None, None, :, :, :, None, None])
 
 
-def augmented_forward(spectra: SystemSpectra,
-                      tol: Tolerances = DEFAULT_TOL) -> ForwardJointDistribution:
+def augmented_forward(spectra: SystemSpectra) -> DenseJoint:
     """Multiply the global two-point table by both conditional weights:
 
         p[m,a,b,m',a',b';r,r'] = p_{m,m';r,r'} |<m|a,b>|^2 |<m'|a',b'>|^2.
 
     Marginalizing over the primed indices recovers |<m|a,b>|^2 p_m p_r.
     """
-    table = _attach_conditionals(global_table(spectra), spectra)
-    return ForwardJointDistribution(
-        dims=spectra.dims, table=table,
-        forward_support=forward_support_mask(spectra, tol))
+    return DenseJoint(dims=spectra.dims,
+                      table=_attach_conditionals(global_table(spectra), spectra))
 
 
-def reverse_joint(spectra: SystemSpectra, forward: ForwardJointDistribution,
-                  tol: Tolerances = DEFAULT_TOL) -> ReverseJointDistribution:
+def reverse_joint(spectra: SystemSpectra) -> DenseJoint:
     """Time-reversed joint table, aligned to forward axes.
 
     The reversed process starts from the final state (re-thermalized
     reservoir) and uses the reversed kernel; its full-space mass is 1.
-    ``restricted_mass`` sums only trajectories whose initial (m, r) lies
-    in the forward support -- below 1 exactly when the process is
-    absolutely irreversible.
     """
-    table = _attach_conditionals(reverse_global_table(spectra), spectra)
-    support = forward.forward_support[:, None, None, None, None, None, :, None]
-    return ReverseJointDistribution(
-        dims=spectra.dims, table=table,
-        forward_support=forward.forward_support.copy(),
-        restricted_mass=float(np.sum(np.where(support, table, 0.0))))
+    return DenseJoint(dims=spectra.dims,
+                      table=_attach_conditionals(reverse_global_table(spectra), spectra))
 
 
 @dataclass(frozen=True)
@@ -431,11 +405,6 @@ def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> Fac
                          cond_initial=spectra.cond_initial,
                          cond_final=spectra.cond_final,
                          forward_support=forward_support_mask(spectra, tol))
-
-
-def _above_cutoff(table: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Entries above the support cutoff relative to the largest entry."""
-    return table > tol.support * float(table.max())
 
 
 _AXIS_NAMES = ("m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final")

@@ -14,7 +14,6 @@ import pytest
 from bift.functionals import (
     TrajectoryFunctional,
     entropy_production,
-    info_content_tables,
     log_or_zero,
     shannon_entropy,
 )
@@ -22,11 +21,12 @@ from bift.errors import NotApplicable
 from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_basis, werner_isothermal
 from bift.tables import (
+    DenseJoint,
     OutcomeTuple,
-    ReverseJointDistribution,
     augmented_forward,
+    forward_support_mask,
     marginal,
-    reverse_joint,
+    reverse_global_table,
 )
 from bift.theorems import (
     NEG_INF,
@@ -102,24 +102,27 @@ def oracle_reverse_table(spectra) -> np.ndarray:
 
 # -- the dense engine: every check summed over the eight-index tables ----
 
-def _initial_support(forward_support: np.ndarray) -> np.ndarray:
+def _initial_support(spectra, tol=DEFAULT_TOL) -> np.ndarray:
     """The (m, r) forward-support mask broadcast over the eight axes."""
-    return forward_support[:, None, None, None, None, None, :, None]
+    return forward_support_mask(spectra, tol)[:, None, None, None, None, None, :, None]
 
 
-def dense_tables(spectra, reverse_global=None, tol=DEFAULT_TOL):
+def dense_tables(spectra, reverse_global=None):
     """(forward, reverse) eight-index distributions; ``reverse_global``
     replaces the reverse two-point table (e.g. a corrupted one)."""
-    forward = augmented_forward(spectra, tol)
     if reverse_global is None:
-        return forward, reverse_joint(spectra, forward, tol)
+        reverse_global = reverse_global_table(spectra)
     table = (reverse_global[:, None, None, :, None, None, :, :]
              * spectra.cond_initial[:, :, :, None, None, None, None, None]
              * spectra.cond_final[None, None, None, :, :, :, None, None])
-    mask = _initial_support(forward.forward_support)
-    return forward, ReverseJointDistribution(
-        dims=spectra.dims, table=table, forward_support=forward.forward_support,
-        restricted_mass=float(np.sum(np.where(mask, table, 0.0))))
+    return augmented_forward(spectra), DenseJoint(dims=spectra.dims, table=table)
+
+
+def dense_content_table(p, l_pa, l_pb, tol=DEFAULT_TOL) -> np.ndarray:
+    """ln p - ln p_a - ln p_b over (a, b), 0 where ``p`` is at or below
+    its cutoff; ``p`` is p_{a,b} (classical) or p_m[:, None, None] (info)."""
+    cut = tol.support * max(float(np.max(p)), 0.0)
+    return np.where(p > cut, log_or_zero(p, tol=tol) - l_pa[:, None] - l_pb[None, :], 0.0)
 
 
 def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
@@ -132,16 +135,12 @@ def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
     l_pbf = log_or_zero(spectra.p_b_final, tol=tol)
     ds_a = (l_pa[:, None] - l_paf[None, :]).reshape(1, d_a, 1, 1, d_a, 1, 1, 1)
     ds_b = (l_pb[:, None] - l_pbf[None, :]).reshape(1, 1, d_b, 1, 1, d_b, 1, 1)
-    info_i, info_f = info_content_tables(spectra, tol)
+    info_i = dense_content_table(spectra.p_m[:, None, None], l_pa, l_pb, tol)
+    info_f = dense_content_table(spectra.p_m_final[:, None, None], l_paf, l_pbf, tol)
     d_i = (info_f[None, None, None, :, :, :]
            - info_i[:, :, :, None, None, None]).reshape(d_m, d_a, d_b, d_m, d_a, d_b, 1, 1)
-
-    def classical(p_ab, la, lb):
-        cut = tol.support * max(float(np.max(p_ab)), 0.0)
-        return np.where(p_ab > cut, log_or_zero(p_ab, tol=tol) - la[:, None] - lb[None, :], 0.0)
-
-    j_i = classical(spectra.classical_joint_initial(), l_pa, l_pb)
-    j_f = classical(spectra.classical_joint_final(), l_paf, l_pbf)
+    j_i = dense_content_table(spectra.classical_joint_initial(), l_pa, l_pb, tol)
+    j_f = dense_content_table(spectra.classical_joint_final(), l_paf, l_pbf, tol)
     d_j = (j_f[None, None, :, :] - j_i[:, :, None, None]).reshape(1, d_a, d_b, 1, d_a, d_b, 1, 1)
     b_q = np.asarray(spectra.beta_q, dtype=float).reshape(1, 1, 1, 1, 1, 1, d_r, d_r)
     return TrajectoryFunctional(delta_s_a=ds_a, delta_s_b=ds_b,
@@ -161,10 +160,11 @@ def dense_average(dist, values) -> float:
     return float(np.sum(np.where(table > 0.0, table * f, 0.0)))
 
 
-def dense_restricted_average(dist, values) -> float:
+def dense_restricted_average(spectra, dist, values, tol=DEFAULT_TOL) -> float:
     """Reverse-table average restricted to trajectories whose initial
-    (m, r) lies in the forward support."""
-    mask = _initial_support(dist.forward_support)
+    (m, r) lies in the forward support; of ``values`` = 1, the
+    absolute-irreversibility factor gamma."""
+    mask = _initial_support(spectra, tol)
     table = dist.table
     f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
     return float(np.sum(np.where((table > 0.0) & mask, table * f, 0.0)))
@@ -194,9 +194,9 @@ def dense_integral_ft(forward, traj) -> float:
     return dense_average(forward, np.exp(traj.ft_exponent()))
 
 
-def dense_reverse_averaged_ft(forward, reverse, traj):
+def dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol=DEFAULT_TOL):
     lhs = dense_average(forward, np.exp(traj.local_exponent()))
-    rhs = dense_restricted_average(reverse, np.exp(-traj.delta_i))
+    rhs = dense_restricted_average(spectra, reverse, np.exp(-traj.delta_i), tol)
     return lhs, rhs
 
 
@@ -205,7 +205,7 @@ def dense_classical_reduction_check(spectra, forward, reverse, traj, tol=DEFAULT
     if not (init_prod and fin_prod):
         raise NotApplicable("global eigenbases are not product bases")
     lhs = dense_average(forward, np.exp(traj.classical_exponent()))
-    residual = abs(lhs - reverse.restricted_mass)
+    residual = abs(lhs - dense_restricted_average(spectra, reverse, 1.0, tol))
     f = forward.table
     gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, f.shape))
     max_gap = float(np.max(np.where(dense_support(forward, tol), gap, 0.0)))
@@ -215,12 +215,12 @@ def dense_classical_reduction_check(spectra, forward, reverse, traj, tol=DEFAULT
 def dense_evaluate(spectra, heat_partition=None, work_inputs=None, tol=DEFAULT_TOL,
                    reverse_global=None) -> FTReport:
     """``theorems.evaluate``'s report, summed over the dense tables."""
-    forward, reverse = dense_tables(spectra, reverse_global, tol)
+    forward, reverse = dense_tables(spectra, reverse_global)
     traj = dense_tuple_functionals(spectra, tol)
     if heat_partition is not None:
         traj = dense_with_entropy_production(traj, heat_partition)
-    gamma = reverse.restricted_mass
-    rev_lhs, rev_rhs = dense_reverse_averaged_ft(forward, reverse, traj)
+    gamma = dense_restricted_average(spectra, reverse, 1.0, tol)
+    rev_lhs, rev_rhs = dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol)
     resid, worst = dense_detailed_ft_check(forward, reverse, traj, tol)
     averages = Averages(*(dense_average(forward, x) for x in (
         traj.delta_s_a, traj.delta_s_b, traj.delta_i, traj.delta_j, traj.beta_q)))
@@ -251,12 +251,13 @@ def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
     """The values of ``cli.invariant_checks``, on the dense tables."""
     s = spectra
     g = forward.table.sum(axis=(1, 2, 4, 5))          # local labels summed out
-    info_i, _ = info_content_tables(s, tol)
+    info_i = dense_content_table(s.p_m[:, None, None], log_or_zero(s.p_a, tol=tol),
+                                 log_or_zero(s.p_b, tol=tol), tol)
     d = s.dims
     want = s.cond_initial[:, :, :, None] * s.p_m[:, None, None, None] * s.p_r[None, None, None, :]
     return {
-        "forward_normalization": abs(forward.total() - 1.0),
-        "reverse_normalization": abs(reverse.total() - 1.0),
+        "forward_normalization": abs(float(forward.table.sum()) - 1.0),
+        "reverse_normalization": abs(float(reverse.table.sum()) - 1.0),
         "forward_factorization": float(np.max(np.abs(
             g - (s.kernel.transpose(0, 2, 1, 3) * s.p_m[:, None, None, None]
                  * s.p_r[None, None, :, None])))),

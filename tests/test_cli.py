@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,10 +9,10 @@ import pytest
 
 import bift.tables
 from bift import reportio
-from bift.cli import main
+from bift.cli import invariant_checks, main
 from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
-from bift.tables import augmented_forward
+from bift.tables import augmented_forward, factored_joint
 
 LN2 = math.log(2.0)
 
@@ -245,6 +246,21 @@ class TestVerify:
         assert code == 1
         assert "FAIL detailed_ft" in text
 
+    def test_factorization_threshold_is_trace_tolerance(self):
+        # conditional rows summing to 1 + 1e-10: G times that excess
+        # exceeds the default 1e-12, not an overridden 1e-9
+        analysis = werner_isothermal(0.5).analysis
+        spectra = dataclasses.replace(analysis.spectra,
+                                      cond_initial=analysis.spectra.cond_initial * (1 + 1e-10))
+        bent = dataclasses.replace(analysis, spectra=spectra, joint=factored_joint(spectra))
+
+        def passed(tol):
+            (check,) = [c for c in invariant_checks(bent, tol) if c.name == "forward_factorization"]
+            return check.passed
+
+        assert not passed(DEFAULT_TOL)
+        assert passed(dataclasses.replace(DEFAULT_TOL, trace=1e-9))
+
     def test_random_passes(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--scenario", "random",
                              "--seed", "3", "--dims", "2,3,2")
@@ -286,17 +302,19 @@ class TestDenseTables:
 
 
 class TestConfigs:
-    def _explicit_config(self, tmp_path):
+    def _explicit_config(self, tmp_path, rho_scale=1.0, tolerance=None):
         system = random_instance(2, 2, 2, seed=13)
         cfg = {
             "system": {
                 "dims": [2, 2, 2],
-                "rho_ab": reportio.encode_complex_matrix(system.rho_ab.matrix),
+                "rho_ab": reportio.encode_complex_matrix(system.rho_ab.matrix * rho_scale),
                 "unitary": reportio.encode_complex_matrix(system.unitary),
                 "reservoir": {"energies": list(system.reservoir.energies),
                               "beta": system.reservoir.beta},
             }
         }
+        if tolerance is not None:
+            cfg["tolerance"] = tolerance
         path = tmp_path / "system.json"
         path.write_text(json.dumps(cfg))
         return path
@@ -314,6 +332,15 @@ class TestConfigs:
         doc = json.loads(text)
         assert doc["scenario"]["name"] == "explicit"
         assert doc["report"]["gamma_restricted"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_trace_tolerance_reaches_state_check(self, tmp_path, capsys):
+        path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "trace deviates from 1 by 1.000e-09" in capsys.readouterr().err
+        path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9,
+                                     tolerance={"trace": 1e-6})
+        code, _ = run_cli(tmp_path, "run", "--config", str(path))
+        assert code == 0
 
     def test_missing_field_reports_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -375,6 +402,18 @@ class TestExitCodes:
         assert main(list(argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--scenario", "werner", "--p", "0.5"),
+        ("sweep", "--scenario", "werner", "--p", "0:1:3"),
+    ])
+    def test_emit_tuples_only_on_run(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--emit-tuples"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --emit-tuples" in err
         assert "Traceback" not in err
 
 

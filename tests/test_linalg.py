@@ -131,10 +131,6 @@ class TestSpectralDecompose:
         with pytest.raises(HermiticityError):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_support_mask(self):
-        dec = spectral_decompose(np.diag([0.7, 0.3, 0.0]))
-        assert dec.support_mask.tolist() == [True, True, False]
-
 
 class TestDensityOperator:
     def test_validates_trace(self):

@@ -36,7 +36,7 @@ class TestWernerScenario:
         }
         for (m, a, b), value in want.items():
             assert fwd.table[m, a, b, 0, 0, 0, 0, 0] == pytest.approx(value, abs=1e-15)
-        assert fwd.total() == pytest.approx(1.0, abs=1e-12)
+        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-12)
         # nothing anywhere else
         mask = np.ones(fwd.table.shape, dtype=bool)
         for (m, a, b) in want:
@@ -45,7 +45,7 @@ class TestWernerScenario:
 
     def test_reverse_table_eight_eighths(self):
         spectra = werner_isothermal(0.4).analysis.spectra
-        rev = reverse_joint(spectra, augmented_forward(spectra))
+        rev = reverse_joint(spectra)
         nz = np.argwhere(rev.table > 0.0)
         assert len(nz) == 8
         assert np.max(np.abs(rev.table[rev.table > 0.0] - 0.125)) < 1e-15

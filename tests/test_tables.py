@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from bift.errors import ConsistencyError, DimensionError, SizeError
 from bift.linalg import (
     ReservoirSpec,
+    SpectralDecomposition,
     Tolerances,
     density_operator,
+    evolve,
+    gibbs_state,
     haar_unitary,
+    partial_trace,
     remix_degenerate_blocks,
     spectral_decompose,
 )
@@ -23,6 +27,7 @@ from bift.tables import (
     UnitarySystem,
     augmented_forward,
     conditional_table,
+    factored_joint,
     global_table,
     marginal,
     reverse_joint,
@@ -161,9 +166,9 @@ class TestForwardTable:
         system = random_instance(*dims, seed=seed)
         spectra = spectra_from_unitary(system)
         fwd = augmented_forward(spectra)
-        rev = reverse_joint(spectra, fwd)
-        assert fwd.total() == pytest.approx(1.0, abs=1e-10)
-        assert rev.total() == pytest.approx(1.0, abs=1e-10)
+        rev = reverse_joint(spectra)
+        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-10)
+        assert rev.table.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(fwd.table >= 0.0)
         assert np.all(rev.table >= 0.0)
 
@@ -172,23 +177,20 @@ class TestReverseTable:
     def test_matches_loop_oracle(self):
         system = random_instance(2, 2, 2, seed=13)
         spectra = spectra_from_unitary(system)
-        rev = reverse_joint(spectra, augmented_forward(spectra))
+        rev = reverse_joint(spectra)
         assert np.max(np.abs(rev.table - oracle_reverse_table(spectra))) < 1e-15
 
     def test_werner_pure_restricted_quarter(self):
-        spectra = werner_spectra(1.0)
-        rev = reverse_joint(spectra, augmented_forward(spectra))
-        assert rev.restricted_mass == pytest.approx(0.25, abs=1e-12)
+        joint = factored_joint(werner_spectra(1.0))
+        assert joint.restricted_mass() == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_werner_mixed_no_irreversibility(self, p):
-        spectra = werner_spectra(p)
-        rev = reverse_joint(spectra, augmented_forward(spectra))
-        assert rev.restricted_mass == pytest.approx(1.0, abs=1e-12)
+        joint = factored_joint(werner_spectra(p))
+        assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_werner_reverse_entries(self):
-        spectra = werner_spectra(0.7)
-        rev = reverse_joint(spectra, augmented_forward(spectra))
+        rev = reverse_joint(werner_spectra(0.7))
         nz = np.argwhere(rev.table > 1e-12)
         assert len(nz) == 8
         for idx in nz:
@@ -200,19 +202,16 @@ class TestReverseTable:
         rho = density_operator(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0, 1.0), 1.0),
                                np.eye(8, dtype=complex))
-        spectra = spectra_from_unitary(system)
-        rev = reverse_joint(spectra, augmented_forward(spectra))
-        assert rev.restricted_mass == pytest.approx(1.0, abs=1e-12)
+        joint = factored_joint(spectra_from_unitary(system))
+        assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_support_monotonicity_full_rank(self, seed):
         system = random_instance(2, 2, 2, seed=seed)
-        spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(spectra)
-        assert fwd.forward_support.all()
-        rev = reverse_joint(spectra, fwd)
-        assert rev.restricted_mass == pytest.approx(1.0, abs=1e-10)
+        joint = factored_joint(spectra_from_unitary(system))
+        assert joint.forward_support.all()
+        assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMarginal:
@@ -290,13 +289,29 @@ class TestGuardsAndOverrides:
         with pytest.raises(ConsistencyError):
             spectra_from_unitary(system, initial_decomposition=wrong)
 
+    @pytest.mark.parametrize("which", ["initial", "final"])
+    def test_override_check_uses_equality_tolerance(self, which):
+        # a decomposition 3e-10 away from its state: rejected at the
+        # default equality tolerance, accepted at a looser one
+        system = random_instance(2, 2, 2, seed=31)
+        state = system.rho_ab.matrix
+        if which == "final":
+            rho_abr = np.kron(state, gibbs_state(system.reservoir).matrix)
+            state = partial_trace(evolve(rho_abr, system.unitary), (4, 2), keep=0)
+        dec = spectral_decompose(state)
+        off = SpectralDecomposition(dec.probabilities * (1 + 1e-9), dec.vectors)
+        override = {f"{which}_decomposition": off}
+        with pytest.raises(ConsistencyError):
+            spectra_from_unitary(system, **override)
+        spectra_from_unitary(system, **override, tol=Tolerances(equality=1e-8))
+
     def test_degenerate_remix_is_valid_override(self, rng):
         system = random_instance(2, 2, 2, seed=32, degenerate=True)
         dec = system.rho_ab.decomposition
         remixed = remix_degenerate_blocks(dec, rng)
         spectra = spectra_from_unitary(system, initial_decomposition=remixed)
         fwd = augmented_forward(spectra)
-        assert fwd.total() == pytest.approx(1.0, abs=1e-10)
+        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCounterexampleTables:
