@@ -27,23 +27,24 @@ from .functionals import shannon_entropy
 from .linalg import DEFAULT_TOL, ReservoirSpec, Tolerances, density_operator
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
 from .scenarios import (
+    ScenarioResult,
     bell_adiabatic_counterexample,
     random_instance,
-    report_value,
     werner_isothermal,
 )
-from .tables import UnitarySystem, augmented_forward, reverse_joint, spectra_from_unitary
+from .tables import (
+    UnitarySystem,
+    _guard_size,
+    augmented_forward,
+    reverse_joint,
+    spectra_from_unitary,
+)
 from .theorems import Analysis, evaluate
 
-SWEEP_COLUMNS = (
-    "p",
-    "delta_i_avg",
-    "ln_gamma",
-    "ln_reverse_avg_exp_di",
-    "bound_gap",
-    "heat_bound_info_gamma_slack",
-    "heat_bound_reverse_info_slack",
-)
+SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
+                 "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
+CONFIG_KEYS = {"scenario", "p", "beta", "seed", "dims", "tolerance", "system", "route",
+               "rank_deficient", "emit_tuples"}
 
 
 @dataclass
@@ -52,6 +53,10 @@ class Check:
     value: float      # residual (equality) or slack (bound)
     passed: bool
     detail: str = ""
+
+    @classmethod
+    def within(cls, name: str, value: float, limit: float, detail: str = "") -> Check:
+        return cls(name, value, value <= limit, detail)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,21 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def merge_config(args) -> dict:
     cfg = load_config(args.config) if args.config else {}
-    if args.scenario is not None:
-        cfg["scenario"] = args.scenario
-    if args.p is not None:
-        cfg["p"] = args.p
-    if args.beta is not None:
-        cfg["beta"] = args.beta
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for key in ("scenario", "p", "beta", "seed", "tolerance"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     if args.dims is not None:
         try:
-            cfg["dims"] = [int(tok) for tok in str(args.dims).split(",")]
+            cfg["dims"] = [int(tok) for tok in args.dims.split(",")]
         except ValueError as exc:
             raise DomainError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
-    if args.tolerance is not None:
-        cfg["tolerance"] = args.tolerance
     if getattr(args, "emit_tuples", False):
         cfg["emit_tuples"] = True
     return validate_config(cfg)
@@ -110,13 +108,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _is_finite(value) -> bool:
+    """A number, not a bool, that converts to a finite float."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 def _number(value, name: str, positive: bool) -> None:
-    ok = _is_real(value) and math.isfinite(value) and (value > 0 if positive else value >= 0)
-    if not ok:
+    if not (_is_finite(value) and (value > 0 if positive else value >= 0)):
         kind = "positive" if positive else "non-negative"
         raise DomainError(f"{name}: expected a finite {kind} number, got {value!r}")
 
@@ -129,17 +130,26 @@ def _dims(value, name: str) -> None:
 
 def validate_config(cfg: dict) -> dict:
     """Reject malformed values where the config enters, so that a bad
-    input exits 2 with a message instead of failing inside the numerics:
-    finite positive betas, positive dims, an integer seed, finite
-    non-negative tolerances and a ``system`` block that is an object."""
+    input exits 2 with a message instead of failing inside the numerics.
+    Checks every key read later but ``p`` (see :func:`p_values`) and the
+    scenario name and route, which their builders check."""
+    unknown = set(cfg) - CONFIG_KEYS
+    if unknown:
+        raise DomainError(f"unknown config keys {sorted(unknown)}")
     if "beta" in cfg:
         _number(cfg["beta"], "beta", positive=True)
     if "dims" in cfg:
         _dims(cfg["dims"], "dims")
-    if "seed" in cfg and not _is_int(cfg["seed"]):
-        raise DomainError(f"seed: expected an integer, got {cfg['seed']!r}")
+    if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
+        raise DomainError(f"seed: expected a non-negative integer, got {cfg['seed']!r}")
+    for key in ("rank_deficient", "emit_tuples"):
+        if not isinstance(cfg.get(key, False), bool):
+            raise DomainError(f"{key}: expected true or false, got {cfg[key]!r}")
     tol = cfg.get("tolerance")
     if isinstance(tol, dict):
+        unknown = set(tol) - {f.name for f in dataclasses.fields(Tolerances)}
+        if unknown:
+            raise DomainError(f"tolerance: unknown fields {sorted(unknown)}")
         for key, value in tol.items():
             _number(value, f"tolerance.{key}", positive=False)
     elif tol is not None:
@@ -148,18 +158,19 @@ def validate_config(cfg: dict) -> dict:
         sysc = cfg["system"]
         if not isinstance(sysc, dict):
             raise DomainError(f"system: expected an object, got {sysc!r}")
-        if "dims" in sysc:
-            _dims(sysc["dims"], "system.dims")
-        res = sysc.get("reservoir")
-        if res is not None:
-            if not isinstance(res, dict):
-                raise DomainError(f"system.reservoir: expected an object, got {res!r}")
-            if "beta" in res:
-                _number(res["beta"], "system.reservoir.beta", positive=True)
-            energies = res.get("energies", [])
-            if not (isinstance(energies, list)
-                    and all(_is_real(e) and math.isfinite(e) for e in energies)):
-                raise DomainError("system.reservoir.energies: expected a list of finite numbers")
+        for field in ("dims", "rho_ab", "unitary", "reservoir"):
+            if field not in sysc:
+                raise DomainError(f"system.{field}: missing")
+        _dims(sysc["dims"], "system.dims")
+        res = sysc["reservoir"]
+        if not (isinstance(res, dict) and "energies" in res and "beta" in res):
+            raise DomainError("system.reservoir: expected an object with energies and beta")
+        _number(res["beta"], "system.reservoir.beta", positive=True)
+        energies = res["energies"]
+        if not (isinstance(energies, list) and all(_is_finite(e) for e in energies)):
+            raise DomainError("system.reservoir.energies: expected a list of finite numbers")
+        if len(energies) != sysc["dims"][2]:
+            raise DomainError("system.reservoir.energies: length must equal d_R")
     return cfg
 
 
@@ -168,112 +179,96 @@ def tolerances_from(cfg: dict) -> Tolerances:
     if t is None:
         return DEFAULT_TOL
     if isinstance(t, dict):
-        known = {f.name for f in dataclasses.fields(Tolerances)}
-        bad = set(t) - known
-        if bad:
-            raise DomainError(f"tolerance: unknown fields {sorted(bad)}")
         return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in t.items()})
     return dataclasses.replace(DEFAULT_TOL, equality=float(t), bound=float(t))
 
 
-def _scalar_p(cfg: dict) -> float:
+def p_values(cfg: dict) -> list[float]:
+    """The scenario parameter ``p``: a number, a list of numbers, or a
+    grid string (one value, a comma list or start:stop:count)."""
     raw = cfg.get("p")
-    if raw is None:
-        raise DomainError("p: required for this scenario")
-    values = parse_grid(str(raw))
-    if len(values) != 1:
-        raise DomainError(f"p: expected a single value, got {len(values)}")
-    return values[0]
+    if isinstance(raw, str):
+        values = parse_grid(raw)
+    elif isinstance(raw, list) and all(_is_finite(v) for v in raw):
+        values = [float(v) for v in raw]
+    elif _is_finite(raw):
+        values = [float(raw)]
+    else:
+        raise DomainError(f"p: expected a number, a list of numbers or a start:stop:count "
+                          f"grid, got {raw!r}")
+    if not values:
+        raise DomainError("p: the grid is empty")
+    return values
 
 
-def explicit_system(cfg: dict, tol: Tolerances) -> UnitarySystem:
-    sysc = cfg["system"]
-    for field in ("dims", "rho_ab", "unitary", "reservoir"):
-        if field not in sysc:
-            raise DomainError(f"system.{field}: missing")
-    d_a, d_b, d_r = sysc["dims"]
+def explicit_system(sysc: dict, tol: Tolerances) -> UnitarySystem:
     rho = decode_complex_matrix(sysc["rho_ab"], "system.rho_ab")
     u = decode_complex_matrix(sysc["unitary"], "system.unitary")
-    res = sysc["reservoir"]
-    if "energies" not in res or "beta" not in res:
-        raise DomainError("system.reservoir: needs energies and beta")
-    if len(res["energies"]) != d_r:
-        raise DomainError("system.reservoir.energies: length must equal d_R")
     try:
-        return UnitarySystem(dim_a=d_a, dim_b=d_b,
-                             rho_ab=density_operator(rho, tol),
-                             reservoir=ReservoirSpec(tuple(res["energies"]),
-                                                     float(res["beta"])),
-                             unitary=u)
+        rho_ab = density_operator(rho, tol)
     except BiftError as exc:
         raise DomainError(f"system: {exc}") from exc
+    d_a, d_b, _ = sysc["dims"]
+    res = sysc["reservoir"]
+    return UnitarySystem(d_a, d_b, rho_ab,
+                         ReservoirSpec(tuple(res["energies"]), float(res["beta"])), u)
 
 
-def build_analysis(cfg: dict, p_value: float | None = None,
-                   corruption: float | None = None):
-    """Returns (analysis, reference, scenario_descr)."""
-    tol = tolerances_from(cfg)
+def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
+                   corruption: float | None = None) -> ScenarioResult:
+    """The system the config names, run end to end.  ``p`` is one sweep
+    point; without it the config's ``p`` must hold a single value."""
     name = cfg.get("scenario")
     if "system" in cfg:
-        system = explicit_system(cfg, tol)
-        reference = {}
-        descr = {"name": "explicit", "dims": [system.dim_a, system.dim_b,
-                                              system.reservoir.dim]}
-    elif name == "werner":
-        p = p_value if p_value is not None else _scalar_p(cfg)
-        beta = float(cfg.get("beta", 1.0))
-        result = werner_isothermal(p, beta, tol=tol, _reverse_corruption=corruption)
-        return result.analysis, result.reference, {"name": "werner", "p": p, "beta": beta}
-    elif name == "counterexample":
-        p = p_value if p_value is not None else _scalar_p(cfg)
-        route = cfg.get("route", "unitary")
-        result = bell_adiabatic_counterexample(p, route, tol=tol,
-                                               _reverse_corruption=corruption)
-        return result.analysis, result.reference, {"name": "counterexample", "p": p,
-                                                   "route": route}
+        system = explicit_system(cfg["system"], tol)
+        name, params, reference = "explicit", {"dims": list(cfg["system"]["dims"])}, {}
     elif name == "random":
-        seed = int(cfg.get("seed", 0))
-        d_a, d_b, d_r = cfg.get("dims", [2, 2, 2])
+        dims = cfg.get("dims", [2, 2, 2])
+        seed = cfg.get("seed", 0)
         beta = float(cfg.get("beta", 1.0))
-        system = random_instance(d_a, d_b, d_r, seed, beta=beta,
-                                 rank_deficient=bool(cfg.get("rank_deficient", False)))
-        reference = {}
-        if not cfg.get("rank_deficient", False):
-            reference = {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
-        descr = {"name": "random", "seed": seed, "dims": [d_a, d_b, d_r], "beta": beta}
+        rank_deficient = cfg.get("rank_deficient", False)
+        _guard_size(*dims)
+        system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient)
+        params = {"seed": seed, "dims": list(dims), "beta": beta}
+        reference = {} if rank_deficient else {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
+    elif name in ("werner", "counterexample"):
+        if p is None:
+            values = p_values(cfg)
+            if len(values) != 1:
+                raise DomainError(f"p: expected a single value, got {len(values)}")
+            p = values[0]
+        if name == "werner":
+            return werner_isothermal(p, float(cfg.get("beta", 1.0)), tol=tol,
+                                     _reverse_corruption=corruption)
+        return bell_adiabatic_counterexample(p, cfg.get("route", "unitary"), tol=tol,
+                                             _reverse_corruption=corruption)
     else:
         raise DomainError(f"scenario: unknown or missing (got {name!r}); "
                           "expected werner, counterexample, random, or an explicit system")
     analysis = evaluate(spectra_from_unitary(system, tol=tol), tol=tol,
                         _reverse_corruption=corruption)
-    return analysis, reference, descr
+    return ScenarioResult(name, params, analysis, reference)
 
 
-def core_checks(analysis: Analysis, reference: dict, tol: Tolerances) -> list[Check]:
+def core_checks(result: ScenarioResult, tol: Tolerances) -> list[Check]:
     """The checks whose pass/fail decides the exit status of ``run``."""
-    rep = analysis.report
+    rep = result.report
     checks = [
-        Check("integral_ft_vs_gamma",
-              abs(rep.integral_ft_lhs - rep.gamma_restricted),
-              abs(rep.integral_ft_lhs - rep.gamma_restricted) <= tol.equality),
-        Check("reverse_averaged_ft",
-              abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di),
-              abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di) <= tol.equality),
-        Check("detailed_ft", rep.detailed_max_residual,
-              rep.detailed_max_residual <= tol.equality,
-              detail=("worst trajectory "
-                      f"{tuple(rep.detailed_worst)}" if rep.detailed_worst else "")),
+        Check.within("integral_ft_vs_gamma",
+                     abs(rep.integral_ft_lhs - rep.gamma_restricted), tol.equality),
+        Check.within("reverse_averaged_ft",
+                     abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di), tol.equality),
+        Check.within("detailed_ft", rep.detailed_max_residual, tol.equality,
+                     detail=("worst trajectory "
+                             f"{tuple(rep.detailed_worst)}" if rep.detailed_worst else "")),
     ]
     for rec in rep.bounds:
-        if not rec.applicable:
-            checks.append(Check(f"bound:{rec.name}", math.nan, True,
-                                detail=f"not applicable: {rec.note}"))
-        else:
-            checks.append(Check(f"bound:{rec.name}", rec.slack, bool(rec.satisfied),
-                                detail=f"kind={rec.kind}"))
-    for key in sorted(reference):
-        resid = abs(report_value(rep, key) - reference[key])
-        checks.append(Check(f"reference:{key}", resid, resid <= tol.equality))
+        value, passed, detail = (
+            (rec.slack, bool(rec.satisfied), f"kind={rec.kind}") if rec.applicable
+            else (math.nan, True, f"not applicable: {rec.note}"))
+        checks.append(Check(f"bound:{rec.name}", value, passed, detail))
+    checks += [Check.within(f"reference:{key}", resid, tol.equality)
+               for key, resid in result.reference_residuals().items()]
     return checks
 
 
@@ -286,15 +281,14 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
 
     for name, table in (("forward_normalization", joint.forward),
                         ("reverse_normalization", joint.reverse)):
-        dev = abs(joint.expectation(table) - 1.0)
-        checks.append(Check(name, dev, dev <= tol.equality))
+        checks.append(Check.within(name, abs(joint.expectation(table) - 1.0), tol.equality))
 
     # Summing the local labels out of the augmented table returns G.
     sum_i = s.cond_initial.sum(axis=(1, 2))
     sum_f = s.cond_final.sum(axis=(1, 2))
     fact = float(np.max(np.abs(
         joint.forward * (sum_i[:, None, None, None] * sum_f[None, :, None, None] - 1.0))))
-    checks.append(Check("forward_factorization", fact, fact <= tol.trace))
+    checks.append(Check.within("forward_factorization", fact, tol.trace))
 
     # Forward marginal over (m, a, b, r): the conditional weight times the
     # final-side sum of G.
@@ -302,16 +296,16 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     got = s.cond_initial[:, :, :, None] * w_mr[:, None, None, :]
     want = (s.cond_initial[:, :, :, None]
             * s.p_m[:, None, None, None] * s.p_r[None, None, None, :])
-    mdev = float(np.max(np.abs(got - want)))
-    checks.append(Check("initial_marginal_identity", mdev, mdev <= tol.equality))
-
-    p_a_dev = float(np.max(np.abs(got.sum(axis=(0, 2, 3)) - s.p_a)))
-    checks.append(Check("local_marginal_identity", p_a_dev, p_a_dev <= tol.equality))
+    checks.append(Check.within("initial_marginal_identity",
+                               float(np.max(np.abs(got - want))), tol.equality))
+    checks.append(Check.within("local_marginal_identity",
+                               float(np.max(np.abs(got.sum(axis=(0, 2, 3)) - s.p_a))),
+                               tol.equality))
 
     avg_info = joint.expectation(joint.forward, initial=analysis.functionals.info_initial)
     qmi = shannon_entropy(s.p_a) + shannon_entropy(s.p_b) - shannon_entropy(s.p_m)
-    checks.append(Check("info_avg_is_mutual_information", abs(avg_info - qmi),
-                        abs(avg_info - qmi) <= tol.equality))
+    checks.append(Check.within("info_avg_is_mutual_information", abs(avg_info - qmi),
+                               tol.equality))
 
     rest = joint.restricted_mass()
     checks.append(Check("restricted_mass_in_range", 0.0,
@@ -320,39 +314,25 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     return checks
 
 
-def report_document(command: str, cfg: dict, descr: dict, analysis: Analysis,
-                    reference: dict, checks: list[Check], tol: Tolerances,
-                    emit_tuples: bool) -> dict:
-    rep = analysis.report
+def report_document(command: str, cfg: dict, result: ScenarioResult, checks: list[Check],
+                    tol: Tolerances, emit_tuples: bool) -> dict:
+    report = dataclasses.asdict(result.report)
+    del report["sigma"]         # needs a heat partition, which no command supplies
     doc = {
         "command": command,
         "tool": {"name": "bift", "version": __version__},
         "config_hash": config_hash(cfg),
         "tolerances": {"equality": tol.equality, "bound": tol.bound,
                        "support": tol.support},
-        "scenario": descr,
-        "report": {
-            "integral_ft_lhs": rep.integral_ft_lhs,
-            "gamma_restricted": rep.gamma_restricted,
-            "ln_gamma": rep.ln_gamma,
-            "reverse_ft_lhs": rep.reverse_ft_lhs,
-            "reverse_avg_exp_di": rep.reverse_avg_exp_di,
-            "reverse_avg_exp_di_full": rep.reverse_avg_exp_di_full,
-            "detailed_max_residual": rep.detailed_max_residual,
-            "detailed_worst": list(rep.detailed_worst) if rep.detailed_worst else None,
-            "bound_gap": rep.bound_gap,
-            "averages": dataclasses.asdict(rep.averages),
-            "bounds": [dataclasses.asdict(b) for b in rep.bounds],
-        },
-        "reference_residuals": {
-            k: abs(report_value(rep, k) - v) for k, v in sorted(reference.items())
-        },
+        "scenario": {"name": result.name, **result.params},
+        "report": report,
+        "reference_residuals": result.reference_residuals(),
         "checks": [dataclasses.asdict(c) for c in checks],
         "passed": all(c.passed for c in checks),
     }
     if emit_tuples:
-        forward = augmented_forward(analysis.spectra)
-        reverse = reverse_joint(analysis.spectra)
+        forward = augmented_forward(result.analysis.spectra)
+        reverse = reverse_joint(result.analysis.spectra)
         doc["tables"] = {
             "axes": ["m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final"],
             "dims": list(forward.dims),
@@ -373,28 +353,19 @@ def write_text(text: str, out: str | None) -> None:
         raise DomainError(f"out {out}: {exc.strerror or exc}") from exc
 
 
-def cmd_run(args) -> int:
-    cfg = merge_config(args)
-    tol = tolerances_from(cfg)
-    analysis, reference, descr = build_analysis(cfg)
-    checks = core_checks(analysis, reference, tol)
-    doc = report_document("run", cfg, descr, analysis, reference, checks, tol,
-                          bool(cfg.get("emit_tuples", False)))
+def cmd_run(args, cfg: dict, tol: Tolerances) -> int:
+    result = build_analysis(cfg, tol)
+    checks = core_checks(result, tol)
+    doc = report_document("run", cfg, result, checks, tol, cfg.get("emit_tuples", False))
     write_text(reportio.dumps(doc), args.out)
     return 0 if doc["passed"] else 1
 
 
-def cmd_verify(args) -> int:
-    cfg = merge_config(args)
-    tol = tolerances_from(cfg)
-    corruption = 1.5 if getattr(args, "corrupt_reverse", False) else None
-    analysis, reference, descr = build_analysis(cfg, corruption=corruption)
-    checks = core_checks(analysis, reference, tol) + invariant_checks(analysis, tol)
-    lines = []
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        detail = f"  ({c.detail})" if c.detail else ""
-        lines.append(f"{status} {c.name} value={reportio.format_float(c.value)}{detail}")
+def cmd_verify(args, cfg: dict, tol: Tolerances) -> int:
+    result = build_analysis(cfg, tol, corruption=1.5 if args.corrupt_reverse else None)
+    checks = core_checks(result, tol) + invariant_checks(result.analysis, tol)
+    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name} value={reportio.format_float(c.value)}"
+             + (f"  ({c.detail})" if c.detail else "") for c in checks]
     ok = all(c.passed for c in checks)
     lines.append(f"{'PASS' if ok else 'FAIL'} overall: "
                  f"{sum(c.passed for c in checks)}/{len(checks)} checks")
@@ -402,30 +373,18 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_sweep(args) -> int:
-    cfg = merge_config(args)
-    tol = tolerances_from(cfg)
-    grid_cfg = cfg.get("grid", {})
-    raw = grid_cfg.get("p", cfg.get("p"))
-    if raw is None:
-        raise DomainError("sweep needs a p grid (--p start:stop:count)")
-    values = [float(v) for v in raw] if isinstance(raw, list) else parse_grid(str(raw))
-    if not values:
-        raise DomainError("sweep grid is empty")
-    rows = []
+def cmd_sweep(args, cfg: dict, tol: Tolerances) -> int:
+    lines = [",".join(SWEEP_COLUMNS)]
     all_ok = True
-    for p in values:
-        analysis, reference, _ = build_analysis(cfg, p_value=p)
-        rep = analysis.report
-        checks = core_checks(analysis, reference, tol)
-        all_ok = all_ok and all(c.passed for c in checks)
+    for p in p_values(cfg):
+        result = build_analysis(cfg, tol, p)
+        rep = result.report
+        all_ok = all_ok and all(c.passed for c in core_checks(result, tol))
         ln_rev = (math.log(rep.reverse_avg_exp_di)
                   if rep.reverse_avg_exp_di > 0.0 else float("-inf"))
-        rows.append((p, rep.averages.delta_i, rep.ln_gamma, ln_rev, rep.bound_gap,
-                     rep.bound("heat_bound_info_gamma").slack,
-                     rep.bound("heat_bound_reverse_info").slack))
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
+        row = (p, rep.averages.delta_i, rep.ln_gamma, ln_rev, rep.bound_gap,
+               rep.bound("heat_bound_info_gamma").slack,
+               rep.bound("heat_bound_reverse_info").slack)
         lines.append(",".join(reportio.format_float(x) for x in row))
     write_text("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 1
@@ -434,11 +393,13 @@ def cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cfg = merge_config(args)
+        tol = tolerances_from(cfg)
         if args.command == "run":
-            return cmd_run(args)
+            return cmd_run(args, cfg, tol)
         if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_verify(args)
+            return cmd_sweep(args, cfg, tol)
+        return cmd_verify(args, cfg, tol)
     except BiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

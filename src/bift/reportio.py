@@ -109,6 +109,8 @@ def decode_complex_matrix(entries, where: str) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise DomainError(
             f"{where}: expected rows x cols x [re, im], got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{where}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -65,26 +65,25 @@ class ScenarioResult:
     def report(self):
         return self.analysis.report
 
+    def reference_residuals(self) -> dict[str, float]:
+        """|report value - reference value| for each reference key, in key order."""
+        return {key: abs(report_value(self.report, key) - want)
+                for key, want in sorted(self.reference.items())}
+
 
 def report_value(report, key: str) -> float:
-    """Resolve a reference key against an FTReport."""
-    direct = {
-        "gamma_restricted": report.gamma_restricted,
-        "integral_ft_lhs": report.integral_ft_lhs,
-        "reverse_avg_exp_di": report.reverse_avg_exp_di,
-        "reverse_ft_lhs": report.reverse_ft_lhs,
-        "bound_gap": report.bound_gap,
-        "delta_s_a_avg": report.averages.delta_s_a,
-        "delta_s_b_avg": report.averages.delta_s_b,
-        "delta_i_avg": report.averages.delta_i,
-        "delta_j_avg": report.averages.delta_j,
-        "beta_q_avg": report.averages.beta_q,
-    }
-    if key in direct:
-        return direct[key]
+    """Resolve a reference key against an FTReport: a scalar field
+    (``gamma_restricted``), an average (``<field>_avg``, a field of
+    ``report.averages``) or a bound's slack (``<bound name>_slack``)."""
     if key.endswith("_slack"):
         return report.bound(key[: -len("_slack")]).slack
-    raise KeyError(key)
+    owner, name = report, key
+    if key.endswith("_avg"):
+        owner, name = report.averages, key[: -len("_avg")]
+    value = getattr(owner, name, None)
+    if not isinstance(value, float):
+        raise KeyError(key)
+    return value
 
 
 def bell_basis() -> np.ndarray:
@@ -278,8 +277,8 @@ def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
     restricted reverse mass can drop below 1; ``degenerate`` duplicates
     eigenvalues in pairs so the eigenbasis gauge is free.
     """
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not (beta > 0.0 and math.isfinite(5.0 / beta)):
+        raise DomainError(f"beta must be positive with 5/beta finite, got {beta}")
     rng = np.random.default_rng(seed)
     d_m = dim_a * dim_b
     lam = _mixed_spectrum(rng, d_m)

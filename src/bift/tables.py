@@ -44,6 +44,7 @@ bit-reproducible for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -157,8 +158,10 @@ def conditional_table(global_vectors: np.ndarray, a_vectors: np.ndarray,
     return (np.abs(ov) ** 2).reshape(global_vectors.shape[1], d_a, d_b)
 
 
-def _guard_size(dims: tuple[int, ...]) -> None:
-    n = int(np.prod(dims))
+def _guard_size(d_a: int, d_b: int, d_r: int) -> None:
+    """Refuse dense tuple tables over the guard, counting in exact integers."""
+    d_a, d_b, d_r = int(d_a), int(d_b), int(d_r)
+    n = math.prod((d_a * d_b, d_a, d_b, d_r)) ** 2
     if n > TABLE_SIZE_GUARD:
         raise SizeError(f"dense tuple table would hold {n} > {TABLE_SIZE_GUARD} entries")
 
@@ -196,7 +199,7 @@ def spectra_from_unitary(system: UnitarySystem,
     d_r = system.reservoir.dim
     if system.rho_ab.dim != d_m:
         raise DimensionError(f"rho_AB dim {system.rho_ab.dim} != {d_a} x {d_b}")
-    _guard_size((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
+    _guard_size(d_a, d_b, d_r)
     u = check_unitary(system.unitary, tol)
     if u.shape[0] != d_m * d_r:
         raise DimensionError(f"propagator dim {u.shape[0]} != {d_m} x {d_r}")
@@ -252,7 +255,7 @@ def spectra_from_analytic(spectra: SystemSpectra,
     """
     d_a, d_b, d_r = spectra.dim_a, spectra.dim_b, spectra.dim_r
     d_m = d_a * d_b
-    _guard_size((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
+    _guard_size(d_a, d_b, d_r)
 
     def vec(x, n, name):
         arr = np.asarray(x, dtype=float)

@@ -171,6 +171,9 @@ def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals,
     | p_rev/p_fwd - exp(-ds_A - ds_B + dI + beta Q) |,
     together with the trajectory attaining it.  Costs O(M^2 R^2 + M A B)."""
     block, sup_i, sup_f = _supports(joint, tol)
+    # a block holds a supported tuple only if both endpoints have a supported (a, b)
+    block &= (sup_i.any(axis=(1, 2))[:, None, None, None]
+              & sup_f.any(axis=(1, 2))[None, :, None, None])
     if not block.any():
         return 0.0, None
     e_i, e_f, pair = funcs.ft_factors()          # (M, A, B), (M, A, B), (R, R)

@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bift.cli
 import bift.tables
 from bift import reportio
 from bift.cli import invariant_checks, main
@@ -209,6 +214,25 @@ class TestSweep:
         assert main(["sweep", "--scenario", "werner"]) == 2
         assert "grid" in capsys.readouterr().err
 
+    def test_p_forms_agree(self, tmp_path, monkeypatch):
+        # a config list, a comma list and a start:stop:count grid
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps({"scenario": "werner", "p": [0, 0.5, 1]}))
+        texts = {run_cli(tmp_path, "sweep", *argv)[1]
+                 for argv in (("--config", "p.json"),
+                              ("--scenario", "werner", "--p", "0,0.5,1"),
+                              ("--scenario", "werner", "--p", "0:1:3"))}
+        assert len(texts) == 1
+
+    def test_run_takes_one_p(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps({"scenario": "werner", "p": [0.37]}))
+        _, from_list = run_cli(tmp_path, "run", "--config", "p.json")
+        _, from_flag = run_cli(tmp_path, "run", "--scenario", "werner", "--p", "0.37")
+        assert json.loads(from_list)["report"] == json.loads(from_flag)["report"]
+        assert main(["run", "--scenario", "werner", "--p", "0.2,0.4"]) == 2
+        assert "single value" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_werner_passes(self, tmp_path):
@@ -394,6 +418,18 @@ class TestExitCodes:
         (("verify", "--scenario", "werner", "--p", "0.5", "--tolerance", "nan"), None),
         (("sweep", "--scenario", "werner", "--p", "0:1:3", "--tolerance", "-1"), None),
         (("run", "--scenario", "werner", "--p", "0.5", "--out", "missing/out.json"), None),
+        (("run", "--scenario", "random", "--seed", "-1"), None),
+        (("run", "--scenario", "random", "--dims", "100000,100000,1"), None),
+        (("run", "--scenario", "random", "--beta", "1e-310"), None),
+        (("run", "--config", "config.json"), {"scenario": "random", "rank_deficient": "no"}),
+        (("sweep", "--config", "config.json"), {"scenario": "werner", "p": ["x"]}),
+        (("sweep", "--config", "config.json"), {"scenario": "werner", "grid": 5}),
+        (("sweep", "--config", "config.json"), {"scenario": "werner", "grid": {"p": ["x"]}}),
+        (("run", "--config", "config.json"), {"scenario": "werner", "p": 0.5,
+                                              "tolerance": {"equalty": 1e-6}}),
+        (("run", "--config", "config.json"),
+         {"system": {"dims": [1, 1, 1], "rho_ab": [[[float("nan"), 0]]],
+                     "unitary": [[[1, 0]]], "reservoir": {"energies": [0.0], "beta": 1.0}}}),
     ])
     def test_config_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -402,7 +438,16 @@ class TestExitCodes:
         assert main(list(argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_size_guard_before_drawing(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_instance drew an oversized system")
+
+        monkeypatch.setattr(bift.cli, "random_instance", refuse)
+        assert main(["run", "--scenario", "random", "--dims", "7,7,2"]) == 2
+        assert "dense tuple table" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--scenario", "werner", "--p", "0.5"),
@@ -437,3 +482,92 @@ class TestReportIO:
         assert grid == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         with pytest.raises(Exception):
             reportio.parse_grid("0:1")
+
+
+# Config fuzz: values of every JSON kind under the keys the front-end reads.
+# Every accepted system is at most (3,3,3): dims entries are at most 3 or
+# 10**6 (which the size guard rejects), and the explicit system is (2,1,2).
+SCALARS = st.one_of(
+    st.sampled_from([-1, 0, 1, 2, 3, 10**6]),
+    st.sampled_from([0.0, 0.37, 1.0, -0.5, 1e-12, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "x", "0.5", "0:1:3", "0.2,0.8", "1:0:0", "werner", "random",
+                     "counterexample", "unitary", "analytic"]),
+    st.booleans(),
+    st.none(),
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["p", "dims", "equality", "x"]), inner, max_size=2)),
+    max_leaves=6)
+VALID_SYSTEM = {
+    "dims": [2, 1, 2],
+    "rho_ab": reportio.encode_complex_matrix(np.diag([0.75, 0.25])),
+    "unitary": reportio.encode_complex_matrix(np.eye(4)[[1, 0, 3, 2]]),
+    "reservoir": {"energies": [0.0, 1.0], "beta": 1.0},
+}
+
+
+def _either(valid, *more):
+    return st.one_of(st.sampled_from(valid), VALUES, *more)
+
+
+def _optional(fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+FUZZ_VALUES = {
+    "scenario": _either(["werner", "counterexample", "random"]),
+    "p": _either([0.5, "0.1:0.9:3", [0.2, 1.0]]),
+    "beta": _either([0.5, 2.0]),
+    "seed": _either([0, 7, 2**40]),
+    "dims": _either([[2, 2, 2], [3, 3, 3], [1, 2, 3]], st.lists(SCALARS, min_size=3, max_size=3)),
+    "tolerance": _either([0.0, 1e-6], st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(DEFAULT_TOL)] + ["equalty"]),
+        SCALARS, max_size=2)),
+    "route": _either(["unitary", "analytic"]),
+    "rank_deficient": VALUES,
+    "emit_tuples": VALUES,
+    "system": _either([VALID_SYSTEM], _optional({
+        key: st.one_of(st.just(value), VALUES) for key, value in VALID_SYSTEM.items()})),
+}
+# Valid configs with up to two keys replaced, so that accepted systems
+# and failed checks (exit 1) are drawn as often as rejected configs.
+VALID_CONFIGS = [
+    {"scenario": "werner", "p": 0.37},
+    {"scenario": "werner", "p": "0:1:3", "beta": 2.0, "tolerance": 0.0},
+    {"scenario": "counterexample", "p": 0.5, "route": "analytic"},
+    {"scenario": "random", "seed": 7, "dims": [3, 3, 3], "rank_deficient": True},
+    {"scenario": "random", "dims": [1, 2, 3], "tolerance": {"equality": 0.0}},
+    {"system": VALID_SYSTEM, "emit_tuples": True},
+]
+FUZZ_CONFIGS = st.one_of(
+    _optional(FUZZ_VALUES),
+    st.builds(lambda base, changes: {**base, **dict(changes)},
+              st.sampled_from(VALID_CONFIGS),
+              st.lists(st.sampled_from(sorted(FUZZ_VALUES)).flatmap(
+                  lambda key: st.tuples(st.just(key), FUZZ_VALUES[key])), max_size=2)),
+)
+
+
+@given(command=st.sampled_from(["run", "verify", "sweep"]), config=FUZZ_CONFIGS)
+@settings(max_examples=150, deadline=None)
+def test_config_fuzz_exit_contract(tmp_path_factory, command, config):
+    """0, 1 or 2 and nothing raised; 2 carries one ``error:`` line, 1 a
+    failed check: a ``FAIL`` line (verify), ``"passed": false`` (run), or
+    a complete table (sweep, whose CSV has no pass column)."""
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "config.json").write_text(json.dumps(config))
+    out = work / "out.txt"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([command, "--config", str(work / "config.json"), "--out", str(out)])
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert code in (0, 1) and err.getvalue() == ""
+    text = out.read_text()
+    if command == "run":
+        assert json.loads(text)["passed"] is (code == 0)
+    elif command == "verify":
+        assert ("FAIL" in text) is (code == 1)
+    else:
+        assert text.startswith(",".join(bift.cli.SWEEP_COLUMNS) + "\n")

@@ -56,6 +56,16 @@ class TestWernerScenario:
         for key, want in result.reference.items():
             assert report_value(result.report, key) == pytest.approx(want, abs=1e-10), key
 
+    def test_report_value_keys(self):
+        rep = werner_isothermal(0.5).report
+        assert report_value(rep, "ln_gamma") == rep.ln_gamma
+        assert report_value(rep, "delta_j_avg") == rep.averages.delta_j
+        assert report_value(rep, "work_bound_info_gamma_slack") == \
+            rep.bound("work_bound_info_gamma").slack
+        for key in ("nope", "nope_avg", "nope_slack", "averages", "bounds", "bound"):
+            with pytest.raises(KeyError):
+                report_value(rep, key)
+
     def test_closed_form_delta_i(self):
         # same closed form written through the eigenvalues of the state
         for p in (0.2, 0.6, 0.95):

@@ -25,6 +25,7 @@ from bift.scenarios import (
 )
 from bift.tables import (
     UnitarySystem,
+    _guard_size,
     augmented_forward,
     conditional_table,
     factored_joint,
@@ -282,6 +283,12 @@ class TestGuardsAndOverrides:
                                np.eye(36 * 8, dtype=complex))
         with pytest.raises(SizeError):
             spectra_from_unitary(system)
+
+    def test_size_guard_counts_exactly(self):
+        # (M·A·B·R)² = 2**128 entries: a fixed-width product wraps to 0
+        with pytest.raises(SizeError):
+            _guard_size(65536, 65536, 1)
+        _guard_size(3, 3, 3)
 
     def test_override_must_reconstruct(self, rng):
         system = random_instance(2, 2, 2, seed=31)

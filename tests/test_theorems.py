@@ -456,9 +456,9 @@ def assert_matches_dense_oracle(spectra, corruption=None, **kwargs):
     return analysis
 
 
-def per_factor_support(joint) -> np.ndarray:
+def per_factor_support(joint, tol=DEFAULT_TOL) -> np.ndarray:
     """The detailed check's support rule, broadcast over the eight axes."""
-    block, sup_i, sup_f = _supports(joint, DEFAULT_TOL)
+    block, sup_i, sup_f = _supports(joint, tol)
     return (block[:, None, None, :, None, None, :, :]
             & sup_i[:, :, :, None, None, None, None, None]
             & sup_f[None, None, None, :, :, :, None, None])
@@ -510,6 +510,22 @@ class TestDenseOracle:
                                forward.table.shape)[idx]
         assert abs(reverse.table[idx] / forward.table[idx] - math.exp(expo)) < 1e-10
         assert analysis.report.detailed_max_residual < 1e-10
+
+    def test_coarse_cutoff_leaves_blocks_without_tuples(self):
+        # At support 0.5 some supported blocks have an endpoint with no
+        # supported (a, b); the worst trajectory is still taken over the
+        # supported tuples only.
+        tol = dataclasses.replace(DEFAULT_TOL, support=0.5)
+        analysis = evaluate(spectra_from_unitary(random_instance(3, 3, 3, seed=7), tol=tol),
+                            tol=tol)
+        forward, reverse = dense_tables(analysis.spectra)
+        expo = dense_tuple_functionals(analysis.spectra).ft_exponent()
+        mask = per_factor_support(analysis.joint, tol)
+        resid = np.where(mask, np.abs(reverse.table / np.where(mask, forward.table, 1.0)
+                                      - np.exp(expo)), -1.0)
+        worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(resid)), resid.shape))
+        assert tuple(analysis.report.detailed_worst) == worst
+        assert analysis.report.detailed_max_residual == pytest.approx(resid.max(), abs=1e-15)
 
     @pytest.mark.parametrize("route", ["unitary", "analytic"])
     def test_counterexample(self, route):
