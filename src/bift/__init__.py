@@ -10,16 +10,12 @@ from .errors import (
     DomainError,
     HermiticityError,
     NotApplicable,
-    PartitionUnavailable,
     SizeError,
     UnitarityError,
 )
 from .functionals import (
     EndpointFunctionals,
-    HeatPartition,
-    TrajectoryFunctional,
     endpoint_functionals,
-    entropy_production,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -28,14 +24,9 @@ from .linalg import (
     SpectralDecomposition,
     Tolerances,
     density_operator,
-    evolve,
-    gibbs_state,
     partial_trace,
     remix_degenerate_blocks,
     spectral_decompose,
-    tensor_product,
-    time_reverse,
-    von_neumann_entropy,
 )
 from .scenarios import (
     ScenarioResult,
@@ -52,7 +43,6 @@ from .tables import (
     UnitarySystem,
     augmented_forward,
     factored_joint,
-    marginal,
     reverse_joint,
     spectra_from_analytic,
     spectra_from_unitary,

@@ -43,8 +43,17 @@ from .theorems import Analysis, evaluate
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
-CONFIG_KEYS = {"scenario", "p", "beta", "seed", "dims", "tolerance", "system", "route",
-               "rank_deficient", "emit_tuples"}
+# The parameters each scenario reads.  Any other one, and any of them
+# beside an explicit ``system``, is an error instead of being ignored.
+SCENARIO_KEYS = {
+    "werner": {"p", "beta"},
+    "counterexample": {"p", "route"},
+    "random": {"beta", "seed", "dims", "rank_deficient"},
+}
+CONFIG_KEYS = {"scenario", "system", "tolerance", "emit_tuples"}.union(*SCENARIO_KEYS.values())
+# Largest beta * (max E - min E) of an explicit reservoir: above it
+# e^{beta Q} overflows a float.
+MAX_HEAT_EXPONENT = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -70,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                       ("verify", "run the full invariant suite")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--scenario", choices=["werner", "counterexample", "random"])
-        p.add_argument("--p", dest="p", help="scenario parameter; sweep accepts "
-                                             "start:stop:count or a comma list")
+        p.add_argument("--p", dest="p", help="scenario parameter; sweep accepts a comma "
+                                             "list or start:stop:count with count at most "
+                                             f"{reportio.MAX_GRID_POINTS}")
         p.add_argument("--beta", type=float, help="inverse temperature")
         p.add_argument("--seed", type=int, help="seed for the random scenario")
         p.add_argument("--dims", help="d_A,d_B,d_R for the random scenario")
@@ -132,10 +142,21 @@ def validate_config(cfg: dict) -> dict:
     """Reject malformed values where the config enters, so that a bad
     input exits 2 with a message instead of failing inside the numerics.
     Checks every key read later but ``p`` (see :func:`p_values`) and the
-    scenario name and route, which their builders check."""
+    scenario name and route, which their builders check, and that the
+    named system reads every key given."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys {sorted(unknown)}")
+    scenario = cfg.get("scenario")
+    if "system" in cfg:
+        where, reads = "an explicit system", {"system"}
+    elif isinstance(scenario, str) and scenario in SCENARIO_KEYS:
+        where, reads = f"the {scenario} scenario", {"scenario", *SCENARIO_KEYS[scenario]}
+    else:                       # build_analysis reports the scenario
+        where, reads = "", CONFIG_KEYS
+    stray = set(cfg) - reads - {"tolerance", "emit_tuples"}
+    if stray:
+        raise DomainError(f"config keys {sorted(stray)} do not apply to {where}")
     if "beta" in cfg:
         _number(cfg["beta"], "beta", positive=True)
     if "dims" in cfg:
@@ -171,6 +192,10 @@ def validate_config(cfg: dict) -> dict:
             raise DomainError("system.reservoir.energies: expected a list of finite numbers")
         if len(energies) != sysc["dims"][2]:
             raise DomainError("system.reservoir.energies: length must equal d_R")
+        exponent = res["beta"] * (float(max(energies)) - float(min(energies)))
+        if exponent > MAX_HEAT_EXPONENT:
+            raise DomainError(f"system.reservoir: beta * (max E - min E) = {exponent:.6g} "
+                              f"exceeds {MAX_HEAT_EXPONENT:.6g}, where exp overflows")
     return cfg
 
 
@@ -316,8 +341,6 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
 
 def report_document(command: str, cfg: dict, result: ScenarioResult, checks: list[Check],
                     tol: Tolerances, emit_tuples: bool) -> dict:
-    report = dataclasses.asdict(result.report)
-    del report["sigma"]         # needs a heat partition, which no command supplies
     doc = {
         "command": command,
         "tool": {"name": "bift", "version": __version__},
@@ -325,7 +348,7 @@ def report_document(command: str, cfg: dict, result: ScenarioResult, checks: lis
         "tolerances": {"equality": tol.equality, "bound": tol.bound,
                        "support": tol.support},
         "scenario": {"name": result.name, **result.params},
-        "report": report,
+        "report": dataclasses.asdict(result.report),
         "reference_residuals": result.reference_residuals(),
         "checks": [dataclasses.asdict(c) for c in checks],
         "passed": all(c.passed for c in checks),

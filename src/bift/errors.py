@@ -24,10 +24,6 @@ class ConsistencyError(BiftError):
     with the attached spectra)."""
 
 
-class PartitionUnavailable(BiftError):
-    """A per-subsystem heat partition is required but was not supplied."""
-
-
 class NotApplicable(BiftError):
     """A check's precondition does not hold for this system
     (e.g. the classical reduction on a non-product eigenbasis)."""

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicable, PartitionUnavailable
 from .linalg import DEFAULT_TOL, Tolerances
 from .tables import SystemSpectra, _above_cutoff
 
@@ -43,72 +42,6 @@ def shannon_entropy(probabilities) -> float:
     p = np.asarray(probabilities, dtype=float).ravel()
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log(nz)))
-
-
-@dataclass(frozen=True)
-class TrajectoryFunctional:
-    """Per-trajectory quantities entering the fluctuation relations.
-
-    Fields hold scalars or arrays broadcastable against a joint table.
-    ``sigma_a``/``sigma_b``/``delta_gamma`` stay None until a heat
-    partition is applied.
-    """
-
-    delta_s_a: np.ndarray | float
-    delta_s_b: np.ndarray | float
-    delta_i: np.ndarray | float
-    beta_q: np.ndarray | float
-    delta_j: np.ndarray | float | None = None
-    sigma_a: np.ndarray | float | None = None
-    sigma_b: np.ndarray | float | None = None
-    delta_gamma: np.ndarray | float | None = None
-
-    def ft_exponent(self):
-        """-ds_A - ds_B + dI + beta Q, the detailed-relation exponent."""
-        return -self.delta_s_a - self.delta_s_b + self.delta_i + self.beta_q
-
-    def local_exponent(self):
-        """-ds_A - ds_B + beta Q (no information content)."""
-        return -self.delta_s_a - self.delta_s_b + self.beta_q
-
-    def classical_exponent(self):
-        """-ds_A - ds_B + dJ + beta Q (classical info content)."""
-        if self.delta_j is None:
-            raise NotApplicable("delta_j was not computed for this trajectory")
-        return -self.delta_s_a - self.delta_s_b + self.delta_j + self.beta_q
-
-
-@dataclass(frozen=True)
-class HeatPartition:
-    """Caller-supplied split of the absorbed heat into per-subsystem
-    shares Q_A and Q_B (energy units); the remainder Q' = Q - (Q_A + Q_B)
-    is attributed to the interaction.  :func:`entropy_production` takes
-    scalars or per-trajectory arrays; ``theorems.evaluate`` takes scalars
-    or arrays over the reservoir pair (r, r'), like ``beta_q``."""
-
-    q_a: np.ndarray | float
-    q_b: np.ndarray | float
-    beta: float
-
-
-def entropy_production(traj: TrajectoryFunctional, partition: HeatPartition):
-    """Local entropy productions and the correlation term:
-
-        sigma_X = ds_X - beta Q_X,      X in {A, B}
-        dGamma  = dI + beta Q'          with Q' = Q - (Q_A + Q_B),
-
-    chosen so that -sigma_A - sigma_B + dGamma recombines exactly to the
-    detailed-relation exponent -ds_A - ds_B + dI + beta Q for *any*
-    partition.  Raises PartitionUnavailable without a partition.
-    """
-    if partition is None:
-        raise PartitionUnavailable("entropy production needs a heat partition")
-    bq_a = partition.beta * np.asarray(partition.q_a, dtype=float)
-    bq_b = partition.beta * np.asarray(partition.q_b, dtype=float)
-    sigma_a = traj.delta_s_a - bq_a
-    sigma_b = traj.delta_s_b - bq_b
-    delta_gamma = traj.delta_i + (traj.beta_q - bq_a - bq_b)
-    return sigma_a, sigma_b, delta_gamma
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for finite-dimensional quantum states.
 
 Everything here works on plain ``numpy`` arrays at desk scale (total
-dimension up to ~64): composition, reduction, spectra, thermal states,
-unitary evolution and time reversal.  All functions are pure; returned
+dimension up to ~64): validated states and propagators, partial traces,
+spectra and Haar-random unitaries.  All functions are pure; returned
 arrays are never views into their inputs.
 
 Conventions
@@ -14,10 +14,6 @@ Conventions
   so its largest-modulus component is real positive.  This makes
   decompositions reproducible run to run; every physical result checked
   downstream is independent of the choice (verified separately).
-* Time reversal defaults to componentwise complex conjugation in the
-  computational basis.  An optional unitary factor turns it into
-  ``v -> V conj(v)`` for spinful conventions; no closed-form test values
-  exist for that case, so only the default is exercised against them.
 """
 
 from __future__ import annotations
@@ -55,11 +51,6 @@ DEFAULT_TOL = Tolerances()
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B; output dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,12 +221,6 @@ def partial_trace(rho, dims: tuple[int, int], keep: int):
     return out
 
 
-def gibbs_state(spec: ReservoirSpec) -> DensityOperator:
-    """Thermal state exp(-beta H)/Z, diagonal in the energy basis."""
-    p = spec.gibbs_probabilities()
-    return density_operator(np.diag(p).astype(complex))
-
-
 def check_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return ``u`` as a complex array, raising UnitarityError if
     u^dag u deviates from the identity beyond tolerance."""
@@ -246,47 +231,6 @@ def check_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if dev > tol.unitarity:
         raise UnitarityError(f"operator deviates from unitary by {dev:.3e}")
     return u
-
-
-def evolve(rho, u: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Conjugate a state by a unitary: rho -> U rho U^dag."""
-    u = check_unitary(u, tol)
-    m = _as_matrix(rho)
-    if m.shape[0] != u.shape[0]:
-        raise DimensionError(f"state dim {m.shape[0]} != propagator dim {u.shape[0]}")
-    out = u @ m @ dagger(u)
-    if isinstance(rho, DensityOperator):
-        return density_operator(out, tol)
-    return out
-
-
-def time_reverse(decomp: SpectralDecomposition,
-                 unitary_factor: np.ndarray | None = None) -> SpectralDecomposition:
-    """Apply the time-reversal operator to every eigenvector.
-
-    Default is componentwise complex conjugation; with ``unitary_factor``
-    V the map becomes v -> V conj(v).  Probabilities are unchanged, and
-    all pairwise overlap moduli are preserved either way.  The default is
-    an involution; a factored reversal squares to V conj(V), which is the
-    identity only for symmetric V.
-    """
-    vecs = np.conj(decomp.vectors)
-    if unitary_factor is not None:
-        vecs = check_unitary(unitary_factor) @ vecs
-    return SpectralDecomposition(decomp.probabilities.copy(), vecs)
-
-
-def von_neumann_entropy(rho) -> float:
-    """-Tr(rho ln rho) in nats, with 0 ln 0 := 0."""
-    if isinstance(rho, DensityOperator):
-        p = rho.decomposition.probabilities
-    elif isinstance(rho, SpectralDecomposition):
-        p = rho.probabilities
-    else:
-        p = spectral_decompose(np.asarray(rho, dtype=complex)).probabilities
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
 
 
 def degenerate_blocks(probabilities: np.ndarray,

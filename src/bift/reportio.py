@@ -13,11 +13,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from typing import Any
 
 import numpy as np
 
 from .errors import DomainError
+
+# Most points a start:stop:count grid may hold.  Each point is a full
+# evaluation, so a sweep this long already takes minutes; a larger count
+# is a typo that would only exhaust memory.
+MAX_GRID_POINTS = 100_000
 
 
 def format_float(x: float) -> str:
@@ -101,7 +107,11 @@ def load_config(path: str) -> dict:
 
 
 def decode_complex_matrix(entries, where: str) -> np.ndarray:
-    """Nested row-major lists of [real, imaginary] pairs -> complex array."""
+    """Nested row-major lists of [real, imaginary] pairs -> complex array.
+
+    Each part must be finite and small enough that the n x n products of
+    the unitarity and state checks cannot overflow (entries of a valid
+    state or propagator are at most 1 in modulus)."""
     try:
         arr = np.asarray(entries, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -111,6 +121,9 @@ def decode_complex_matrix(entries, where: str) -> np.ndarray:
             f"{where}: expected rows x cols x [re, im], got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError(f"{where}: entries must be finite")
+    limit = math.sqrt(sys.float_info.max / (2 * max(arr.shape)))
+    if arr.size and np.abs(arr).max() > limit:
+        raise DomainError(f"{where}: entries must not exceed {limit:.6g} in modulus")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -120,7 +133,8 @@ def encode_complex_matrix(matrix: np.ndarray) -> list:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Grid syntax: a single value, a comma list, or start:stop:count."""
+    """Grid syntax: a single value, a comma list, or start:stop:count
+    with 1 <= count <= MAX_GRID_POINTS."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -130,8 +144,8 @@ def parse_grid(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise DomainError(f"grid {text!r}: {exc}") from exc
-        if count < 1:
-            raise DomainError(f"grid {text!r}: count must be >= 1")
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise DomainError(f"grid {text!r}: count must lie in [1, {MAX_GRID_POINTS}]")
         return [float(x) for x in np.linspace(start, stop, count)]
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]

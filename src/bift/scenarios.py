@@ -152,8 +152,8 @@ def werner_isothermal(p: float, beta: float = 1.0,
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not (beta > 0.0 and math.isfinite(LN2 / beta)):
+        raise DomainError(f"beta must be positive with ln2/beta finite, got {beta}")
     # The dimensionless heat exponent -2 ln 2 does not depend on beta;
     # beta only scales the work/free-energy bookkeeping below.
     spectra = _werner_spectra(p, tol)
@@ -279,8 +279,10 @@ def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
     """
     if not (beta > 0.0 and math.isfinite(5.0 / beta)):
         raise DomainError(f"beta must be positive with 5/beta finite, got {beta}")
-    rng = np.random.default_rng(seed)
     d_m = dim_a * dim_b
+    if rank_deficient and d_m < 2:
+        raise DomainError("rank_deficient needs d_A * d_B >= 2")
+    rng = np.random.default_rng(seed)
     lam = _mixed_spectrum(rng, d_m)
     if degenerate:
         half = (d_m + 1) // 2

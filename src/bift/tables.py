@@ -409,33 +409,3 @@ def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> Fac
                          cond_final=spectra.cond_final,
                          forward_support=forward_support_mask(spectra, tol))
 
-
-_AXIS_NAMES = ("m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final")
-
-
-def marginal(dist, keep) -> np.ndarray:
-    """Sum a joint table over all axes not in ``keep``.
-
-    ``keep`` is an iterable of axis names from
-    ``('m','a','b','m_final','a_final','b_final','r','r_final')`` or of
-    axis indices.  ``keep=()`` returns the scalar total mass.
-    """
-    table = dist.table if hasattr(dist, "table") else np.asarray(dist)
-    idx = []
-    for k in keep:
-        if isinstance(k, str):
-            if k not in _AXIS_NAMES:
-                raise DimensionError(f"unknown axis {k!r}")
-            idx.append(_AXIS_NAMES.index(k))
-        else:
-            if not 0 <= int(k) < table.ndim:
-                raise DimensionError(f"axis index {k} out of range")
-            idx.append(int(k))
-    if len(set(idx)) != len(idx):
-        raise DimensionError("duplicate axes in keep")
-    drop = tuple(ax for ax in range(table.ndim) if ax not in idx)
-    out = table.sum(axis=drop) if drop else table.copy()
-    # summing leaves kept axes in ascending order; restore the caller's order
-    kept_sorted = sorted(idx)
-    perm = [kept_sorted.index(i) for i in idx]
-    return np.transpose(out, perm) if out.ndim > 1 else out

@@ -48,13 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotApplicable
-from .functionals import (
-    EndpointFunctionals,
-    HeatPartition,
-    TrajectoryFunctional,
-    endpoint_functionals,
-    entropy_production,
-)
+from .functionals import EndpointFunctionals, endpoint_functionals
 from .linalg import DEFAULT_TOL, Tolerances
 from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, _above_cutoff, factored_joint
 
@@ -102,13 +96,6 @@ class Averages:
 
 
 @dataclass(frozen=True)
-class SigmaAverages:
-    sigma_a: float
-    sigma_b: float
-    delta_gamma: float
-
-
-@dataclass(frozen=True)
 class FTReport:
     """Everything the verification front-end needs, in one record."""
 
@@ -123,7 +110,6 @@ class FTReport:
     bound_gap: float                     # -ln <exp(-dI)>_rev - <dI>
     averages: Averages
     bounds: tuple[BoundRecord, ...]
-    sigma: SigmaAverages | None = None
 
     def bound(self, name: str) -> BoundRecord:
         for rec in self.bounds:
@@ -180,9 +166,13 @@ def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals,
     ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
     hi_i, lo_i = _extremes(e_i, sup_i)
     hi_f, lo_f = _extremes(e_f, sup_f)
+    # e^{beta Q} nears the float limit only when the initial reservoir
+    # level's Gibbs weight lies below the cutoff, i.e. in a dropped block;
+    # keep it out of those blocks so their products cannot overflow.
+    block_pair = np.where(block, pair, 1.0)
     per_block = np.maximum(
-        _residual(ratio, pair, hi_i[:, None, None, None], hi_f[None, :, None, None]),
-        _residual(ratio, pair, lo_i[:, None, None, None], lo_f[None, :, None, None]))
+        _residual(ratio, block_pair, hi_i[:, None, None, None], hi_f[None, :, None, None]),
+        _residual(ratio, block_pair, lo_i[:, None, None, None], lo_f[None, :, None, None]))
     per_block = np.where(block, per_block, -1.0)
     worst = float(per_block.max())
 
@@ -355,7 +345,6 @@ def corrupt_reverse(joint: FactoredJoint, factor: float = 1.5) -> FactoredJoint:
 
 
 def evaluate(spectra: SystemSpectra,
-             heat_partition: HeatPartition | None = None,
              work_inputs: WorkInputs | None = None,
              tol: Tolerances = DEFAULT_TOL,
              _reverse_corruption: float | None = None) -> Analysis:
@@ -384,18 +373,6 @@ def evaluate(spectra: SystemSpectra,
     bounds = inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol)
     ln_gamma = math.log(gamma) if gamma > 0.0 else NEG_INF
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
-    sigma = None
-    if heat_partition is not None:
-        # sigma_X and dGamma are linear in the functionals and the heat
-        # shares, so their averages follow from the averaged inputs.
-        shares = HeatPartition(
-            q_a=joint.expectation(joint.forward, pair=heat_partition.q_a),
-            q_b=joint.expectation(joint.forward, pair=heat_partition.q_b),
-            beta=heat_partition.beta)
-        sigma = SigmaAverages(*(float(x) for x in entropy_production(
-            TrajectoryFunctional(delta_s_a=averages.delta_s_a, delta_s_b=averages.delta_s_b,
-                                 delta_i=averages.delta_i, beta_q=averages.beta_q),
-            shares)))
 
     report = FTReport(
         integral_ft_lhs=int_lhs,
@@ -409,6 +386,5 @@ def evaluate(spectra: SystemSpectra,
         bound_gap=(-ln_rev) - averages.delta_i,
         averages=averages,
         bounds=bounds,
-        sigma=sigma,
     )
     return Analysis(spectra, joint, funcs, report)

@@ -11,28 +11,21 @@ import math
 import numpy as np
 import pytest
 
-from bift.functionals import (
-    TrajectoryFunctional,
-    entropy_production,
-    log_or_zero,
-    shannon_entropy,
-)
+from bift.functionals import log_or_zero, shannon_entropy
 from bift.errors import NotApplicable
-from bift.linalg import DEFAULT_TOL
+from bift.linalg import DEFAULT_TOL, SpectralDecomposition
 from bift.scenarios import bell_basis, werner_isothermal
 from bift.tables import (
     DenseJoint,
     OutcomeTuple,
     augmented_forward,
     forward_support_mask,
-    marginal,
     reverse_global_table,
 )
 from bift.theorems import (
     NEG_INF,
     Averages,
     FTReport,
-    SigmaAverages,
     inequality_suite,
     product_basis_flags,
 )
@@ -100,7 +93,38 @@ def oracle_reverse_table(spectra) -> np.ndarray:
     return out
 
 
+def time_reverse(decomp) -> SpectralDecomposition:
+    """The antiunitary time reversal on an eigenbasis: componentwise
+    complex conjugation in the computational basis (probabilities
+    unchanged)."""
+    return SpectralDecomposition(decomp.probabilities.copy(), np.conj(decomp.vectors))
+
+
 # -- the dense engine: every check summed over the eight-index tables ----
+
+
+@dataclasses.dataclass(frozen=True)
+class TrajectoryFunctional:
+    """Per-trajectory quantities entering the fluctuation relations, as
+    arrays broadcastable against the eight-index tables."""
+
+    delta_s_a: np.ndarray
+    delta_s_b: np.ndarray
+    delta_i: np.ndarray
+    beta_q: np.ndarray
+    delta_j: np.ndarray
+
+    def ft_exponent(self):
+        """-ds_A - ds_B + dI + beta Q, the detailed-relation exponent."""
+        return -self.delta_s_a - self.delta_s_b + self.delta_i + self.beta_q
+
+    def local_exponent(self):
+        """-ds_A - ds_B + beta Q (no information content)."""
+        return -self.delta_s_a - self.delta_s_b + self.beta_q
+
+    def classical_exponent(self):
+        """-ds_A - ds_B + dJ + beta Q (classical info content)."""
+        return -self.delta_s_a - self.delta_s_b + self.delta_j + self.beta_q
 
 def _initial_support(spectra, tol=DEFAULT_TOL) -> np.ndarray:
     """The (m, r) forward-support mask broadcast over the eight axes."""
@@ -145,12 +169,6 @@ def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
     b_q = np.asarray(spectra.beta_q, dtype=float).reshape(1, 1, 1, 1, 1, 1, d_r, d_r)
     return TrajectoryFunctional(delta_s_a=ds_a, delta_s_b=ds_b,
                                 delta_i=d_i, beta_q=b_q, delta_j=d_j)
-
-
-def dense_with_entropy_production(traj, partition) -> TrajectoryFunctional:
-    sigma_a, sigma_b, delta_gamma = entropy_production(traj, partition)
-    return dataclasses.replace(traj, sigma_a=sigma_a, sigma_b=sigma_b,
-                               delta_gamma=delta_gamma)
 
 
 def dense_average(dist, values) -> float:
@@ -212,13 +230,11 @@ def dense_classical_reduction_check(spectra, forward, reverse, traj, tol=DEFAULT
     return residual, max_gap
 
 
-def dense_evaluate(spectra, heat_partition=None, work_inputs=None, tol=DEFAULT_TOL,
+def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
                    reverse_global=None) -> FTReport:
     """``theorems.evaluate``'s report, summed over the dense tables."""
     forward, reverse = dense_tables(spectra, reverse_global)
     traj = dense_tuple_functionals(spectra, tol)
-    if heat_partition is not None:
-        traj = dense_with_entropy_production(traj, heat_partition)
     gamma = dense_restricted_average(spectra, reverse, 1.0, tol)
     rev_lhs, rev_rhs = dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol)
     resid, worst = dense_detailed_ft_check(forward, reverse, traj, tol)
@@ -228,10 +244,6 @@ def dense_evaluate(spectra, heat_partition=None, work_inputs=None, tol=DEFAULT_T
     if all(product_basis_flags(spectra, tol)):
         classical = {"lhs": dense_average(forward, np.exp(traj.classical_exponent()))}
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
-    sigma = None
-    if heat_partition is not None:
-        sigma = SigmaAverages(*(dense_average(forward, x) for x in (
-            traj.sigma_a, traj.sigma_b, traj.delta_gamma)))
     return FTReport(
         integral_ft_lhs=dense_integral_ft(forward, traj),
         gamma_restricted=gamma,
@@ -243,8 +255,7 @@ def dense_evaluate(spectra, heat_partition=None, work_inputs=None, tol=DEFAULT_T
         detailed_worst=worst,
         bound_gap=(-ln_rev) - averages.delta_i,
         averages=averages,
-        bounds=inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol),
-        sigma=sigma)
+        bounds=inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol))
 
 
 def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
@@ -262,8 +273,9 @@ def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
             g - (s.kernel.transpose(0, 2, 1, 3) * s.p_m[:, None, None, None]
                  * s.p_r[None, None, :, None])))),
         "initial_marginal_identity": float(np.max(np.abs(
-            marginal(forward, ("m", "a", "b", "r")) - want))),
-        "local_marginal_identity": float(np.max(np.abs(marginal(forward, ("a",)) - s.p_a))),
+            forward.table.sum(axis=(3, 4, 5, 7)) - want))),
+        "local_marginal_identity": float(np.max(np.abs(
+            forward.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - s.p_a))),
         "info_avg_is_mutual_information": abs(
             dense_average(forward, info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1))
             - (shannon_entropy(s.p_a) + shannon_entropy(s.p_b) - shannon_entropy(s.p_m))),

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bift.cli
 import bift.tables
 from bift import reportio
 from bift.cli import invariant_checks, main
+from bift.errors import DomainError
 from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
 from bift.tables import augmented_forward, factored_joint
@@ -300,15 +301,16 @@ class TestDenseTables:
     @pytest.mark.parametrize("scenario", [
         ("--scenario", "werner", "--p", "0.5"),
         ("--scenario", "counterexample", "--p", "0.5"),
-        ("--scenario", "random", "--dims", "2,2,2", "--p", "0.5"),
+        ("--scenario", "random", "--dims", "2,2,2"),
     ])
     def test_commands_never_build_them(self, tmp_path, monkeypatch, command, scenario):
         def refuse(*args):
             raise AssertionError("an eight-index table was built")
 
         monkeypatch.setattr(bift.tables, "_attach_conditionals", refuse)
-        code, _ = run_cli(tmp_path, command, *scenario)
-        assert code == 0
+        # a random system has no p, so there is nothing to sweep
+        want = 2 if command == "sweep" and "random" in scenario else 0
+        assert main([command, *scenario, "--out", str(tmp_path / "out.txt")]) == want
 
     def test_emit_tuples_builds_each_once(self, tmp_path, monkeypatch):
         built = []
@@ -326,14 +328,14 @@ class TestDenseTables:
 
 
 class TestConfigs:
-    def _explicit_config(self, tmp_path, rho_scale=1.0, tolerance=None):
+    def _explicit_config(self, tmp_path, rho_scale=1.0, tolerance=None, energies=None):
         system = random_instance(2, 2, 2, seed=13)
         cfg = {
             "system": {
                 "dims": [2, 2, 2],
                 "rho_ab": reportio.encode_complex_matrix(system.rho_ab.matrix * rho_scale),
                 "unitary": reportio.encode_complex_matrix(system.unitary),
-                "reservoir": {"energies": list(system.reservoir.energies),
+                "reservoir": {"energies": energies or list(system.reservoir.energies),
                               "beta": system.reservoir.beta},
             }
         }
@@ -356,6 +358,15 @@ class TestConfigs:
         doc = json.loads(text)
         assert doc["scenario"]["name"] == "explicit"
         assert doc["report"]["gamma_restricted"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_heat_exponent_at_limit_overflows_nothing(self, tmp_path):
+        # beta * (max E - min E) just under the limit: e^{beta Q} nears
+        # the float maximum on the pairs whose blocks lie below the cutoff,
+        # and no product with it may overflow (warnings are errors)
+        path = self._explicit_config(tmp_path, energies=[0.0, bift.cli.MAX_HEAT_EXPONENT])
+        code, text = run_cli(tmp_path, "verify", "--config", str(path))
+        assert code in (0, 1)
+        assert "PASS detailed_ft" in text
 
     def test_trace_tolerance_reaches_state_check(self, tmp_path, capsys):
         path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9)
@@ -397,6 +408,10 @@ class TestConfigs:
         assert json.loads(text)["tolerances"]["equality"] == pytest.approx(1e-6)
 
 
+ONE_LEVEL_SYSTEM = {"dims": [1, 1, 1], "rho_ab": [[[1, 0]]], "unitary": [[[1, 0]]],
+                    "reservoir": {"energies": [0.0], "beta": 1.0}}
+
+
 class TestExitCodes:
     """Usage and config errors exit 2 with a message, never a traceback."""
 
@@ -430,6 +445,34 @@ class TestExitCodes:
         (("run", "--config", "config.json"),
          {"system": {"dims": [1, 1, 1], "rho_ab": [[[float("nan"), 0]]],
                      "unitary": [[[1, 0]]], "reservoir": {"energies": [0.0], "beta": 1.0}}}),
+        # a grid too long to run, and parameters the scenario does not read
+        (("sweep", "--scenario", "werner", "--p", "0:1:1000000000000000"), None),
+        (("sweep", "--scenario", "random", "--dims", "2,2,2", "--p", "0:1:3"), None),
+        (("verify", "--scenario", "counterexample", "--p", "0.5", "--beta", "7"), None),
+        (("run", "--scenario", "werner", "--p", "0.5", "--seed", "1"), None),
+        (("run", "--config", "config.json"), {"scenario": "werner", "p": 0.5,
+                                              "route": "analytic"}),
+        (("run", "--config", "config.json"), {"scenario": "counterexample", "p": 0.5,
+                                              "dims": [2, 2, 2]}),
+        (("run", "--config", "config.json"), {"scenario": "werner", "p": 0.5,
+                                              "rank_deficient": False}),
+        (("run", "--config", "config.json"), {"system": ONE_LEVEL_SYSTEM, "scenario": "random"}),
+        (("run", "--config", "config.json"), {"system": ONE_LEVEL_SYSTEM, "p": 0.5}),
+        (("run", "--config", "config.json"), {"system": ONE_LEVEL_SYSTEM, "beta": 2.0}),
+        (("run", "--scenario", "random", "--dims", "1,1,2", "--config", "config.json"),
+         {"rank_deficient": True}),
+        # finite inputs whose Gibbs weights or matrix products overflow
+        (("run", "--config", "config.json"),
+         {"system": {**ONE_LEVEL_SYSTEM, "dims": [1, 1, 2],
+                     "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                     "reservoir": {"energies": [0.0, 1e308], "beta": 1e308}}}),
+        (("run", "--config", "config.json"),
+         {"system": {**ONE_LEVEL_SYSTEM, "dims": [1, 1, 2],
+                     "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                     "reservoir": {"energies": [0.0, 710.0], "beta": 1.0}}}),
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "unitary": [[[1e308, 0]]]}}),
+        (("run", "--scenario", "werner", "--p", "0.5", "--beta", "1e-310"), None),
     ])
     def test_config_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -482,6 +525,10 @@ class TestReportIO:
         assert grid == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         with pytest.raises(Exception):
             reportio.parse_grid("0:1")
+        assert len(reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS}")) == \
+            reportio.MAX_GRID_POINTS
+        with pytest.raises(DomainError):
+            reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS + 1}")
 
 
 # Config fuzz: values of every JSON kind under the keys the front-end reads.
@@ -528,7 +575,10 @@ FUZZ_VALUES = {
     "rank_deficient": VALUES,
     "emit_tuples": VALUES,
     "system": _either([VALID_SYSTEM], _optional({
-        key: st.one_of(st.just(value), VALUES) for key, value in VALID_SYSTEM.items()})),
+        key: st.one_of(st.just(value), VALUES) for key, value in VALID_SYSTEM.items()}),
+        # reservoirs at and beyond the largest beta * (max E - min E)
+        st.sampled_from([{**VALID_SYSTEM, "reservoir": {"energies": [0.0, e], "beta": 1.0}}
+                         for e in (700.0, 709.78, 709.79, 1e308)])),
 }
 # Valid configs with up to two keys replaced, so that accepted systems
 # and failed checks (exit 1) are drawn as often as rejected configs.
@@ -549,17 +599,50 @@ FUZZ_CONFIGS = st.one_of(
 )
 
 
-@given(command=st.sampled_from(["run", "verify", "sweep"]), config=FUZZ_CONFIGS)
+# Flags drawn beside the config: valid values, malformed ones, grid
+# strings, and the two bare flags on every command.  No valid grid is
+# long enough to take more than a moment.
+FUZZ_FLAG_VALUES = {
+    "--scenario": ["werner", "counterexample", "random", "bogus"],
+    "--p": ["0.5", "1", "0:1:3", "0.1,0.9", "1:0:0", "0:1:-2", "0:1", "0:1:2.5", "x", "",
+            "nan", "1e400", "0:1:1000000000000000"],
+    "--beta": ["1", "0.5", "0", "-1", "nan", "inf", "1e308", "1e-310", "x"],
+    "--seed": ["0", "7", "-1", "x", str(2**70)],
+    "--dims": ["2,2,2", "1,1,2", "1,2,3", "3,3,3", "0,2,2", "2,2", "x", "100000,100000,1"],
+    "--tolerance": ["0", "1e-6", "-1", "nan", "1e308"],
+}
+FUZZ_FLAGS = st.lists(st.one_of(
+    st.sampled_from(sorted(FUZZ_FLAG_VALUES)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(FUZZ_FLAG_VALUES[flag]))),
+    st.sampled_from([("--emit-tuples",), ("--corrupt-reverse",)])), max_size=4)
+
+
+@given(command=st.sampled_from(["run", "verify", "sweep"]), config=FUZZ_CONFIGS,
+       flags=FUZZ_FLAGS)
+@example(command="sweep", config={},
+         flags=[("--scenario", "werner"), ("--p", "0:1:1000000000000000")])
+@example(command="run", flags=[], config={"system": {
+    **VALID_SYSTEM, "reservoir": {"energies": [0.0, 1e308], "beta": 1e308}}})
 @settings(max_examples=150, deadline=None)
-def test_config_fuzz_exit_contract(tmp_path_factory, command, config):
-    """0, 1 or 2 and nothing raised; 2 carries one ``error:`` line, 1 a
-    failed check: a ``FAIL`` line (verify), ``"passed": false`` (run), or
-    a complete table (sweep, whose CSV has no pass column)."""
+def test_config_fuzz_exit_contract(tmp_path_factory, command, config, flags):
+    """0, 1 or 2 and nothing raised; 2 carries one ``error:`` line (after
+    the usage line when argparse rejects the flags), 1 a failed check: a
+    ``FAIL`` line (verify), ``"passed": false`` (run), or a complete table
+    (sweep, whose CSV has no pass column)."""
     work = tmp_path_factory.mktemp("fuzz")
     (work / "config.json").write_text(json.dumps(config))
     out = work / "out.txt"
+    argv = [command, *(tok for flag in flags for tok in flag),
+            "--config", str(work / "config.json"), "--out", str(out)]
     with contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main([command, "--config", str(work / "config.json"), "--out", str(out)])
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse: usage, then one error line
+            assert exc.code == 2
+            lines = err.getvalue().splitlines()
+            assert [ln for ln in lines if "error:" in ln] == lines[-1:]
+            assert "Traceback" not in err.getvalue()
+            return
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         return

@@ -5,22 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bift.errors import PartitionUnavailable
-from bift.functionals import (
-    HeatPartition,
-    TrajectoryFunctional,
-    endpoint_functionals,
-    entropy_production,
-    log_or_zero,
-    shannon_entropy,
-)
+from bift.functionals import endpoint_functionals, log_or_zero, shannon_entropy
 from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
 from bift.tables import (
     UnitarySystem,
     augmented_forward,
     factored_joint,
-    marginal,
     spectra_from_unitary,
 )
 from bift.theorems import forward_averages
@@ -101,7 +92,7 @@ class TestScalarFunctionals:
         # marginal (a, b) joint of the pure-state table: both aligned pairs
         # carry 1/2, and it is the joint the J table is built from
         spectra = werner_spectra(1.0)
-        joint = marginal(augmented_forward(spectra), ("a", "b"))
+        joint = augmented_forward(spectra).table.sum(axis=(0, 3, 4, 5, 6, 7))
         assert joint[0, 0] == pytest.approx(0.5)
         assert np.max(np.abs(joint - spectra.classical_joint_initial())) < 1e-15
         funcs = endpoint_functionals(spectra)
@@ -179,45 +170,6 @@ class TestAverages:
         joint = werner_isothermal(1.0).analysis.joint
         assert joint.restricted_mass() == pytest.approx(0.25)
         assert joint.expectation(joint.reverse) == pytest.approx(1.0)
-
-
-class TestEntropyProduction:
-    def test_requires_partition(self):
-        traj = TrajectoryFunctional(delta_s_a=0.1, delta_s_b=0.2,
-                                    delta_i=0.0, beta_q=0.3)
-        with pytest.raises(PartitionUnavailable):
-            entropy_production(traj, None)
-
-    def test_even_split_no_correlation(self):
-        # Q_A = Q_B = Q/2 and no info change: the correlation term vanishes
-        traj = TrajectoryFunctional(delta_s_a=0.4, delta_s_b=-0.1,
-                                    delta_i=0.0, beta_q=0.6)
-        part = HeatPartition(q_a=0.1, q_b=0.1, beta=3.0)
-        sigma_a, sigma_b, delta_gamma = entropy_production(traj, part)
-        assert sigma_a == pytest.approx(0.4 - 0.3)
-        assert sigma_b == pytest.approx(-0.1 - 0.3)
-        assert delta_gamma == pytest.approx(0.0)
-
-    @given(ds_a=st.floats(-2, 2), ds_b=st.floats(-2, 2), di=st.floats(-2, 2),
-           bq=st.floats(-2, 2), qa=st.floats(-1, 1), qb=st.floats(-1, 1),
-           beta=st.floats(0.2, 4.0))
-    @settings(max_examples=60)
-    def test_recombination_identity(self, ds_a, ds_b, di, bq, qa, qb, beta):
-        traj = TrajectoryFunctional(delta_s_a=ds_a, delta_s_b=ds_b,
-                                    delta_i=di, beta_q=bq)
-        sigma_a, sigma_b, delta_gamma = entropy_production(
-            traj, HeatPartition(q_a=qa, q_b=qb, beta=beta))
-        lhs = -sigma_a - sigma_b + delta_gamma
-        rhs = -ds_a - ds_b + di + bq
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_heat_shares_sum_back(self):
-        traj = TrajectoryFunctional(delta_s_a=0.0, delta_s_b=0.0,
-                                    delta_i=0.5, beta_q=1.2)
-        part = HeatPartition(q_a=0.3, q_b=0.1, beta=2.0)
-        _, _, delta_gamma = entropy_production(traj, part)
-        # Q' = Q - (Q_A + Q_B); beta Q' = 1.2 - 0.6 - 0.2 = 0.4
-        assert delta_gamma == pytest.approx(0.5 + 0.4)
 
 
 class TestTupleFunctionals:

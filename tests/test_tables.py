@@ -10,9 +10,8 @@ from bift.linalg import (
     ReservoirSpec,
     SpectralDecomposition,
     Tolerances,
+    dagger,
     density_operator,
-    evolve,
-    gibbs_state,
     haar_unitary,
     partial_trace,
     remix_degenerate_blocks,
@@ -30,7 +29,6 @@ from bift.tables import (
     conditional_table,
     factored_joint,
     global_table,
-    marginal,
     reverse_joint,
     spectra_from_analytic,
     spectra_from_unitary,
@@ -133,7 +131,7 @@ class TestForwardTable:
         system = random_instance(2, 2, 2, seed=12)
         spectra = spectra_from_unitary(system)
         fwd = augmented_forward(spectra)
-        got = marginal(fwd, ("m", "a", "b", "r"))
+        got = fwd.table.sum(axis=(3, 4, 5, 7))
         want = (spectra.cond_initial[:, :, :, None]
                 * spectra.p_m[:, None, None, None]
                 * spectra.p_r[None, None, None, :])
@@ -157,7 +155,7 @@ class TestForwardTable:
                                np.eye(4, dtype=complex))
         spectra = spectra_from_unitary(system)
         fwd = augmented_forward(spectra)
-        joint_ab = marginal(fwd, ("a", "b"))
+        joint_ab = fwd.table.sum(axis=(0, 3, 4, 5, 6, 7))
         assert np.max(np.abs(joint_ab - np.outer(pa, pb))) < 1e-12
 
     @given(seed=st.integers(0, 10_000),
@@ -218,31 +216,20 @@ class TestReverseTable:
 class TestMarginal:
     def test_everything_dropped(self):
         fwd = augmented_forward(werner_spectra(0.3))
-        assert marginal(fwd, ()) == pytest.approx(1.0, abs=1e-12)
+        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_local_marginal_matches_state(self):
         system = random_instance(2, 3, 2, seed=21)
         spectra = spectra_from_unitary(system)
         fwd = augmented_forward(spectra)
-        assert np.max(np.abs(marginal(fwd, ("a",)) - spectra.p_a)) < 1e-12
-        assert np.max(np.abs(marginal(fwd, ("b",)) - spectra.p_b)) < 1e-12
+        assert np.max(np.abs(fwd.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - spectra.p_a)) < 1e-12
+        assert np.max(np.abs(fwd.table.sum(axis=(0, 1, 3, 4, 5, 6, 7)) - spectra.p_b)) < 1e-12
 
     def test_werner_global_marginal(self):
         fwd = augmented_forward(werner_spectra(0.5))
-        p_m = marginal(fwd, ("m",))
+        p_m = fwd.table.sum(axis=(1, 2, 3, 4, 5, 6, 7))
         assert p_m[0] == pytest.approx(5 / 8)   # (1 + 3p)/4 at p = 1/2
         assert p_m[1:] == pytest.approx([1 / 8] * 3)
-
-    def test_axis_order_respected(self):
-        fwd = augmented_forward(werner_spectra(0.5))
-        ab = marginal(fwd, ("a", "b"))
-        ba = marginal(fwd, ("b", "a"))
-        assert np.max(np.abs(ab - ba.T)) == 0.0
-
-    def test_rejects_bad_axis(self):
-        fwd = augmented_forward(werner_spectra(0.5))
-        with pytest.raises(DimensionError):
-            marginal(fwd, ("q",))
 
 
 class TestAnalyticValidation:
@@ -303,8 +290,9 @@ class TestGuardsAndOverrides:
         system = random_instance(2, 2, 2, seed=31)
         state = system.rho_ab.matrix
         if which == "final":
-            rho_abr = np.kron(state, gibbs_state(system.reservoir).matrix)
-            state = partial_trace(evolve(rho_abr, system.unitary), (4, 2), keep=0)
+            rho_abr = np.kron(state, np.diag(system.reservoir.gibbs_probabilities()))
+            u = system.unitary
+            state = partial_trace(u @ rho_abr @ dagger(u), (4, 2), keep=0)
         dec = spectral_decompose(state)
         off = SpectralDecomposition(dec.probabilities * (1 + 1e-9), dec.vectors)
         override = {f"{which}_decomposition": off}
@@ -327,9 +315,9 @@ class TestCounterexampleTables:
         b = augmented_forward(bell_adiabatic_counterexample(0.4, route="analytic").analysis.spectra)
         # per-tuple tables differ by the degenerate-block gauge, but the
         # endpoint marginals must agree
-        for keep in (("m",), ("a", "b"), ("a_final", "b_final")):
-            ga = marginal(a, keep)
-            gb = marginal(b, keep)
+        for drop in ((1, 2, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7), (0, 1, 2, 3, 6, 7)):
+            ga = a.table.sum(axis=drop)
+            gb = b.table.sum(axis=drop)
             assert np.max(np.abs(np.sort(ga.ravel()) - np.sort(gb.ravel()))) < 1e-10
 
     def test_unitary_route_uses_bell_image(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bift.cli import invariant_checks
 from bift.errors import NotApplicable
-from bift.functionals import EndpointFunctionals, HeatPartition, endpoint_functionals
+from bift.functionals import EndpointFunctionals, endpoint_functionals
 from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
@@ -41,7 +41,6 @@ from bift.theorems import (
 )
 
 from conftest import (
-    dense_average,
     dense_classical_reduction_check,
     dense_detailed_ft_check,
     dense_evaluate,
@@ -49,7 +48,6 @@ from conftest import (
     dense_support,
     dense_tables,
     dense_tuple_functionals,
-    dense_with_entropy_production,
 )
 
 LN2 = math.log(2.0)
@@ -316,40 +314,6 @@ class TestClassicalReduction:
         assert np.max(np.abs(expo[forward.table > 0.5])) < 1e-12
 
 
-class TestHeatPartitionForm:
-    def test_rewritten_exponent_reproduces_restricted_mass(self):
-        # with sigma_X = ds_X - beta Q_X and dGamma = dI + beta Q', the
-        # average of exp(-sigma_A - sigma_B + dGamma) must equal the
-        # restricted reverse mass for ANY partition of the heat
-        for p, q_a in ((1.0, -0.4), (0.5, 0.11)):
-            spectra = werner_isothermal(p).analysis.spectra
-            partition = HeatPartition(q_a=q_a, q_b=-0.9 - q_a, beta=1.0)
-            analysis = evaluate(spectra, heat_partition=partition)
-            traj = dense_with_entropy_production(dense_tuple_functionals(spectra), partition)
-            rewritten = dense_average(
-                augmented_forward(spectra),
-                np.exp(-traj.sigma_a - traj.sigma_b + traj.delta_gamma))
-            assert rewritten == pytest.approx(analysis.report.gamma_restricted,
-                                              abs=1e-12)
-            sig = analysis.report.sigma
-            avg = analysis.report.averages
-            assert sig is not None
-            assert (-sig.sigma_a - sig.sigma_b + sig.delta_gamma) == pytest.approx(
-                -avg.delta_s_a - avg.delta_s_b + avg.delta_i + avg.beta_q, abs=1e-12)
-
-    def test_sigma_absent_without_partition(self):
-        assert werner_isothermal(0.5).report.sigma is None
-
-    def test_full_reverse_average_is_diagnostic_only(self):
-        # under absolute irreversibility the full-space reverse average
-        # differs from the support-restricted one used in the relations:
-        # the six trajectories outside the support each contribute
-        # (1/8) exp(0) on top of the restricted 2 x (1/8) exp(2 ln 2)
-        rep = werner_isothermal(1.0).report
-        assert rep.reverse_avg_exp_di == pytest.approx(1.0, abs=1e-12)
-        assert rep.reverse_avg_exp_di_full == pytest.approx(1.75, abs=1e-12)
-
-
 class TestGaugeRobustness:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_remixing_leaves_invariants(self, seed):
@@ -370,6 +334,15 @@ class TestGaugeRobustness:
 
 
 class TestEdgesAndControls:
+    def test_full_reverse_average_is_diagnostic_only(self):
+        # under absolute irreversibility the full-space reverse average
+        # differs from the support-restricted one used in the relations:
+        # the six trajectories outside the support each contribute
+        # (1/8) exp(0) on top of the restricted 2 x (1/8) exp(2 ln 2)
+        rep = werner_isothermal(1.0).report
+        assert rep.reverse_avg_exp_di == pytest.approx(1.0, abs=1e-12)
+        assert rep.reverse_avg_exp_di_full == pytest.approx(1.75, abs=1e-12)
+
     def test_corrupted_reverse_breaks_detailed(self):
         analysis = werner_isothermal(0.8).analysis
         bad = corrupt_reverse(analysis.joint)
@@ -419,8 +392,6 @@ def report_numbers(rep) -> dict:
         "integral_ft_lhs", "gamma_restricted", "ln_gamma", "reverse_ft_lhs",
         "reverse_avg_exp_di", "reverse_avg_exp_di_full", "detailed_max_residual", "bound_gap")}
     out.update({f"averages.{k}": v for k, v in dataclasses.asdict(rep.averages).items()})
-    if rep.sigma is not None:
-        out.update({f"sigma.{k}": v for k, v in dataclasses.asdict(rep.sigma).items()})
     for rec in rep.bounds:
         out.update({f"{rec.name}.lhs": rec.lhs, f"{rec.name}.rhs": rec.rhs,
                     f"{rec.name}.slack": rec.slack})
@@ -535,12 +506,6 @@ class TestDenseOracle:
         spectra = spectra_from_unitary(random_instance(2, 2, 2, 1, rank_deficient=True))
         analysis = assert_matches_dense_oracle(spectra)
         assert analysis.report.gamma_restricted < 1.0 - 1e-6
-
-    def test_heat_partition(self):
-        partition = HeatPartition(q_a=np.array([[0.1, -0.3], [0.2, 0.0]]), q_b=0.25, beta=1.3)
-        spectra = spectra_from_unitary(random_instance(2, 2, 2, 5))
-        analysis = assert_matches_dense_oracle(spectra, heat_partition=partition)
-        assert analysis.report.sigma is not None
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3)])
     def test_corrupted_reverse(self, dims):
