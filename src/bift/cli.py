@@ -39,7 +39,7 @@ from .tables import (
     reverse_joint,
     spectra_from_unitary,
 )
-from .theorems import Analysis, evaluate
+from .theorems import Analysis, evaluate, ln_or_neg_inf
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
@@ -111,7 +111,7 @@ def merge_config(args) -> dict:
             raise DomainError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
     if getattr(args, "emit_tuples", False):
         cfg["emit_tuples"] = True
-    return validate_config(cfg)
+    return validate_config(cfg, args.command)
 
 
 def _is_int(value) -> bool:
@@ -138,15 +138,17 @@ def _dims(value, name: str) -> None:
         raise DomainError(f"{name}: expected three positive integers d_A,d_B,d_R, got {value!r}")
 
 
-def validate_config(cfg: dict) -> dict:
+def validate_config(cfg: dict, command: str) -> dict:
     """Reject malformed values where the config enters, so that a bad
     input exits 2 with a message instead of failing inside the numerics.
     Checks every key read later but ``p`` (see :func:`p_values`) and the
     scenario name and route, which their builders check, and that the
-    named system reads every key given."""
+    command and the named system read every key given."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys {sorted(unknown)}")
+    if "emit_tuples" in cfg and command != "run":
+        raise DomainError(f"config key emit_tuples applies only to run, not {command}")
     scenario = cfg.get("scenario")
     if "system" in cfg:
         where, reads = "an explicit system", {"system"}
@@ -332,10 +334,10 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     checks.append(Check.within("info_avg_is_mutual_information", abs(avg_info - qmi),
                                tol.equality))
 
-    rest = joint.restricted_mass()
+    gamma = analysis.report.gamma_restricted
     checks.append(Check("restricted_mass_in_range", 0.0,
-                        -tol.equality <= rest <= 1.0 + tol.equality,
-                        detail=f"gamma={rest:.15g}"))
+                        -tol.equality <= gamma <= 1.0 + tol.equality,
+                        detail=f"gamma={gamma:.15g}"))
     return checks
 
 
@@ -403,10 +405,8 @@ def cmd_sweep(args, cfg: dict, tol: Tolerances) -> int:
         result = build_analysis(cfg, tol, p)
         rep = result.report
         all_ok = all_ok and all(c.passed for c in core_checks(result, tol))
-        ln_rev = (math.log(rep.reverse_avg_exp_di)
-                  if rep.reverse_avg_exp_di > 0.0 else float("-inf"))
-        row = (p, rep.averages.delta_i, rep.ln_gamma, ln_rev, rep.bound_gap,
-               rep.bound("heat_bound_info_gamma").slack,
+        row = (p, rep.averages.delta_i, rep.ln_gamma, ln_or_neg_inf(rep.reverse_avg_exp_di),
+               rep.bound_gap, rep.bound("heat_bound_info_gamma").slack,
                rep.bound("heat_bound_reverse_info").slack)
         lines.append(",".join(reportio.format_float(x) for x in row))
     write_text("\n".join(lines) + "\n", args.out)

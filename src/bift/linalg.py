@@ -61,10 +61,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _as_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigen-decomposition rho = sum_k p_k |k><k|.
@@ -76,10 +72,6 @@ class SpectralDecomposition:
 
     probabilities: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         """Return sum_k p_k |k><k|."""
@@ -200,25 +192,20 @@ def density_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Densi
     return DensityOperator(dim=m.shape[0], matrix=m, decomposition=dec)
 
 
-def partial_trace(rho, dims: tuple[int, int], keep: int):
-    """Reduce a bipartite operator to one factor.
+def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Reduce a bipartite operator matrix to one factor.
 
     ``dims = (d_first, d_second)`` with the state living on
     first (x) second; ``keep`` is 0 for the first factor, 1 for the second.
-    Accepts a DensityOperator (returns a DensityOperator) or a raw matrix
-    (returns a matrix).
     """
     d1, d2 = int(dims[0]), int(dims[1])
     if keep not in (0, 1):
         raise DimensionError(f"keep must be 0 or 1, got {keep}")
-    m = _as_matrix(rho)
+    m = np.asarray(rho, dtype=complex)
     if m.shape != (d1 * d2, d1 * d2):
         raise DimensionError(f"state of shape {m.shape} does not factor as {d1}x{d2}")
     r = m.reshape(d1, d2, d1, d2)
-    out = np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
-    if isinstance(rho, DensityOperator):
-        return density_operator(out)
-    return out
+    return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
 def check_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -249,20 +236,6 @@ def degenerate_blocks(probabilities: np.ndarray,
         blocks.append((i, j))
         i = j
     return blocks
-
-
-def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Generator,
-                            tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
-    """Rotate each degenerate eigenvalue block by a Haar-random unitary.
-
-    The result decomposes the same operator; it deliberately bypasses the
-    canonical gauge, which is exactly what gauge-robustness checks need.
-    """
-    vecs = decomp.vectors.copy()
-    for i, j in degenerate_blocks(decomp.probabilities, tol):
-        if j - i > 1:
-            vecs[:, i:j] = vecs[:, i:j] @ haar_unitary(j - i, rng)
-    return SpectralDecomposition(decomp.probabilities.copy(), vecs)
 
 
 def assert_same_operator(decomp: SpectralDecomposition, matrix: np.ndarray,

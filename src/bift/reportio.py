@@ -127,11 +127,6 @@ def decode_complex_matrix(entries, where: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def encode_complex_matrix(matrix: np.ndarray) -> list:
-    m = np.asarray(matrix, dtype=complex)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
 def parse_grid(text: str) -> list[float]:
     """Grid syntax: a single value, a comma list, or start:stop:count
     with 1 <= count <= MAX_GRID_POINTS."""

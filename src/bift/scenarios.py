@@ -97,14 +97,6 @@ def bell_basis() -> np.ndarray:
     return b / math.sqrt(2.0)
 
 
-def werner_state(p: float) -> np.ndarray:
-    """p |bell_0><bell_0| + (1-p)/4 I as a 4x4 matrix."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
-    b0 = bell_basis()[:, 0]
-    return p * np.outer(b0, b0) + (1.0 - p) / 4.0 * np.eye(4)
-
-
 def werner_delta_i_avg(p: float) -> float:
     """Closed-form <dI> for the isothermal Werner process."""
     out = -(1.0 + 3.0 * p) / 4.0 * math.log(1.0 + 3.0 * p) if p > 0.0 else 0.0
@@ -113,28 +105,44 @@ def werner_delta_i_avg(p: float) -> float:
     return out
 
 
-def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
-    p_m = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
-    cond_i = np.zeros((4, 2, 2))
-    cond_i[0, 0, 0] = cond_i[0, 1, 1] = 0.5   # (|00>+|11>)/sqrt2
-    cond_i[1, 0, 0] = cond_i[1, 1, 1] = 0.5   # (|00>-|11>)/sqrt2
-    cond_i[2, 0, 1] = cond_i[2, 1, 0] = 0.5   # (|01>+|10>)/sqrt2
-    cond_i[3, 0, 1] = cond_i[3, 1, 0] = 0.5   # (|01>-|10>)/sqrt2
-    cond_f = np.zeros((4, 2, 2))              # final basis is the product basis
-    cond_f[0, 0, 0] = cond_f[1, 0, 1] = cond_f[2, 1, 0] = cond_f[3, 1, 1] = 1.0
+def _werner_spectrum(p: float) -> np.ndarray:
+    """Eigenvalues of p |bell_0><bell_0| + (1-p)/4 I, descending; a fresh
+    array on every call, since ``spectra_from_analytic`` keeps float
+    arrays without copying them."""
+    return np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
 
+
+def _bell_conditionals() -> np.ndarray:
+    """|<bell_m|a,b>|^2 as [m, a, b], in the order of :func:`bell_basis`."""
+    cond = np.zeros((4, 2, 2))
+    cond[0, 0, 0] = cond[0, 1, 1] = 0.5   # (|00>+|11>)/sqrt2
+    cond[1, 0, 0] = cond[1, 1, 1] = 0.5   # (|00>-|11>)/sqrt2
+    cond[2, 0, 1] = cond[2, 1, 0] = 0.5   # (|01>+|10>)/sqrt2
+    cond[3, 0, 1] = cond[3, 1, 0] = 0.5   # (|01>-|10>)/sqrt2
+    return cond
+
+
+def _product_conditionals() -> np.ndarray:
+    """|<m|a,b>|^2 as [m, a, b] for the product basis |00>, |01>, |10>, |11>."""
+    cond = np.zeros((4, 2, 2))
+    cond[0, 0, 0] = cond[1, 0, 1] = cond[2, 1, 0] = cond[3, 1, 1] = 1.0
+    return cond
+
+
+def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
     kernel = np.zeros((4, 1, 4, 1))
     kernel[:, 0, 0, 0] = 1.0                  # every m relaxes to the final ground state
     reverse_kernel = np.full((4, 1, 4, 1), 0.25)  # re-expansion is uniform over m
 
     return spectra_from_analytic(SystemSpectra(
         dim_a=2, dim_b=2, dim_r=1,
-        p_m=p_m,
+        p_m=_werner_spectrum(p),
         p_a=np.array([0.5, 0.5]), p_b=np.array([0.5, 0.5]),
         p_m_final=np.array([1.0, 0.0, 0.0, 0.0]),
         p_a_final=np.array([1.0, 0.0]), p_b_final=np.array([1.0, 0.0]),
-        cond_initial=cond_i, cond_final=cond_f,
-        p_r=np.array([1.0]), p_r_reverse=np.array([1.0]),
+        # initial basis is the Bell basis, final basis the product basis
+        cond_initial=_bell_conditionals(), cond_final=_product_conditionals(),
+        p_r=np.array([1.0]),
         kernel=kernel, reverse_kernel=reverse_kernel,
         # Quasi-static heat bookkeeping: each qubit absorbs -ln2 / beta,
         # deterministic along every trajectory.
@@ -190,8 +198,7 @@ def counterexample_reverse_avg(p: float) -> float:
 
 
 def _counterexample_unitary_system(p: float) -> UnitarySystem:
-    lam = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
-    rho = density_operator(np.diag(lam).astype(complex))
+    rho = density_operator(np.diag(_werner_spectrum(p)).astype(complex))
     u = bell_basis().astype(complex)          # |product_m> -> |bell_m>
     return UnitarySystem(dim_a=2, dim_b=2, rho_ab=rho,
                          reservoir=ReservoirSpec(energies=(0.0,), beta=1.0),
@@ -199,14 +206,7 @@ def _counterexample_unitary_system(p: float) -> UnitarySystem:
 
 
 def _counterexample_analytic_spectra(p: float, tol: Tolerances) -> SystemSpectra:
-    p_m = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
-    cond_i = np.zeros((4, 2, 2))              # initial basis is the product basis
-    cond_i[0, 0, 0] = cond_i[1, 0, 1] = cond_i[2, 1, 0] = cond_i[3, 1, 1] = 1.0
-    cond_f = np.zeros((4, 2, 2))              # final basis is the Bell basis
-    cond_f[0, 0, 0] = cond_f[0, 1, 1] = 0.5
-    cond_f[1, 0, 0] = cond_f[1, 1, 1] = 0.5
-    cond_f[2, 0, 1] = cond_f[2, 1, 0] = 0.5
-    cond_f[3, 0, 1] = cond_f[3, 1, 0] = 0.5
+    p_m = _werner_spectrum(p)
     kernel = np.zeros((4, 1, 4, 1))
     for m in range(4):
         kernel[m, 0, m, 0] = 1.0              # adiabatic: each level follows itself
@@ -216,8 +216,9 @@ def _counterexample_analytic_spectra(p: float, tol: Tolerances) -> SystemSpectra
         p_m=p_m, p_a=local, p_b=local,
         p_m_final=p_m.copy(),
         p_a_final=np.array([0.5, 0.5]), p_b_final=np.array([0.5, 0.5]),
-        cond_initial=cond_i, cond_final=cond_f,
-        p_r=np.array([1.0]), p_r_reverse=np.array([1.0]),
+        # initial basis is the product basis, final basis the Bell basis
+        cond_initial=_product_conditionals(), cond_final=_bell_conditionals(),
+        p_r=np.array([1.0]),
         kernel=kernel, reverse_kernel=kernel.copy(),
         beta_q=np.array([[0.0]]),
     ), tol)
@@ -303,22 +304,3 @@ def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
                          reservoir=ReservoirSpec(energies=tuple(energies), beta=beta),
                          unitary=u)
 
-
-def random_classical_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
-                              beta: float = 1.0) -> UnitarySystem:
-    """System whose global eigenbases stay product bases: a diagonal
-    (classically correlated) initial state, a computational-basis
-    permutation of the whole space, then local rotations."""
-    rng = np.random.default_rng(seed)
-    d_m = dim_a * dim_b
-    lam = _mixed_spectrum(rng, d_m)
-    rho = np.diag(lam).astype(complex)
-    perm = rng.permutation(d_m * dim_r)
-    p_mat = np.eye(d_m * dim_r)[:, perm].astype(complex)
-    u_local = np.kron(np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)),
-                      np.eye(dim_r))
-    energies = np.sort(rng.uniform(0.0, 5.0 / beta, size=dim_r))
-    return UnitarySystem(dim_a=dim_a, dim_b=dim_b,
-                         rho_ab=density_operator(rho),
-                         reservoir=ReservoirSpec(energies=tuple(energies), beta=beta),
-                         unitary=u_local @ p_mat)

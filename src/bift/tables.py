@@ -114,8 +114,7 @@ class SystemSpectra:
     p_b_final: np.ndarray
     cond_initial: np.ndarray      # [m, a, b] = |<m|a,b>|^2
     cond_final: np.ndarray        # [m', a', b']
-    p_r: np.ndarray
-    p_r_reverse: np.ndarray
+    p_r: np.ndarray               # reservoir Gibbs state, initial for both processes
     kernel: np.ndarray
     reverse_kernel: np.ndarray
     beta_q: np.ndarray            # [r, r']
@@ -235,7 +234,6 @@ def spectra_from_unitary(system: UnitarySystem,
         cond_initial=conditional_table(init.vectors, dec_a.vectors, dec_b.vectors),
         cond_final=conditional_table(fin.vectors, dec_a_f.vectors, dec_b_f.vectors),
         p_r=p_r,
-        p_r_reverse=p_r,
         kernel=kernel,
         reverse_kernel=kernel,
         beta_q=system.reservoir.beta * (energies[:, None] - energies[None, :]),
@@ -274,7 +272,6 @@ def spectra_from_analytic(spectra: SystemSpectra,
     p_af = vec(spectra.p_a_final, d_a, "p_a_final")
     p_bf = vec(spectra.p_b_final, d_b, "p_b_final")
     p_r = vec(spectra.p_r, d_r, "p_r")
-    p_rr = vec(spectra.p_r_reverse, d_r, "p_r_reverse")
 
     cond_i = np.asarray(spectra.cond_initial, dtype=float)
     cond_f = np.asarray(spectra.cond_final, dtype=float)
@@ -309,7 +306,7 @@ def spectra_from_analytic(spectra: SystemSpectra,
         p_m=p_m, p_a=p_a, p_b=p_b,
         p_m_final=p_mf, p_a_final=p_af, p_b_final=p_bf,
         cond_initial=cond_i, cond_final=cond_f,
-        p_r=p_r, p_r_reverse=p_rr,
+        p_r=p_r,
         kernel=kernel, reverse_kernel=rkernel, beta_q=beta_q,
     )
 
@@ -336,10 +333,12 @@ def global_table(spectra: SystemSpectra) -> np.ndarray:
 
 
 def reverse_global_table(spectra: SystemSpectra) -> np.ndarray:
-    """Reversed two-point table on forward-aligned axes [m, m', r, r']."""
+    """Reversed two-point table on forward-aligned axes [m, m', r, r']:
+    the reversed process starts from the final AB spectrum and the same
+    reservoir Gibbs state ``p_r``."""
     return (spectra.reverse_kernel.transpose(0, 2, 1, 3)
             * spectra.p_m_final[None, :, None, None]
-            * spectra.p_r_reverse[None, None, None, :])
+            * spectra.p_r[None, None, None, :])
 
 
 def _attach_conditionals(g: np.ndarray, spectra: SystemSpectra) -> np.ndarray:

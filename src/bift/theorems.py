@@ -55,6 +55,11 @@ from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, _above_cutoff, f
 NEG_INF = float("-inf")
 
 
+def ln_or_neg_inf(x: float) -> float:
+    """ln x, with the -inf sentinel when x is not positive."""
+    return math.log(x) if x > 0.0 else NEG_INF
+
+
 @dataclass(frozen=True)
 class WorkInputs:
     """Extracted work and subsystem free-energy changes (energy units)
@@ -277,9 +282,9 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
     the classical-exponent exponential), or None.  Bounds built on
     ln gamma become vacuous when gamma == 0.
     """
-    ln_gamma = math.log(gamma) if gamma > 0.0 else NEG_INF
+    ln_gamma = ln_or_neg_inf(gamma)
     ds_sum = averages.delta_s_a + averages.delta_s_b
-    ln_rev = math.log(reverse_avg) if reverse_avg > 0.0 else NEG_INF
+    ln_rev = ln_or_neg_inf(reverse_avg)
     bq = averages.beta_q
     records = []
 
@@ -371,19 +376,17 @@ def evaluate(spectra: SystemSpectra,
         classical = {"lhs": joint.expectation(joint.forward, *funcs.classical_factors())}
 
     bounds = inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol)
-    ln_gamma = math.log(gamma) if gamma > 0.0 else NEG_INF
-    ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
 
     report = FTReport(
         integral_ft_lhs=int_lhs,
         gamma_restricted=gamma,
-        ln_gamma=ln_gamma,
+        ln_gamma=ln_or_neg_inf(gamma),
         reverse_ft_lhs=rev_lhs,
         reverse_avg_exp_di=rev_rhs,
         reverse_avg_exp_di_full=rev_full,
         detailed_max_residual=detail_resid,
         detailed_worst=detail_worst,
-        bound_gap=(-ln_rev) - averages.delta_i,
+        bound_gap=(-ln_or_neg_inf(rev_rhs)) - averages.delta_i,
         averages=averages,
         bounds=bounds,
     )

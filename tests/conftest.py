@@ -1,4 +1,5 @@
-"""Shared helpers: small reference states and brute-force oracles.
+"""Shared helpers: small reference states, test-only system builders
+and brute-force oracles.
 
 Oracles here are deliberately naive (nested loops, direct sums, or the
 dense eight-index tables) and independent of the factored contractions
@@ -12,12 +13,21 @@ import numpy as np
 import pytest
 
 from bift.functionals import log_or_zero, shannon_entropy
-from bift.errors import NotApplicable
-from bift.linalg import DEFAULT_TOL, SpectralDecomposition
-from bift.scenarios import bell_basis, werner_isothermal
+from bift.errors import DomainError, NotApplicable
+from bift.linalg import (
+    DEFAULT_TOL,
+    ReservoirSpec,
+    SpectralDecomposition,
+    Tolerances,
+    degenerate_blocks,
+    density_operator,
+    haar_unitary,
+)
+from bift.scenarios import _mixed_spectrum, bell_basis, werner_isothermal
 from bift.tables import (
     DenseJoint,
     OutcomeTuple,
+    UnitarySystem,
     augmented_forward,
     forward_support_mask,
     reverse_global_table,
@@ -45,6 +55,53 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def bell_ket(k: int) -> np.ndarray:
     return bell_basis()[:, k].astype(complex)
+
+
+def werner_state(p: float) -> np.ndarray:
+    """p |bell_0><bell_0| + (1-p)/4 I as a 4x4 matrix."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
+    b0 = bell_basis()[:, 0]
+    return p * np.outer(b0, b0) + (1.0 - p) / 4.0 * np.eye(4)
+
+
+def random_classical_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
+                              beta: float = 1.0) -> UnitarySystem:
+    """System whose global eigenbases stay product bases: a diagonal
+    (classically correlated) initial state, a computational-basis
+    permutation of the whole space, then local rotations."""
+    rng = np.random.default_rng(seed)
+    d_m = dim_a * dim_b
+    lam = _mixed_spectrum(rng, d_m)
+    rho = np.diag(lam).astype(complex)
+    perm = rng.permutation(d_m * dim_r)
+    p_mat = np.eye(d_m * dim_r)[:, perm].astype(complex)
+    u_local = np.kron(np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)),
+                      np.eye(dim_r))
+    energies = np.sort(rng.uniform(0.0, 5.0 / beta, size=dim_r))
+    return UnitarySystem(dim_a=dim_a, dim_b=dim_b,
+                         rho_ab=density_operator(rho),
+                         reservoir=ReservoirSpec(energies=tuple(energies), beta=beta),
+                         unitary=u_local @ p_mat)
+
+
+def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Generator,
+                            tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+    """Rotate each degenerate eigenvalue block by a Haar-random unitary.
+
+    The result decomposes the same operator; it deliberately bypasses the
+    canonical gauge, which is exactly what gauge-robustness checks need.
+    """
+    vecs = decomp.vectors.copy()
+    for i, j in degenerate_blocks(decomp.probabilities, tol):
+        if j - i > 1:
+            vecs[:, i:j] = vecs[:, i:j] @ haar_unitary(j - i, rng)
+    return SpectralDecomposition(decomp.probabilities.copy(), vecs)
+
+
+def encode_complex_matrix(matrix: np.ndarray) -> list:
+    m = np.asarray(matrix, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def werner_spectra(p: float = 0.5, **fields):
@@ -87,7 +144,7 @@ def oracle_reverse_table(spectra) -> np.ndarray:
                                     out[m, a, b, mf, af, bf, r, rf] = (
                                         spectra.reverse_kernel[m, r, mf, rf]
                                         * spectra.p_m_final[mf]
-                                        * spectra.p_r_reverse[rf]
+                                        * spectra.p_r[rf]
                                         * spectra.cond_initial[m, a, b]
                                         * spectra.cond_final[mf, af, bf])
     return out

@@ -13,12 +13,11 @@ import pytest
 
 from bift.cli import main
 from bift.functionals import endpoint_functionals, shannon_entropy
-from bift.linalg import dagger, partial_trace, remix_degenerate_blocks, spectral_decompose
+from bift.linalg import dagger, partial_trace, spectral_decompose
 from bift.scenarios import (
     bell_adiabatic_counterexample,
     counterexample_delta_i_avg,
     counterexample_reverse_avg,
-    random_classical_instance,
     random_instance,
     werner_delta_i_avg,
     werner_isothermal,
@@ -30,6 +29,8 @@ from bift.tables import (
     spectra_from_unitary,
 )
 from bift.theorems import classical_reduction_check, evaluate
+
+from conftest import random_classical_instance, remix_degenerate_blocks
 
 LN2 = math.log(2.0)
 TOL = 1e-10

@@ -20,6 +20,8 @@ from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
 from bift.tables import augmented_forward, factored_joint
 
+from conftest import encode_complex_matrix
+
 LN2 = math.log(2.0)
 
 
@@ -68,6 +70,13 @@ class TestRun:
         table = np.asarray(doc["tables"]["forward"])
         assert table.shape == (4, 2, 2, 4, 2, 2, 1, 1)
         assert table.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_emit_tuples_config_key(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "werner", "p": 0.5, "emit_tuples": True}))
+        code, text = run_cli(tmp_path, "run", "--config", str(path))
+        assert code == 0
+        assert json.loads(text)["tables"]["dims"] == [4, 2, 2, 4, 2, 2, 1, 1]
 
     def test_counterexample(self, tmp_path):
         code, text = run_cli(tmp_path, "run", "--scenario", "counterexample",
@@ -333,8 +342,8 @@ class TestConfigs:
         cfg = {
             "system": {
                 "dims": [2, 2, 2],
-                "rho_ab": reportio.encode_complex_matrix(system.rho_ab.matrix * rho_scale),
-                "unitary": reportio.encode_complex_matrix(system.unitary),
+                "rho_ab": encode_complex_matrix(system.rho_ab.matrix * rho_scale),
+                "unitary": encode_complex_matrix(system.unitary),
                 "reservoir": {"energies": energies or list(system.reservoir.energies),
                               "beta": system.reservoir.beta},
             }
@@ -387,8 +396,8 @@ class TestConfigs:
         cfg = {
             "system": {
                 "dims": [2, 1, 1],
-                "rho_ab": reportio.encode_complex_matrix(np.eye(2)),  # trace 2
-                "unitary": reportio.encode_complex_matrix(np.eye(2)),
+                "rho_ab": encode_complex_matrix(np.eye(2)),  # trace 2
+                "unitary": encode_complex_matrix(np.eye(2)),
                 "reservoir": {"energies": [0.0], "beta": 1.0},
             }
         }
@@ -473,6 +482,11 @@ class TestExitCodes:
         (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
                                                          "unitary": [[[1e308, 0]]]}}),
         (("run", "--scenario", "werner", "--p", "0.5", "--beta", "1e-310"), None),
+        # the emit_tuples key outside run, whatever its value
+        (("verify", "--config", "config.json"), {"scenario": "werner", "p": 0.5,
+                                                 "emit_tuples": True}),
+        (("sweep", "--config", "config.json"), {"scenario": "werner", "p": 0.5,
+                                                "emit_tuples": False}),
     ])
     def test_config_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -548,8 +562,8 @@ VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
     max_leaves=6)
 VALID_SYSTEM = {
     "dims": [2, 1, 2],
-    "rho_ab": reportio.encode_complex_matrix(np.diag([0.75, 0.25])),
-    "unitary": reportio.encode_complex_matrix(np.eye(4)[[1, 0, 3, 2]]),
+    "rho_ab": encode_complex_matrix(np.diag([0.75, 0.25])),
+    "unitary": encode_complex_matrix(np.eye(4)[[1, 0, 3, 2]]),
     "reservoir": {"energies": [0.0, 1.0], "beta": 1.0},
 }
 

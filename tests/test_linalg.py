@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 from bift.errors import ConsistencyError, DimensionError, HermiticityError, UnitarityError
 from bift.functionals import shannon_entropy
 from bift.linalg import (
-    DensityOperator,
     ReservoirSpec,
     check_unitary,
     dagger,
     density_operator,
     haar_unitary,
     partial_trace,
-    remix_degenerate_blocks,
     spectral_decompose,
 )
-from bift.scenarios import werner_state
 
-from conftest import bell_ket, random_density, random_hermitian, time_reverse
+from conftest import (
+    bell_ket,
+    random_density,
+    random_hermitian,
+    remix_degenerate_blocks,
+    time_reverse,
+    werner_state,
+)
 
 LN2 = math.log(2.0)
 
@@ -49,12 +53,6 @@ class TestPartialTrace:
         got = partial_trace(rho, (2, 2), keep=0)
         assert np.max(np.abs(got - oracle)) < 1e-15
         assert np.max(np.abs(got - 0.5 * np.eye(2))) < 1e-15
-
-    def test_density_operator_round_trip(self, rng):
-        rho = density_operator(random_density(6, rng))
-        out = partial_trace(rho, (2, 3), keep=1)
-        assert isinstance(out, DensityOperator)
-        assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):

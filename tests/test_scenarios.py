@@ -9,15 +9,15 @@ from bift.scenarios import (
     bell_basis,
     counterexample_delta_i_avg,
     counterexample_reverse_avg,
-    random_classical_instance,
     random_instance,
     report_value,
     werner_delta_i_avg,
     werner_isothermal,
-    werner_state,
 )
 from bift.tables import augmented_forward, reverse_joint, spectra_from_unitary
 from bift.theorems import evaluate
+
+from conftest import random_classical_instance, werner_state
 
 LN2 = math.log(2.0)
 

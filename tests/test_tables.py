@@ -14,7 +14,6 @@ from bift.linalg import (
     density_operator,
     haar_unitary,
     partial_trace,
-    remix_degenerate_blocks,
     spectral_decompose,
 )
 from bift.scenarios import (
@@ -34,7 +33,12 @@ from bift.tables import (
     spectra_from_unitary,
 )
 
-from conftest import oracle_forward_table, oracle_reverse_table, werner_spectra
+from conftest import (
+    oracle_forward_table,
+    oracle_reverse_table,
+    remix_degenerate_blocks,
+    werner_spectra,
+)
 
 
 class TestConditionalLocal:

@@ -14,14 +14,11 @@ from bift.linalg import (
     ReservoirSpec,
     density_operator,
     haar_unitary,
-    remix_degenerate_blocks,
 )
 from bift.scenarios import (
     bell_adiabatic_counterexample,
-    random_classical_instance,
     random_instance,
     werner_isothermal,
-    werner_state,
 )
 from bift.tables import (
     FactoredJoint,
@@ -48,6 +45,9 @@ from conftest import (
     dense_support,
     dense_tables,
     dense_tuple_functionals,
+    random_classical_instance,
+    remix_degenerate_blocks,
+    werner_state,
 )
 
 LN2 = math.log(2.0)
