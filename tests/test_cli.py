@@ -272,6 +272,16 @@ class TestVerify:
             (line,) = [ln for ln in lines if f"bound:{name} " in ln]
             assert "kind=upper" in line
 
+    @pytest.mark.parametrize("route", ["unitary", "analytic"])
+    def test_corrupted_counterexample_fails_named(self, tmp_path, route):
+        # the route reaches verify only through a config file
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "counterexample", "route": route}))
+        code, text = run_cli(tmp_path, "verify", "--config", str(path), "--p", "0.5",
+                             "--corrupt-reverse")
+        assert code == 1
+        assert "FAIL detailed_ft" in text
+
     @pytest.mark.parametrize("dims", ["2,2,2", "4,4,4"])
     @pytest.mark.parametrize("seed", ["0", "11"])
     def test_corrupted_random_fails_named(self, tmp_path, dims, seed):
@@ -359,6 +369,12 @@ class TestConfigs:
         code, text = run_cli(tmp_path, "verify", "--config", str(path))
         assert code == 0
         assert "FAIL" not in text
+
+    def test_explicit_system_corrupted_fails_named(self, tmp_path):
+        path = self._explicit_config(tmp_path)
+        code, text = run_cli(tmp_path, "verify", "--config", str(path), "--corrupt-reverse")
+        assert code == 1
+        assert "FAIL detailed_ft" in text
 
     def test_explicit_system_run(self, tmp_path):
         path = self._explicit_config(tmp_path)
