@@ -26,12 +26,7 @@ from .errors import BiftError, DomainError
 from .functionals import shannon_entropy
 from .linalg import DEFAULT_TOL, ReservoirSpec, Tolerances, density_operator
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
-from .scenarios import (
-    ScenarioResult,
-    bell_adiabatic_counterexample,
-    random_instance,
-    werner_isothermal,
-)
+from .scenarios import Scenario, bell_adiabatic_counterexample, random_instance, werner_isothermal
 from .tables import (
     UnitarySystem,
     _guard_size,
@@ -242,13 +237,14 @@ def explicit_system(sysc: dict, tol: Tolerances) -> UnitarySystem:
 
 
 def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
-                   corruption: float | None = None) -> ScenarioResult:
-    """The system the config names, run end to end.  ``p`` is one sweep
-    point; without it the config's ``p`` must hold a single value."""
+                   corruption: float | None = None) -> tuple[Scenario, Analysis]:
+    """The system the config names and its evaluation.  ``p`` is one
+    sweep point; without it the config's ``p`` must hold a single value."""
     name = cfg.get("scenario")
     if "system" in cfg:
-        system = explicit_system(cfg["system"], tol)
-        name, params, reference = "explicit", {"dims": list(cfg["system"]["dims"])}, {}
+        scenario = Scenario("explicit", {"dims": list(cfg["system"]["dims"])},
+                            spectra_from_unitary(explicit_system(cfg["system"], tol), tol=tol),
+                            {})
     elif name == "random":
         dims = cfg.get("dims", [2, 2, 2])
         seed = cfg.get("seed", 0)
@@ -256,8 +252,9 @@ def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
         rank_deficient = cfg.get("rank_deficient", False)
         _guard_size(*dims)
         system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient)
-        params = {"seed": seed, "dims": list(dims), "beta": beta}
         reference = {} if rank_deficient else {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
+        scenario = Scenario("random", {"seed": seed, "dims": list(dims), "beta": beta},
+                            spectra_from_unitary(system, tol=tol), reference)
     elif name in ("werner", "counterexample"):
         if p is None:
             values = p_values(cfg)
@@ -265,21 +262,19 @@ def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
                 raise DomainError(f"p: expected a single value, got {len(values)}")
             p = values[0]
         if name == "werner":
-            return werner_isothermal(p, float(cfg.get("beta", 1.0)), tol=tol,
-                                     _reverse_corruption=corruption)
-        return bell_adiabatic_counterexample(p, cfg.get("route", "unitary"), tol=tol,
-                                             _reverse_corruption=corruption)
+            scenario = werner_isothermal(p, float(cfg.get("beta", 1.0)), tol=tol)
+        else:
+            scenario = bell_adiabatic_counterexample(p, cfg.get("route", "unitary"), tol=tol)
     else:
         raise DomainError(f"scenario: unknown or missing (got {name!r}); "
                           "expected werner, counterexample, random, or an explicit system")
-    analysis = evaluate(spectra_from_unitary(system, tol=tol), tol=tol,
-                        _reverse_corruption=corruption)
-    return ScenarioResult(name, params, analysis, reference)
+    return scenario, evaluate(scenario.spectra, scenario.work, tol,
+                              _reverse_corruption=corruption)
 
 
-def core_checks(result: ScenarioResult, tol: Tolerances) -> list[Check]:
+def core_checks(scenario: Scenario, analysis: Analysis, tol: Tolerances) -> list[Check]:
     """The checks whose pass/fail decides the exit status of ``run``."""
-    rep = result.report
+    rep = analysis.report
     checks = [
         Check.within("integral_ft_vs_gamma",
                      abs(rep.integral_ft_lhs - rep.gamma_restricted), tol.equality),
@@ -295,7 +290,7 @@ def core_checks(result: ScenarioResult, tol: Tolerances) -> list[Check]:
             else (math.nan, True, f"not applicable: {rec.note}"))
         checks.append(Check(f"bound:{rec.name}", value, passed, detail))
     checks += [Check.within(f"reference:{key}", resid, tol.equality)
-               for key, resid in result.reference_residuals().items()]
+               for key, resid in scenario.reference_residuals(rep).items()]
     return checks
 
 
@@ -341,23 +336,23 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     return checks
 
 
-def report_document(command: str, cfg: dict, result: ScenarioResult, checks: list[Check],
-                    tol: Tolerances, emit_tuples: bool) -> dict:
+def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analysis,
+                    checks: list[Check], tol: Tolerances, emit_tuples: bool) -> dict:
     doc = {
         "command": command,
         "tool": {"name": "bift", "version": __version__},
         "config_hash": config_hash(cfg),
         "tolerances": {"equality": tol.equality, "bound": tol.bound,
                        "support": tol.support},
-        "scenario": {"name": result.name, **result.params},
-        "report": dataclasses.asdict(result.report),
-        "reference_residuals": result.reference_residuals(),
+        "scenario": {"name": scenario.name, **scenario.params},
+        "report": dataclasses.asdict(analysis.report),
+        "reference_residuals": scenario.reference_residuals(analysis.report),
         "checks": [dataclasses.asdict(c) for c in checks],
         "passed": all(c.passed for c in checks),
     }
     if emit_tuples:
-        forward = augmented_forward(result.analysis.spectra)
-        reverse = reverse_joint(result.analysis.spectra)
+        forward = augmented_forward(scenario.spectra)
+        reverse = reverse_joint(scenario.spectra)
         doc["tables"] = {
             "axes": ["m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final"],
             "dims": list(forward.dims),
@@ -379,16 +374,18 @@ def write_text(text: str, out: str | None) -> None:
 
 
 def cmd_run(args, cfg: dict, tol: Tolerances) -> int:
-    result = build_analysis(cfg, tol)
-    checks = core_checks(result, tol)
-    doc = report_document("run", cfg, result, checks, tol, cfg.get("emit_tuples", False))
+    scenario, analysis = build_analysis(cfg, tol)
+    checks = core_checks(scenario, analysis, tol)
+    doc = report_document("run", cfg, scenario, analysis, checks, tol,
+                          cfg.get("emit_tuples", False))
     write_text(reportio.dumps(doc), args.out)
     return 0 if doc["passed"] else 1
 
 
 def cmd_verify(args, cfg: dict, tol: Tolerances) -> int:
-    result = build_analysis(cfg, tol, corruption=1.5 if args.corrupt_reverse else None)
-    checks = core_checks(result, tol) + invariant_checks(result.analysis, tol)
+    scenario, analysis = build_analysis(cfg, tol,
+                                        corruption=1.5 if args.corrupt_reverse else None)
+    checks = core_checks(scenario, analysis, tol) + invariant_checks(analysis, tol)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name} value={reportio.format_float(c.value)}"
              + (f"  ({c.detail})" if c.detail else "") for c in checks]
     ok = all(c.passed for c in checks)
@@ -402,9 +399,9 @@ def cmd_sweep(args, cfg: dict, tol: Tolerances) -> int:
     lines = [",".join(SWEEP_COLUMNS)]
     all_ok = True
     for p in p_values(cfg):
-        result = build_analysis(cfg, tol, p)
-        rep = result.report
-        all_ok = all_ok and all(c.passed for c in core_checks(result, tol))
+        scenario, analysis = build_analysis(cfg, tol, p)
+        rep = analysis.report
+        all_ok = all_ok and all(c.passed for c in core_checks(scenario, analysis, tol))
         row = (p, rep.averages.delta_i, rep.ln_gamma, ln_or_neg_inf(rep.reverse_avg_exp_di),
                rep.bound_gap, rep.bound("heat_bound_info_gamma").slack,
                rep.bound("heat_bound_reverse_info").slack)

@@ -24,11 +24,6 @@ class ConsistencyError(BiftError):
     with the attached spectra)."""
 
 
-class NotApplicable(BiftError):
-    """A check's precondition does not hold for this system
-    (e.g. the classical reduction on a non-product eigenbasis)."""
-
-
 class DomainError(BiftError):
     """A scenario parameter lies outside its admissible range."""
 

@@ -36,17 +36,17 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Deterministic JSON text for the report document."""
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _emit(obj: Any, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    closing = "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -67,7 +67,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         keys = list(obj.keys())
         for i, k in enumerate(keys):
             out.append(pad + json.dumps(str(k)) + ": ")
-            _emit(obj[k], out, indent, level + 1)
+            _emit(obj[k], out, level + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -78,7 +78,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(pad)
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(closing + "]")
     else:

@@ -1,4 +1,5 @@
-"""Concrete systems with known closed-form behavior, plus reproducible
+"""Concrete systems with known closed-form behavior, as :class:`Scenario`
+records that describe a system without evaluating it, plus reproducible
 random instances for property checks.
 
 * ``werner_isothermal`` -- both qubits of a Werner state undergo a
@@ -45,29 +46,26 @@ from .linalg import (
     haar_unitary,
 )
 from .tables import SystemSpectra, UnitarySystem, spectra_from_analytic, spectra_from_unitary
-from .theorems import Analysis, WorkInputs, evaluate
+from .theorems import WorkInputs
 
 LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
-    """A named system run end to end, with its closed-form reference
-    values (keys resolvable against the report via
-    :func:`report_value`)."""
+class Scenario:
+    """A named system: its spectra, the work inputs of its work bounds
+    (None where it defines none) and its closed-form reference values
+    (keys resolvable against a report via :func:`report_value`)."""
 
     name: str
     params: dict
-    analysis: Analysis
+    spectra: SystemSpectra
     reference: dict[str, float]
+    work: WorkInputs | None = None
 
-    @property
-    def report(self):
-        return self.analysis.report
-
-    def reference_residuals(self) -> dict[str, float]:
+    def reference_residuals(self, report) -> dict[str, float]:
         """|report value - reference value| for each reference key, in key order."""
-        return {key: abs(report_value(self.report, key) - want)
+        return {key: abs(report_value(report, key) - want)
                 for key, want in sorted(self.reference.items())}
 
 
@@ -151,13 +149,8 @@ def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
 
 
 def werner_isothermal(p: float, beta: float = 1.0,
-                      tol: Tolerances = DEFAULT_TOL,
-                      _reverse_corruption: float | None = None) -> ScenarioResult:
-    """Isothermal gap sweep on both halves of a Werner state.
-
-    ``_reverse_corruption`` is passed to :func:`evaluate` (negative
-    control).
-    """
+                      tol: Tolerances = DEFAULT_TOL) -> Scenario:
+    """Isothermal gap sweep on both halves of a Werner state."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
     if not (beta > 0.0 and math.isfinite(LN2 / beta)):
@@ -169,8 +162,6 @@ def werner_isothermal(p: float, beta: float = 1.0,
     # negative; each subsystem free energy rises by ln2 / beta.
     work = WorkInputs(work_a=-LN2 / beta, work_b=-LN2 / beta,
                       delta_f_a=LN2 / beta, delta_f_b=LN2 / beta, beta=beta)
-    analysis = evaluate(spectra, work_inputs=work, tol=tol,
-                        _reverse_corruption=_reverse_corruption)
     gamma = 0.25 if p == 1.0 else 1.0
     di = werner_delta_i_avg(p)
     reference = {
@@ -186,7 +177,7 @@ def werner_isothermal(p: float, beta: float = 1.0,
         "heat_bound_reverse_info_slack": 0.0,
         "heat_bound_info_gamma_slack": -di + math.log(gamma),
     }
-    return ScenarioResult("werner", {"p": p, "beta": beta}, analysis, reference)
+    return Scenario("werner", {"p": p, "beta": beta}, spectra, reference, work)
 
 
 def counterexample_delta_i_avg(p: float) -> float:
@@ -225,14 +216,9 @@ def _counterexample_analytic_spectra(p: float, tol: Tolerances) -> SystemSpectra
 
 
 def bell_adiabatic_counterexample(p: float, route: str = "unitary",
-                                  tol: Tolerances = DEFAULT_TOL,
-                                  _reverse_corruption: float | None = None) -> ScenarioResult:
+                                  tol: Tolerances = DEFAULT_TOL) -> Scenario:
     """Adiabatic product-to-Bell dynamics where the reverse-averaged
-    information bound loses to the plain one.
-
-    ``_reverse_corruption`` is passed to :func:`evaluate` (negative
-    control).
-    """
+    information bound loses to the plain one."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"counterexample fraction must lie in (0, 1), got {p}")
     if route == "unitary":
@@ -241,7 +227,6 @@ def bell_adiabatic_counterexample(p: float, route: str = "unitary",
         spectra = _counterexample_analytic_spectra(p, tol)
     else:
         raise DomainError(f"unknown route {route!r}; expected 'unitary' or 'analytic'")
-    analysis = evaluate(spectra, tol=tol, _reverse_corruption=_reverse_corruption)
     di = counterexample_delta_i_avg(p)
     rev = counterexample_reverse_avg(p)
     reference = {
@@ -252,7 +237,7 @@ def bell_adiabatic_counterexample(p: float, route: str = "unitary",
         "beta_q_avg": 0.0,
         "bound_gap": -math.log(rev) - di,
     }
-    return ScenarioResult("counterexample", {"p": p, "route": route}, analysis, reference)
+    return Scenario("counterexample", {"p": p, "route": route}, spectra, reference)
 
 
 def _mixed_spectrum(rng: np.random.Generator, dim: int, floor: float = 1e-6) -> np.ndarray:

@@ -11,19 +11,19 @@ average:
   irreversibility factor);
 * the reverse-averaged relation
   <exp(-ds_A - ds_B + beta Q)> = <exp(-dI)>_rev (support-restricted);
-* the heat bounds they imply, plus the classical reduction, the
-  memory-erasure specializations, and the extracted-work bounds when
-  free-energy inputs are available.
+* the heat bounds they imply, plus the classical reduction of the
+  integral relation, the memory-erasure specializations, and the
+  extracted-work bounds when free-energy inputs are available.
 
 Every number is a contraction of the factored tables
 (``tables.FactoredJoint``) with the per-endpoint functionals
 (``functionals.EndpointFunctionals``); no eight-index table is built.
 
-Support rule of the per-trajectory checks (detailed relation, classical
-info gap): a trajectory counts as supported when each of its three
-factors is above the support cutoff relative to the largest entry of its
-own table -- the global block G[m,m',r,r'], the initial weight
-|<m|a,b>|^2 and the final weight |<m'|a',b'>|^2.  (Dense tables would
+Support rule of the per-trajectory check (the detailed relation): a
+trajectory counts as supported when each of its three factors is above
+the support cutoff relative to the largest entry of its own table --
+the global block G[m,m',r,r'], the initial weight |<m|a,b>|^2 and the
+final weight |<m'|a',b'>|^2.  (Dense tables would
 instead cut their product relative to the largest product.  On the
 random systems tested, the rules differed only on trajectories whose
 factors clear their own cutoffs while the product falls below the
@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotApplicable
 from .functionals import EndpointFunctionals, endpoint_functionals
 from .linalg import DEFAULT_TOL, Tolerances
 from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, _above_cutoff, factored_joint
@@ -243,44 +242,15 @@ def product_basis_flags(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
     return init, fin
 
 
-def classical_reduction_check(spectra: SystemSpectra, joint: FactoredJoint,
-                              funcs: EndpointFunctionals,
-                              tol: Tolerances = DEFAULT_TOL):
-    """When both global eigenbases are product bases the protocol
-    coincides with local two-point measurements and the info content
-    reduces to its classical counterpart.  Returns
-
-        (ft_residual, max |dI - dJ| over supported trajectories)
-
-    and raises NotApplicable on a non-product eigenbasis.
-    """
-    init_prod, fin_prod = product_basis_flags(spectra, tol)
-    if not (init_prod and fin_prod):
-        raise NotApplicable(
-            f"global eigenbases are not product bases (initial={init_prod}, final={fin_prod})")
-    lhs = joint.expectation(joint.forward, *funcs.classical_factors())
-    residual = abs(lhs - joint.restricted_mass())
-    block, sup_i, sup_f = _supports(joint, tol)
-    pairs = block.any(axis=(2, 3))
-    if not pairs.any():
-        return residual, 0.0
-    hi_i, lo_i = _extremes(funcs.info_initial - funcs.classical_initial[None], sup_i)
-    hi_f, lo_f = _extremes(funcs.info_final - funcs.classical_final[None], sup_f)
-    gap = np.maximum(np.abs(hi_f[None, :] - lo_i[:, None]),
-                     np.abs(lo_f[None, :] - hi_i[:, None]))
-    return residual, float(gap[pairs].max())
-
-
 def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
-                     classical: dict | None = None,
+                     classical_lhs: float | None = None,
                      work: WorkInputs | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> tuple[BoundRecord, ...]:
     """Assemble every bound record.
 
-    ``classical`` carries the classical-reduction results when the
-    product-basis precondition holds (key "lhs": the forward average of
-    the classical-exponent exponential), or None.  Bounds built on
-    ln gamma become vacuous when gamma == 0.
+    ``classical_lhs`` is the forward average of the classical-exponent
+    exponential when the product-basis precondition holds, else None.
+    Bounds built on ln gamma become vacuous when gamma == 0.
     """
     ln_gamma = ln_or_neg_inf(gamma)
     ds_sum = averages.delta_s_a + averages.delta_s_b
@@ -307,17 +277,17 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
           note="gamma-free form; implied by heat_bound_info_gamma since ln gamma <= 0")
 
     # Classical reduction (product eigenbases only).
-    if classical is None:
+    if classical_lhs is None:
         equality("classical_ft", math.nan, math.nan, applicable=False,
                  note="global eigenbases are not product bases")
     else:
-        equality("classical_ft", classical["lhs"], gamma)
+        equality("classical_ft", classical_lhs, gamma)
 
     # Memory-erasure forms: observer subsystem B unchanged.
     b_static = abs(averages.delta_s_b) <= tol.bound
     note_b = "" if b_static else "requires <ds_B> = 0; here it is nonzero"
     upper("erasure_bound_classical", bq, averages.delta_s_a - averages.delta_j,
-          applicable=b_static and classical is not None and abs(gamma - 1.0) <= tol.bound,
+          applicable=b_static and classical_lhs is not None and abs(gamma - 1.0) <= tol.bound,
           note=note_b or "requires the classical reduction and gamma = 1")
     upper("erasure_bound_info_gamma", bq, averages.delta_s_a - averages.delta_i + ln_gamma,
           applicable=b_static, note=note_b)
@@ -371,11 +341,11 @@ def evaluate(spectra: SystemSpectra,
     detail_resid, detail_worst = detailed_ft_check(joint, funcs, tol)
     averages = forward_averages(joint, funcs)
 
-    classical = None
+    classical_lhs = None
     if all(product_basis_flags(spectra, tol)):
-        classical = {"lhs": joint.expectation(joint.forward, *funcs.classical_factors())}
+        classical_lhs = joint.expectation(joint.forward, *funcs.classical_factors())
 
-    bounds = inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol)
+    bounds = inequality_suite(averages, gamma, rev_rhs, classical_lhs, work_inputs, tol)
 
     report = FTReport(
         integral_ft_lhs=int_lhs,

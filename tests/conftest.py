@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bift.functionals import log_or_zero, shannon_entropy
-from bift.errors import DomainError, NotApplicable
+from bift.errors import DomainError
 from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
@@ -36,6 +36,7 @@ from bift.theorems import (
     NEG_INF,
     Averages,
     FTReport,
+    evaluate,
     inequality_suite,
     product_basis_flags,
 )
@@ -104,10 +105,16 @@ def encode_complex_matrix(matrix: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
+def evaluate_scenario(scenario, **kwargs):
+    """``theorems.evaluate`` on a scenario's spectra and work inputs, as
+    the command line runs it."""
+    return evaluate(scenario.spectra, scenario.work, **kwargs)
+
+
 def werner_spectra(p: float = 0.5, **fields):
     """The Werner scenario's spectra with ``fields`` swapped in (not
     re-validated)."""
-    return dataclasses.replace(werner_isothermal(p).analysis.spectra, **fields)
+    return dataclasses.replace(werner_isothermal(p).spectra, **fields)
 
 
 def oracle_forward_table(spectra) -> np.ndarray:
@@ -275,10 +282,15 @@ def dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol=DEFAULT_TOL):
     return lhs, rhs
 
 
-def dense_classical_reduction_check(spectra, forward, reverse, traj, tol=DEFAULT_TOL):
-    init_prod, fin_prod = product_basis_flags(spectra, tol)
-    if not (init_prod and fin_prod):
-        raise NotApplicable("global eigenbases are not product bases")
+def dense_classical_reduction_check(spectra, tol=DEFAULT_TOL):
+    """(|classical integral relation - gamma|, max |dI - dJ| over the
+    support) when both global eigenbases are product bases, else None.
+    With product bases the protocol is two local two-point measurements
+    and the info content reduces to its classical counterpart."""
+    if not all(product_basis_flags(spectra, tol)):
+        return None
+    forward, reverse = dense_tables(spectra)
+    traj = dense_tuple_functionals(spectra, tol)
     lhs = dense_average(forward, np.exp(traj.classical_exponent()))
     residual = abs(lhs - dense_restricted_average(spectra, reverse, 1.0, tol))
     f = forward.table
@@ -297,9 +309,9 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
     resid, worst = dense_detailed_ft_check(forward, reverse, traj, tol)
     averages = Averages(*(dense_average(forward, x) for x in (
         traj.delta_s_a, traj.delta_s_b, traj.delta_i, traj.delta_j, traj.beta_q)))
-    classical = None
+    classical_lhs = None
     if all(product_basis_flags(spectra, tol)):
-        classical = {"lhs": dense_average(forward, np.exp(traj.classical_exponent()))}
+        classical_lhs = dense_average(forward, np.exp(traj.classical_exponent()))
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
     return FTReport(
         integral_ft_lhs=dense_integral_ft(forward, traj),
@@ -312,7 +324,7 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
         detailed_worst=worst,
         bound_gap=(-ln_rev) - averages.delta_i,
         averages=averages,
-        bounds=inequality_suite(averages, gamma, rev_rhs, classical, work_inputs, tol))
+        bounds=inequality_suite(averages, gamma, rev_rhs, classical_lhs, work_inputs, tol))
 
 
 def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bift.cli import main
-from bift.functionals import endpoint_functionals, shannon_entropy
+from bift.functionals import shannon_entropy
 from bift.linalg import dagger, partial_trace, spectral_decompose
 from bift.scenarios import (
     bell_adiabatic_counterexample,
@@ -22,15 +22,15 @@ from bift.scenarios import (
     werner_delta_i_avg,
     werner_isothermal,
 )
-from bift.tables import (
-    augmented_forward,
-    factored_joint,
-    reverse_joint,
-    spectra_from_unitary,
-)
-from bift.theorems import classical_reduction_check, evaluate
+from bift.tables import augmented_forward, reverse_joint, spectra_from_unitary
+from bift.theorems import evaluate
 
-from conftest import random_classical_instance, remix_degenerate_blocks
+from conftest import (
+    dense_classical_reduction_check,
+    evaluate_scenario,
+    random_classical_instance,
+    remix_degenerate_blocks,
+)
 
 LN2 = math.log(2.0)
 TOL = 1e-10
@@ -42,7 +42,7 @@ def report_line(number, text):
 
 def test_criterion_1_werner_pure_quarter():
     start = time.perf_counter()
-    rep = werner_isothermal(1.0, beta=1.0).report
+    rep = evaluate_scenario(werner_isothermal(1.0, beta=1.0)).report
     elapsed = time.perf_counter() - start
     assert abs(rep.gamma_restricted - 0.25) < TOL
     assert abs(rep.integral_ft_lhs - 0.25) < TOL
@@ -54,7 +54,7 @@ def test_criterion_1_werner_pure_quarter():
 def test_criterion_2_werner_mixed_unity():
     worst = 0.0
     for p in np.arange(0.1, 0.95, 0.1):
-        rep = werner_isothermal(float(p)).report
+        rep = evaluate_scenario(werner_isothermal(float(p))).report
         worst = max(worst, abs(rep.gamma_restricted - 1.0),
                     abs(rep.integral_ft_lhs - 1.0))
     assert worst < TOL
@@ -64,7 +64,7 @@ def test_criterion_2_werner_mixed_unity():
 def test_criterion_3_reverse_average_unity():
     worst_avg, worst_eq = 0.0, 0.0
     for p in np.linspace(0.0, 1.0, 21):
-        rep = werner_isothermal(float(p)).report
+        rep = evaluate_scenario(werner_isothermal(float(p))).report
         worst_avg = max(worst_avg, abs(rep.reverse_avg_exp_di - 1.0))
         worst_eq = max(worst_eq, abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di))
     assert worst_avg < TOL
@@ -76,7 +76,7 @@ def test_criterion_3_reverse_average_unity():
 def test_criterion_4_entropy_balance_and_bounds():
     worst = {"balance": 0.0, "bq": 0.0, "ds": 0.0, "sat": 0.0, "slack7": 0.0}
     for p in np.linspace(0.0, 1.0, 21):
-        rep = werner_isothermal(float(p)).report
+        rep = evaluate_scenario(werner_isothermal(float(p))).report
         avg = rep.averages
         worst["balance"] = max(worst["balance"],
                                abs(avg.delta_s_a + avg.delta_s_b - avg.beta_q))
@@ -98,7 +98,7 @@ def test_criterion_4_entropy_balance_and_bounds():
 
 def test_criterion_5_bound_gap_curve():
     grid = np.linspace(0.0, 1.0, 101)
-    gaps = [werner_isothermal(float(p)).report.bound_gap for p in grid]
+    gaps = [evaluate_scenario(werner_isothermal(float(p))).report.bound_gap for p in grid]
     assert all(g >= -TOL for g in gaps)
     assert all(b - a >= -TOL for a, b in zip(gaps, gaps[1:]))
     assert abs(gaps[-1] - 2 * LN2) < TOL
@@ -109,7 +109,7 @@ def test_criterion_5_bound_gap_curve():
 def test_criterion_6_counterexample_grid():
     worst_di, worst_rev = 0.0, 0.0
     for p in np.linspace(0.045, 0.955, 21):
-        rep = bell_adiabatic_counterexample(float(p)).report
+        rep = evaluate_scenario(bell_adiabatic_counterexample(float(p))).report
         worst_di = max(worst_di, abs(rep.averages.delta_i
                                      - counterexample_delta_i_avg(float(p))))
         worst_rev = max(worst_rev, abs(rep.reverse_avg_exp_di
@@ -188,8 +188,7 @@ def test_criterion_8_classical_reduction():
         dims = [(2, 2, 2), (2, 3, 2), (3, 2, 2)][seed % 3]
         system = random_classical_instance(*dims, seed=seed)
         spectra = spectra_from_unitary(system)
-        residual, max_gap = classical_reduction_check(
-            spectra, factored_joint(spectra), endpoint_functionals(spectra))
+        residual, max_gap = dense_classical_reduction_check(spectra)
         worst_ft = max(worst_ft, residual)
         worst_gap = max(worst_gap, max_gap)
     assert worst_ft < TOL

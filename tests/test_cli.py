@@ -20,7 +20,7 @@ from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
 from bift.tables import augmented_forward, factored_joint
 
-from conftest import encode_complex_matrix
+from conftest import encode_complex_matrix, evaluate_scenario
 
 LN2 = math.log(2.0)
 
@@ -131,10 +131,10 @@ def test_golden_bytes(tmp_path, monkeypatch, case):
 # number must match them to 1e-14.
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECTRA = {
-    "werner-p0.37": lambda: werner_isothermal(0.37).analysis.spectra,
-    "counterexample-unitary": lambda: bell_adiabatic_counterexample(0.5).analysis.spectra,
+    "werner-p0.37": lambda: werner_isothermal(0.37).spectra,
+    "counterexample-unitary": lambda: bell_adiabatic_counterexample(0.5).spectra,
     "counterexample-analytic":
-        lambda: bell_adiabatic_counterexample(0.5, route="analytic").analysis.spectra,
+        lambda: bell_adiabatic_counterexample(0.5, route="analytic").spectra,
 }
 
 
@@ -293,7 +293,7 @@ class TestVerify:
     def test_factorization_threshold_is_trace_tolerance(self):
         # conditional rows summing to 1 + 1e-10: G times that excess
         # exceeds the default 1e-12, not an overridden 1e-9
-        analysis = werner_isothermal(0.5).analysis
+        analysis = evaluate_scenario(werner_isothermal(0.5))
         spectra = dataclasses.replace(analysis.spectra,
                                       cond_initial=analysis.spectra.cond_initial * (1 + 1e-10))
         bent = dataclasses.replace(analysis, spectra=spectra, joint=factored_joint(spectra))

@@ -122,7 +122,7 @@ class TestScalarFunctionals:
 
 class TestAverages:
     def test_average_of_one(self):
-        joint = werner_isothermal(0.4).analysis.joint
+        joint = factored_joint(werner_isothermal(0.4).spectra)
         assert joint.expectation(joint.forward) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
@@ -157,8 +157,8 @@ class TestAverages:
         assert averages.delta_j == pytest.approx(want, abs=1e-10)
 
     def test_zero_weight_tuples_contribute_nothing(self):
-        analysis = werner_isothermal(1.0).analysis
-        spectra, joint = analysis.spectra, analysis.joint
+        spectra = werner_isothermal(1.0).spectra
+        joint = factored_joint(spectra)
         # a functional that explodes off the support must not leak in
         weight_i = spectra.p_m[:, None, None] * spectra.cond_initial
         spiked = np.where(weight_i > 0.0, 1.0, 1e300)
@@ -167,7 +167,7 @@ class TestAverages:
         assert joint.expectation(joint.forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
 
     def test_restricted_vs_full_reverse_average(self):
-        joint = werner_isothermal(1.0).analysis.joint
+        joint = factored_joint(werner_isothermal(1.0).spectra)
         assert joint.restricted_mass() == pytest.approx(0.25)
         assert joint.expectation(joint.reverse) == pytest.approx(1.0)
 
@@ -177,7 +177,7 @@ class TestTupleFunctionals:
     dense eight-axis functionals of the test oracle."""
 
     def test_werner_fields(self):
-        spectra = werner_isothermal(0.5).analysis.spectra
+        spectra = werner_isothermal(0.5).spectra
         funcs = endpoint_functionals(spectra)
         # every trajectory drops both local surprisals by ln 2
         assert np.max(np.abs(np.subtract.outer(funcs.l_pa, funcs.l_pa_final) + LN2)) < 1e-12

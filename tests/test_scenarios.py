@@ -17,7 +17,7 @@ from bift.scenarios import (
 from bift.tables import augmented_forward, reverse_joint, spectra_from_unitary
 from bift.theorems import evaluate
 
-from conftest import random_classical_instance, werner_state
+from conftest import evaluate_scenario, random_classical_instance, werner_state
 
 LN2 = math.log(2.0)
 
@@ -25,7 +25,7 @@ LN2 = math.log(2.0)
 class TestWernerScenario:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_forward_table_matches_listing(self, p):
-        fwd = augmented_forward(werner_isothermal(p).analysis.spectra)
+        fwd = augmented_forward(werner_isothermal(p).spectra)
         top = (1 + 3 * p) / 8
         rest = (1 - p) / 8
         want = {
@@ -44,7 +44,7 @@ class TestWernerScenario:
         assert np.max(fwd.table[mask]) == 0.0
 
     def test_reverse_table_eight_eighths(self):
-        spectra = werner_isothermal(0.4).analysis.spectra
+        spectra = werner_isothermal(0.4).spectra
         rev = reverse_joint(spectra)
         nz = np.argwhere(rev.table > 0.0)
         assert len(nz) == 8
@@ -52,12 +52,13 @@ class TestWernerScenario:
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_reference_values_reproduced(self, p):
-        result = werner_isothermal(p)
-        for key, want in result.reference.items():
-            assert report_value(result.report, key) == pytest.approx(want, abs=1e-10), key
+        scenario = werner_isothermal(p)
+        report = evaluate_scenario(scenario).report
+        for key, want in scenario.reference.items():
+            assert report_value(report, key) == pytest.approx(want, abs=1e-10), key
 
     def test_report_value_keys(self):
-        rep = werner_isothermal(0.5).report
+        rep = evaluate_scenario(werner_isothermal(0.5)).report
         assert report_value(rep, "ln_gamma") == rep.ln_gamma
         assert report_value(rep, "delta_j_avg") == rep.averages.delta_j
         assert report_value(rep, "work_bound_info_gamma_slack") == \
@@ -90,8 +91,8 @@ class TestWernerScenario:
             werner_isothermal(0.5, beta=0.0)
 
     def test_beta_scales_work_bounds_only(self):
-        r1 = werner_isothermal(0.5, beta=1.0).report
-        r2 = werner_isothermal(0.5, beta=2.0).report
+        r1 = evaluate_scenario(werner_isothermal(0.5, beta=1.0)).report
+        r2 = evaluate_scenario(werner_isothermal(0.5, beta=2.0)).report
         assert r1.averages.beta_q == pytest.approx(r2.averages.beta_q)
         assert r1.bound("work_bound_reverse_info").slack == pytest.approx(0.0, abs=1e-12)
         assert r2.bound("work_bound_reverse_info").slack == pytest.approx(0.0, abs=1e-12)
@@ -100,7 +101,7 @@ class TestWernerScenario:
 class TestCounterexampleScenario:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_closed_forms_via_engine(self, p):
-        rep = bell_adiabatic_counterexample(p).report
+        rep = evaluate_scenario(bell_adiabatic_counterexample(p)).report
         assert rep.averages.delta_i == pytest.approx(
             counterexample_delta_i_avg(p), abs=1e-10)
         assert rep.reverse_avg_exp_di == pytest.approx(
@@ -108,15 +109,15 @@ class TestCounterexampleScenario:
         assert rep.gamma_restricted == pytest.approx(1.0, abs=1e-10)
 
     def test_frozen_midpoint_values(self):
-        rep = bell_adiabatic_counterexample(0.5).report
+        rep = evaluate_scenario(bell_adiabatic_counterexample(0.5)).report
         # 1.5 ln 1.5 + 0.5 ln 0.5 and 1.25/1.125, evaluated once and frozen
         assert rep.averages.delta_i == pytest.approx(0.26162407188227393, abs=1e-12)
         assert rep.reverse_avg_exp_di == pytest.approx(10.0 / 9.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.05, 0.35, 0.65, 0.95])
     def test_routes_agree(self, p):
-        unitary = bell_adiabatic_counterexample(p, route="unitary").report
-        analytic = bell_adiabatic_counterexample(p, route="analytic").report
+        unitary = evaluate_scenario(bell_adiabatic_counterexample(p, route="unitary")).report
+        analytic = evaluate_scenario(bell_adiabatic_counterexample(p, route="analytic")).report
         assert unitary.averages.delta_i == pytest.approx(
             analytic.averages.delta_i, abs=1e-10)
         assert unitary.reverse_avg_exp_di == pytest.approx(
@@ -128,7 +129,7 @@ class TestCounterexampleScenario:
 
     def test_ordering_strict_inside_interval(self):
         for p in np.linspace(0.05, 0.95, 19):
-            rep = bell_adiabatic_counterexample(float(p)).report
+            rep = evaluate_scenario(bell_adiabatic_counterexample(float(p))).report
             assert -math.log(rep.reverse_avg_exp_di) < rep.averages.delta_i
 
     def test_limits_vanish(self):
@@ -146,7 +147,7 @@ class TestCounterexampleScenario:
 class TestSweepShape:
     def test_bound_gap_monotone_on_grid(self):
         grid = np.linspace(0.0, 1.0, 101)
-        gaps = [werner_isothermal(float(p)).report.bound_gap for p in grid]
+        gaps = [evaluate_scenario(werner_isothermal(float(p))).report.bound_gap for p in grid]
         assert gaps[0] == pytest.approx(0.0, abs=1e-12)
         assert all(g >= -1e-12 for g in gaps)
         assert all(b - a >= -1e-10 for a, b in zip(gaps, gaps[1:]))

@@ -315,8 +315,8 @@ class TestGuardsAndOverrides:
 
 class TestCounterexampleTables:
     def test_routes_share_global_marginals(self):
-        a = augmented_forward(bell_adiabatic_counterexample(0.4, route="unitary").analysis.spectra)
-        b = augmented_forward(bell_adiabatic_counterexample(0.4, route="analytic").analysis.spectra)
+        a = augmented_forward(bell_adiabatic_counterexample(0.4, route="unitary").spectra)
+        b = augmented_forward(bell_adiabatic_counterexample(0.4, route="analytic").spectra)
         # per-tuple tables differ by the degenerate-block gauge, but the
         # endpoint marginals must agree
         for drop in ((1, 2, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7), (0, 1, 2, 3, 6, 7)):
@@ -325,7 +325,7 @@ class TestCounterexampleTables:
             assert np.max(np.abs(np.sort(ga.ravel()) - np.sort(gb.ravel()))) < 1e-10
 
     def test_unitary_route_uses_bell_image(self):
-        a = bell_adiabatic_counterexample(0.4, route="unitary").analysis
+        a = bell_adiabatic_counterexample(0.4, route="unitary")
         # final local states are maximally mixed
         assert np.max(np.abs(a.spectra.p_a_final - 0.5)) < 1e-12
         assert np.max(np.abs(a.spectra.p_b_final - 0.5)) < 1e-12

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bift.cli import invariant_checks
-from bift.errors import NotApplicable
-from bift.functionals import EndpointFunctionals, endpoint_functionals
+from bift.functionals import EndpointFunctionals
 from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
@@ -30,7 +29,6 @@ from bift.tables import (
 )
 from bift.theorems import (
     _supports,
-    classical_reduction_check,
     corrupt_reverse,
     detailed_ft_check,
     evaluate,
@@ -45,6 +43,7 @@ from conftest import (
     dense_support,
     dense_tables,
     dense_tuple_functionals,
+    evaluate_scenario,
     random_classical_instance,
     remix_degenerate_blocks,
     werner_state,
@@ -73,7 +72,7 @@ def ar_permutation_unitary(d_a, d_b, d_r, rng):
 
 class TestDetailedFT:
     def test_werner_pure_trajectory_ratio(self):
-        analysis = werner_isothermal(1.0).analysis
+        analysis = evaluate_scenario(werner_isothermal(1.0))
         idx = (0, 0, 0, 0, 0, 0, 0, 0)
         forward, reverse = dense_tables(analysis.spectra)
         p_fwd = forward.table[idx]
@@ -117,8 +116,9 @@ class TestDetailedFT:
 
 class TestIntegralFT:
     def test_werner_values(self):
-        assert werner_isothermal(1.0).report.integral_ft_lhs == pytest.approx(0.25, abs=1e-12)
-        assert werner_isothermal(0.5).report.integral_ft_lhs == pytest.approx(1.0, abs=1e-12)
+        for p, want in ((1.0, 0.25), (0.5, 1.0)):
+            rep = evaluate_scenario(werner_isothermal(p)).report
+            assert rep.integral_ft_lhs == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 5, 12])
     def test_full_rank_gives_unity(self, seed):
@@ -140,7 +140,7 @@ class TestIntegralFT:
 
 class TestReverseAveragedFT:
     def test_werner_pure_expansion(self):
-        analysis = werner_isothermal(1.0).analysis
+        analysis = evaluate_scenario(werner_isothermal(1.0))
         lhs, rhs = reverse_averaged_ft(analysis.joint, analysis.functionals)
         # two restricted reverse trajectories of mass 1/8, each with
         # exp(-dI) = exp(2 ln 2) = 4
@@ -149,7 +149,7 @@ class TestReverseAveragedFT:
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_werner_mixed_unity(self, p):
-        rep = werner_isothermal(p).report
+        rep = evaluate_scenario(werner_isothermal(p)).report
         assert rep.reverse_avg_exp_di == pytest.approx(1.0, abs=1e-12)
         assert rep.reverse_ft_lhs == pytest.approx(1.0, abs=1e-12)
 
@@ -169,28 +169,28 @@ class TestReverseAveragedFT:
 
 class TestBounds:
     def test_werner_pure_saturates_both(self):
-        rep = werner_isothermal(1.0).report
+        rep = evaluate_scenario(werner_isothermal(1.0)).report
         avg = rep.averages
         assert avg.delta_s_a + avg.delta_s_b - avg.beta_q == pytest.approx(0.0, abs=1e-12)
         assert rep.bound("heat_bound_info_gamma").slack == pytest.approx(0.0, abs=1e-10)
         assert rep.bound("heat_bound_reverse_info").slack == pytest.approx(0.0, abs=1e-10)
 
     def test_werner_mixed_reverse_tighter(self):
-        rep = werner_isothermal(0.5).report
+        rep = evaluate_scenario(werner_isothermal(0.5)).report
         assert rep.bound("heat_bound_reverse_info").slack == pytest.approx(0.0, abs=1e-10)
         assert rep.bound("heat_bound_info_gamma").slack == pytest.approx(
             -rep.averages.delta_i, abs=1e-10)
         assert rep.bound_gap > 0.0
 
     def test_counterexample_reverses_ordering(self):
-        rep = bell_adiabatic_counterexample(0.5).report
+        rep = evaluate_scenario(bell_adiabatic_counterexample(0.5)).report
         # here the reverse-averaged bound is weaker than the plain one
         assert rep.bound_gap < 0.0
         assert -math.log(rep.reverse_avg_exp_di) < rep.averages.delta_i
 
     def test_plain_bound_implied_by_gamma_form(self):
         for p in (0.3, 1.0):
-            rep = werner_isothermal(p).report
+            rep = evaluate_scenario(werner_isothermal(p)).report
             plain = rep.bound("heat_bound_info_plain")
             gamma_form = rep.bound("heat_bound_info_gamma")
             assert plain.applicable and plain.satisfied
@@ -203,7 +203,7 @@ class TestBounds:
             assert rep.bound("heat_bound_reverse_info").slack >= -1e-10
 
     def test_work_bounds_on_werner(self):
-        rep = werner_isothermal(1.0).report
+        rep = evaluate_scenario(werner_isothermal(1.0)).report
         wa = rep.bound("work_bound_info_gamma")
         wb = rep.bound("work_bound_reverse_info")
         assert wa.applicable and wb.applicable
@@ -211,12 +211,12 @@ class TestBounds:
         assert wb.slack == pytest.approx(0.0, abs=1e-10)
 
     def test_work_bounds_absent_without_inputs(self):
-        rep = bell_adiabatic_counterexample(0.5).report
+        rep = evaluate_scenario(bell_adiabatic_counterexample(0.5)).report
         assert rep.bound("work_bound_info_gamma").applicable is False
         assert rep.bound("work_bound_info_gamma").satisfied is None
 
     def test_erasure_bounds_marked_inapplicable_on_werner(self):
-        rep = werner_isothermal(0.5).report
+        rep = evaluate_scenario(werner_isothermal(0.5)).report
         for name in ("erasure_bound_classical", "erasure_bound_info_gamma",
                      "erasure_bound_reverse_info"):
             rec = rep.bound(name)
@@ -244,7 +244,7 @@ class TestBounds:
         # the isothermal Werner process has ds_A + ds_B - beta Q == 0 on
         # every trajectory while dI genuinely fluctuates between
         # -ln(1+3p) and -ln(1-p); the reverse-info bound must saturate
-        analysis = werner_isothermal(0.5).analysis
+        analysis = evaluate_scenario(werner_isothermal(0.5))
         traj = dense_tuple_functionals(analysis.spectra)
         forward = augmented_forward(analysis.spectra)
         shape = forward.table.shape
@@ -266,30 +266,29 @@ class TestBounds:
 
 
 class TestClassicalReduction:
+    """The classical reduction on the dense oracle
+    (``conftest.dense_classical_reduction_check``) and the report's
+    ``classical_ft`` record."""
+
     @pytest.mark.parametrize("seed", [0, 9, 27])
     def test_holds_on_diagonal_instances(self, seed):
         spectra = spectra_from_unitary(random_classical_instance(2, 3, 2, seed))
-        residual, max_gap = classical_reduction_check(
-            spectra, factored_joint(spectra), endpoint_functionals(spectra))
+        residual, max_gap = dense_classical_reduction_check(spectra)
         assert residual < 1e-10
         assert max_gap < 1e-12
-        fwd, rev = dense_tables(spectra)
-        dense = dense_classical_reduction_check(spectra, fwd, rev,
-                                                dense_tuple_functionals(spectra))
-        assert residual == pytest.approx(dense[0], abs=1e-13)
-        assert max_gap == pytest.approx(dense[1], abs=1e-13)
+        rec = evaluate(spectra).report.bound("classical_ft")
+        assert rec.slack == pytest.approx(-residual, abs=1e-13)
 
     def test_not_applicable_for_entangled_eigenbasis(self):
-        analysis = werner_isothermal(0.5).analysis
-        with pytest.raises(NotApplicable):
-            classical_reduction_check(analysis.spectra, analysis.joint, analysis.functionals)
-        rec = analysis.report.bound("classical_ft")
+        scenario = werner_isothermal(0.5)
+        assert dense_classical_reduction_check(scenario.spectra) is None
+        rec = evaluate_scenario(scenario).report.bound("classical_ft")
         assert rec.applicable is False
 
     def test_not_applicable_for_counterexample_final_basis(self):
-        analysis = bell_adiabatic_counterexample(0.5, route="analytic").analysis
-        with pytest.raises(NotApplicable):
-            classical_reduction_check(analysis.spectra, analysis.joint, analysis.functionals)
+        scenario = bell_adiabatic_counterexample(0.5, route="analytic")
+        assert dense_classical_reduction_check(scenario.spectra) is None
+        assert evaluate_scenario(scenario).report.bound("classical_ft").applicable is False
 
     def test_report_record_when_applicable(self):
         rep = analyze(random_classical_instance(2, 2, 2, 4)).report
@@ -303,8 +302,7 @@ class TestClassicalReduction:
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0,), 1.0),
                                np.eye(4, dtype=complex))
         analysis = analyze(system)
-        residual, max_gap = classical_reduction_check(
-            analysis.spectra, analysis.joint, analysis.functionals)
+        residual, max_gap = dense_classical_reduction_check(analysis.spectra)
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-12)
         assert residual < 1e-12
         assert max_gap < 1e-12
@@ -339,12 +337,12 @@ class TestEdgesAndControls:
         # differs from the support-restricted one used in the relations:
         # the six trajectories outside the support each contribute
         # (1/8) exp(0) on top of the restricted 2 x (1/8) exp(2 ln 2)
-        rep = werner_isothermal(1.0).report
+        rep = evaluate_scenario(werner_isothermal(1.0)).report
         assert rep.reverse_avg_exp_di == pytest.approx(1.0, abs=1e-12)
         assert rep.reverse_avg_exp_di_full == pytest.approx(1.75, abs=1e-12)
 
     def test_corrupted_reverse_breaks_detailed(self):
-        analysis = werner_isothermal(0.8).analysis
+        analysis = evaluate_scenario(werner_isothermal(0.8))
         bad = corrupt_reverse(analysis.joint)
         resid, worst = detailed_ft_check(bad, analysis.functionals)
         assert resid > 1e-3
@@ -353,7 +351,7 @@ class TestEdgesAndControls:
     def test_werner_pure_corruption_lands_in_support(self):
         # the (0, 0, 0, 0) block is the only forward block at p = 1, and the
         # largest reverse entry (the first in C order) is that block
-        joint = werner_isothermal(1.0).analysis.joint
+        joint = factored_joint(werner_isothermal(1.0).spectra)
         assert np.argwhere(joint.forward > 0.0).tolist() == [[0, 0, 0, 0]]
         bad = corrupt_reverse(joint)
         assert np.argwhere(bad.reverse != joint.reverse).tolist() == [[0, 0, 0, 0]]
@@ -362,15 +360,14 @@ class TestEdgesAndControls:
         assert bad.restricted_mass() == pytest.approx(0.375)
 
     def test_corruption_flag_threads_through_evaluate(self):
-        clean = werner_isothermal(0.8).analysis
-        bad = evaluate(clean.spectra, _reverse_corruption=1.5)
+        bad = evaluate(werner_isothermal(0.8).spectra, _reverse_corruption=1.5)
         assert bad.report.detailed_max_residual > 1e-3
 
     def test_empty_support_overlap_reports_sentinel(self):
         # artificial kernels whose reversed flow never returns to the
         # forward support: the factor is 0, its log the -inf sentinel,
         # and the log-based bounds are flagged vacuous
-        base = werner_isothermal(1.0).analysis.spectra   # p_m = p_m_final = (1, 0, 0, 0)
+        base = werner_isothermal(1.0).spectra   # p_m = p_m_final = (1, 0, 0, 0)
         rkernel = np.zeros((4, 1, 4, 1))
         rkernel[3, 0, :, 0] = 1.0     # reverse flow lands on the empty level
         system = dataclasses.replace(
@@ -459,7 +456,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_werner(self, p):
-        analysis = assert_matches_dense_oracle(werner_isothermal(p).analysis.spectra)
+        analysis = assert_matches_dense_oracle(werner_isothermal(p).spectra)
         forward = augmented_forward(analysis.spectra)
         assert np.array_equal(per_factor_support(analysis.joint), dense_support(forward))
 
@@ -500,7 +497,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("route", ["unitary", "analytic"])
     def test_counterexample(self, route):
-        assert_matches_dense_oracle(bell_adiabatic_counterexample(0.5, route).analysis.spectra)
+        assert_matches_dense_oracle(bell_adiabatic_counterexample(0.5, route).spectra)
 
     def test_rank_deficient_gamma_below_one(self):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, 1, rank_deficient=True))
@@ -515,10 +512,10 @@ class TestDenseOracle:
 
 
 class TestFactoredExtremes:
-    """The block-extremes shortcuts of the detailed check and the
-    classical gap against a brute-force pass over all eight axes, on
-    arbitrary factored inputs whose factors depend on the local labels
-    (the physical ones cancel them up to rounding) and that tie often."""
+    """The block-extremes shortcut of the detailed check against a
+    brute-force pass over all eight axes, on arbitrary factored inputs
+    whose factors depend on the local labels (the physical ones cancel
+    them up to rounding) and that tie often."""
 
     @staticmethod
     def pieces(seed, d_m=4, d_a=2, d_b=2, d_r=2):
@@ -562,16 +559,3 @@ class TestFactoredExtremes:
         every = np.where(per_factor_support(joint), every, -1.0)
         assert resid == every.max()
         assert worst == tuple(int(i) for i in np.unravel_index(np.argmax(every), every.shape))
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_classical_gap_matches_brute_force(self, seed):
-        joint, funcs = self.pieces(seed)
-        spectra = spectra_from_unitary(random_classical_instance(2, 2, 2, seed))
-        _, gap = classical_reduction_check(spectra, joint, funcs)
-        d_i = funcs.info_initial - funcs.classical_initial[None]
-        d_f = funcs.info_final - funcs.classical_final[None]
-        every = np.abs(d_f[None, None, None, :, :, :, None, None]
-                       - d_i[:, :, :, None, None, None, None, None])
-        every = np.broadcast_to(every, per_factor_support(joint).shape)
-        assert gap == every[per_factor_support(joint)].max()
