@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bift.cli
 import bift.tables
@@ -535,6 +536,18 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+# Floats where the report format has a special case: non-finite tokens,
+# signed zeros, subnormals, and the magnitudes near 1e-5 and 1e15 where
+# 15-digit ``g`` formatting switches to exponent notation.
+REPORT_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                     1e-5, 9.99999999999999e-5, 1e-4, 1e15, 999999999999999.0, 1e16]),
+    *(st.floats(min_value=lo, max_value=hi) | st.floats(min_value=-hi, max_value=-lo)
+      for lo, hi in ((1e-6, 1e-4), (1e14, 1e16))),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
 class TestReportIO:
     def test_float_format(self):
         assert reportio.format_float(0.25) == "0.25"
@@ -559,6 +572,15 @@ class TestReportIO:
             reportio.MAX_GRID_POINTS
         with pytest.raises(DomainError):
             reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS + 1}")
+
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=8,
+                                                       min_side=0, max_side=2),
+                          elements=REPORT_FLOATS))
+    @example(arr=np.zeros((2, 0, 3)))
+    @example(arr=np.array([[-0.0, 5e-324], [1e-5, 1e15]]))
+    @settings(max_examples=200, deadline=None)
+    def test_array_emits_like_its_list(self, arr):
+        assert reportio.dumps({"t": arr}) == reportio.dumps({"t": arr.tolist()})
 
 
 # Config fuzz: values of every JSON kind under the keys the front-end reads.
