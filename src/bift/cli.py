@@ -137,8 +137,9 @@ def validate_config(cfg: dict, command: str) -> dict:
     """Reject malformed values where the config enters, so that a bad
     input exits 2 with a message instead of failing inside the numerics.
     Checks every key read later but ``p`` (see :func:`p_values`) and the
-    scenario name and route, which their builders check, and that the
-    command and the named system read every key given."""
+    scenario name and route, which their builders check, that the command
+    and the named system read every key given, and that a sweep names a
+    system with a ``p``."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys {sorted(unknown)}")
@@ -151,6 +152,9 @@ def validate_config(cfg: dict, command: str) -> dict:
         where, reads = f"the {scenario} scenario", {"scenario", *SCENARIO_KEYS[scenario]}
     else:                       # build_analysis reports the scenario
         where, reads = "", CONFIG_KEYS
+    if command == "sweep" and "p" not in reads:
+        raise DomainError("sweep: only the werner and counterexample scenarios can be "
+                          f"swept, not {where}")
     stray = set(cfg) - reads - {"tolerance", "emit_tuples"}
     if stray:
         raise DomainError(f"config keys {sorted(stray)} do not apply to {where}")
@@ -356,8 +360,8 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
         doc["tables"] = {
             "axes": ["m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final"],
             "dims": list(forward.dims),
-            "forward": forward.table.tolist(),
-            "reverse": reverse.table.tolist(),
+            "forward": forward.table,
+            "reverse": reverse.table,
         }
     return doc
 

@@ -5,7 +5,8 @@ complex entries as two-element [real, imaginary] pairs.  Reports are
 emitted by a small fixed-format serializer (keys in insertion order,
 floats printed with 15 significant digits, infinities as +/-Infinity
 tokens) so that re-running the same config reproduces the report byte
-for byte; only the config hash sorts keys.
+for byte; only the config hash sorts keys.  A non-empty float64 array is
+emitted straight from its entries, in the same bytes as its nested list.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size:
+            out.append(_float_array_text(obj, level))
+            return
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
             out.append("[]")
@@ -83,6 +87,31 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
         out.append(closing + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_array_text(arr: np.ndarray, level: int) -> str:
+    """The text the list branch of :func:`_emit` gives ``arr.tolist()``,
+    built from the entries in one pass instead of one call per number."""
+    flat = (arr + 0.0).ravel().tolist()     # + 0.0 turns -0.0 into 0.0, printed "0"
+    if np.isfinite(arr).all():
+        text = [format(x, ".15g") for x in flat]
+    else:
+        text = [format_float(x) for x in flat]
+    ndim = arr.ndim
+    opens = ["[\n" + "  " * (level + axis + 1) for axis in range(ndim)]
+    closes = ["\n" + "  " * (level + axis) + "]" for axis in reversed(range(ndim))]
+    # seps[d] follows an entry after which the d innermost lists end: it
+    # closes them, separates the items of the list around them and opens
+    # as many again.  depth[i] is that d for entry i.
+    seps = ["".join(closes[:d]) + ",\n" + "  " * (level + ndim - d) + "".join(opens[ndim - d:])
+            for d in range(ndim)]
+    depth = np.zeros(arr.size - 1, dtype=np.intp)
+    for size in np.cumprod(arr.shape[:0:-1]):      # entries in a list along each inner axis
+        depth[size - 1::size] += 1
+    pieces = [""] * (2 * arr.size - 1)
+    pieces[0::2] = text
+    pieces[1::2] = [seps[d] for d in depth.tolist()]
+    return "".join(opens) + "".join(pieces) + "".join(closes)
 
 
 def config_hash(config: dict) -> str:

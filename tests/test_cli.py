@@ -19,7 +19,7 @@ from bift.cli import invariant_checks, main
 from bift.errors import DomainError
 from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
-from bift.tables import augmented_forward, factored_joint
+from bift.tables import augmented_forward, factored_joint, reverse_joint, spectra_from_unitary
 
 from conftest import encode_complex_matrix, evaluate_scenario
 
@@ -71,6 +71,20 @@ class TestRun:
         table = np.asarray(doc["tables"]["forward"])
         assert table.shape == (4, 2, 2, 4, 2, 2, 1, 1)
         assert table.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_emit_tuples_both_tables(self, tmp_path):
+        """R > 1 and d_A != d_B: each emitted table has the eight axes in
+        order and holds the table it was built from."""
+        code, text = run_cli(tmp_path, "run", "--scenario", "random", "--dims", "2,3,2",
+                             "--seed", "7", "--emit-tuples")
+        assert code == 0
+        tables = json.loads(text)["tables"]
+        spectra = spectra_from_unitary(random_instance(2, 3, 2, 7), tol=DEFAULT_TOL)
+        for key, build in (("forward", augmented_forward), ("reverse", reverse_joint)):
+            table = np.asarray(tables[key])
+            assert table.shape == (6, 2, 3, 6, 2, 3, 2, 2)
+            assert table.sum() == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose(table, build(spectra).table, rtol=1e-14, atol=0)
 
     def test_emit_tuples_config_key(self, tmp_path):
         path = tmp_path / "config.json"
@@ -514,6 +528,18 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, config", [
+        (("sweep", "--scenario", "random"), None),
+        (("sweep", "--config", "config.json"), {"system": ONE_LEVEL_SYSTEM}),
+    ])
+    def test_sweep_needs_p(self, tmp_path, monkeypatch, capsys, argv, config):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(list(argv)) == 2
+        assert "only the werner and counterexample scenarios can be swept" \
+            in capsys.readouterr().err
 
     def test_size_guard_before_drawing(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
