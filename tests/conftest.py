@@ -117,6 +117,25 @@ def werner_spectra(p: float = 0.5, **fields):
     return dataclasses.replace(werner_isothermal(p).spectra, **fields)
 
 
+ENDPOINT_FIELDS = {
+    "initial": {"p_m": "p_m", "p_a": "p_a", "p_b": "p_b", "cond": "cond_initial"},
+    "final": {"p_m": "p_m_final", "p_a": "p_a_final", "p_b": "p_b_final",
+              "cond": "cond_final"},
+}
+
+
+def endpoint_field(spectra, side: str, name: str) -> np.ndarray:
+    """Field ``name`` (p_m, p_a, p_b or cond) of one endpoint of ``spectra``."""
+    return getattr(spectra, ENDPOINT_FIELDS[side][name])
+
+
+def replace_endpoint(spectra, side: str, **fields):
+    """``spectra`` with ``fields`` (p_m, p_a, p_b, cond) of one endpoint,
+    "initial" or "final", swapped in (not re-validated)."""
+    return dataclasses.replace(
+        spectra, **{ENDPOINT_FIELDS[side][k]: v for k, v in fields.items()})
+
+
 def oracle_forward_table(spectra) -> np.ndarray:
     """Eight nested loops: kernel * p_m * p_r * both conditionals."""
     d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r

@@ -34,9 +34,11 @@ from bift.tables import (
 )
 
 from conftest import (
+    endpoint_field,
     oracle_forward_table,
     oracle_reverse_table,
     remix_degenerate_blocks,
+    replace_endpoint,
     werner_spectra,
 )
 
@@ -64,11 +66,13 @@ class TestConditionalLocal:
         cond = conditional_table(haar_unitary(6, rng), np.eye(2), np.eye(3))
         assert np.max(np.abs(cond.sum(axis=(1, 2)) - 1.0)) < 1e-12
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("side", ["initial", "final"])
+    def test_dimension_mismatch(self, side):
         # an injected conditional table whose global dimension is not A x B
         s = werner_spectra()
         with pytest.raises(DimensionError):
-            spectra_from_analytic(dataclasses.replace(s, cond_initial=s.cond_initial[:3]))
+            spectra_from_analytic(
+                replace_endpoint(s, side, cond=endpoint_field(s, side, "cond")[:3]))
 
 
 class TestGlobalTmpJoint:
@@ -260,6 +264,39 @@ class TestAnalyticValidation:
         spectra_from_analytic(near)
         with pytest.raises(ConsistencyError):
             spectra_from_analytic(near, Tolerances(equality=1e-12))
+
+    @pytest.mark.parametrize("side", ["initial", "final"])
+    @pytest.mark.parametrize("name", ["p_m", "p_a", "p_b"])
+    def test_probabilities_must_sum_to_one(self, side, name):
+        s = werner_spectra()
+        bad = replace_endpoint(s, side, **{name: endpoint_field(s, side, name) * 1.01})
+        with pytest.raises(ConsistencyError, match="sums to"):
+            spectra_from_analytic(bad)
+
+    @pytest.mark.parametrize("side", ["initial", "final"])
+    @pytest.mark.parametrize("name", ["p_m", "p_a", "p_b"])
+    def test_probabilities_must_be_nonnegative(self, side, name):
+        # same sum, the second entry moved to -0.25
+        s = werner_spectra()
+        p = endpoint_field(s, side, name).copy()
+        p[0], p[1] = p[0] + p[1] + 0.25, -0.25
+        bad = replace_endpoint(s, side, **{name: p})
+        with pytest.raises(ConsistencyError, match="negative entries"):
+            spectra_from_analytic(bad)
+
+    @pytest.mark.parametrize("side", ["initial", "final"])
+    def test_conditional_rows_must_sum_to_one(self, side):
+        s = werner_spectra()
+        bad = replace_endpoint(s, side, cond=endpoint_field(s, side, "cond") * 1.01)
+        with pytest.raises(ConsistencyError, match="rows do not sum to 1"):
+            spectra_from_analytic(bad)
+
+    @pytest.mark.parametrize("side", ["initial", "final"])
+    def test_conditional_shape(self, side):
+        s = werner_spectra()
+        cond = endpoint_field(s, side, "cond")
+        with pytest.raises(DimensionError):
+            spectra_from_analytic(replace_endpoint(s, side, cond=cond[:, :, :1]))
 
     def test_dim_r_must_match_p_r(self):
         with pytest.raises(DimensionError):
