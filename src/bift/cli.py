@@ -136,10 +136,10 @@ def _dims(value, name: str) -> None:
 def validate_config(cfg: dict, command: str) -> dict:
     """Reject malformed values where the config enters, so that a bad
     input exits 2 with a message instead of failing inside the numerics.
-    Checks every key read later but ``p`` (see :func:`p_values`) and the
-    scenario name and route, which their builders check, that the command
-    and the named system read every key given, and that a sweep names a
-    system with a ``p``."""
+    Checks the scenario name, every key read later but ``p`` (see
+    :func:`p_values`) and the route, which their builders check, that
+    the command and the named system read every key given, and that a
+    sweep names a system with a ``p``."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys {sorted(unknown)}")
@@ -150,8 +150,9 @@ def validate_config(cfg: dict, command: str) -> dict:
         where, reads = "an explicit system", {"system"}
     elif isinstance(scenario, str) and scenario in SCENARIO_KEYS:
         where, reads = f"the {scenario} scenario", {"scenario", *SCENARIO_KEYS[scenario]}
-    else:                       # build_analysis reports the scenario
-        where, reads = "", CONFIG_KEYS
+    else:
+        raise DomainError(f"scenario: unknown or missing (got {scenario!r}); "
+                          "expected werner, counterexample, random, or an explicit system")
     if command == "sweep" and "p" not in reads:
         raise DomainError("sweep: only the werner and counterexample scenarios can be "
                           f"swept, not {where}")
@@ -259,7 +260,7 @@ def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
         reference = {} if rank_deficient else {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
         scenario = Scenario("random", {"seed": seed, "dims": list(dims), "beta": beta},
                             spectra_from_unitary(system, tol=tol), reference)
-    elif name in ("werner", "counterexample"):
+    else:                       # werner or counterexample (see validate_config)
         if p is None:
             values = p_values(cfg)
             if len(values) != 1:
@@ -269,9 +270,6 @@ def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
             scenario = werner_isothermal(p, float(cfg.get("beta", 1.0)), tol=tol)
         else:
             scenario = bell_adiabatic_counterexample(p, cfg.get("route", "unitary"), tol=tol)
-    else:
-        raise DomainError(f"scenario: unknown or missing (got {name!r}); "
-                          "expected werner, counterexample, random, or an explicit system")
     return scenario, evaluate(scenario.spectra, scenario.work, tol,
                               _reverse_corruption=corruption)
 
