@@ -300,6 +300,7 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     """Structural identities re-derived from the ingredient bundle, on
     the factored tables."""
     s = analysis.spectra
+    init = s.initial
     joint = analysis.joint
     checks = []
 
@@ -308,8 +309,8 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
         checks.append(Check.within(name, abs(joint.expectation(table) - 1.0), tol.equality))
 
     # Summing the local labels out of the augmented table returns G.
-    sum_i = s.cond_initial.sum(axis=(1, 2))
-    sum_f = s.cond_final.sum(axis=(1, 2))
+    sum_i = init.cond.sum(axis=(1, 2))
+    sum_f = s.final.cond.sum(axis=(1, 2))
     fact = float(np.max(np.abs(
         joint.forward * (sum_i[:, None, None, None] * sum_f[None, :, None, None] - 1.0))))
     checks.append(Check.within("forward_factorization", fact, tol.trace))
@@ -317,17 +318,17 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     # Forward marginal over (m, a, b, r): the conditional weight times the
     # final-side sum of G.
     w_mr = np.einsum("mnrs,n->mr", joint.forward, sum_f)
-    got = s.cond_initial[:, :, :, None] * w_mr[:, None, None, :]
-    want = (s.cond_initial[:, :, :, None]
-            * s.p_m[:, None, None, None] * s.p_r[None, None, None, :])
+    got = init.cond[:, :, :, None] * w_mr[:, None, None, :]
+    want = (init.cond[:, :, :, None]
+            * init.p_m[:, None, None, None] * s.p_r[None, None, None, :])
     checks.append(Check.within("initial_marginal_identity",
                                float(np.max(np.abs(got - want))), tol.equality))
     checks.append(Check.within("local_marginal_identity",
-                               float(np.max(np.abs(got.sum(axis=(0, 2, 3)) - s.p_a))),
+                               float(np.max(np.abs(got.sum(axis=(0, 2, 3)) - init.p_a))),
                                tol.equality))
 
-    avg_info = joint.expectation(joint.forward, initial=analysis.functionals.info_initial)
-    qmi = shannon_entropy(s.p_a) + shannon_entropy(s.p_b) - shannon_entropy(s.p_m)
+    avg_info = joint.expectation(joint.forward, initial=analysis.functionals.initial.info)
+    qmi = shannon_entropy(init.p_a) + shannon_entropy(init.p_b) - shannon_entropy(init.p_m)
     checks.append(Check.within("info_avg_is_mutual_information", abs(avg_info - qmi),
                                tol.equality))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerances
-from .tables import SystemSpectra, _above_cutoff
+from .tables import Endpoint, SystemSpectra, _above_cutoff
 
 
 def _or_one(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -45,84 +45,86 @@ def shannon_entropy(probabilities) -> float:
 
 
 @dataclass(frozen=True)
+class EndpointTables:
+    """The functional tables of one endpoint (see
+    :class:`EndpointFunctionals`)."""
+
+    l_pa: np.ndarray                  # [a] = ln p_a
+    l_pb: np.ndarray                  # [b]
+    info: np.ndarray                  # [m, a, b]
+    classical: np.ndarray             # [a, b]
+    local: np.ndarray                 # [a, b] = p_a p_b
+    info_ratio: np.ndarray            # [m, a, b] = p_m / (p_a p_b)
+    classical_ratio: np.ndarray       # [a, b] = p_ab / (p_a p_b)
+
+
+@dataclass(frozen=True)
 class EndpointFunctionals:
-    """Every per-trajectory functional, split by endpoint.  On the tuple
+    """Every per-trajectory functional, split by endpoint.  With
+    i = ``initial`` and f = ``final``, on the tuple
     (m, a, b, m', a', b', r, r'):
 
-        ds_A   = l_pa[a] - l_pa_final[a']          (ds_B likewise)
-        dI     = info_final[m', a', b'] - info_initial[m, a, b]
-        dJ     = classical_final[a', b'] - classical_initial[a, b]
+        ds_A   = i.l_pa[a] - f.l_pa[a']          (ds_B likewise)
+        dI     = f.info[m', a', b'] - i.info[m, a, b]
+        dJ     = f.classical[a', b'] - i.classical[a, b]
         beta Q = beta_q[r, r']
 
     so each exponential entering the relations is a product of an
     initial, a final and a reservoir-pair factor; the ``*_factors``
     methods return that triple, ready for ``FactoredJoint.expectation``.
-    The factors are formed from the probabilities themselves -- ``local_*``
-    is p_a p_b and ``*_ratio_*`` the ratio whose log is the content, each
+    The factors are formed from the probabilities themselves -- ``local``
+    is p_a p_b and ``*_ratio`` the ratio whose log is the content, each
     under the zero conventions -- not as exponentials of the logs, so a
     relation that holds exactly in the probabilities is not lost to a
     log/exp round trip.
     """
 
-    l_pa: np.ndarray
-    l_pb: np.ndarray
-    l_pa_final: np.ndarray
-    l_pb_final: np.ndarray
-    info_initial: np.ndarray              # [m, a, b]
-    info_final: np.ndarray                # [m', a', b']
-    classical_initial: np.ndarray         # [a, b]
-    classical_final: np.ndarray           # [a', b']
-    beta_q: np.ndarray                    # [r, r']
-    local_initial: np.ndarray             # [a, b] = p_a p_b
-    local_final: np.ndarray               # [a', b']
-    info_ratio_initial: np.ndarray        # [m, a, b] = p_m / (p_a p_b)
-    info_ratio_final: np.ndarray
-    classical_ratio_initial: np.ndarray   # [a, b] = p_ab / (p_a p_b)
-    classical_ratio_final: np.ndarray
+    initial: EndpointTables
+    final: EndpointTables
+    beta_q: np.ndarray                # [r, r']
 
     def ft_factors(self):
         """exp(-ds_A - ds_B + dI + beta Q), the detailed-relation exponential."""
-        return (1.0 / (self.local_initial[None] * self.info_ratio_initial),
-                self.local_final[None] * self.info_ratio_final, np.exp(self.beta_q))
+        i, f = self.initial, self.final
+        return (1.0 / (i.local[None] * i.info_ratio), f.local[None] * f.info_ratio,
+                np.exp(self.beta_q))
 
     def local_factors(self):
         """exp(-ds_A - ds_B + beta Q)."""
-        return 1.0 / self.local_initial[None], self.local_final[None], np.exp(self.beta_q)
+        return 1.0 / self.initial.local[None], self.final.local[None], np.exp(self.beta_q)
 
     def classical_factors(self):
         """exp(-ds_A - ds_B + dJ + beta Q)."""
-        return (1.0 / (self.local_initial * self.classical_ratio_initial)[None],
-                (self.local_final * self.classical_ratio_final)[None], np.exp(self.beta_q))
+        i, f = self.initial, self.final
+        return (1.0 / (i.local * i.classical_ratio)[None],
+                (f.local * f.classical_ratio)[None], np.exp(self.beta_q))
 
     def info_factors(self):
         """exp(-dI)."""
-        return self.info_ratio_initial, 1.0 / self.info_ratio_final, 1.0
+        return self.initial.info_ratio, 1.0 / self.final.info_ratio, 1.0
 
 
 def endpoint_functionals(spectra: SystemSpectra,
                          tol: Tolerances = DEFAULT_TOL) -> EndpointFunctionals:
     """The per-endpoint tables of every functional of ``spectra``."""
-    w_a, w_b, w_af, w_bf = (_or_one(p, tol) for p in (
-        spectra.p_a, spectra.p_b, spectra.p_a_final, spectra.p_b_final))
-    l_pa, l_pb, l_paf, l_pbf = (np.log(w) for w in (w_a, w_b, w_af, w_bf))
-    local_i = w_a[:, None] * w_b[None, :]
-    local_f = w_af[:, None] * w_bf[None, :]
-    p_m_i = spectra.p_m[:, None, None]
-    p_m_f = spectra.p_m_final[:, None, None]
-    p_ab_i = spectra.classical_joint_initial()
-    p_ab_f = spectra.classical_joint_final()
-    return EndpointFunctionals(
-        l_pa=l_pa, l_pb=l_pb, l_pa_final=l_paf, l_pb_final=l_pbf,
-        info_initial=_content_table(p_m_i, l_pa, l_pb, tol),
-        info_final=_content_table(p_m_f, l_paf, l_pbf, tol),
-        classical_initial=_content_table(p_ab_i, l_pa, l_pb, tol),
-        classical_final=_content_table(p_ab_f, l_paf, l_pbf, tol),
-        beta_q=np.asarray(spectra.beta_q, dtype=float),
-        local_initial=local_i, local_final=local_f,
-        info_ratio_initial=_content_ratio(p_m_i, local_i, tol),
-        info_ratio_final=_content_ratio(p_m_f, local_f, tol),
-        classical_ratio_initial=_content_ratio(p_ab_i, local_i, tol),
-        classical_ratio_final=_content_ratio(p_ab_f, local_f, tol))
+    return EndpointFunctionals(initial=_endpoint_tables(spectra.initial, tol),
+                               final=_endpoint_tables(spectra.final, tol),
+                               beta_q=np.asarray(spectra.beta_q, dtype=float))
+
+
+def _endpoint_tables(end: Endpoint, tol: Tolerances) -> EndpointTables:
+    w_a, w_b = _or_one(end.p_a, tol), _or_one(end.p_b, tol)
+    l_pa, l_pb = np.log(w_a), np.log(w_b)
+    local = w_a[:, None] * w_b[None, :]
+    p_m = end.p_m[:, None, None]
+    p_ab = end.classical_joint()
+    return EndpointTables(
+        l_pa=l_pa, l_pb=l_pb,
+        info=_content_table(p_m, l_pa, l_pb, tol),
+        classical=_content_table(p_ab, l_pa, l_pb, tol),
+        local=local,
+        info_ratio=_content_ratio(p_m, local, tol),
+        classical_ratio=_content_ratio(p_ab, local, tol))
 
 
 def _content_ratio(p: np.ndarray, local: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -45,7 +45,13 @@ from .linalg import (
     density_operator,
     haar_unitary,
 )
-from .tables import SystemSpectra, UnitarySystem, spectra_from_analytic, spectra_from_unitary
+from .tables import (
+    Endpoint,
+    SystemSpectra,
+    UnitarySystem,
+    spectra_from_analytic,
+    spectra_from_unitary,
+)
 from .theorems import WorkInputs
 
 LN2 = math.log(2.0)
@@ -134,12 +140,11 @@ def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
 
     return spectra_from_analytic(SystemSpectra(
         dim_a=2, dim_b=2, dim_r=1,
-        p_m=_werner_spectrum(p),
-        p_a=np.array([0.5, 0.5]), p_b=np.array([0.5, 0.5]),
-        p_m_final=np.array([1.0, 0.0, 0.0, 0.0]),
-        p_a_final=np.array([1.0, 0.0]), p_b_final=np.array([1.0, 0.0]),
         # initial basis is the Bell basis, final basis the product basis
-        cond_initial=_bell_conditionals(), cond_final=_product_conditionals(),
+        initial=Endpoint(p_m=_werner_spectrum(p), p_a=np.array([0.5, 0.5]),
+                         p_b=np.array([0.5, 0.5]), cond=_bell_conditionals()),
+        final=Endpoint(p_m=np.array([1.0, 0.0, 0.0, 0.0]), p_a=np.array([1.0, 0.0]),
+                       p_b=np.array([1.0, 0.0]), cond=_product_conditionals()),
         p_r=np.array([1.0]),
         kernel=kernel, reverse_kernel=reverse_kernel,
         # Quasi-static heat bookkeeping: each qubit absorbs -ln2 / beta,
@@ -204,11 +209,10 @@ def _counterexample_analytic_spectra(p: float, tol: Tolerances) -> SystemSpectra
     local = np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0])
     return spectra_from_analytic(SystemSpectra(
         dim_a=2, dim_b=2, dim_r=1,
-        p_m=p_m, p_a=local, p_b=local,
-        p_m_final=p_m.copy(),
-        p_a_final=np.array([0.5, 0.5]), p_b_final=np.array([0.5, 0.5]),
         # initial basis is the product basis, final basis the Bell basis
-        cond_initial=_product_conditionals(), cond_final=_bell_conditionals(),
+        initial=Endpoint(p_m=p_m, p_a=local, p_b=local, cond=_product_conditionals()),
+        final=Endpoint(p_m=p_m.copy(), p_a=np.array([0.5, 0.5]),
+                       p_b=np.array([0.5, 0.5]), cond=_bell_conditionals()),
         p_r=np.array([1.0]),
         kernel=kernel, reverse_kernel=kernel.copy(),
         beta_q=np.array([[0.0]]),

@@ -90,6 +90,22 @@ class DenseJoint:
 
 
 @dataclass(frozen=True)
+class Endpoint:
+    """One measurement point: the global AB spectrum, both local spectra
+    and the conditional weights that attach the local labels to the
+    global outcomes."""
+
+    p_m: np.ndarray
+    p_a: np.ndarray
+    p_b: np.ndarray
+    cond: np.ndarray              # [m, a, b] = |<m|a,b>|^2
+
+    def classical_joint(self) -> np.ndarray:
+        """p_{a,b} = <a,b| rho_AB |a,b> = sum_m p_m |<m|a,b>|^2."""
+        return np.einsum("m,mab->ab", self.p_m, self.cond)
+
+
+@dataclass(frozen=True)
 class SystemSpectra:
     """Everything the tuple-space machinery needs, route-independent:
     built by :func:`spectra_from_unitary`, or injected directly and
@@ -106,14 +122,8 @@ class SystemSpectra:
     dim_a: int
     dim_b: int
     dim_r: int
-    p_m: np.ndarray
-    p_a: np.ndarray
-    p_b: np.ndarray
-    p_m_final: np.ndarray
-    p_a_final: np.ndarray
-    p_b_final: np.ndarray
-    cond_initial: np.ndarray      # [m, a, b] = |<m|a,b>|^2
-    cond_final: np.ndarray        # [m', a', b']
+    initial: Endpoint
+    final: Endpoint               # its cond is indexed [m', a', b']
     p_r: np.ndarray               # reservoir Gibbs state, initial for both processes
     kernel: np.ndarray
     reverse_kernel: np.ndarray
@@ -127,13 +137,6 @@ class SystemSpectra:
     def dims(self) -> tuple[int, ...]:
         m, a, b, r = self.dim_m, self.dim_a, self.dim_b, self.dim_r
         return (m, a, b, m, a, b, r, r)
-
-    def classical_joint_initial(self) -> np.ndarray:
-        """p_{a,b} = <a,b| rho_AB |a,b> = sum_m p_m |<m|a,b>|^2."""
-        return np.einsum("m,mab->ab", self.p_m, self.cond_initial)
-
-    def classical_joint_final(self) -> np.ndarray:
-        return np.einsum("m,mab->ab", self.p_m_final, self.cond_final)
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,18 @@ def conditional_table(global_vectors: np.ndarray, a_vectors: np.ndarray,
     d_b = b_vectors.shape[1]
     ov = dagger(global_vectors) @ np.kron(a_vectors, b_vectors)
     return (np.abs(ov) ** 2).reshape(global_vectors.shape[1], d_a, d_b)
+
+
+def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int,
+              tol: Tolerances) -> Endpoint:
+    """The measurement point of the AB state ``rho_ab`` in the global
+    eigenbasis ``dec``, with its local spectra and conditional weights."""
+    dec_a = spectral_decompose(partial_trace(rho_ab, (d_a, d_b), 0), tol)
+    dec_b = spectral_decompose(partial_trace(rho_ab, (d_a, d_b), 1), tol)
+    return Endpoint(p_m=np.clip(dec.probabilities, 0.0, None),
+                    p_a=np.clip(dec_a.probabilities, 0.0, None),
+                    p_b=np.clip(dec_b.probabilities, 0.0, None),
+                    cond=conditional_table(dec.vectors, dec_a.vectors, dec_b.vectors))
 
 
 def _guard_size(d_a: int, d_b: int, d_r: int) -> None:
@@ -216,23 +231,12 @@ def spectra_from_unitary(system: UnitarySystem,
     if final_decomposition is not None:
         assert_same_operator(final_decomposition, rho_ab_final, tol)
 
-    dec_a = spectral_decompose(partial_trace(system.rho_ab.matrix, (d_a, d_b), 0), tol)
-    dec_b = spectral_decompose(partial_trace(system.rho_ab.matrix, (d_a, d_b), 1), tol)
-    dec_a_f = spectral_decompose(partial_trace(rho_ab_final, (d_a, d_b), 0), tol)
-    dec_b_f = spectral_decompose(partial_trace(rho_ab_final, (d_a, d_b), 1), tol)
-
     kernel = transition_kernel(init.vectors, fin.vectors, d_r, u)
     energies = np.asarray(system.reservoir.energies)
     return SystemSpectra(
         dim_a=d_a, dim_b=d_b, dim_r=d_r,
-        p_m=np.clip(init.probabilities, 0.0, None),
-        p_a=np.clip(dec_a.probabilities, 0.0, None),
-        p_b=np.clip(dec_b.probabilities, 0.0, None),
-        p_m_final=np.clip(fin.probabilities, 0.0, None),
-        p_a_final=np.clip(dec_a_f.probabilities, 0.0, None),
-        p_b_final=np.clip(dec_b_f.probabilities, 0.0, None),
-        cond_initial=conditional_table(init.vectors, dec_a.vectors, dec_b.vectors),
-        cond_final=conditional_table(fin.vectors, dec_a_f.vectors, dec_b_f.vectors),
+        initial=_endpoint(system.rho_ab.matrix, init, d_a, d_b, tol),
+        final=_endpoint(rho_ab_final, fin, d_a, d_b, tol),
         p_r=p_r,
         kernel=kernel,
         reverse_kernel=kernel,
@@ -265,21 +269,17 @@ def spectra_from_analytic(spectra: SystemSpectra,
             raise ConsistencyError(f"{name} sums to {arr.sum():.12f}, not 1")
         return np.clip(arr, 0.0, None)
 
-    p_m = vec(spectra.p_m, d_m, "p_m")
-    p_a = vec(spectra.p_a, d_a, "p_a")
-    p_b = vec(spectra.p_b, d_b, "p_b")
-    p_mf = vec(spectra.p_m_final, d_m, "p_m_final")
-    p_af = vec(spectra.p_a_final, d_a, "p_a_final")
-    p_bf = vec(spectra.p_b_final, d_b, "p_b_final")
-    p_r = vec(spectra.p_r, d_r, "p_r")
+    def endpoint(end: Endpoint, side: str) -> Endpoint:
+        cond = np.asarray(end.cond, dtype=float)
+        if cond.shape != (d_m, d_a, d_b):
+            raise DimensionError(f"{side}.cond must have shape ({d_m},{d_a},{d_b})")
+        if np.max(np.abs(cond.sum(axis=(1, 2)) - 1.0)) > tol.equality:
+            raise ConsistencyError(f"{side}.cond rows do not sum to 1")
+        return Endpoint(p_m=vec(end.p_m, d_m, f"{side}.p_m"), p_a=vec(end.p_a, d_a, f"{side}.p_a"),
+                        p_b=vec(end.p_b, d_b, f"{side}.p_b"), cond=cond)
 
-    cond_i = np.asarray(spectra.cond_initial, dtype=float)
-    cond_f = np.asarray(spectra.cond_final, dtype=float)
-    for name, c in (("cond_initial", cond_i), ("cond_final", cond_f)):
-        if c.shape != (d_m, d_a, d_b):
-            raise DimensionError(f"{name} must have shape ({d_m},{d_a},{d_b})")
-        if np.max(np.abs(c.sum(axis=(1, 2)) - 1.0)) > tol.equality:
-            raise ConsistencyError(f"{name} rows do not sum to 1")
+    initial, final = endpoint(spectra.initial, "initial"), endpoint(spectra.final, "final")
+    p_r = vec(spectra.p_r, d_r, "p_r")
 
     kernel = np.asarray(spectra.kernel, dtype=float)
     rkernel = np.asarray(spectra.reverse_kernel, dtype=float)
@@ -293,8 +293,8 @@ def spectra_from_analytic(spectra: SystemSpectra,
 
     # Final-state consistency: the forward process must land on the
     # attached final spectrum (there is no propagator to guarantee it).
-    image = np.einsum("m,r,mrns->n", p_m, p_r, kernel)
-    if np.max(np.abs(image - p_mf)) > tol.equality:
+    image = np.einsum("m,r,mrns->n", initial.p_m, p_r, kernel)
+    if np.max(np.abs(image - final.p_m)) > tol.equality:
         raise ConsistencyError("forward kernel image disagrees with final spectrum")
 
     beta_q = np.asarray(spectra.beta_q, dtype=float)
@@ -302,11 +302,7 @@ def spectra_from_analytic(spectra: SystemSpectra,
         raise DimensionError(f"beta_q must have shape ({d_r},{d_r})")
 
     return SystemSpectra(
-        dim_a=d_a, dim_b=d_b, dim_r=d_r,
-        p_m=p_m, p_a=p_a, p_b=p_b,
-        p_m_final=p_mf, p_a_final=p_af, p_b_final=p_bf,
-        cond_initial=cond_i, cond_final=cond_f,
-        p_r=p_r,
+        dim_a=d_a, dim_b=d_b, dim_r=d_r, initial=initial, final=final, p_r=p_r,
         kernel=kernel, reverse_kernel=rkernel, beta_q=beta_q,
     )
 
@@ -321,14 +317,14 @@ def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:
 def forward_support_mask(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Initial (m, r) pairs carrying nonzero two-point weight:
     p_m p_r sum_{m',r'} K above the support cutoff."""
-    w = (spectra.p_m[:, None] * spectra.p_r[None, :]) * spectra.kernel.sum(axis=(2, 3))
+    w = (spectra.initial.p_m[:, None] * spectra.p_r[None, :]) * spectra.kernel.sum(axis=(2, 3))
     return _above_cutoff(w, tol)
 
 
 def global_table(spectra: SystemSpectra) -> np.ndarray:
     """Forward two-point table p_{m,m';r,r'} = K p_m p_r as [m, m', r, r']."""
     return (spectra.kernel.transpose(0, 2, 1, 3)
-            * spectra.p_m[:, None, None, None]
+            * spectra.initial.p_m[:, None, None, None]
             * spectra.p_r[None, None, :, None])
 
 
@@ -337,14 +333,14 @@ def reverse_global_table(spectra: SystemSpectra) -> np.ndarray:
     the reversed process starts from the final AB spectrum and the same
     reservoir Gibbs state ``p_r``."""
     return (spectra.reverse_kernel.transpose(0, 2, 1, 3)
-            * spectra.p_m_final[None, :, None, None]
+            * spectra.final.p_m[None, :, None, None]
             * spectra.p_r[None, None, None, :])
 
 
 def _attach_conditionals(g: np.ndarray, spectra: SystemSpectra) -> np.ndarray:
     return (g[:, None, None, :, None, None, :, :]
-            * spectra.cond_initial[:, :, :, None, None, None, None, None]
-            * spectra.cond_final[None, None, None, :, :, :, None, None])
+            * spectra.initial.cond[:, :, :, None, None, None, None, None]
+            * spectra.final.cond[None, None, None, :, :, :, None, None])
 
 
 def augmented_forward(spectra: SystemSpectra) -> DenseJoint:
@@ -404,7 +400,7 @@ def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> Fac
     """Both joint distributions of ``spectra`` in factored form."""
     return FactoredJoint(forward=global_table(spectra),
                          reverse=reverse_global_table(spectra),
-                         cond_initial=spectra.cond_initial,
-                         cond_final=spectra.cond_final,
+                         cond_initial=spectra.initial.cond,
+                         cond_final=spectra.final.cond,
                          forward_support=forward_support_mask(spectra, tol))
 

@@ -220,14 +220,12 @@ def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averag
     def mean(**factor):
         return joint.expectation(joint.forward, **factor)
 
+    i, f = funcs.initial, funcs.final
     return Averages(
-        delta_s_a=mean(initial=funcs.l_pa[None, :, None])
-        - mean(final=funcs.l_pa_final[None, :, None]),
-        delta_s_b=mean(initial=funcs.l_pb[None, None, :])
-        - mean(final=funcs.l_pb_final[None, None, :]),
-        delta_i=mean(final=funcs.info_final) - mean(initial=funcs.info_initial),
-        delta_j=mean(final=funcs.classical_final[None])
-        - mean(initial=funcs.classical_initial[None]),
+        delta_s_a=mean(initial=i.l_pa[None, :, None]) - mean(final=f.l_pa[None, :, None]),
+        delta_s_b=mean(initial=i.l_pb[None, None, :]) - mean(final=f.l_pb[None, None, :]),
+        delta_i=mean(final=f.info) - mean(initial=i.info),
+        delta_j=mean(final=f.classical[None]) - mean(initial=i.classical[None]),
         beta_q=mean(pair=funcs.beta_q),
     )
 
@@ -237,9 +235,8 @@ def product_basis_flags(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
     eigenvector is a product of local eigenvectors, i.e. each conditional
     row concentrates all weight on a single (a, b)."""
     d_m = spectra.dim_m
-    init = bool(np.all(spectra.cond_initial.reshape(d_m, -1).max(axis=1) > 1.0 - tol.orthonormality))
-    fin = bool(np.all(spectra.cond_final.reshape(d_m, -1).max(axis=1) > 1.0 - tol.orthonormality))
-    return init, fin
+    return tuple(bool(np.all(end.cond.reshape(d_m, -1).max(axis=1) > 1.0 - tol.orthonormality))
+                 for end in (spectra.initial, spectra.final))
 
 
 def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,

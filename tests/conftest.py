@@ -117,23 +117,11 @@ def werner_spectra(p: float = 0.5, **fields):
     return dataclasses.replace(werner_isothermal(p).spectra, **fields)
 
 
-ENDPOINT_FIELDS = {
-    "initial": {"p_m": "p_m", "p_a": "p_a", "p_b": "p_b", "cond": "cond_initial"},
-    "final": {"p_m": "p_m_final", "p_a": "p_a_final", "p_b": "p_b_final",
-              "cond": "cond_final"},
-}
-
-
-def endpoint_field(spectra, side: str, name: str) -> np.ndarray:
-    """Field ``name`` (p_m, p_a, p_b or cond) of one endpoint of ``spectra``."""
-    return getattr(spectra, ENDPOINT_FIELDS[side][name])
-
-
 def replace_endpoint(spectra, side: str, **fields):
     """``spectra`` with ``fields`` (p_m, p_a, p_b, cond) of one endpoint,
     "initial" or "final", swapped in (not re-validated)."""
     return dataclasses.replace(
-        spectra, **{ENDPOINT_FIELDS[side][k]: v for k, v in fields.items()})
+        spectra, **{side: dataclasses.replace(getattr(spectra, side), **fields)})
 
 
 def oracle_forward_table(spectra) -> np.ndarray:
@@ -150,9 +138,9 @@ def oracle_forward_table(spectra) -> np.ndarray:
                                 for rf in range(d_r):
                                     out[m, a, b, mf, af, bf, r, rf] = (
                                         spectra.kernel[m, r, mf, rf]
-                                        * spectra.p_m[m] * spectra.p_r[r]
-                                        * spectra.cond_initial[m, a, b]
-                                        * spectra.cond_final[mf, af, bf])
+                                        * spectra.initial.p_m[m] * spectra.p_r[r]
+                                        * spectra.initial.cond[m, a, b]
+                                        * spectra.final.cond[mf, af, bf])
     return out
 
 
@@ -169,10 +157,10 @@ def oracle_reverse_table(spectra) -> np.ndarray:
                                 for rf in range(d_r):
                                     out[m, a, b, mf, af, bf, r, rf] = (
                                         spectra.reverse_kernel[m, r, mf, rf]
-                                        * spectra.p_m_final[mf]
+                                        * spectra.final.p_m[mf]
                                         * spectra.p_r[rf]
-                                        * spectra.cond_initial[m, a, b]
-                                        * spectra.cond_final[mf, af, bf])
+                                        * spectra.initial.cond[m, a, b]
+                                        * spectra.final.cond[mf, af, bf])
     return out
 
 
@@ -220,8 +208,8 @@ def dense_tables(spectra, reverse_global=None):
     if reverse_global is None:
         reverse_global = reverse_global_table(spectra)
     table = (reverse_global[:, None, None, :, None, None, :, :]
-             * spectra.cond_initial[:, :, :, None, None, None, None, None]
-             * spectra.cond_final[None, None, None, :, :, :, None, None])
+             * spectra.initial.cond[:, :, :, None, None, None, None, None]
+             * spectra.final.cond[None, None, None, :, :, :, None, None])
     return augmented_forward(spectra), DenseJoint(dims=spectra.dims, table=table)
 
 
@@ -236,18 +224,19 @@ def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
     """Every functional on the whole tuple space, as eight-axis
     broadcastable arrays over (m, a, b, m', a', b', r, r')."""
     d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
-    l_pa = log_or_zero(spectra.p_a, tol=tol)
-    l_pb = log_or_zero(spectra.p_b, tol=tol)
-    l_paf = log_or_zero(spectra.p_a_final, tol=tol)
-    l_pbf = log_or_zero(spectra.p_b_final, tol=tol)
+    ini, fin = spectra.initial, spectra.final
+    l_pa = log_or_zero(ini.p_a, tol=tol)
+    l_pb = log_or_zero(ini.p_b, tol=tol)
+    l_paf = log_or_zero(fin.p_a, tol=tol)
+    l_pbf = log_or_zero(fin.p_b, tol=tol)
     ds_a = (l_pa[:, None] - l_paf[None, :]).reshape(1, d_a, 1, 1, d_a, 1, 1, 1)
     ds_b = (l_pb[:, None] - l_pbf[None, :]).reshape(1, 1, d_b, 1, 1, d_b, 1, 1)
-    info_i = dense_content_table(spectra.p_m[:, None, None], l_pa, l_pb, tol)
-    info_f = dense_content_table(spectra.p_m_final[:, None, None], l_paf, l_pbf, tol)
+    info_i = dense_content_table(ini.p_m[:, None, None], l_pa, l_pb, tol)
+    info_f = dense_content_table(fin.p_m[:, None, None], l_paf, l_pbf, tol)
     d_i = (info_f[None, None, None, :, :, :]
            - info_i[:, :, :, None, None, None]).reshape(d_m, d_a, d_b, d_m, d_a, d_b, 1, 1)
-    j_i = dense_content_table(spectra.classical_joint_initial(), l_pa, l_pb, tol)
-    j_f = dense_content_table(spectra.classical_joint_final(), l_paf, l_pbf, tol)
+    j_i = dense_content_table(ini.classical_joint(), l_pa, l_pb, tol)
+    j_f = dense_content_table(fin.classical_joint(), l_paf, l_pbf, tol)
     d_j = (j_f[None, None, :, :] - j_i[:, :, None, None]).reshape(1, d_a, d_b, 1, d_a, d_b, 1, 1)
     b_q = np.asarray(spectra.beta_q, dtype=float).reshape(1, 1, 1, 1, 1, 1, d_r, d_r)
     return TrajectoryFunctional(delta_s_a=ds_a, delta_s_b=ds_b,
@@ -348,25 +337,25 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
 
 def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
     """The values of ``cli.invariant_checks``, on the dense tables."""
-    s = spectra
+    s, ini = spectra, spectra.initial
     g = forward.table.sum(axis=(1, 2, 4, 5))          # local labels summed out
-    info_i = dense_content_table(s.p_m[:, None, None], log_or_zero(s.p_a, tol=tol),
-                                 log_or_zero(s.p_b, tol=tol), tol)
+    info_i = dense_content_table(ini.p_m[:, None, None], log_or_zero(ini.p_a, tol=tol),
+                                 log_or_zero(ini.p_b, tol=tol), tol)
     d = s.dims
-    want = s.cond_initial[:, :, :, None] * s.p_m[:, None, None, None] * s.p_r[None, None, None, :]
+    want = ini.cond[:, :, :, None] * ini.p_m[:, None, None, None] * s.p_r[None, None, None, :]
     return {
         "forward_normalization": abs(float(forward.table.sum()) - 1.0),
         "reverse_normalization": abs(float(reverse.table.sum()) - 1.0),
         "forward_factorization": float(np.max(np.abs(
-            g - (s.kernel.transpose(0, 2, 1, 3) * s.p_m[:, None, None, None]
+            g - (s.kernel.transpose(0, 2, 1, 3) * ini.p_m[:, None, None, None]
                  * s.p_r[None, None, :, None])))),
         "initial_marginal_identity": float(np.max(np.abs(
             forward.table.sum(axis=(3, 4, 5, 7)) - want))),
         "local_marginal_identity": float(np.max(np.abs(
-            forward.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - s.p_a))),
+            forward.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - ini.p_a))),
         "info_avg_is_mutual_information": abs(
             dense_average(forward, info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1))
-            - (shannon_entropy(s.p_a) + shannon_entropy(s.p_b) - shannon_entropy(s.p_m))),
+            - (shannon_entropy(ini.p_a) + shannon_entropy(ini.p_b) - shannon_entropy(ini.p_m))),
         "restricted_mass_in_range": 0.0,
     }
 

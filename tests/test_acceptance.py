@@ -150,21 +150,22 @@ def test_criterion_7_random_instance_battery():
                             rep.bound("heat_bound_reverse_info").slack)
             # marginal identities
             got = forward.table.sum(axis=(3, 4, 5, 7))
-            want = (spectra.cond_initial[:, :, :, None]
-                    * spectra.p_m[:, None, None, None] * spectra.p_r[None, None, None, :])
+            init = spectra.initial
+            want = (init.cond[:, :, :, None]
+                    * init.p_m[:, None, None, None] * spectra.p_r[None, None, None, :])
             worst["marginal"] = max(
                 worst["marginal"], float(np.max(np.abs(got - want))),
                 float(np.max(np.abs(forward.table.sum(axis=(0, 2, 3, 4, 5, 6, 7))
-                                    - spectra.p_a))))
+                                    - init.p_a))))
             # <I> equals the quantum mutual information
-            info_i = analysis.functionals.info_initial
+            info_i = analysis.functionals.initial.info
             d = spectra.dims
             avg_info = float(np.sum(np.where(
                 forward.table > 0,
                 forward.table
                 * info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1), 0.0)))
-            qmi = (shannon_entropy(spectra.p_a) + shannon_entropy(spectra.p_b)
-                   - shannon_entropy(spectra.p_m))
+            qmi = (shannon_entropy(init.p_a) + shannon_entropy(init.p_b)
+                   - shannon_entropy(init.p_m))
             worst["info"] = max(worst["info"], abs(avg_info - qmi))
             count += 1
     elapsed = time.perf_counter() - start

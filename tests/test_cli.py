@@ -21,7 +21,7 @@ from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
 from bift.tables import augmented_forward, factored_joint, reverse_joint, spectra_from_unitary
 
-from conftest import encode_complex_matrix, evaluate_scenario
+from conftest import encode_complex_matrix, evaluate_scenario, replace_endpoint
 
 LN2 = math.log(2.0)
 
@@ -309,8 +309,8 @@ class TestVerify:
         # conditional rows summing to 1 + 1e-10: G times that excess
         # exceeds the default 1e-12, not an overridden 1e-9
         analysis = evaluate_scenario(werner_isothermal(0.5))
-        spectra = dataclasses.replace(analysis.spectra,
-                                      cond_initial=analysis.spectra.cond_initial * (1 + 1e-10))
+        spectra = replace_endpoint(analysis.spectra, "initial",
+                                   cond=analysis.spectra.initial.cond * (1 + 1e-10))
         bent = dataclasses.replace(analysis, spectra=spectra, joint=factored_joint(spectra))
 
         def passed(tol):

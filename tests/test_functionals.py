@@ -16,7 +16,7 @@ from bift.tables import (
 )
 from bift.theorems import forward_averages
 
-from conftest import dense_tuple_functionals, werner_spectra
+from conftest import dense_tuple_functionals, replace_endpoint, werner_spectra
 
 LN2 = math.log(2.0)
 
@@ -43,34 +43,36 @@ class TestScalarFunctionals:
     @given(q=finite_probs)
     def test_entropy_change_no_change(self, q):
         local = np.array([q, 1.0 - q])
-        funcs = endpoint_functionals(werner_spectra(p_a=local, p_a_final=local))
+        spectra = replace_endpoint(werner_spectra(), "initial", p_a=local)
+        funcs = endpoint_functionals(replace_endpoint(spectra, "final", p_a=local))
         for a in range(2):
-            assert funcs.l_pa[a] - funcs.l_pa_final[a] == 0.0
+            assert funcs.initial.l_pa[a] - funcs.final.l_pa[a] == 0.0
 
     def test_entropy_change_zero_convention(self):
-        funcs = endpoint_functionals(werner_spectra(p_a=np.array([1.0, 0.0]),
-                                                    p_a_final=np.array([0.5, 0.5])))
+        spectra = replace_endpoint(werner_spectra(), "initial", p_a=np.array([1.0, 0.0]))
+        funcs = endpoint_functionals(replace_endpoint(spectra, "final", p_a=np.array([0.5, 0.5])))
         # ln 0 := 0 for the vanished initial weight
-        assert funcs.l_pa[1] - funcs.l_pa_final[0] == pytest.approx(LN2)
+        assert funcs.initial.l_pa[1] - funcs.final.l_pa[0] == pytest.approx(LN2)
 
     @pytest.mark.parametrize("p", [0.2, 0.6, 1.0])
     def test_info_content_werner_rows(self, p):
-        info_i = endpoint_functionals(werner_spectra(p)).info_initial
+        info_i = endpoint_functionals(werner_spectra(p)).initial.info
         assert np.all(np.abs(info_i[0] - math.log(1 + 3 * p)) < 1e-12)
         if p < 1.0:
             assert np.all(np.abs(info_i[1:] - math.log(1 - p)) < 1e-12)
 
     def test_info_content_zero_outright(self):
         # a vanished global weight zeroes the whole content, not just one log
-        info_i = endpoint_functionals(werner_spectra(1.0)).info_initial
+        info_i = endpoint_functionals(werner_spectra(1.0)).initial.info
         assert np.all(info_i[1:] == 0.0)
 
     @given(pa=finite_probs, pb=finite_probs)
     def test_info_content_product(self, pa, pb):
         p_a = np.array([pa, 1.0 - pa])
         p_b = np.array([pb, 1.0 - pb])
-        info_i = endpoint_functionals(werner_spectra(p_m=np.kron(p_a, p_b),
-                                                     p_a=p_a, p_b=p_b)).info_initial
+        spectra = replace_endpoint(werner_spectra(), "initial",
+                                   p_m=np.kron(p_a, p_b), p_a=p_a, p_b=p_b)
+        info_i = endpoint_functionals(spectra).initial.info
         for a in range(2):
             for b in range(2):
                 assert info_i[2 * a + b, a, b] == pytest.approx(0.0, abs=1e-10)
@@ -80,7 +82,7 @@ class TestScalarFunctionals:
         # -delta_j over (a, b) with (a', b') = (0, 0) is the initial J table
         def minus_delta_j(spectra):
             funcs = endpoint_functionals(spectra)
-            return funcs.classical_initial - funcs.classical_final[0, 0]
+            return funcs.initial.classical - funcs.final.classical[0, 0]
 
         j_pure = minus_delta_j(werner_spectra(1.0))
         assert j_pure[0, 0] == pytest.approx(LN2)       # p_ab = 1/2
@@ -94,9 +96,9 @@ class TestScalarFunctionals:
         spectra = werner_spectra(1.0)
         joint = augmented_forward(spectra).table.sum(axis=(0, 3, 4, 5, 6, 7))
         assert joint[0, 0] == pytest.approx(0.5)
-        assert np.max(np.abs(joint - spectra.classical_joint_initial())) < 1e-15
+        assert np.max(np.abs(joint - spectra.initial.classical_joint())) < 1e-15
         funcs = endpoint_functionals(spectra)
-        assert funcs.classical_initial[0, 0] - funcs.classical_final[0, 0] == pytest.approx(LN2)
+        assert funcs.initial.classical[0, 0] - funcs.final.classical[0, 0] == pytest.approx(LN2)
 
     def test_heat_exponent(self):
         beta_q = reservoir_spectra(ReservoirSpec((0.0, 3.0), 2.0)).beta_q
@@ -130,40 +132,33 @@ class TestAverages:
         spectra = spectra_from_unitary(random_instance(2, 3, 2, seed))
         joint = factored_joint(spectra)
         funcs = endpoint_functionals(spectra)
-        info_i, info_f = funcs.info_initial, funcs.info_final
-        got_i = joint.expectation(joint.forward, initial=info_i)
-        want_i = (shannon_entropy(spectra.p_a) + shannon_entropy(spectra.p_b)
-                  - shannon_entropy(spectra.p_m))
-        assert got_i == pytest.approx(want_i, abs=1e-10)
-        got_f = joint.expectation(joint.forward, final=info_f)
-        want_f = (shannon_entropy(spectra.p_a_final) + shannon_entropy(spectra.p_b_final)
-                  - shannon_entropy(spectra.p_m_final))
-        assert got_f == pytest.approx(want_f, abs=1e-10)
+        for side, end, info in (("initial", spectra.initial, funcs.initial.info),
+                                ("final", spectra.final, funcs.final.info)):
+            got = joint.expectation(joint.forward, **{side: info})
+            want = (shannon_entropy(end.p_a) + shannon_entropy(end.p_b)
+                    - shannon_entropy(end.p_m))
+            assert got == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("seed", [2, 11])
     def test_classical_average_is_shannon_mutual_information(self, seed):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, seed))
         averages = forward_averages(factored_joint(spectra), endpoint_functionals(spectra))
         # delta_j averages to MI(final joint) - MI(initial joint)
-        p_ab_i = spectra.classical_joint_initial()
-        p_ab_f = spectra.classical_joint_final()
+        def mi(end):
+            return (shannon_entropy(end.p_a) + shannon_entropy(end.p_b)
+                    - shannon_entropy(end.classical_joint().ravel()))
 
-        def mi(p_ab, p_a, p_b):
-            return (shannon_entropy(p_a) + shannon_entropy(p_b)
-                    - shannon_entropy(p_ab.ravel()))
-
-        want = (mi(p_ab_f, spectra.p_a_final, spectra.p_b_final)
-                - mi(p_ab_i, spectra.p_a, spectra.p_b))
+        want = mi(spectra.final) - mi(spectra.initial)
         assert averages.delta_j == pytest.approx(want, abs=1e-10)
 
     def test_zero_weight_tuples_contribute_nothing(self):
         spectra = werner_isothermal(1.0).spectra
         joint = factored_joint(spectra)
         # a functional that explodes off the support must not leak in
-        weight_i = spectra.p_m[:, None, None] * spectra.cond_initial
+        weight_i = spectra.initial.p_m[:, None, None] * spectra.initial.cond
         spiked = np.where(weight_i > 0.0, 1.0, 1e300)
         assert joint.expectation(joint.forward, initial=spiked) == pytest.approx(1.0, abs=1e-12)
-        spiked_f = np.where(spectra.cond_final > 0.0, 1.0, 1e300)
+        spiked_f = np.where(spectra.final.cond > 0.0, 1.0, 1e300)
         assert joint.expectation(joint.forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
 
     def test_restricted_vs_full_reverse_average(self):
@@ -180,8 +175,9 @@ class TestTupleFunctionals:
         spectra = werner_isothermal(0.5).spectra
         funcs = endpoint_functionals(spectra)
         # every trajectory drops both local surprisals by ln 2
-        assert np.max(np.abs(np.subtract.outer(funcs.l_pa, funcs.l_pa_final) + LN2)) < 1e-12
-        assert np.max(np.abs(np.subtract.outer(funcs.l_pb, funcs.l_pb_final) + LN2)) < 1e-12
+        i, f = funcs.initial, funcs.final
+        assert np.max(np.abs(np.subtract.outer(i.l_pa, f.l_pa) + LN2)) < 1e-12
+        assert np.max(np.abs(np.subtract.outer(i.l_pb, f.l_pb) + LN2)) < 1e-12
         assert funcs.beta_q.ravel()[0] == pytest.approx(-2 * LN2)
 
     def test_exponent_composition(self, rng):
@@ -196,8 +192,8 @@ class TestTupleFunctionals:
                                   (funcs.classical_factors(), traj.classical_exponent()),
                                   (funcs.info_factors(), -traj.delta_i)):
             e_i, e_f, pair = (np.asarray(x, dtype=float) for x in factors)
-            e_i = np.broadcast_to(e_i, spectra.cond_initial.shape)
-            e_f = np.broadcast_to(e_f, spectra.cond_final.shape)
+            e_i = np.broadcast_to(e_i, spectra.initial.cond.shape)
+            e_f = np.broadcast_to(e_f, spectra.final.cond.shape)
             pair = np.broadcast_to(pair, spectra.beta_q.shape)
             composed = (e_i[:, :, :, None, None, None, None, None]
                         * e_f[None, None, None, :, :, :, None, None] * pair)

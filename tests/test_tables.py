@@ -34,7 +34,6 @@ from bift.tables import (
 )
 
 from conftest import (
-    endpoint_field,
     oracle_forward_table,
     oracle_reverse_table,
     remix_degenerate_blocks,
@@ -72,7 +71,7 @@ class TestConditionalLocal:
         s = werner_spectra()
         with pytest.raises(DimensionError):
             spectra_from_analytic(
-                replace_endpoint(s, side, cond=endpoint_field(s, side, "cond")[:3]))
+                replace_endpoint(s, side, cond=getattr(s, side).cond[:3]))
 
 
 class TestGlobalTmpJoint:
@@ -140,8 +139,8 @@ class TestForwardTable:
         spectra = spectra_from_unitary(system)
         fwd = augmented_forward(spectra)
         got = fwd.table.sum(axis=(3, 4, 5, 7))
-        want = (spectra.cond_initial[:, :, :, None]
-                * spectra.p_m[:, None, None, None]
+        want = (spectra.initial.cond[:, :, :, None]
+                * spectra.initial.p_m[:, None, None, None]
                 * spectra.p_r[None, None, None, :])
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -230,8 +229,9 @@ class TestMarginal:
         system = random_instance(2, 3, 2, seed=21)
         spectra = spectra_from_unitary(system)
         fwd = augmented_forward(spectra)
-        assert np.max(np.abs(fwd.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - spectra.p_a)) < 1e-12
-        assert np.max(np.abs(fwd.table.sum(axis=(0, 1, 3, 4, 5, 6, 7)) - spectra.p_b)) < 1e-12
+        end = spectra.initial
+        assert np.max(np.abs(fwd.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - end.p_a)) < 1e-12
+        assert np.max(np.abs(fwd.table.sum(axis=(0, 1, 3, 4, 5, 6, 7)) - end.p_b)) < 1e-12
 
     def test_werner_global_marginal(self):
         fwd = augmented_forward(werner_spectra(0.5))
@@ -244,8 +244,8 @@ class TestAnalyticValidation:
     """``spectra_from_analytic`` on an injected-kernel ``SystemSpectra``."""
 
     def test_kernel_image_must_match_final(self):
-        bad = dataclasses.replace(werner_spectra(),
-                                  p_m_final=np.array([0.0, 1.0, 0.0, 0.0]))  # wrong target
+        bad = replace_endpoint(werner_spectra(), "final",
+                               p_m=np.array([0.0, 1.0, 0.0, 0.0]))  # wrong target
         with pytest.raises(ConsistencyError):
             spectra_from_analytic(bad)
 
@@ -269,7 +269,7 @@ class TestAnalyticValidation:
     @pytest.mark.parametrize("name", ["p_m", "p_a", "p_b"])
     def test_probabilities_must_sum_to_one(self, side, name):
         s = werner_spectra()
-        bad = replace_endpoint(s, side, **{name: endpoint_field(s, side, name) * 1.01})
+        bad = replace_endpoint(s, side, **{name: getattr(getattr(s, side), name) * 1.01})
         with pytest.raises(ConsistencyError, match="sums to"):
             spectra_from_analytic(bad)
 
@@ -278,7 +278,7 @@ class TestAnalyticValidation:
     def test_probabilities_must_be_nonnegative(self, side, name):
         # same sum, the second entry moved to -0.25
         s = werner_spectra()
-        p = endpoint_field(s, side, name).copy()
+        p = getattr(getattr(s, side), name).copy()
         p[0], p[1] = p[0] + p[1] + 0.25, -0.25
         bad = replace_endpoint(s, side, **{name: p})
         with pytest.raises(ConsistencyError, match="negative entries"):
@@ -287,14 +287,14 @@ class TestAnalyticValidation:
     @pytest.mark.parametrize("side", ["initial", "final"])
     def test_conditional_rows_must_sum_to_one(self, side):
         s = werner_spectra()
-        bad = replace_endpoint(s, side, cond=endpoint_field(s, side, "cond") * 1.01)
+        bad = replace_endpoint(s, side, cond=getattr(s, side).cond * 1.01)
         with pytest.raises(ConsistencyError, match="rows do not sum to 1"):
             spectra_from_analytic(bad)
 
     @pytest.mark.parametrize("side", ["initial", "final"])
     def test_conditional_shape(self, side):
         s = werner_spectra()
-        cond = endpoint_field(s, side, "cond")
+        cond = getattr(s, side).cond
         with pytest.raises(DimensionError):
             spectra_from_analytic(replace_endpoint(s, side, cond=cond[:, :, :1]))
 
@@ -364,5 +364,5 @@ class TestCounterexampleTables:
     def test_unitary_route_uses_bell_image(self):
         a = bell_adiabatic_counterexample(0.4, route="unitary")
         # final local states are maximally mixed
-        assert np.max(np.abs(a.spectra.p_a_final - 0.5)) < 1e-12
-        assert np.max(np.abs(a.spectra.p_b_final - 0.5)) < 1e-12
+        assert np.max(np.abs(a.spectra.final.p_a - 0.5)) < 1e-12
+        assert np.max(np.abs(a.spectra.final.p_b - 0.5)) < 1e-12

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bift.cli import invariant_checks
-from bift.functionals import EndpointFunctionals
+from bift.functionals import EndpointFunctionals, EndpointTables
 from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
@@ -367,13 +367,13 @@ class TestEdgesAndControls:
         # artificial kernels whose reversed flow never returns to the
         # forward support: the factor is 0, its log the -inf sentinel,
         # and the log-based bounds are flagged vacuous
-        base = werner_isothermal(1.0).spectra   # p_m = p_m_final = (1, 0, 0, 0)
+        base = werner_isothermal(1.0).spectra   # both endpoints' p_m = (1, 0, 0, 0)
         rkernel = np.zeros((4, 1, 4, 1))
         rkernel[3, 0, :, 0] = 1.0     # reverse flow lands on the empty level
         system = dataclasses.replace(
             base,
-            p_a_final=np.array([0.5, 0.5]), p_b_final=np.array([0.5, 0.5]),
-            cond_final=base.cond_initial,
+            final=dataclasses.replace(base.final, p_a=np.array([0.5, 0.5]),
+                                      p_b=np.array([0.5, 0.5]), cond=base.initial.cond),
             reverse_kernel=rkernel, beta_q=np.array([[0.0]]))
         rep = evaluate(spectra_from_analytic(system)).report
         assert rep.gamma_restricted == 0.0
@@ -534,16 +534,17 @@ class TestFactoredExtremes:
                               reverse=coarse((d_m, d_m, d_r, d_r)),
                               cond_initial=cond_i, cond_final=cond_f,
                               forward_support=np.ones((d_m, d_r), dtype=bool))
-        zero_a, zero_b = np.zeros(d_a), np.zeros(d_b)
-        funcs = EndpointFunctionals(
-            l_pa=zero_a, l_pb=zero_b, l_pa_final=zero_a, l_pb_final=zero_b,
-            info_initial=coarse((d_m, d_a, d_b)), info_final=coarse((d_m, d_a, d_b)),
-            classical_initial=coarse((d_a, d_b)), classical_final=coarse((d_a, d_b)),
-            beta_q=np.log(coarse((d_r, d_r))),
-            local_initial=coarse((d_a, d_b)), local_final=coarse((d_a, d_b)),
-            info_ratio_initial=coarse((d_m, d_a, d_b)), info_ratio_final=coarse((d_m, d_a, d_b)),
-            classical_ratio_initial=np.ones((d_a, d_b)), classical_ratio_final=np.ones((d_a, d_b)))
-        return joint, funcs
+        info = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
+        classical = coarse((d_a, d_b)), coarse((d_a, d_b))
+        beta_q = np.log(coarse((d_r, d_r)))
+        local = coarse((d_a, d_b)), coarse((d_a, d_b))
+        info_ratio = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
+        initial, final = (EndpointTables(l_pa=np.zeros(d_a), l_pb=np.zeros(d_b), info=info[k],
+                                         classical=classical[k], local=local[k],
+                                         info_ratio=info_ratio[k],
+                                         classical_ratio=np.ones((d_a, d_b)))
+                          for k in (0, 1))
+        return joint, EndpointFunctionals(initial=initial, final=final, beta_q=beta_q)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
