@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from bift.linalg import DEFAULT_TOL
 from bift.scenarios import random_instance
 from bift.tables import spectra_from_unitary
 from bift.theorems import evaluate
@@ -49,7 +50,7 @@ def main() -> int:
     print(f"worst reverse resid  : {worst_reverse:.3e}")
     print(f"restricted mass range: [{gammas.min():.6f}, {gammas.max():.6f}] "
           f"({int(np.sum(gammas < 1 - 1e-6))} below 1)")
-    ok = max(worst_detailed, worst_integral, worst_reverse) < 1e-10
+    ok = max(worst_detailed, worst_integral, worst_reverse) <= DEFAULT_TOL.equality
     print("OK" if ok else "RESIDUALS OUT OF TOLERANCE")
     return 0 if ok else 1
 
