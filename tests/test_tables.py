@@ -1,12 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bift.errors import ConsistencyError, DimensionError, SizeError
+from bift.errors import BiftError, ConsistencyError, DimensionError, SizeError
 from bift.linalg import (
+    DEFAULT_TOL,
     ReservoirSpec,
     SpectralDecomposition,
     Tolerances,
@@ -241,6 +243,22 @@ class TestMarginal:
         assert p_m[1:] == pytest.approx([1 / 8] * 3)
 
 
+# Every array a caller injects into ``spectra_from_analytic``: (endpoint
+# or None for the bundle itself, field name).
+INJECTED_ARRAYS = [(side, name) for side in ("initial", "final")
+                   for name in ("p_m", "p_a", "p_b", "cond")] + \
+                  [(None, "p_r"), (None, "kernel"), (None, "reverse_kernel"), (None, "beta_q")]
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# No probability, conditional weight or kernel entry can be negative
+# beyond the PSD tolerance.
+IMPOSSIBLE_WEIGHTS = NON_FINITE | st.floats(max_value=-2 * DEFAULT_TOL.psd,
+                                            allow_infinity=False)
+# A heat exponent may be negative, but e^{beta Q} must stay finite:
+# |beta Q| <= ln(largest double) ~ 709.78.
+_HUGE = st.floats(min_value=710.0, allow_infinity=False)
+HEAT_EXPONENTS_OUT_OF_RANGE = NON_FINITE | _HUGE | _HUGE.map(lambda x: -x)
+
+
 class TestAnalyticValidation:
     """``spectra_from_analytic`` on an injected-kernel ``SystemSpectra``."""
 
@@ -302,6 +320,24 @@ class TestAnalyticValidation:
     def test_dim_r_must_match_p_r(self):
         with pytest.raises(DimensionError):
             spectra_from_analytic(dataclasses.replace(werner_spectra(), dim_r=2))
+
+    @given(scenario=st.sampled_from(["werner", "counterexample"]),
+           where=st.sampled_from(INJECTED_ARRAYS), index=st.integers(min_value=0),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_impossible_entry_rejected(self, scenario, where, index, data):
+        side, name = where
+        value = data.draw(HEAT_EXPONENTS_OUT_OF_RANGE if name == "beta_q"
+                          else IMPOSSIBLE_WEIGHTS)
+        spectra = (werner_spectra() if scenario == "werner"
+                   else bell_adiabatic_counterexample(0.3, "analytic").spectra)
+        owner = getattr(spectra, side) if side else spectra
+        arr = np.array(getattr(owner, name), dtype=float)
+        arr.flat[index % arr.size] = value
+        bad = (replace_endpoint(spectra, side, **{name: arr}) if side
+               else dataclasses.replace(spectra, **{name: arr}))
+        with pytest.raises(BiftError):
+            spectra_from_analytic(bad)
 
 
 class TestGuardsAndOverrides:
