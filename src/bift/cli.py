@@ -17,14 +17,23 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from . import __version__, reportio
 from .errors import BiftError, DomainError
 from .functionals import shannon_entropy
-from .linalg import DEFAULT_TOL, ReservoirSpec, Tolerances, density_operator
+from .linalg import (
+    DEFAULT_TOL,
+    MAX_HEAT_EXPONENT,
+    ReservoirSpec,
+    Tolerances,
+    density_operator,
+)
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
 from .scenarios import Scenario, bell_adiabatic_counterexample, random_instance, werner_isothermal
 from .tables import (
@@ -46,9 +55,6 @@ SCENARIO_KEYS = {
     "random": {"beta", "seed", "dims", "rank_deficient"},
 }
 CONFIG_KEYS = {"scenario", "system", "tolerance", "emit_tuples"}.union(*SCENARIO_KEYS.values())
-# Largest beta * (max E - min E) of an explicit reservoir: above it
-# e^{beta Q} overflows a float.
-MAX_HEAT_EXPONENT = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -348,9 +354,9 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
         "tolerances": {"equality": tol.equality, "bound": tol.bound,
                        "support": tol.support},
         "scenario": {"name": scenario.name, **scenario.params},
-        "report": dataclasses.asdict(analysis.report),
+        "report": analysis.report,
         "reference_residuals": scenario.reference_residuals(analysis.report),
-        "checks": [dataclasses.asdict(c) for c in checks],
+        "checks": checks,
         "passed": all(c.passed for c in checks),
     }
     if emit_tuples:
@@ -365,13 +371,16 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
     return doc
 
 
-def write_text(text: str, out: str | None) -> None:
+@contextmanager
+def output(out: str | None) -> Iterator[Callable[[str], Any]]:
+    """The ``write`` of the file ``out``, or of stdout when it is None.
+    A file that cannot be opened or written to the end is a usage error."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
     except OSError as exc:
         raise DomainError(f"out {out}: {exc.strerror or exc}") from exc
 
@@ -381,7 +390,8 @@ def cmd_run(args, cfg: dict, tol: Tolerances) -> int:
     checks = core_checks(scenario, analysis, tol)
     doc = report_document("run", cfg, scenario, analysis, checks, tol,
                           cfg.get("emit_tuples", False))
-    write_text(reportio.dumps(doc), args.out)
+    with output(args.out) as write:
+        reportio.dump(doc, write)
     return 0 if doc["passed"] else 1
 
 
@@ -394,7 +404,8 @@ def cmd_verify(args, cfg: dict, tol: Tolerances) -> int:
     ok = all(c.passed for c in checks)
     lines.append(f"{'PASS' if ok else 'FAIL'} overall: "
                  f"{sum(c.passed for c in checks)}/{len(checks)} checks")
-    write_text("\n".join(lines) + "\n", args.out)
+    with output(args.out) as write:
+        write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -409,7 +420,8 @@ def cmd_sweep(args, cfg: dict, tol: Tolerances) -> int:
                rep.bound_gap, rep.bound("heat_bound_info_gamma").slack,
                rep.bound("heat_bound_reverse_info").slack)
         lines.append(",".join(reportio.format_float(x) for x in row))
-    write_text("\n".join(lines) + "\n", args.out)
+    with output(args.out) as write:
+        write("\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
 

@@ -18,6 +18,8 @@ Conventions
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,12 @@ class DensityOperator:
     dim: int
     matrix: np.ndarray
     decomposition: SpectralDecomposition
+
+
+# Largest heat exponent |beta Q| a system may carry, from an explicit
+# reservoir's beta * (max E - min E) or an injected beta_q table: above
+# it e^{beta Q} overflows a float.
+MAX_HEAT_EXPONENT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,23 @@ complex entries as two-element [real, imaginary] pairs.  Reports are
 emitted by a small fixed-format serializer (keys in insertion order,
 floats printed with 15 significant digits, infinities as +/-Infinity
 tokens) so that re-running the same config reproduces the report byte
-for byte; only the config hash sorts keys.  A non-empty float64 array is
-emitted straight from its entries, in the same bytes as its nested list.
+for byte; only the config hash sorts keys.  :func:`dump` writes a report
+piece by piece to a ``write`` callable: frozen records are walked field
+by field, and a float64 array goes out one leading-axis row at a time,
+each row formatted by a single ``%`` call on a template of the row's
+layout, in the same bytes as its nested list.  :func:`dumps` is the
+string form of the same writer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import sys
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote   # what json.dumps(str) calls
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,6 +31,9 @@ from .errors import DomainError
 # evaluation, so a sweep this long already takes minutes; a larger count
 # is a typo that would only exhaust memory.
 MAX_GRID_POINTS = 100_000
+
+# Field names of each record type the serializer has met, in order.
+_RECORD_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def format_float(x: float) -> str:
@@ -37,67 +46,95 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
+def dump(obj: Any, write: Callable[[str], Any]) -> None:
+    """Write the deterministic JSON text of the report document to
+    ``write``, in pieces no longer than one leading-axis row of a table."""
+    _emit(obj, write, 0)
+    write("\n")
+
+
 def dumps(obj: Any) -> str:
     """Deterministic JSON text for the report document."""
     out: list[str] = []
-    _emit(obj, out, 0)
-    out.append("\n")
+    dump(obj, out.append)
     return "".join(out)
 
 
-def _emit(obj: Any, out: list[str], level: int) -> None:
-    pad = "  " * (level + 1)
-    closing = "  " * level
+def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
     if obj is None:
-        out.append("null")
+        write("null")
     elif obj is True:
-        out.append("true")
+        write("true")
     elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
+        write("false")
+    elif isinstance(obj, (int, np.integer)):
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        write(format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(_quote(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = list(obj.keys())
-        for i, k in enumerate(keys):
-            out.append(pad + json.dumps(str(k)) + ": ")
-            _emit(obj[k], out, level + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(closing + "}")
+        _emit_members(obj.items(), write, level)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # The members dataclasses.asdict would give, without its copies.
+        _emit_members(((name, getattr(obj, name)) for name in _field_names(type(obj))),
+                      write, level)
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size:
+        _emit_float_array(obj, write, level)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size:
-            out.append(_float_array_text(obj, level))
-            return
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(seq):
-            out.append(pad)
-            _emit(item, out, level + 1)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(closing + "]")
+        pad = "  " * (level + 1)
+        opening = sep = "[\n" + pad
+        for item in (obj.tolist() if isinstance(obj, np.ndarray) else obj):
+            write(sep)
+            _emit(item, write, level + 1)
+            sep = ",\n" + pad
+        write("[]" if sep is opening else "\n" + "  " * level + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _float_array_text(arr: np.ndarray, level: int) -> str:
-    """The text the list branch of :func:`_emit` gives ``arr.tolist()``,
-    built from the entries in one pass instead of one call per number."""
-    flat = (arr + 0.0).ravel().tolist()     # + 0.0 turns -0.0 into 0.0, printed "0"
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _RECORD_FIELDS.get(cls)
+    if names is None:
+        names = _RECORD_FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return names
+
+
+def _emit_members(items, write: Callable[[str], Any], level: int) -> None:
+    pad = "  " * (level + 1)
+    opening = sep = "{\n" + pad
+    for key, value in items:
+        write(sep + _quote(str(key)) + ": ")
+        _emit(value, write, level + 1)
+        sep = ",\n" + pad
+    write("{}" if sep is opening else "\n" + "  " * level + "}")
+
+
+def _emit_float_array(arr: np.ndarray, write: Callable[[str], Any], level: int) -> None:
+    """Write the text the list branch of :func:`_emit` gives
+    ``arr.tolist()``, one leading-axis row per ``%`` call."""
+    arr = arr + 0.0                 # turns -0.0 into 0.0, printed "0"
     if np.isfinite(arr).all():
-        text = [format(x, ".15g") for x in flat]
-    else:
-        text = [format_float(x) for x in flat]
-    ndim = arr.ndim
+        field, values = "%.15g", tuple
+    else:                           # %.15g would print inf and nan
+        field, values = "%s", lambda row: tuple(map(format_float, row))
+    if arr.ndim <= 1:
+        write(_layout(arr.shape, level, field) % values(arr.ravel().tolist()))
+        return
+    template = _layout(arr.shape[1:], level + 1, field)
+    pad = "  " * (level + 1)
+    sep = "[\n" + pad
+    for row in arr:
+        write(sep)
+        write(template % values(row.ravel().tolist()))
+        sep = ",\n" + pad
+    write("\n" + "  " * level + "]")
+
+
+def _layout(shape: tuple[int, ...], level: int, field: str) -> str:
+    """The text of a non-empty array of ``shape`` nested ``level`` deep,
+    with ``field`` in place of each entry: a ``%`` template."""
+    ndim = len(shape)
     opens = ["[\n" + "  " * (level + axis + 1) for axis in range(ndim)]
     closes = ["\n" + "  " * (level + axis) + "]" for axis in reversed(range(ndim))]
     # seps[d] follows an entry after which the d innermost lists end: it
@@ -105,11 +142,11 @@ def _float_array_text(arr: np.ndarray, level: int) -> str:
     # as many again.  depth[i] is that d for entry i.
     seps = ["".join(closes[:d]) + ",\n" + "  " * (level + ndim - d) + "".join(opens[ndim - d:])
             for d in range(ndim)]
-    depth = np.zeros(arr.size - 1, dtype=np.intp)
-    for size in np.cumprod(arr.shape[:0:-1]):      # entries in a list along each inner axis
-        depth[size - 1::size] += 1
-    pieces = [""] * (2 * arr.size - 1)
-    pieces[0::2] = text
+    size = math.prod(shape)
+    depth = np.zeros(size - 1, dtype=np.intp)
+    for n in np.cumprod(shape[:0:-1]):          # entries in a list along each inner axis
+        depth[n - 1::n] += 1
+    pieces = [field] * (2 * size - 1)
     pieces[1::2] = [seps[d] for d in depth.tolist()]
     return "".join(opens) + "".join(pieces) + "".join(closes)
 

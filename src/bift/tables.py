@@ -53,6 +53,7 @@ import numpy as np
 from .errors import ConsistencyError, DimensionError, SizeError
 from .linalg import (
     DEFAULT_TOL,
+    MAX_HEAT_EXPONENT,
     DensityOperator,
     ReservoirSpec,
     SpectralDecomposition,
@@ -250,21 +251,29 @@ def spectra_from_analytic(spectra: SystemSpectra,
     and clipped probabilities.
 
     Checks: array shapes match ``dim_a``, ``dim_b`` and ``dim_r``
-    (DimensionError); probability vectors normalized, conditional tables
-    complete, kernels row-stochastic, and the forward kernel's image
-    marginal equal to the attached final spectrum (ConsistencyError, each
-    to ``tol.equality``).
+    (DimensionError); every probability, conditional weight and kernel
+    entry finite and not below ``-tol.psd``, every heat exponent finite
+    with ``|beta_q| <= MAX_HEAT_EXPONENT``; probability vectors
+    normalized, conditional tables complete, kernels row-stochastic, and
+    the forward kernel's image marginal equal to the attached final
+    spectrum (ConsistencyError, each to ``tol.equality``).
     """
     d_a, d_b, d_r = spectra.dim_a, spectra.dim_b, spectra.dim_r
     d_m = d_a * d_b
     _guard_size(d_a, d_b, d_r)
 
+    def weights(arr, name):
+        # NaN fails every comparison, so finiteness is checked on its own.
+        if not np.isfinite(arr).all():
+            raise ConsistencyError(f"{name} has non-finite entries")
+        if np.any(arr < -tol.psd):
+            raise ConsistencyError(f"{name} has negative entries")
+
     def vec(x, n, name):
         arr = np.asarray(x, dtype=float)
         if arr.shape != (n,):
             raise DimensionError(f"{name} must have shape ({n},), got {arr.shape}")
-        if np.any(arr < -tol.psd):
-            raise ConsistencyError(f"{name} has negative entries")
+        weights(arr, name)
         if abs(arr.sum() - 1.0) > tol.equality:
             raise ConsistencyError(f"{name} sums to {arr.sum():.12f}, not 1")
         return np.clip(arr, 0.0, None)
@@ -273,6 +282,7 @@ def spectra_from_analytic(spectra: SystemSpectra,
         cond = np.asarray(end.cond, dtype=float)
         if cond.shape != (d_m, d_a, d_b):
             raise DimensionError(f"{side}.cond must have shape ({d_m},{d_a},{d_b})")
+        weights(cond, f"{side}.cond")
         if np.max(np.abs(cond.sum(axis=(1, 2)) - 1.0)) > tol.equality:
             raise ConsistencyError(f"{side}.cond rows do not sum to 1")
         return Endpoint(p_m=vec(end.p_m, d_m, f"{side}.p_m"), p_a=vec(end.p_a, d_a, f"{side}.p_a"),
@@ -286,6 +296,8 @@ def spectra_from_analytic(spectra: SystemSpectra,
     shape = (d_m, d_r, d_m, d_r)
     if kernel.shape != shape or rkernel.shape != shape:
         raise DimensionError(f"kernels must have shape {shape}")
+    weights(kernel, "forward kernel")
+    weights(rkernel, "reverse kernel")
     if np.max(np.abs(kernel.sum(axis=(2, 3)) - 1.0)) > tol.equality:
         raise ConsistencyError("forward kernel rows do not sum to 1")
     if np.max(np.abs(rkernel.sum(axis=(0, 1)) - 1.0)) > tol.equality:
@@ -300,6 +312,9 @@ def spectra_from_analytic(spectra: SystemSpectra,
     beta_q = np.asarray(spectra.beta_q, dtype=float)
     if beta_q.shape != (d_r, d_r):
         raise DimensionError(f"beta_q must have shape ({d_r},{d_r})")
+    if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):
+        raise ConsistencyError(f"beta_q entries must be finite and at most "
+                               f"{MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
 
     return SystemSpectra(
         dim_a=d_a, dim_b=d_b, dim_r=d_r, initial=initial, final=final, p_r=p_r,

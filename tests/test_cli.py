@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,13 @@ from bift.cli import invariant_checks, main
 from bift.errors import DomainError
 from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
-from bift.tables import augmented_forward, factored_joint, reverse_joint, spectra_from_unitary
+from bift.tables import (
+    OutcomeTuple,
+    augmented_forward,
+    factored_joint,
+    reverse_joint,
+    spectra_from_unitary,
+)
 
 from conftest import encode_complex_matrix, evaluate_scenario, replace_endpoint
 
@@ -560,6 +569,24 @@ class TestExitCodes:
         assert main(["run", "--scenario", "random", "--dims", "7,7,2"]) == 2
         assert "dense tuple table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["/dev/full", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, target):
+        # The report streams into the file, so a disk that fills up
+        # half-way through is met inside the writer, not before it.
+        if target == "/dev/full" and not Path(target).exists():
+            pytest.skip("no /dev/full here")
+        out = str(tmp_path) if target == "directory" else target
+        src = Path(bift.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bift.cli", "run", "--scenario", "werner", "--p", "0.5",
+             "--emit-tuples", "--out", out],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: out {out}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--scenario", "werner", "--p", "0.5"),
         ("sweep", "--scenario", "werner", "--p", "0:1:3"),
@@ -583,6 +610,10 @@ REPORT_FLOATS = st.one_of(
       for lo, hi in ((1e-6, 1e-4), (1e14, 1e16))),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+
+# An FTReport with every kind of member: averages, bound records, a
+# worst trajectory.
+WERNER_REPORT = evaluate_scenario(werner_isothermal(0.5)).report
 
 
 class TestReportIO:
@@ -611,13 +642,53 @@ class TestReportIO:
             reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS + 1}")
 
     @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=8,
-                                                       min_side=0, max_side=2),
-                          elements=REPORT_FLOATS))
-    @example(arr=np.zeros((2, 0, 3)))
-    @example(arr=np.array([[-0.0, 5e-324], [1e-5, 1e15]]))
+                                                       min_side=0, max_side=3),
+                          elements=REPORT_FLOATS),
+           nesting=st.lists(st.sampled_from(["list", "dict"]), max_size=3))
+    @example(arr=np.zeros((2, 0, 3)), nesting=[])
+    @example(arr=np.array([[-0.0, 5e-324], [1e-5, 1e15]]), nesting=[])
+    @example(arr=np.array([[[1.0, -2.5], [math.nan, 0.0]]] * 3), nesting=["list", "dict"])
     @settings(max_examples=200, deadline=None)
-    def test_array_emits_like_its_list(self, arr):
-        assert reportio.dumps({"t": arr}) == reportio.dumps({"t": arr.tolist()})
+    def test_array_emits_like_its_list(self, arr, nesting):
+        # Each wrapper puts the array one level deeper, where the row
+        # template's indentation must still match the list branch's.
+        def nest(value):
+            for kind in nesting:
+                value = [0.5, value] if kind == "list" else {"k": value, "z": None}
+            return value
+
+        assert reportio.dumps({"t": nest(arr)}) == reportio.dumps({"t": nest(arr.tolist())})
+
+    def test_writer_pieces_join_to_dumps(self):
+        doc = {"a": [1.5, float("-inf"), "x\u00e9"], "b": {}, "c": [],
+               "t": np.arange(24.0).reshape(2, 3, 4) / 7, "r": bift.cli.Check("n", 0.5, True)}
+        pieces = []
+        reportio.dump(doc, pieces.append)
+        assert "".join(pieces) == reportio.dumps(doc)
+
+    def test_emitted_tables_stream_one_row_per_piece(self):
+        cfg = {"scenario": "random", "dims": [3, 3, 4], "seed": 1, "emit_tuples": True}
+        scenario, analysis = bift.cli.build_analysis(cfg, DEFAULT_TOL)
+        checks = bift.cli.core_checks(scenario, analysis, DEFAULT_TOL)
+        doc = bift.cli.report_document("run", cfg, scenario, analysis, checks, DEFAULT_TOL,
+                                       emit_tuples=True)
+        pieces = []
+        reportio.dump(doc, pieces.append)
+        rows = [piece for piece in pieces if len(piece) > 1000]
+        # every long piece is one leading-axis row of a table, and the
+        # 9 rows of each of the two tables are all there is
+        assert len(rows) == 2 * 9
+        for piece in rows:
+            assert np.shape(json.loads(piece)) == (3, 3, 9, 3, 3, 4, 4)
+
+    @pytest.mark.parametrize("record", [
+        dataclasses.replace(WERNER_REPORT, detailed_worst=None),
+        dataclasses.replace(WERNER_REPORT, detailed_worst=OutcomeTuple(3, 1, 0, 2, 1, 1, 0, 0)),
+        bift.cli.Check("detailed_ft", 1e-17, True, "worst trajectory (0, 0, 0, 0, 0, 0, 0, 0)"),
+        bift.cli.Check("bound:x", math.nan, True),
+    ], ids=["report-no-worst", "report-worst", "check", "check-nan"])
+    def test_record_emits_like_asdict(self, record):
+        assert reportio.dumps({"r": record}) == reportio.dumps({"r": dataclasses.asdict(record)})
 
 
 # Config fuzz: values of every JSON kind under the keys the front-end reads.

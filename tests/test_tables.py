@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bift.errors import BiftError, ConsistencyError, DimensionError, SizeError
 from bift.linalg import (
     DEFAULT_TOL,
+    MAX_HEAT_EXPONENT,
     ReservoirSpec,
     SpectralDecomposition,
     Tolerances,
@@ -254,8 +255,8 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 IMPOSSIBLE_WEIGHTS = NON_FINITE | st.floats(max_value=-2 * DEFAULT_TOL.psd,
                                             allow_infinity=False)
 # A heat exponent may be negative, but e^{beta Q} must stay finite:
-# |beta Q| <= ln(largest double) ~ 709.78.
-_HUGE = st.floats(min_value=710.0, allow_infinity=False)
+# |beta Q| <= MAX_HEAT_EXPONENT = ln(largest double).
+_HUGE = st.floats(min_value=MAX_HEAT_EXPONENT, exclude_min=True, allow_infinity=False)
 HEAT_EXPONENTS_OUT_OF_RANGE = NON_FINITE | _HUGE | _HUGE.map(lambda x: -x)
 
 
