@@ -20,7 +20,6 @@ import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -372,7 +371,7 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
 
 
 @contextmanager
-def output(out: str | None) -> Iterator[Callable[[str], Any]]:
+def output(out: str | None) -> Iterator[Callable[[str], object]]:
     """The ``write`` of the file ``out``, or of stdout when it is None.
     A file that cannot be opened or written to the end is a usage error."""
     if out is None:

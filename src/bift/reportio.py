@@ -32,10 +32,6 @@ from .errors import DomainError
 # is a typo that would only exhaust memory.
 MAX_GRID_POINTS = 100_000
 
-# Field names of each record type the serializer has met, in order.
-_RECORD_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
 def format_float(x: float) -> str:
     if math.isnan(x):
         return "NaN"
@@ -48,13 +44,15 @@ def format_float(x: float) -> str:
 
 def dump(obj: Any, write: Callable[[str], Any]) -> None:
     """Write the deterministic JSON text of the report document to
-    ``write``, in pieces no longer than one leading-axis row of a table."""
+    ``write`` in order, piece by piece; no piece holds more than one
+    leading-axis row of a float array."""
     _emit(obj, write, 0)
     write("\n")
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text for the report document."""
+    """Deterministic JSON text for the report document: the pieces
+    :func:`dump` writes, joined."""
     out: list[str] = []
     dump(obj, out.append)
     return "".join(out)
@@ -74,40 +72,36 @@ def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
     elif isinstance(obj, str):
         write(_quote(obj))
     elif isinstance(obj, dict):
-        _emit_members(obj.items(), write, level)
+        _emit_members(list(obj.items()), write, level)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # The members dataclasses.asdict would give, without its copies.
-        _emit_members(((name, getattr(obj, name)) for name in _field_names(type(obj))),
+        _emit_members([(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)],
                       write, level)
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size:
         _emit_float_array(obj, write, level)
     elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if not seq:
+            write("[]")
+            return
         pad = "  " * (level + 1)
-        opening = sep = "[\n" + pad
-        for item in (obj.tolist() if isinstance(obj, np.ndarray) else obj):
-            write(sep)
+        for i, item in enumerate(seq):
+            write(("[\n" if i == 0 else ",\n") + pad)
             _emit(item, write, level + 1)
-            sep = ",\n" + pad
-        write("[]" if sep is opening else "\n" + "  " * level + "]")
+        write("\n" + "  " * level + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _RECORD_FIELDS.get(cls)
-    if names is None:
-        names = _RECORD_FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls))
-    return names
-
-
-def _emit_members(items, write: Callable[[str], Any], level: int) -> None:
+def _emit_members(pairs: list[tuple[Any, Any]], write: Callable[[str], Any], level: int) -> None:
+    if not pairs:
+        write("{}")
+        return
     pad = "  " * (level + 1)
-    opening = sep = "{\n" + pad
-    for key, value in items:
-        write(sep + _quote(str(key)) + ": ")
+    for i, (key, value) in enumerate(pairs):
+        write(("{\n" if i == 0 else ",\n") + pad + _quote(str(key)) + ": ")
         _emit(value, write, level + 1)
-        sep = ",\n" + pad
-    write("{}" if sep is opening else "\n" + "  " * level + "}")
+    write("\n" + "  " * level + "}")
 
 
 def _emit_float_array(arr: np.ndarray, write: Callable[[str], Any], level: int) -> None:
@@ -123,11 +117,9 @@ def _emit_float_array(arr: np.ndarray, write: Callable[[str], Any], level: int) 
         return
     template = _layout(arr.shape[1:], level + 1, field)
     pad = "  " * (level + 1)
-    sep = "[\n" + pad
-    for row in arr:
-        write(sep)
+    for i, row in enumerate(arr):
+        write(("[\n" if i == 0 else ",\n") + pad)
         write(template % values(row.ravel().tolist()))
-        sep = ",\n" + pad
     write("\n" + "  " * level + "]")
 
 
