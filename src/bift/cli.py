@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,15 +374,21 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
 @contextmanager
 def output(out: str | None) -> Iterator[Callable[[str], object]]:
     """The ``write`` of the file ``out``, or of stdout when it is None.
-    A file that cannot be opened or written to the end is a usage error."""
-    if out is None:
-        yield sys.stdout.write
-        return
+    A destination that cannot be opened or written to the end (a full
+    disk, a closed pipe) is a usage error."""
+    where = "stdout" if out is None else f"out {out}"
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
             yield fh.write
+            fh.flush()
     except OSError as exc:
-        raise DomainError(f"out {out}: {exc.strerror or exc}") from exc
+        if out is None:
+            # The interpreter flushes stdout again at exit: let that
+            # flush, and what the buffer still holds, go nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise DomainError(f"{where}: {exc.strerror or exc}") from exc
 
 
 def cmd_run(args, cfg: dict, tol: Tolerances) -> int:

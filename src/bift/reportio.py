@@ -7,10 +7,10 @@ floats printed with 15 significant digits, infinities as +/-Infinity
 tokens) so that re-running the same config reproduces the report byte
 for byte; only the config hash sorts keys.  :func:`dump` writes a report
 piece by piece to a ``write`` callable: frozen records are walked field
-by field, and a float64 array goes out one leading-axis row at a time,
-each row formatted by a single ``%`` call on a template of the row's
-layout, in the same bytes as its nested list.  :func:`dumps` is the
-string form of the same writer.
+by field, and lists, tuples and arrays share one sequence loop.  A float64
+array goes out one leading-axis row at a time, each row formatted by a
+single ``%`` call on a template of the row's layout, in the same bytes as
+its nested list; any other array is written as its ``tolist()``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ def format_float(x: float) -> str:
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    if x == 0.0:
-        return "0"
-    return f"{x:.15g}"
+    return "%.15g" % (x + 0.0)      # + 0.0 turns -0.0 into 0.0, printed "0"
 
 
 def dump(obj: Any, write: Callable[[str], Any]) -> None:
@@ -48,14 +46,6 @@ def dump(obj: Any, write: Callable[[str], Any]) -> None:
     leading-axis row of a float array."""
     _emit(obj, write, 0)
     write("\n")
-
-
-def dumps(obj: Any) -> str:
-    """Deterministic JSON text for the report document: the pieces
-    :func:`dump` writes, joined."""
-    out: list[str] = []
-    dump(obj, out.append)
-    return "".join(out)
 
 
 def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
@@ -77,17 +67,17 @@ def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
         # The members dataclasses.asdict would give, without its copies.
         _emit_members([(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)],
                       write, level)
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size:
-        _emit_float_array(obj, write, level)
+    elif isinstance(obj, np.ndarray) and not (obj.dtype == np.float64 and obj.ndim and obj.size):
+        _emit(obj.tolist(), write, level)       # a 0-d array gives its scalar
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if not seq:
+        if not len(obj):
             write("[]")
             return
+        item = _row_writer(obj, level + 1) if isinstance(obj, np.ndarray) else _emit
         pad = "  " * (level + 1)
-        for i, item in enumerate(seq):
+        for i, value in enumerate(obj):
             write(("[\n" if i == 0 else ",\n") + pad)
-            _emit(item, write, level + 1)
+            item(value, write, level + 1)
         write("\n" + "  " * level + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -104,43 +94,26 @@ def _emit_members(pairs: list[tuple[Any, Any]], write: Callable[[str], Any], lev
     write("\n" + "  " * level + "}")
 
 
-def _emit_float_array(arr: np.ndarray, write: Callable[[str], Any], level: int) -> None:
-    """Write the text the list branch of :func:`_emit` gives
-    ``arr.tolist()``, one leading-axis row per ``%`` call."""
-    arr = arr + 0.0                 # turns -0.0 into 0.0, printed "0"
+def _row_writer(arr: np.ndarray, level: int) -> Callable[..., None]:
+    """The item writer for the leading-axis rows of the float64 array
+    ``arr``, nested ``level`` deep: one ``%`` call gives a row the text
+    :func:`_emit` gives its ``tolist()``."""
     if np.isfinite(arr).all():
         field, values = "%.15g", tuple
     else:                           # %.15g would print inf and nan
         field, values = "%s", lambda row: tuple(map(format_float, row))
-    if arr.ndim <= 1:
-        write(_layout(arr.shape, level, field) % values(arr.ravel().tolist()))
-        return
-    template = _layout(arr.shape[1:], level + 1, field)
-    pad = "  " * (level + 1)
-    for i, row in enumerate(arr):
-        write(("[\n" if i == 0 else ",\n") + pad)
-        write(template % values(row.ravel().tolist()))
-    write("\n" + "  " * level + "]")
+    template = _layout(arr.shape[1:], level, field)
+    return lambda row, write, _: write(template % values((row + 0.0).ravel().tolist()))
 
 
 def _layout(shape: tuple[int, ...], level: int, field: str) -> str:
     """The text of a non-empty array of ``shape`` nested ``level`` deep,
     with ``field`` in place of each entry: a ``%`` template."""
-    ndim = len(shape)
-    opens = ["[\n" + "  " * (level + axis + 1) for axis in range(ndim)]
-    closes = ["\n" + "  " * (level + axis) + "]" for axis in reversed(range(ndim))]
-    # seps[d] follows an entry after which the d innermost lists end: it
-    # closes them, separates the items of the list around them and opens
-    # as many again.  depth[i] is that d for entry i.
-    seps = ["".join(closes[:d]) + ",\n" + "  " * (level + ndim - d) + "".join(opens[ndim - d:])
-            for d in range(ndim)]
-    size = math.prod(shape)
-    depth = np.zeros(size - 1, dtype=np.intp)
-    for n in np.cumprod(shape[:0:-1]):          # entries in a list along each inner axis
-        depth[n - 1::n] += 1
-    pieces = [field] * (2 * size - 1)
-    pieces[1::2] = [seps[d] for d in depth.tolist()]
-    return "".join(opens) + "".join(pieces) + "".join(closes)
+    if not shape:
+        return field
+    pad = "\n" + "  " * (level + 1)
+    inner = _layout(shape[1:], level + 1, field)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def config_hash(config: dict) -> str:

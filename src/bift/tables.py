@@ -38,8 +38,9 @@ which comes from one of two routes:
   have no finite-dimensional propagator.  Kernels must be row-stochastic
   and consistent with the attached final spectrum.
 
-Summations use a fixed lexicographic (C-order) reduction so results are
-bit-reproducible for identical inputs.
+Summations use a fixed lexicographic (C-order) reduction, so identical
+inputs give identical bytes on the same numpy/BLAS build at the same
+BLAS thread count; at (4,4,8) the bytes change with the thread count.
 """
 
 from __future__ import annotations

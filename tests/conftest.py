@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from bift import reportio
 from bift.functionals import log_or_zero, shannon_entropy
 from bift.errors import DomainError
 from bift.linalg import (
@@ -103,6 +104,13 @@ def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Genera
 def encode_complex_matrix(matrix: np.ndarray) -> list:
     m = np.asarray(matrix, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def report_text(obj) -> str:
+    """The pieces ``reportio.dump`` writes for ``obj``, joined."""
+    pieces: list[str] = []
+    reportio.dump(obj, pieces.append)
+    return "".join(pieces)
 
 
 def evaluate_scenario(scenario, **kwargs):

@@ -30,7 +30,7 @@ from bift.tables import (
     spectra_from_unitary,
 )
 
-from conftest import encode_complex_matrix, evaluate_scenario, replace_endpoint
+from conftest import encode_complex_matrix, evaluate_scenario, replace_endpoint, report_text
 
 LN2 = math.log(2.0)
 
@@ -587,6 +587,39 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("stdout, argv", [
+        ("/dev/full", ("run", "--scenario", "werner", "--p", "0.5", "--emit-tuples")),
+        ("/dev/full", ("verify", "--scenario", "werner", "--p", "0.5")),
+        ("/dev/full", ("sweep", "--scenario", "werner", "--p", "0:1:3")),
+        ("closed-pipe", ("run", "--scenario", "random", "--dims", "3,3,4", "--seed", "1",
+                         "--emit-tuples")),
+    ], ids=["run-full", "verify-full", "sweep-full", "run-closed-pipe"])
+    def test_unwritable_stdout_exits_2(self, stdout, argv):
+        # A full disk is met by the flush at the end of a short report; a
+        # reader that stops after 10 bytes, half-way through a long one.
+        if stdout == "/dev/full" and not Path(stdout).exists():
+            pytest.skip("no /dev/full here")
+        src = Path(bift.cli.__file__).resolve().parents[1]
+        cmd = [sys.executable, "-m", "bift.cli", *argv]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        if stdout == "/dev/full":
+            with open(stdout, "w") as full:
+                proc = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE,
+                                      text=True, timeout=120)
+            status, err = proc.returncode, proc.stderr
+        else:
+            with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) as proc:
+                assert len(proc.stdout.read(10)) == 10
+                proc.stdout.close()
+                err = proc.stderr.read()
+                status = proc.wait(timeout=120)
+        assert status == 2
+        assert err.startswith("error: stdout: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--scenario", "werner", "--p", "0.5"),
         ("sweep", "--scenario", "werner", "--p", "0:1:3"),
@@ -624,7 +657,7 @@ class TestReportIO:
 
     def test_dumps_round_trips(self):
         doc = {"a": [1.5, float("-inf")], "b": {"c": None, "d": True}}
-        parsed = json.loads(reportio.dumps(doc))
+        parsed = json.loads(report_text(doc))
         assert parsed["a"][0] == 1.5
         assert parsed["a"][1] == float("-inf")
         assert parsed["b"] == {"c": None, "d": True}
@@ -641,11 +674,19 @@ class TestReportIO:
         with pytest.raises(DomainError):
             reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS + 1}")
 
-    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=8,
+    @given(arr=st.one_of(
+               hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=8,
                                                        min_side=0, max_side=3),
                           elements=REPORT_FLOATS),
+               # arrays written through their tolist()
+               hnp.arrays(st.sampled_from([np.int64, np.float32]),
+                          hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3))),
            nesting=st.lists(st.sampled_from(["list", "dict"]), max_size=3))
     @example(arr=np.zeros((2, 0, 3)), nesting=[])
+    @example(arr=np.array(-0.0), nesting=[])
+    @example(arr=np.array(0), nesting=["list"])
+    @example(arr=np.array(7, dtype=np.int64), nesting=[])
+    @example(arr=np.array([[1.5, -0.0], [math.inf, 3e-45]], dtype=np.float32), nesting=[])
     @example(arr=np.array([[-0.0, 5e-324], [1e-5, 1e15]]), nesting=[])
     @example(arr=np.array([[[1.0, -2.5], [math.nan, 0.0]]] * 3), nesting=["list", "dict"])
     @settings(max_examples=200, deadline=None)
@@ -657,14 +698,17 @@ class TestReportIO:
                 value = [0.5, value] if kind == "list" else {"k": value, "z": None}
             return value
 
-        assert reportio.dumps({"t": nest(arr)}) == reportio.dumps({"t": nest(arr.tolist())})
+        assert report_text({"t": nest(arr)}) == report_text({"t": nest(arr.tolist())})
 
     def test_writer_pieces_join_to_dumps(self):
+        # The pieces of an array and a record join to the text of their
+        # nested lists and dicts.
         doc = {"a": [1.5, float("-inf"), "x\u00e9"], "b": {}, "c": [],
                "t": np.arange(24.0).reshape(2, 3, 4) / 7, "r": bift.cli.Check("n", 0.5, True)}
         pieces = []
         reportio.dump(doc, pieces.append)
-        assert "".join(pieces) == reportio.dumps(doc)
+        plain = {**doc, "t": doc["t"].tolist(), "r": dataclasses.asdict(doc["r"])}
+        assert "".join(pieces) == report_text(plain)
 
     def test_emitted_tables_stream_one_row_per_piece(self):
         cfg = {"scenario": "random", "dims": [3, 3, 4], "seed": 1, "emit_tuples": True}
@@ -688,7 +732,7 @@ class TestReportIO:
         bift.cli.Check("bound:x", math.nan, True),
     ], ids=["report-no-worst", "report-worst", "check", "check-nan"])
     def test_record_emits_like_asdict(self, record):
-        assert reportio.dumps({"r": record}) == reportio.dumps({"r": dataclasses.asdict(record)})
+        assert report_text({"r": record}) == report_text({"r": dataclasses.asdict(record)})
 
 
 # Config fuzz: values of every JSON kind under the keys the front-end reads.
