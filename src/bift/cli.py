@@ -37,6 +37,7 @@ from .linalg import (
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
 from .scenarios import Scenario, bell_adiabatic_counterexample, random_instance, werner_isothermal
 from .tables import (
+    OutcomeTuple,
     UnitarySystem,
     _guard_size,
     augmented_forward,
@@ -360,13 +361,12 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
         "passed": all(c.passed for c in checks),
     }
     if emit_tuples:
-        forward = augmented_forward(scenario.spectra)
-        reverse = reverse_joint(scenario.spectra)
+        forward = augmented_forward(analysis.joint).table
         doc["tables"] = {
-            "axes": ["m", "a", "b", "m_final", "a_final", "b_final", "r", "r_final"],
-            "dims": list(forward.dims),
-            "forward": forward.table,
-            "reverse": reverse.table,
+            "axes": list(OutcomeTuple._fields),
+            "dims": list(forward.shape),
+            "forward": forward,
+            "reverse": reverse_joint(analysis.joint).table,
         }
     return doc
 

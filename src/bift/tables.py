@@ -19,12 +19,12 @@ global two-point entry times the two conditional weights,
 
     p[m,a,b,m',a',b',r,r'] = G[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
 
-``FactoredJoint`` keeps the tables in this form (four-index ``G`` and
-``G_rev`` plus the (M, A, B) conditional tables), and its
-``expectation`` sums a functional that factors across the endpoints over
-the whole tuple space without building the eight-index tables.  The
-dense tables (``augmented_forward``, ``reverse_joint``) are built only
-for emission.
+``factored_joint`` builds the tables in this form (four-index ``G`` and
+``G_rev`` plus the two endpoints), and ``FactoredJoint.expectation``
+sums a functional that factors across the endpoints over the whole
+tuple space without building the eight-index tables.  The dense tables
+(``augmented_forward``, ``reverse_joint``) are views of a
+``FactoredJoint``, built only for emission.
 
 Every table is built from one bundle of ingredients (``SystemSpectra``),
 which comes from one of two routes:
@@ -87,8 +87,7 @@ class DenseJoint:
     """A joint distribution on the full eight-index space, built only
     for emission."""
 
-    dims: tuple[int, ...]            # (M, A, B, M, A, B, R, R)
-    table: np.ndarray
+    table: np.ndarray                # [m, a, b, m', a', b', r, r']
 
 
 @dataclass(frozen=True)
@@ -330,75 +329,35 @@ def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:
     return p > tol.support * max(float(np.max(p)), 0.0)
 
 
-def forward_support_mask(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Initial (m, r) pairs carrying nonzero two-point weight:
-    p_m p_r sum_{m',r'} K above the support cutoff."""
-    w = (spectra.initial.p_m[:, None] * spectra.p_r[None, :]) * spectra.kernel.sum(axis=(2, 3))
-    return _above_cutoff(w, tol)
-
-
-def global_table(spectra: SystemSpectra) -> np.ndarray:
-    """Forward two-point table p_{m,m';r,r'} = K p_m p_r as [m, m', r, r']."""
-    return (spectra.kernel.transpose(0, 2, 1, 3)
-            * spectra.initial.p_m[:, None, None, None]
-            * spectra.p_r[None, None, :, None])
-
-
-def reverse_global_table(spectra: SystemSpectra) -> np.ndarray:
-    """Reversed two-point table on forward-aligned axes [m, m', r, r']:
-    the reversed process starts from the final AB spectrum and the same
-    reservoir Gibbs state ``p_r``."""
-    return (spectra.reverse_kernel.transpose(0, 2, 1, 3)
-            * spectra.final.p_m[None, :, None, None]
-            * spectra.p_r[None, None, None, :])
-
-
-def _attach_conditionals(g: np.ndarray, spectra: SystemSpectra) -> np.ndarray:
-    return (g[:, None, None, :, None, None, :, :]
-            * spectra.initial.cond[:, :, :, None, None, None, None, None]
-            * spectra.final.cond[None, None, None, :, :, :, None, None])
-
-
-def augmented_forward(spectra: SystemSpectra) -> DenseJoint:
-    """Multiply the global two-point table by both conditional weights:
-
-        p[m,a,b,m',a',b';r,r'] = p_{m,m';r,r'} |<m|a,b>|^2 |<m'|a',b'>|^2.
-
-    Marginalizing over the primed indices recovers |<m|a,b>|^2 p_m p_r.
-    """
-    return DenseJoint(dims=spectra.dims,
-                      table=_attach_conditionals(global_table(spectra), spectra))
-
-
-def reverse_joint(spectra: SystemSpectra) -> DenseJoint:
-    """Time-reversed joint table, aligned to forward axes.
-
-    The reversed process starts from the final state (re-thermalized
-    reservoir) and uses the reversed kernel; its full-space mass is 1.
-    """
-    return DenseJoint(dims=spectra.dims,
-                      table=_attach_conditionals(reverse_global_table(spectra), spectra))
-
-
 @dataclass(frozen=True)
 class FactoredJoint:
     """Forward and time-reversed joint distributions in factored form:
     the eight-index entry of either table is its four-index global entry
-    times ``cond_initial[m,a,b] * cond_final[m',a',b']``."""
+    times ``initial.cond[m,a,b] * final.cond[m',a',b']``."""
 
     forward: np.ndarray              # G [m, m', r, r']
     reverse: np.ndarray              # G_rev on forward-aligned axes
-    cond_initial: np.ndarray         # [m, a, b]
-    cond_final: np.ndarray           # [m', a', b']
+    initial: Endpoint
+    final: Endpoint
     forward_support: np.ndarray      # bool, shape (M, R)
+
+    def dense(self, table: np.ndarray) -> np.ndarray:
+        """The eight-index table of the global ``table``, with both
+        conditional weights attached:
+
+            p[m,a,b,m',a',b',r,r'] = table[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
+        """
+        return (table[:, None, None, :, None, None, :, :]
+                * self.initial.cond[:, :, :, None, None, None, None, None]
+                * self.final.cond[None, None, None, :, :, :, None, None])
 
     def expectation(self, table: np.ndarray, initial=1.0, final=1.0, pair=1.0) -> float:
         """Sum over the tuple space of the eight-index table built from
         the global ``table`` times initial[m,a,b] final[m',a',b'] pair[r,r'];
         each factor is a scalar or broadcasts against its endpoint's
         (M, A, B) or (R, R) table.  Costs O(M^2 R^2 + M A B)."""
-        u = (self.cond_initial * initial).sum(axis=(1, 2))
-        v = (self.cond_final * final).sum(axis=(1, 2))
+        u = (self.initial.cond * initial).sum(axis=(1, 2))
+        v = (self.final.cond * final).sum(axis=(1, 2))
         return float((table * u[:, None, None, None] * v[None, :, None, None] * pair).sum())
 
     def restricted(self, table: np.ndarray) -> np.ndarray:
@@ -413,10 +372,34 @@ class FactoredJoint:
 
 
 def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> FactoredJoint:
-    """Both joint distributions of ``spectra`` in factored form."""
-    return FactoredJoint(forward=global_table(spectra),
-                         reverse=reverse_global_table(spectra),
-                         cond_initial=spectra.initial.cond,
-                         cond_final=spectra.final.cond,
-                         forward_support=forward_support_mask(spectra, tol))
+    """Both joint distributions of ``spectra`` in factored form.
 
+    ``forward`` is the two-point table G = K p_m p_r as [m, m', r, r'];
+    ``reverse`` is the reversed process's table on the same axes, started
+    from the final AB spectrum and the same reservoir Gibbs state p_r.
+    The forward support holds the initial (m, r) pairs whose two-point
+    weight p_m p_r sum_{m',r'} K is above the support cutoff.
+    """
+    p_m, p_r = spectra.initial.p_m, spectra.p_r
+    weight = (p_m[:, None] * p_r[None, :]) * spectra.kernel.sum(axis=(2, 3))
+    return FactoredJoint(
+        forward=(spectra.kernel.transpose(0, 2, 1, 3)
+                 * p_m[:, None, None, None] * p_r[None, None, :, None]),
+        reverse=(spectra.reverse_kernel.transpose(0, 2, 1, 3)
+                 * spectra.final.p_m[None, :, None, None] * p_r[None, None, None, :]),
+        initial=spectra.initial,
+        final=spectra.final,
+        forward_support=_above_cutoff(weight, tol))
+
+
+def augmented_forward(joint: FactoredJoint) -> DenseJoint:
+    """The dense forward table of ``joint``.  Marginalizing over the
+    primed indices recovers |<m|a,b>|^2 p_m p_r."""
+    return DenseJoint(joint.dense(joint.forward))
+
+
+def reverse_joint(joint: FactoredJoint) -> DenseJoint:
+    """The dense time-reversed table of ``joint``, aligned to forward
+    axes.  The reversed process starts from the final state
+    (re-thermalized reservoir); its full-space mass is 1."""
+    return DenseJoint(joint.dense(joint.reverse))

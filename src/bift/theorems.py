@@ -126,8 +126,8 @@ class FTReport:
 class Analysis:
     """A system run end to end: ingredient bundle, both joint tables in
     factored form, the per-endpoint functionals and the assembled report.
-    The eight-index tables are ``augmented_forward(spectra)`` and
-    ``reverse_joint``; nothing here holds them."""
+    The eight-index tables are ``augmented_forward(joint)`` and
+    ``reverse_joint(joint)``; nothing here holds them."""
 
     spectra: SystemSpectra
     joint: FactoredJoint
@@ -138,8 +138,8 @@ class Analysis:
 def _supports(joint: FactoredJoint, tol: Tolerances):
     """Per-factor supports (see the module docstring): blocks [m,m',r,r'],
     initial [m,a,b] and final [m',a',b'] weights above cutoff."""
-    return (_above_cutoff(joint.forward, tol), _above_cutoff(joint.cond_initial, tol),
-            _above_cutoff(joint.cond_final, tol))
+    return (_above_cutoff(joint.forward, tol), _above_cutoff(joint.initial.cond, tol),
+            _above_cutoff(joint.final.cond, tol))
 
 
 def _extremes(values: np.ndarray, support: np.ndarray):

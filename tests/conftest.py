@@ -26,12 +26,11 @@ from bift.linalg import (
 )
 from bift.scenarios import _mixed_spectrum, bell_basis, werner_isothermal
 from bift.tables import (
-    DenseJoint,
     OutcomeTuple,
     UnitarySystem,
     augmented_forward,
-    forward_support_mask,
-    reverse_global_table,
+    factored_joint,
+    reverse_joint,
 )
 from bift.theorems import (
     NEG_INF,
@@ -207,18 +206,16 @@ class TrajectoryFunctional:
 
 def _initial_support(spectra, tol=DEFAULT_TOL) -> np.ndarray:
     """The (m, r) forward-support mask broadcast over the eight axes."""
-    return forward_support_mask(spectra, tol)[:, None, None, None, None, None, :, None]
+    return factored_joint(spectra, tol).forward_support[:, None, None, None, None, None, :, None]
 
 
 def dense_tables(spectra, reverse_global=None):
     """(forward, reverse) eight-index distributions; ``reverse_global``
     replaces the reverse two-point table (e.g. a corrupted one)."""
-    if reverse_global is None:
-        reverse_global = reverse_global_table(spectra)
-    table = (reverse_global[:, None, None, :, None, None, :, :]
-             * spectra.initial.cond[:, :, :, None, None, None, None, None]
-             * spectra.final.cond[None, None, None, :, :, :, None, None])
-    return augmented_forward(spectra), DenseJoint(dims=spectra.dims, table=table)
+    joint = factored_joint(spectra)
+    if reverse_global is not None:
+        joint = dataclasses.replace(joint, reverse=reverse_global)
+    return augmented_forward(joint), reverse_joint(joint)
 
 
 def dense_content_table(p, l_pa, l_pb, tol=DEFAULT_TOL) -> np.ndarray:

@@ -137,8 +137,8 @@ def test_criterion_7_random_instance_battery():
             spectra = spectra_from_unitary(system)
             analysis = evaluate(spectra)
             rep = analysis.report
-            forward = augmented_forward(spectra)
-            reverse = reverse_joint(spectra)
+            forward = augmented_forward(analysis.joint)
+            reverse = reverse_joint(analysis.joint)
             worst["detailed"] = max(worst["detailed"], rep.detailed_max_residual)
             worst["integral"] = max(worst["integral"],
                                     abs(rep.integral_ft_lhs - rep.gamma_restricted))

@@ -88,12 +88,12 @@ class TestRun:
                              "--seed", "7", "--emit-tuples")
         assert code == 0
         tables = json.loads(text)["tables"]
-        spectra = spectra_from_unitary(random_instance(2, 3, 2, 7), tol=DEFAULT_TOL)
+        joint = factored_joint(spectra_from_unitary(random_instance(2, 3, 2, 7), tol=DEFAULT_TOL))
         for key, build in (("forward", augmented_forward), ("reverse", reverse_joint)):
             table = np.asarray(tables[key])
             assert table.shape == (6, 2, 3, 6, 2, 3, 2, 2)
             assert table.sum() == pytest.approx(1.0, abs=1e-10)
-            np.testing.assert_allclose(table, build(spectra).table, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(table, build(joint).table, rtol=1e-14, atol=0)
 
     def test_emit_tuples_config_key(self, tmp_path):
         path = tmp_path / "config.json"
@@ -202,7 +202,7 @@ def test_golden_values(tmp_path, monkeypatch, case):
     resid, worst = _detailed_fields(got)
     _detailed_fields(want)
     assert resid <= 1e-14
-    table = augmented_forward(GOLDEN_SPECTRA[case]()).table
+    table = augmented_forward(factored_joint(GOLDEN_SPECTRA[case]())).table
     assert table[tuple(worst)] > DEFAULT_TOL.support * table.max()
     _assert_close(got, want)
 
@@ -350,20 +350,20 @@ class TestDenseTables:
         def refuse(*args):
             raise AssertionError("an eight-index table was built")
 
-        monkeypatch.setattr(bift.tables, "_attach_conditionals", refuse)
+        monkeypatch.setattr(bift.tables.FactoredJoint, "dense", refuse)
         # a random system has no p, so there is nothing to sweep
         want = 2 if command == "sweep" and "random" in scenario else 0
         assert main([command, *scenario, "--out", str(tmp_path / "out.txt")]) == want
 
     def test_emit_tuples_builds_each_once(self, tmp_path, monkeypatch):
         built = []
-        attach = bift.tables._attach_conditionals
+        dense = bift.tables.FactoredJoint.dense
 
-        def counted(table, spectra):
+        def counted(joint, table):
             built.append(table.shape)
-            return attach(table, spectra)
+            return dense(joint, table)
 
-        monkeypatch.setattr(bift.tables, "_attach_conditionals", counted)
+        monkeypatch.setattr(bift.tables.FactoredJoint, "dense", counted)
         code, _ = run_cli(tmp_path, "run", "--scenario", "random", "--dims", "2,2,2",
                           "--emit-tuples")
         assert code == 0

@@ -94,7 +94,7 @@ class TestScalarFunctionals:
         # marginal (a, b) joint of the pure-state table: both aligned pairs
         # carry 1/2, and it is the joint the J table is built from
         spectra = werner_spectra(1.0)
-        joint = augmented_forward(spectra).table.sum(axis=(0, 3, 4, 5, 6, 7))
+        joint = augmented_forward(factored_joint(spectra)).table.sum(axis=(0, 3, 4, 5, 6, 7))
         assert joint[0, 0] == pytest.approx(0.5)
         assert np.max(np.abs(joint - spectra.initial.classical_joint())) < 1e-15
         funcs = endpoint_functionals(spectra)

@@ -14,7 +14,7 @@ from bift.scenarios import (
     werner_delta_i_avg,
     werner_isothermal,
 )
-from bift.tables import augmented_forward, reverse_joint, spectra_from_unitary
+from bift.tables import augmented_forward, factored_joint, reverse_joint, spectra_from_unitary
 from bift.theorems import evaluate
 
 from conftest import evaluate_scenario, random_classical_instance, werner_state
@@ -25,7 +25,7 @@ LN2 = math.log(2.0)
 class TestWernerScenario:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_forward_table_matches_listing(self, p):
-        fwd = augmented_forward(werner_isothermal(p).spectra)
+        fwd = augmented_forward(factored_joint(werner_isothermal(p).spectra))
         top = (1 + 3 * p) / 8
         rest = (1 - p) / 8
         want = {
@@ -45,7 +45,7 @@ class TestWernerScenario:
 
     def test_reverse_table_eight_eighths(self):
         spectra = werner_isothermal(0.4).spectra
-        rev = reverse_joint(spectra)
+        rev = reverse_joint(factored_joint(spectra))
         nz = np.argwhere(rev.table > 0.0)
         assert len(nz) == 8
         assert np.max(np.abs(rev.table[rev.table > 0.0] - 0.125)) < 1e-15

@@ -30,7 +30,6 @@ from bift.tables import (
     augmented_forward,
     conditional_table,
     factored_joint,
-    global_table,
     reverse_joint,
     spectra_from_analytic,
     spectra_from_unitary,
@@ -79,12 +78,12 @@ class TestConditionalLocal:
 
 
 class TestGlobalTmpJoint:
-    """The global two-point table p_{m,m';r,r'} (``global_table``)."""
+    """The global two-point table p_{m,m';r,r'} (``factored_joint(s).forward``)."""
 
     def test_identity_propagator_delta_structure(self, rng):
         system = random_instance(2, 2, 2, seed=5)
         system = dataclasses.replace(system, unitary=np.eye(8, dtype=complex))
-        table = global_table(spectra_from_unitary(system))
+        table = factored_joint(spectra_from_unitary(system)).forward
         # with U = I the endpoint bases coincide, so the kernel part is
         # the identity permutation on (m, r)
         for m in range(4):
@@ -103,7 +102,7 @@ class TestGlobalTmpJoint:
             for b in range(2):
                 swap[2 * b + a, 2 * a + b] = 1.0
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0,), 1.0), swap.astype(complex))
-        got = global_table(spectra_from_unitary(system))
+        got = factored_joint(spectra_from_unitary(system)).forward
         # oracle: explicit enumeration over the 4x4 outcome pairs;
         # eigenvalues sort descending so eigenvector k is computational
         # state order[k]
@@ -121,7 +120,7 @@ class TestGlobalTmpJoint:
         assert np.max(np.abs(got - oracle)) < 1e-14
 
     def test_sums_to_one(self, rng):
-        table = global_table(spectra_from_unitary(random_instance(2, 3, 2, seed=9)))
+        table = factored_joint(spectra_from_unitary(random_instance(2, 3, 2, seed=9))).forward
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_inconsistent_final(self, rng):
@@ -135,13 +134,13 @@ class TestForwardTable:
     def test_matches_loop_oracle(self):
         system = random_instance(2, 2, 2, seed=11)
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(spectra)
+        fwd = augmented_forward(factored_joint(spectra))
         assert np.max(np.abs(fwd.table - oracle_forward_table(spectra))) < 1e-15
 
     def test_marginal_over_primed_indices(self):
         system = random_instance(2, 2, 2, seed=12)
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(spectra)
+        fwd = augmented_forward(factored_joint(spectra))
         got = fwd.table.sum(axis=(3, 4, 5, 7))
         want = (spectra.initial.cond[:, :, :, None]
                 * spectra.initial.p_m[:, None, None, None]
@@ -149,7 +148,7 @@ class TestForwardTable:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_werner_pure_support(self):
-        fwd = augmented_forward(werner_spectra(1.0))
+        fwd = augmented_forward(factored_joint(werner_spectra(1.0)))
         nz = np.argwhere(fwd.table > 1e-12)
         assert len(nz) == 2
         entries = {tuple(int(i) for i in idx): fwd.table[tuple(idx)] for idx in nz}
@@ -165,7 +164,7 @@ class TestForwardTable:
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0,), 1.0),
                                np.eye(4, dtype=complex))
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(spectra)
+        fwd = augmented_forward(factored_joint(spectra))
         joint_ab = fwd.table.sum(axis=(0, 3, 4, 5, 6, 7))
         assert np.max(np.abs(joint_ab - np.outer(pa, pb))) < 1e-12
 
@@ -175,8 +174,9 @@ class TestForwardTable:
     def test_normalization(self, seed, dims):
         system = random_instance(*dims, seed=seed)
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(spectra)
-        rev = reverse_joint(spectra)
+        joint = factored_joint(spectra)
+        fwd = augmented_forward(joint)
+        rev = reverse_joint(joint)
         assert fwd.table.sum() == pytest.approx(1.0, abs=1e-10)
         assert rev.table.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(fwd.table >= 0.0)
@@ -187,7 +187,7 @@ class TestReverseTable:
     def test_matches_loop_oracle(self):
         system = random_instance(2, 2, 2, seed=13)
         spectra = spectra_from_unitary(system)
-        rev = reverse_joint(spectra)
+        rev = reverse_joint(factored_joint(spectra))
         assert np.max(np.abs(rev.table - oracle_reverse_table(spectra))) < 1e-15
 
     def test_werner_pure_restricted_quarter(self):
@@ -200,7 +200,7 @@ class TestReverseTable:
         assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_werner_reverse_entries(self):
-        rev = reverse_joint(werner_spectra(0.7))
+        rev = reverse_joint(factored_joint(werner_spectra(0.7)))
         nz = np.argwhere(rev.table > 1e-12)
         assert len(nz) == 8
         for idx in nz:
@@ -226,19 +226,19 @@ class TestReverseTable:
 
 class TestMarginal:
     def test_everything_dropped(self):
-        fwd = augmented_forward(werner_spectra(0.3))
+        fwd = augmented_forward(factored_joint(werner_spectra(0.3)))
         assert fwd.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_local_marginal_matches_state(self):
         system = random_instance(2, 3, 2, seed=21)
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(spectra)
+        fwd = augmented_forward(factored_joint(spectra))
         end = spectra.initial
         assert np.max(np.abs(fwd.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - end.p_a)) < 1e-12
         assert np.max(np.abs(fwd.table.sum(axis=(0, 1, 3, 4, 5, 6, 7)) - end.p_b)) < 1e-12
 
     def test_werner_global_marginal(self):
-        fwd = augmented_forward(werner_spectra(0.5))
+        fwd = augmented_forward(factored_joint(werner_spectra(0.5)))
         p_m = fwd.table.sum(axis=(1, 2, 3, 4, 5, 6, 7))
         assert p_m[0] == pytest.approx(5 / 8)   # (1 + 3p)/4 at p = 1/2
         assert p_m[1:] == pytest.approx([1 / 8] * 3)
@@ -384,14 +384,14 @@ class TestGuardsAndOverrides:
         dec = system.rho_ab.decomposition
         remixed = remix_degenerate_blocks(dec, rng)
         spectra = spectra_from_unitary(system, initial_decomposition=remixed)
-        fwd = augmented_forward(spectra)
+        fwd = augmented_forward(factored_joint(spectra))
         assert fwd.table.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCounterexampleTables:
     def test_routes_share_global_marginals(self):
-        a = augmented_forward(bell_adiabatic_counterexample(0.4, route="unitary").spectra)
-        b = augmented_forward(bell_adiabatic_counterexample(0.4, route="analytic").spectra)
+        a, b = (augmented_forward(factored_joint(bell_adiabatic_counterexample(0.4, r).spectra))
+                for r in ("unitary", "analytic"))
         # per-tuple tables differ by the degenerate-block gauge, but the
         # endpoint marginals must agree
         for drop in ((1, 2, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7), (0, 1, 2, 3, 6, 7)):

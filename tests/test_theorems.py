@@ -20,6 +20,7 @@ from bift.scenarios import (
     werner_isothermal,
 )
 from bift.tables import (
+    Endpoint,
     FactoredJoint,
     UnitarySystem,
     augmented_forward,
@@ -246,7 +247,7 @@ class TestBounds:
         # -ln(1+3p) and -ln(1-p); the reverse-info bound must saturate
         analysis = evaluate_scenario(werner_isothermal(0.5))
         traj = dense_tuple_functionals(analysis.spectra)
-        forward = augmented_forward(analysis.spectra)
+        forward = augmented_forward(analysis.joint)
         shape = forward.table.shape
         exponent = np.broadcast_to(traj.delta_s_a + traj.delta_s_b - traj.beta_q, shape)
         weighted = exponent[forward.table > 1e-12]
@@ -306,7 +307,7 @@ class TestClassicalReduction:
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-12)
         assert residual < 1e-12
         assert max_gap < 1e-12
-        forward = augmented_forward(analysis.spectra)
+        forward = augmented_forward(analysis.joint)
         expo = np.broadcast_to(dense_tuple_functionals(analysis.spectra).ft_exponent(),
                                forward.table.shape)
         assert np.max(np.abs(expo[forward.table > 0.5])) < 1e-12
@@ -457,7 +458,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_werner(self, p):
         analysis = assert_matches_dense_oracle(werner_isothermal(p).spectra)
-        forward = augmented_forward(analysis.spectra)
+        forward = augmented_forward(analysis.joint)
         assert np.array_equal(per_factor_support(analysis.joint), dense_support(forward))
 
     def test_support_rules_differ_on_small_products(self):
@@ -530,9 +531,14 @@ class TestFactoredExtremes:
         cond_f = coarse((d_m, d_a, d_b), zeros=0.4)
         cond_i[:, 0, 0] += 1.0        # no empty rows
         cond_f[:, 0, 0] += 1.0
+
+        def endpoint(cond):
+            # only the conditional weights enter the contractions
+            return Endpoint(p_m=np.full(d_m, 1.0 / d_m), p_a=np.full(d_a, 1.0 / d_a),
+                            p_b=np.full(d_b, 1.0 / d_b), cond=cond)
         joint = FactoredJoint(forward=coarse((d_m, d_m, d_r, d_r), zeros=0.3),
                               reverse=coarse((d_m, d_m, d_r, d_r)),
-                              cond_initial=cond_i, cond_final=cond_f,
+                              initial=endpoint(cond_i), final=endpoint(cond_f),
                               forward_support=np.ones((d_m, d_r), dtype=bool))
         info = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
         classical = coarse((d_a, d_b)), coarse((d_a, d_b))
