@@ -417,6 +417,16 @@ class TestConfigs:
         assert code in (0, 1)
         assert "PASS detailed_ft" in text
 
+    def test_steep_reservoir_passes_integral_relations(self, tmp_path):
+        # at beta * dE = 29 the upper level's Gibbs weight lies below the
+        # support cutoff, so gamma drops its (m, r) rows; both integral
+        # relations must average over the same forward support
+        path = self._explicit_config(tmp_path, energies=[0.0, 29.0])
+        code, text = run_cli(tmp_path, "verify", "--config", str(path))
+        assert code == 0
+        assert "PASS integral_ft_vs_gamma" in text
+        assert "PASS reverse_averaged_ft" in text
+
     def test_trace_tolerance_reaches_state_check(self, tmp_path, capsys):
         path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9)
         assert main(["run", "--config", str(path)]) == 2

@@ -133,6 +133,18 @@ class TestIntegralFT:
         rep = analysis.report
         assert abs(rep.integral_ft_lhs - rep.gamma_restricted) < 1e-10
 
+    @given(seed=st.integers(0, 10_000), gap=st.floats(0.0, 709.0))
+    @settings(max_examples=40, deadline=None)
+    def test_steep_reservoir_averages_over_forward_support(self, seed, gap):
+        # beta * dE up to the overflow limit: from about 27.6 on, the
+        # upper level's Gibbs weight falls below the support cutoff and
+        # its rows leave the forward support that gamma is summed over
+        system = dataclasses.replace(random_instance(2, 2, 2, seed),
+                                     reservoir=ReservoirSpec((0.0, gap), 1.0))
+        rep = analyze(system).report
+        assert abs(rep.integral_ft_lhs - rep.gamma_restricted) <= DEFAULT_TOL.equality
+        assert abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di) <= DEFAULT_TOL.equality
+
     def test_rank_deficiency_can_break_unity(self):
         gammas = [analyze(random_instance(2, 2, 2, s, rank_deficient=True))
                   .report.gamma_restricted for s in range(6)]
