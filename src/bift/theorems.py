@@ -10,7 +10,9 @@ average:
   where gamma is the support-restricted reverse mass (absolute
   irreversibility factor);
 * the reverse-averaged relation
-  <exp(-ds_A - ds_B + beta Q)> = <exp(-dI)>_rev (support-restricted);
+  <exp(-ds_A - ds_B + beta Q)> = <exp(-dI)>_rev,
+  both averages (like gamma) over the forward support, the initial
+  (m, r) pairs whose two-point weight is above the support cutoff;
 * the heat bounds they imply, plus the classical reduction of the
   integral relation, the memory-erasure specializations, and the
   extracted-work bounds when free-energy inputs are available.
@@ -200,17 +202,17 @@ def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals,
 
 
 def integral_ft(joint: FactoredJoint, funcs: EndpointFunctionals) -> float:
-    """Forward average of exp(-ds_A - ds_B + dI + beta Q); equals the
-    restricted reverse mass when the detailed relation holds."""
-    return joint.expectation(joint.forward, *funcs.ft_factors())
+    """Forward average of exp(-ds_A - ds_B + dI + beta Q) over the forward
+    support; equals the restricted reverse mass when the detailed relation
+    holds."""
+    return joint.expectation(joint.restricted(joint.forward), *funcs.ft_factors())
 
 
 def reverse_averaged_ft(joint: FactoredJoint, funcs: EndpointFunctionals):
-    """(lhs, rhs) of the reverse-averaged relation:
-    lhs = <exp(-ds_A - ds_B + beta Q)> over the forward table,
-    rhs = <exp(-dI)> over the reverse table restricted to the forward
-    support."""
-    lhs = joint.expectation(joint.forward, *funcs.local_factors())
+    """(lhs, rhs) of the reverse-averaged relation, both over the forward
+    support: lhs = <exp(-ds_A - ds_B + beta Q)> over the forward table,
+    rhs = <exp(-dI)> over the reverse table."""
+    lhs = joint.expectation(joint.restricted(joint.forward), *funcs.local_factors())
     rhs = joint.expectation(joint.restricted(joint.reverse), *funcs.info_factors())
     return lhs, rhs
 

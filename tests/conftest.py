@@ -256,8 +256,8 @@ def dense_average(dist, values) -> float:
 
 
 def dense_restricted_average(spectra, dist, values, tol=DEFAULT_TOL) -> float:
-    """Reverse-table average restricted to trajectories whose initial
-    (m, r) lies in the forward support; of ``values`` = 1, the
+    """Average restricted to trajectories whose initial (m, r) lies in
+    the forward support; over the reverse table of ``values`` = 1, the
     absolute-irreversibility factor gamma."""
     mask = _initial_support(spectra, tol)
     table = dist.table
@@ -285,12 +285,12 @@ def dense_detailed_ft_check(forward, reverse, traj, tol=DEFAULT_TOL):
     return float(resid.flat[flat]), worst
 
 
-def dense_integral_ft(forward, traj) -> float:
-    return dense_average(forward, np.exp(traj.ft_exponent()))
+def dense_integral_ft(spectra, forward, traj, tol=DEFAULT_TOL) -> float:
+    return dense_restricted_average(spectra, forward, np.exp(traj.ft_exponent()), tol)
 
 
 def dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol=DEFAULT_TOL):
-    lhs = dense_average(forward, np.exp(traj.local_exponent()))
+    lhs = dense_restricted_average(spectra, forward, np.exp(traj.local_exponent()), tol)
     rhs = dense_restricted_average(spectra, reverse, np.exp(-traj.delta_i), tol)
     return lhs, rhs
 
@@ -327,7 +327,7 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
         classical_lhs = dense_average(forward, np.exp(traj.classical_exponent()))
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
     return FTReport(
-        integral_ft_lhs=dense_integral_ft(forward, traj),
+        integral_ft_lhs=dense_integral_ft(spectra, forward, traj, tol),
         gamma_restricted=gamma,
         ln_gamma=math.log(gamma) if gamma > 0.0 else NEG_INF,
         reverse_ft_lhs=rev_lhs,
