@@ -292,6 +292,16 @@ class TestClassicalReduction:
         rec = evaluate(spectra).report.bound("classical_ft")
         assert rec.slack == pytest.approx(-residual, abs=1e-13)
 
+    @given(seed=st.integers(0, 10_000), gap=st.floats(0.0, 709.0))
+    @settings(max_examples=20, deadline=None)
+    def test_steep_reservoir_classical_ft(self, seed, gap):
+        # the classical reduction of the integral relation is held to
+        # gamma too, so it must drop the rows gamma drops
+        system = dataclasses.replace(random_classical_instance(2, 2, 2, seed),
+                                     reservoir=ReservoirSpec((0.0, gap), 1.0))
+        rec = analyze(system).report.bound("classical_ft")
+        assert rec.satisfied is not False
+
     def test_not_applicable_for_entangled_eigenbasis(self):
         scenario = werner_isothermal(0.5)
         assert dense_classical_reduction_check(scenario.spectra) is None
