@@ -10,12 +10,14 @@ average:
   where gamma is the support-restricted reverse mass (absolute
   irreversibility factor);
 * the reverse-averaged relation
-  <exp(-ds_A - ds_B + beta Q)> = <exp(-dI)>_rev,
-  both averages (like gamma) over the forward support, the initial
-  (m, r) pairs whose two-point weight is above the support cutoff;
+  <exp(-ds_A - ds_B + beta Q)> = <exp(-dI)>_rev;
 * the heat bounds they imply, plus the classical reduction of the
   integral relation, the memory-erasure specializations, and the
   extracted-work bounds when free-energy inputs are available.
+
+The integral, reverse-averaged and classical relations average over the
+forward support, as gamma does: the initial (m, r) pairs whose
+two-point weight is above the support cutoff.
 
 Every number is a contraction of the factored tables
 (``tables.FactoredJoint``) with the per-endpoint functionals
@@ -342,7 +344,8 @@ def evaluate(spectra: SystemSpectra,
 
     classical_lhs = None
     if all(product_basis_flags(spectra, tol)):
-        classical_lhs = joint.expectation(joint.forward, *funcs.classical_factors())
+        classical_lhs = joint.expectation(joint.restricted(joint.forward),
+                                          *funcs.classical_factors())
 
     bounds = inequality_suite(averages, gamma, rev_rhs, classical_lhs, work_inputs, tol)
 

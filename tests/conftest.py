@@ -304,7 +304,7 @@ def dense_classical_reduction_check(spectra, tol=DEFAULT_TOL):
         return None
     forward, reverse = dense_tables(spectra)
     traj = dense_tuple_functionals(spectra, tol)
-    lhs = dense_average(forward, np.exp(traj.classical_exponent()))
+    lhs = dense_restricted_average(spectra, forward, np.exp(traj.classical_exponent()), tol)
     residual = abs(lhs - dense_restricted_average(spectra, reverse, 1.0, tol))
     f = forward.table
     gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, f.shape))
@@ -324,7 +324,8 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
         traj.delta_s_a, traj.delta_s_b, traj.delta_i, traj.delta_j, traj.beta_q)))
     classical_lhs = None
     if all(product_basis_flags(spectra, tol)):
-        classical_lhs = dense_average(forward, np.exp(traj.classical_exponent()))
+        classical_lhs = dense_restricted_average(spectra, forward,
+                                                np.exp(traj.classical_exponent()), tol)
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
     return FTReport(
         integral_ft_lhs=dense_integral_ft(spectra, forward, traj, tol),
