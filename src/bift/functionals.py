@@ -30,11 +30,10 @@ def _or_one(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return np.where(_above_cutoff(arr, tol), arr, 1.0)
 
 
-def log_or_zero(p, tol: Tolerances = DEFAULT_TOL):
+def log_or_zero(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """ln p with ln 0 := 0; anything at or below the support cutoff (see
     :func:`_or_one`) counts as zero."""
-    out = np.log(_or_one(p, tol))
-    return float(out) if np.isscalar(p) else out
+    return np.log(_or_one(p, tol))
 
 
 def shannon_entropy(probabilities) -> float:
