@@ -134,11 +134,6 @@ class SystemSpectra:
     def dim_m(self) -> int:
         return self.dim_a * self.dim_b
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        m, a, b, r = self.dim_m, self.dim_a, self.dim_b, self.dim_r
-        return (m, a, b, m, a, b, r, r)
-
 
 @dataclass(frozen=True)
 class UnitarySystem:

@@ -134,7 +134,7 @@ def replace_endpoint(spectra, side: str, **fields):
 def oracle_forward_table(spectra) -> np.ndarray:
     """Eight nested loops: kernel * p_m * p_r * both conditionals."""
     d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
-    out = np.zeros(spectra.dims)
+    out = np.zeros((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
     for m in range(d_m):
         for a in range(d_a):
             for b in range(d_b):
@@ -153,7 +153,7 @@ def oracle_forward_table(spectra) -> np.ndarray:
 
 def oracle_reverse_table(spectra) -> np.ndarray:
     d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
-    out = np.zeros(spectra.dims)
+    out = np.zeros((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
     for m in range(d_m):
         for a in range(d_a):
             for b in range(d_b):
@@ -347,7 +347,6 @@ def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
     g = forward.table.sum(axis=(1, 2, 4, 5))          # local labels summed out
     info_i = dense_content_table(ini.p_m[:, None, None], log_or_zero(ini.p_a, tol=tol),
                                  log_or_zero(ini.p_b, tol=tol), tol)
-    d = s.dims
     want = ini.cond[:, :, :, None] * ini.p_m[:, None, None, None] * s.p_r[None, None, None, :]
     return {
         "forward_normalization": abs(float(forward.table.sum()) - 1.0),
@@ -360,7 +359,7 @@ def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
         "local_marginal_identity": float(np.max(np.abs(
             forward.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - ini.p_a))),
         "info_avg_is_mutual_information": abs(
-            dense_average(forward, info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1))
+            dense_average(forward, info_i[:, :, :, None, None, None, None, None])
             - (shannon_entropy(ini.p_a) + shannon_entropy(ini.p_b) - shannon_entropy(ini.p_m))),
         "restricted_mass_in_range": 0.0,
     }

@@ -159,11 +159,9 @@ def test_criterion_7_random_instance_battery():
                                     - init.p_a))))
             # <I> equals the quantum mutual information
             info_i = analysis.functionals.initial.info
-            d = spectra.dims
             avg_info = float(np.sum(np.where(
                 forward.table > 0,
-                forward.table
-                * info_i.reshape(d[0], d[1], d[2], 1, 1, 1, 1, 1), 0.0)))
+                forward.table * info_i[:, :, :, None, None, None, None, None], 0.0)))
             qmi = (shannon_entropy(init.p_a) + shannon_entropy(init.p_b)
                    - shannon_entropy(init.p_m))
             worst["info"] = max(worst["info"], abs(avg_info - qmi))
