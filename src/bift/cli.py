@@ -249,7 +249,7 @@ def explicit_system(sysc: dict, tol: Tolerances) -> UnitarySystem:
 
 
 def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
-                   corruption: float | None = None) -> tuple[Scenario, Analysis]:
+                   corruption: bool = False) -> tuple[Scenario, Analysis]:
     """The system the config names and its evaluation.  ``p`` is one
     sweep point; without it the config's ``p`` must hold a single value."""
     name = cfg.get("scenario")
@@ -402,8 +402,7 @@ def cmd_run(args, cfg: dict, tol: Tolerances) -> int:
 
 
 def cmd_verify(args, cfg: dict, tol: Tolerances) -> int:
-    scenario, analysis = build_analysis(cfg, tol,
-                                        corruption=1.5 if args.corrupt_reverse else None)
+    scenario, analysis = build_analysis(cfg, tol, corruption=args.corrupt_reverse)
     checks = core_checks(scenario, analysis, tol) + invariant_checks(analysis, tol)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name} value={reportio.format_float(c.value)}"
              + (f"  ({c.detail})" if c.detail else "") for c in checks]

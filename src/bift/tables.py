@@ -39,8 +39,10 @@ which comes from one of two routes:
   and consistent with the attached final spectrum.
 
 Summations use a fixed lexicographic (C-order) reduction, so identical
-inputs give identical bytes on the same numpy/BLAS build at the same
-BLAS thread count; at (4,4,8) the bytes change with the thread count.
+inputs give identical bytes on the same numpy/BLAS build, at any BLAS
+thread count (measured with OpenBLAS at 1 and 2 threads).  Only the
+random scenario's Haar draw (``linalg.haar_unitary``) changes with the
+thread count, from M R = 100 up.
 """
 
 from __future__ import annotations

@@ -35,9 +35,12 @@ product cutoff, and the relation holds there too.)
 Within one supported block the detailed ratio p_rev/p_fwd is the single
 number G_rev/G and the exponential is e^{beta Q} E_i[m,a,b] E_f[m',a',b']
 with positive E, so the block's largest residual sits at the largest or
-the smallest product E_i E_f; the reported worst trajectory is the first
+the smallest product E_i E_f.  The reported worst trajectory is the first
 supported tuple in C order of (m, a, b, m', a', b', r, r') attaining the
-maximum.
+maximum.  One search finds it: the smallest m with an attaining block
+fixes the first axis, the residual is evaluated once over every
+(a, b, a', b') of that m's attaining blocks, and the supported hits are
+sorted by (a, b, m', a', b', r, r').
 
 Bound records carry lhs, rhs and slack = rhs - lhs (for equalities,
 slack = -|lhs - rhs|), so "satisfied" always means slack >= -tolerance.
@@ -146,14 +149,15 @@ def _supports(joint: FactoredJoint, tol: Tolerances):
             _above_cutoff(joint.final.cond, tol))
 
 
-def _extremes(values: np.ndarray, support: np.ndarray):
-    """Per-row (largest, smallest) of an (M, A, B) table over ``support``."""
-    return (np.where(support, values, -np.inf).max(axis=(1, 2)),
-            np.where(support, values, np.inf).min(axis=(1, 2)))
+def _extremes(values: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Per-row largest and smallest of an (M, A, B) table over ``support``,
+    stacked as (2, M)."""
+    return np.stack([np.where(support, values, -np.inf).max(axis=(1, 2)),
+                     np.where(support, values, np.inf).min(axis=(1, 2))])
 
 
 def _residual(ratio, pair, e_i, e_f):
-    """|p_rev/p_fwd - e^{beta Q} E_i E_f|; every caller evaluates it with
+    """|p_rev/p_fwd - e^{beta Q} E_i E_f|; both callers evaluate it with
     this one expression, so a block maximum equals a tuple's residual bit
     for bit."""
     return np.abs(ratio - pair * (e_i * e_f))
@@ -172,35 +176,26 @@ def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals,
         return 0.0, None
     e_i, e_f, pair = funcs.ft_factors()          # (M, A, B), (M, A, B), (R, R)
     ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
-    hi_i, lo_i = _extremes(e_i, sup_i)
-    hi_f, lo_f = _extremes(e_f, sup_f)
     # e^{beta Q} nears the float limit only when the initial reservoir
     # level's Gibbs weight lies below the cutoff, i.e. in a dropped block;
     # keep it out of those blocks so their products cannot overflow.
-    block_pair = np.where(block, pair, 1.0)
-    per_block = np.maximum(
-        _residual(ratio, block_pair, hi_i[:, None, None, None], hi_f[None, :, None, None]),
-        _residual(ratio, block_pair, lo_i[:, None, None, None], lo_f[None, :, None, None]))
+    per_block = _residual(ratio, np.where(block, pair, 1.0),
+                          _extremes(e_i, sup_i)[:, :, None, None, None],
+                          _extremes(e_f, sup_f)[:, None, :, None, None]).max(axis=0)
     per_block = np.where(block, per_block, -1.0)
     worst = float(per_block.max())
 
-    # First attaining tuple in C order: the smallest m, then the smallest
-    # (a, b) reaching the maximum in one of that m's attaining blocks
-    # (for fixed (a, b) a block's largest residual sits at an extreme
-    # of E_f), then the smallest (m', a', b', r, r').
+    # the one search (module docstring), over attaining blocks k = (m', r, r')
     attain = per_block == worst
     m = int(np.argmax(attain.reshape(attain.shape[0], -1).any(axis=1)))
     n, r, s = np.nonzero(attain[m])
-    ratio_b, c_b = ratio[m, n, r, s], pair[r, s]
-    row = np.maximum(_residual(ratio_b, c_b, e_i[m][..., None], hi_f[n]),
-                     _residual(ratio_b, c_b, e_i[m][..., None], lo_f[n]))
-    a, b = np.unravel_index(
-        int(np.argmax((sup_i[m][..., None] & (row == worst)).any(axis=2))), sup_i.shape[1:])
-    full = _residual(ratio_b[:, None, None], c_b[:, None, None], e_i[m, a, b], e_f[n])
-    j, af, bf = np.nonzero(sup_f[n] & (full == worst))
-    first = np.lexsort((s[j], r[j], bf, af, n[j]))[0]
-    return worst, OutcomeTuple(m, int(a), int(b), int(n[j[first]]), int(af[first]),
-                               int(bf[first]), int(r[j[first]]), int(s[j[first]]))
+    full = _residual(ratio[m, n, r, s][:, None, None, None, None],
+                     pair[r, s][:, None, None, None, None],
+                     e_i[m][None, :, :, None, None], e_f[n][:, None, None])
+    k, a, b, af, bf = np.nonzero(sup_i[m][None, :, :, None, None] & sup_f[n][:, None, None]
+                                 & (full == worst))
+    first = np.lexsort((s[k], r[k], bf, af, n[k], b, a))[0]
+    return worst, OutcomeTuple(m, *(int(x[first]) for x in (a, b, n[k], af, bf, r[k], s[k])))
 
 
 def integral_ft(joint: FactoredJoint, funcs: EndpointFunctionals) -> float:
@@ -311,28 +306,28 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
     return tuple(records)
 
 
-def corrupt_reverse(joint: FactoredJoint, factor: float = 1.5) -> FactoredJoint:
+def corrupt_reverse(joint: FactoredJoint) -> FactoredJoint:
     """Negative-control helper: scale the largest entry of the global
-    reverse table (the first in C order) so the detailed relation must
-    fail.  Debug use only."""
+    reverse table (the first in C order) by 1.5 so the detailed relation
+    must fail.  Debug use only."""
     reverse = joint.reverse.copy()
-    reverse.flat[int(np.argmax(reverse))] *= factor
+    reverse.flat[int(np.argmax(reverse))] *= 1.5
     return replace(joint, reverse=reverse)
 
 
 def evaluate(spectra: SystemSpectra,
              work_inputs: WorkInputs | None = None,
              tol: Tolerances = DEFAULT_TOL,
-             _reverse_corruption: float | None = None) -> Analysis:
+             _reverse_corruption: bool = False) -> Analysis:
     """Run a system through the factored tables, the functionals and
     every check.
 
-    ``_reverse_corruption`` injects the negative-control corruption
-    factor into the reverse table before checking (debug flag wiring).
+    ``_reverse_corruption`` applies ``corrupt_reverse`` to the reverse
+    table before checking (debug flag wiring).
     """
     joint = factored_joint(spectra, tol)
-    if _reverse_corruption is not None:
-        joint = corrupt_reverse(joint, _reverse_corruption)
+    if _reverse_corruption:
+        joint = corrupt_reverse(joint)
     funcs = endpoint_functionals(spectra, tol)
 
     gamma = joint.restricted_mass()

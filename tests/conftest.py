@@ -255,13 +255,15 @@ def dense_average(dist, values) -> float:
     return float(np.sum(np.where(table > 0.0, table * f, 0.0)))
 
 
-def dense_restricted_average(spectra, dist, values, tol=DEFAULT_TOL) -> float:
-    """Average restricted to trajectories whose initial (m, r) lies in
-    the forward support; over the reverse table of ``values`` = 1, the
-    absolute-irreversibility factor gamma."""
+def dense_restricted_average(spectra, dist, exponent, tol=DEFAULT_TOL) -> float:
+    """Average of exp(``exponent``) restricted to trajectories whose
+    initial (m, r) lies in the forward support; over the reverse table of
+    ``exponent`` = 0, the absolute-irreversibility factor gamma.  Only the
+    supported exponents are exponentiated: outside the support beta Q can
+    reach the float limit and the exponential overflow."""
     mask = _initial_support(spectra, tol)
     table = dist.table
-    f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
+    f = np.exp(np.where(mask, exponent, 0.0))
     return float(np.sum(np.where((table > 0.0) & mask, table * f, 0.0)))
 
 
@@ -277,7 +279,7 @@ def dense_detailed_ft_check(forward, reverse, traj, tol=DEFAULT_TOL):
     mask = dense_support(forward, tol)
     if not mask.any():
         return 0.0, None
-    expo = np.broadcast_to(np.exp(traj.ft_exponent()), f.shape)
+    expo = np.exp(np.where(mask, traj.ft_exponent(), 0.0))
     ratio = np.where(mask, reverse.table / np.where(mask, f, 1.0), 0.0)
     resid = np.abs(np.where(mask, ratio - expo, 0.0))
     flat = int(np.argmax(resid))
@@ -286,12 +288,12 @@ def dense_detailed_ft_check(forward, reverse, traj, tol=DEFAULT_TOL):
 
 
 def dense_integral_ft(spectra, forward, traj, tol=DEFAULT_TOL) -> float:
-    return dense_restricted_average(spectra, forward, np.exp(traj.ft_exponent()), tol)
+    return dense_restricted_average(spectra, forward, traj.ft_exponent(), tol)
 
 
 def dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol=DEFAULT_TOL):
-    lhs = dense_restricted_average(spectra, forward, np.exp(traj.local_exponent()), tol)
-    rhs = dense_restricted_average(spectra, reverse, np.exp(-traj.delta_i), tol)
+    lhs = dense_restricted_average(spectra, forward, traj.local_exponent(), tol)
+    rhs = dense_restricted_average(spectra, reverse, -traj.delta_i, tol)
     return lhs, rhs
 
 
@@ -304,8 +306,8 @@ def dense_classical_reduction_check(spectra, tol=DEFAULT_TOL):
         return None
     forward, reverse = dense_tables(spectra)
     traj = dense_tuple_functionals(spectra, tol)
-    lhs = dense_restricted_average(spectra, forward, np.exp(traj.classical_exponent()), tol)
-    residual = abs(lhs - dense_restricted_average(spectra, reverse, 1.0, tol))
+    lhs = dense_restricted_average(spectra, forward, traj.classical_exponent(), tol)
+    residual = abs(lhs - dense_restricted_average(spectra, reverse, 0.0, tol))
     f = forward.table
     gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, f.shape))
     max_gap = float(np.max(np.where(dense_support(forward, tol), gap, 0.0)))
@@ -317,7 +319,7 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
     """``theorems.evaluate``'s report, summed over the dense tables."""
     forward, reverse = dense_tables(spectra, reverse_global)
     traj = dense_tuple_functionals(spectra, tol)
-    gamma = dense_restricted_average(spectra, reverse, 1.0, tol)
+    gamma = dense_restricted_average(spectra, reverse, 0.0, tol)
     rev_lhs, rev_rhs = dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol)
     resid, worst = dense_detailed_ft_check(forward, reverse, traj, tol)
     averages = Averages(*(dense_average(forward, x) for x in (
@@ -325,7 +327,7 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
     classical_lhs = None
     if all(product_basis_flags(spectra, tol)):
         classical_lhs = dense_restricted_average(spectra, forward,
-                                                np.exp(traj.classical_exponent()), tol)
+                                                traj.classical_exponent(), tol)
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
     return FTReport(
         integral_ft_lhs=dense_integral_ft(spectra, forward, traj, tol),

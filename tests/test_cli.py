@@ -371,11 +371,12 @@ class TestDenseTables:
 
 
 class TestConfigs:
-    def _explicit_config(self, tmp_path, rho_scale=1.0, tolerance=None, energies=None):
-        system = random_instance(2, 2, 2, seed=13)
+    def _explicit_config(self, tmp_path, rho_scale=1.0, tolerance=None, energies=None,
+                         dims=(2, 2, 2), seed=13):
+        system = random_instance(*dims, seed=seed)
         cfg = {
             "system": {
-                "dims": [2, 2, 2],
+                "dims": list(dims),
                 "rho_ab": encode_complex_matrix(system.rho_ab.matrix * rho_scale),
                 "unitary": encode_complex_matrix(system.unitary),
                 "reservoir": {"energies": energies or list(system.reservoir.energies),
@@ -426,6 +427,25 @@ class TestConfigs:
         assert code == 0
         assert "PASS integral_ft_vs_gamma" in text
         assert "PASS reverse_averaged_ft" in text
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # An explicit system's report is the same at any BLAS thread count
+        # (seen with OpenBLAS at 1 and 2 threads); only the random
+        # scenario's Haar draw depends on it, from M * R = 100 up.  So the
+        # (4, 4, 8) system, M * R = 128, is drawn once here and written out.
+        path = self._explicit_config(tmp_path, dims=(4, 4, 8), seed=1)
+        src = Path(bift.cli.__file__).resolve().parents[1]
+        for command in ("run", "verify"):
+            outputs = []
+            for threads in ("1", "2"):
+                env = {**os.environ, "PYTHONPATH": str(src),
+                       "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+                proc = subprocess.run(
+                    [sys.executable, "-m", "bift.cli", command, "--config", str(path)],
+                    env=env, capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1], command
 
     def test_trace_tolerance_reaches_state_check(self, tmp_path, capsys):
         path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bift.cli import invariant_checks
@@ -134,16 +134,21 @@ class TestIntegralFT:
         assert abs(rep.integral_ft_lhs - rep.gamma_restricted) < 1e-10
 
     @given(seed=st.integers(0, 10_000), gap=st.floats(0.0, 709.0))
+    @example(seed=0, gap=707.0)
     @settings(max_examples=40, deadline=None)
     def test_steep_reservoir_averages_over_forward_support(self, seed, gap):
         # beta * dE up to the overflow limit: from about 27.6 on, the
         # upper level's Gibbs weight falls below the support cutoff and
         # its rows leave the forward support that gamma is summed over
-        system = dataclasses.replace(random_instance(2, 2, 2, seed),
-                                     reservoir=ReservoirSpec((0.0, gap), 1.0))
-        rep = analyze(system).report
+        spectra = spectra_from_unitary(dataclasses.replace(
+            random_instance(2, 2, 2, seed), reservoir=ReservoirSpec((0.0, gap), 1.0)))
+        rep = evaluate(spectra).report
         assert abs(rep.integral_ft_lhs - rep.gamma_restricted) <= DEFAULT_TOL.equality
         assert abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di) <= DEFAULT_TOL.equality
+        dense = dense_evaluate(spectra)
+        for name in ("integral_ft_lhs", "gamma_restricted", "reverse_ft_lhs",
+                     "reverse_avg_exp_di"):
+            assert getattr(rep, name) == pytest.approx(getattr(dense, name), rel=1e-13, abs=0.0)
 
     def test_rank_deficiency_can_break_unity(self):
         gammas = [analyze(random_instance(2, 2, 2, s, rank_deficient=True))
@@ -293,14 +298,19 @@ class TestClassicalReduction:
         assert rec.slack == pytest.approx(-residual, abs=1e-13)
 
     @given(seed=st.integers(0, 10_000), gap=st.floats(0.0, 709.0))
+    @example(seed=0, gap=707.0)
     @settings(max_examples=20, deadline=None)
     def test_steep_reservoir_classical_ft(self, seed, gap):
         # the classical reduction of the integral relation is held to
         # gamma too, so it must drop the rows gamma drops
-        system = dataclasses.replace(random_classical_instance(2, 2, 2, seed),
-                                     reservoir=ReservoirSpec((0.0, gap), 1.0))
-        rec = analyze(system).report.bound("classical_ft")
+        spectra = spectra_from_unitary(dataclasses.replace(
+            random_classical_instance(2, 2, 2, seed), reservoir=ReservoirSpec((0.0, gap), 1.0)))
+        rec = evaluate(spectra).report.bound("classical_ft")
         assert rec.satisfied is not False
+        want = dense_evaluate(spectra).bound("classical_ft")
+        assert rec.applicable == want.applicable
+        if rec.applicable:
+            assert rec.lhs == pytest.approx(want.lhs, rel=1e-13, abs=0.0)
 
     def test_not_applicable_for_entangled_eigenbasis(self):
         scenario = werner_isothermal(0.5)
@@ -383,7 +393,7 @@ class TestEdgesAndControls:
         assert bad.restricted_mass() == pytest.approx(0.375)
 
     def test_corruption_flag_threads_through_evaluate(self):
-        bad = evaluate(werner_isothermal(0.8).spectra, _reverse_corruption=1.5)
+        bad = evaluate(werner_isothermal(0.8).spectra, _reverse_corruption=True)
         assert bad.report.detailed_max_residual > 1e-3
 
     def test_empty_support_overlap_reports_sentinel(self):
@@ -418,7 +428,7 @@ def report_numbers(rep) -> dict:
     return out
 
 
-def assert_matches_dense_oracle(spectra, corruption=None, **kwargs):
+def assert_matches_dense_oracle(spectra, corruption=False, **kwargs):
     """The factored report and verify invariants agree with the dense
     engine to 1e-13 (relative for numbers above 1, e.g. a reverse
     average of 75).
@@ -427,7 +437,7 @@ def assert_matches_dense_oracle(spectra, corruption=None, **kwargs):
     system (up to ~1e-12 for the dense one at (3, 3, 3)), so it is held
     to the check's tolerance, 1e-10, instead."""
     analysis = evaluate(spectra, _reverse_corruption=corruption, **kwargs)
-    reverse_global = analysis.joint.reverse if corruption is not None else None
+    reverse_global = analysis.joint.reverse if corruption else None
     got = report_numbers(analysis.report)
     want = report_numbers(dense_evaluate(spectra, reverse_global=reverse_global, **kwargs))
     assert got.keys() == want.keys()
@@ -530,7 +540,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3)])
     def test_corrupted_reverse(self, dims):
         spectra = spectra_from_unitary(random_instance(*dims, seed=8))
-        analysis = assert_matches_dense_oracle(spectra, corruption=1.5)
+        analysis = assert_matches_dense_oracle(spectra, corruption=True)
         assert analysis.report.detailed_max_residual > 1e-3
 
 
@@ -574,10 +584,13 @@ class TestFactoredExtremes:
                           for k in (0, 1))
         return joint, EndpointFunctionals(initial=initial, final=final, beta_q=beta_q)
 
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000),
+           dims=st.sampled_from([(4, 2, 2, 2), (6, 2, 3, 1), (6, 3, 2, 3), (3, 1, 3, 2),
+                                 (8, 4, 2, 2)]))
     @settings(max_examples=60, deadline=None)
-    def test_detailed_matches_brute_force(self, seed):
-        joint, funcs = self.pieces(seed)
+    def test_detailed_matches_brute_force(self, seed, dims):
+        # (d_m, d_a, d_b, d_r); d_a != d_b catches a swapped local label
+        joint, funcs = self.pieces(seed, *dims)
         resid, worst = detailed_ft_check(joint, funcs)
         e_i, e_f, pair = funcs.ft_factors()
         block = joint.forward > DEFAULT_TOL.support * joint.forward.max()
