@@ -20,9 +20,16 @@ from bift.theorems import evaluate
 DIMS = [(2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 3, 2), (3, 3, 4), (2, 2, 4)]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--instances", type=int, default=200)
+    ap.add_argument("--instances", type=positive_int, default=200)
     ap.add_argument("--rank-deficient-share", type=float, default=0.2)
     args = ap.parse_args()
 

@@ -14,6 +14,12 @@ Conventions
   so its largest-modulus component is real positive.  This makes
   decompositions reproducible run to run; every physical result checked
   downstream is independent of the choice (verified separately).
+* A non-degenerate eigenvector v needs no Gram-Schmidt: its block's first
+  projected basis vector is v conj(v_0).  ``spectral_decompose`` fixes all
+  such columns of one decomposition in one array pass, with the same bits
+  the per-block pass gives; only the degenerate blocks, and the rare column
+  whose first component is ~0 (projected norm <= 1e-8), take the
+  per-block Gram-Schmidt pass.
 """
 
 from __future__ import annotations
@@ -31,9 +37,11 @@ from .errors import ConsistencyError, DimensionError, HermiticityError, Unitarit
 class Tolerances:
     """Numerical tolerances used across the package.
 
-    ``support`` and ``degeneracy`` are relative to the largest eigenvalue
-    of the operator at hand; the rest are absolute, sized for double
-    precision at total dimension <= ~64.
+    ``support`` is relative to the largest eigenvalue of the operator at
+    hand.  ``degeneracy`` is relative to max(1, largest |eigenvalue|): an
+    eigenvalue joins a degenerate block when it lies within
+    ``degeneracy`` times that scale of the block's first value.  The rest
+    are absolute, sized for double precision at total dimension <= ~64.
     """
 
     hermiticity: float = 1e-10
@@ -128,11 +136,13 @@ class ReservoirSpec:
 def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Decompose a Hermitian matrix with a deterministic eigenbasis.
 
-    Eigenvalues come out descending.  Degenerate blocks (gap below
-    ``tol.degeneracy`` relative to the largest |eigenvalue|) get the
-    canonical Gram-Schmidt basis described in the module docstring, and
-    every vector's phase is fixed.  Raises HermiticityError if the input
-    is not Hermitian within ``tol.hermiticity``.
+    Eigenvalues come out descending.  Degenerate blocks (each eigenvalue
+    within ``tol.degeneracy`` times max(1, largest |eigenvalue|) of its
+    block's first value; see ``degenerate_blocks``) get the canonical
+    Gram-Schmidt basis described in the module docstring, and every
+    vector's phase is fixed; the 1x1 blocks are fixed together in one
+    array pass.  Raises HermiticityError if the input is not Hermitian
+    within ``tol.hermiticity``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -146,10 +156,43 @@ def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spe
     vals = vals[order]
     vecs = vecs[:, order]
 
-    fixed = np.zeros_like(vecs)
+    fixed, done = _canonical_columns(vecs)
     for i, j in degenerate_blocks(vals, tol):
-        fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
+        if j > i + 1 or not done[i]:
+            fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
     return SpectralDecomposition(probabilities=vals, vectors=fixed)
+
+
+# A projected basis vector enters the Gram-Schmidt basis when its norm
+# exceeds this; both gauge-fixing passes must use the same cut.
+_ACCEPT_NORM = 1e-8
+
+
+def _canonical_columns(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_canonical_block_basis`` of every column of ``vecs`` taken as a
+    block of its own, in one array pass and to the bit.
+
+    For one column v the projected computational basis is v conj(v_c), and
+    the first candidate, c = 0, is taken when its norm exceeds
+    ``_ACCEPT_NORM``.  The product gets ``+ 0.0`` as the matmul's
+    accumulator gives it, so a -0 becomes +0.  The norm is summed per
+    column as ``np.linalg.norm`` sums it, and the phase is divided per
+    column as a scalar: array complex division rounds differently.
+    Returns the fixed columns and a mask of the columns done; the others
+    (first component ~0) hold placeholders.
+    """
+    if not vecs.size:  # argmax has nothing to search
+        return vecs.copy(), np.ones(0, dtype=bool)
+    rows = np.ascontiguousarray(vecs.T)
+    cand = rows * np.conj(rows[:, :1]) + 0.0
+    norms = np.array([math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag)) for c in cand])
+    done = norms > _ACCEPT_NORM
+    if not done.all():
+        cand[~done], norms[~done] = 1.0, 1.0
+    unit = cand / norms[:, None]
+    peaks = unit[np.arange(len(unit)), np.argmax(np.abs(unit), axis=1)]
+    phases = np.array([t / abs(t) for t in peaks])
+    return (unit * np.conj(phases)[:, None]).T, done
 
 
 def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
@@ -164,12 +207,13 @@ def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
         for u in accepted:
             cand -= u * (np.conj(u) @ cand)
         norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
+        if norm > _ACCEPT_NORM:
             accepted.append(cand / norm)
         if len(accepted) == k:
             break
     # The pass always finds k vectors: with j < k accepted, every column's
-    # residual would be <= 1e-8, yet their squared norms sum to tr Q = k - j >= 1,
+    # residual would be <= _ACCEPT_NORM, yet their squared norms sum to
+    # tr Q = k - j >= 1,
     # where Q projects onto the part of the block the j vectors miss.
     out = np.column_stack(accepted)
     for col in range(k):
@@ -231,7 +275,8 @@ def check_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def degenerate_blocks(probabilities: np.ndarray,
                       tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, int]]:
     """[start, stop) index ranges of degenerate eigenvalue blocks
-    (descending spectrum assumed)."""
+    (descending spectrum assumed): a block takes each next value within
+    ``tol.degeneracy`` times max(1, largest |value|) of its first one."""
     p = np.asarray(probabilities, dtype=float)
     n = len(p)
     scale = max(1.0, float(np.max(np.abs(p)))) if n else 1.0

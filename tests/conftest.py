@@ -20,6 +20,8 @@ from bift.linalg import (
     ReservoirSpec,
     SpectralDecomposition,
     Tolerances,
+    _canonical_block_basis,
+    dagger,
     degenerate_blocks,
     density_operator,
     haar_unitary,
@@ -84,6 +86,26 @@ def random_classical_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
                          rho_ab=density_operator(rho),
                          reservoir=ReservoirSpec(energies=tuple(energies), beta=beta),
                          unitary=u_local @ p_mat)
+
+
+def oracle_spectral_decompose(matrix: np.ndarray,
+                              tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+    """``spectral_decompose`` block by block: eigh, sort descending, then
+    ``_canonical_block_basis`` on every degenerate block, 1x1 ones too.
+
+    Each block goes in as the slice ``vecs[:, i:j]`` of the sorted
+    eigenvectors, not a copy, so that its projector ``block @ dagger(block)``
+    is formed from the same layout as in the per-block pass.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
+    order = np.argsort(vals, kind="stable")[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    fixed = np.zeros_like(vecs)
+    for i, j in degenerate_blocks(vals, tol):
+        fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
+    return SpectralDecomposition(probabilities=vals, vectors=fixed)
 
 
 def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Generator,

@@ -19,6 +19,7 @@ from bift.linalg import (
 
 from conftest import (
     bell_ket,
+    oracle_spectral_decompose,
     random_density,
     random_hermitian,
     remix_degenerate_blocks,
@@ -100,6 +101,48 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        # Signed zeros and memory layout too: reports print -0, and the
+        # layout picks the BLAS path of every product downstream.
+        for a, b in ((got.probabilities, want.probabilities), (got.vectors, want.vectors)):
+            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+            assert a.strides == b.strides
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           spectrum=st.sampled_from(["full-rank", "zero-tail", "paired"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_block_oracle(self, seed, n, spectrum):
+        rng = np.random.default_rng(seed)
+        lam = rng.random(n)
+        if spectrum == "zero-tail":
+            lam[rng.integers(0, n):] = 0.0
+        elif spectrum == "paired":
+            lam = np.repeat(lam[: (n + 1) // 2], 2)[:n]
+        u = haar_unitary(n, rng)
+        h = (u * lam) @ dagger(u)
+        self.assert_same_bits(spectral_decompose(h), oracle_spectral_decompose(h))
+
+    @pytest.mark.parametrize("state", ["permuted-diagonal", "product-basis", "bell-diagonal"])
+    def test_zero_first_component_matches_oracle(self, state, rng):
+        # Non-degenerate eigenvectors whose first component is zero (or,
+        # for the product basis, eigh's dust): the one-pass gauge fix
+        # cannot use that component and hands the column to the
+        # Gram-Schmidt pass.
+        if state == "permuted-diagonal":
+            h = np.diag(rng.permutation([0.4, 0.3, 0.2, 0.1, 0.0])).astype(complex)
+        elif state == "product-basis":
+            u = haar_unitary(2, rng)
+            h = np.kron((u * [0.7, 0.3]) @ dagger(u), np.diag([0.5, 0.3, 0.2]))
+        else:
+            h = sum(w * np.outer(bell_ket(k), bell_ket(k).conj())
+                    for k, w in enumerate([0.4, 0.3, 0.2, 0.1]))
+        dec = spectral_decompose(h)
+        assert len(set(dec.probabilities)) == len(dec.probabilities)
+        assert np.any(np.abs(dec.vectors[0]) <= 1e-8)
+        self.assert_same_bits(dec, oracle_spectral_decompose(h))
 
 
 class TestDensityOperator:
