@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, reportio
-from .errors import BiftError, DomainError
+from .errors import BiftError, DomainError, SizeError
 from .functionals import shannon_entropy
 from .linalg import (
     DEFAULT_TOL,
@@ -39,7 +39,6 @@ from .scenarios import Scenario, bell_adiabatic_counterexample, random_instance,
 from .tables import (
     OutcomeTuple,
     UnitarySystem,
-    _guard_size,
     augmented_forward,
     reverse_joint,
     spectra_from_unitary,
@@ -56,6 +55,7 @@ SCENARIO_KEYS = {
     "random": {"beta", "seed", "dims", "rank_deficient"},
 }
 CONFIG_KEYS = {"scenario", "system", "tolerance", "emit_tuples"}.union(*SCENARIO_KEYS.values())
+TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
 
 
 @dataclass
@@ -134,10 +134,21 @@ def _number(value, name: str, positive: bool) -> None:
         raise DomainError(f"{name}: expected a finite {kind} number, got {value!r}")
 
 
+def _guard_size(d_a: int, d_b: int, d_r: int) -> None:
+    """Refuse dense tuple tables over the guard, counting in exact integers."""
+    n = math.prod((d_a * d_b, d_a, d_b, d_r)) ** 2
+    if n > TABLE_SIZE_GUARD:
+        raise SizeError(f"dense tuple table would hold {n} > {TABLE_SIZE_GUARD} entries")
+
+
 def _dims(value, name: str) -> None:
+    """Three positive integers whose dense tuple table passes the size
+    guard: the one size check of the package, made before a random
+    system is drawn or an explicit one decoded."""
     if not (isinstance(value, (list, tuple)) and len(value) == 3
             and all(_is_int(d) and d > 0 for d in value)):
         raise DomainError(f"{name}: expected three positive integers d_A,d_B,d_R, got {value!r}")
+    _guard_size(*value)
 
 
 def validate_config(cfg: dict, command: str) -> dict:
@@ -255,18 +266,18 @@ def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
     name = cfg.get("scenario")
     if "system" in cfg:
         scenario = Scenario("explicit", {"dims": list(cfg["system"]["dims"])},
-                            spectra_from_unitary(explicit_system(cfg["system"], tol), tol=tol),
+                            spectra_from_unitary(explicit_system(cfg["system"], tol), tol),
                             {})
     elif name == "random":
         dims = cfg.get("dims", [2, 2, 2])
         seed = cfg.get("seed", 0)
         beta = float(cfg.get("beta", 1.0))
         rank_deficient = cfg.get("rank_deficient", False)
-        _guard_size(*dims)
-        system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient)
+        system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient,
+                                 tol=tol)
         reference = {} if rank_deficient else {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
         scenario = Scenario("random", {"seed": seed, "dims": list(dims), "beta": beta},
-                            spectra_from_unitary(system, tol=tol), reference)
+                            spectra_from_unitary(system, tol), reference)
     else:                       # werner or counterexample (see validate_config)
         if p is None:
             values = p_values(cfg)

@@ -19,9 +19,8 @@ class UnitarityError(BiftError):
 
 class ConsistencyError(BiftError):
     """Supplied data contradicts data derived from first principles
-    (e.g. a final-state decomposition that does not reconstruct the
-    evolved state, or an analytic kernel whose marginals disagree
-    with the attached spectra)."""
+    (e.g. a state whose trace is not 1, or an analytic kernel whose
+    marginals disagree with the attached spectra)."""
 
 
 class DomainError(BiftError):

@@ -93,7 +93,6 @@ class DensityOperator:
     """Validated quantum state: Hermitian, unit trace, PSD, with its
     spectral decomposition attached."""
 
-    dim: int
     matrix: np.ndarray
     decomposition: SpectralDecomposition
 
@@ -241,7 +240,7 @@ def density_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Densi
         raise ConsistencyError(f"negative eigenvalue {lo:.3e} below PSD tolerance")
     probs = np.clip(dec.probabilities, 0.0, 1.0)
     dec = SpectralDecomposition(probs, dec.vectors)
-    return DensityOperator(dim=m.shape[0], matrix=m, decomposition=dec)
+    return DensityOperator(matrix=m, decomposition=dec)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -289,12 +288,3 @@ def degenerate_blocks(probabilities: np.ndarray,
         blocks.append((i, j))
         i = j
     return blocks
-
-
-def assert_same_operator(decomp: SpectralDecomposition, matrix: np.ndarray,
-                         tol: Tolerances = DEFAULT_TOL) -> None:
-    """Raise ConsistencyError unless the decomposition reconstructs
-    ``matrix`` to ``tol.equality``."""
-    dev = float(np.max(np.abs(decomp.reconstruct() - np.asarray(matrix, dtype=complex))))
-    if dev > tol.equality:
-        raise ConsistencyError(f"decomposition fails to reconstruct its operator by {dev:.3e}")

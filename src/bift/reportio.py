@@ -123,15 +123,22 @@ def config_hash(config: dict) -> str:
 
 
 def load_config(path: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``; any file that does not
+    hold one (unreadable, not UTF-8, not JSON, nested deeper than the
+    decoder recurses, not an object) is a DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config {path}: not UTF-8 text ({exc})") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"config {path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise DomainError(f"config {path}: JSON nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise DomainError(f"config {path}: top level must be an object")
     return cfg

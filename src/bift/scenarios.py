@@ -139,7 +139,6 @@ def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
     reverse_kernel = np.full((4, 1, 4, 1), 0.25)  # re-expansion is uniform over m
 
     return spectra_from_analytic(SystemSpectra(
-        dim_a=2, dim_b=2, dim_r=1,
         # initial basis is the Bell basis, final basis the product basis
         initial=Endpoint(p_m=_werner_spectrum(p), p_a=np.array([0.5, 0.5]),
                          p_b=np.array([0.5, 0.5]), cond=_bell_conditionals()),
@@ -193,8 +192,8 @@ def counterexample_reverse_avg(p: float) -> float:
     return (1.0 + p - p * p) / ((1.0 + p) ** 2 * (1.0 - p))
 
 
-def _counterexample_unitary_system(p: float) -> UnitarySystem:
-    rho = density_operator(np.diag(_werner_spectrum(p)).astype(complex))
+def _counterexample_unitary_system(p: float, tol: Tolerances) -> UnitarySystem:
+    rho = density_operator(np.diag(_werner_spectrum(p)).astype(complex), tol)
     u = bell_basis().astype(complex)          # |product_m> -> |bell_m>
     return UnitarySystem(dim_a=2, dim_b=2, rho_ab=rho,
                          reservoir=ReservoirSpec(energies=(0.0,), beta=1.0),
@@ -208,7 +207,6 @@ def _counterexample_analytic_spectra(p: float, tol: Tolerances) -> SystemSpectra
         kernel[m, 0, m, 0] = 1.0              # adiabatic: each level follows itself
     local = np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0])
     return spectra_from_analytic(SystemSpectra(
-        dim_a=2, dim_b=2, dim_r=1,
         # initial basis is the product basis, final basis the Bell basis
         initial=Endpoint(p_m=p_m, p_a=local, p_b=local, cond=_product_conditionals()),
         final=Endpoint(p_m=p_m.copy(), p_a=np.array([0.5, 0.5]),
@@ -226,7 +224,7 @@ def bell_adiabatic_counterexample(p: float, route: str = "unitary",
     if not 0.0 < p < 1.0:
         raise DomainError(f"counterexample fraction must lie in (0, 1), got {p}")
     if route == "unitary":
-        spectra = spectra_from_unitary(_counterexample_unitary_system(p), tol=tol)
+        spectra = spectra_from_unitary(_counterexample_unitary_system(p, tol), tol)
     elif route == "analytic":
         spectra = _counterexample_analytic_spectra(p, tol)
     else:
@@ -259,13 +257,15 @@ def _mixed_spectrum(rng: np.random.Generator, dim: int, floor: float = 1e-6) -> 
 def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
                     beta: float = 1.0,
                     rank_deficient: bool = False,
-                    degenerate: bool = False) -> UnitarySystem:
+                    degenerate: bool = False,
+                    tol: Tolerances = DEFAULT_TOL) -> UnitarySystem:
     """Reproducible generic system: Haar-rotated spectrum, reservoir
     energies uniform on [0, 5/beta], Haar propagator on the whole space.
 
     ``rank_deficient`` zeroes a random tail of the spectrum so the
     restricted reverse mass can drop below 1; ``degenerate`` duplicates
-    eigenvalues in pairs so the eigenbasis gauge is free.
+    eigenvalues in pairs so the eigenbasis gauge is free.  The state is
+    validated and decomposed at ``tol``.
     """
     if not (beta > 0.0 and math.isfinite(5.0 / beta)):
         raise DomainError(f"beta must be positive with 5/beta finite, got {beta}")
@@ -289,7 +289,7 @@ def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
     energies = np.sort(rng.uniform(0.0, 5.0 / beta, size=dim_r))
     u = haar_unitary(d_m * dim_r, rng)
     return UnitarySystem(dim_a=dim_a, dim_b=dim_b,
-                         rho_ab=density_operator(rho),
+                         rho_ab=density_operator(rho, tol),
                          reservoir=ReservoirSpec(energies=tuple(energies), beta=beta),
                          unitary=u)
 

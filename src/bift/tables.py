@@ -30,13 +30,16 @@ Every table is built from one bundle of ingredients (``SystemSpectra``),
 which comes from one of two routes:
 
 * ``spectra_from_unitary`` -- an explicit global propagator on AB (x) R
-  (``UnitarySystem``); the final-state decomposition is always derived
-  from the evolved state, never user-supplied (a caller may only
-  re-gauge degenerate blocks).
+  (``UnitarySystem``); the initial decomposition is the one attached to
+  the state, and the final and local decompositions are derived from
+  the states, never user-supplied.
 * ``spectra_from_analytic`` -- a ``SystemSpectra`` with transition
   kernels injected directly, for processes (quasi-static limits) that
   have no finite-dimensional propagator.  Kernels must be row-stochastic
   and consistent with the attached final spectrum.
+
+Neither route refuses a system for its size; the size guard sits where
+a config enters (``bift.cli``).
 
 Summations use a fixed lexicographic (C-order) reduction, so identical
 inputs give identical bytes on the same numpy/BLAS build, at any BLAS
@@ -47,13 +50,12 @@ thread count, from M R = 100 up.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, SizeError
+from .errors import ConsistencyError, DimensionError
 from .linalg import (
     DEFAULT_TOL,
     MAX_HEAT_EXPONENT,
@@ -61,14 +63,11 @@ from .linalg import (
     ReservoirSpec,
     SpectralDecomposition,
     Tolerances,
-    assert_same_operator,
     check_unitary,
     dagger,
     partial_trace,
     spectral_decompose,
 )
-
-TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
 
 
 class OutcomeTuple(NamedTuple):
@@ -122,19 +121,12 @@ class SystemSpectra:
     heat exponent per (r, r') pair.
     """
 
-    dim_a: int
-    dim_b: int
-    dim_r: int
     initial: Endpoint
     final: Endpoint               # its cond is indexed [m', a', b']
     p_r: np.ndarray               # reservoir Gibbs state, initial for both processes
     kernel: np.ndarray
     reverse_kernel: np.ndarray
     beta_q: np.ndarray            # [r, r']
-
-    @property
-    def dim_m(self) -> int:
-        return self.dim_a * self.dim_b
 
 
 @dataclass(frozen=True)
@@ -170,14 +162,6 @@ def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int
                     cond=conditional_table(dec.vectors, dec_a.vectors, dec_b.vectors))
 
 
-def _guard_size(d_a: int, d_b: int, d_r: int) -> None:
-    """Refuse dense tuple tables over the guard, counting in exact integers."""
-    d_a, d_b, d_r = int(d_a), int(d_b), int(d_r)
-    n = math.prod((d_a * d_b, d_a, d_b, d_r)) ** 2
-    if n > TABLE_SIZE_GUARD:
-        raise SizeError(f"dense tuple table would hold {n} > {TABLE_SIZE_GUARD} entries")
-
-
 def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
                       dim_r: int, unitary: np.ndarray) -> np.ndarray:
     """|<m',r'| U |m,r>|^2 as an array [m, r, m', r'].
@@ -197,42 +181,32 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
 
 
 def spectra_from_unitary(system: UnitarySystem,
-                         initial_decomposition: SpectralDecomposition | None = None,
-                         final_decomposition: SpectralDecomposition | None = None,
                          tol: Tolerances = DEFAULT_TOL) -> SystemSpectra:
     """Assemble the full ingredient bundle from an explicit propagator.
 
-    Local and final decompositions are derived internally.  The optional
-    decomposition arguments exist solely to re-gauge degenerate blocks;
-    each must reconstruct the same operator as the derived one.
+    The initial decomposition is the state's own; the final and local
+    decompositions are derived here.
     """
     d_a, d_b = system.dim_a, system.dim_b
     d_m = d_a * d_b
     d_r = system.reservoir.dim
-    if system.rho_ab.dim != d_m:
-        raise DimensionError(f"rho_AB dim {system.rho_ab.dim} != {d_a} x {d_b}")
-    _guard_size(d_a, d_b, d_r)
+    dim = system.rho_ab.matrix.shape[0]
+    if dim != d_m:
+        raise DimensionError(f"rho_AB dim {dim} != {d_a} x {d_b}")
     u = check_unitary(system.unitary, tol)
     if u.shape[0] != d_m * d_r:
         raise DimensionError(f"propagator dim {u.shape[0]} != {d_m} x {d_r}")
 
-    init = initial_decomposition or system.rho_ab.decomposition
-    if initial_decomposition is not None:
-        assert_same_operator(initial_decomposition, system.rho_ab.matrix, tol)
-
+    init = system.rho_ab.decomposition
     p_r = system.reservoir.gibbs_probabilities()
     rho_abr = np.kron(system.rho_ab.matrix, np.diag(p_r).astype(complex))
     rho_abr_final = u @ rho_abr @ dagger(u)
     rho_ab_final = partial_trace(rho_abr_final, (d_m, d_r), keep=0)
 
-    fin = final_decomposition or spectral_decompose(rho_ab_final, tol)
-    if final_decomposition is not None:
-        assert_same_operator(final_decomposition, rho_ab_final, tol)
-
+    fin = spectral_decompose(rho_ab_final, tol)
     kernel = transition_kernel(init.vectors, fin.vectors, d_r, u)
     energies = np.asarray(system.reservoir.energies)
     return SystemSpectra(
-        dim_a=d_a, dim_b=d_b, dim_r=d_r,
         initial=_endpoint(system.rho_ab.matrix, init, d_a, d_b, tol),
         final=_endpoint(rho_ab_final, fin, d_a, d_b, tol),
         p_r=p_r,
@@ -247,7 +221,8 @@ def spectra_from_analytic(spectra: SystemSpectra,
     """Validate an injected-kernel bundle and return it with float arrays
     and clipped probabilities.
 
-    Checks: array shapes match ``dim_a``, ``dim_b`` and ``dim_r``
+    Checks: ``initial.p_a``, ``initial.p_b`` and ``p_r`` are vectors,
+    and every other array's shape matches the sizes they give
     (DimensionError); every probability, conditional weight and kernel
     entry finite and not below ``-tol.psd``, every heat exponent finite
     with ``|beta_q| <= MAX_HEAT_EXPONENT``; probability vectors
@@ -255,9 +230,12 @@ def spectra_from_analytic(spectra: SystemSpectra,
     the forward kernel's image marginal equal to the attached final
     spectrum (ConsistencyError, each to ``tol.equality``).
     """
-    d_a, d_b, d_r = spectra.dim_a, spectra.dim_b, spectra.dim_r
+    shapes = [np.shape(v) for v in (spectra.initial.p_a, spectra.initial.p_b, spectra.p_r)]
+    if any(len(shape) != 1 for shape in shapes):
+        raise DimensionError(f"initial.p_a, initial.p_b and p_r must be one-dimensional, "
+                             f"got shapes {shapes}")
+    (d_a,), (d_b,), (d_r,) = shapes
     d_m = d_a * d_b
-    _guard_size(d_a, d_b, d_r)
 
     def weights(arr, name):
         # NaN fails every comparison, so finiteness is checked on its own.
@@ -313,10 +291,8 @@ def spectra_from_analytic(spectra: SystemSpectra,
         raise ConsistencyError(f"beta_q entries must be finite and at most "
                                f"{MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
 
-    return SystemSpectra(
-        dim_a=d_a, dim_b=d_b, dim_r=d_r, initial=initial, final=final, p_r=p_r,
-        kernel=kernel, reverse_kernel=rkernel, beta_q=beta_q,
-    )
+    return SystemSpectra(initial=initial, final=final, p_r=p_r,
+                         kernel=kernel, reverse_kernel=rkernel, beta_q=beta_q)
 
 
 def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -82,9 +82,10 @@ class WorkInputs:
 class BoundRecord:
     """One checked relation.
 
-    kind is "upper" (lhs <= rhs, slack = rhs - lhs) or "equality"
-    (slack = -|lhs - rhs|).  ``satisfied`` is None when the relation's
-    precondition does not hold here (see ``note``).
+    kind is "upper" (lhs <= rhs, slack = rhs - lhs, satisfied when
+    slack >= -tol.bound) or "equality" (slack = -|lhs - rhs|, satisfied
+    when slack >= -tol.equality).  ``satisfied`` is None when the
+    relation's precondition does not hold here (see ``note``).
     """
 
     name: str
@@ -233,8 +234,8 @@ def product_basis_flags(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
     """(initial_is_product, final_is_product): True when every global
     eigenvector is a product of local eigenvectors, i.e. each conditional
     row concentrates all weight on a single (a, b)."""
-    d_m = spectra.dim_m
-    return tuple(bool(np.all(end.cond.reshape(d_m, -1).max(axis=1) > 1.0 - tol.orthonormality))
+    return tuple(bool(np.all(end.cond.reshape(len(end.cond), -1).max(axis=1)
+                             > 1.0 - tol.orthonormality))
                  for end in (spectra.initial, spectra.final))
 
 
@@ -263,7 +264,7 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
 
     def equality(name, lhs, rhs, applicable=True, note=""):
         slack = -abs(lhs - rhs) if applicable else math.nan
-        sat = bool(slack >= -tol.bound) if applicable else None
+        sat = bool(slack >= -tol.equality) if applicable else None
         records.append(BoundRecord(name, "equality", lhs, rhs, slack, applicable, sat, note))
 
     # Heat bounds from the two integral relations, and the gamma-free form.

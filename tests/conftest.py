@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bift import reportio
+from bift import reportio, tables
 from bift.functionals import log_or_zero, shannon_entropy
 from bift.errors import DomainError
 from bift.linalg import (
@@ -122,6 +122,26 @@ def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Genera
     return SpectralDecomposition(decomp.probabilities.copy(), vecs)
 
 
+def remix_initial(system: UnitarySystem, rng: np.random.Generator) -> UnitarySystem:
+    """``system`` with its initial eigenbasis re-gauged by
+    :func:`remix_degenerate_blocks`."""
+    rho = system.rho_ab
+    remixed = remix_degenerate_blocks(rho.decomposition, rng)
+    return dataclasses.replace(system, rho_ab=dataclasses.replace(rho, decomposition=remixed))
+
+
+def remix_derived_decompositions(monkeypatch, rng: np.random.Generator) -> None:
+    """Make ``spectra_from_unitary`` re-gauge every decomposition it
+    derives (the final global state and the local states at both ends)
+    by :func:`remix_degenerate_blocks`."""
+    derive = tables.spectral_decompose
+
+    def remixed(matrix, tol=DEFAULT_TOL):
+        return remix_degenerate_blocks(derive(matrix, tol), rng, tol)
+
+    monkeypatch.setattr(tables, "spectral_decompose", remixed)
+
+
 def encode_complex_matrix(matrix: np.ndarray) -> list:
     m = np.asarray(matrix, dtype=complex)
     return np.stack([m.real, m.imag], axis=-1).tolist()
@@ -153,9 +173,15 @@ def replace_endpoint(spectra, side: str, **fields):
         spectra, **{side: dataclasses.replace(getattr(spectra, side), **fields)})
 
 
+def spectra_dims(spectra) -> tuple[int, int, int, int]:
+    """(d_M, d_A, d_B, d_R), read off the arrays of ``spectra``."""
+    d_m, d_a, d_b = spectra.initial.cond.shape
+    return d_m, d_a, d_b, len(spectra.p_r)
+
+
 def oracle_forward_table(spectra) -> np.ndarray:
     """Eight nested loops: kernel * p_m * p_r * both conditionals."""
-    d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
+    d_m, d_a, d_b, d_r = spectra_dims(spectra)
     out = np.zeros((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
     for m in range(d_m):
         for a in range(d_a):
@@ -174,7 +200,7 @@ def oracle_forward_table(spectra) -> np.ndarray:
 
 
 def oracle_reverse_table(spectra) -> np.ndarray:
-    d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
+    d_m, d_a, d_b, d_r = spectra_dims(spectra)
     out = np.zeros((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
     for m in range(d_m):
         for a in range(d_a):
@@ -250,7 +276,7 @@ def dense_content_table(p, l_pa, l_pb, tol=DEFAULT_TOL) -> np.ndarray:
 def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
     """Every functional on the whole tuple space, as eight-axis
     broadcastable arrays over (m, a, b, m', a', b', r, r')."""
-    d_m, d_a, d_b, d_r = spectra.dim_m, spectra.dim_a, spectra.dim_b, spectra.dim_r
+    d_m, d_a, d_b, d_r = spectra_dims(spectra)
     ini, fin = spectra.initial, spectra.final
     l_pa = log_or_zero(ini.p_a, tol=tol)
     l_pb = log_or_zero(ini.p_b, tol=tol)

@@ -599,6 +599,50 @@ class TestExitCodes:
         assert main(["run", "--scenario", "random", "--dims", "7,7,2"]) == 2
         assert "dense tuple table" in capsys.readouterr().err
 
+    def test_size_guard_before_decoding(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode_complex_matrix ran on an oversized system")
+
+        monkeypatch.setattr(bift.cli, "decode_complex_matrix", refuse)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"system": {
+            **ONE_LEVEL_SYSTEM, "dims": [7, 7, 2],
+            "reservoir": {"energies": [0.0, 1.0], "beta": 1.0}}}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: dense tuple table would hold 23059204 > 10000000 entries\n"
+
+    @pytest.mark.parametrize("text", [b'{"scenario": "werner", "p": "\xff"}',
+                                      b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "nested-100000-deep"])
+    def test_unreadable_config_text_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path}: ")
+        assert err.count("\n") == 1
+
+    def test_tolerance_reaches_random_state(self, tmp_path):
+        # the random scenario validates its state at the run's tolerances,
+        # as the same system written out as an explicit config does
+        system = random_instance(2, 2, 2, 3, rank_deficient=True)
+        tolerance = {"psd": 0, "trace": 0}
+        configs = [
+            {"scenario": "random", "dims": [2, 2, 2], "seed": 3, "rank_deficient": True},
+            {"system": {"dims": [2, 2, 2],
+                        "rho_ab": encode_complex_matrix(system.rho_ab.matrix),
+                        "unitary": encode_complex_matrix(system.unitary),
+                        "reservoir": {"energies": list(system.reservoir.energies),
+                                      "beta": system.reservoir.beta}}},
+        ]
+        codes = []
+        for cfg in configs:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**cfg, "tolerance": tolerance}))
+            codes.append(main(["run", "--config", str(path), "--out", str(tmp_path / "out")]))
+        assert codes == [2, 2]
+
     @pytest.mark.parametrize("target", ["/dev/full", "directory"])
     def test_unwritable_out_exits_2(self, tmp_path, target):
         # The report streams into the file, so a disk that fills up

@@ -11,6 +11,7 @@ from bift.functionals import EndpointFunctionals, EndpointTables
 from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
+    Tolerances,
     density_operator,
     haar_unitary,
 )
@@ -33,6 +34,7 @@ from bift.theorems import (
     corrupt_reverse,
     detailed_ft_check,
     evaluate,
+    inequality_suite,
     reverse_averaged_ft,
 )
 
@@ -46,7 +48,8 @@ from conftest import (
     dense_tuple_functionals,
     evaluate_scenario,
     random_classical_instance,
-    remix_degenerate_blocks,
+    remix_derived_decompositions,
+    remix_initial,
     werner_state,
 )
 
@@ -323,6 +326,17 @@ class TestClassicalReduction:
         assert dense_classical_reduction_check(scenario.spectra) is None
         assert evaluate_scenario(scenario).report.bound("classical_ft").applicable is False
 
+    def test_held_to_equality_tolerance(self):
+        # classical_ft is an equality: a rounding residual passes at
+        # bound = 0, as integral_ft_vs_gamma does, and fails at equality = 0
+        rep = analyze(random_classical_instance(2, 2, 2, 1), tol=Tolerances(bound=0.0)).report
+        assert rep.bound("classical_ft").satisfied
+        gamma = rep.gamma_restricted
+        lhs = math.nextafter(gamma, math.inf)
+        for tol, passed in ((Tolerances(bound=0.0), True), (Tolerances(equality=0.0), False)):
+            records = inequality_suite(rep.averages, gamma, rep.reverse_avg_exp_di, lhs, tol=tol)
+            assert next(r for r in records if r.name == "classical_ft").satisfied is passed
+
     def test_report_record_when_applicable(self):
         rep = analyze(random_classical_instance(2, 2, 2, 4)).report
         rec = rep.bound("classical_ft")
@@ -347,15 +361,14 @@ class TestClassicalReduction:
 
 class TestGaugeRobustness:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_remixing_leaves_invariants(self, seed):
+    def test_remixing_leaves_invariants(self, seed, monkeypatch):
+        # d_R = 1: both endpoints carry the degenerate spectrum
         system = random_instance(2, 2, 1, seed, degenerate=True)
         rng = np.random.default_rng(1000 + seed)
+        remix_derived_decompositions(monkeypatch, rng)
         base = None
         for _ in range(4):
-            spectra = spectra_from_unitary(
-                system,
-                initial_decomposition=remix_degenerate_blocks(
-                    system.rho_ab.decomposition, rng))
+            spectra = spectra_from_unitary(remix_initial(system, rng))
             rep = evaluate(spectra).report
             if base is None:
                 base = (rep.gamma_restricted, rep.integral_ft_lhs)
