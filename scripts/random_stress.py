@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hammer the equality checks with reproducible random systems and print
-worst-case residuals, including rank-deficient initial states where the
-restricted reverse mass drops below 1.
+worst-case residuals, including rank-deficient initial states (every
+fifth system) where the restricted reverse mass drops below 1.
 
     python scripts/random_stress.py --instances 500
 """
@@ -10,14 +10,10 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-from bift.linalg import DEFAULT_TOL
-from bift.scenarios import random_instance
-from bift.tables import spectra_from_unitary
-from bift.theorems import evaluate
+from bift.cli import build_analysis, core_checks, validate_config
 
 DIMS = [(2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 3, 2), (3, 3, 4), (2, 2, 4)]
+STRESSED = ("detailed_ft", "integral_ft_vs_gamma", "reverse_averaged_ft")
 
 
 def positive_int(text: str) -> int:
@@ -30,34 +26,30 @@ def positive_int(text: str) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--instances", type=positive_int, default=200)
-    ap.add_argument("--rank-deficient-share", type=float, default=0.2)
     args = ap.parse_args()
 
     start = time.perf_counter()
-    worst_detailed = worst_integral = worst_reverse = 0.0
+    worst = dict.fromkeys(STRESSED, 0.0)
+    ok = True
     gammas = []
     for i in range(args.instances):
-        dims = DIMS[i % len(DIMS)]
-        deficient = (i % max(1, round(1 / args.rank_deficient_share))) == 0 \
-            if args.rank_deficient_share > 0 else False
-        system = random_instance(*dims, seed=i, rank_deficient=deficient)
-        rep = evaluate(spectra_from_unitary(system)).report
-        worst_detailed = max(worst_detailed, rep.detailed_max_residual)
-        worst_integral = max(worst_integral,
-                             abs(rep.integral_ft_lhs - rep.gamma_restricted))
-        worst_reverse = max(worst_reverse,
-                            abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di))
-        gammas.append(rep.gamma_restricted)
+        cfg = {"scenario": "random", "seed": i, "dims": list(DIMS[i % len(DIMS)]),
+               "rank_deficient": i % 5 == 0}
+        tol, points = validate_config(cfg, "run")
+        scenario, analysis = build_analysis(cfg, tol, *points)
+        for check in core_checks(scenario, analysis, tol):
+            if check.name in worst:
+                worst[check.name] = max(worst[check.name], check.value)
+                ok = ok and check.passed
+        gammas.append(analysis.report.gamma_restricted)
     elapsed = time.perf_counter() - start
 
-    gammas = np.asarray(gammas)
     print(f"instances            : {args.instances} in {elapsed:.1f} s")
-    print(f"worst detailed resid : {worst_detailed:.3e}")
-    print(f"worst integral resid : {worst_integral:.3e}")
-    print(f"worst reverse resid  : {worst_reverse:.3e}")
-    print(f"restricted mass range: [{gammas.min():.6f}, {gammas.max():.6f}] "
-          f"({int(np.sum(gammas < 1 - 1e-6))} below 1)")
-    ok = max(worst_detailed, worst_integral, worst_reverse) <= DEFAULT_TOL.equality
+    print(f"worst detailed resid : {worst['detailed_ft']:.3e}")
+    print(f"worst integral resid : {worst['integral_ft_vs_gamma']:.3e}")
+    print(f"worst reverse resid  : {worst['reverse_averaged_ft']:.3e}")
+    print(f"restricted mass range: [{min(gammas):.6f}, {max(gammas):.6f}] "
+          f"({sum(g < 1 - tol.equality for g in gammas)} below 1)")
     print("OK" if ok else "RESIDUALS OUT OF TOLERANCE")
     return 0 if ok else 1
 

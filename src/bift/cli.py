@@ -35,7 +35,7 @@ from .linalg import (
     density_operator,
 )
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
-from .scenarios import Scenario, bell_adiabatic_counterexample, random_instance, werner_isothermal
+from .scenarios import SCENARIOS, Scenario
 from .tables import (
     OutcomeTuple,
     UnitarySystem,
@@ -47,14 +47,10 @@ from .theorems import Analysis, evaluate, ln_or_neg_inf
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
-# The parameters each scenario reads.  Any other one, and any of them
-# beside an explicit ``system``, is an error instead of being ignored.
-SCENARIO_KEYS = {
-    "werner": {"p", "beta"},
-    "counterexample": {"p", "route"},
-    "random": {"beta", "seed", "dims", "rank_deficient"},
-}
-CONFIG_KEYS = {"scenario", "system", "tolerance", "emit_tuples"}.union(*SCENARIO_KEYS.values())
+# Any parameter a scenario does not read, and any of them beside an
+# explicit ``system``, is an error instead of being ignored.
+CONFIG_KEYS = {"scenario", "system", "tolerance", "emit_tuples"}.union(
+    *(keys for _, keys in SCENARIOS.values()))
 TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
 
 
@@ -80,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                       ("sweep", "run a parameter grid and emit a CSV table"),
                       ("verify", "run the full invariant suite")):
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--scenario", choices=["werner", "counterexample", "random"])
+        p.add_argument("--scenario", choices=list(SCENARIOS))
         p.add_argument("--p", dest="p", help="scenario parameter; sweep accepts a comma "
                                              "list or start:stop:count with count at most "
                                              f"{reportio.MAX_GRID_POINTS}")
@@ -113,7 +109,7 @@ def merge_config(args) -> dict:
             raise DomainError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
     if getattr(args, "emit_tuples", False):
         cfg["emit_tuples"] = True
-    return validate_config(cfg, args.command)
+    return cfg
 
 
 def _is_int(value) -> bool:
@@ -151,13 +147,25 @@ def _dims(value, name: str) -> None:
     _guard_size(*value)
 
 
-def validate_config(cfg: dict, command: str) -> dict:
+def _fields(value, names: tuple[str, ...], where: str) -> None:
+    """An object holding exactly the keys ``names``."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{where}: expected an object, got {value!r}")
+    for name in names:
+        if name not in value:
+            raise DomainError(f"{where}.{name}: missing")
+    unknown = set(value) - set(names)
+    if unknown:
+        raise DomainError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | None]]:
     """Reject malformed values where the config enters, so that a bad
-    input exits 2 with a message instead of failing inside the numerics.
-    Checks the scenario name, every key read later but ``p`` (see
-    :func:`p_values`) and the route, which their builders check, that
-    the command and the named system read every key given, and that a
-    sweep names a system with a ``p``."""
+    input exits 2 with a message instead of failing inside the numerics,
+    and return the run's tolerances and ``p`` points ([None] for a system
+    without ``p``; one point unless sweeping).  Checks every key but the
+    route, which its builder checks, that the command and the named system
+    read every key given, and that a sweep names a system with a ``p``."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys {sorted(unknown)}")
@@ -166,8 +174,8 @@ def validate_config(cfg: dict, command: str) -> dict:
     scenario = cfg.get("scenario")
     if "system" in cfg:
         where, reads = "an explicit system", {"system"}
-    elif isinstance(scenario, str) and scenario in SCENARIO_KEYS:
-        where, reads = f"the {scenario} scenario", {"scenario", *SCENARIO_KEYS[scenario]}
+    elif isinstance(scenario, str) and scenario in SCENARIOS:
+        where, reads = f"the {scenario} scenario", {"scenario", *SCENARIOS[scenario][1]}
     else:
         raise DomainError(f"scenario: unknown or missing (got {scenario!r}); "
                           "expected werner, counterexample, random, or an explicit system")
@@ -186,26 +194,21 @@ def validate_config(cfg: dict, command: str) -> dict:
     for key in ("rank_deficient", "emit_tuples"):
         if not isinstance(cfg.get(key, False), bool):
             raise DomainError(f"{key}: expected true or false, got {cfg[key]!r}")
-    tol = cfg.get("tolerance")
-    if isinstance(tol, dict):
-        unknown = set(tol) - {f.name for f in dataclasses.fields(Tolerances)}
-        if unknown:
-            raise DomainError(f"tolerance: unknown fields {sorted(unknown)}")
-        for key, value in tol.items():
-            _number(value, f"tolerance.{key}", positive=False)
-    elif tol is not None:
-        _number(tol, "tolerance", positive=False)
+    tol = cfg.get("tolerance")       # a bare number sets equality and bound
+    fields = (tol if isinstance(tol, dict) else {} if tol is None
+              else {"equality": tol, "bound": tol})
+    unknown = set(fields) - {f.name for f in dataclasses.fields(Tolerances)}
+    if unknown:
+        raise DomainError(f"tolerance: unknown fields {sorted(unknown)}")
+    for key, value in fields.items():
+        _number(value, f"tolerance.{key}" if isinstance(tol, dict) else "tolerance",
+                positive=False)
     if "system" in cfg:
         sysc = cfg["system"]
-        if not isinstance(sysc, dict):
-            raise DomainError(f"system: expected an object, got {sysc!r}")
-        for field in ("dims", "rho_ab", "unitary", "reservoir"):
-            if field not in sysc:
-                raise DomainError(f"system.{field}: missing")
+        _fields(sysc, ("dims", "rho_ab", "unitary", "reservoir"), "system")
         _dims(sysc["dims"], "system.dims")
         res = sysc["reservoir"]
-        if not (isinstance(res, dict) and "energies" in res and "beta" in res):
-            raise DomainError("system.reservoir: expected an object with energies and beta")
+        _fields(res, ("energies", "beta"), "system.reservoir")
         _number(res["beta"], "system.reservoir.beta", positive=True)
         energies = res["energies"]
         if not (isinstance(energies, list) and all(_is_finite(e) for e in energies)):
@@ -216,16 +219,10 @@ def validate_config(cfg: dict, command: str) -> dict:
         if exponent > MAX_HEAT_EXPONENT:
             raise DomainError(f"system.reservoir: beta * (max E - min E) = {exponent:.6g} "
                               f"exceeds {MAX_HEAT_EXPONENT:.6g}, where exp overflows")
-    return cfg
-
-
-def tolerances_from(cfg: dict) -> Tolerances:
-    t = cfg.get("tolerance")
-    if t is None:
-        return DEFAULT_TOL
-    if isinstance(t, dict):
-        return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in t.items()})
-    return dataclasses.replace(DEFAULT_TOL, equality=float(t), bound=float(t))
+    points = p_values(cfg) if "p" in reads else [None]
+    if command != "sweep" and len(points) != 1:
+        raise DomainError(f"p: expected a single value, got {len(points)}")
+    return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in fields.items()}), points
 
 
 def p_values(cfg: dict) -> list[float]:
@@ -261,33 +258,15 @@ def explicit_system(sysc: dict, tol: Tolerances) -> UnitarySystem:
 
 def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
                    corruption: bool = False) -> tuple[Scenario, Analysis]:
-    """The system the config names and its evaluation.  ``p`` is one
-    sweep point; without it the config's ``p`` must hold a single value."""
-    name = cfg.get("scenario")
+    """The system a validated config names, at ``p``, one of the points
+    :func:`validate_config` returns, and its evaluation."""
     if "system" in cfg:
         scenario = Scenario("explicit", {"dims": list(cfg["system"]["dims"])},
                             spectra_from_unitary(explicit_system(cfg["system"], tol), tol),
                             {})
-    elif name == "random":
-        dims = cfg.get("dims", [2, 2, 2])
-        seed = cfg.get("seed", 0)
-        beta = float(cfg.get("beta", 1.0))
-        rank_deficient = cfg.get("rank_deficient", False)
-        system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient,
-                                 tol=tol)
-        reference = {} if rank_deficient else {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
-        scenario = Scenario("random", {"seed": seed, "dims": list(dims), "beta": beta},
-                            spectra_from_unitary(system, tol), reference)
-    else:                       # werner or counterexample (see validate_config)
-        if p is None:
-            values = p_values(cfg)
-            if len(values) != 1:
-                raise DomainError(f"p: expected a single value, got {len(values)}")
-            p = values[0]
-        if name == "werner":
-            scenario = werner_isothermal(p, float(cfg.get("beta", 1.0)), tol=tol)
-        else:
-            scenario = bell_adiabatic_counterexample(p, cfg.get("route", "unitary"), tol=tol)
+    else:
+        builder, keys = SCENARIOS[cfg["scenario"]]
+        scenario = builder(**{k: p if k == "p" else cfg[k] for k in cfg.keys() & keys}, tol=tol)
     return scenario, evaluate(scenario.spectra, scenario.work, tol,
                               _reverse_corruption=corruption)
 
@@ -402,8 +381,8 @@ def output(out: str | None) -> Iterator[Callable[[str], object]]:
         raise DomainError(f"{where}: {exc.strerror or exc}") from exc
 
 
-def cmd_run(args, cfg: dict, tol: Tolerances) -> int:
-    scenario, analysis = build_analysis(cfg, tol)
+def cmd_run(args, cfg: dict, tol: Tolerances, p: float | None) -> int:
+    scenario, analysis = build_analysis(cfg, tol, p)
     checks = core_checks(scenario, analysis, tol)
     doc = report_document("run", cfg, scenario, analysis, checks, tol,
                           cfg.get("emit_tuples", False))
@@ -412,8 +391,8 @@ def cmd_run(args, cfg: dict, tol: Tolerances) -> int:
     return 0 if doc["passed"] else 1
 
 
-def cmd_verify(args, cfg: dict, tol: Tolerances) -> int:
-    scenario, analysis = build_analysis(cfg, tol, corruption=args.corrupt_reverse)
+def cmd_verify(args, cfg: dict, tol: Tolerances, p: float | None) -> int:
+    scenario, analysis = build_analysis(cfg, tol, p, corruption=args.corrupt_reverse)
     checks = core_checks(scenario, analysis, tol) + invariant_checks(analysis, tol)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name} value={reportio.format_float(c.value)}"
              + (f"  ({c.detail})" if c.detail else "") for c in checks]
@@ -425,10 +404,10 @@ def cmd_verify(args, cfg: dict, tol: Tolerances) -> int:
     return 0 if ok else 1
 
 
-def cmd_sweep(args, cfg: dict, tol: Tolerances) -> int:
+def cmd_sweep(args, cfg: dict, tol: Tolerances, points: list[float]) -> int:
     lines = [",".join(SWEEP_COLUMNS)]
     all_ok = True
-    for p in p_values(cfg):
+    for p in points:
         scenario, analysis = build_analysis(cfg, tol, p)
         rep = analysis.report
         all_ok = all_ok and all(c.passed for c in core_checks(scenario, analysis, tol))
@@ -445,12 +424,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = merge_config(args)
-        tol = tolerances_from(cfg)
+        tol, points = validate_config(cfg, args.command)
         if args.command == "run":
-            return cmd_run(args, cfg, tol)
+            return cmd_run(args, cfg, tol, *points)
         if args.command == "sweep":
-            return cmd_sweep(args, cfg, tol)
-        return cmd_verify(args, cfg, tol)
+            return cmd_sweep(args, cfg, tol, points)
+        return cmd_verify(args, cfg, tol, *points)
     except BiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -151,8 +151,11 @@ def decode_complex_matrix(entries, where: str) -> np.ndarray:
     the unitarity and state checks cannot overflow (entries of a valid
     state or propagator are at most 1 in modulus)."""
     try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(entries, dtype=object)
+        if not set(map(type, arr.flat)) <= {int, float}:   # float() takes "1" and true
+            raise TypeError
+        arr = arr.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{where}: entries must be numbers") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise DomainError(

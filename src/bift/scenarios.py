@@ -27,7 +27,8 @@ random instances for property checks.
 * ``random_instance`` -- reproducible generic systems (Haar-rotated
   spectra, thermal reservoir, Haar propagator) for equality checks, with
   flags for rank deficiency (exercising restricted mass < 1) and exact
-  spectral degeneracy (exercising gauge freedom).
+  spectral degeneracy (exercising gauge freedom); ``random_scenario``
+  names one as a Scenario.
 """
 
 from __future__ import annotations
@@ -155,6 +156,7 @@ def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
 def werner_isothermal(p: float, beta: float = 1.0,
                       tol: Tolerances = DEFAULT_TOL) -> Scenario:
     """Isothermal gap sweep on both halves of a Werner state."""
+    beta = float(beta)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
     if not (beta > 0.0 and math.isfinite(LN2 / beta)):
@@ -293,3 +295,24 @@ def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
                          reservoir=ReservoirSpec(energies=tuple(energies), beta=beta),
                          unitary=u)
 
+
+def random_scenario(seed: int = 0, dims=(2, 2, 2), beta: float = 1.0,
+                    rank_deficient: bool = False,
+                    tol: Tolerances = DEFAULT_TOL) -> Scenario:
+    """``random_instance(*dims, seed)`` as a Scenario.  At full rank the
+    forward support is the whole space, so the restricted reverse mass
+    and the integral relation's left side are 1."""
+    beta = float(beta)
+    system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient, tol=tol)
+    reference = {} if rank_deficient else {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
+    return Scenario("random", {"seed": seed, "dims": list(dims), "beta": beta},
+                    spectra_from_unitary(system, tol), reference)
+
+
+# Each named system's builder and the config keys it takes as keyword
+# arguments; the command line rejects any other key.
+SCENARIOS = {
+    "werner": (werner_isothermal, {"p", "beta"}),
+    "counterexample": (bell_adiabatic_counterexample, {"p", "route"}),
+    "random": (random_scenario, {"beta", "seed", "dims", "rank_deficient"}),
+}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bift.cli
+import bift.scenarios
 import bift.tables
 from bift import reportio
 from bift.cli import invariant_checks, main
@@ -557,11 +558,43 @@ class TestExitCodes:
                                                  "emit_tuples": True}),
         (("sweep", "--config", "config.json"), {"scenario": "werner", "p": 0.5,
                                                 "emit_tuples": False}),
+        # a config file that is not JSON (a str row is the file's text) or
+        # not an object
+        (("run", "--config", "config.json"), '{"scenario": "werner",'),
+        (("run", "--config", "config.json"), [{"scenario": "werner", "p": 0.5}]),
+        # matrices that are not rows x cols x [re, im] numbers
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "rho_ab": [[["x", 0]]]}}),
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "rho_ab": [[[1, 0, 0]]]}}),
+        # grids without a point or with a bad bound
+        (("sweep", "--scenario", "werner", "--p", ","), None),
+        (("sweep", "--scenario", "werner", "--p", "0:x:3"), None),
+        # reservoirs that are not an object or do not match d_R
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "reservoir": [0.0, 1.0]}}),
+        (("run", "--config", "config.json"),
+         {"system": {**ONE_LEVEL_SYSTEM, "reservoir": {"energies": [0.0, 1.0], "beta": 1.0}}}),
+        # keys an explicit system does not read
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "rho_ba": [[[1, 0]]]}}),
+        (("run", "--config", "config.json"),
+         {"system": {**ONE_LEVEL_SYSTEM, "reservoir": {"energies": [0.0], "beta": 1.0,
+                                                       "temperature": 1.0}}}),
+        # a valid state and propagator whose entries are not JSON numbers,
+        # and an integer beyond the float range
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "rho_ab": [[["1", 0]]]}}),
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "unitary": [[[True, False]]]}}),
+        (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
+                                                         "rho_ab": [[[10 ** 400, 0]]]}}),
     ])
     def test_config_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
         if config is not None:
-            (tmp_path / "config.json").write_text(json.dumps(config))
+            (tmp_path / "config.json").write_text(
+                config if isinstance(config, str) else json.dumps(config))
         assert main(list(argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -595,7 +628,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("random_instance drew an oversized system")
 
-        monkeypatch.setattr(bift.cli, "random_instance", refuse)
+        monkeypatch.setattr(bift.scenarios, "random_instance", refuse)
         assert main(["run", "--scenario", "random", "--dims", "7,7,2"]) == 2
         assert "dense tuple table" in capsys.readouterr().err
 
