@@ -268,6 +268,30 @@ class TestAnalyticValidation:
         with pytest.raises(ConsistencyError):
             spectra_from_analytic(dataclasses.replace(s, kernel=bad_kernel))
 
+    def test_reverse_kernel_rows_must_be_stochastic(self):
+        # the reversed process from (m', r') = (0, 0) lands with mass 1.25
+        s = werner_spectra()
+        bad_kernel = s.reverse_kernel.copy()
+        bad_kernel[0, 0, 0, 0] = 0.5
+        with pytest.raises(ConsistencyError, match="reverse kernel rows do not sum to 1"):
+            spectra_from_analytic(dataclasses.replace(s, reverse_kernel=bad_kernel))
+
+    @pytest.mark.parametrize("name", ["kernel", "reverse_kernel"])
+    def test_kernel_shape(self, name):
+        s = werner_spectra()
+        with pytest.raises(DimensionError):
+            spectra_from_analytic(dataclasses.replace(s, **{name: getattr(s, name)[:3]}))
+
+    def test_heat_exponent_shape(self):
+        with pytest.raises(DimensionError):
+            spectra_from_analytic(werner_spectra(beta_q=np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("side", ["initial", "final"])
+    def test_global_spectrum_length(self, side):
+        s = werner_spectra()
+        with pytest.raises(DimensionError):
+            spectra_from_analytic(replace_endpoint(s, side, p_m=np.array([0.5, 0.25, 0.25])))
+
     def test_equality_tolerance_reaches_kernel_checks(self):
         s = werner_spectra()
         off = s.kernel.copy()
