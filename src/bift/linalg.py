@@ -40,8 +40,11 @@ class Tolerances:
     ``support`` is relative to the largest eigenvalue of the operator at
     hand.  ``degeneracy`` is relative to max(1, largest |eigenvalue|): an
     eigenvalue joins a degenerate block when it lies within
-    ``degeneracy`` times that scale of the block's first value.  The rest
-    are absolute, sized for double precision at total dimension <= ~64.
+    ``degeneracy`` times that scale of the block's first value.  Both
+    must be below 1: no entry lies above a support cutoff of 1, and a
+    degeneracy cutoff of 1 puts a whole density spectrum in one block.
+    The rest are absolute, sized for double precision at total dimension
+    <= ~64.
     """
 
     hermiticity: float = 1e-10

@@ -221,14 +221,16 @@ def spectra_from_analytic(spectra: SystemSpectra,
     """Validate an injected-kernel bundle and return it with float arrays
     and clipped probabilities.
 
-    Checks: ``initial.p_a``, ``initial.p_b`` and ``p_r`` are vectors,
-    and every other array's shape matches the sizes they give
-    (DimensionError); every probability, conditional weight and kernel
-    entry finite and not below ``-tol.psd``, every heat exponent finite
-    with ``|beta_q| <= MAX_HEAT_EXPONENT``; probability vectors
-    normalized, conditional tables complete, kernels row-stochastic, and
-    the forward kernel's image marginal equal to the attached final
-    spectrum (ConsistencyError, each to ``tol.equality``).
+    The sizes come from ``initial.p_a``, ``initial.p_b`` and ``p_r``,
+    which must be vectors.  Every probability vector, conditional table
+    and kernel then passes one rule: a float array of the shape those
+    sizes give (DimensionError), finite, with no entry below
+    ``-tol.psd``, that sums to 1 -- a vector in total, a conditional
+    table over (a, b), the forward kernel over (m', r') and the reverse
+    kernel over (m, r) (ConsistencyError).  Every heat exponent must be
+    finite with ``|beta_q| <= MAX_HEAT_EXPONENT``, and the forward
+    kernel's image marginal must equal the attached final spectrum
+    (ConsistencyError).  Sums are compared to ``tol.equality``.
     """
     shapes = [np.shape(v) for v in (spectra.initial.p_a, spectra.initial.p_b, spectra.p_r)]
     if any(len(shape) != 1 for shape in shapes):
@@ -237,46 +239,35 @@ def spectra_from_analytic(spectra: SystemSpectra,
     (d_a,), (d_b,), (d_r,) = shapes
     d_m = d_a * d_b
 
-    def weights(arr, name):
+    def distribution(x, shape, name, axes=None):
+        # Sums over ``axes``, or over every axis when it is None: that
+        # total stays a scalar, compared without an array pass.
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != shape:
+            raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
         # NaN fails every comparison, so finiteness is checked on its own.
         if not np.isfinite(arr).all():
             raise ConsistencyError(f"{name} has non-finite entries")
         if np.any(arr < -tol.psd):
             raise ConsistencyError(f"{name} has negative entries")
-
-    def vec(x, n, name):
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (n,):
-            raise DimensionError(f"{name} must have shape ({n},), got {arr.shape}")
-        weights(arr, name)
-        if abs(arr.sum() - 1.0) > tol.equality:
-            raise ConsistencyError(f"{name} sums to {arr.sum():.12f}, not 1")
-        return np.clip(arr, 0.0, None)
+        total = arr.sum(axis=axes)
+        if axes is None and abs(total - 1.0) > tol.equality:
+            raise ConsistencyError(f"{name} sums to {total:.12f}, not 1")
+        if axes is not None and np.max(np.abs(total - 1.0)) > tol.equality:
+            raise ConsistencyError(f"{name} rows do not sum to 1")
+        return arr
 
     def endpoint(end: Endpoint, side: str) -> Endpoint:
-        cond = np.asarray(end.cond, dtype=float)
-        if cond.shape != (d_m, d_a, d_b):
-            raise DimensionError(f"{side}.cond must have shape ({d_m},{d_a},{d_b})")
-        weights(cond, f"{side}.cond")
-        if np.max(np.abs(cond.sum(axis=(1, 2)) - 1.0)) > tol.equality:
-            raise ConsistencyError(f"{side}.cond rows do not sum to 1")
-        return Endpoint(p_m=vec(end.p_m, d_m, f"{side}.p_m"), p_a=vec(end.p_a, d_a, f"{side}.p_a"),
-                        p_b=vec(end.p_b, d_b, f"{side}.p_b"), cond=cond)
+        cond = distribution(end.cond, (d_m, d_a, d_b), f"{side}.cond", axes=(1, 2))
+        p = {name: np.clip(distribution(getattr(end, name), (n,), f"{side}.{name}"), 0.0, None)
+             for name, n in (("p_m", d_m), ("p_a", d_a), ("p_b", d_b))}
+        return Endpoint(cond=cond, **p)
 
     initial, final = endpoint(spectra.initial, "initial"), endpoint(spectra.final, "final")
-    p_r = vec(spectra.p_r, d_r, "p_r")
-
-    kernel = np.asarray(spectra.kernel, dtype=float)
-    rkernel = np.asarray(spectra.reverse_kernel, dtype=float)
+    p_r = np.clip(distribution(spectra.p_r, (d_r,), "p_r"), 0.0, None)
     shape = (d_m, d_r, d_m, d_r)
-    if kernel.shape != shape or rkernel.shape != shape:
-        raise DimensionError(f"kernels must have shape {shape}")
-    weights(kernel, "forward kernel")
-    weights(rkernel, "reverse kernel")
-    if np.max(np.abs(kernel.sum(axis=(2, 3)) - 1.0)) > tol.equality:
-        raise ConsistencyError("forward kernel rows do not sum to 1")
-    if np.max(np.abs(rkernel.sum(axis=(0, 1)) - 1.0)) > tol.equality:
-        raise ConsistencyError("reverse kernel rows do not sum to 1")
+    kernel = distribution(spectra.kernel, shape, "forward kernel", axes=(2, 3))
+    rkernel = distribution(spectra.reverse_kernel, shape, "reverse kernel", axes=(0, 1))
 
     # Final-state consistency: the forward process must land on the
     # attached final spectrum (there is no propagator to guarantee it).

@@ -490,6 +490,9 @@ class TestConfigs:
 
 ONE_LEVEL_SYSTEM = {"dims": [1, 1, 1], "rho_ab": [[[1, 0]]], "unitary": [[[1, 0]]],
                     "reservoir": {"energies": [0.0], "beta": 1.0}}
+TWO_QUBIT_SYSTEM = {"dims": [2, 2, 2], "rho_ab": encode_complex_matrix(np.eye(4) / 4),
+                    "unitary": encode_complex_matrix(np.eye(8)),
+                    "reservoir": {"energies": [0.0, 1.0], "beta": 1.0}}
 
 
 class TestExitCodes:
@@ -589,6 +592,24 @@ class TestExitCodes:
                                                          "unitary": [[[True, False]]]}}),
         (("run", "--config", "config.json"), {"system": {**ONE_LEVEL_SYSTEM,
                                                          "rho_ab": [[[10 ** 400, 0]]]}}),
+        (("run", "--config", "config.json"), {"scenario": "random", "beta": 10 ** 400}),
+        (("sweep", "--scenario", "werner", "--p", "0.1,x"), None),
+        # relative cutoffs that leave no support or one degenerate block
+        (("verify", "--config", "config.json"), {"scenario": "random",
+                                                 "tolerance": {"support": 1.0}}),
+        (("verify", "--config", "config.json"), {"scenario": "random",
+                                                 "tolerance": {"degeneracy": 1.0}}),
+        # explicit systems whose state or propagator does not fit dims
+        # [2, 2, 2]: a 3x3 state, a 4x4 propagator, a 2x3 propagator and a
+        # 2x3 state
+        (("run", "--config", "config.json"),
+         {"system": {**TWO_QUBIT_SYSTEM, "rho_ab": encode_complex_matrix(np.eye(3) / 3)}}),
+        (("run", "--config", "config.json"),
+         {"system": {**TWO_QUBIT_SYSTEM, "unitary": encode_complex_matrix(np.eye(4))}}),
+        (("run", "--config", "config.json"),
+         {"system": {**TWO_QUBIT_SYSTEM, "unitary": encode_complex_matrix(np.eye(2, 3))}}),
+        (("run", "--config", "config.json"),
+         {"system": {**TWO_QUBIT_SYSTEM, "rho_ab": encode_complex_matrix(np.eye(2, 3) / 2)}}),
     ])
     def test_config_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)

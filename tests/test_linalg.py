@@ -185,6 +185,10 @@ class TestGibbs:
         with pytest.raises(ConsistencyError):
             ReservoirSpec(energies=(0.0,), beta=0.0)
 
+    def test_needs_a_level(self):
+        with pytest.raises(DimensionError):
+            ReservoirSpec(energies=(), beta=1.0)
+
 
 class TestCheckUnitary:
     def test_rejects_non_unitary(self):
