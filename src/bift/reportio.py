@@ -8,9 +8,14 @@ tokens) so that re-running the same config reproduces the report byte
 for byte; only the config hash sorts keys.  :func:`dump` writes a report
 piece by piece to a ``write`` callable: frozen records are walked field
 by field, and lists, tuples and arrays share one sequence loop.  A float64
-array goes out one leading-axis row at a time, each row formatted by a
-single ``%`` call on a template of the row's layout, in the same bytes as
-its nested list; any other array is written as its ``tolist()``.
+array of two or more axes goes out one leading-axis row at a time: the
+row's entries are formatted in one vectorised pass (:func:`format_floats`)
+and set into a ``%s`` template of the row's layout, in the same bytes as
+its nested list.  That pass computes the 15 digits of every finite |x| in
+[1e-280, 10), which holds every entry of a probability table, and hands
+each other entry, and each whose rounding it cannot decide, to
+:func:`format_float`, so every float prints as ``%.15g`` prints it.  Any
+other array is written as its ``tolist()``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,108 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return "%.15g" % (x + 0.0)      # + 0.0 turns -0.0 into 0.0, printed "0"
+
+
+_SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+
+
+def _pow10_table(count: int) -> tuple[np.ndarray, ...]:
+    """10**q for q < count as an unevaluated sum hi + lo of doubles, and
+    hi's two halves for Dekker's exact product.  Built from Python ints,
+    so each part is correctly rounded."""
+    exact = [10 ** q for q in range(count)]
+    hi = np.array([float(p) for p in exact])
+    lo = np.array([float(p - int(h)) for p, h in zip(exact, hi.tolist())])
+    head = _SPLIT * hi - (_SPLIT * hi - hi)
+    return hi, lo, head, hi - head
+
+
+_POW10_HI, _POW10_LO, _POW10_HH, _POW10_HL = _pow10_table(300)
+_GROUP_PLACES = 10.0 ** np.arange(12, -1, -3)   # n's five 3-digit groups
+# The text of each 3-digit group, in full and without trailing zeros
+# (blank for 000): the last group of n that is not 000, and every group
+# after it, is written without; and the digits that leaves.
+_GROUPS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+_GROUPS_STRIPPED = np.where(
+    np.cumsum(_GROUPS[:, ::-1] != ord("0"), axis=1)[:, ::-1] > 0, _GROUPS, ord(" "))
+_GROUP_KEPT = np.count_nonzero(_GROUPS_STRIPPED != ord(" "), axis=1)
+_GROUP_TEXT = np.concatenate([_GROUPS, _GROUPS_STRIPPED]).view("V3").ravel()   # take() is fast
+# Columns 0-6 of an entry's text, by sign and by j, the number of leading
+# zeros of the form 0.000ddd (j = 0: the form d.ddd, whose d goes in
+# column 6), right-aligned: split() drops the blanks before them.
+_HEAD = np.frombuffer(b"".join(
+    (sign + ("0." + "0" * (j - 1) if j else "")).rjust(7 if j else 6).ljust(7).encode()
+    for sign in ("", "-") for j in range(5)), dtype="V7")
+_EXPONENT = np.array([(b"e-%02d" % e).ljust(5) for e in range(300)])   # e-05, e-100
+_WIDTH = 28      # head 7, d or point 1, digits 14, exponent 5, and one blank
+
+
+def format_floats(values: np.ndarray) -> list[str]:
+    """:func:`format_float` of each entry of the float64 array ``values``,
+    in C order, computed for all entries at once.
+
+    The fast path takes every finite |x| in [1e-280, 10): with
+    k = floor(log10 |x|), its 15 significant digits are the integer
+    n = round(|x| * 10**(14 - k)), the product formed as a double-double
+    to about 1e-30 relative (Dekker's exact TwoProduct with the table's
+    split 10**q, plus |x| times the table's low part).  Its digits come
+    from n by float division and are laid out in one byte matrix as
+    "0.000ddd", "d.ddd" or "d.ddde-XX", trailing zeros dropped, as
+    ``%.15g`` lays them out.  An entry whose rounding is not decided
+    (within 1e-6 of a half, ties included), whose log10 gave the wrong k,
+    or that lies outside that range (0, NaN and the infinities among
+    them) goes through :func:`format_float`."""
+    x = np.ravel(values)
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 10)                 # False for NaN
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a))
+    q = (14 - k).astype(np.intp)
+    p = a * _POW10_HI[q]
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    hh, hl = _POW10_HH[q], _POW10_HL[q]
+    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * _POW10_LO[q]
+    whole = np.floor(p)
+    frac = (p - whole) + err                        # |x| * 10**q = whole + frac
+    # n has 15 digits and its rounding is decided; below 1e14, log10 gave
+    # k one too high (a product under 1e14 by less than a rounding still
+    # rounds to 1e14 at k, as 10 times it would at k - 1)
+    fast &= (whole >= 1e14) & (whole < 1e15 - 1) & (np.abs(frac - 0.5) > 1e-6)
+    n = np.where(fast, whole + (frac > 0.5), 1e14)  # in [1e14, 1e15)
+    k = np.where(fast, k, 0.0).astype(np.intp)      # the printed exponent
+    neg = fast & (x < 0)
+
+    groups = np.floor(n[:, None] / _GROUP_PLACES)
+    groups[:, 1:] -= 1000 * groups[:, :-1]
+    groups = groups.astype(np.intp)
+    last = 4 - np.argmax(groups[:, ::-1] != 0, axis=1)      # group 0 is never 0
+    digits = _GROUP_TEXT.take(groups + 1000 * (np.arange(5) >= last[:, None]))
+    digits = digits.view(np.uint8).reshape(-1, 15)          # blank past the last kept
+    kept = 3 * last + _GROUP_KEPT[groups[np.arange(len(x)), last]]
+    small = (k < 0) & (k >= -4)                     # printed as 0.000ddd
+
+    # One row of bytes per entry: the head, the first digit in column 6
+    # (d.ddd) or 7 (0.000ddd), the point of d.ddd in column 7 when a digit
+    # follows, the other digits in columns 8-21 and, for d.ddde-XX, the
+    # exponent right after the last kept digit.
+    text = np.full((len(x), _WIDTH), ord(" "), dtype=np.uint8)
+    head = _HEAD.take(5 * neg + np.where(small, -k, 0)).view(np.uint8).reshape(-1, 7)
+    text[:, :7] = head
+    text[:, 6] = np.where(small, head[:, 6], digits[:, 0])
+    text[:, 7] = np.where(small, digits[:, 0], np.where(kept > 1, ord("."), ord(" ")))
+    text[:, 8:22] = digits[:, 1:]
+    sci = k < -4
+    at = np.flatnonzero(sci) * _WIDTH + 6 + kept[sci] + (kept[sci] > 1)
+    text.reshape(-1)[at[:, None] + np.arange(5)] = \
+        _EXPONENT.take(-k[sci]).view(np.uint8).reshape(-1, 5)
+
+    out = text.tobytes().decode("ascii").split()
+    slow = np.flatnonzero(~fast)
+    for i, value in zip(slow.tolist(), x[slow].tolist()):
+        out[i] = format_float(value)
+    return out
 
 
 def dump(obj: Any, write: Callable[[str], Any]) -> None:
@@ -73,7 +180,10 @@ def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
         if not len(obj):
             write("[]")
             return
-        item = _row_writer(obj, level + 1) if isinstance(obj, np.ndarray) else _emit
+        # a 1-d array's rows are single floats, for which format_float
+        # costs less than a vectorised pass
+        item = _row_writer(obj, level + 1) if isinstance(obj, np.ndarray) and obj.ndim > 1 \
+            else _emit
         pad = "  " * (level + 1)
         for i, value in enumerate(obj):
             write(("[\n" if i == 0 else ",\n") + pad)
@@ -96,23 +206,22 @@ def _emit_members(pairs: list[tuple[Any, Any]], write: Callable[[str], Any], lev
 
 def _row_writer(arr: np.ndarray, level: int) -> Callable[..., None]:
     """The item writer for the leading-axis rows of the float64 array
-    ``arr``, nested ``level`` deep: one ``%`` call gives a row the text
-    :func:`_emit` gives its ``tolist()``."""
-    if np.isfinite(arr).all():
-        field, values = "%.15g", tuple
-    else:                           # %.15g would print inf and nan
-        field, values = "%s", lambda row: tuple(map(format_float, row))
-    template = _layout(arr.shape[1:], level, field)
-    return lambda row, write, _: write(template % values((row + 0.0).ravel().tolist()))
+    ``arr`` of two or more axes, nested ``level`` deep: a row's entries
+    are formatted in one :func:`format_floats` pass (its fast path for
+    finite |x| in [1e-280, 10), :func:`format_float` for the rest) and
+    set into a ``%s`` template of its layout, so the row is written as
+    one piece, in the bytes :func:`_emit` gives its ``tolist()``."""
+    template = _layout(arr.shape[1:], level)
+    return lambda row, write, _: write(template % tuple(format_floats(row)))
 
 
-def _layout(shape: tuple[int, ...], level: int, field: str) -> str:
+def _layout(shape: tuple[int, ...], level: int) -> str:
     """The text of a non-empty array of ``shape`` nested ``level`` deep,
-    with ``field`` in place of each entry: a ``%`` template."""
+    with ``%s`` in place of each entry: a ``%`` template."""
     if not shape:
-        return field
+        return "%s"
     pad = "\n" + "  " * (level + 1)
-    inner = _layout(shape[1:], level + 1, field)
+    inner = _layout(shape[1:], level + 1)
     return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
 
 
@@ -124,8 +233,9 @@ def config_hash(config: dict) -> str:
 
 def load_config(path: str) -> dict:
     """The JSON object in the UTF-8 file ``path``; any file that does not
-    hold one (unreadable, not UTF-8, not JSON, nested deeper than the
-    decoder recurses, not an object) is a DomainError."""
+    hold one (unreadable, not UTF-8, not JSON, an integer longer than
+    Python converts, nested deeper than the decoder recurses, not an
+    object) is a DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -135,7 +245,7 @@ def load_config(path: str) -> dict:
         raise DomainError(f"config {path}: not UTF-8 text ({exc})") from exc
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # JSONDecodeError, or int's digit limit
         raise DomainError(f"config {path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise DomainError(f"config {path}: JSON nested too deeply") from exc

@@ -667,8 +667,13 @@ class TestExitCodes:
             "error: dense tuple table would hold 23059204 > 10000000 entries\n"
 
     @pytest.mark.parametrize("text", [b'{"scenario": "werner", "p": "\xff"}',
-                                      b"[" * 100_000 + b"]" * 100_000],
-                             ids=["not-utf8", "nested-100000-deep"])
+                                      b"[" * 100_000 + b"]" * 100_000,
+                                      # integers past Python's int-to-string limit
+                                      b'{"scenario": "random", "beta": 1' + b"0" * 5000 + b"}",
+                                      b'{"scenario": "random", "tolerance": 1' + b"0" * 5000
+                                      + b"}"],
+                             ids=["not-utf8", "nested-100000-deep", "beta-5001-digits",
+                                  "tolerance-5001-digits"])
     def test_unreadable_config_text_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_bytes(text)
@@ -676,6 +681,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config {path}: ")
         assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_tolerance_reaches_random_state(self, tmp_path):
         # the random scenario validates its state at the run's tolerances,
@@ -772,6 +778,74 @@ REPORT_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])
+
+
+def integers_near_1e15() -> np.ndarray:
+    # and their scalings by 1e-10, and into [0.1, 1) where rounding to 15
+    # digits carries to 1
+    near = 1e15 + np.arange(-2000.0, 2001.0)
+    return np.concatenate([near, near / 1e10, near / 1e15, near / 1e16])
+
+
+def fifteen_digit_ties() -> np.ndarray:
+    """Every i / 2**(15 + m) with i odd in the decade [10**-m, 10**(1-m)),
+    m < 8: its exact decimal has 16 significant digits ending in 5, a tie
+    for 15 (no double below about 2e-7 is one); with their negatives and
+    their neighbours."""
+    ties = []
+    for m in range(8):
+        j = 15 + m
+        lo, hi = -(-2 ** j // 10 ** m), 10 * 2 ** j // 10 ** m
+        ties.append(np.arange(lo | 1, hi, 2) / 2.0 ** j)
+    ties = np.concatenate(ties)
+    return np.concatenate([ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, math.inf)])
+
+
+def notation_switch() -> np.ndarray:
+    # where %.15g switches between 0.0000ddd and d.ddde-05
+    return np.concatenate([
+        np.linspace(0.99e-4, 1.01e-4, 20001), np.linspace(0.99e-5, 1.01e-5, 20001),
+        [9.9999999999999e-5, 9.99999999999999e-5, 9.999999999999995e-5, 9.9999999999999995e-6],
+        10.0 ** np.random.default_rng(23).uniform(-6, -3, 20000)])
+
+
+def special_values() -> np.ndarray:
+    rng = np.random.default_rng(29)
+    tiny = rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)   # subnormals
+    probs = rng.random(1000) * 10.0 ** rng.uniform(-20, 1, 1000)
+    return np.concatenate([
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-280, 9.999999999999999, 10.0, 12.5,
+         1e15, 1e300, sys.float_info.max, math.nan, -math.nan, math.inf, -math.inf],
+        np.nextafter(1e-280, [0.0, 1.0]), tiny, -tiny, probs, -probs, probs * 1e3])
+
+
+# Batches on which format_floats must give format_float's text entry by
+# entry: what its fast path takes, that path's edges, and what it leaves
+# to format_float.
+FLOAT_BATCHES = {
+    "random-bit-patterns": lambda: np.random.default_rng(19).integers(
+        0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64),
+    "powers-of-ten-and-neighbours": powers_of_ten_and_neighbours,
+    "integers-near-1e15": integers_near_1e15,
+    "15-digit-ties": fifteen_digit_ties,
+    "notation-switch": notation_switch,
+    "special-values": special_values,
+}
+
+
+def emit_tuples_document(dims: list[int], seed: int) -> dict:
+    """The document ``bift run --emit-tuples`` writes for a random system."""
+    cfg = {"scenario": "random", "dims": dims, "seed": seed, "emit_tuples": True}
+    scenario, analysis = bift.cli.build_analysis(cfg, DEFAULT_TOL)
+    checks = bift.cli.core_checks(scenario, analysis, DEFAULT_TOL)
+    return bift.cli.report_document("run", cfg, scenario, analysis, checks, DEFAULT_TOL,
+                                     emit_tuples=True)
+
+
 # An FTReport with every kind of member: averages, bound records, a
 # worst trajectory.
 WERNER_REPORT = evaluate_scenario(werner_isothermal(0.5)).report
@@ -839,11 +913,7 @@ class TestReportIO:
         assert "".join(pieces) == report_text(plain)
 
     def test_emitted_tables_stream_one_row_per_piece(self):
-        cfg = {"scenario": "random", "dims": [3, 3, 4], "seed": 1, "emit_tuples": True}
-        scenario, analysis = bift.cli.build_analysis(cfg, DEFAULT_TOL)
-        checks = bift.cli.core_checks(scenario, analysis, DEFAULT_TOL)
-        doc = bift.cli.report_document("run", cfg, scenario, analysis, checks, DEFAULT_TOL,
-                                       emit_tuples=True)
+        doc = emit_tuples_document([3, 3, 4], 1)
         pieces = []
         reportio.dump(doc, pieces.append)
         rows = [piece for piece in pieces if len(piece) > 1000]
@@ -852,6 +922,28 @@ class TestReportIO:
         assert len(rows) == 2 * 9
         for piece in rows:
             assert np.shape(json.loads(piece)) == (3, 3, 9, 3, 3, 4, 4)
+
+    @pytest.mark.parametrize("dims, seed", [([3, 3, 4], 1), ([2, 3, 2], 7)],
+                             ids=["3,3,4-seed1", "2,3,2-seed7"])
+    def test_emitted_tables_match_their_lists(self, dims, seed):
+        # the tables' rows as format_floats writes them, against their
+        # nested lists, whose floats go one by one through format_float
+        doc = emit_tuples_document(dims, seed)
+        tables = doc["tables"]
+        listed = {**doc, "tables": {**tables, "forward": tables["forward"].tolist(),
+                                    "reverse": tables["reverse"].tolist()}}
+        text, want = report_text(doc), report_text(listed)
+        if text != want:
+            pytest.fail(f"the texts differ from byte {len(os.path.commonprefix([text, want]))}")
+
+    @pytest.mark.parametrize("batch", FLOAT_BATCHES)
+    def test_format_floats_is_format_float(self, batch):
+        values = FLOAT_BATCHES[batch]()
+        got = reportio.format_floats(values)
+        want = [reportio.format_float(v) for v in values.tolist()]
+        if got != want:
+            bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+            pytest.fail(f"{len(got)} texts for {len(want)} values, {len(bad)} differ: {bad[:10]}")
 
     @pytest.mark.parametrize("record", [
         dataclasses.replace(WERNER_REPORT, detailed_worst=None),
