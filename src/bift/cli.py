@@ -36,13 +36,7 @@ from .linalg import (
 )
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
 from .scenarios import SCENARIOS, Scenario
-from .tables import (
-    OutcomeTuple,
-    UnitarySystem,
-    augmented_forward,
-    reverse_joint,
-    spectra_from_unitary,
-)
+from .tables import OutcomeTuple, UnitarySystem, spectra_from_unitary
 from .theorems import Analysis, evaluate, ln_or_neg_inf
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
@@ -339,7 +333,7 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
 
 
 def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analysis,
-                    checks: list[Check], tol: Tolerances, emit_tuples: bool) -> dict:
+                    checks: list[Check], tol: Tolerances) -> dict:
     doc = {
         "command": command,
         "tool": {"name": "bift", "version": __version__},
@@ -352,13 +346,14 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
         "checks": checks,
         "passed": all(c.passed for c in checks),
     }
-    if emit_tuples:
-        forward = augmented_forward(analysis.joint).table
+    if cfg.get("emit_tuples", False):
+        joint = analysis.joint
+        forward = joint.dense(joint.forward)
         doc["tables"] = {
             "axes": list(OutcomeTuple._fields),
             "dims": list(forward.shape),
             "forward": forward,
-            "reverse": reverse_joint(analysis.joint).table,
+            "reverse": joint.dense(joint.reverse),
         }
     return doc
 
@@ -386,8 +381,7 @@ def output(out: str | None) -> Iterator[Callable[[str], object]]:
 def cmd_run(args, cfg: dict, tol: Tolerances, p: float | None) -> int:
     scenario, analysis = build_analysis(cfg, tol, p)
     checks = core_checks(scenario, analysis, tol)
-    doc = report_document("run", cfg, scenario, analysis, checks, tol,
-                          cfg.get("emit_tuples", False))
+    doc = report_document("run", cfg, scenario, analysis, checks, tol)
     with output(args.out) as write:
         reportio.dump(doc, write)
     return 0 if doc["passed"] else 1

@@ -115,27 +115,19 @@ def _endpoint_tables(end: Endpoint, tol: Tolerances) -> EndpointTables:
     w_a, w_b = _or_one(end.p_a, tol), _or_one(end.p_b, tol)
     l_pa, l_pb = np.log(w_a), np.log(w_b)
     local = w_a[:, None] * w_b[None, :]
-    p_m = end.p_m[:, None, None]
-    p_ab = end.classical_joint()
-    return EndpointTables(
-        l_pa=l_pa, l_pb=l_pb,
-        info=_content_table(p_m, l_pa, l_pb, tol),
-        classical=_content_table(p_ab, l_pa, l_pb, tol),
-        local=local,
-        info_ratio=_content_ratio(p_m, local, tol),
-        classical_ratio=_content_ratio(p_ab, local, tol))
+    info, info_ratio = _content(end.p_m[:, None, None], l_pa, l_pb, local, tol)
+    classical, classical_ratio = _content(end.classical_joint(), l_pa, l_pb, local, tol)
+    return EndpointTables(l_pa=l_pa, l_pb=l_pb, info=info, classical=classical,
+                          local=local, info_ratio=info_ratio,
+                          classical_ratio=classical_ratio)
 
 
-def _content_ratio(p: np.ndarray, local: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """p / (p_a p_b), or 1 where ``p`` is at or below its cutoff (content
-    0 outright); the exponential of an info or classical content table."""
-    return np.where(_above_cutoff(p, tol), p / local, 1.0)
-
-
-def _content_table(p: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarray,
-                   tol: Tolerances) -> np.ndarray:
-    """ln p - ln p_a - ln p_b over the local labels (a, b), 0 outright
-    where ``p`` is at or below its cutoff: the classical content J[a, b]
-    for p = p_{a,b}, the info content I[m, a, b] for p = p_m[:, None, None]."""
-    val = log_or_zero(p, tol) - l_pa[:, None] - l_pb[None, :]
-    return np.where(_above_cutoff(p, tol), val, 0.0)
+def _content(p: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarray, local: np.ndarray,
+             tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The content table ln p - ln p_a - ln p_b over the local labels
+    (a, b) and its exponential p / (p_a p_b), 0 and 1 outright where ``p``
+    is at or below its cutoff: the classical content J[a, b] for
+    p = p_{a,b}, the info content I[m, a, b] for p = p_m[:, None, None]."""
+    keep = _above_cutoff(p, tol)
+    content = np.where(keep, np.log(np.where(keep, p, 1.0)) - l_pa[:, None] - l_pb[None, :], 0.0)
+    return content, np.where(keep, p / local, 1.0)

@@ -86,10 +86,6 @@ class SpectralDecomposition:
     probabilities: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return sum_k p_k |k><k|."""
-        return (self.vectors * self.probabilities) @ dagger(self.vectors)
-
 
 @dataclass(frozen=True)
 class DensityOperator:

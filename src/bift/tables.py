@@ -22,9 +22,9 @@ global two-point entry times the two conditional weights,
 ``factored_joint`` builds the tables in this form (four-index ``G`` and
 ``G_rev`` plus the two endpoints), and ``FactoredJoint.expectation``
 sums a functional that factors across the endpoints over the whole
-tuple space without building the eight-index tables.  The dense tables
-(``augmented_forward``, ``reverse_joint``) are views of a
-``FactoredJoint``, built only for emission.
+tuple space without building the eight-index tables.  The eight-index
+tables are ``joint.dense(joint.forward)`` and ``joint.dense(joint.reverse)``,
+formed only for ``--emit-tuples``.
 
 Every table is built from one bundle of ingredients (``SystemSpectra``),
 which comes from one of two routes:
@@ -81,14 +81,6 @@ class OutcomeTuple(NamedTuple):
     b_final: int
     r: int
     r_final: int
-
-
-@dataclass(frozen=True)
-class DenseJoint:
-    """A joint distribution on the full eight-index space, built only
-    for emission."""
-
-    table: np.ndarray                # [m, a, b, m', a', b', r, r']
 
 
 @dataclass(frozen=True)
@@ -354,16 +346,3 @@ def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> Fac
         initial=spectra.initial,
         final=spectra.final,
         forward_support=_above_cutoff(weight, tol))
-
-
-def augmented_forward(joint: FactoredJoint) -> DenseJoint:
-    """The dense forward table of ``joint``.  Marginalizing over the
-    primed indices recovers |<m|a,b>|^2 p_m p_r."""
-    return DenseJoint(joint.dense(joint.forward))
-
-
-def reverse_joint(joint: FactoredJoint) -> DenseJoint:
-    """The dense time-reversed table of ``joint``, aligned to forward
-    axes.  The reversed process starts from the final state
-    (re-thermalized reservoir); its full-space mass is 1."""
-    return DenseJoint(joint.dense(joint.reverse))

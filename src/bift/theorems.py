@@ -134,8 +134,9 @@ class FTReport:
 class Analysis:
     """A system run end to end: ingredient bundle, both joint tables in
     factored form, the per-endpoint functionals and the assembled report.
-    The eight-index tables are ``augmented_forward(joint)`` and
-    ``reverse_joint(joint)``; nothing here holds them."""
+    The eight-index tables are ``joint.dense(joint.forward)`` and
+    ``joint.dense(joint.reverse)``, formed only for ``--emit-tuples``;
+    nothing here holds them."""
 
     spectra: SystemSpectra
     joint: FactoredJoint

@@ -27,13 +27,7 @@ from bift.linalg import (
     haar_unitary,
 )
 from bift.scenarios import _mixed_spectrum, bell_basis, werner_isothermal
-from bift.tables import (
-    OutcomeTuple,
-    UnitarySystem,
-    augmented_forward,
-    factored_joint,
-    reverse_joint,
-)
+from bift.tables import OutcomeTuple, UnitarySystem, factored_joint
 from bift.theorems import (
     NEG_INF,
     Averages,
@@ -106,6 +100,11 @@ def oracle_spectral_decompose(matrix: np.ndarray,
     for i, j in degenerate_blocks(vals, tol):
         fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
     return SpectralDecomposition(probabilities=vals, vectors=fixed)
+
+
+def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
+    """The operator sum_k p_k |k><k| a decomposition stands for."""
+    return (decomp.vectors * decomp.probabilities) @ dagger(decomp.vectors)
 
 
 def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Generator,
@@ -261,9 +260,8 @@ def dense_tables(spectra, reverse_global=None):
     """(forward, reverse) eight-index distributions; ``reverse_global``
     replaces the reverse two-point table (e.g. a corrupted one)."""
     joint = factored_joint(spectra)
-    if reverse_global is not None:
-        joint = dataclasses.replace(joint, reverse=reverse_global)
-    return augmented_forward(joint), reverse_joint(joint)
+    reverse = joint.reverse if reverse_global is None else reverse_global
+    return joint.dense(joint.forward), joint.dense(reverse)
 
 
 def dense_content_table(p, l_pa, l_pb, tol=DEFAULT_TOL) -> np.ndarray:
@@ -298,9 +296,8 @@ def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
 
 def dense_average(dist, values) -> float:
     """Distribution average sum p f with zero-weight trajectories skipped."""
-    table = dist.table if hasattr(dist, "table") else np.asarray(dist)
-    f = np.broadcast_to(np.asarray(values, dtype=float), table.shape)
-    return float(np.sum(np.where(table > 0.0, table * f, 0.0)))
+    f = np.broadcast_to(np.asarray(values, dtype=float), dist.shape)
+    return float(np.sum(np.where(dist > 0.0, dist * f, 0.0)))
 
 
 def dense_restricted_average(spectra, dist, exponent, tol=DEFAULT_TOL) -> float:
@@ -310,28 +307,26 @@ def dense_restricted_average(spectra, dist, exponent, tol=DEFAULT_TOL) -> float:
     supported exponents are exponentiated: outside the support beta Q can
     reach the float limit and the exponential overflow."""
     mask = _initial_support(spectra, tol)
-    table = dist.table
     f = np.exp(np.where(mask, exponent, 0.0))
-    return float(np.sum(np.where((table > 0.0) & mask, table * f, 0.0)))
+    return float(np.sum(np.where((dist > 0.0) & mask, dist * f, 0.0)))
 
 
 def dense_support(forward, tol=DEFAULT_TOL) -> np.ndarray:
     """Entries above the cutoff relative to the largest entry."""
-    return forward.table > tol.support * float(forward.table.max())
+    return forward > tol.support * float(forward.max())
 
 
 def dense_detailed_ft_check(forward, reverse, traj, tol=DEFAULT_TOL):
     """Max over the forward support of |p_rev/p_fwd - exp(exponent)| and
     the first trajectory attaining it."""
-    f = forward.table
     mask = dense_support(forward, tol)
     if not mask.any():
         return 0.0, None
     expo = np.exp(np.where(mask, traj.ft_exponent(), 0.0))
-    ratio = np.where(mask, reverse.table / np.where(mask, f, 1.0), 0.0)
+    ratio = np.where(mask, reverse / np.where(mask, forward, 1.0), 0.0)
     resid = np.abs(np.where(mask, ratio - expo, 0.0))
     flat = int(np.argmax(resid))
-    worst = OutcomeTuple(*(int(i) for i in np.unravel_index(flat, f.shape)))
+    worst = OutcomeTuple(*(int(i) for i in np.unravel_index(flat, forward.shape)))
     return float(resid.flat[flat]), worst
 
 
@@ -356,8 +351,7 @@ def dense_classical_reduction_check(spectra, tol=DEFAULT_TOL):
     traj = dense_tuple_functionals(spectra, tol)
     lhs = dense_restricted_average(spectra, forward, traj.classical_exponent(), tol)
     residual = abs(lhs - dense_restricted_average(spectra, reverse, 0.0, tol))
-    f = forward.table
-    gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, f.shape))
+    gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, forward.shape))
     max_gap = float(np.max(np.where(dense_support(forward, tol), gap, 0.0)))
     return residual, max_gap
 
@@ -394,20 +388,20 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
 def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
     """The values of ``cli.invariant_checks``, on the dense tables."""
     s, ini = spectra, spectra.initial
-    g = forward.table.sum(axis=(1, 2, 4, 5))          # local labels summed out
+    g = forward.sum(axis=(1, 2, 4, 5))                # local labels summed out
     info_i = dense_content_table(ini.p_m[:, None, None], log_or_zero(ini.p_a, tol=tol),
                                  log_or_zero(ini.p_b, tol=tol), tol)
     want = ini.cond[:, :, :, None] * ini.p_m[:, None, None, None] * s.p_r[None, None, None, :]
     return {
-        "forward_normalization": abs(float(forward.table.sum()) - 1.0),
-        "reverse_normalization": abs(float(reverse.table.sum()) - 1.0),
+        "forward_normalization": abs(float(forward.sum()) - 1.0),
+        "reverse_normalization": abs(float(reverse.sum()) - 1.0),
         "forward_factorization": float(np.max(np.abs(
             g - (s.kernel.transpose(0, 2, 1, 3) * ini.p_m[:, None, None, None]
                  * s.p_r[None, None, :, None])))),
         "initial_marginal_identity": float(np.max(np.abs(
-            forward.table.sum(axis=(3, 4, 5, 7)) - want))),
+            forward.sum(axis=(3, 4, 5, 7)) - want))),
         "local_marginal_identity": float(np.max(np.abs(
-            forward.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - ini.p_a))),
+            forward.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - ini.p_a))),
         "info_avg_is_mutual_information": abs(
             dense_average(forward, info_i[:, :, :, None, None, None, None, None])
             - (shannon_entropy(ini.p_a) + shannon_entropy(ini.p_b) - shannon_entropy(ini.p_m))),

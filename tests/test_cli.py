@@ -23,15 +23,17 @@ from bift.cli import invariant_checks, main
 from bift.errors import DomainError
 from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
-from bift.tables import (
-    OutcomeTuple,
-    augmented_forward,
-    factored_joint,
-    reverse_joint,
-    spectra_from_unitary,
-)
+from bift.tables import OutcomeTuple, factored_joint, spectra_from_unitary
 
-from conftest import encode_complex_matrix, evaluate_scenario, replace_endpoint, report_text
+from conftest import (
+    dense_tables,
+    encode_complex_matrix,
+    evaluate_scenario,
+    oracle_forward_table,
+    oracle_reverse_table,
+    replace_endpoint,
+    report_text,
+)
 
 LN2 = math.log(2.0)
 
@@ -84,17 +86,18 @@ class TestRun:
 
     def test_emit_tuples_both_tables(self, tmp_path):
         """R > 1 and d_A != d_B: each emitted table has the eight axes in
-        order and holds the table it was built from."""
+        order and holds the loop oracle's table."""
         code, text = run_cli(tmp_path, "run", "--scenario", "random", "--dims", "2,3,2",
                              "--seed", "7", "--emit-tuples")
         assert code == 0
         tables = json.loads(text)["tables"]
-        joint = factored_joint(spectra_from_unitary(random_instance(2, 3, 2, 7), tol=DEFAULT_TOL))
-        for key, build in (("forward", augmented_forward), ("reverse", reverse_joint)):
+        spectra = spectra_from_unitary(random_instance(2, 3, 2, 7), tol=DEFAULT_TOL)
+        for key, oracle in (("forward", oracle_forward_table),
+                            ("reverse", oracle_reverse_table)):
             table = np.asarray(tables[key])
             assert table.shape == (6, 2, 3, 6, 2, 3, 2, 2)
             assert table.sum() == pytest.approx(1.0, abs=1e-10)
-            np.testing.assert_allclose(table, build(joint).table, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(table, oracle(spectra), rtol=1e-14, atol=0)
 
     def test_emit_tuples_config_key(self, tmp_path):
         path = tmp_path / "config.json"
@@ -203,7 +206,7 @@ def test_golden_values(tmp_path, monkeypatch, case):
     resid, worst = _detailed_fields(got)
     _detailed_fields(want)
     assert resid <= 1e-14
-    table = augmented_forward(factored_joint(GOLDEN_SPECTRA[case]())).table
+    table = dense_tables(GOLDEN_SPECTRA[case]())[0]
     assert table[tuple(worst)] > DEFAULT_TOL.support * table.max()
     _assert_close(got, want)
 
@@ -842,8 +845,7 @@ def emit_tuples_document(dims: list[int], seed: int) -> dict:
     cfg = {"scenario": "random", "dims": dims, "seed": seed, "emit_tuples": True}
     scenario, analysis = bift.cli.build_analysis(cfg, DEFAULT_TOL)
     checks = bift.cli.core_checks(scenario, analysis, DEFAULT_TOL)
-    return bift.cli.report_document("run", cfg, scenario, analysis, checks, DEFAULT_TOL,
-                                     emit_tuples=True)
+    return bift.cli.report_document("run", cfg, scenario, analysis, checks, DEFAULT_TOL)
 
 
 # An FTReport with every kind of member: averages, bound records, a

@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 from bift.functionals import endpoint_functionals, log_or_zero, shannon_entropy
 from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
-from bift.tables import (
-    UnitarySystem,
-    augmented_forward,
-    factored_joint,
-    spectra_from_unitary,
-)
+from bift.tables import UnitarySystem, factored_joint, spectra_from_unitary
 from bift.theorems import forward_averages
 
-from conftest import dense_tuple_functionals, replace_endpoint, werner_spectra
+from conftest import dense_tables, dense_tuple_functionals, replace_endpoint, werner_spectra
 
 LN2 = math.log(2.0)
 
@@ -94,7 +89,7 @@ class TestScalarFunctionals:
         # marginal (a, b) joint of the pure-state table: both aligned pairs
         # carry 1/2, and it is the joint the J table is built from
         spectra = werner_spectra(1.0)
-        joint = augmented_forward(factored_joint(spectra)).table.sum(axis=(0, 3, 4, 5, 6, 7))
+        joint = dense_tables(spectra)[0].sum(axis=(0, 3, 4, 5, 6, 7))
         assert joint[0, 0] == pytest.approx(0.5)
         assert np.max(np.abs(joint - spectra.initial.classical_joint())) < 1e-15
         funcs = endpoint_functionals(spectra)

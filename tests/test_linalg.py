@@ -22,6 +22,7 @@ from conftest import (
     oracle_spectral_decompose,
     random_density,
     random_hermitian,
+    reconstruct,
     remix_degenerate_blocks,
     time_reverse,
     werner_state,
@@ -82,7 +83,7 @@ class TestSpectralDecompose:
     def test_reconstruction(self, seed, dim):
         h = random_hermitian(dim, np.random.default_rng(seed))
         dec = spectral_decompose(h)
-        assert np.max(np.abs(dec.reconstruct() - h)) < 1e-10
+        assert np.max(np.abs(reconstruct(dec) - h)) < 1e-10
         assert np.all(np.diff(dec.probabilities) <= 1e-12)
 
     def test_orthonormal(self, rng):
@@ -287,7 +288,7 @@ class TestRemix:
         u = haar_unitary(4, rng)
         dec = spectral_decompose(u @ rho @ dagger(u))
         mixed = remix_degenerate_blocks(dec, rng)
-        assert np.max(np.abs(mixed.reconstruct() - dec.reconstruct())) < 1e-12
+        assert np.max(np.abs(reconstruct(mixed) - reconstruct(dec))) < 1e-12
         gram = dagger(mixed.vectors) @ mixed.vectors
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
         # the degenerate block really moved

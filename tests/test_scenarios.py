@@ -14,10 +14,10 @@ from bift.scenarios import (
     werner_delta_i_avg,
     werner_isothermal,
 )
-from bift.tables import augmented_forward, factored_joint, reverse_joint, spectra_from_unitary
+from bift.tables import spectra_from_unitary
 from bift.theorems import evaluate
 
-from conftest import evaluate_scenario, random_classical_instance, werner_state
+from conftest import dense_tables, evaluate_scenario, random_classical_instance, werner_state
 
 LN2 = math.log(2.0)
 
@@ -25,7 +25,7 @@ LN2 = math.log(2.0)
 class TestWernerScenario:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_forward_table_matches_listing(self, p):
-        fwd = augmented_forward(factored_joint(werner_isothermal(p).spectra))
+        fwd = dense_tables(werner_isothermal(p).spectra)[0]
         top = (1 + 3 * p) / 8
         rest = (1 - p) / 8
         want = {
@@ -35,20 +35,20 @@ class TestWernerScenario:
             (3, 0, 1): rest, (3, 1, 0): rest,
         }
         for (m, a, b), value in want.items():
-            assert fwd.table[m, a, b, 0, 0, 0, 0, 0] == pytest.approx(value, abs=1e-15)
-        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-12)
+            assert fwd[m, a, b, 0, 0, 0, 0, 0] == pytest.approx(value, abs=1e-15)
+        assert fwd.sum() == pytest.approx(1.0, abs=1e-12)
         # nothing anywhere else
-        mask = np.ones(fwd.table.shape, dtype=bool)
+        mask = np.ones(fwd.shape, dtype=bool)
         for (m, a, b) in want:
             mask[m, a, b, 0, 0, 0, 0, 0] = False
-        assert np.max(fwd.table[mask]) == 0.0
+        assert np.max(fwd[mask]) == 0.0
 
     def test_reverse_table_eight_eighths(self):
         spectra = werner_isothermal(0.4).spectra
-        rev = reverse_joint(factored_joint(spectra))
-        nz = np.argwhere(rev.table > 0.0)
+        rev = dense_tables(spectra)[1]
+        nz = np.argwhere(rev > 0.0)
         assert len(nz) == 8
-        assert np.max(np.abs(rev.table[rev.table > 0.0] - 0.125)) < 1e-15
+        assert np.max(np.abs(rev[rev > 0.0] - 0.125)) < 1e-15
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_reference_values_reproduced(self, p):

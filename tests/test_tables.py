@@ -24,15 +24,14 @@ from bift.scenarios import (
 )
 from bift.tables import (
     UnitarySystem,
-    augmented_forward,
     conditional_table,
     factored_joint,
-    reverse_joint,
     spectra_from_analytic,
     spectra_from_unitary,
 )
 
 from conftest import (
+    dense_tables,
     oracle_forward_table,
     oracle_reverse_table,
     remix_derived_decompositions,
@@ -126,24 +125,24 @@ class TestForwardTable:
     def test_matches_loop_oracle(self):
         system = random_instance(2, 2, 2, seed=11)
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(factored_joint(spectra))
-        assert np.max(np.abs(fwd.table - oracle_forward_table(spectra))) < 1e-15
+        fwd = dense_tables(spectra)[0]
+        assert np.max(np.abs(fwd - oracle_forward_table(spectra))) < 1e-15
 
     def test_marginal_over_primed_indices(self):
         system = random_instance(2, 2, 2, seed=12)
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(factored_joint(spectra))
-        got = fwd.table.sum(axis=(3, 4, 5, 7))
+        fwd = dense_tables(spectra)[0]
+        got = fwd.sum(axis=(3, 4, 5, 7))
         want = (spectra.initial.cond[:, :, :, None]
                 * spectra.initial.p_m[:, None, None, None]
                 * spectra.p_r[None, None, None, :])
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_werner_pure_support(self):
-        fwd = augmented_forward(factored_joint(werner_spectra(1.0)))
-        nz = np.argwhere(fwd.table > 1e-12)
+        fwd = dense_tables(werner_spectra(1.0))[0]
+        nz = np.argwhere(fwd > 1e-12)
         assert len(nz) == 2
-        entries = {tuple(int(i) for i in idx): fwd.table[tuple(idx)] for idx in nz}
+        entries = {tuple(int(i) for i in idx): fwd[tuple(idx)] for idx in nz}
         assert entries[(0, 0, 0, 0, 0, 0, 0, 0)] == pytest.approx(0.5)
         assert entries[(0, 1, 1, 0, 0, 0, 0, 0)] == pytest.approx(0.5)
 
@@ -156,8 +155,8 @@ class TestForwardTable:
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0,), 1.0),
                                np.eye(4, dtype=complex))
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(factored_joint(spectra))
-        joint_ab = fwd.table.sum(axis=(0, 3, 4, 5, 6, 7))
+        fwd = dense_tables(spectra)[0]
+        joint_ab = fwd.sum(axis=(0, 3, 4, 5, 6, 7))
         assert np.max(np.abs(joint_ab - np.outer(pa, pb))) < 1e-12
 
     @given(seed=st.integers(0, 10_000),
@@ -166,21 +165,19 @@ class TestForwardTable:
     def test_normalization(self, seed, dims):
         system = random_instance(*dims, seed=seed)
         spectra = spectra_from_unitary(system)
-        joint = factored_joint(spectra)
-        fwd = augmented_forward(joint)
-        rev = reverse_joint(joint)
-        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-10)
-        assert rev.table.sum() == pytest.approx(1.0, abs=1e-10)
-        assert np.all(fwd.table >= 0.0)
-        assert np.all(rev.table >= 0.0)
+        fwd, rev = dense_tables(spectra)
+        assert fwd.sum() == pytest.approx(1.0, abs=1e-10)
+        assert rev.sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.all(fwd >= 0.0)
+        assert np.all(rev >= 0.0)
 
 
 class TestReverseTable:
     def test_matches_loop_oracle(self):
         system = random_instance(2, 2, 2, seed=13)
         spectra = spectra_from_unitary(system)
-        rev = reverse_joint(factored_joint(spectra))
-        assert np.max(np.abs(rev.table - oracle_reverse_table(spectra))) < 1e-15
+        rev = dense_tables(spectra)[1]
+        assert np.max(np.abs(rev - oracle_reverse_table(spectra))) < 1e-15
 
     def test_werner_pure_restricted_quarter(self):
         joint = factored_joint(werner_spectra(1.0))
@@ -192,11 +189,11 @@ class TestReverseTable:
         assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_werner_reverse_entries(self):
-        rev = reverse_joint(factored_joint(werner_spectra(0.7)))
-        nz = np.argwhere(rev.table > 1e-12)
+        rev = dense_tables(werner_spectra(0.7))[1]
+        nz = np.argwhere(rev > 1e-12)
         assert len(nz) == 8
         for idx in nz:
-            assert rev.table[tuple(idx)] == pytest.approx(0.125)
+            assert rev[tuple(idx)] == pytest.approx(0.125)
             # the reversed process always starts from the final ground state
             assert tuple(int(i) for i in idx[3:6]) == (0, 0, 0)
 
@@ -218,20 +215,20 @@ class TestReverseTable:
 
 class TestMarginal:
     def test_everything_dropped(self):
-        fwd = augmented_forward(factored_joint(werner_spectra(0.3)))
-        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-12)
+        fwd = dense_tables(werner_spectra(0.3))[0]
+        assert fwd.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_local_marginal_matches_state(self):
         system = random_instance(2, 3, 2, seed=21)
         spectra = spectra_from_unitary(system)
-        fwd = augmented_forward(factored_joint(spectra))
+        fwd = dense_tables(spectra)[0]
         end = spectra.initial
-        assert np.max(np.abs(fwd.table.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - end.p_a)) < 1e-12
-        assert np.max(np.abs(fwd.table.sum(axis=(0, 1, 3, 4, 5, 6, 7)) - end.p_b)) < 1e-12
+        assert np.max(np.abs(fwd.sum(axis=(0, 2, 3, 4, 5, 6, 7)) - end.p_a)) < 1e-12
+        assert np.max(np.abs(fwd.sum(axis=(0, 1, 3, 4, 5, 6, 7)) - end.p_b)) < 1e-12
 
     def test_werner_global_marginal(self):
-        fwd = augmented_forward(factored_joint(werner_spectra(0.5)))
-        p_m = fwd.table.sum(axis=(1, 2, 3, 4, 5, 6, 7))
+        fwd = dense_tables(werner_spectra(0.5))[0]
+        p_m = fwd.sum(axis=(1, 2, 3, 4, 5, 6, 7))
         assert p_m[0] == pytest.approx(5 / 8)   # (1 + 3p)/4 at p = 1/2
         assert p_m[1:] == pytest.approx([1 / 8] * 3)
 
@@ -394,19 +391,19 @@ class TestGuardsAndOverrides:
         spectra = spectra_from_unitary(remix_initial(system, rng))
         for side in ("initial", "final"):
             assert not np.allclose(getattr(spectra, side).cond, getattr(canonical, side).cond)
-        fwd = augmented_forward(factored_joint(spectra))
-        assert fwd.table.sum() == pytest.approx(1.0, abs=1e-10)
+        fwd = dense_tables(spectra)[0]
+        assert fwd.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCounterexampleTables:
     def test_routes_share_global_marginals(self):
-        a, b = (augmented_forward(factored_joint(bell_adiabatic_counterexample(0.4, r).spectra))
+        a, b = (dense_tables(bell_adiabatic_counterexample(0.4, r).spectra)[0]
                 for r in ("unitary", "analytic"))
         # per-tuple tables differ by the degenerate-block gauge, but the
         # endpoint marginals must agree
         for drop in ((1, 2, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7), (0, 1, 2, 3, 6, 7)):
-            ga = a.table.sum(axis=drop)
-            gb = b.table.sum(axis=drop)
+            ga = a.sum(axis=drop)
+            gb = b.sum(axis=drop)
             assert np.max(np.abs(np.sort(ga.ravel()) - np.sort(gb.ravel()))) < 1e-10
 
     def test_unitary_route_uses_bell_image(self):

@@ -24,7 +24,6 @@ from bift.tables import (
     Endpoint,
     FactoredJoint,
     UnitarySystem,
-    augmented_forward,
     factored_joint,
     spectra_from_analytic,
     spectra_from_unitary,
@@ -79,12 +78,12 @@ class TestDetailedFT:
         analysis = evaluate_scenario(werner_isothermal(1.0))
         idx = (0, 0, 0, 0, 0, 0, 0, 0)
         forward, reverse = dense_tables(analysis.spectra)
-        p_fwd = forward.table[idx]
-        p_rev = reverse.table[idx]
+        p_fwd = forward[idx]
+        p_rev = reverse[idx]
         assert p_fwd == pytest.approx(0.5)
         assert p_rev == pytest.approx(0.125)
         expo = np.broadcast_to(dense_tuple_functionals(analysis.spectra).ft_exponent(),
-                               forward.table.shape)[idx]
+                               forward.shape)[idx]
         assert expo == pytest.approx(-2 * LN2)
         assert p_rev / p_fwd == pytest.approx(math.exp(expo), abs=1e-12)
         e_i, e_f, pair = analysis.functionals.ft_factors()
@@ -96,8 +95,7 @@ class TestDetailedFT:
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0, 1.0), 1.0),
                                np.eye(8, dtype=complex))
         analysis = analyze(system)
-        forward, reverse = dense_tables(analysis.spectra)
-        f, r = forward.table, reverse.table
+        f, r = dense_tables(analysis.spectra)
         mask = f > 1e-12 * f.max()
         ratios = r[mask] / f[mask]
         traj = dense_tuple_functionals(analysis.spectra)
@@ -267,12 +265,12 @@ class TestBounds:
         # -ln(1+3p) and -ln(1-p); the reverse-info bound must saturate
         analysis = evaluate_scenario(werner_isothermal(0.5))
         traj = dense_tuple_functionals(analysis.spectra)
-        forward = augmented_forward(analysis.joint)
-        shape = forward.table.shape
+        forward = analysis.joint.dense(analysis.joint.forward)
+        shape = forward.shape
         exponent = np.broadcast_to(traj.delta_s_a + traj.delta_s_b - traj.beta_q, shape)
-        weighted = exponent[forward.table > 1e-12]
+        weighted = exponent[forward > 1e-12]
         assert float(np.var(weighted)) < 1e-20
-        d_i = np.broadcast_to(traj.delta_i, shape)[forward.table > 1e-12]
+        d_i = np.broadcast_to(traj.delta_i, shape)[forward > 1e-12]
         assert float(np.ptp(d_i)) > 0.1
         assert analysis.report.bound("heat_bound_reverse_info").slack < 1e-10
 
@@ -353,10 +351,10 @@ class TestClassicalReduction:
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-12)
         assert residual < 1e-12
         assert max_gap < 1e-12
-        forward = augmented_forward(analysis.joint)
+        forward = analysis.joint.dense(analysis.joint.forward)
         expo = np.broadcast_to(dense_tuple_functionals(analysis.spectra).ft_exponent(),
-                               forward.table.shape)
-        assert np.max(np.abs(expo[forward.table > 0.5])) < 1e-12
+                               forward.shape)
+        assert np.max(np.abs(expo[forward > 0.5])) < 1e-12
 
 
 class TestGaugeRobustness:
@@ -503,7 +501,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_werner(self, p):
         analysis = assert_matches_dense_oracle(werner_isothermal(p).spectra)
-        forward = augmented_forward(analysis.joint)
+        forward = analysis.joint.dense(analysis.joint.forward)
         assert np.array_equal(per_factor_support(analysis.joint), dense_support(forward))
 
     def test_support_rules_differ_on_small_products(self):
@@ -521,8 +519,8 @@ class TestDenseOracle:
         assert not (dense_support(forward) & ~per_factor_support(analysis.joint)).any()
         idx = (3, 0, 0, 3, 0, 0, 2, 0)
         expo = np.broadcast_to(dense_tuple_functionals(spectra).ft_exponent(),
-                               forward.table.shape)[idx]
-        assert abs(reverse.table[idx] / forward.table[idx] - math.exp(expo)) < 1e-10
+                               forward.shape)[idx]
+        assert abs(reverse[idx] / forward[idx] - math.exp(expo)) < 1e-10
         assert analysis.report.detailed_max_residual < 1e-10
 
     def test_coarse_cutoff_leaves_blocks_without_tuples(self):
@@ -535,7 +533,7 @@ class TestDenseOracle:
         forward, reverse = dense_tables(analysis.spectra)
         expo = dense_tuple_functionals(analysis.spectra).ft_exponent()
         mask = per_factor_support(analysis.joint, tol)
-        resid = np.where(mask, np.abs(reverse.table / np.where(mask, forward.table, 1.0)
+        resid = np.where(mask, np.abs(reverse / np.where(mask, forward, 1.0)
                                       - np.exp(expo)), -1.0)
         worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(resid)), resid.shape))
         assert tuple(analysis.report.detailed_worst) == worst
