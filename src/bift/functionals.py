@@ -25,15 +25,9 @@ from .tables import Endpoint, SystemSpectra, _above_cutoff
 def _or_one(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """p with every entry at or below the support cutoff (relative to the
     largest entry of ``p``) set to 1: the multiplicative form of
-    ln 0 := 0 (``log_or_zero`` is its log)."""
+    ln 0 := 0."""
     arr = np.asarray(p, dtype=float)
     return np.where(_above_cutoff(arr, tol), arr, 1.0)
-
-
-def log_or_zero(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """ln p with ln 0 := 0; anything at or below the support cutoff (see
-    :func:`_or_one`) counts as zero."""
-    return np.log(_or_one(p, tol))
 
 
 def shannon_entropy(probabilities) -> float:

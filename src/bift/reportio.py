@@ -7,13 +7,19 @@ floats printed with 15 significant digits, infinities as +/-Infinity
 tokens) so that re-running the same config reproduces the report byte
 for byte; only the config hash sorts keys.  :func:`dump` writes a report
 piece by piece to a ``write`` callable: frozen records are walked field
-by field, and lists, tuples and arrays share one sequence loop.  A float64
-array of two or more axes goes out one leading-axis row at a time: the
-row's entries are formatted in one vectorised pass (:func:`format_floats`)
-and set into a ``%s`` template of the row's layout, in the same bytes as
-its nested list.  That pass computes the 15 digits of every finite |x| in
-[1e-280, 10), which holds every entry of a probability table, and hands
-each other entry, and each whose rounding it cannot decide, to
+by field, and lists and tuples share one sequence loop.  Every non-empty
+float64 array goes through one writer, in the same bytes as its nested
+list, one leading-axis row per piece.  It lays out a chunk of entries at
+a time in a ``uint8`` cell matrix, one row of cells per entry, each field
+a whole word from a lookup table (``uint32`` for the 3-digit groups of
+the 15 significant digits, ``uint64`` for the head and the exponent),
+and ends each row with a one-byte terminator for the axes the entry
+ends.  One ``bytes.translate`` drops the blank cells and one
+``bytes.replace`` per depth turns the terminators into the layout's
+separators and brackets, so no Python string is made per entry.  The
+digits are computed for +/-0 and every finite |x| in [1e-280, 10), which
+holds every entry of a probability table; each other entry, and each
+whose rounding the pass cannot decide, is laid out from
 :func:`format_float`, so every float prints as ``%.15g`` prints it.  Any
 other array is written as its ``tolist()``.
 """
@@ -60,97 +66,131 @@ def _pow10_table(count: int) -> tuple[np.ndarray, ...]:
 
 
 _POW10_HI, _POW10_LO, _POW10_HH, _POW10_HL = _pow10_table(300)
-_GROUP_PLACES = 10.0 ** np.arange(12, -1, -3)   # n's five 3-digit groups
-# The text of each 3-digit group, in full and without trailing zeros
-# (blank for 000): the last group of n that is not 000, and every group
-# after it, is written without; and the digits that leaves.
-_GROUPS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-_GROUPS_STRIPPED = np.where(
-    np.cumsum(_GROUPS[:, ::-1] != ord("0"), axis=1)[:, ::-1] > 0, _GROUPS, ord(" "))
-_GROUP_KEPT = np.count_nonzero(_GROUPS_STRIPPED != ord(" "), axis=1)
-_GROUP_TEXT = np.concatenate([_GROUPS, _GROUPS_STRIPPED]).view("V3").ravel()   # take() is fast
-# Columns 0-6 of an entry's text, by sign and by j, the number of leading
-# zeros of the form 0.000ddd (j = 0: the form d.ddd, whose d goes in
-# column 6), right-aligned: split() drops the blanks before them.
-_HEAD = np.frombuffer(b"".join(
-    (sign + ("0." + "0" * (j - 1) if j else "")).rjust(7 if j else 6).ljust(7).encode()
-    for sign in ("", "-") for j in range(5)), dtype="V7")
-_EXPONENT = np.array([(b"e-%02d" % e).ljust(5) for e in range(300)])   # e-05, e-100
-_WIDTH = 28      # head 7, d or point 1, digits 14, exponent 5, and one blank
+
+# Each entry is laid out in a row of _WIDTH byte cells, blank where its
+# text has no character, one word from a table per field: bytes 0-7 hold
+# the head (the sign, and the "0." and zeros of the form 0.000ddd), 8-27
+# the 15 significant digits in five 3-digit groups, 32-38 the exponent of
+# the form d.ddde-XX, and 39 the terminator that stands for the separator
+# after the entry.
+_WIDTH = 40
+_CHUNK = 8192           # entries laid out per pass, which bounds the temporaries
+_BLANK = ord(" ")
+_TERMINATOR = 0x80      # + d: the entry ends its d innermost axes; no text holds it
 
 
-def format_floats(values: np.ndarray) -> list[str]:
-    """:func:`format_float` of each entry of the float64 array ``values``,
-    in C order, computed for all entries at once.
+def _words(cells: np.ndarray) -> np.ndarray:
+    """Each row of the byte matrix ``cells``, 4 or 8 wide, as one word."""
+    return np.ascontiguousarray(cells, dtype=np.uint8).view(f"u{cells.shape[-1]}")[..., 0]
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words of the 3-digit groups g.  In the first table,
+    "ddd " at g and at 1000 + g the same with its trailing zeros blank
+    (all blank for 000).  In the second, for the group that holds the
+    first digit: "d.dd" at g, stripped at 1000 + g ("d.00" loses its
+    point too), then the first table again from 2000 for the form
+    0.000ddd, whose head holds the point."""
+    digits = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    kept = np.cumsum(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1] > 0   # a nonzero at or after
+    stripped = np.where(kept, digits, _BLANK)
+    blank, point = np.full(1000, _BLANK), np.full(1000, ord("."))
+    groups = _words(np.concatenate([np.column_stack([digits, blank]),
+                                    np.column_stack([stripped, blank])]))
+    leads = _words(np.concatenate([
+        np.column_stack([digits[:, 0], point, digits[:, 1:]]),
+        np.column_stack([digits[:, 0], np.where(kept[:, 1], point, blank), stripped[:, 1:]])]))
+    return groups, np.concatenate([leads, groups])
+
+
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 words of the head and of the exponent for each magnitude
+    e < 300 of a non-positive exponent k = -e, the heads of negative
+    entries at 300 + e.  For 1 <= e <= 4 the head holds "0." and e - 1
+    zeros and no exponent is printed; otherwise the head holds only the
+    sign, and "e-XX" is printed from e = 5."""
+    e = np.arange(300)
+    places = e[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    exponents = np.full((300, 8), _BLANK)
+    exponents[:, :2] = [ord("e"), ord("-")]
+    exponents[:, 2:5] = np.where(e[:, None] >= 100, places,
+                                 np.column_stack([places[:, 1:], np.full(300, _BLANK)]))
+    exponents[:5] = _BLANK
+    heads = np.full((2, 300, 8), _BLANK)
+    heads[1, :, 0] = ord("-")
+    for m in range(1, 5):
+        heads[0, m, :m + 1] = heads[1, m, 1:m + 2] = list(b"0.000"[:m + 1])
+    return _words(heads).ravel(), _words(exponents)
+
+
+_GROUPS, _LEADS = _digit_tables()
+_HEADS, _EXPONENTS = _exponent_tables()
+# Where in _LEADS the words of magnitude e's form start: 2000 for 0.000ddd.
+_LEAD_FORMS = np.where((1 <= np.arange(300)) & (np.arange(300) <= 4), 2000, 0).astype(np.int32)
+
+
+def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
+    """Lay out :func:`format_float` of each entry of the float64 vector
+    ``x`` in the rows of ``cells``, the terminator column left blank.
 
     The fast path takes every finite |x| in [1e-280, 10): with
     k = floor(log10 |x|), its 15 significant digits are the integer
     n = round(|x| * 10**(14 - k)), the product formed as a double-double
     to about 1e-30 relative (Dekker's exact TwoProduct with the table's
-    split 10**q, plus |x| times the table's low part).  Its digits come
-    from n by float division and are laid out in one byte matrix as
-    "0.000ddd", "d.ddd" or "d.ddde-XX", trailing zeros dropped, as
-    ``%.15g`` lays them out.  An entry whose rounding is not decided
-    (within 1e-6 of a half, ties included), whose log10 gave the wrong k,
-    or that lies outside that range (0, NaN and the infinities among
-    them) goes through :func:`format_float`."""
-    x = np.ravel(values)
+    split 10**q, plus |x| times the table's low part).  Its five 3-digit
+    groups each pick a word of _GROUPS or _LEADS: the last group that is
+    not 000, and every group after it, the word without trailing zeros,
+    as ``%.15g`` drops them.  +/-0 takes the same path as n = 0 and k = 0,
+    which print "0".  An entry whose rounding is not decided (within 1e-6
+    of a half, ties included), whose log10 gave the wrong k, or that lies
+    outside that range (NaN and the infinities among them) is laid out
+    from the text :func:`format_float` gives it."""
     a = np.abs(x)
     fast = (a >= 1e-280) & (a < 10)                 # False for NaN
     a = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(a))
-    q = (14 - k).astype(np.intp)
-    p = a * _POW10_HI[q]
+    q = (14 - np.floor(np.log10(a))).astype(np.intp)
+    p = a * _POW10_HI.take(q)
     c = _SPLIT * a
     ah = c - (c - a)
     al = a - ah
-    hh, hl = _POW10_HH[q], _POW10_HL[q]
-    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * _POW10_LO[q]
+    hh, hl = _POW10_HH.take(q), _POW10_HL.take(q)
+    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * _POW10_LO.take(q)
     whole = np.floor(p)
     frac = (p - whole) + err                        # |x| * 10**q = whole + frac
     # n has 15 digits and its rounding is decided; below 1e14, log10 gave
     # k one too high (a product under 1e14 by less than a rounding still
     # rounds to 1e14 at k, as 10 times it would at k - 1)
     fast &= (whole >= 1e14) & (whole < 1e15 - 1) & (np.abs(frac - 0.5) > 1e-6)
-    n = np.where(fast, whole + (frac > 0.5), 1e14)  # in [1e14, 1e15)
-    k = np.where(fast, k, 0.0).astype(np.intp)      # the printed exponent
-    neg = fast & (x < 0)
+    n = np.where(fast, whole + (frac > 0.5), 0.0)   # in [1e14, 1e15), or 0
+    e = np.where(fast, q - 14, 0)                   # -k, the printed exponent's magnitude
 
-    groups = np.floor(n[:, None] / _GROUP_PLACES)
-    groups[:, 1:] -= 1000 * groups[:, :-1]
-    groups = groups.astype(np.intp)
-    last = 4 - np.argmax(groups[:, ::-1] != 0, axis=1)      # group 0 is never 0
-    digits = _GROUP_TEXT.take(groups + 1000 * (np.arange(5) >= last[:, None]))
-    digits = digits.view(np.uint8).reshape(-1, 15)          # blank past the last kept
-    kept = 3 * last + _GROUP_KEPT[groups[np.arange(len(x)), last]]
-    small = (k < 0) & (k >= -4)                     # printed as 0.000ddd
-
-    # One row of bytes per entry: the head, the first digit in column 6
-    # (d.ddd) or 7 (0.000ddd), the point of d.ddd in column 7 when a digit
-    # follows, the other digits in columns 8-21 and, for d.ddde-XX, the
-    # exponent right after the last kept digit.
-    text = np.full((len(x), _WIDTH), ord(" "), dtype=np.uint8)
-    head = _HEAD.take(5 * neg + np.where(small, -k, 0)).view(np.uint8).reshape(-1, 7)
-    text[:, :7] = head
-    text[:, 6] = np.where(small, head[:, 6], digits[:, 0])
-    text[:, 7] = np.where(small, digits[:, 0], np.where(kept > 1, ord("."), ord(" ")))
-    text[:, 8:22] = digits[:, 1:]
-    sci = k < -4
-    at = np.flatnonzero(sci) * _WIDTH + 6 + kept[sci] + (kept[sci] > 1)
-    text.reshape(-1)[at[:, None] + np.arange(5)] = \
-        _EXPONENT.take(-k[sci]).view(np.uint8).reshape(-1, 5)
-
-    out = text.tobytes().decode("ascii").split()
-    slow = np.flatnonzero(~fast)
-    for i, value in zip(slow.tolist(), x[slow].tolist()):
-        out[i] = format_float(value)
-    return out
+    top = np.floor(n / 1e9)                         # the first 6 of n's 15 digits
+    low = (n - 1e9 * top).astype(np.int32)          # and the last 9
+    top = top.astype(np.int32)
+    mid = low // 1000
+    groups = [top // 1000, top, mid // 1000, mid, low]
+    for i in (1, 3, 4):     # % 1000, which numpy computes at 3 times the cost
+        groups[i] -= 1000 * (groups[i] // 1000)
+    words = cells.view(np.uint32)
+    strip = np.full(len(x), 1000, dtype=np.int32)   # 1000 while every later digit is 0
+    for i in (4, 3, 2, 1):
+        words[:, 2 + i] = _GROUPS.take(groups[i] + strip)
+        strip *= groups[i] == 0
+    words[:, 2] = _LEADS.take(groups[0] + strip + _LEAD_FORMS.take(e))
+    wide = cells.view(np.uint64)
+    wide[:, 0] = _HEADS.take(e + 300 * (x < 0))
+    wide[:, 4] = _EXPONENTS.take(e)
+    slow = np.flatnonzero(~fast & (x != 0))
+    if slow.size:       # over the head and digits: no such text is longer than 22
+        texts = "".join([format_float(v).ljust(32) for v in x[slow].tolist()])
+        cells[slow, :32] = np.frombuffer(texts.encode(), dtype=np.uint8).reshape(-1, 32)
 
 
 def dump(obj: Any, write: Callable[[str], Any]) -> None:
     """Write the deterministic JSON text of the report document to
     ``write`` in order, piece by piece; no piece holds more than one
-    leading-axis row of a float array."""
+    leading-axis row of a float array of two or more axes, or more than
+    _CHUNK entries of a one-axis one."""
     _emit(obj, write, 0)
     write("\n")
 
@@ -174,20 +214,19 @@ def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
         # The members dataclasses.asdict would give, without its copies.
         _emit_members([(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)],
                       write, level)
-    elif isinstance(obj, np.ndarray) and not (obj.dtype == np.float64 and obj.ndim and obj.size):
-        _emit(obj.tolist(), write, level)       # a 0-d array gives its scalar
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        if not len(obj):
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim and obj.size:
+            _emit_floats(obj, write, level)
+        else:
+            _emit(obj.tolist(), write, level)   # a 0-d array gives its scalar
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             write("[]")
             return
-        # a 1-d array's rows are single floats, for which format_float
-        # costs less than a vectorised pass
-        item = _row_writer(obj, level + 1) if isinstance(obj, np.ndarray) and obj.ndim > 1 \
-            else _emit
         pad = "  " * (level + 1)
         for i, value in enumerate(obj):
             write(("[\n" if i == 0 else ",\n") + pad)
-            item(value, write, level + 1)
+            _emit(value, write, level + 1)
         write("\n" + "  " * level + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -204,20 +243,66 @@ def _emit_members(pairs: list[tuple[Any, Any]], write: Callable[[str], Any], lev
     write("\n" + "  " * level + "}")
 
 
-def _row_writer(arr: np.ndarray, level: int) -> Callable[..., None]:
-    """The item writer for the leading-axis rows of the float64 array
-    ``arr`` of two or more axes, nested ``level`` deep: a row's entries
-    are formatted in one :func:`format_floats` pass (its fast path for
-    finite |x| in [1e-280, 10), :func:`format_float` for the rest) and
-    set into a ``%s`` template of its layout, so the row is written as
-    one piece, in the bytes :func:`_emit` gives its ``tolist()``."""
-    template = _layout(arr.shape[1:], level)
-    return lambda row, write, _: write(template % tuple(format_floats(row)))
+def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> None:
+    """Write the non-empty float64 array ``arr`` nested ``level`` deep, in
+    the bytes :func:`_emit` gives its ``tolist()``, one leading-axis row
+    per piece (a chunk per piece for one axis).
+
+    _CHUNK entries at a time are laid out in cells (:func:`_format_cells`),
+    each followed by a one-byte terminator for the depth d of the axes it
+    ends, and one ``bytes.translate`` drops the blanks.  The text is cut
+    into rows at the terminators of the leading axis; in each row, every
+    other terminator becomes the separator of its depth, one
+    ``bytes.replace`` per depth: the brackets that close and open d axes,
+    and last the ",\\n" and indentation between two entries of the
+    innermost axis, which most entries end in."""
+    ndim = arr.ndim
+    flat = arr.reshape(-1)
+    blocks = np.cumprod(arr.shape[:0:-1]).tolist()  # an entry ends d axes every blocks[d - 1]
+    sep = ",\n" + "  " * (level + 1)
+    gaps = [_layout((2,) + (1,) * d, level + ndim - 1 - d).split("%s")[1].encode()
+            for d in range(ndim - 1)] or [sep.encode()]     # one axis: its entries are its rows
+    opener, closer = (part.encode() for part in _layout((1,) * (ndim - 1), level + 1).split("%s"))
+    marks = [bytes([_TERMINATOR + d]) for d in range(ndim)]
+    replaces = list(zip(marks, gaps))[::-1]                 # the common d = 0 last
+
+    def finish(parts: list[bytes]) -> str:
+        text = b"".join([opener, *parts, closer])
+        for mark, gap in replaces:
+            text = text.replace(mark, gap)
+        return text.decode("ascii")
+
+    cells = np.full((min(flat.size, _CHUNK), _WIDTH), _BLANK, dtype=np.uint8)
+    row: list[bytes] = []
+    write("[\n" + "  " * (level + 1))
+    for start in range(0, flat.size, _CHUNK):
+        x = flat[start:start + _CHUNK]
+        chunk = cells[:len(x)]
+        _format_cells(x, chunk)
+        ends = chunk[:, -1]
+        ends[:] = _TERMINATOR
+        for d, block in enumerate(blocks, 1):
+            ends[(block - 1 - start) % block::block] = _TERMINATOR + d
+        if start + len(x) == flat.size:
+            ends[-1] = _BLANK
+        text = chunk.tobytes().translate(None, b" ")
+        if ndim == 1:
+            write(finish([text]))
+            continue
+        *ended, text = text.split(marks[-1])
+        for piece in ended:
+            write(finish([*row, piece]))
+            write(sep)
+            row = []
+        row.append(text)
+    if ndim > 1:
+        write(finish(row))
+    write("\n" + "  " * level + "]")
 
 
 def _layout(shape: tuple[int, ...], level: int) -> str:
     """The text of a non-empty array of ``shape`` nested ``level`` deep,
-    with ``%s`` in place of each entry: a ``%`` template."""
+    with ``%s`` in place of each entry."""
     if not shape:
         return "%s"
     pad = "\n" + "  " * (level + 1)

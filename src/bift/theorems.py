@@ -231,13 +231,12 @@ def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averag
     )
 
 
-def product_basis_flags(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL):
-    """(initial_is_product, final_is_product): True when every global
-    eigenvector is a product of local eigenvectors, i.e. each conditional
-    row concentrates all weight on a single (a, b)."""
-    return tuple(bool(np.all(end.cond.reshape(len(end.cond), -1).max(axis=1)
-                             > 1.0 - tol.orthonormality))
-                 for end in (spectra.initial, spectra.final))
+def product_bases(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True when, at both measurements, every global eigenvector is a
+    product of local eigenvectors, i.e. each conditional row concentrates
+    all weight on a single (a, b)."""
+    return all(np.all(end.cond.reshape(len(end.cond), -1).max(axis=1) > 1.0 - tol.orthonormality)
+               for end in (spectra.initial, spectra.final))
 
 
 def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
@@ -340,7 +339,7 @@ def evaluate(spectra: SystemSpectra,
     averages = forward_averages(joint, funcs)
 
     classical_lhs = None
-    if all(product_basis_flags(spectra, tol)):
+    if product_bases(spectra, tol):
         classical_lhs = joint.expectation(joint.restricted(joint.forward),
                                           *funcs.classical_factors())
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bift import reportio, tables
-from bift.functionals import log_or_zero, shannon_entropy
+from bift.functionals import _or_one, shannon_entropy
 from bift.errors import DomainError
 from bift.linalg import (
     DEFAULT_TOL,
@@ -34,7 +34,7 @@ from bift.theorems import (
     FTReport,
     evaluate,
     inequality_suite,
-    product_basis_flags,
+    product_bases,
 )
 
 
@@ -264,6 +264,12 @@ def dense_tables(spectra, reverse_global=None):
     return joint.dense(joint.forward), joint.dense(reverse)
 
 
+def log_or_zero(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """ln p with ln 0 := 0; anything at or below the support cutoff
+    (relative to the largest entry of ``p``) counts as zero."""
+    return np.log(_or_one(p, tol))
+
+
 def dense_content_table(p, l_pa, l_pb, tol=DEFAULT_TOL) -> np.ndarray:
     """ln p - ln p_a - ln p_b over (a, b), 0 where ``p`` is at or below
     its cutoff; ``p`` is p_{a,b} (classical) or p_m[:, None, None] (info)."""
@@ -345,7 +351,7 @@ def dense_classical_reduction_check(spectra, tol=DEFAULT_TOL):
     support) when both global eigenbases are product bases, else None.
     With product bases the protocol is two local two-point measurements
     and the info content reduces to its classical counterpart."""
-    if not all(product_basis_flags(spectra, tol)):
+    if not product_bases(spectra, tol):
         return None
     forward, reverse = dense_tables(spectra)
     traj = dense_tuple_functionals(spectra, tol)
@@ -367,7 +373,7 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
     averages = Averages(*(dense_average(forward, x) for x in (
         traj.delta_s_a, traj.delta_s_b, traj.delta_i, traj.delta_j, traj.beta_q)))
     classical_lhs = None
-    if all(product_basis_flags(spectra, tol)):
+    if product_bases(spectra, tol):
         classical_lhs = dense_restricted_average(spectra, forward,
                                                 traj.classical_exponent(), tol)
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF

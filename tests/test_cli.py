@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -826,9 +827,9 @@ def special_values() -> np.ndarray:
         np.nextafter(1e-280, [0.0, 1.0]), tiny, -tiny, probs, -probs, probs * 1e3])
 
 
-# Batches on which format_floats must give format_float's text entry by
-# entry: what its fast path takes, that path's edges, and what it leaves
-# to format_float.
+# Batches on which the array writer must give format_float's text entry
+# by entry: what its fast path takes, that path's edges, and what it
+# leaves to format_float.
 FLOAT_BATCHES = {
     "random-bit-patterns": lambda: np.random.default_rng(19).integers(
         0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64),
@@ -840,12 +841,35 @@ FLOAT_BATCHES = {
 }
 
 
-def emit_tuples_document(dims: list[int], seed: int) -> dict:
+def emit_tuples_document(dims: list[int], seed: int, rank_deficient: bool = False) -> dict:
     """The document ``bift run --emit-tuples`` writes for a random system."""
     cfg = {"scenario": "random", "dims": dims, "seed": seed, "emit_tuples": True}
+    if rank_deficient:
+        cfg["rank_deficient"] = True
     scenario, analysis = bift.cli.build_analysis(cfg, DEFAULT_TOL)
     checks = bift.cli.core_checks(scenario, analysis, DEFAULT_TOL)
     return bift.cli.report_document("run", cfg, scenario, analysis, checks, DEFAULT_TOL)
+
+
+# Arrays for the writer: float64 ones of up to 3**8 entries, and ones
+# written through their tolist(); and the lists and dicts to nest them in.
+EMITTED_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=8, min_side=0, max_side=3),
+               elements=REPORT_FLOATS),
+    hnp.arrays(st.sampled_from([np.int64, np.float32]),
+               hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)))
+NESTINGS = st.lists(st.sampled_from(["list", "dict"]), max_size=3)
+
+
+def assert_emits_like_its_list(arr: np.ndarray, nesting: list[str]) -> None:
+    # Each wrapper puts the array one level deeper, where the writer's
+    # indentation must still match the list branch's.
+    def nest(value):
+        for kind in nesting:
+            value = [0.5, value] if kind == "list" else {"k": value, "z": None}
+        return value
+
+    assert report_text({"t": nest(arr)}) == report_text({"t": nest(arr.tolist())})
 
 
 # An FTReport with every kind of member: averages, bound records, a
@@ -878,14 +902,7 @@ class TestReportIO:
         with pytest.raises(DomainError):
             reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS + 1}")
 
-    @given(arr=st.one_of(
-               hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=8,
-                                                       min_side=0, max_side=3),
-                          elements=REPORT_FLOATS),
-               # arrays written through their tolist()
-               hnp.arrays(st.sampled_from([np.int64, np.float32]),
-                          hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3))),
-           nesting=st.lists(st.sampled_from(["list", "dict"]), max_size=3))
+    @given(arr=EMITTED_ARRAYS, nesting=NESTINGS)
     @example(arr=np.zeros((2, 0, 3)), nesting=[])
     @example(arr=np.array(-0.0), nesting=[])
     @example(arr=np.array(0), nesting=["list"])
@@ -895,14 +912,16 @@ class TestReportIO:
     @example(arr=np.array([[[1.0, -2.5], [math.nan, 0.0]]] * 3), nesting=["list", "dict"])
     @settings(max_examples=200, deadline=None)
     def test_array_emits_like_its_list(self, arr, nesting):
-        # Each wrapper puts the array one level deeper, where the row
-        # template's indentation must still match the list branch's.
-        def nest(value):
-            for kind in nesting:
-                value = [0.5, value] if kind == "list" else {"k": value, "z": None}
-            return value
+        assert_emits_like_its_list(arr, nesting)
 
-        assert report_text({"t": nest(arr)}) == report_text({"t": nest(arr.tolist())})
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @given(arr=EMITTED_ARRAYS, nesting=NESTINGS)
+    @example(arr=np.arange(-40.0, 41.0).reshape(3, 3, 3, 3) / 7, nesting=["dict"])
+    @settings(max_examples=100, deadline=None)
+    def test_array_emits_like_its_list_in_chunks(self, chunk, arr, nesting):
+        # chunk edges inside rows and at every depth of the axes they end
+        with mock.patch.object(reportio, "_CHUNK", chunk):
+            assert_emits_like_its_list(arr, nesting)
 
     def test_writer_pieces_join_to_dumps(self):
         # The pieces of an array and a record join to the text of their
@@ -925,12 +944,14 @@ class TestReportIO:
         for piece in rows:
             assert np.shape(json.loads(piece)) == (3, 3, 9, 3, 3, 4, 4)
 
-    @pytest.mark.parametrize("dims, seed", [([3, 3, 4], 1), ([2, 3, 2], 7)],
-                             ids=["3,3,4-seed1", "2,3,2-seed7"])
-    def test_emitted_tables_match_their_lists(self, dims, seed):
-        # the tables' rows as format_floats writes them, against their
-        # nested lists, whose floats go one by one through format_float
-        doc = emit_tuples_document(dims, seed)
+    @pytest.mark.parametrize("dims, seed, rank_deficient",
+                             [([3, 3, 4], 1, False), ([2, 3, 2], 7, False), ([3, 3, 4], 1, True)],
+                             ids=["3,3,4-seed1", "2,3,2-seed7", "3,3,4-seed1-rank-deficient"])
+    def test_emitted_tables_match_their_lists(self, dims, seed, rank_deficient):
+        # the tables as the array writer writes them, against their nested
+        # lists, whose floats go one by one through format_float; the
+        # rank-deficient forward table is 11% exact zeros
+        doc = emit_tuples_document(dims, seed, rank_deficient)
         tables = doc["tables"]
         listed = {**doc, "tables": {**tables, "forward": tables["forward"].tolist(),
                                     "reverse": tables["reverse"].tolist()}}
@@ -940,8 +961,12 @@ class TestReportIO:
 
     @pytest.mark.parametrize("batch", FLOAT_BATCHES)
     def test_format_floats_is_format_float(self, batch):
+        # the entries of the batch written as a 1-d array, against
+        # format_float of each of its floats
         values = FLOAT_BATCHES[batch]()
-        got = reportio.format_floats(values)
+        text = report_text(values)
+        assert text.startswith("[\n  ") and text.endswith("\n]\n")
+        got = text[4:-3].split(",\n  ")
         want = [reportio.format_float(v) for v in values.tolist()]
         if got != want:
             bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]

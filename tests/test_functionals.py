@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bift.functionals import endpoint_functionals, log_or_zero, shannon_entropy
+from bift.functionals import endpoint_functionals, shannon_entropy
 from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
 from bift.tables import UnitarySystem, factored_joint, spectra_from_unitary
 from bift.theorems import forward_averages
 
-from conftest import dense_tables, dense_tuple_functionals, replace_endpoint, werner_spectra
+from conftest import (
+    dense_tables,
+    dense_tuple_functionals,
+    log_or_zero,
+    replace_endpoint,
+    werner_spectra,
+)
 
 LN2 = math.log(2.0)
 
