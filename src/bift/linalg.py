@@ -150,9 +150,9 @@ def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spe
         raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
 
     vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
-    order = np.argsort(vals, kind="stable")[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    # eigh gives the eigenvalues ascending; the copy keeps the reported
+    # probabilities contiguous
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1]
 
     fixed, done = _canonical_columns(vecs)
     for i, j in degenerate_blocks(vals, tol):

@@ -9,14 +9,14 @@ for byte; only the config hash sorts keys.  :func:`dump` writes a report
 piece by piece to a ``write`` callable: frozen records are walked field
 by field, and lists and tuples share one sequence loop.  Every non-empty
 float64 array goes through one writer, in the same bytes as its nested
-list, one leading-axis row per piece.  It lays out a chunk of entries at
-a time in a ``uint8`` cell matrix, one row of cells per entry, each field
-a whole word from a lookup table (``uint32`` for the 3-digit groups of
-the 15 significant digits, ``uint64`` for the head and the exponent),
-and ends each row with a one-byte terminator for the axes the entry
-ends.  One ``bytes.translate`` drops the blank cells and one
-``bytes.replace`` per depth turns the terminators into the layout's
-separators and brackets, so no Python string is made per entry.  The
+list, one chunk of entries per piece.  It lays out each chunk in a
+``uint8`` cell matrix, one row of cells per entry, each field a whole
+word from a lookup table (``uint32`` for the 3-digit groups of the 15
+significant digits, ``uint64`` for the head and the exponent), and ends
+each row with a one-byte terminator for the axes the entry ends.  One
+``bytes.translate`` drops the blank cells and one ``bytes.replace`` per
+depth turns the terminators into the layout's separators and brackets,
+so no Python string is made per entry.  The
 digits are computed for +/-0 and every finite |x| in [1e-280, 10), which
 holds every entry of a probability table; each other entry, and each
 whose rounding the pass cannot decide, is laid out from
@@ -79,52 +79,30 @@ _BLANK = ord(" ")
 _TERMINATOR = 0x80      # + d: the entry ends its d innermost axes; no text holds it
 
 
-def _words(cells: np.ndarray) -> np.ndarray:
-    """Each row of the byte matrix ``cells``, 4 or 8 wide, as one word."""
-    return np.ascontiguousarray(cells, dtype=np.uint8).view(f"u{cells.shape[-1]}")[..., 0]
+def _table(texts: list[str], width: int) -> np.ndarray:
+    """Each text, blank-padded to ``width`` (4 or 8) bytes, as one word."""
+    return np.frombuffer("".join([t.ljust(width) for t in texts]).encode(), dtype=f"u{width}")
 
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The uint32 words of the 3-digit groups g.  In the first table,
-    "ddd " at g and at 1000 + g the same with its trailing zeros blank
-    (all blank for 000).  In the second, for the group that holds the
-    first digit: "d.dd" at g, stripped at 1000 + g ("d.00" loses its
-    point too), then the first table again from 2000 for the form
-    0.000ddd, whose head holds the point."""
-    digits = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    kept = np.cumsum(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1] > 0   # a nonzero at or after
-    stripped = np.where(kept, digits, _BLANK)
-    blank, point = np.full(1000, _BLANK), np.full(1000, ord("."))
-    groups = _words(np.concatenate([np.column_stack([digits, blank]),
-                                    np.column_stack([stripped, blank])]))
-    leads = _words(np.concatenate([
-        np.column_stack([digits[:, 0], point, digits[:, 1:]]),
-        np.column_stack([digits[:, 0], np.where(kept[:, 1], point, blank), stripped[:, 1:]])]))
-    return groups, np.concatenate([leads, groups])
-
-
-def _exponent_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The uint64 words of the head and of the exponent for each magnitude
-    e < 300 of a non-positive exponent k = -e, the heads of negative
-    entries at 300 + e.  For 1 <= e <= 4 the head holds "0." and e - 1
-    zeros and no exponent is printed; otherwise the head holds only the
-    sign, and "e-XX" is printed from e = 5."""
-    e = np.arange(300)
-    places = e[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-    exponents = np.full((300, 8), _BLANK)
-    exponents[:, :2] = [ord("e"), ord("-")]
-    exponents[:, 2:5] = np.where(e[:, None] >= 100, places,
-                                 np.column_stack([places[:, 1:], np.full(300, _BLANK)]))
-    exponents[:5] = _BLANK
-    heads = np.full((2, 300, 8), _BLANK)
-    heads[1, :, 0] = ord("-")
-    for m in range(1, 5):
-        heads[0, m, :m + 1] = heads[1, m, 1:m + 2] = list(b"0.000"[:m + 1])
-    return _words(heads).ravel(), _words(exponents)
-
-
-_GROUPS, _LEADS = _digit_tables()
-_HEADS, _EXPONENTS = _exponent_tables()
+# The uint32 words of the 3-digit groups g.  In _GROUPS, "ddd" at g and
+# at 1000 + g the same without trailing zeros (all blank for 000).  In
+# _LEADS, for the group that holds the first digit: "d.dd" at g, stripped
+# at 1000 + g ("d.00" loses its point too), then _GROUPS again from 2000
+# for the form 0.000ddd, whose head holds the point.
+_DIGITS = [f"{g:03d}" for g in range(1000)]
+_GROUPS = _table(_DIGITS + [t.rstrip("0") for t in _DIGITS], 4)
+_LEADS = np.concatenate([
+    _table([t[0] + "." + t[1:] for t in _DIGITS]
+           + [(t[0] + "." + t[1:].rstrip("0")).rstrip(".") for t in _DIGITS], 4),
+    _GROUPS])
+# The uint64 words of the head and of the exponent for each magnitude
+# e < 300 of a non-positive exponent k = -e, the heads of negative entries
+# at 300 + e.  For 1 <= e <= 4 the head holds "0." and e - 1 zeros and no
+# exponent is printed; otherwise the head holds only the sign, and "e-XX"
+# is printed from e = 5.
+_SMALL = ["0.000"[:e + 1] if 1 <= e <= 4 else "" for e in range(300)]
+_HEADS = _table(_SMALL + ["-" + t for t in _SMALL], 8)
+_EXPONENTS = _table([f"e-{e:02d}" if e >= 5 else "" for e in range(300)], 8)
 # Where in _LEADS the words of magnitude e's form start: 2000 for 0.000ddd.
 _LEAD_FORMS = np.where((1 <= np.arange(300)) & (np.arange(300) <= 4), 2000, 0).astype(np.int32)
 
@@ -188,9 +166,8 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
 
 def dump(obj: Any, write: Callable[[str], Any]) -> None:
     """Write the deterministic JSON text of the report document to
-    ``write`` in order, piece by piece; no piece holds more than one
-    leading-axis row of a float array of two or more axes, or more than
-    _CHUNK entries of a one-axis one."""
+    ``write`` in order, piece by piece; no piece holds more than _CHUNK
+    entries of a float array."""
     _emit(obj, write, 0)
     write("\n")
 
@@ -245,36 +222,25 @@ def _emit_members(pairs: list[tuple[Any, Any]], write: Callable[[str], Any], lev
 
 def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> None:
     """Write the non-empty float64 array ``arr`` nested ``level`` deep, in
-    the bytes :func:`_emit` gives its ``tolist()``, one leading-axis row
-    per piece (a chunk per piece for one axis).
+    the bytes :func:`_emit` gives its ``tolist()``, one chunk of _CHUNK
+    entries per piece.
 
-    _CHUNK entries at a time are laid out in cells (:func:`_format_cells`),
-    each followed by a one-byte terminator for the depth d of the axes it
-    ends, and one ``bytes.translate`` drops the blanks.  The text is cut
-    into rows at the terminators of the leading axis; in each row, every
-    other terminator becomes the separator of its depth, one
-    ``bytes.replace`` per depth: the brackets that close and open d axes,
-    and last the ",\\n" and indentation between two entries of the
-    innermost axis, which most entries end in."""
+    Each chunk is laid out in cells (:func:`_format_cells`), each entry
+    followed by a one-byte terminator for the depth d of the axes it ends,
+    and one ``bytes.translate`` drops the blanks.  Every terminator then
+    becomes the separator of its depth, one ``bytes.replace`` per depth:
+    the brackets that close and open d axes, and last the ",\\n" and
+    indentation between two entries of the innermost axis, which most
+    entries end in."""
     ndim = arr.ndim
     flat = arr.reshape(-1)
     blocks = np.cumprod(arr.shape[:0:-1]).tolist()  # an entry ends d axes every blocks[d - 1]
-    sep = ",\n" + "  " * (level + 1)
-    gaps = [_layout((2,) + (1,) * d, level + ndim - 1 - d).split("%s")[1].encode()
-            for d in range(ndim - 1)] or [sep.encode()]     # one axis: its entries are its rows
-    opener, closer = (part.encode() for part in _layout((1,) * (ndim - 1), level + 1).split("%s"))
-    marks = [bytes([_TERMINATOR + d]) for d in range(ndim)]
-    replaces = list(zip(marks, gaps))[::-1]                 # the common d = 0 last
-
-    def finish(parts: list[bytes]) -> str:
-        text = b"".join([opener, *parts, closer])
-        for mark, gap in replaces:
-            text = text.replace(mark, gap)
-        return text.decode("ascii")
-
+    replaces = [(bytes([_TERMINATOR + d]),
+                 _layout((2,) + (1,) * d, level + ndim - 1 - d).split("%s")[1].encode())
+                for d in reversed(range(ndim))]     # the common d = 0 last
+    opener, closer = _layout((1,) * ndim, level).split("%s")
     cells = np.full((min(flat.size, _CHUNK), _WIDTH), _BLANK, dtype=np.uint8)
-    row: list[bytes] = []
-    write("[\n" + "  " * (level + 1))
+    write(opener)
     for start in range(0, flat.size, _CHUNK):
         x = flat[start:start + _CHUNK]
         chunk = cells[:len(x)]
@@ -286,18 +252,10 @@ def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> No
         if start + len(x) == flat.size:
             ends[-1] = _BLANK
         text = chunk.tobytes().translate(None, b" ")
-        if ndim == 1:
-            write(finish([text]))
-            continue
-        *ended, text = text.split(marks[-1])
-        for piece in ended:
-            write(finish([*row, piece]))
-            write(sep)
-            row = []
-        row.append(text)
-    if ndim > 1:
-        write(finish(row))
-    write("\n" + "  " * level + "]")
+        for mark, gap in replaces:
+            text = text.replace(mark, gap)
+        write(text.decode("ascii"))
+    write(closer)
 
 
 def _layout(shape: tuple[int, ...], level: int) -> str:

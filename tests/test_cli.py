@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -933,24 +934,27 @@ class TestReportIO:
         plain = {**doc, "t": doc["t"].tolist(), "r": dataclasses.asdict(doc["r"])}
         assert "".join(pieces) == report_text(plain)
 
-    def test_emitted_tables_stream_one_row_per_piece(self):
-        doc = emit_tuples_document([3, 3, 4], 1)
+    def test_emitted_table_streams_one_chunk_per_piece(self):
+        # a table longer than many chunks: no piece holds more than _CHUNK
+        # numbers, and the pieces join to the text of its nested list
+        table = emit_tuples_document([3, 3, 4], 1)["tables"]["forward"]
         pieces = []
-        reportio.dump(doc, pieces.append)
-        rows = [piece for piece in pieces if len(piece) > 1000]
-        # every long piece is one leading-axis row of a table, and the
-        # 9 rows of each of the two tables are all there is
-        assert len(rows) == 2 * 9
-        for piece in rows:
-            assert np.shape(json.loads(piece)) == (3, 3, 9, 3, 3, 4, 4)
+        with mock.patch.object(reportio, "_CHUNK", 1000):
+            reportio.dump(table, pieces.append)
+        counts = [len(re.findall(r"[0-9][0-9.e+-]*", piece)) for piece in pieces]
+        assert max(counts) == 1000 and sum(counts) == table.size
+        assert "".join(pieces) == report_text(table.tolist())
 
     @pytest.mark.parametrize("dims, seed, rank_deficient",
-                             [([3, 3, 4], 1, False), ([2, 3, 2], 7, False), ([3, 3, 4], 1, True)],
-                             ids=["3,3,4-seed1", "2,3,2-seed7", "3,3,4-seed1-rank-deficient"])
+                             [([3, 3, 4], 1, False), ([2, 3, 2], 7, False), ([3, 3, 4], 1, True),
+                              ([1, 1, 100], 1, False)],
+                             ids=["3,3,4-seed1", "2,3,2-seed7", "3,3,4-seed1-rank-deficient",
+                                  "1,1,100-seed1"])
     def test_emitted_tables_match_their_lists(self, dims, seed, rank_deficient):
         # the tables as the array writer writes them, against their nested
         # lists, whose floats go one by one through format_float; the
-        # rank-deficient forward table is 11% exact zeros
+        # rank-deficient forward table is 11% exact zeros, and the (1,1,100)
+        # tables are one leading-axis row of 10,000 entries, two chunks
         doc = emit_tuples_document(dims, seed, rank_deficient)
         tables = doc["tables"]
         listed = {**doc, "tables": {**tables, "forward": tables["forward"].tolist(),
