@@ -6,10 +6,11 @@ emitted by a small fixed-format serializer (keys in insertion order,
 floats printed with 15 significant digits, infinities as +/-Infinity
 tokens) so that re-running the same config reproduces the report byte
 for byte; only the config hash sorts keys.  :func:`dump` writes a report
-piece by piece to a ``write`` callable: frozen records are walked field
-by field, and lists and tuples share one sequence loop.  Every non-empty
-float64 array goes through one writer, in the same bytes as its nested
-list, one chunk of entries per piece.  It lays out each chunk in a
+piece by piece to a ``write`` callable.  Objects, frozen records, lists
+and tuples go through one loop, the only code that writes brackets,
+separators and indentation.  Every non-empty float64 array goes through
+one writer, in the layout that loop gives a placeholder list and in the
+bytes of its nested list, a chunk per piece.  It lays out each chunk in a
 ``uint8`` cell matrix, one row of cells per entry, each field a whole
 word from a lookup table (``uint32`` for the 3-digit groups of the 15
 significant digits, ``uint64`` for the head and the exponent), and ends
@@ -17,8 +18,8 @@ each row with a one-byte terminator for the axes the entry ends.  One
 ``bytes.translate`` drops the blank cells and one ``bytes.replace`` per
 depth turns the terminators into the layout's separators and brackets,
 so no Python string is made per entry.  The
-digits are computed for +/-0 and every finite |x| in [1e-280, 10), which
-holds every entry of a probability table; each other entry, and each
+digits are computed for +/-0 and every x in [1e-280, 10), which holds
+every nonzero entry of a probability table; each other entry, and each
 whose rounding the pass cannot decide, is laid out from
 :func:`format_float`, so every float prints as ``%.15g`` prints it.  Any
 other array is written as its ``tolist()``.
@@ -69,7 +70,7 @@ _POW10_HI, _POW10_LO, _POW10_HH, _POW10_HL = _pow10_table(300)
 
 # Each entry is laid out in a row of _WIDTH byte cells, blank where its
 # text has no character, one word from a table per field: bytes 0-7 hold
-# the head (the sign, and the "0." and zeros of the form 0.000ddd), 8-27
+# the head (the "0." and zeros of the form 0.000ddd), 8-27
 # the 15 significant digits in five 3-digit groups, 32-38 the exponent of
 # the form d.ddde-XX, and 39 the terminator that stands for the separator
 # after the entry.
@@ -96,12 +97,10 @@ _LEADS = np.concatenate([
            + [(t[0] + "." + t[1:].rstrip("0")).rstrip(".") for t in _DIGITS], 4),
     _GROUPS])
 # The uint64 words of the head and of the exponent for each magnitude
-# e < 300 of a non-positive exponent k = -e, the heads of negative entries
-# at 300 + e.  For 1 <= e <= 4 the head holds "0." and e - 1 zeros and no
-# exponent is printed; otherwise the head holds only the sign, and "e-XX"
-# is printed from e = 5.
-_SMALL = ["0.000"[:e + 1] if 1 <= e <= 4 else "" for e in range(300)]
-_HEADS = _table(_SMALL + ["-" + t for t in _SMALL], 8)
+# e < 300 of a non-positive exponent k = -e.  For 1 <= e <= 4 the head
+# holds "0." and e - 1 zeros and no exponent is printed; otherwise the head
+# is blank, and "e-XX" is printed from e = 5.
+_HEADS = _table(["0.000"[:e + 1] if 1 <= e <= 4 else "" for e in range(300)], 8)
 _EXPONENTS = _table([f"e-{e:02d}" if e >= 5 else "" for e in range(300)], 8)
 # Where in _LEADS the words of magnitude e's form start: 2000 for 0.000ddd.
 _LEAD_FORMS = np.where((1 <= np.arange(300)) & (np.arange(300) <= 4), 2000, 0).astype(np.int32)
@@ -111,7 +110,7 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
     """Lay out :func:`format_float` of each entry of the float64 vector
     ``x`` in the rows of ``cells``, the terminator column left blank.
 
-    The fast path takes every finite |x| in [1e-280, 10): with
+    The fast path takes every x in [1e-280, 10): with
     k = floor(log10 |x|), its 15 significant digits are the integer
     n = round(|x| * 10**(14 - k)), the product formed as a double-double
     to about 1e-30 relative (Dekker's exact TwoProduct with the table's
@@ -123,9 +122,8 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
     of a half, ties included), whose log10 gave the wrong k, or that lies
     outside that range (NaN and the infinities among them) is laid out
     from the text :func:`format_float` gives it."""
-    a = np.abs(x)
-    fast = (a >= 1e-280) & (a < 10)                 # False for NaN
-    a = np.where(fast, a, 1.0)
+    fast = (x >= 1e-280) & (x < 10)                 # False for NaN
+    a = np.where(fast, x, 1.0)
     q = (14 - np.floor(np.log10(a))).astype(np.intp)
     p = a * _POW10_HI.take(q)
     c = _SPLIT * a
@@ -156,7 +154,7 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
         strip *= groups[i] == 0
     words[:, 2] = _LEADS.take(groups[0] + strip + _LEAD_FORMS.take(e))
     wide = cells.view(np.uint64)
-    wide[:, 0] = _HEADS.take(e + 300 * (x < 0))
+    wide[:, 0] = _HEADS.take(e)
     wide[:, 4] = _EXPONENTS.take(e)
     slow = np.flatnonzero(~fast & (x != 0))
     if slow.size:       # over the head and digits: no such text is longer than 22
@@ -186,38 +184,35 @@ def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
     elif isinstance(obj, str):
         write(_quote(obj))
     elif isinstance(obj, dict):
-        _emit_members(list(obj.items()), write, level)
+        _emit_items("{}", [(_quote(str(k)) + ": ", v) for k, v in obj.items()], write, level)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # The members dataclasses.asdict would give, without its copies.
-        _emit_members([(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)],
-                      write, level)
+        _emit_items("{}", [(_quote(f.name) + ": ", getattr(obj, f.name))
+                           for f in dataclasses.fields(obj)], write, level)
     elif isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim and obj.size:
             _emit_floats(obj, write, level)
         else:
             _emit(obj.tolist(), write, level)   # a 0-d array gives its scalar
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        pad = "  " * (level + 1)
-        for i, value in enumerate(obj):
-            write(("[\n" if i == 0 else ",\n") + pad)
-            _emit(value, write, level + 1)
-        write("\n" + "  " * level + "]")
+        _emit_items("[]", [("", value) for value in obj], write, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_members(pairs: list[tuple[Any, Any]], write: Callable[[str], Any], level: int) -> None:
-    if not pairs:
-        write("{}")
+def _emit_items(brackets: str, items: list, write: Callable[[str], Any], level: int) -> None:
+    """Write the (prefix, value) ``items`` in ``brackets``, "{}" or "[]", nested
+    ``level`` deep; a member's prefix is its quoted key and ": ", an entry's ""."""
+    if not items:
+        write(brackets)
         return
-    pad = "  " * (level + 1)
-    for i, (key, value) in enumerate(pairs):
-        write(("{\n" if i == 0 else ",\n") + pad + _quote(str(key)) + ": ")
+    pad = "\n" + "  " * (level + 1)
+    gap = brackets[0] + pad
+    for prefix, value in items:
+        write(gap + prefix)
         _emit(value, write, level + 1)
-    write("\n" + "  " * level + "}")
+        gap = "," + pad
+    write("\n" + "  " * level + brackets[1])
 
 
 def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> None:
@@ -231,14 +226,17 @@ def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> No
     becomes the separator of its depth, one ``bytes.replace`` per depth:
     the brackets that close and open d axes, and last the ",\\n" and
     indentation between two entries of the innermost axis, which most
-    entries end in."""
+    entries end in.  The brackets and separators are cut from the text
+    the list loop gives a placeholder list (:func:`_layout`)."""
     ndim = arr.ndim
     flat = arr.reshape(-1)
     blocks = np.cumprod(arr.shape[:0:-1]).tolist()  # an entry ends d axes every blocks[d - 1]
-    replaces = [(bytes([_TERMINATOR + d]),
-                 _layout((2,) + (1,) * d, level + ndim - 1 - d).split("%s")[1].encode())
+    # depth d's separator lies between the entries of a (2, 1, ..., 1) array of
+    # d + 1 axes; at d = ndim - 1 that array opens and closes as the whole one
+    layouts = [_layout((2,) + (1,) * d, level + ndim - 1 - d) for d in range(ndim)]
+    replaces = [(bytes([_TERMINATOR + d]), layouts[d][1].encode())
                 for d in reversed(range(ndim))]     # the common d = 0 last
-    opener, closer = _layout((1,) * ndim, level).split("%s")
+    opener, _, closer = layouts[-1]
     cells = np.full((min(flat.size, _CHUNK), _WIDTH), _BLANK, dtype=np.uint8)
     write(opener)
     for start in range(0, flat.size, _CHUNK):
@@ -258,14 +256,12 @@ def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> No
     write(closer)
 
 
-def _layout(shape: tuple[int, ...], level: int) -> str:
-    """The text of a non-empty array of ``shape`` nested ``level`` deep,
-    with ``%s`` in place of each entry."""
-    if not shape:
-        return "%s"
-    pad = "\n" + "  " * (level + 1)
-    inner = _layout(shape[1:], level + 1)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+def _layout(shape: tuple[int, ...], level: int) -> list[str]:
+    """The text :func:`_emit` gives a non-empty array of ``shape`` nested
+    ``level`` deep, split at its entries."""
+    pieces: list[str] = []
+    _emit(np.full(shape, None).tolist(), pieces.append, level)
+    return "".join(pieces).split("null")
 
 
 def config_hash(config: dict) -> str:
@@ -335,6 +331,8 @@ def parse_grid(text: str) -> list[float]:
             raise DomainError(f"grid {text!r}: {exc}") from exc
         if not 1 <= count <= MAX_GRID_POINTS:
             raise DomainError(f"grid {text!r}: count must lie in [1, {MAX_GRID_POINTS}]")
+        if not math.isfinite(stop - start):     # an end that is not finite, or too far apart
+            raise DomainError(f"grid {text!r}: stop - start must be finite")
         return [float(x) for x in np.linspace(start, stop, count)]
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]

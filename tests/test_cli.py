@@ -615,6 +615,10 @@ class TestExitCodes:
          {"system": {**TWO_QUBIT_SYSTEM, "unitary": encode_complex_matrix(np.eye(2, 3))}}),
         (("run", "--config", "config.json"),
          {"system": {**TWO_QUBIT_SYSTEM, "rho_ab": encode_complex_matrix(np.eye(2, 3) / 2)}}),
+        # grids whose ends are not finite, or too far apart to step between
+        (("sweep", "--scenario", "werner", "--p", "0:inf:3"), None),
+        (("sweep", "--scenario", "werner", "--p", "1e308:-1e308:3"), None),
+        (("sweep", "--config", "config.json"), {"scenario": "werner", "p": "-inf:0:2"}),
     ])
     def test_config_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -902,6 +906,9 @@ class TestReportIO:
             reportio.MAX_GRID_POINTS
         with pytest.raises(DomainError):
             reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS + 1}")
+        for text in ("0:inf:3", "1e308:-1e308:3", "-inf:0:2", "0:nan:2"):
+            with pytest.raises(DomainError, match="stop - start must be finite"):
+                reportio.parse_grid(text)
 
     @given(arr=EMITTED_ARRAYS, nesting=NESTINGS)
     @example(arr=np.zeros((2, 0, 3)), nesting=[])
@@ -911,6 +918,10 @@ class TestReportIO:
     @example(arr=np.array([[1.5, -0.0], [math.inf, 3e-45]], dtype=np.float32), nesting=[])
     @example(arr=np.array([[-0.0, 5e-324], [1e-5, 1e15]]), nesting=[])
     @example(arr=np.array([[[1.0, -2.5], [math.nan, 0.0]]] * 3), nesting=["list", "dict"])
+    # the extremes of the derived layout: eight axes three wrappers deep,
+    # and one axis at the top level
+    @example(arr=np.arange(256.0).reshape((2,) * 8) / 255, nesting=["list", "dict", "list"])
+    @example(arr=np.array([0.25, 1e-7, 3.0]), nesting=[])
     @settings(max_examples=200, deadline=None)
     def test_array_emits_like_its_list(self, arr, nesting):
         assert_emits_like_its_list(arr, nesting)
@@ -1060,7 +1071,7 @@ FUZZ_CONFIGS = st.one_of(
 FUZZ_FLAG_VALUES = {
     "--scenario": ["werner", "counterexample", "random", "bogus"],
     "--p": ["0.5", "1", "0:1:3", "0.1,0.9", "1:0:0", "0:1:-2", "0:1", "0:1:2.5", "x", "",
-            "nan", "1e400", "0:1:1000000000000000"],
+            "nan", "1e400", "0:1:1000000000000000", "0:inf:3"],
     "--beta": ["1", "0.5", "0", "-1", "nan", "inf", "1e308", "1e-310", "x"],
     "--seed": ["0", "7", "-1", "x", str(2**70)],
     "--dims": ["2,2,2", "1,1,2", "1,2,3", "3,3,3", "0,2,2", "2,2", "x", "100000,100000,1"],
