@@ -142,6 +142,12 @@ GOLDEN = {
     "emit-counterexample": (
         ("run", "--scenario", "counterexample", "--p", "0.5", "--emit-tuples"),
         "4203792e623a339aba486eded9935f2c0567025e28eefff337a6bd6ca77037a1"),
+    # the check lines of verify, rounding-noise residuals included
+    "verify-werner-p0.37": (("verify", "--scenario", "werner", "--p", "0.37"),
+                            "825d7d12e97918897f330f302843b577dce6b29afd0f18fb639ace8e73080932"),
+    "verify-counterexample": (
+        ("verify", "--scenario", "counterexample", "--p", "0.5"),
+        "cbc48de33d5debe80ef6012875555fa6467a4a535a9b3ef9b1e9011f587aa3b4"),
 }
 
 
