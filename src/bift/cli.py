@@ -359,13 +359,17 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
 
 
 @contextmanager
-def output(out: str | None) -> Iterator[Callable[[str], object]]:
-    """The ``write`` of the file ``out``, or of stdout when it is None.
-    A destination that cannot be opened or written to the end (a full
-    disk, a closed pipe) is a usage error."""
+def output(out: str | None) -> Iterator[Callable[[bytes], object]]:
+    """The ``write`` of the file ``out``, or of stdout when it is None, in
+    binary mode: it takes the report's ASCII bytes, which reach the
+    destination with no newline translation.  Stdout's text layer is
+    flushed first.  A destination that cannot be opened or written to
+    the end (a full disk, a closed pipe) is a usage error."""
     where = "stdout" if out is None else f"out {out}"
     try:
-        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+        if out is None:
+            sys.stdout.flush()
+        with nullcontext(sys.stdout.buffer) if out is None else open(out, "wb") as fh:
             yield fh.write
             fh.flush()
     except OSError as exc:
@@ -396,7 +400,7 @@ def cmd_verify(args, cfg: dict, tol: Tolerances, p: float | None) -> int:
     lines.append(f"{'PASS' if ok else 'FAIL'} overall: "
                  f"{sum(c.passed for c in checks)}/{len(checks)} checks")
     with output(args.out) as write:
-        write("\n".join(lines) + "\n")
+        write(("\n".join(lines) + "\n").encode("ascii"))
     return 0 if ok else 1
 
 
@@ -412,7 +416,7 @@ def cmd_sweep(args, cfg: dict, tol: Tolerances, points: list[float]) -> int:
                rep.bound("heat_bound_reverse_info").slack)
         lines.append(",".join(reportio.format_float(x) for x in row))
     with output(args.out) as write:
-        write("\n".join(lines) + "\n")
+        write(("\n".join(lines) + "\n").encode("ascii"))
     return 0 if all_ok else 1
 
 

@@ -6,23 +6,26 @@ emitted by a small fixed-format serializer (keys in insertion order,
 floats printed with 15 significant digits, infinities as +/-Infinity
 tokens) so that re-running the same config reproduces the report byte
 for byte; only the config hash sorts keys.  :func:`dump` writes a report
-piece by piece to a ``write`` callable.  Objects, frozen records, lists
-and tuples go through one loop, the only code that writes brackets,
-separators and indentation.  Every non-empty float64 array goes through
-one writer, in the layout that loop gives a placeholder list and in the
-bytes of its nested list, a chunk per piece.  It lays out each chunk in a
-``uint8`` cell matrix, one row of cells per entry, each field a whole
-word from a lookup table (``uint32`` for the 3-digit groups of the 15
-significant digits, ``uint64`` for the head and the exponent), and ends
-each row with a one-byte terminator for the axes the entry ends.  One
-``bytes.translate`` drops the blank cells and one ``bytes.replace`` per
-depth turns the terminators into the layout's separators and brackets,
-so no Python string is made per entry.  The
-digits are computed for +/-0 and every x in [1e-280, 10), which holds
-every nonzero entry of a probability table; each other entry, and each
-whose rounding the pass cannot decide, is laid out from
-:func:`format_float`, so every float prints as ``%.15g`` prints it.  Any
-other array is written as its ``tolist()``.
+to a ``write`` callable as ASCII ``bytes``, piece by piece: the keys,
+scalars and brackets between two float arrays are gathered and encoded
+as one piece, and each chunk of a float array is a piece of its own.
+Objects, frozen records, lists and tuples go through one loop, the only
+code that writes brackets, separators and indentation.  Every non-empty
+float64 array goes through one writer, in the layout that loop gives a
+placeholder list and in the bytes of its nested list.  It lays out each
+chunk in a ``uint8`` cell matrix, one row of cells per entry, each field
+a whole word from a lookup table (``uint32`` for the 3-digit groups of
+the 15 significant digits, ``uint64`` for the head and the exponent),
+and ends each row with a one-byte terminator for the axes the entry
+ends.  One ``bytes.translate`` drops the blank cells and one
+``bytes.replace`` per depth turns the terminators into the layout's
+separators and brackets, so no Python string is made per entry, and the
+result is written as it is, with no decode.  The digits are computed for
++/-0 and every x in [1e-280, 10), which holds every nonzero entry of a
+probability table; each other entry, and each whose rounding the pass
+cannot decide, is laid out from :func:`format_float`, so every float
+prints as ``%.15g`` prints it.  Any other array is written as its
+``tolist()``.
 """
 
 from __future__ import annotations
@@ -162,63 +165,72 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
         cells[slow, :32] = np.frombuffer(texts.encode(), dtype=np.uint8).reshape(-1, 32)
 
 
-def dump(obj: Any, write: Callable[[str], Any]) -> None:
+def dump(obj: Any, write: Callable[[bytes], Any]) -> None:
     """Write the deterministic JSON text of the report document to
-    ``write`` in order, piece by piece; no piece holds more than _CHUNK
-    entries of a float array."""
-    _emit(obj, write, 0)
-    write("\n")
+    ``write`` in order, as ASCII ``bytes`` piece by piece: the text
+    before, between and after the float arrays one piece each, and each
+    chunk of at most _CHUNK entries of a float array its own piece."""
+    text: list[str] = []
+    _emit(obj, text, write, 0)
+    text.append("\n")
+    write("".join(text).encode("ascii"))
 
 
-def _emit(obj: Any, write: Callable[[str], Any], level: int) -> None:
+def _emit(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) -> None:
+    """Append the text of ``obj`` nested ``level`` deep to ``text``; a float
+    array writes ``text`` and then its chunks to ``write`` and clears it."""
     if obj is None:
-        write("null")
+        text.append("null")
     elif obj is True:
-        write("true")
+        text.append("true")
     elif obj is False:
-        write("false")
+        text.append("false")
     elif isinstance(obj, (int, np.integer)):
-        write(str(int(obj)))
+        text.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        write(format_float(float(obj)))
+        text.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        write(_quote(obj))
+        text.append(_quote(obj))
     elif isinstance(obj, dict):
-        _emit_items("{}", [(_quote(str(k)) + ": ", v) for k, v in obj.items()], write, level)
+        _emit_items("{}", [(_quote(str(k)) + ": ", v) for k, v in obj.items()],
+                    text, write, level)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # The members dataclasses.asdict would give, without its copies.
         _emit_items("{}", [(_quote(f.name) + ": ", getattr(obj, f.name))
-                           for f in dataclasses.fields(obj)], write, level)
+                           for f in dataclasses.fields(obj)], text, write, level)
     elif isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim and obj.size:
-            _emit_floats(obj, write, level)
+            _emit_floats(obj, text, write, level)
         else:
-            _emit(obj.tolist(), write, level)   # a 0-d array gives its scalar
+            _emit(obj.tolist(), text, write, level)   # a 0-d array gives its scalar
     elif isinstance(obj, (list, tuple)):
-        _emit_items("[]", [("", value) for value in obj], write, level)
+        _emit_items("[]", [("", value) for value in obj], text, write, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_items(brackets: str, items: list, write: Callable[[str], Any], level: int) -> None:
-    """Write the (prefix, value) ``items`` in ``brackets``, "{}" or "[]", nested
+def _emit_items(brackets: str, items: list, text: list[str],
+                write: Callable[[bytes], Any], level: int) -> None:
+    """Append the (prefix, value) ``items`` in ``brackets``, "{}" or "[]", nested
     ``level`` deep; a member's prefix is its quoted key and ": ", an entry's ""."""
     if not items:
-        write(brackets)
+        text.append(brackets)
         return
     pad = "\n" + "  " * (level + 1)
     gap = brackets[0] + pad
     for prefix, value in items:
-        write(gap + prefix)
-        _emit(value, write, level + 1)
+        text.append(gap + prefix)
+        _emit(value, text, write, level + 1)
         gap = "," + pad
-    write("\n" + "  " * level + brackets[1])
+    text.append("\n" + "  " * level + brackets[1])
 
 
-def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> None:
-    """Write the non-empty float64 array ``arr`` nested ``level`` deep, in
-    the bytes :func:`_emit` gives its ``tolist()``, one chunk of _CHUNK
-    entries per piece.
+def _emit_floats(arr: np.ndarray, text: list[str], write: Callable[[bytes], Any],
+                 level: int) -> None:
+    """Write ``text`` and its opening bracket, then the non-empty float64
+    array ``arr`` nested ``level`` deep, in the bytes :func:`_emit` gives
+    its ``tolist()``, one chunk of _CHUNK entries per piece; leave its
+    closing bracket in ``text``.
 
     Each chunk is laid out in cells (:func:`_format_cells`), each entry
     followed by a one-byte terminator for the depth d of the axes it ends,
@@ -238,7 +250,9 @@ def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> No
                 for d in reversed(range(ndim))]     # the common d = 0 last
     opener, _, closer = layouts[-1]
     cells = np.full((min(flat.size, _CHUNK), _WIDTH), _BLANK, dtype=np.uint8)
-    write(opener)
+    text.append(opener)
+    write("".join(text).encode("ascii"))
+    text.clear()
     for start in range(0, flat.size, _CHUNK):
         x = flat[start:start + _CHUNK]
         chunk = cells[:len(x)]
@@ -249,19 +263,19 @@ def _emit_floats(arr: np.ndarray, write: Callable[[str], Any], level: int) -> No
             ends[(block - 1 - start) % block::block] = _TERMINATOR + d
         if start + len(x) == flat.size:
             ends[-1] = _BLANK
-        text = chunk.tobytes().translate(None, b" ")
+        data = chunk.tobytes().translate(None, b" ")
         for mark, gap in replaces:
-            text = text.replace(mark, gap)
-        write(text.decode("ascii"))
-    write(closer)
+            data = data.replace(mark, gap)
+        write(data)
+    text.append(closer)
 
 
 def _layout(shape: tuple[int, ...], level: int) -> list[str]:
     """The text :func:`_emit` gives a non-empty array of ``shape`` nested
     ``level`` deep, split at its entries."""
-    pieces: list[str] = []
-    _emit(np.full(shape, None).tolist(), pieces.append, level)
-    return "".join(pieces).split("null")
+    text: list[str] = []
+    _emit(np.full(shape, None).tolist(), text, None, level)     # no array: nothing written
+    return "".join(text).split("null")
 
 
 def config_hash(config: dict) -> str:

@@ -147,10 +147,11 @@ def encode_complex_matrix(matrix: np.ndarray) -> list:
 
 
 def report_text(obj) -> str:
-    """The pieces ``reportio.dump`` writes for ``obj``, joined."""
-    pieces: list[str] = []
+    """The bytes ``reportio.dump`` writes for ``obj``, joined and decoded
+    as ASCII."""
+    pieces: list[bytes] = []
     reportio.dump(obj, pieces.append)
-    return "".join(pieces)
+    return b"".join(pieces).decode("ascii")
 
 
 def evaluate_scenario(scenario, **kwargs):

@@ -161,6 +161,26 @@ def test_golden_bytes(tmp_path, monkeypatch, case):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--scenario", "werner", "--p", "0.37"),
+    ("run", "--scenario", "random", "--dims", "2,3,2", "--seed", "7", "--emit-tuples"),
+    ("verify", "--scenario", "werner", "--p", "0.37"),
+    ("sweep", "--scenario", "werner", "--p", "0:1:3"),
+], ids=["run", "run-emit-tuples", "verify", "sweep"])
+def test_stdout_holds_the_out_bytes(tmp_path, argv):
+    # the console route writes to stdout the bytes it writes to --out
+    src = Path(bift.cli.__file__).resolve().parents[1]
+    cmd = [sys.executable, "-m", "bift.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "out"
+    to_file = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True,
+                             timeout=120)
+    to_stdout = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+    assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+    assert to_file.stdout == b"" and to_stdout.stdout
+    assert to_stdout.stdout == out.read_bytes()
+
+
 # Reports whose bytes carry rounding noise: a detailed residual of order
 # 1e-16 and the trajectory attaining it.  The stored documents
 # (tests/golden/) are the seed implementation's output; every other
@@ -949,7 +969,16 @@ class TestReportIO:
         pieces = []
         reportio.dump(doc, pieces.append)
         plain = {**doc, "t": doc["t"].tolist(), "r": dataclasses.asdict(doc["r"])}
-        assert "".join(pieces) == report_text(plain)
+        assert b"".join(pieces).decode("ascii") == report_text(plain)
+
+    def test_writer_pieces_are_ascii_bytes(self):
+        # a document with no float array arrives as one piece; every piece,
+        # the emitted tables' chunks among them, is ASCII bytes
+        report, emitted = [], []
+        reportio.dump(WERNER_REPORT, report.append)
+        reportio.dump(emit_tuples_document([2, 3, 2], 7), emitted.append)
+        assert len(report) == 1 and len(emitted) > 1
+        assert all(type(piece) is bytes and piece.isascii() for piece in report + emitted)
 
     def test_emitted_table_streams_one_chunk_per_piece(self):
         # a table longer than many chunks: no piece holds more than _CHUNK
@@ -958,9 +987,9 @@ class TestReportIO:
         pieces = []
         with mock.patch.object(reportio, "_CHUNK", 1000):
             reportio.dump(table, pieces.append)
-        counts = [len(re.findall(r"[0-9][0-9.e+-]*", piece)) for piece in pieces]
+        counts = [len(re.findall(rb"[0-9][0-9.e+-]*", piece)) for piece in pieces]
         assert max(counts) == 1000 and sum(counts) == table.size
-        assert "".join(pieces) == report_text(table.tolist())
+        assert b"".join(pieces).decode("ascii") == report_text(table.tolist())
 
     @pytest.mark.parametrize("dims, seed, rank_deficient",
                              [([3, 3, 4], 1, False), ([2, 3, 2], 7, False), ([3, 3, 4], 1, True),
