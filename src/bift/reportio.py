@@ -31,6 +31,7 @@ prints as ``%.15g`` prints it.  Any other array is written as its
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -239,16 +240,10 @@ def _emit_floats(arr: np.ndarray, text: list[str], write: Callable[[bytes], Any]
     the brackets that close and open d axes, and last the ",\\n" and
     indentation between two entries of the innermost axis, which most
     entries end in.  The brackets and separators are cut from the text
-    the list loop gives a placeholder list (:func:`_layout`)."""
-    ndim = arr.ndim
+    the list loop gives a placeholder list (:func:`_separators`)."""
+    opener, replaces, closer = _separators(arr.ndim, level)
     flat = arr.reshape(-1)
     blocks = np.cumprod(arr.shape[:0:-1]).tolist()  # an entry ends d axes every blocks[d - 1]
-    # depth d's separator lies between the entries of a (2, 1, ..., 1) array of
-    # d + 1 axes; at d = ndim - 1 that array opens and closes as the whole one
-    layouts = [_layout((2,) + (1,) * d, level + ndim - 1 - d) for d in range(ndim)]
-    replaces = [(bytes([_TERMINATOR + d]), layouts[d][1].encode())
-                for d in reversed(range(ndim))]     # the common d = 0 last
-    opener, _, closer = layouts[-1]
     cells = np.full((min(flat.size, _CHUNK), _WIDTH), _BLANK, dtype=np.uint8)
     text.append(opener)
     write("".join(text).encode("ascii"))
@@ -268,6 +263,19 @@ def _emit_floats(arr: np.ndarray, text: list[str], write: Callable[[bytes], Any]
             data = data.replace(mark, gap)
         write(data)
     text.append(closer)
+
+
+@functools.cache
+def _separators(ndim: int, level: int) -> tuple[str, tuple[tuple[bytes, bytes], ...], str]:
+    """The opener, the (terminator, separator) pairs in the order
+    :func:`_emit_floats` replaces them, and the closer of a float array of
+    ``ndim`` axes nested ``level`` deep; each (ndim, level) is laid out once."""
+    # depth d's separator lies between the entries of a (2, 1, ..., 1) array of
+    # d + 1 axes; at d = ndim - 1 that array opens and closes as the whole one
+    layouts = [_layout((2,) + (1,) * d, level + ndim - 1 - d) for d in range(ndim)]
+    replaces = tuple((bytes([_TERMINATOR + d]), layouts[d][1].encode("ascii"))
+                     for d in reversed(range(ndim)))    # the common d = 0 last
+    return layouts[-1][0], replaces, layouts[-1][2]
 
 
 def _layout(shape: tuple[int, ...], level: int) -> list[str]:
