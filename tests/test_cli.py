@@ -848,6 +848,22 @@ def notation_switch() -> np.ndarray:
         10.0 ** np.random.default_rng(23).uniform(-6, -3, 20000)])
 
 
+def short_decimals() -> np.ndarray:
+    """Decimals of 1 to 15 significant digits, the last one nonzero, in
+    every decade of [1e-8, 10) and at exponents of magnitude 100 and
+    above, with their negatives: 0 to 14 trailing zeros of the 15 digits,
+    so 0 to 4 whole 000 groups, in every printed form."""
+    rng = np.random.default_rng(31)
+    texts = []
+    for digits in range(1, 16):
+        for decade in [*range(-8, 1), -280, -200, -123, -100, 100, 200, 300]:
+            for m in rng.integers(10 ** (digits - 1), 10 ** digits, 20).tolist():
+                m += m % 10 == 0        # the last digit nonzero
+                texts.append(f"{m}e{decade - digits + 1}")
+    values = np.array([float(t) for t in texts])
+    return np.concatenate([values, -values])
+
+
 def special_values() -> np.ndarray:
     rng = np.random.default_rng(29)
     tiny = rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)   # subnormals
@@ -868,6 +884,7 @@ FLOAT_BATCHES = {
     "integers-near-1e15": integers_near_1e15,
     "15-digit-ties": fifteen_digit_ties,
     "notation-switch": notation_switch,
+    "short-decimals": short_decimals,
     "special-values": special_values,
 }
 
