@@ -364,8 +364,11 @@ def output(out: str | None) -> Iterator[Callable[[bytes], object]]:
     binary mode: it takes the report's ASCII bytes, which reach the
     destination with no newline translation.  Stdout's text layer is
     flushed first.  A destination that cannot be opened or written to
-    the end (a full disk, a closed pipe) is a usage error."""
+    the end (a full disk, a closed pipe), and a stdout with no binary
+    buffer under it (an ``io.StringIO``), is a usage error."""
     where = "stdout" if out is None else f"out {out}"
+    if out is None and not hasattr(sys.stdout, "buffer"):
+        raise DomainError(f"{where}: a text-only stream, which cannot take the report's bytes")
     try:
         if out is None:
             sys.stdout.flush()

@@ -13,11 +13,13 @@ Objects, frozen records, lists and tuples go through one loop, the only
 code that writes brackets, separators and indentation.  Every non-empty
 float64 array goes through one writer, in the layout that loop gives a
 placeholder list and in the bytes of its nested list.  It lays out each
-chunk in a ``uint8`` cell matrix, one row of cells per entry, each field
-a whole word from a lookup table (``uint32`` for the 3-digit groups of
-the 15 significant digits, ``uint64`` for the head and the exponent),
-and ends each row with a one-byte terminator for the axes the entry
-ends.  One ``bytes.translate`` drops the blank cells and one
+chunk in a ``uint8`` cell matrix, one 32-byte row of cells per entry,
+each field a whole word from a lookup table (``uint32`` for the head and
+for the 3-digit groups of the 15 significant digits, ``uint64`` for the
+exponent), and ends each row with a one-byte terminator for the axes the
+entry ends.  Trailing zeros are stripped from every row's last group,
+and from the groups before it only in the rows whose last group is 000.
+One ``bytes.translate`` drops the blank cells and one
 ``bytes.replace`` per depth turns the terminators into the layout's
 separators and brackets, so no Python string is made per entry, and the
 result is written as it is, with no decode.  The digits are computed for
@@ -73,12 +75,12 @@ def _pow10_table(count: int) -> tuple[np.ndarray, ...]:
 _POW10_HI, _POW10_LO, _POW10_HH, _POW10_HL = _pow10_table(300)
 
 # Each entry is laid out in a row of _WIDTH byte cells, blank where its
-# text has no character, one word from a table per field: bytes 0-7 hold
-# the head (the "0." and zeros of the form 0.000ddd), 8-27
-# the 15 significant digits in five 3-digit groups, 32-38 the exponent of
-# the form d.ddde-XX, and 39 the terminator that stands for the separator
+# text has no character, one word from a table per field: bytes 0-3 hold
+# the head (the "0." and up to two zeros of the form 0.0ddd), 4-23 the 15
+# significant digits in five 3-digit groups, 24-30 the exponent of the
+# form d.ddde-XX, and 31 the terminator that stands for the separator
 # after the entry.
-_WIDTH = 40
+_WIDTH = 32
 _CHUNK = 8192           # entries laid out per pass, which bounds the temporaries
 _BLANK = ord(" ")
 _TERMINATOR = 0x80      # + d: the entry ends its d innermost axes; no text holds it
@@ -93,21 +95,25 @@ def _table(texts: list[str], width: int) -> np.ndarray:
 # at 1000 + g the same without trailing zeros (all blank for 000).  In
 # _LEADS, for the group that holds the first digit: "d.dd" at g, stripped
 # at 1000 + g ("d.00" loses its point too), then _GROUPS again from 2000
-# for the form 0.000ddd, whose head holds the point.
+# for the forms 0.ddd to 0.00ddd, whose head holds the point, then "0ddd"
+# and stripped from 4000 for the form 0.000ddd, whose head holds "0.00".
 _DIGITS = [f"{g:03d}" for g in range(1000)]
 _GROUPS = _table(_DIGITS + [t.rstrip("0") for t in _DIGITS], 4)
 _LEADS = np.concatenate([
     _table([t[0] + "." + t[1:] for t in _DIGITS]
            + [(t[0] + "." + t[1:].rstrip("0")).rstrip(".") for t in _DIGITS], 4),
-    _GROUPS])
-# The uint64 words of the head and of the exponent for each magnitude
-# e < 300 of a non-positive exponent k = -e.  For 1 <= e <= 4 the head
-# holds "0." and e - 1 zeros and no exponent is printed; otherwise the head
-# is blank, and "e-XX" is printed from e = 5.
-_HEADS = _table(["0.000"[:e + 1] if 1 <= e <= 4 else "" for e in range(300)], 8)
+    _GROUPS,
+    _table(["0" + t for t in _DIGITS] + ["0" + t.rstrip("0") for t in _DIGITS], 4)])
+# The words of the head (uint32) and of the exponent (uint64) for each
+# magnitude e < 300 of a non-positive exponent k = -e.  For 1 <= e <= 4
+# the head holds "0." and up to three zeros (the lead form holds a fourth)
+# and no exponent is printed; otherwise the head is blank, and "e-XX" is
+# printed from e = 5.
+_HEADS = _table(["0.00"[:e + 1] if 1 <= e <= 4 else "" for e in range(300)], 4)
 _EXPONENTS = _table([f"e-{e:02d}" if e >= 5 else "" for e in range(300)], 8)
-# Where in _LEADS the words of magnitude e's form start: 2000 for 0.000ddd.
-_LEAD_FORMS = np.where((1 <= np.arange(300)) & (np.arange(300) <= 4), 2000, 0).astype(np.int32)
+# Where in _LEADS the words of magnitude e's form start.
+_LEAD_FORMS = np.array([2000 if 1 <= e <= 3 else 4000 if e == 4 else 0 for e in range(300)],
+                       dtype=np.int32)
 
 
 def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
@@ -121,22 +127,36 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
     split 10**q, plus |x| times the table's low part).  Its five 3-digit
     groups each pick a word of _GROUPS or _LEADS: the last group that is
     not 000, and every group after it, the word without trailing zeros,
-    as ``%.15g`` drops them.  +/-0 takes the same path as n = 0 and k = 0,
+    as ``%.15g`` drops them.  Every row takes the last group stripped and
+    the others full; only the rows whose last group is 000 (about 1 in
+    1000 probabilities, and the zeros) go through the strip loop over the
+    groups before it.  +/-0 takes the same path as n = 0 and k = 0,
     which print "0".  An entry whose rounding is not decided (within 1e-6
     of a half, ties included), whose log10 gave the wrong k, or that lies
     outside that range (NaN and the infinities among them) is laid out
     from the text :func:`format_float` gives it."""
     fast = (x >= 1e-280) & (x < 10)                 # False for NaN
     a = np.where(fast, x, 1.0)
-    q = (14 - np.floor(np.log10(a))).astype(np.intp)
-    p = a * _POW10_HI.take(q)
-    c = _SPLIT * a
-    ah = c - (c - a)
+    t = np.log10(a)
+    np.floor(t, out=t)
+    np.subtract(14, t, out=t)
+    q = t.astype(np.intp)
+    p = _POW10_HI.take(q)
+    p *= a
+    ah = _SPLIT * a                                 # c, then c - (c - a)
+    ah -= np.subtract(ah, a, out=t)
     al = a - ah
     hh, hl = _POW10_HH.take(q), _POW10_HL.take(q)
-    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * _POW10_LO.take(q)
-    whole = np.floor(p)
-    frac = (p - whole) + err                        # |x| * 10**q = whole + frac
+    # err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * lo
+    np.subtract(p, np.multiply(ah, hh, out=t), out=t)
+    t -= np.multiply(al, hh, out=hh)
+    t -= np.multiply(ah, hl, out=ah)
+    err = np.multiply(al, hl, out=hl)
+    err -= t
+    err += np.multiply(a, _POW10_LO.take(q, out=al), out=al)
+    whole = np.floor(p, out=t)
+    frac = np.subtract(p, whole, out=p)
+    frac += err                                     # |x| * 10**q = whole + frac
     # n has 15 digits and its rounding is decided; below 1e14, log10 gave
     # k one too high (a product under 1e14 by less than a rounding still
     # rounds to 1e14 at k, as 10 times it would at k - 1)
@@ -152,18 +172,25 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
     for i in (1, 3, 4):     # % 1000, which numpy computes at 3 times the cost
         groups[i] -= 1000 * (groups[i] // 1000)
     words = cells.view(np.uint32)
-    strip = np.full(len(x), 1000, dtype=np.int32)   # 1000 while every later digit is 0
-    for i in (4, 3, 2, 1):
-        words[:, 2 + i] = _GROUPS.take(groups[i] + strip)
-        strip *= groups[i] == 0
-    words[:, 2] = _LEADS.take(groups[0] + strip + _LEAD_FORMS.take(e))
-    wide = cells.view(np.uint64)
-    wide[:, 0] = _HEADS.take(e)
-    wide[:, 4] = _EXPONENTS.take(e)
+    forms = _LEAD_FORMS.take(e)
+    words[:, 1] = _LEADS.take(groups[0] + forms)
+    for i in (1, 2, 3):
+        words[:, 1 + i] = _GROUPS.take(groups[i])
+    words[:, 5] = _GROUPS.take(groups[4] + 1000)
+    rows = np.flatnonzero(groups[4] == 0)
+    if rows.size:
+        strip = np.full(rows.size, 1000, dtype=np.int32)    # 1000 while every later digit is 0
+        for i in (3, 2, 1):
+            g = groups[i].take(rows)
+            words[rows, 1 + i] = _GROUPS.take(g + strip)
+            strip *= g == 0
+        words[rows, 1] = _LEADS.take(groups[0].take(rows) + strip + forms.take(rows))
+    words[:, 0] = _HEADS.take(e)
+    cells.view(np.uint64)[:, 3] = _EXPONENTS.take(e)
     slow = np.flatnonzero(~fast & (x != 0))
-    if slow.size:       # over the head and digits: no such text is longer than 22
-        texts = "".join([format_float(v).ljust(32) for v in x[slow].tolist()])
-        cells[slow, :32] = np.frombuffer(texts.encode(), dtype=np.uint8).reshape(-1, 32)
+    if slow.size:       # over all but the terminator: no such text is longer than 22
+        texts = "".join([format_float(v).ljust(_WIDTH - 1) for v in x[slow].tolist()])
+        cells[slow, :-1] = np.frombuffer(texts.encode(), dtype=np.uint8).reshape(-1, _WIDTH - 1)
 
 
 def dump(obj: Any, write: Callable[[bytes], Any]) -> None:
@@ -233,14 +260,15 @@ def _emit_floats(arr: np.ndarray, text: list[str], write: Callable[[bytes], Any]
     its ``tolist()``, one chunk of _CHUNK entries per piece; leave its
     closing bracket in ``text``.
 
-    Each chunk is laid out in cells (:func:`_format_cells`), each entry
-    followed by a one-byte terminator for the depth d of the axes it ends,
-    and one ``bytes.translate`` drops the blanks.  Every terminator then
-    becomes the separator of its depth, one ``bytes.replace`` per depth:
-    the brackets that close and open d axes, and last the ",\\n" and
-    indentation between two entries of the innermost axis, which most
-    entries end in.  The brackets and separators are cut from the text
-    the list loop gives a placeholder list (:func:`_separators`)."""
+    Each chunk is laid out in cells (:func:`_format_cells`), one 32-byte
+    row per entry, whose last byte is a terminator for the depth d of the
+    axes the entry ends, and one ``bytes.translate`` drops the blanks.
+    Every terminator then becomes the separator of its depth, one
+    ``bytes.replace`` per depth: the brackets that close and open d axes,
+    and last the ",\\n" and indentation between two entries of the
+    innermost axis, which most entries end in.  The brackets and
+    separators are cut from the text the list loop gives a placeholder
+    list (:func:`_separators`)."""
     opener, replaces, closer = _separators(arr.ndim, level)
     flat = arr.reshape(-1)
     blocks = np.cumprod(arr.shape[:0:-1]).tolist()  # an entry ends d axes every blocks[d - 1]

@@ -791,6 +791,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--scenario", "werner", "--p", "0.5"),
+        ("run", "--scenario", "werner", "--p", "0.5"),
+        ("sweep", "--scenario", "werner", "--p", "0:1:3"),
+    ], ids=["verify", "run", "sweep"])
+    def test_text_only_stdout_exits_2(self, capsys, argv):
+        # a stdout with no binary buffer under it takes no report
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(list(argv)) == 2
+        assert text.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: stdout: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--scenario", "werner", "--p", "0.5"),
         ("sweep", "--scenario", "werner", "--p", "0:1:3"),
     ])
     def test_emit_tuples_only_on_run(self, capsys, argv):

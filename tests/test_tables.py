@@ -171,6 +171,18 @@ class TestForwardTable:
         assert np.all(fwd >= 0.0)
         assert np.all(rev >= 0.0)
 
+    @pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 4)])
+    def test_dense_is_c_contiguous_broadcast_product(self, dims):
+        # the report writer reads the table flat, with no copy; its
+        # entries are the bits of the broadcast product
+        joint = factored_joint(spectra_from_unitary(random_instance(*dims, seed=3)))
+        for table in (joint.forward, joint.reverse):
+            dense = joint.dense(table)
+            assert dense.flags.c_contiguous
+            assert np.array_equal(dense, table[:, None, None, :, None, None, :, :]
+                                  * joint.initial.cond[:, :, :, None, None, None, None, None]
+                                  * joint.final.cond[None, None, None, :, :, :, None, None])
+
 
 class TestReverseTable:
     def test_matches_loop_oracle(self):
