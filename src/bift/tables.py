@@ -303,10 +303,11 @@ class FactoredJoint:
 
             p[m,a,b,m',a',b',r,r'] = table[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
         """
-        # C order, so a writer that reads it flat needs no copy
-        return np.multiply(table[:, None, None, :, None, None, :, :]
-                           * self.initial.cond[:, :, :, None, None, None, None, None],
-                           self.final.cond[None, None, None, :, :, :, None, None], order="C")
+        # a C-ordered global table makes the product C-ordered, so a
+        # writer that reads it flat needs no copy
+        return (np.ascontiguousarray(table)[:, None, None, :, None, None, :, :]
+                * self.initial.cond[:, :, :, None, None, None, None, None]
+                * self.final.cond[None, None, None, :, :, :, None, None])
 
     def expectation(self, table: np.ndarray, initial=1.0, final=1.0, pair=1.0) -> float:
         """Sum over the tuple space of the eight-index table built from
