@@ -76,7 +76,7 @@ _POW10_HI, _POW10_LO, _POW10_HH, _POW10_HL = _pow10_table(300)
 
 # Each entry is laid out in a row of _WIDTH byte cells, blank where its
 # text has no character, one word from a table per field: bytes 0-3 hold
-# the head (the "0." and up to two zeros of the form 0.0ddd), 4-23 the 15
+# the head (the "0." and up to two zeros of a value below 1), 4-23 the 15
 # significant digits in five 3-digit groups, 24-30 the exponent of the
 # form d.ddde-XX, and 31 the terminator that stands for the separator
 # after the entry.
@@ -106,9 +106,9 @@ _LEADS = np.concatenate([
     _table(["0" + t for t in _DIGITS] + ["0" + t.rstrip("0") for t in _DIGITS], 4)])
 # The words of the head (uint32) and of the exponent (uint64) for each
 # magnitude e < 300 of a non-positive exponent k = -e.  For 1 <= e <= 4
-# the head holds "0." and up to three zeros (the lead form holds a fourth)
-# and no exponent is printed; otherwise the head is blank, and "e-XX" is
-# printed from e = 5.
+# the head holds "0." and e - 1 zeros, at most two (at e = 4 the lead
+# form "0ddd" holds the third), and no exponent is printed; otherwise the
+# head is blank, and "e-XX" is printed from e = 5.
 _HEADS = _table(["0.00"[:e + 1] if 1 <= e <= 4 else "" for e in range(300)], 4)
 _EXPONENTS = _table([f"e-{e:02d}" if e >= 5 else "" for e in range(300)], 8)
 # Where in _LEADS the words of magnitude e's form start.
@@ -172,8 +172,8 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
     for i in (1, 3, 4):     # % 1000, which numpy computes at 3 times the cost
         groups[i] -= 1000 * (groups[i] // 1000)
     words = cells.view(np.uint32)
-    forms = _LEAD_FORMS.take(e)
-    words[:, 1] = _LEADS.take(groups[0] + forms)
+    lead = groups[0] + _LEAD_FORMS.take(e)          # the first group's full word in _LEADS
+    words[:, 1] = _LEADS.take(lead)
     for i in (1, 2, 3):
         words[:, 1 + i] = _GROUPS.take(groups[i])
     words[:, 5] = _GROUPS.take(groups[4] + 1000)
@@ -184,7 +184,7 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
             g = groups[i].take(rows)
             words[rows, 1 + i] = _GROUPS.take(g + strip)
             strip *= g == 0
-        words[rows, 1] = _LEADS.take(groups[0].take(rows) + strip + forms.take(rows))
+        words[rows, 1] = _LEADS.take(lead.take(rows) + strip)
     words[:, 0] = _HEADS.take(e)
     cells.view(np.uint64)[:, 3] = _EXPONENTS.take(e)
     slow = np.flatnonzero(~fast & (x != 0))
