@@ -147,7 +147,7 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
     ah -= np.subtract(ah, a, out=t)
     al = a - ah
     hh, hl = _POW10_HH.take(q), _POW10_HL.take(q)
-    # err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * lo
+    # in place, in this order: err = al * hl - (((p - ah * hh) - al * hh) - ah * hl) + a * lo
     np.subtract(p, np.multiply(ah, hh, out=t), out=t)
     t -= np.multiply(al, hh, out=hh)
     t -= np.multiply(ah, hl, out=ah)
