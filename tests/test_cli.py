@@ -166,7 +166,8 @@ def test_golden_bytes(tmp_path, monkeypatch, case):
     ("run", "--scenario", "random", "--dims", "2,3,2", "--seed", "7", "--emit-tuples"),
     ("verify", "--scenario", "werner", "--p", "0.37"),
     ("sweep", "--scenario", "werner", "--p", "0:1:3"),
-], ids=["run", "run-emit-tuples", "verify", "sweep"])
+    ("run", "--scenario", "random", "--dims", "3,3,4", "--seed", "1", "--emit-tuples"),
+], ids=["run", "run-emit-tuples", "verify", "sweep", "run-emit-tuples-3,3,4"])
 def test_stdout_holds_the_out_bytes(tmp_path, argv):
     # the console route writes to stdout the bytes it writes to --out
     src = Path(bift.cli.__file__).resolve().parents[1]
@@ -255,14 +256,17 @@ class TestSweep:
         assert gaps[-1] == pytest.approx(2 * LN2, abs=1e-10)
 
     def test_counterexample_ordering_column(self, tmp_path):
-        code, text = run_cli(tmp_path, "sweep", "--scenario", "counterexample",
-                             "--p", "0.05:0.95:19")
-        assert code == 0
-        lines = text.strip().splitlines()
-        col = lines[0].split(",").index("bound_gap")
-        gaps = [float(row.split(",")[col]) for row in lines[1:]]
-        # the reverse-averaged bound is strictly weaker here
-        assert all(g < 0.0 for g in gaps)
+        # the second grid is the README's
+        for grid, count in (("0.05:0.95:19", 19), ("0.045:0.955:21", 21)):
+            code, text = run_cli(tmp_path, "sweep", "--scenario", "counterexample",
+                                 "--p", grid)
+            assert code == 0
+            lines = text.strip().splitlines()
+            assert len(lines) == count + 1
+            col = lines[0].split(",").index("bound_gap")
+            gaps = [float(row.split(",")[col]) for row in lines[1:]]
+            # the reverse-averaged bound is strictly weaker here
+            assert all(g < 0.0 for g in gaps)
 
     def test_single_point_matches_run(self, tmp_path):
         code, text = run_cli(tmp_path, "sweep", "--scenario", "werner", "--p", "0.6")
@@ -656,6 +660,22 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("sweep", "--scenario", "werner", "--p", "0:inf:3"), None, "error: grid"),
+        (("run", "--config", "config.json"),
+         {"system": {**ONE_LEVEL_SYSTEM, "rho_ba": [[[1, 0]]]}},
+         "error: system: unknown keys ['rho_ba']"),
+    ], ids=["grid-not-finite", "system-unknown-key"])
+    def test_error_line_names_the_input(self, tmp_path, monkeypatch, capsys, argv, config,
+                                        message):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, config", [
         (("sweep", "--scenario", "random"), None),
@@ -1147,6 +1167,10 @@ FUZZ_FLAGS = st.lists(st.one_of(
     st.sampled_from(sorted(FUZZ_FLAG_VALUES)).flatmap(
         lambda flag: st.tuples(st.just(flag), st.sampled_from(FUZZ_FLAG_VALUES[flag]))),
     st.sampled_from([("--emit-tuples",), ("--corrupt-reverse",)])), max_size=4)
+
+
+def test_fuzz_draws_every_config_key():
+    assert set(FUZZ_VALUES) == bift.cli.CONFIG_KEYS
 
 
 @given(command=st.sampled_from(["run", "verify", "sweep"]), config=FUZZ_CONFIGS,
