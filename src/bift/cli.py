@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args) -> dict:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config) if args.config is not None else {}
     for key in ("scenario", "p", "beta", "seed", "tolerance"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)

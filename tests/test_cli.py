@@ -649,6 +649,8 @@ class TestExitCodes:
         (("sweep", "--scenario", "werner", "--p", "0:inf:3"), None),
         (("sweep", "--scenario", "werner", "--p", "1e308:-1e308:3"), None),
         (("sweep", "--config", "config.json"), {"scenario": "werner", "p": "-inf:0:2"}),
+        # an empty config path names no file to read, as an empty --out does
+        (("verify", "--scenario", "werner", "--p", "0.5", "--config", ""), None),
     ])
     def test_config_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
