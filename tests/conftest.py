@@ -8,10 +8,14 @@ they check.
 
 import dataclasses
 import math
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bift
 from bift import reportio, tables
 from bift.functionals import _or_one, shannon_entropy
 from bift.errors import DomainError
@@ -36,6 +40,14 @@ from bift.theorems import (
     inequality_suite,
     product_bases,
 )
+
+
+def python_command(*argv: str, **env: str) -> tuple[list[str], dict[str, str]]:
+    """The command and environment that run ``python *argv`` in a
+    subprocess with this ``bift`` importable, ``env`` added to the
+    environment."""
+    src = Path(bift.__file__).resolve().parents[1]
+    return [sys.executable, *argv], {**os.environ, "PYTHONPATH": str(src), **env}
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

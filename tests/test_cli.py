@@ -33,6 +33,7 @@ from conftest import (
     evaluate_scenario,
     oracle_forward_table,
     oracle_reverse_table,
+    python_command,
     replace_endpoint,
     report_text,
 )
@@ -170,9 +171,7 @@ def test_golden_bytes(tmp_path, monkeypatch, case):
 ], ids=["run", "run-emit-tuples", "verify", "sweep", "run-emit-tuples-3,3,4"])
 def test_stdout_holds_the_out_bytes(tmp_path, argv):
     # the console route writes to stdout the bytes it writes to --out
-    src = Path(bift.cli.__file__).resolve().parents[1]
-    cmd = [sys.executable, "-m", "bift.cli", *argv]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    cmd, env = python_command("-m", "bift.cli", *argv)
     out = tmp_path / "out"
     to_file = subprocess.run([*cmd, "--out", str(out)], env=env, capture_output=True,
                              timeout=120)
@@ -470,15 +469,14 @@ class TestConfigs:
         # scenario's Haar draw depends on it, from M * R = 100 up.  So the
         # (4, 4, 8) system, M * R = 128, is drawn once here and written out.
         path = self._explicit_config(tmp_path, dims=(4, 4, 8), seed=1)
-        src = Path(bift.cli.__file__).resolve().parents[1]
         for command in ("run", "verify"):
             outputs = []
             for threads in ("1", "2"):
-                env = {**os.environ, "PYTHONPATH": str(src),
-                       "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-                proc = subprocess.run(
-                    [sys.executable, "-m", "bift.cli", command, "--config", str(path)],
-                    env=env, capture_output=True, text=True, timeout=120)
+                cmd, env = python_command("-m", "bift.cli", command, "--config", str(path),
+                                          OPENBLAS_NUM_THREADS=threads,
+                                          OMP_NUM_THREADS=threads)
+                proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                                      timeout=120)
                 assert proc.returncode == 0, proc.stderr
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1], command
@@ -767,12 +765,9 @@ class TestExitCodes:
         if target == "/dev/full" and not Path(target).exists():
             pytest.skip("no /dev/full here")
         out = str(tmp_path) if target == "directory" else target
-        src = Path(bift.cli.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "bift.cli", "run", "--scenario", "werner", "--p", "0.5",
-             "--emit-tuples", "--out", out],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            timeout=120)
+        cmd, env = python_command("-m", "bift.cli", "run", "--scenario", "werner",
+                                  "--p", "0.5", "--emit-tuples", "--out", out)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: out {out}: ")
         assert proc.stderr.count("\n") == 1
@@ -790,9 +785,7 @@ class TestExitCodes:
         # reader that stops after 10 bytes, half-way through a long one.
         if stdout == "/dev/full" and not Path(stdout).exists():
             pytest.skip("no /dev/full here")
-        src = Path(bift.cli.__file__).resolve().parents[1]
-        cmd = [sys.executable, "-m", "bift.cli", *argv]
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        cmd, env = python_command("-m", "bift.cli", *argv)
         if stdout == "/dev/full":
             with open(stdout, "w") as full:
                 proc = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE,

@@ -1,23 +1,18 @@
 """The scripts under ``scripts/``, run as a user runs them."""
 
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import bift
+from conftest import python_command
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = Path(bift.__file__).resolve().parents[1]
 
 
 def run_stress(*argv):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "random_stress.py"), *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-        timeout=120)
+    cmd, env = python_command(str(ROOT / "scripts" / "random_stress.py"), *argv)
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestRandomStress:
