@@ -698,7 +698,9 @@ class TestExitCodes:
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
         assert main(list(argv)) == 2
-        assert "error: scenario: unknown or missing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario: unknown or missing")
+        assert err.count("\n") == 1
 
     def test_size_guard_before_drawing(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
