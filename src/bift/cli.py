@@ -302,8 +302,7 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
         checks.append(Check.within(name, abs(joint.expectation(table) - 1.0), tol.equality))
 
     # Summing the local labels out of the augmented table returns G.
-    sum_i = init.cond.sum(axis=(1, 2))
-    sum_f = s.final.cond.sum(axis=(1, 2))
+    sum_i, sum_f = joint.unit_sums
     fact = float(np.max(np.abs(
         joint.forward * (sum_i[:, None, None, None] * sum_f[None, :, None, None] - 1.0))))
     checks.append(Check.within("forward_factorization", fact, tol.trace))

@@ -20,6 +20,14 @@ Conventions
   the per-block pass gives; only the degenerate blocks, and the rare column
   whose first component is ~0 (projected norm <= 1e-8), take the
   per-block Gram-Schmidt pass.
+* Both passes are array passes that repeat the floating-point operations
+  of a per-vector loop in the same order, so they give its bits.  The
+  Gram-Schmidt pass is right-looking: each accepted vector is removed from
+  every later candidate at once, one ``np.vecdot`` (a conjugated dot per
+  row) for all of them, so each candidate meets the accepted vectors in
+  order of acceptance.  A phase divides by ``np.hypot`` of its real and
+  imaginary parts: that is the modulus a scalar ``abs`` gives, while
+  ``np.abs`` of a complex array rounds some entries differently.
 """
 
 from __future__ import annotations
@@ -173,9 +181,9 @@ def _canonical_columns(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     For one column v the projected computational basis is v conj(v_c), and
     the first candidate, c = 0, is taken when its norm exceeds
     ``_ACCEPT_NORM``.  The product gets ``+ 0.0`` as the matmul's
-    accumulator gives it, so a -0 becomes +0.  The norm is summed per
-    column as ``np.linalg.norm`` sums it, and the phase is divided per
-    column as a scalar: array complex division rounds differently.
+    accumulator gives it, so a -0 becomes +0.  Each norm is summed as
+    ``np.linalg.norm`` sums it, real parts then imaginary parts, with
+    ``np.vecdot`` per row; the phases are fixed by ``_phase_fixed``.
     Returns the fixed columns and a mask of the columns done; the others
     (first component ~0) hold placeholders.
     """
@@ -183,43 +191,49 @@ def _canonical_columns(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return vecs.copy(), np.ones(0, dtype=bool)
     rows = np.ascontiguousarray(vecs.T)
     cand = rows * np.conj(rows[:, :1]) + 0.0
-    norms = np.array([math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag)) for c in cand])
+    norms = np.sqrt(np.vecdot(cand.real, cand.real) + np.vecdot(cand.imag, cand.imag))
     done = norms > _ACCEPT_NORM
     if not done.all():
         cand[~done], norms[~done] = 1.0, 1.0
-    unit = cand / norms[:, None]
-    peaks = unit[np.arange(len(unit)), np.argmax(np.abs(unit), axis=1)]
-    phases = np.array([t / abs(t) for t in peaks])
-    return (unit * np.conj(phases)[:, None]).T, done
+    return _phase_fixed(cand / norms[:, None]).T, done
+
+
+def _phase_fixed(rows: np.ndarray) -> np.ndarray:
+    """Each row times the conjugate phase of its largest-modulus entry,
+    which makes that entry real positive.  The phase is the entry divided
+    by ``np.hypot`` of its parts, the bits of a scalar ``t / abs(t)``."""
+    peaks = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    phases = peaks / np.hypot(peaks.real, peaks.imag)
+    return rows * np.conj(phases)[:, None]
 
 
 def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of span(block): ordered Gram-Schmidt
     of the projected computational basis, phases fixed to make the
-    largest-modulus component real positive."""
+    largest-modulus component real positive.
+
+    Right-looking: the candidates are the rows of ``proj.T``, and each
+    accepted vector u is removed from all later rows at once, row -=
+    u (u^dag row), so every row meets the accepted vectors in the order a
+    per-candidate loop would apply them."""
     n, k = block.shape
-    proj = block @ dagger(block)
+    rows = (block @ dagger(block)).T.copy()
     accepted: list[np.ndarray] = []
     for col in range(n):
-        cand = proj[:, col].copy()
-        for u in accepted:
-            cand -= u * (np.conj(u) @ cand)
-        norm = float(np.linalg.norm(cand))
+        cand = rows[col]
+        norm = math.sqrt(cand.real.dot(cand.real) + cand.imag.dot(cand.imag))
         if norm > _ACCEPT_NORM:
-            accepted.append(cand / norm)
-        if len(accepted) == k:
-            break
-    # The pass always finds k vectors: with j < k accepted, every column's
+            u = cand / norm
+            accepted.append(u)
+            if len(accepted) == k:
+                break
+            rest = rows[col + 1:]
+            rest -= u * np.vecdot(u, rest)[:, None]
+    # The pass always finds k vectors: with j < k accepted, every row's
     # residual would be <= _ACCEPT_NORM, yet their squared norms sum to
     # tr Q = k - j >= 1,
     # where Q projects onto the part of the block the j vectors miss.
-    out = np.column_stack(accepted)
-    for col in range(k):
-        v = out[:, col]
-        kmax = int(np.argmax(np.abs(v)))
-        phase = v[kmax] / abs(v[kmax])
-        out[:, col] = v * np.conj(phase)
-    return out
+    return _phase_fixed(np.array(accepted)).T
 
 
 def density_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
@@ -275,9 +289,10 @@ def degenerate_blocks(probabilities: np.ndarray,
     """[start, stop) index ranges of degenerate eigenvalue blocks
     (descending spectrum assumed): a block takes each next value within
     ``tol.degeneracy`` times max(1, largest |value|) of its first one."""
-    p = np.asarray(probabilities, dtype=float)
-    n = len(p)
-    scale = max(1.0, float(np.max(np.abs(p)))) if n else 1.0
+    arr = np.asarray(probabilities, dtype=float)
+    n = len(arr)
+    scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
+    p = arr.tolist()  # Python floats: a numpy scalar costs more per comparison
     blocks = []
     i = 0
     while i < n:

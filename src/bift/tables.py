@@ -51,6 +51,7 @@ thread count, from M R = 100 up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -154,6 +155,18 @@ def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int
                     cond=conditional_table(dec.vectors, dec_a.vectors, dec_b.vectors))
 
 
+def _kron_diagonal(m: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """``np.kron(m, np.diag(diag))`` by block assignment: block (r, r) of
+    the reservoir axes is ``m`` times ``diag[r]``, every other entry zero.
+    Entries match ``np.kron``'s up to the sign of a zero."""
+    d_out, d_in = m.shape
+    d_r = len(diag)
+    out = np.zeros((d_out, d_r, d_in, d_r), dtype=complex)
+    for r, w in enumerate(diag.tolist()):
+        out[:, r, :, r] = m * w
+    return out.reshape(d_out * d_r, d_in * d_r)
+
+
 def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
                       dim_r: int, unitary: np.ndarray) -> np.ndarray:
     """|<m',r'| U |m,r>|^2 as an array [m, r, m', r'].
@@ -163,8 +176,8 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
     reversal, the same array also gives |<m,r| U^dag |m',r'>|^2, i.e. the
     reversed-process kernel aligned to forward axes.
     """
-    m_in = np.kron(initial_vectors, np.eye(dim_r))
-    m_out = np.kron(final_vectors, np.eye(dim_r))
+    m_in = _kron_diagonal(initial_vectors, np.ones(dim_r))
+    m_out = _kron_diagonal(final_vectors, np.ones(dim_r))
     amp = dagger(m_out) @ unitary @ m_in        # [(m',r'), (m,r)]
     d_mf = final_vectors.shape[1]
     d_mi = initial_vectors.shape[1]
@@ -191,7 +204,7 @@ def spectra_from_unitary(system: UnitarySystem,
 
     init = system.rho_ab.decomposition
     p_r = system.reservoir.gibbs_probabilities()
-    rho_abr = np.kron(system.rho_ab.matrix, np.diag(p_r).astype(complex))
+    rho_abr = _kron_diagonal(system.rho_ab.matrix, p_r)
     rho_abr_final = u @ rho_abr @ dagger(u)
     rho_ab_final = partial_trace(rho_abr_final, (d_m, d_r), keep=0)
 
@@ -278,6 +291,12 @@ def spectra_from_analytic(spectra: SystemSpectra,
                          kernel=kernel, reverse_kernel=rkernel, beta_q=beta_q)
 
 
+def _is_one(factor) -> bool:
+    """True for a float equal to 1.0, the default factor of
+    ``FactoredJoint.expectation``; an array never counts."""
+    return isinstance(factor, float) and factor == 1.0
+
+
 def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Entries above the support cutoff, ``tol.support`` times the largest
     entry (or 0 when no entry is positive): the one support rule of the
@@ -309,14 +328,24 @@ class FactoredJoint:
                 * self.initial.cond[:, :, :, None, None, None, None, None]
                 * self.final.cond[None, None, None, :, :, :, None, None])
 
+    @cached_property
+    def unit_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """sum_{a,b} |<m|a,b>|^2 per m at the initial and the final point."""
+        return self.initial.cond.sum(axis=(1, 2)), self.final.cond.sum(axis=(1, 2))
+
     def expectation(self, table: np.ndarray, initial=1.0, final=1.0, pair=1.0) -> float:
         """Sum over the tuple space of the eight-index table built from
         the global ``table`` times initial[m,a,b] final[m',a',b'] pair[r,r'];
         each factor is a scalar or broadcasts against its endpoint's
-        (M, A, B) or (R, R) table.  Costs O(M^2 R^2 + M A B)."""
-        u = (self.initial.cond * initial).sum(axis=(1, 2))
-        v = (self.final.cond * final).sum(axis=(1, 2))
-        return float((table * u[:, None, None, None] * v[None, :, None, None] * pair).sum())
+        (M, A, B) or (R, R) table.  Costs O(M^2 R^2 + M A B).
+
+        A factor that is the float 1.0 is skipped: times 1.0 every float
+        keeps its bits, so the sum is the one the full product gives."""
+        u_unit, v_unit = self.unit_sums
+        u = u_unit if _is_one(initial) else (self.initial.cond * initial).sum(axis=(1, 2))
+        v = v_unit if _is_one(final) else (self.final.cond * final).sum(axis=(1, 2))
+        weighted = table * u[:, None, None, None] * v[None, :, None, None]
+        return float((weighted if _is_one(pair) else weighted * pair).sum())
 
     def restricted(self, table: np.ndarray) -> np.ndarray:
         """``table`` with the blocks whose initial (m, r) lies outside the

@@ -20,11 +20,11 @@ from bift import reportio, tables
 from bift.functionals import _or_one, shannon_entropy
 from bift.errors import DomainError
 from bift.linalg import (
+    _ACCEPT_NORM,
     DEFAULT_TOL,
     ReservoirSpec,
     SpectralDecomposition,
     Tolerances,
-    _canonical_block_basis,
     dagger,
     degenerate_blocks,
     density_operator,
@@ -94,10 +94,53 @@ def random_classical_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
                          unitary=u_local @ p_mat)
 
 
+def oracle_canonical_block_basis(block: np.ndarray) -> np.ndarray:
+    """``linalg._canonical_block_basis`` as a loop per vector: left-looking
+    Gram-Schmidt, each candidate taking every accepted vector in turn, then
+    one phase fixed per column with a scalar ``abs``."""
+    n, k = block.shape
+    proj = block @ dagger(block)
+    accepted: list[np.ndarray] = []
+    for col in range(n):
+        cand = proj[:, col].copy()
+        for u in accepted:
+            cand -= u * (np.conj(u) @ cand)
+        norm = float(np.linalg.norm(cand))
+        if norm > _ACCEPT_NORM:
+            accepted.append(cand / norm)
+        if len(accepted) == k:
+            break
+    out = np.column_stack(accepted)
+    for col in range(k):
+        v = out[:, col]
+        kmax = int(np.argmax(np.abs(v)))
+        phase = v[kmax] / abs(v[kmax])
+        out[:, col] = v * np.conj(phase)
+    return out
+
+
+def oracle_canonical_columns(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg._canonical_columns`` with one norm and one phase per
+    column, summed and divided as Python scalars."""
+    if not vecs.size:
+        return vecs.copy(), np.ones(0, dtype=bool)
+    rows = np.ascontiguousarray(vecs.T)
+    cand = rows * np.conj(rows[:, :1]) + 0.0
+    norms = np.array([math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag)) for c in cand])
+    done = norms > _ACCEPT_NORM
+    if not done.all():
+        cand[~done], norms[~done] = 1.0, 1.0
+    unit = cand / norms[:, None]
+    peaks = unit[np.arange(len(unit)), np.argmax(np.abs(unit), axis=1)]
+    phases = np.array([t / abs(t) for t in peaks])
+    return (unit * np.conj(phases)[:, None]).T, done
+
+
 def oracle_spectral_decompose(matrix: np.ndarray,
                               tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """``spectral_decompose`` block by block: eigh, sort descending, then
-    ``_canonical_block_basis`` on every degenerate block, 1x1 ones too.
+    ``oracle_canonical_block_basis`` on every degenerate block, 1x1 ones
+    too.
 
     Each block goes in as the slice ``vecs[:, i:j]`` of the sorted
     eigenvectors, not a copy, so that its projector ``block @ dagger(block)``
@@ -110,7 +153,7 @@ def oracle_spectral_decompose(matrix: np.ndarray,
     vecs = vecs[:, order]
     fixed = np.zeros_like(vecs)
     for i, j in degenerate_blocks(vals, tol):
-        fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
+        fixed[:, i:j] = oracle_canonical_block_basis(vecs[:, i:j])
     return SpectralDecomposition(probabilities=vals, vectors=fixed)
 
 

@@ -304,6 +304,12 @@ class TestSweep:
 
 
 class TestVerify:
+    def test_residual_at_the_limit_passes(self):
+        # a check passes when its residual is at most the tolerance, the
+        # tolerance itself included
+        assert bift.cli.Check.within("x", 1e-10, 1e-10).passed
+        assert not bift.cli.Check.within("x", math.nextafter(1e-10, 1.0), 1e-10).passed
+
     def test_werner_passes(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--scenario", "werner", "--p", "0.7")
         assert code == 0
@@ -407,8 +413,8 @@ class TestDenseTables:
 
 class TestConfigs:
     def _explicit_config(self, tmp_path, rho_scale=1.0, tolerance=None, energies=None,
-                         dims=(2, 2, 2), seed=13):
-        system = random_instance(*dims, seed=seed)
+                         dims=(2, 2, 2), seed=13, rank_deficient=False):
+        system = random_instance(*dims, seed=seed, rank_deficient=rank_deficient)
         cfg = {
             "system": {
                 "dims": list(dims),
@@ -467,19 +473,25 @@ class TestConfigs:
         # An explicit system's report is the same at any BLAS thread count
         # (seen with OpenBLAS at 1 and 2 threads); only the random
         # scenario's Haar draw depends on it, from M * R = 100 up.  So the
-        # (4, 4, 8) system, M * R = 128, is drawn once here and written out.
-        path = self._explicit_config(tmp_path, dims=(4, 4, 8), seed=1)
-        for command in ("run", "verify"):
-            outputs = []
-            for threads in ("1", "2"):
-                cmd, env = python_command("-m", "bift.cli", command, "--config", str(path),
-                                          OPENBLAS_NUM_THREADS=threads,
-                                          OMP_NUM_THREADS=threads)
-                proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                                      timeout=120)
-                assert proc.returncode == 0, proc.stderr
-                outputs.append(proc.stdout)
-            assert outputs[0] == outputs[1], command
+        # (4, 4, 8) systems, M * R = 128, are drawn once here and written
+        # out.  The rank-deficient one has a zero block of 10 levels, which
+        # the Gram-Schmidt pass fixes through BLAS dot products.
+        assert np.sum(random_instance(4, 4, 8, seed=1, rank_deficient=True)
+                      .rho_ab.decomposition.probabilities <= 1e-12) >= 8
+        for rank_deficient in (False, True):
+            path = self._explicit_config(tmp_path, dims=(4, 4, 8), seed=1,
+                                         rank_deficient=rank_deficient)
+            for command in ("run", "verify"):
+                outputs = []
+                for threads in ("1", "2"):
+                    cmd, env = python_command("-m", "bift.cli", command, "--config", str(path),
+                                              OPENBLAS_NUM_THREADS=threads,
+                                              OMP_NUM_THREADS=threads)
+                    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                                          timeout=120)
+                    assert proc.returncode == 0, proc.stderr
+                    outputs.append(proc.stdout)
+                assert outputs[0] == outputs[1], (command, rank_deficient)
 
     def test_trace_tolerance_reaches_state_check(self, tmp_path, capsys):
         path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9)

@@ -9,8 +9,11 @@ from bift.errors import ConsistencyError, DimensionError, HermiticityError, Unit
 from bift.functionals import shannon_entropy
 from bift.linalg import (
     ReservoirSpec,
+    _canonical_block_basis,
+    _canonical_columns,
     check_unitary,
     dagger,
+    degenerate_blocks,
     density_operator,
     haar_unitary,
     partial_trace,
@@ -19,6 +22,8 @@ from bift.linalg import (
 
 from conftest import (
     bell_ket,
+    oracle_canonical_block_basis,
+    oracle_canonical_columns,
     oracle_spectral_decompose,
     random_density,
     random_hermitian,
@@ -125,6 +130,38 @@ class TestSpectralDecompose:
         u = haar_unitary(n, rng)
         h = (u * lam) @ dagger(u)
         self.assert_same_bits(spectral_decompose(h), oracle_spectral_decompose(h))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), k=st.integers(1, 30),
+           level=st.sampled_from(["degenerate", "zero"]), first_zero=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_gauge_passes_match_loop_oracle(self, seed, n, k, level, first_zero):
+        # A k-fold block at the bottom of the spectrum: a degenerate level
+        # or the zero block of a rank-deficient state.  With
+        # ``first_zero`` the first basis vector is an eigenvector of its
+        # own, so every other column's first component is ~0: the columns
+        # pass hands them on, and the block pass rejects its first
+        # candidate.
+        rng = np.random.default_rng(seed)
+        first_zero = first_zero and n > 1
+        m = n - 1 if first_zero else n
+        k = min(k, m)
+        lam = rng.random(m) + 0.5
+        lam[:k] = 0.25 if level == "degenerate" else 0.0
+        u = haar_unitary(m, rng)
+        h = (u * lam) @ dagger(u)
+        if first_zero:
+            h = np.block([[np.full((1, 1), 2.0), np.zeros((1, m))], [np.zeros((m, 1)), h]])
+        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = vals[::-1].copy(), vecs[:, ::-1]
+        assert (n - k, n) in degenerate_blocks(vals)
+        block = vecs[:, n - k:]
+        got, want = _canonical_block_basis(block), oracle_canonical_block_basis(block)
+        assert got.tobytes() == want.tobytes()
+        (got, got_done), (want, want_done) = _canonical_columns(vecs), oracle_canonical_columns(vecs)
+        assert np.array_equal(got_done, want_done)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        if first_zero:
+            assert got_done[0] and not got_done[1:].any()
 
     @pytest.mark.parametrize("state", ["permuted-diagonal", "product-basis", "bell-diagonal"])
     def test_zero_first_component_matches_oracle(self, state, rng):

@@ -1,5 +1,7 @@
 """The scripts under ``scripts/``, run as a user runs them."""
 
+import re
+import runpy
 import subprocess
 from pathlib import Path
 
@@ -27,3 +29,18 @@ class TestRandomStress:
         proc = run_stress("--instances", "1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "OK"
+
+
+class TestMutants:
+    def test_every_mutant_applies_once(self):
+        # scripts/mutants.py runs outside tier-1; this keeps each mutant's
+        # text and named tests in step with the tree
+        mutants = runpy.run_path(str(ROOT / "scripts" / "mutants.py"), run_name="mutants")
+        assert mutants["MUTANTS"]
+        for mutant in mutants["MUTANTS"]:
+            assert (ROOT / mutant.path).read_text().count(mutant.old) == 1, mutant.name
+            for node in mutant.tests:
+                path, *names = node.split("::")
+                text = (ROOT / path).read_text()
+                assert all(re.search(rf"^\s*(class|def) {name}\b", text, re.M)
+                           for name in names), node

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bift import tables
 from bift.cli import _guard_size, validate_config
 from bift.errors import BiftError, ConsistencyError, DimensionError, SizeError
 from bift.linalg import (
@@ -13,6 +14,7 @@ from bift.linalg import (
     MAX_HEAT_EXPONENT,
     ReservoirSpec,
     Tolerances,
+    dagger,
     density_operator,
     haar_unitary,
     spectral_decompose,
@@ -119,6 +121,49 @@ class TestGlobalTmpJoint:
     def test_sums_to_one(self, rng):
         table = factored_joint(spectra_from_unitary(random_instance(2, 3, 2, seed=9))).forward
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def numpy_kron_diagonal(m, diag):
+    """``tables._kron_diagonal`` as ``np.kron`` with the complex diagonal
+    matrix.  ``np.kron(V, np.eye(R))`` casts the identity to this complex
+    form too, so it is the kernel's ``np.kron`` as well."""
+    return np.kron(m, np.diag(diag).astype(complex))
+
+
+def spectra_arrays(spectra):
+    """Every array of a ``SystemSpectra``, by field path."""
+    out = {}
+    for field in dataclasses.fields(spectra):
+        value = getattr(spectra, field.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{field.name}.{k.name}": getattr(value, k.name)
+                        for k in dataclasses.fields(value)})
+        else:
+            out[field.name] = value
+    return out
+
+
+class TestKronBlocks:
+    @pytest.mark.parametrize("rank_deficient", [False, True], ids=["full-rank", "rank-deficient"])
+    @pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 2), (3, 3, 4), (4, 4, 4), (5, 5, 3),
+                                      (4, 4, 8), (6, 6, 2)], ids=str)
+    def test_same_bytes_as_np_kron(self, dims, rank_deficient, monkeypatch):
+        # Entries equal np.kron's up to the sign of a zero, which no
+        # product downstream keeps: the final state, the kernel and every
+        # other array of the spectra keep their bytes.
+        system = random_instance(*dims, seed=5, rank_deficient=rank_deficient)
+        rho, u = system.rho_ab.matrix, system.unitary
+        p_r = system.reservoir.gibbs_probabilities()
+        for diag in (p_r, np.ones(dims[2])):
+            assert np.array_equal(tables._kron_diagonal(rho, diag), numpy_kron_diagonal(rho, diag))
+        final = u @ tables._kron_diagonal(rho, p_r) @ dagger(u)
+        assert final.tobytes() == (u @ numpy_kron_diagonal(rho, p_r) @ dagger(u)).tobytes()
+        got = spectra_arrays(spectra_from_unitary(system))
+        monkeypatch.setattr(tables, "_kron_diagonal", numpy_kron_diagonal)
+        want = spectra_arrays(spectra_from_unitary(system))
+        assert got.keys() == want.keys()
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestForwardTable:

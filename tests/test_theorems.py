@@ -555,6 +555,49 @@ class TestDenseOracle:
         assert analysis.report.detailed_max_residual > 1e-3
 
 
+def full_product_expectation(joint, table, initial=1.0, final=1.0, pair=1.0) -> float:
+    """``FactoredJoint.expectation`` with every factor multiplied in, a
+    unit one too."""
+    u = (joint.initial.cond * initial).sum(axis=(1, 2))
+    v = (joint.final.cond * final).sum(axis=(1, 2))
+    return float((table * u[:, None, None, None] * v[None, :, None, None] * pair).sum())
+
+
+class TestExpectationBits:
+    @pytest.mark.parametrize("case", ["random", "rank-deficient", "classical", "werner",
+                                      "counterexample-analytic"])
+    def test_every_call_matches_full_product(self, case, monkeypatch):
+        spectra = {
+            "random": lambda: spectra_from_unitary(random_instance(3, 3, 2, seed=6)),
+            "rank-deficient": lambda: spectra_from_unitary(
+                random_instance(4, 4, 3, seed=1, rank_deficient=True)),
+            "classical": lambda: spectra_from_unitary(random_classical_instance(2, 3, 2, 4)),
+            "werner": lambda: werner_isothermal(0.37).spectra,
+            "counterexample-analytic":
+                lambda: bell_adiabatic_counterexample(0.5, route="analytic").spectra,
+        }[case]()
+        calls = []
+        expectation = FactoredJoint.expectation
+
+        def recorded(joint, table, *factors, **named):
+            got = expectation(joint, table, *factors, **named)
+            calls.append((joint, table, factors, named, got))
+            return got
+
+        monkeypatch.setattr(FactoredJoint, "expectation", recorded)
+        invariant_checks(evaluate(spectra), DEFAULT_TOL)
+        assert len(calls) >= 17
+        for joint, table, factors, named, got in calls:
+            assert got.hex() == full_product_expectation(joint, table, *factors, **named).hex()
+
+    def test_scalar_factors_multiply_in(self):
+        joint = factored_joint(spectra_from_unitary(random_instance(2, 3, 2, seed=4)))
+        for factors in ((2.0, 1.0, 1.0), (1.0, 0.5, 1.0), (1.0, 1.0, 3.0), (2.0, 0.5, 3.0)):
+            got = joint.expectation(joint.forward, *factors)
+            assert got.hex() == full_product_expectation(joint, joint.forward, *factors).hex()
+            assert got == pytest.approx(math.prod(factors), rel=1e-12)
+
+
 class TestFactoredExtremes:
     """The block-extremes shortcut of the detailed check against a
     brute-force pass over all eight axes, on arbitrary factored inputs
