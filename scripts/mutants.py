@@ -68,15 +68,48 @@ MUTANTS = (
            "reverse_kernel=kernel.transpose(2, 3, 0, 1),",
            ("tests/test_theorems.py::TestDetailedFT",
             "tests/test_theorems.py::TestIntegralFT")),
-    Mutant("gamma-unrestricted", "src/bift/tables.py",
-           "return self.expectation(self.restricted(self.reverse))",
-           "return self.expectation(self.reverse)",
+    Mutant("gamma-unrestricted", "src/bift/theorems.py",
+           "gamma = joint.expectation(reverse)",
+           "gamma = joint.expectation(joint.reverse)",
            ("tests/test_tables.py::TestReverseTable",
             "tests/test_theorems.py::TestIntegralFT")),
+    Mutant("integral-unrestricted", "src/bift/theorems.py",
+           "int_lhs = joint.expectation(forward, *ft)",
+           "int_lhs = joint.expectation(joint.forward, *ft)",
+           ("tests/test_theorems.py::TestIntegralFT",)),
+    Mutant("reverse-rhs-unrestricted", "src/bift/theorems.py",
+           "rev_rhs = joint.expectation(reverse, *info)",
+           "rev_rhs = joint.expectation(joint.reverse, *info)",
+           ("tests/test_theorems.py::TestReverseAveragedFT",)),
+    Mutant("reverse-lhs-unrestricted", "src/bift/theorems.py",
+           "rev_lhs = joint.expectation(forward, *funcs.local_factors())",
+           "rev_lhs = joint.expectation(joint.forward, *funcs.local_factors())",
+           ("tests/test_theorems.py::TestIntegralFT::"
+            "test_steep_reservoir_averages_over_forward_support",)),
+    Mutant("classical-unrestricted", "src/bift/theorems.py",
+           "classical_lhs = joint.expectation(forward, *funcs.classical_factors())",
+           "classical_lhs = joint.expectation(joint.forward, *funcs.classical_factors())",
+           ("tests/test_theorems.py::TestClassicalReduction",)),
     Mutant("within-strict", "src/bift/cli.py",
            "return cls(name, value, value <= limit, detail)",
            "return cls(name, value, value < limit, detail)",
            ("tests/test_cli.py::TestVerify::test_residual_at_the_limit_passes",)),
+    Mutant("drop-two-product-error", "src/bift/reportio.py",
+           "    err -= t\n",
+           "",
+           ("tests/test_cli.py::test_golden_bytes",)),
+    Mutant("skip-slow-fallback", "src/bift/reportio.py",
+           "if slow.size:",
+           "if False:",
+           ("tests/test_cli.py::TestReportIO::test_array_emits_like_its_list",)),
+    Mutant("carry-bound-at-1e15", "src/bift/reportio.py",
+           "(whole < 1e15 - 1)",
+           "(whole < 1e15)",
+           ("tests/test_cli.py::TestReportIO::test_format_floats_is_format_float",)),
+    Mutant("chunk-offset-dropped", "src/bift/reportio.py",
+           "ends[(block - 1 - start) % block::block]",
+           "ends[(block - 1) % block::block]",
+           ("tests/test_cli.py::TestReportIO::test_array_emits_like_its_list_in_chunks",)),
 )
 
 

@@ -308,7 +308,9 @@ def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:
 class FactoredJoint:
     """Forward and time-reversed joint distributions in factored form:
     the eight-index entry of either table is its four-index global entry
-    times ``initial.cond[m,a,b] * final.cond[m',a',b']``."""
+    times ``initial.cond[m,a,b] * final.cond[m',a',b']``.  Holds the two
+    global tables, the two endpoints and the forward-support mask;
+    ``theorems.evaluate`` restricts the tables to that support."""
 
     forward: np.ndarray              # G [m, m', r, r']
     reverse: np.ndarray              # G_rev on forward-aligned axes
@@ -346,16 +348,6 @@ class FactoredJoint:
         v = v_unit if _is_one(final) else (self.final.cond * final).sum(axis=(1, 2))
         weighted = table * u[:, None, None, None] * v[None, :, None, None]
         return float((weighted if _is_one(pair) else weighted * pair).sum())
-
-    def restricted(self, table: np.ndarray) -> np.ndarray:
-        """``table`` with the blocks whose initial (m, r) lies outside the
-        forward support set to zero."""
-        return np.where(self.forward_support[:, None, :, None], table, 0.0)
-
-    def restricted_mass(self) -> float:
-        """Support-restricted reverse mass (the absolute-irreversibility
-        factor gamma)."""
-        return self.expectation(self.restricted(self.reverse))
 
 
 def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> FactoredJoint:

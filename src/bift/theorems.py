@@ -17,7 +17,8 @@ average:
 
 The integral, reverse-averaged and classical relations average over the
 forward support, as gamma does: the initial (m, r) pairs whose
-two-point weight is above the support cutoff.
+two-point weight is above the support cutoff.  ``evaluate`` alone
+restricts the tables to it, forming each restricted table once.
 
 Every number is a contraction of the factored tables
 (``tables.FactoredJoint``) with the per-endpoint functionals
@@ -165,18 +166,20 @@ def _residual(ratio, pair, e_i, e_f):
     return np.abs(ratio - pair * (e_i * e_f))
 
 
-def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals,
+def detailed_ft_check(joint: FactoredJoint, ft: tuple[np.ndarray, np.ndarray, np.ndarray],
                       tol: Tolerances = DEFAULT_TOL):
     """Max over the forward support of
     | p_rev/p_fwd - exp(-ds_A - ds_B + dI + beta Q) |,
-    together with the trajectory attaining it.  Costs O(M^2 R^2 + M A B)."""
+    together with the trajectory attaining it; ``ft`` is the exponential's
+    factor triple, ``EndpointFunctionals.ft_factors()``.  Costs
+    O(M^2 R^2 + M A B)."""
     block, sup_i, sup_f = _supports(joint, tol)
     # a block holds a supported tuple only if both endpoints have a supported (a, b)
     block &= (sup_i.any(axis=(1, 2))[:, None, None, None]
               & sup_f.any(axis=(1, 2))[None, :, None, None])
     if not block.any():
         return 0.0, None
-    e_i, e_f, pair = funcs.ft_factors()          # (M, A, B), (M, A, B), (R, R)
+    e_i, e_f, pair = ft                          # (M, A, B), (M, A, B), (R, R)
     ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
     # e^{beta Q} nears the float limit only when the initial reservoir
     # level's Gibbs weight lies below the cutoff, i.e. in a dropped block;
@@ -198,22 +201,6 @@ def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals,
                                  & (full == worst))
     first = np.lexsort((s[k], r[k], bf, af, n[k], b, a))[0]
     return worst, OutcomeTuple(m, *(int(x[first]) for x in (a, b, n[k], af, bf, r[k], s[k])))
-
-
-def integral_ft(joint: FactoredJoint, funcs: EndpointFunctionals) -> float:
-    """Forward average of exp(-ds_A - ds_B + dI + beta Q) over the forward
-    support; equals the restricted reverse mass when the detailed relation
-    holds."""
-    return joint.expectation(joint.restricted(joint.forward), *funcs.ft_factors())
-
-
-def reverse_averaged_ft(joint: FactoredJoint, funcs: EndpointFunctionals):
-    """(lhs, rhs) of the reverse-averaged relation, both over the forward
-    support: lhs = <exp(-ds_A - ds_B + beta Q)> over the forward table,
-    rhs = <exp(-dI)> over the reverse table."""
-    lhs = joint.expectation(joint.restricted(joint.forward), *funcs.local_factors())
-    rhs = joint.expectation(joint.restricted(joint.reverse), *funcs.info_factors())
-    return lhs, rhs
 
 
 def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averages:
@@ -331,17 +318,24 @@ def evaluate(spectra: SystemSpectra,
         joint = corrupt_reverse(joint)
     funcs = endpoint_functionals(spectra, tol)
 
-    gamma = joint.restricted_mass()
-    int_lhs = integral_ft(joint, funcs)
-    rev_lhs, rev_rhs = reverse_averaged_ft(joint, funcs)
-    rev_full = joint.expectation(joint.reverse, *funcs.info_factors())
-    detail_resid, detail_worst = detailed_ft_check(joint, funcs, tol)
+    # both tables with the blocks whose initial (m, r) lies outside the
+    # forward support set to zero
+    keep = joint.forward_support[:, None, :, None]
+    forward = np.where(keep, joint.forward, 0.0)
+    reverse = np.where(keep, joint.reverse, 0.0)
+    ft, info = funcs.ft_factors(), funcs.info_factors()
+
+    gamma = joint.expectation(reverse)
+    int_lhs = joint.expectation(forward, *ft)
+    rev_lhs = joint.expectation(forward, *funcs.local_factors())
+    rev_rhs = joint.expectation(reverse, *info)
+    rev_full = joint.expectation(joint.reverse, *info)
+    detail_resid, detail_worst = detailed_ft_check(joint, ft, tol)
     averages = forward_averages(joint, funcs)
 
     classical_lhs = None
     if product_bases(spectra, tol):
-        classical_lhs = joint.expectation(joint.restricted(joint.forward),
-                                          *funcs.classical_factors())
+        classical_lhs = joint.expectation(forward, *funcs.classical_factors())
 
     bounds = inequality_suite(averages, gamma, rev_rhs, classical_lhs, work_inputs, tol)
 

@@ -9,7 +9,7 @@ from bift.functionals import endpoint_functionals, shannon_entropy
 from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
 from bift.tables import UnitarySystem, factored_joint, spectra_from_unitary
-from bift.theorems import forward_averages
+from bift.theorems import evaluate, forward_averages
 
 from conftest import (
     dense_tables,
@@ -163,9 +163,9 @@ class TestAverages:
         assert joint.expectation(joint.forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
 
     def test_restricted_vs_full_reverse_average(self):
-        joint = factored_joint(werner_isothermal(1.0).spectra)
-        assert joint.restricted_mass() == pytest.approx(0.25)
-        assert joint.expectation(joint.reverse) == pytest.approx(1.0)
+        analysis = evaluate(werner_isothermal(1.0).spectra)
+        assert analysis.report.gamma_restricted == pytest.approx(0.25)
+        assert analysis.joint.expectation(analysis.joint.reverse) == pytest.approx(1.0)
 
 
 class TestTupleFunctionals:

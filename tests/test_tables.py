@@ -32,6 +32,8 @@ from bift.tables import (
     spectra_from_unitary,
 )
 
+from bift.theorems import evaluate
+
 from conftest import (
     dense_tables,
     oracle_forward_table,
@@ -237,13 +239,13 @@ class TestReverseTable:
         assert np.max(np.abs(rev - oracle_reverse_table(spectra))) < 1e-15
 
     def test_werner_pure_restricted_quarter(self):
-        joint = factored_joint(werner_spectra(1.0))
-        assert joint.restricted_mass() == pytest.approx(0.25, abs=1e-12)
+        rep = evaluate(werner_spectra(1.0)).report
+        assert rep.gamma_restricted == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_werner_mixed_no_irreversibility(self, p):
-        joint = factored_joint(werner_spectra(p))
-        assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-12)
+        rep = evaluate(werner_spectra(p)).report
+        assert rep.gamma_restricted == pytest.approx(1.0, abs=1e-12)
 
     def test_werner_reverse_entries(self):
         rev = dense_tables(werner_spectra(0.7))[1]
@@ -258,16 +260,16 @@ class TestReverseTable:
         rho = density_operator(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0, 1.0), 1.0),
                                np.eye(8, dtype=complex))
-        joint = factored_joint(spectra_from_unitary(system))
-        assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-12)
+        rep = evaluate(spectra_from_unitary(system)).report
+        assert rep.gamma_restricted == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_support_monotonicity_full_rank(self, seed):
         system = random_instance(2, 2, 2, seed=seed)
-        joint = factored_joint(spectra_from_unitary(system))
-        assert joint.forward_support.all()
-        assert joint.restricted_mass() == pytest.approx(1.0, abs=1e-10)
+        analysis = evaluate(spectra_from_unitary(system))
+        assert analysis.joint.forward_support.all()
+        assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMarginal:

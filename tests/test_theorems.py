@@ -34,7 +34,6 @@ from bift.theorems import (
     detailed_ft_check,
     evaluate,
     inequality_suite,
-    reverse_averaged_ft,
 )
 
 from conftest import (
@@ -110,7 +109,7 @@ class TestDetailedFT:
 
     def test_reports_worst_trajectory(self):
         analysis = analyze(random_instance(2, 2, 2, 7))
-        resid, worst = detailed_ft_check(analysis.joint, analysis.functionals)
+        resid, worst = detailed_ft_check(analysis.joint, analysis.functionals.ft_factors())
         assert resid == analysis.report.detailed_max_residual
         assert worst is not None
         assert all(isinstance(i, int) for i in worst)
@@ -159,12 +158,11 @@ class TestIntegralFT:
 
 class TestReverseAveragedFT:
     def test_werner_pure_expansion(self):
-        analysis = evaluate_scenario(werner_isothermal(1.0))
-        lhs, rhs = reverse_averaged_ft(analysis.joint, analysis.functionals)
+        rep = evaluate_scenario(werner_isothermal(1.0)).report
         # two restricted reverse trajectories of mass 1/8, each with
         # exp(-dI) = exp(2 ln 2) = 4
-        assert rhs == pytest.approx(2 * 0.125 * 4.0, abs=1e-12)
-        assert lhs == pytest.approx(1.0, abs=1e-12)
+        assert rep.reverse_avg_exp_di == pytest.approx(2 * 0.125 * 4.0, abs=1e-12)
+        assert rep.reverse_ft_lhs == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_werner_mixed_unity(self, p):
@@ -388,7 +386,7 @@ class TestEdgesAndControls:
     def test_corrupted_reverse_breaks_detailed(self):
         analysis = evaluate_scenario(werner_isothermal(0.8))
         bad = corrupt_reverse(analysis.joint)
-        resid, worst = detailed_ft_check(bad, analysis.functionals)
+        resid, worst = detailed_ft_check(bad, analysis.functionals.ft_factors())
         assert resid > 1e-3
         assert worst is not None
 
@@ -401,7 +399,8 @@ class TestEdgesAndControls:
         assert np.argwhere(bad.reverse != joint.reverse).tolist() == [[0, 0, 0, 0]]
         assert bad.reverse[0, 0, 0, 0] == 1.5 * joint.reverse[0, 0, 0, 0]
         assert joint.forward_support[0, 0]
-        assert bad.restricted_mass() == pytest.approx(0.375)
+        rep = evaluate(werner_isothermal(1.0).spectra, _reverse_corruption=True).report
+        assert rep.gamma_restricted == pytest.approx(0.375)
 
     def test_corruption_flag_threads_through_evaluate(self):
         bad = evaluate(werner_isothermal(0.8).spectra, _reverse_corruption=True)
@@ -645,8 +644,8 @@ class TestFactoredExtremes:
     def test_detailed_matches_brute_force(self, seed, dims):
         # (d_m, d_a, d_b, d_r); d_a != d_b catches a swapped local label
         joint, funcs = self.pieces(seed, *dims)
-        resid, worst = detailed_ft_check(joint, funcs)
         e_i, e_f, pair = funcs.ft_factors()
+        resid, worst = detailed_ft_check(joint, (e_i, e_f, pair))
         block = joint.forward > DEFAULT_TOL.support * joint.forward.max()
         ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
         every = np.abs(ratio[:, None, None, :, None, None, :, :]
