@@ -10,6 +10,7 @@ import dataclasses
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,67 @@ def report_text(obj) -> str:
     pieces: list[bytes] = []
     reportio.dump(obj, pieces.append)
     return b"".join(pieces).decode("ascii")
+
+
+def oracle_format_float(x: float) -> str:
+    """``reportio.format_float`` with one test per kind: ``isnan``, then
+    ``isinf``, then ``%.15g``."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return "%.15g" % (x + 0.0)      # + 0.0 turns -0.0 into 0.0, printed "0"
+
+
+def oracle_dump(obj) -> str:
+    """The text ``reportio.dump`` writes for ``obj``, from a walker with one
+    ``isinstance`` branch per kind: each record's members through
+    ``dataclasses.fields``, each scalar through :func:`oracle_format_float`
+    or ``json``'s quoting, and each array through its ``tolist()``."""
+    text: list[str] = []
+    _oracle_emit(obj, text, 0)
+    text.append("\n")
+    return "".join(text)
+
+
+def _oracle_emit(obj, text: list[str], level: int) -> None:
+    if obj is None:
+        text.append("null")
+    elif obj is True:
+        text.append("true")
+    elif obj is False:
+        text.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        text.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        text.append(oracle_format_float(float(obj)))
+    elif isinstance(obj, str):
+        text.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        _oracle_emit_items("{}", [(encode_basestring_ascii(str(k)) + ": ", v)
+                                  for k, v in obj.items()], text, level)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _oracle_emit_items("{}", [(encode_basestring_ascii(f.name) + ": ", getattr(obj, f.name))
+                                  for f in dataclasses.fields(obj)], text, level)
+    elif isinstance(obj, np.ndarray):
+        _oracle_emit(obj.tolist(), text, level)     # a 0-d array gives its scalar
+    elif isinstance(obj, (list, tuple)):
+        _oracle_emit_items("[]", [("", value) for value in obj], text, level)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _oracle_emit_items(brackets: str, items: list, text: list[str], level: int) -> None:
+    if not items:
+        text.append(brackets)
+        return
+    pad = "\n" + "  " * (level + 1)
+    gap = brackets[0] + pad
+    for prefix, value in items:
+        text.append(gap + prefix)
+        _oracle_emit(value, text, level + 1)
+        gap = "," + pad
+    text.append("\n" + "  " * level + brackets[1])
 
 
 def evaluate_scenario(scenario, **kwargs):

@@ -26,11 +26,13 @@ from bift.errors import DomainError
 from bift.linalg import DEFAULT_TOL
 from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
 from bift.tables import OutcomeTuple, factored_joint, spectra_from_unitary
+from bift.theorems import BoundRecord, FTReport
 
 from conftest import (
     dense_tables,
     encode_complex_matrix,
     evaluate_scenario,
+    oracle_dump,
     oracle_forward_table,
     oracle_reverse_table,
     python_command,
@@ -967,12 +969,52 @@ def assert_emits_like_its_list(arr: np.ndarray, nesting: list[str]) -> None:
 # worst trajectory.
 WERNER_REPORT = evaluate_scenario(werner_isothermal(0.5)).report
 
+# Documents for the whole writer: every scalar kind a report holds, the
+# ones it converts (numpy scalars, integers past 64 bits), strings that
+# need escapes, and small arrays whose chunks are pieces of their own,
+# in the containers and records a report is made of.
+REPORT_INTS = st.one_of(
+    st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32),
+    st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64, 10 ** 30]))
+REPORT_TEXTS = st.text(st.one_of(
+    st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=6)
+REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), REPORT_INTS, REPORT_FLOATS, REPORT_FLOATS.map(np.float64),
+    REPORT_TEXTS,
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements=REPORT_FLOATS))
+
+
+def report_containers(inner):
+    def record(cls):
+        return st.builds(cls, **{f.name: inner for f in dataclasses.fields(cls)})
+    return st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(REPORT_TEXTS | st.integers(), inner, max_size=4),
+        st.lists(inner, min_size=8, max_size=8).map(lambda v: OutcomeTuple(*v)),
+        record(bift.cli.Check), record(BoundRecord), record(FTReport))
+
+
+REPORT_DOCUMENTS = st.recursive(REPORT_LEAVES, report_containers, max_leaves=40)
+
 
 class TestReportIO:
     def test_float_format(self):
         assert reportio.format_float(0.25) == "0.25"
         assert reportio.format_float(float("-inf")) == "-Infinity"
         assert reportio.format_float(1 / 3) == "0.333333333333333"
+        assert reportio.format_float(-0.0) == "0"
+        assert reportio.format_float(100.0) == "100"
+        assert reportio.format_float(1e15) == "1e+15"
+        assert reportio.format_float(1e-5) == "1e-05"
+        assert reportio.format_float(5e-324) == "4.94065645841247e-324"
+        assert reportio.format_float(math.nan) == "NaN"
+        assert reportio.format_float(math.inf) == "Infinity"
+        assert reportio.format_float(np.float64(-math.inf)) == "-Infinity"
+        assert reportio.format_float(np.float64(-0.1)) == "-0.1"
 
     def test_dumps_round_trips(self):
         doc = {"a": [1.5, float("-inf")], "b": {"c": None, "d": True}}
@@ -1081,6 +1123,27 @@ class TestReportIO:
         if got != want:
             bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
             pytest.fail(f"{len(got)} texts for {len(want)} values, {len(bad)} differ: {bad[:10]}")
+
+    @given(doc=REPORT_DOCUMENTS)
+    @example(doc=WERNER_REPORT)
+    @example(doc={"a": [np.arange(6.0).reshape(2, 3) / 7, -0.0, np.float64(math.inf), 2 ** 64],
+                  "b": np.zeros((2, 0)), "c": np.arange(3.0), "d": ("x\\\"\u00e9", np.int64(-7))})
+    @settings(max_examples=150, deadline=None)
+    def test_dump_matches_oracle(self, doc):
+        # the text between two arrays and each array's chunks are pieces
+        # of their own; they join to the walker oracle's text
+        pieces = []
+        reportio.dump(doc, pieces.append)
+        assert all(type(piece) is bytes for piece in pieces)
+        assert b"".join(pieces) == oracle_dump(doc).encode("ascii")
+
+    @pytest.mark.parametrize("value", [object(), {1}, 1j, np.bool_(True), b"x",
+                                       np.array([1j]), bift.cli.Check],
+                             ids=["object", "set", "complex", "numpy-bool", "bytes",
+                                  "complex-array", "record-class"])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            reportio.dump({"k": [0.5, value]}, [].append)
 
     @pytest.mark.parametrize("record", [
         dataclasses.replace(WERNER_REPORT, detailed_worst=None),
