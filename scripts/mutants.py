@@ -106,6 +106,21 @@ MUTANTS = (
            "(whole < 1e15 - 1)",
            "(whole < 1e15)",
            ("tests/test_cli.py::TestReportIO::test_format_floats_is_format_float",)),
+    Mutant("bool-written-as-int", "src/bift/reportio.py",
+           'bool: {True: "true", False: "false"}.__getitem__,',
+           "bool: int.__repr__,",
+           ("tests/test_cli.py::test_golden_bytes",
+            "tests/test_cli.py::TestReportIO::test_dump_matches_oracle")),
+    Mutant("record-plan-sorted", "src/bift/reportio.py",
+           "names = [f.name for f in dataclasses.fields(obj)]",
+           "names = sorted(f.name for f in dataclasses.fields(obj))",
+           ("tests/test_cli.py::TestReportIO::test_record_emits_like_asdict",
+            "tests/test_cli.py::test_golden_bytes")),
+    Mutant("float-text-keeps-negative-zero", "src/bift/reportio.py",
+           '"%.15g" % (x + 0.0)',
+           '"%.15g" % x',
+           ("tests/test_cli.py::TestReportIO::test_dump_matches_oracle",
+            "tests/test_cli.py::TestReportIO::test_float_format")),
     Mutant("chunk-offset-dropped", "src/bift/reportio.py",
            "ends[(block - 1 - start) % block::block]",
            "ends[(block - 1) % block::block]",

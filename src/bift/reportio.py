@@ -9,8 +9,15 @@ for byte; only the config hash sorts keys.  :func:`dump` writes a report
 to a ``write`` callable as ASCII ``bytes``, piece by piece: the keys,
 scalars and brackets between two float arrays are gathered and encoded
 as one piece, and each chunk of a float array is a piece of its own.
-Objects, frozen records, lists and tuples go through one loop, the only
-code that writes brackets, separators and indentation.  Every non-empty
+Each value is written by its exact type: one dict lookup gives the text
+of None, a bool, an int, a float or a str, and a record (a dataclass
+instance) is walked by the field plan made the first time its class is
+met, its members' quoted keys and one call that reads their values.
+Numpy scalars, subclasses (a NamedTuple is written as a list) and arrays
+go through ``isinstance`` tests; anything else is a TypeError.  Objects,
+records, lists and tuples go through one loop, the only code that
+writes brackets, separators and indentation, and it writes a scalar
+member's text straight from its container.  Every non-empty
 float64 array goes through one writer, in the layout that loop gives a
 placeholder list and in the bytes of its nested list.  It lays out each
 chunk in a ``uint8`` cell matrix, one 32-byte row of cells per entry,
@@ -37,9 +44,11 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote   # what json.dumps(str) calls
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 import numpy as np
 
@@ -51,11 +60,11 @@ from .errors import DomainError
 MAX_GRID_POINTS = 100_000
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
+    if math.isfinite(x):
+        return "%.15g" % (x + 0.0)      # + 0.0 turns -0.0 into 0.0, printed "0"
+    if x != x:
         return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return "%.15g" % (x + 0.0)      # + 0.0 turns -0.0 into 0.0, printed "0"
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 _SPLIT = 134217729.0        # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
@@ -204,52 +213,90 @@ def dump(obj: Any, write: Callable[[bytes], Any]) -> None:
     write("".join(text).encode("ascii"))
 
 
+# The text of each scalar kind a report holds, by its exact type; a
+# numpy scalar, or a subclass other than bool, goes through _emit_other.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    float: format_float,
+    str: _quote,
+}
+# Each record class's field plan, made the first time _emit_other meets
+# the class: its members' quoted names and ": " in field order, and one
+# call that gives their values in that order.
+_PLANS: dict[type, tuple[list[str], Callable[[Any], tuple]]] = {}
+
+
 def _emit(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) -> None:
     """Append the text of ``obj`` nested ``level`` deep to ``text``; a float
     array writes ``text`` and then its chunks to ``write`` and clears it."""
-    if obj is None:
-        text.append("null")
-    elif obj is True:
-        text.append("true")
-    elif obj is False:
-        text.append("false")
-    elif isinstance(obj, (int, np.integer)):
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        text.append(scalar(obj))
+    elif kind is dict:
+        _emit_items("{}", [_quote(str(k)) + ": " for k in obj], obj.values(), text, write, level)
+    elif kind is list or kind is tuple:
+        _emit_items("[]", None, obj, text, write, level)
+    elif kind in _PLANS:
+        keys, members = _PLANS[kind]
+        _emit_items("{}", keys, members(obj), text, write, level)
+    else:
+        _emit_other(obj, text, write, level)
+
+
+def _emit_other(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) -> None:
+    """:func:`_emit` of what its exact types do not take, one ``isinstance``
+    test per kind in turn: numpy and subclassed scalars, subclassed dicts,
+    a record of a class not met before, arrays, and subclassed lists and
+    tuples (a NamedTuple among them)."""
+    if isinstance(obj, (int, np.integer)):
         text.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         text.append(format_float(float(obj)))
     elif isinstance(obj, str):
         text.append(_quote(obj))
     elif isinstance(obj, dict):
-        _emit_items("{}", [(_quote(str(k)) + ": ", v) for k, v in obj.items()],
-                    text, write, level)
+        _emit_items("{}", [_quote(str(k)) + ": " for k in obj], obj.values(), text, write, level)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # The members dataclasses.asdict would give, without its copies.
-        _emit_items("{}", [(_quote(f.name) + ": ", getattr(obj, f.name))
-                           for f in dataclasses.fields(obj)], text, write, level)
+        # the members dataclasses.asdict would give, without its copies;
+        # attrgetter gives a tuple for two names or more
+        names = [f.name for f in dataclasses.fields(obj)]
+        members = (operator.attrgetter(*names) if len(names) > 1
+                   else lambda record: tuple(getattr(record, name) for name in names))
+        _PLANS[type(obj)] = ([_quote(name) + ": " for name in names], members)
+        _emit(obj, text, write, level)
     elif isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim and obj.size:
             _emit_floats(obj, text, write, level)
         else:
             _emit(obj.tolist(), text, write, level)   # a 0-d array gives its scalar
     elif isinstance(obj, (list, tuple)):
-        _emit_items("[]", [("", value) for value in obj], text, write, level)
+        _emit_items("[]", None, obj, text, write, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_items(brackets: str, items: list, text: list[str],
-                write: Callable[[bytes], Any], level: int) -> None:
-    """Append the (prefix, value) ``items`` in ``brackets``, "{}" or "[]", nested
-    ``level`` deep; a member's prefix is its quoted key and ": ", an entry's ""."""
-    if not items:
+def _emit_items(brackets: str, keys: list[str] | None, values: Collection[Any],
+                text: list[str], write: Callable[[bytes], Any], level: int) -> None:
+    """Append the ``values`` in ``brackets``, "{}" or "[]", nested ``level``
+    deep: an object's after their ``keys``, each quoted and followed by
+    ": ", a list's with no key (``keys`` None).  A scalar's text joins
+    its separator and key in one string."""
+    if not values:
         text.append(brackets)
         return
     pad = "\n" + "  " * (level + 1)
-    gap = brackets[0] + pad
-    for prefix, value in items:
-        text.append(gap + prefix)
-        _emit(value, text, write, level + 1)
-        gap = "," + pad
+    gap, sep = brackets[0] + pad, "," + pad
+    for key, value in zip(repeat("") if keys is None else keys, values):
+        scalar = _SCALARS.get(type(value))
+        if scalar is not None:
+            text.append(gap + key + scalar(value))
+        else:
+            text.append(gap + key)
+            _emit(value, text, write, level + 1)
+        gap = sep
     text.append("\n" + "  " * level + brackets[1])
 
 

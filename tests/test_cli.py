@@ -969,6 +969,17 @@ def assert_emits_like_its_list(arr: np.ndarray, nesting: list[str]) -> None:
 # worst trajectory.
 WERNER_REPORT = evaluate_scenario(werner_isothermal(0.5)).report
 
+
+# Records of fewer members than a report's.
+@dataclasses.dataclass(frozen=True)
+class OneMember:
+    value: object
+
+
+@dataclasses.dataclass(frozen=True)
+class NoMembers:
+    pass
+
 # Documents for the whole writer: every scalar kind a report holds, the
 # ones it converts (numpy scalars, integers past 64 bits), strings that
 # need escapes, and small arrays whose chunks are pieces of their own,
@@ -1150,7 +1161,9 @@ class TestReportIO:
         dataclasses.replace(WERNER_REPORT, detailed_worst=OutcomeTuple(3, 1, 0, 2, 1, 1, 0, 0)),
         bift.cli.Check("detailed_ft", 1e-17, True, "worst trajectory (0, 0, 0, 0, 0, 0, 0, 0)"),
         bift.cli.Check("bound:x", math.nan, True),
-    ], ids=["report-no-worst", "report-worst", "check", "check-nan"])
+        OneMember(bift.cli.Check("x", 0.5, False)),
+        NoMembers(),
+    ], ids=["report-no-worst", "report-worst", "check", "check-nan", "one-member", "no-members"])
     def test_record_emits_like_asdict(self, record):
         assert report_text({"r": record}) == report_text({"r": dataclasses.asdict(record)})
 
