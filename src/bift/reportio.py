@@ -9,17 +9,18 @@ for byte; only the config hash sorts keys.  :func:`dump` writes a report
 to a ``write`` callable as ASCII ``bytes``, piece by piece: the keys,
 scalars and brackets between two float arrays are gathered and encoded
 as one piece, and each chunk of a float array is a piece of its own.
-Each value is written by its exact type: one dict lookup gives the text
-of None, a bool, an int, a float or a str, and a record (a dataclass
-instance) is walked by the field plan made the first time its class is
-met, its members' quoted keys and one call that reads their values.
-Numpy scalars, subclasses (a NamedTuple is written as a list) and arrays
-go through ``isinstance`` tests; anything else is a TypeError.  Objects,
-records, lists and tuples go through one loop, the only code that
-writes brackets, separators and indentation, and it writes a scalar
-member's text straight from its container.  Every non-empty
-float64 array goes through one writer, in the layout that loop gives a
-placeholder list and in the bytes of its nested list.  It lays out each
+Each value is found by its exact type where it can be: one dict lookup
+gives the text of None, a bool, an int, a float or a str, and a record
+(a dataclass instance) is walked by the field plan made the first time
+its class is met, its members' quoted keys and one call that reads their
+values.  Dicts, lists, tuples (a NamedTuple is written as a list),
+arrays, numpy scalars and subclasses go through ``isinstance`` tests;
+anything else is a TypeError.  Objects, records, lists and tuples go
+through one loop, the only code that writes brackets, separators and
+indentation, and it writes a scalar member's text straight from its
+container.  Every non-empty float64 array goes through one writer, in
+the layout that loop gives a placeholder list and in the bytes of its
+nested list.  It lays out each
 chunk in a ``uint8`` cell matrix, one 32-byte row of cells per entry,
 each field a whole word from a lookup table (``uint32`` for the head and
 for the 3-digit groups of the 15 significant digits, ``uint64`` for the
@@ -214,7 +215,8 @@ def dump(obj: Any, write: Callable[[bytes], Any]) -> None:
 
 
 # The text of each scalar kind a report holds, by its exact type; a
-# numpy scalar, or a subclass other than bool, goes through _emit_other.
+# numpy scalar, or a subclass other than bool, takes _emit's isinstance
+# tests.
 _SCALARS: dict[type, Callable[[Any], str]] = {
     type(None): {None: "null"}.__getitem__,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -222,36 +224,26 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
     float: format_float,
     str: _quote,
 }
-# Each record class's field plan, made the first time _emit_other meets
-# the class: its members' quoted names and ": " in field order, and one
-# call that gives their values in that order.
+# Each record class's field plan, made the first time _emit meets the
+# class: its members' quoted names and ": " in field order, and one call
+# that gives their values in that order.
 _PLANS: dict[type, tuple[list[str], Callable[[Any], tuple]]] = {}
 
 
 def _emit(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) -> None:
     """Append the text of ``obj`` nested ``level`` deep to ``text``; a float
-    array writes ``text`` and then its chunks to ``write`` and clears it."""
+    array writes ``text`` and then its chunks to ``write`` and clears it.
+    A scalar of a kind in _SCALARS and a record of a planned class are
+    found by their exact type, anything else by one ``isinstance`` test
+    per kind in turn."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
         text.append(scalar(obj))
-    elif kind is dict:
-        _emit_items("{}", [_quote(str(k)) + ": " for k in obj], obj.values(), text, write, level)
-    elif kind is list or kind is tuple:
-        _emit_items("[]", None, obj, text, write, level)
     elif kind in _PLANS:
         keys, members = _PLANS[kind]
         _emit_items("{}", keys, members(obj), text, write, level)
-    else:
-        _emit_other(obj, text, write, level)
-
-
-def _emit_other(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) -> None:
-    """:func:`_emit` of what its exact types do not take, one ``isinstance``
-    test per kind in turn: numpy and subclassed scalars, subclassed dicts,
-    a record of a class not met before, arrays, and subclassed lists and
-    tuples (a NamedTuple among them)."""
-    if isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, (int, np.integer)):
         text.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         text.append(format_float(float(obj)))
@@ -265,7 +257,7 @@ def _emit_other(obj: Any, text: list[str], write: Callable[[bytes], Any], level:
         names = [f.name for f in dataclasses.fields(obj)]
         members = (operator.attrgetter(*names) if len(names) > 1
                    else lambda record: tuple(getattr(record, name) for name in names))
-        _PLANS[type(obj)] = ([_quote(name) + ": " for name in names], members)
+        _PLANS[kind] = ([_quote(name) + ": " for name in names], members)
         _emit(obj, text, write, level)
     elif isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim and obj.size:
