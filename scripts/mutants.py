@@ -121,6 +121,10 @@ MUTANTS = (
            '"%.15g" % x',
            ("tests/test_cli.py::TestReportIO::test_dump_matches_oracle",
             "tests/test_cli.py::TestReportIO::test_float_format")),
+    Mutant("any-dtype-to-float-writer", "src/bift/reportio.py",
+           "obj.dtype == np.float64 and ",
+           "",
+           ("tests/test_cli.py::TestReportIO::test_other_values_raise_type_error",)),
     Mutant("chunk-offset-dropped", "src/bift/reportio.py",
            "ends[(block - 1 - start) % block::block]",
            "ends[(block - 1) % block::block]",

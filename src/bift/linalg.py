@@ -1,8 +1,9 @@
 """Dense complex linear algebra for finite-dimensional quantum states.
 
-Everything here works on plain ``numpy`` arrays at desk scale (total
-dimension up to ~64): validated states and propagators, partial traces,
-spectra and Haar-random unitaries.  All functions are pure; returned
+Everything here works on plain ``numpy`` arrays at the sizes the size
+guard in ``bift.cli`` admits (total dimension M R up to 3162, reached at
+d_A d_B = 1): validated states and propagators, partial traces, spectra
+and Haar-random unitaries.  All functions are pure; returned
 arrays are never views into their inputs.
 
 Conventions
@@ -51,8 +52,9 @@ class Tolerances:
     ``degeneracy`` times that scale of the block's first value.  Both
     must be below 1: no entry lies above a support cutoff of 1, and a
     degeneracy cutoff of 1 puts a whole density spectrum in one block.
-    The rest are absolute, sized for double precision at total dimension
-    <= ~64.
+    The rest are absolute, sized for double precision: no check failed
+    on a valid system up to total dimension M R = 1152, and the size
+    guard in ``bift.cli`` admits up to 3162.
     """
 
     hermiticity: float = 1e-10

@@ -9,33 +9,25 @@ for byte; only the config hash sorts keys.  :func:`dump` writes a report
 to a ``write`` callable as ASCII ``bytes``, piece by piece: the keys,
 scalars and brackets between two float arrays are gathered and encoded
 as one piece, and each chunk of a float array is a piece of its own.
-Each value is found by its exact type where it can be: one dict lookup
-gives the text of None, a bool, an int, a float or a str, and a record
-(a dataclass instance) is walked by the field plan made the first time
-its class is met, its members' quoted keys and one call that reads their
-values.  Dicts, lists, tuples (a NamedTuple is written as a list),
-arrays, numpy scalars and subclasses go through ``isinstance`` tests;
-anything else is a TypeError.  Objects, records, lists and tuples go
-through one loop, the only code that writes brackets, separators and
-indentation, and it writes a scalar member's text straight from its
-container.  Every non-empty float64 array goes through one writer, in
-the layout that loop gives a placeholder list and in the bytes of its
-nested list.  It lays out each
-chunk in a ``uint8`` cell matrix, one 32-byte row of cells per entry,
-each field a whole word from a lookup table (``uint32`` for the head and
-for the 3-digit groups of the 15 significant digits, ``uint64`` for the
-exponent), and ends each row with a one-byte terminator for the axes the
-entry ends.  Trailing zeros are stripped from every row's last group,
-and from the groups before it only in the rows whose last group is 000.
-One ``bytes.translate`` drops the blank cells and one
-``bytes.replace`` per depth turns the terminators into the layout's
-separators and brackets, so no Python string is made per entry, and the
-result is written as it is, with no decode.  The digits are computed for
+A report holds records (dataclass instances), dicts with str keys,
+lists and tuples (a NamedTuple is written as a list), non-empty float64
+arrays, and the scalars None, bool, int, float and str; anything else
+is a TypeError.  A scalar is written by its container, whose one dict
+lookup on the scalar's exact type gives its text, and a record is walked
+by the field plan made the first time its class is met, its members'
+quoted keys and one call that reads their values.  Objects, records,
+lists and tuples go through one loop, the only code that writes
+brackets, separators and indentation.  Every float array goes through
+one writer, in the layout that loop gives a placeholder list and in the
+bytes of its nested list.  It lays out each chunk in a ``uint8`` cell
+matrix, one 32-byte row per entry, each field a whole word from a digit
+table (:func:`_format_cells`), and one ``bytes.translate`` and one
+``bytes.replace`` per depth turn the rows into text (:func:`_emit_floats`),
+so no Python string is made per entry.  The digits are computed for
 +/-0 and every x in [1e-280, 10), which holds every nonzero entry of a
 probability table; each other entry, and each whose rounding the pass
 cannot decide, is laid out from :func:`format_float`, so every float
-prints as ``%.15g`` prints it.  Any other array is written as its
-``tolist()``.
+prints as ``%.15g`` prints it.
 """
 
 from __future__ import annotations
@@ -214,9 +206,9 @@ def dump(obj: Any, write: Callable[[bytes], Any]) -> None:
     write("".join(text).encode("ascii"))
 
 
-# The text of each scalar kind a report holds, by its exact type; a
-# numpy scalar, or a subclass other than bool, takes _emit's isinstance
-# tests.
+# The text of each scalar kind a report holds, by its exact type; any
+# other scalar (a numpy scalar, a str subclass) reaches _emit, which
+# raises.
 _SCALARS: dict[type, Callable[[Any], str]] = {
     type(None): {None: "null"}.__getitem__,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -231,26 +223,21 @@ _PLANS: dict[type, tuple[list[str], Callable[[Any], tuple]]] = {}
 
 
 def _emit(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) -> None:
-    """Append the text of ``obj`` nested ``level`` deep to ``text``; a float
-    array writes ``text`` and then its chunks to ``write`` and clears it.
-    A scalar of a kind in _SCALARS and a record of a planned class are
-    found by their exact type, anything else by one ``isinstance`` test
-    per kind in turn."""
+    """Append the text of the record, dict, list, tuple or float array
+    ``obj`` nested ``level`` deep to ``text``; a float array writes
+    ``text`` and then its chunks to ``write`` and clears it.  A record of
+    a planned class is found by its exact type, the other kinds by one
+    ``isinstance`` test each in turn."""
     kind = type(obj)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        text.append(scalar(obj))
-    elif kind in _PLANS:
+    if kind in _PLANS:
         keys, members = _PLANS[kind]
         _emit_items("{}", keys, members(obj), text, write, level)
-    elif isinstance(obj, (int, np.integer)):
-        text.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        text.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        text.append(_quote(obj))
     elif isinstance(obj, dict):
-        _emit_items("{}", [_quote(str(k)) + ": " for k in obj], obj.values(), text, write, level)
+        _emit_items("{}", [_quote(k) + ": " for k in obj], obj.values(), text, write, level)
+    elif isinstance(obj, (list, tuple)):
+        _emit_items("[]", None, obj, text, write, level)
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim and obj.size:
+        _emit_floats(obj, text, write, level)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # the members dataclasses.asdict would give, without its copies;
         # attrgetter gives a tuple for two names or more
@@ -259,15 +246,8 @@ def _emit(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) 
                    else lambda record: tuple(getattr(record, name) for name in names))
         _PLANS[kind] = ([_quote(name) + ": " for name in names], members)
         _emit(obj, text, write, level)
-    elif isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim and obj.size:
-            _emit_floats(obj, text, write, level)
-        else:
-            _emit(obj.tolist(), text, write, level)   # a 0-d array gives its scalar
-    elif isinstance(obj, (list, tuple)):
-        _emit_items("[]", None, obj, text, write, level)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _emit_items(brackets: str, keys: list[str] | None, values: Collection[Any],

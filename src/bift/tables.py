@@ -41,11 +41,15 @@ which comes from one of two routes:
 Neither route refuses a system for its size; the size guard sits where
 a config enters (``bift.cli``).
 
-Summations use a fixed lexicographic (C-order) reduction, so identical
-inputs give identical bytes on the same numpy/BLAS build, at any BLAS
-thread count (measured with OpenBLAS at 1 and 2 threads).  Only the
-random scenario's Haar draw (``linalg.haar_unitary``) changes with the
-thread count, from M R = 100 up.
+A ``.sum()`` reduces in the memory order numpy's iterator gives its
+operand, not in C order: the propagator route's ``G`` is laid out
+[m', r', m, r] in memory, and its product with an (R, R) pair factor
+[m', m, r, r'].  Identical inputs give identical bytes because these
+layouts are fixed on one numpy/BLAS build, at any BLAS thread count
+(measured with OpenBLAS at 1 and 2 threads); reordering a product, or
+copying it to C order, moves bits.  Only the random scenario's Haar
+draw (``linalg.haar_unitary``) changes with the thread count, from
+M R = 100 up.
 """
 
 from __future__ import annotations
