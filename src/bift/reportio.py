@@ -238,7 +238,7 @@ def _emit(obj: Any, text: list[str], write: Callable[[bytes], Any], level: int) 
         _emit_items("[]", None, obj, text, write, level)
     elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim and obj.size:
         _emit_floats(obj, text, write, level)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    elif dataclasses.is_dataclass(kind):          # an instance, not the class itself
         # the members dataclasses.asdict would give, without its copies;
         # attrgetter gives a tuple for two names or more
         names = [f.name for f in dataclasses.fields(obj)]
