@@ -93,7 +93,8 @@ MUTANTS = (
     Mutant("within-strict", "src/bift/cli.py",
            "return cls(name, value, value <= limit, detail)",
            "return cls(name, value, value < limit, detail)",
-           ("tests/test_cli.py::TestVerify::test_residual_at_the_limit_passes",)),
+           ("tests/test_cli.py::TestVerify::test_residual_at_the_limit_passes",
+            "tests/test_cli.py::TestVerify::test_largest_deviation_of_an_array_pair_decides")),
     Mutant("drop-two-product-error", "src/bift/reportio.py",
            "    err -= t\n",
            "",
@@ -102,6 +103,10 @@ MUTANTS = (
            "if slow.size:",
            "if False:",
            ("tests/test_cli.py::TestReportIO::test_array_emits_like_its_list",)),
+    Mutant("drop-rounding-guard", "src/bift/reportio.py",
+           " & (np.abs(frac - 0.5) > 1e-6)",
+           "",
+           ("tests/test_cli.py::TestReportIO::test_format_floats_is_format_float",)),
     Mutant("carry-bound-at-1e15", "src/bift/reportio.py",
            "(whole < 1e15 - 1)",
            "(whole < 1e15)",

@@ -35,7 +35,7 @@ from .linalg import (
     density_operator,
 )
 from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
-from .scenarios import SCENARIOS, Scenario
+from .scenarios import SCENARIOS, Scenario, report_value
 from .tables import OutcomeTuple, UnitarySystem, spectra_from_unitary
 from .theorems import Analysis, evaluate, ln_or_neg_inf
 
@@ -56,38 +56,44 @@ class Check:
     detail: str = ""
 
     @classmethod
-    def within(cls, name: str, value: float, limit: float, detail: str = "") -> Check:
+    def close(cls, name: str, got, want, limit: float, detail: str = "") -> Check:
+        """An equality check of ``got`` against ``want`` (numbers, or arrays
+        that broadcast): its value is their largest absolute deviation,
+        and it passes when that is at most ``limit``, the limit included."""
+        value = float(np.max(np.abs(np.subtract(got, want))))
         return cls(name, value, value <= limit, detail)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--scenario", choices=list(SCENARIOS))
+    shared.add_argument("--p", help="scenario parameter; sweep accepts a comma list or "
+                                    "start:stop:count with count at most "
+                                    f"{reportio.MAX_GRID_POINTS}")
+    shared.add_argument("--beta", type=float, help="inverse temperature")
+    shared.add_argument("--seed", type=int, help="seed for the random scenario")
+    shared.add_argument("--dims", help="d_A,d_B,d_R for the random scenario")
+    shared.add_argument("--config", help="JSON config path")
+    shared.add_argument("--tolerance", type=float, help="override equality/bound tolerance")
+    shared.add_argument("--out", help="output path (default: stdout)")
+
     ap = argparse.ArgumentParser(
         prog="bift",
         description="Two-point-measurement fluctuation-theorem verification "
                     "for open bipartite systems")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in (("run", "run one system and emit a report"),
-                      ("sweep", "run a parameter grid and emit a CSV table"),
-                      ("verify", "run the full invariant suite")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--scenario", choices=list(SCENARIOS))
-        p.add_argument("--p", dest="p", help="scenario parameter; sweep accepts a comma "
-                                             "list or start:stop:count with count at most "
-                                             f"{reportio.MAX_GRID_POINTS}")
-        p.add_argument("--beta", type=float, help="inverse temperature")
-        p.add_argument("--seed", type=int, help="seed for the random scenario")
-        p.add_argument("--dims", help="d_A,d_B,d_R for the random scenario")
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--tolerance", type=float,
-                       help="override equality/bound tolerance")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if name == "run":
-            p.add_argument("--emit-tuples", action="store_true",
-                           help="include the dense per-trajectory tables in the report")
-        if name == "verify":
-            p.add_argument("--corrupt-reverse", action="store_true",
-                           help="debug: corrupt the reverse table so the "
-                                "detailed check must fail (negative control)")
+    run = sub.add_parser("run", parents=[shared], help="run one system and emit a report")
+    run.add_argument("--emit-tuples", action="store_true",
+                     help="include the dense per-trajectory tables in the report")
+    run.set_defaults(handler=cmd_run)
+    sweep = sub.add_parser("sweep", parents=[shared],
+                           help="run a parameter grid and emit a CSV table")
+    sweep.set_defaults(handler=cmd_sweep)
+    verify = sub.add_parser("verify", parents=[shared], help="run the full invariant suite")
+    verify.add_argument("--corrupt-reverse", action="store_true",
+                        help="debug: corrupt the reverse table so the "
+                             "detailed check must fail (negative control)")
+    verify.set_defaults(handler=cmd_verify)
     return ap
 
 
@@ -271,21 +277,21 @@ def core_checks(scenario: Scenario, analysis: Analysis, tol: Tolerances) -> list
     """The checks whose pass/fail decides the exit status of ``run``."""
     rep = analysis.report
     checks = [
-        Check.within("integral_ft_vs_gamma",
-                     abs(rep.integral_ft_lhs - rep.gamma_restricted), tol.equality),
-        Check.within("reverse_averaged_ft",
-                     abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di), tol.equality),
-        Check.within("detailed_ft", rep.detailed_max_residual, tol.equality,
-                     detail=("worst trajectory "
-                             f"{tuple(rep.detailed_worst)}" if rep.detailed_worst else "")),
+        Check.close("integral_ft_vs_gamma", rep.integral_ft_lhs, rep.gamma_restricted,
+                    tol.equality),
+        Check.close("reverse_averaged_ft", rep.reverse_ft_lhs, rep.reverse_avg_exp_di,
+                    tol.equality),
+        Check.close("detailed_ft", rep.detailed_max_residual, 0.0, tol.equality,
+                    detail=("worst trajectory "
+                            f"{tuple(rep.detailed_worst)}" if rep.detailed_worst else "")),
     ]
     for rec in rep.bounds:
         value, passed, detail = (
             (rec.slack, bool(rec.satisfied), f"kind={rec.kind}") if rec.applicable
             else (math.nan, True, f"not applicable: {rec.note}"))
         checks.append(Check(f"bound:{rec.name}", value, passed, detail))
-    checks += [Check.within(f"reference:{key}", resid, tol.equality)
-               for key, resid in scenario.reference_residuals(rep).items()]
+    checks += [Check.close(f"reference:{key}", report_value(rep, key), want, tol.equality)
+               for key, want in sorted(scenario.reference.items())]
     return checks
 
 
@@ -299,13 +305,13 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
 
     for name, table in (("forward_normalization", joint.forward),
                         ("reverse_normalization", joint.reverse)):
-        checks.append(Check.within(name, abs(joint.expectation(table) - 1.0), tol.equality))
+        checks.append(Check.close(name, joint.expectation(table), 1.0, tol.equality))
 
     # Summing the local labels out of the augmented table returns G.
     sum_i, sum_f = joint.unit_sums
-    fact = float(np.max(np.abs(
-        joint.forward * (sum_i[:, None, None, None] * sum_f[None, :, None, None] - 1.0))))
-    checks.append(Check.within("forward_factorization", fact, tol.trace))
+    outer = sum_i[:, None, None, None] * sum_f[None, :, None, None]
+    checks.append(Check.close("forward_factorization", joint.forward * (outer - 1.0), 0.0,
+                              tol.trace))
 
     # Forward marginal over (m, a, b, r): the conditional weight times the
     # final-side sum of G.
@@ -313,16 +319,13 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     got = init.cond[:, :, :, None] * w_mr[:, None, None, :]
     want = (init.cond[:, :, :, None]
             * init.p_m[:, None, None, None] * s.p_r[None, None, None, :])
-    checks.append(Check.within("initial_marginal_identity",
-                               float(np.max(np.abs(got - want))), tol.equality))
-    checks.append(Check.within("local_marginal_identity",
-                               float(np.max(np.abs(got.sum(axis=(0, 2, 3)) - init.p_a))),
-                               tol.equality))
+    checks.append(Check.close("initial_marginal_identity", got, want, tol.equality))
+    checks.append(Check.close("local_marginal_identity", got.sum(axis=(0, 2, 3)), init.p_a,
+                              tol.equality))
 
     avg_info = joint.expectation(joint.forward, initial=analysis.functionals.initial.info)
     qmi = shannon_entropy(init.p_a) + shannon_entropy(init.p_b) - shannon_entropy(init.p_m)
-    checks.append(Check.within("info_avg_is_mutual_information", abs(avg_info - qmi),
-                               tol.equality))
+    checks.append(Check.close("info_avg_is_mutual_information", avg_info, qmi, tol.equality))
 
     gamma = analysis.report.gamma_restricted
     checks.append(Check("restricted_mass_in_range", 0.0,
@@ -384,8 +387,8 @@ def output(out: str | None) -> Iterator[Callable[[bytes], object]]:
         raise DomainError(f"{where}: {exc.strerror or exc}") from exc
 
 
-def cmd_run(args, cfg: dict, tol: Tolerances, p: float | None) -> int:
-    scenario, analysis = build_analysis(cfg, tol, p)
+def cmd_run(args, cfg: dict, tol: Tolerances, points: list[float | None]) -> int:
+    scenario, analysis = build_analysis(cfg, tol, *points)
     checks = core_checks(scenario, analysis, tol)
     doc = report_document("run", cfg, scenario, analysis, checks, tol)
     with output(args.out) as write:
@@ -393,8 +396,8 @@ def cmd_run(args, cfg: dict, tol: Tolerances, p: float | None) -> int:
     return 0 if doc["passed"] else 1
 
 
-def cmd_verify(args, cfg: dict, tol: Tolerances, p: float | None) -> int:
-    scenario, analysis = build_analysis(cfg, tol, p, corruption=args.corrupt_reverse)
+def cmd_verify(args, cfg: dict, tol: Tolerances, points: list[float | None]) -> int:
+    scenario, analysis = build_analysis(cfg, tol, *points, corruption=args.corrupt_reverse)
     checks = core_checks(scenario, analysis, tol) + invariant_checks(analysis, tol)
     lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name} value={reportio.format_float(c.value)}"
              + (f"  ({c.detail})" if c.detail else "") for c in checks]
@@ -427,11 +430,7 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(args)
         tol, points = validate_config(cfg, args.command)
-        if args.command == "run":
-            return cmd_run(args, cfg, tol, *points)
-        if args.command == "sweep":
-            return cmd_sweep(args, cfg, tol, points)
-        return cmd_verify(args, cfg, tol, *points)
+        return args.handler(args, cfg, tol, points)
     except BiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -309,8 +309,21 @@ class TestVerify:
     def test_residual_at_the_limit_passes(self):
         # a check passes when its residual is at most the tolerance, the
         # tolerance itself included
-        assert bift.cli.Check.within("x", 1e-10, 1e-10).passed
-        assert not bift.cli.Check.within("x", math.nextafter(1e-10, 1.0), 1e-10).passed
+        assert bift.cli.Check.close("x", 1e-10, 0.0, 1e-10).passed
+        assert not bift.cli.Check.close("x", math.nextafter(1e-10, 1.0), 0.0, 1e-10).passed
+
+    def test_largest_deviation_of_an_array_pair_decides(self):
+        # the value is the largest |got - want| over the entries, whatever
+        # its sign, and that entry alone fails the check
+        want = np.array([[0.5, 1.0], [2.0, -3.0]])
+        got = want + np.array([[1e-11, -2e-11], [0.0, 5e-11]])
+        check = bift.cli.Check.close("x", got, want, 4e-11)
+        assert check.value == float(np.max(np.abs(got - want)))
+        assert abs(check.value - 5e-11) < 1e-15
+        assert not check.passed
+        assert bift.cli.Check.close("x", got, want, check.value).passed
+        got[1, 1] = want[1, 1]
+        assert bift.cli.Check.close("x", got, want, 4e-11).passed
 
     def test_werner_passes(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--scenario", "werner", "--p", "0.7")

@@ -44,3 +44,16 @@ class TestMutants:
                 text = (ROOT / path).read_text()
                 assert all(re.search(rf"^\s*(class|def) {name}\b", text, re.M)
                            for name in names), node
+
+
+class TestBytesDiff:
+    def test_tree_against_itself_is_same(self):
+        # both sides given as directories, so no git history is needed
+        cmd, env = python_command(str(ROOT / "scripts" / "bytes_diff.py"),
+                                  "--parent", str(ROOT), "--change", str(ROOT),
+                                  "--cases", "werner-p0.37,verify-werner-p0.37")
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["same  werner-p0.37", "same  verify-werner-p0.37"]
+        assert lines[2].startswith("2 outputs: 2 same, 0 moved")
