@@ -282,8 +282,7 @@ def core_checks(scenario: Scenario, analysis: Analysis, tol: Tolerances) -> list
         Check.close("reverse_averaged_ft", rep.reverse_ft_lhs, rep.reverse_avg_exp_di,
                     tol.equality),
         Check.close("detailed_ft", rep.detailed_max_residual, 0.0, tol.equality,
-                    detail=("worst trajectory "
-                            f"{tuple(rep.detailed_worst)}" if rep.detailed_worst else "")),
+                    f"worst trajectory {tuple(rep.detailed_worst)}" if rep.detailed_worst else ""),
     ]
     for rec in rep.bounds:
         value, passed, detail = (
@@ -344,7 +343,8 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
                        "support": tol.support},
         "scenario": {"name": scenario.name, **scenario.params},
         "report": analysis.report,
-        "reference_residuals": scenario.reference_residuals(analysis.report),
+        "reference_residuals": {c.name.removeprefix("reference:"): c.value
+                                for c in checks if c.name.startswith("reference:")},
         "checks": checks,
         "passed": all(c.passed for c in checks),
     }

@@ -70,11 +70,6 @@ class Scenario:
     reference: dict[str, float]
     work: WorkInputs | None = None
 
-    def reference_residuals(self, report) -> dict[str, float]:
-        """|report value - reference value| for each reference key, in key order."""
-        return {key: abs(report_value(report, key) - want)
-                for key, want in sorted(self.reference.items())}
-
 
 def report_value(report, key: str) -> float:
     """Resolve a reference key against an FTReport: a scalar field
