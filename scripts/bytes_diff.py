@@ -21,7 +21,8 @@ table or ``verify`` text, every moved field is listed with its largest
 absolute and relative change; list entries are named by their ``name``
 key when they have one and collapse to ``[*]`` otherwise.  Exit 0 when
 every output is the same, 1 when one moved, 2 on a usage error or when a
-side cannot run.
+side cannot run: a revision that does not export, a tree whose corpus
+does not run, or a corpus that cannot be read.
 """
 
 from __future__ import annotations
@@ -40,13 +41,17 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from mutants import export
+
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 3
 
 # Runs in the child, one per side: argv[1] is the side's src, argv[2] the
-# case list, argv[3] where the statuses and stderr texts go.
+# case list, argv[3] where the statuses and stderr texts go.  Each case
+# runs under its own ``catch_warnings``, which resets the once-per-location
+# record, so it prints every warning a ``bift`` process of its own would.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, warnings
 from pathlib import Path
 src, cases, results = sys.argv[1:]
 import bift.cli
@@ -55,7 +60,7 @@ if Path(bift.cli.__file__).resolve().parent != Path(src).resolve() / "bift":
 out = {}
 for name, argv, path in json.loads(Path(cases).read_text()):
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
         try:
             status = bift.cli.main([*argv, "--out", path])
         except SystemExit as exc:
@@ -85,17 +90,20 @@ def golden_cases() -> list[Case]:
                 isinstance(t, ast.Name) and t.id == "GOLDEN" for t in node.targets):
             return [Case(name, tuple(argv))
                     for name, (argv, _digest) in ast.literal_eval(node.value).items()]
-    raise LookupError("tests/test_cli.py holds no GOLDEN table")
+    raise UsageError("tests/test_cli.py holds no GOLDEN table")
 
 
 def workload_cases(workdir: Path) -> list[Case]:
     """The ops and negative controls of each benchmark workload at seed 3;
     their config files are written into ``workdir``."""
-    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
     cases = []
-    for workload in workloads["WORKLOADS"]:
-        ops, negatives = workloads["generate"](workload, SEED, str(workdir))
-        cases += [Case(f"{workload}/{op.label}", tuple(op.argv)) for op in ops + negatives]
+    try:
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        for workload in workloads["WORKLOADS"]:
+            ops, negatives = workloads["generate"](workload, SEED, str(workdir))
+            cases += [Case(f"{workload}/{op.label}", tuple(op.argv)) for op in ops + negatives]
+    except Exception as exc:
+        raise UsageError(f"perfbench/workloads.py: {type(exc).__name__}: {exc}") from exc
     return cases
 
 
@@ -107,15 +115,14 @@ def source_tree(spec: str, scratch: Path) -> tuple[Path, str]:
         if not (path / "src" / "bift" / "cli.py").is_file():
             raise UsageError(f"{spec}: a directory with no src/bift/cli.py")
         return path.resolve(), str(path)
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
-                          f"{spec}^{{commit}}"], capture_output=True, text=True)
-    if rev.returncode != 0:
-        raise UsageError(f"{spec}: neither a directory nor a git revision")
-    commit = rev.stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
-                             capture_output=True, check=True).stdout
-    scratch.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(scratch)], input=archive, check=True)
+    try:
+        commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                                 f"{spec}^{{commit}}"], capture_output=True, text=True,
+                                check=True).stdout.strip()
+        export(scratch, commit)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise UsageError(f"{spec}: neither a directory nor a git revision that exports "
+                         f"({exc})") from exc
     return scratch, f"{spec} ({commit[:12]})"
 
 

@@ -137,9 +137,9 @@ MUTANTS = (
 )
 
 
-def export(dest: Path) -> None:
-    """The committed files of HEAD under ``dest``, with no bytecode."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "HEAD"],
+def export(dest: Path, rev: str = "HEAD") -> None:
+    """The committed files of revision ``rev`` under ``dest``, with no bytecode."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                              capture_output=True, check=True).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)

@@ -1,8 +1,10 @@
 """The scripts under ``scripts/``, run as a user runs them."""
 
+import importlib.util
 import re
 import runpy
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,16 @@ class TestMutants:
                            for name in names), node
 
 
+def load_bytes_diff(monkeypatch):
+    """scripts/bytes_diff.py as a module, with the scripts it imports on the path."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location("bytes_diff", ROOT / "scripts" / "bytes_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bytes_diff", module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBytesDiff:
     def test_tree_against_itself_is_same(self):
         # both sides given as directories, so no git history is needed
@@ -57,3 +69,33 @@ class TestBytesDiff:
         lines = proc.stdout.splitlines()
         assert lines[:2] == ["same  werner-p0.37", "same  verify-werner-p0.37"]
         assert lines[2].startswith("2 outputs: 2 same, 0 moved")
+
+    @pytest.mark.parametrize("parent", ["missing", "broken"])
+    def test_a_side_that_cannot_run_exits_2(self, tmp_path, parent):
+        # "missing" is neither a directory nor a revision; "broken" is a
+        # tree whose bift does not import
+        package = tmp_path / "broken" / "src" / "bift"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text("raise ImportError('broken on purpose')\n")
+        cmd, env = python_command(str(ROOT / "scripts" / "bytes_diff.py"),
+                                  "--parent", str(tmp_path / parent), "--change", str(ROOT),
+                                  "--cases", "werner-p0.37")
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith(f"error: {tmp_path / parent}")
+        assert proc.stdout == ""
+
+    def test_a_revision_that_does_not_export_exits_2(self, monkeypatch, capsys):
+        bytes_diff = load_bytes_diff(monkeypatch)
+
+        def fail(dest, rev="HEAD"):
+            raise subprocess.CalledProcessError(128, ["git", "archive", rev])
+
+        monkeypatch.setattr(bytes_diff, "export", fail)
+        monkeypatch.setattr(bytes_diff, "workload_cases", lambda workdir: [])
+        assert bytes_diff.main(["--parent", "HEAD", "--change", str(ROOT),
+                                "--cases", "werner-p0.37"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: HEAD: neither a directory nor a git revision that exports")
