@@ -134,6 +134,23 @@ MUTANTS = (
            "ends[(block - 1 - start) % block::block]",
            "ends[(block - 1) % block::block]",
            ("tests/test_cli.py::TestReportIO::test_array_emits_like_its_list_in_chunks",)),
+    Mutant("grid-count-bound", "src/bift/cli.py",
+           "if not 1 <= count <= MAX_GRID_POINTS:",
+           "if not 1 <= count < MAX_GRID_POINTS:",
+           ("tests/test_cli.py::TestReportIO::test_parse_grid",)),
+    Mutant("size-guard-unsquared", "src/bift/cli.py",
+           "n = math.prod((d_a * d_b, d_a, d_b, d_r)) ** 2",
+           "n = math.prod((d_a * d_b, d_a, d_b, d_r))",
+           ("tests/test_tables.py::TestGuardsAndOverrides::test_size_guard",)),
+    Mutant("system-unknown-keys-pass", "src/bift/cli.py",
+           'raise DomainError(f"{where}: unknown keys {sorted(unknown)}")',
+           "pass",
+           ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input",)),
+    Mutant("heat-exponent-unchecked", "src/bift/tables.py",
+           "if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):",
+           "if False:",
+           ("tests/test_tables.py::TestGuardsAndOverrides::"
+            "test_unitary_route_refuses_overflowing_heat_exponents",)),
 )
 
 

@@ -34,7 +34,7 @@ from .linalg import (
     Tolerances,
     density_operator,
 )
-from .reportio import config_hash, decode_complex_matrix, load_config, parse_grid
+from .reportio import config_hash, decode_complex_matrix, load_config
 from .scenarios import SCENARIOS, Scenario, report_value
 from .tables import OutcomeTuple, UnitarySystem, spectra_from_unitary
 from .theorems import Analysis, evaluate, ln_or_neg_inf
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--scenario", choices=list(SCENARIOS))
     shared.add_argument("--p", help="scenario parameter; sweep accepts a comma list or "
                                     "start:stop:count with count at most "
-                                    f"{reportio.MAX_GRID_POINTS}")
+                                    f"{MAX_GRID_POINTS}")
     shared.add_argument("--beta", type=float, help="inverse temperature")
     shared.add_argument("--seed", type=int, help="seed for the random scenario")
     shared.add_argument("--dims", help="d_A,d_B,d_R for the random scenario")
@@ -164,8 +164,8 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
     input exits 2 with a message instead of failing inside the numerics,
     and return the run's tolerances and ``p`` points ([None] for a system
     without ``p``; one point unless sweeping).  Checks every key but the
-    route, which its builder checks, that the command and the named system
-    read every key given, and that a sweep names a system with a ``p``."""
+    route and ``system``, which their builders check, that the command and
+    the named system read every key given, and that a sweep names one with a ``p``."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys {sorted(unknown)}")
@@ -205,34 +205,41 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
                 positive=False)
         if key in ("support", "degeneracy") and value >= 1:    # see Tolerances
             raise DomainError(f"tolerance.{key}: a relative cutoff must be below 1, got {value!r}")
-    if "system" in cfg:
-        sysc = cfg["system"]
-        _fields(sysc, ("dims", "rho_ab", "unitary", "reservoir"), "system")
-        _dims(sysc["dims"], "system.dims")
-        res = sysc["reservoir"]
-        _fields(res, ("energies", "beta"), "system.reservoir")
-        _number(res["beta"], "system.reservoir.beta", positive=True)
-        energies = res["energies"]
-        if not (isinstance(energies, list) and all(_is_finite(e) for e in energies)):
-            raise DomainError("system.reservoir.energies: expected a list of finite numbers")
-        if len(energies) != sysc["dims"][2]:
-            raise DomainError("system.reservoir.energies: length must equal d_R")
-        exponent = res["beta"] * (float(max(energies)) - float(min(energies)))
-        if exponent > MAX_HEAT_EXPONENT:
-            raise DomainError(f"system.reservoir: beta * (max E - min E) = {exponent:.6g} "
-                              f"exceeds {MAX_HEAT_EXPONENT:.6g}, where exp overflows")
     points = p_values(cfg) if "p" in reads else [None]
     if command != "sweep" and len(points) != 1:
         raise DomainError(f"p: expected a single value, got {len(points)}")
     return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in fields.items()}), points
 
 
+# Most points a start:stop:count grid may hold: each is a full evaluation,
+# so a larger count is a typo that would only exhaust memory.
+MAX_GRID_POINTS = 100_000
+
+
 def p_values(cfg: dict) -> list[float]:
     """The scenario parameter ``p``: a number, a list of numbers, or a
-    grid string (one value, a comma list or start:stop:count)."""
+    grid string, which is one value, a comma list or start:stop:count
+    with 1 <= count <= MAX_GRID_POINTS."""
     raw = cfg.get("p")
-    if isinstance(raw, str):
-        values = parse_grid(raw)
+    text = raw.strip() if isinstance(raw, str) else ""
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise DomainError(f"grid {text!r}: expected start:stop:count")
+        try:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise DomainError(f"grid {text!r}: {exc}") from exc
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise DomainError(f"grid {text!r}: count must lie in [1, {MAX_GRID_POINTS}]")
+        if not math.isfinite(stop - start):     # an end that is not finite, or too far apart
+            raise DomainError(f"grid {text!r}: stop - start must be finite")
+        values = [float(x) for x in np.linspace(start, stop, count)]
+    elif isinstance(raw, str):
+        try:
+            values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            raise DomainError(f"grid {text!r}: {exc}") from exc
     elif isinstance(raw, list) and all(_is_finite(v) for v in raw):
         values = [float(v) for v in raw]
     elif _is_finite(raw):
@@ -245,30 +252,42 @@ def p_values(cfg: dict) -> list[float]:
     return values
 
 
-def explicit_system(sysc: dict, tol: Tolerances) -> UnitarySystem:
-    rho = decode_complex_matrix(sysc["rho_ab"], "system.rho_ab")
-    u = decode_complex_matrix(sysc["unitary"], "system.unitary")
+def explicit_system(system, tol: Tolerances) -> Scenario:
+    """A config's ``system`` block, read once: its keys, its dims (so the
+    size guard runs before any matrix is decoded), its reservoir, then its
+    state and propagator.  Every error names the block."""
+    _fields(system, ("dims", "rho_ab", "unitary", "reservoir"), "system")
+    dims = system["dims"]
+    _dims(dims, "system.dims")
+    res = system["reservoir"]
+    _fields(res, ("energies", "beta"), "system.reservoir")
+    beta, energies = res["beta"], res["energies"]
+    _number(beta, "system.reservoir.beta", positive=True)
+    if not (isinstance(energies, list) and all(_is_finite(e) for e in energies)):
+        raise DomainError("system.reservoir.energies: expected a list of finite numbers")
+    if len(energies) != dims[2]:
+        raise DomainError("system.reservoir.energies: length must equal d_R")
+    exponent = beta * (float(max(energies)) - float(min(energies)))
+    if exponent > MAX_HEAT_EXPONENT:
+        raise DomainError(f"system.reservoir: beta * (max E - min E) = {exponent:.6g} "
+                          f"exceeds {MAX_HEAT_EXPONENT:.6g}, where exp overflows")
+    rho, u = (decode_complex_matrix(system[key], f"system.{key}") for key in ("rho_ab", "unitary"))
     try:
-        rho_ab = density_operator(rho, tol)
+        spectra = spectra_from_unitary(
+            UnitarySystem(dims[0], dims[1], density_operator(rho, tol),
+                          ReservoirSpec(tuple(energies), float(beta)), u), tol)
     except BiftError as exc:
         raise DomainError(f"system: {exc}") from exc
-    d_a, d_b, _ = sysc["dims"]
-    res = sysc["reservoir"]
-    return UnitarySystem(d_a, d_b, rho_ab,
-                         ReservoirSpec(tuple(res["energies"]), float(res["beta"])), u)
+    return Scenario("explicit", {"dims": list(dims)}, spectra, {})
 
 
 def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
                    corruption: bool = False) -> tuple[Scenario, Analysis]:
     """The system a validated config names, at ``p``, one of the points
     :func:`validate_config` returns, and its evaluation."""
-    if "system" in cfg:
-        scenario = Scenario("explicit", {"dims": list(cfg["system"]["dims"])},
-                            spectra_from_unitary(explicit_system(cfg["system"], tol), tol),
-                            {})
-    else:
-        builder, keys = SCENARIOS[cfg["scenario"]]
-        scenario = builder(**{k: p if k == "p" else cfg[k] for k in cfg.keys() & keys}, tol=tol)
+    builder, keys = ((explicit_system, {"system"}) if "system" in cfg
+                     else SCENARIOS[cfg["scenario"]])
+    scenario = builder(**{k: p if k == "p" else cfg[k] for k in cfg.keys() & keys}, tol=tol)
     return scenario, evaluate(scenario.spectra, scenario.work, tol,
                               _reverse_corruption=corruption)
 

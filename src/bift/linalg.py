@@ -52,9 +52,9 @@ class Tolerances:
     ``degeneracy`` times that scale of the block's first value.  Both
     must be below 1: no entry lies above a support cutoff of 1, and a
     degeneracy cutoff of 1 puts a whole density spectrum in one block.
-    The rest are absolute, sized for double precision: no check failed
-    on a valid system up to total dimension M R = 1152, and the size
-    guard in ``bift.cli`` admits up to 3162.
+    The rest are absolute, sized for double precision, and a valid system
+    can fail them: ``verify --scenario counterexample --p 0.999999``
+    (M R = 4) fails ``reference:reverse_avg_exp_di`` at 1.16e-10 (ROADMAP.md items 2-4).
     """
 
     hermiticity: float = 1e-10

@@ -47,10 +47,6 @@ import numpy as np
 
 from .errors import DomainError
 
-# Most points a start:stop:count grid may hold.  Each point is a full
-# evaluation, so a sweep this long already takes minutes; a larger count
-# is a typo that would only exhaust memory.
-MAX_GRID_POINTS = 100_000
 
 def format_float(x: float) -> str:
     if math.isfinite(x):
@@ -385,25 +381,3 @@ def decode_complex_matrix(entries, where: str) -> np.ndarray:
         raise DomainError(f"{where}: entries must not exceed {limit:.6g} in modulus")
     return arr[..., 0] + 1j * arr[..., 1]
 
-
-def parse_grid(text: str) -> list[float]:
-    """Grid syntax: a single value, a comma list, or start:stop:count
-    with 1 <= count <= MAX_GRID_POINTS."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"grid {text!r}: expected start:stop:count")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise DomainError(f"grid {text!r}: {exc}") from exc
-        if not 1 <= count <= MAX_GRID_POINTS:
-            raise DomainError(f"grid {text!r}: count must lie in [1, {MAX_GRID_POINTS}]")
-        if not math.isfinite(stop - start):     # an end that is not finite, or too far apart
-            raise DomainError(f"grid {text!r}: stop - start must be finite")
-        return [float(x) for x in np.linspace(start, stop, count)]
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise DomainError(f"grid {text!r}: {exc}") from exc

@@ -189,12 +189,20 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
     return k.transpose(2, 3, 0, 1)
 
 
+def _check_heat_exponents(beta_q: np.ndarray) -> np.ndarray:
+    """``beta_q``, refused when an entry is not finite or its exp overflows."""
+    if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):
+        raise ConsistencyError(f"beta_q entries must be finite and at most "
+                               f"{MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
+    return beta_q
+
+
 def spectra_from_unitary(system: UnitarySystem,
                          tol: Tolerances = DEFAULT_TOL) -> SystemSpectra:
     """Assemble the full ingredient bundle from an explicit propagator.
 
     The initial decomposition is the state's own; the final and local
-    decompositions are derived here.
+    decompositions are derived here; ``beta_q`` is checked before the Gibbs weights.
     """
     d_a, d_b = system.dim_a, system.dim_b
     d_m = d_a * d_b
@@ -207,6 +215,8 @@ def spectra_from_unitary(system: UnitarySystem,
         raise DimensionError(f"propagator dim {u.shape[0]} != {d_m} x {d_r}")
 
     init = system.rho_ab.decomposition
+    energies = np.asarray(system.reservoir.energies)
+    beta_q = _check_heat_exponents(system.reservoir.beta * (energies[:, None] - energies[None, :]))
     p_r = system.reservoir.gibbs_probabilities()
     rho_abr = _kron_diagonal(system.rho_ab.matrix, p_r)
     rho_abr_final = u @ rho_abr @ dagger(u)
@@ -214,14 +224,13 @@ def spectra_from_unitary(system: UnitarySystem,
 
     fin = spectral_decompose(rho_ab_final, tol)
     kernel = transition_kernel(init.vectors, fin.vectors, d_r, u)
-    energies = np.asarray(system.reservoir.energies)
     return SystemSpectra(
         initial=_endpoint(system.rho_ab.matrix, init, d_a, d_b, tol),
         final=_endpoint(rho_ab_final, fin, d_a, d_b, tol),
         p_r=p_r,
         kernel=kernel,
         reverse_kernel=kernel,
-        beta_q=system.reservoir.beta * (energies[:, None] - energies[None, :]),
+        beta_q=beta_q,
     )
 
 
@@ -287,12 +296,9 @@ def spectra_from_analytic(spectra: SystemSpectra,
     beta_q = np.asarray(spectra.beta_q, dtype=float)
     if beta_q.shape != (d_r, d_r):
         raise DimensionError(f"beta_q must have shape ({d_r},{d_r})")
-    if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):
-        raise ConsistencyError(f"beta_q entries must be finite and at most "
-                               f"{MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
 
-    return SystemSpectra(initial=initial, final=final, p_r=p_r,
-                         kernel=kernel, reverse_kernel=rkernel, beta_q=beta_q)
+    return SystemSpectra(initial=initial, final=final, p_r=p_r, kernel=kernel,
+                         reverse_kernel=rkernel, beta_q=_check_heat_exponents(beta_q))
 
 
 def _is_one(factor) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -555,6 +556,14 @@ TWO_QUBIT_SYSTEM = {"dims": [2, 2, 2], "rho_ab": encode_complex_matrix(np.eye(4)
                     "reservoir": {"energies": [0.0, 1.0], "beta": 1.0}}
 
 
+@pytest.mark.parametrize("name", sorted(bift.scenarios.SCENARIOS))
+def test_scenario_keys_are_builder_parameters(name):
+    # build_analysis passes a config's keys to the builder as keyword
+    # arguments: a key it does not take would be a TypeError, a traceback
+    builder, keys = bift.scenarios.SCENARIOS[name]
+    assert keys == set(inspect.signature(builder).parameters) - {"tol"}
+
+
 class TestExitCodes:
     """Usage and config errors exit 2 with a message, never a traceback."""
 
@@ -1069,19 +1078,20 @@ class TestReportIO:
         assert parsed["b"] == {"c": None, "d": True}
 
     def test_parse_grid(self):
-        assert reportio.parse_grid("0.5") == [0.5]
-        assert reportio.parse_grid("0.1,0.9") == [0.1, 0.9]
-        grid = reportio.parse_grid("0:1:5")
-        assert grid == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-        with pytest.raises(Exception):
-            reportio.parse_grid("0:1")
-        assert len(reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS}")) == \
-            reportio.MAX_GRID_POINTS
-        with pytest.raises(DomainError):
-            reportio.parse_grid(f"0:1:{reportio.MAX_GRID_POINTS + 1}")
+        def grid(text):
+            return bift.cli.p_values({"p": text})
+
+        assert grid("0.5") == [0.5]
+        assert grid("0.1,0.9") == [0.1, 0.9]
+        assert grid("0:1:5") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        with pytest.raises(DomainError, match="expected start:stop:count"):
+            grid("0:1")
+        assert len(grid(f"0:1:{bift.cli.MAX_GRID_POINTS}")) == bift.cli.MAX_GRID_POINTS
+        with pytest.raises(DomainError, match="count must lie in"):
+            grid(f"0:1:{bift.cli.MAX_GRID_POINTS + 1}")
         for text in ("0:inf:3", "1e308:-1e308:3", "-inf:0:2", "0:nan:2"):
             with pytest.raises(DomainError, match="stop - start must be finite"):
-                reportio.parse_grid(text)
+                grid(text)
 
     @given(arr=EMITTED_ARRAYS, nesting=NESTINGS)
     @example(arr=np.array([[-0.0, 5e-324], [1e-5, 1e15]]), nesting=[])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bift import tables
-from bift.cli import _guard_size, validate_config
+from bift.cli import _guard_size, build_analysis, validate_config
 from bift.errors import BiftError, ConsistencyError, DimensionError, SizeError
 from bift.linalg import (
     DEFAULT_TOL,
@@ -424,11 +425,13 @@ class TestAnalyticValidation:
 
 class TestGuardsAndOverrides:
     def test_size_guard(self):
-        # the guard refuses the config; the library route builds the system
+        # the guard refuses the config before its matrices are decoded; the
+        # library route builds the system
         explicit = {"system": {"dims": [6, 6, 8], "rho_ab": [], "unitary": [],
                                "reservoir": {"energies": list(range(8)), "beta": 1.0}}}
+        tol, points = validate_config(explicit, "run")
         with pytest.raises(SizeError):
-            validate_config(explicit, "run")
+            build_analysis(explicit, tol, *points)
         rho = density_operator(np.eye(36, dtype=complex) / 36)
         system = UnitarySystem(6, 6, rho,
                                ReservoirSpec(tuple(range(8)), 1.0),
@@ -440,6 +443,22 @@ class TestGuardsAndOverrides:
         with pytest.raises(SizeError):
             _guard_size(65536, 65536, 1)
         _guard_size(3, 3, 3)
+
+    def test_unitary_route_refuses_overflowing_heat_exponents(self):
+        # at beta Q = 710, e^{beta Q} overflows and the averages read NaN
+        system = dataclasses.replace(random_instance(2, 2, 2, seed=1),
+                                     reservoir=ReservoirSpec((0.0, 710.0), 1.0))
+        with pytest.raises(ConsistencyError, match="beta_q"):
+            spectra_from_unitary(system)
+
+    def test_unitary_route_evaluates_the_largest_heat_exponent(self):
+        system = dataclasses.replace(random_instance(2, 2, 2, seed=1),
+                                     reservoir=ReservoirSpec((0.0, MAX_HEAT_EXPONENT), 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate(spectra_from_unitary(system)).report
+        assert math.isfinite(report.integral_ft_lhs)
+        assert math.isfinite(report.reverse_ft_lhs)
 
     def test_degenerate_remix_is_valid_override(self, rng, monkeypatch):
         # d_R = 1: the final state keeps the initial's degenerate spectrum,
