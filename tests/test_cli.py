@@ -702,7 +702,16 @@ class TestExitCodes:
         (("run", "--config", "config.json"),
          {"system": {**ONE_LEVEL_SYSTEM, "rho_ba": [[[1, 0]]]}},
          "error: system: unknown keys ['rho_ba']"),
-    ], ids=["grid-not-finite", "system-unknown-key"])
+        # library errors raised while an explicit system is built
+        (("run", "--config", "config.json"),
+         {"system": {**TWO_QUBIT_SYSTEM, "unitary": encode_complex_matrix(np.eye(4))}},
+         "error: system: propagator dim 4 != 4 x 2"),
+        (("run", "--config", "config.json"),
+         {"system": {**TWO_QUBIT_SYSTEM,
+                     "unitary": encode_complex_matrix(np.diag([2.0] + [1.0] * 7))}},
+         "error: system: operator deviates from unitary"),
+    ], ids=["grid-not-finite", "system-unknown-key", "system-propagator-dims",
+            "system-not-unitary"])
     def test_error_line_names_the_input(self, tmp_path, monkeypatch, capsys, argv, config,
                                         message):
         monkeypatch.chdir(tmp_path)
