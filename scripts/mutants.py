@@ -146,6 +146,32 @@ MUTANTS = (
            'raise DomainError(f"{where}: unknown keys {sorted(unknown)}")',
            "pass",
            ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input",)),
+    Mutant("builder-keys-keep-tol", "src/bift/cli.py",
+           'return frozenset(inspect.signature(builder).parameters) - {"tol"}',
+           "return frozenset(inspect.signature(builder).parameters)",
+           ("tests/test_cli.py::test_fuzz_draws_every_config_key",)),
+    Mutant("scenario-name-not-read", "src/bift/cli.py",
+           'builder, builder_keys(builder) | {"scenario"}',
+           "builder, builder_keys(builder)",
+           ("tests/test_cli.py::test_scenario_table_names_every_system",)),
+    Mutant("scenario-before-system", "src/bift/cli.py",
+           'if "system" in cfg:',
+           'if "system" in cfg and "scenario" not in cfg:',
+           ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input",)),
+    Mutant("scenario-list-restated", "src/bift/cli.py",
+           "expected {', '.join(SCENARIOS)}, or an explicit system",
+           "expected werner, counterexample, random, or an explicit system",
+           ("tests/test_cli.py::test_scenario_table_names_every_system",)),
+    Mutant("sweepable-ignores-p", "src/bift/cli.py",
+           'for name, b in SCENARIOS.items() if "p" in builder_keys(b)]',
+           "for name, b in SCENARIOS.items()]",
+           ("tests/test_cli.py::TestExitCodes::test_sweep_needs_p",
+            "tests/test_cli.py::test_scenario_table_names_every_system")),
+    Mutant("emit-not-contiguous", "src/bift/cli.py",
+           "return (np.ascontiguousarray(table)[:, None, None, :, None, None, :, :]",
+           "return (table[:, None, None, :, None, None, :, :]",
+           ("tests/test_tables.py::TestForwardTable::"
+            "test_dense_is_c_contiguous_broadcast_product",)),
     Mutant("heat-exponent-unchecked", "src/bift/tables.py",
            "if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):",
            "if False:",

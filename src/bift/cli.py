@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import inspect
 import math
 import os
 import sys
@@ -36,16 +38,24 @@ from .linalg import (
 )
 from .reportio import config_hash, decode_complex_matrix, load_config
 from .scenarios import SCENARIOS, Scenario, report_value
-from .tables import OutcomeTuple, UnitarySystem, spectra_from_unitary
+from .tables import FactoredJoint, OutcomeTuple, UnitarySystem, spectra_from_unitary
 from .theorems import Analysis, evaluate, ln_or_neg_inf
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
+TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
+
+
+@functools.cache
+def builder_keys(builder: Callable[..., Scenario]) -> frozenset[str]:
+    """The config keys a system's builder reads: its keyword parameters but ``tol``."""
+    return frozenset(inspect.signature(builder).parameters) - {"tol"}
+
+
 # Any parameter a scenario does not read, and any of them beside an
 # explicit ``system``, is an error instead of being ignored.
 CONFIG_KEYS = {"scenario", "system", "tolerance", "emit_tuples"}.union(
-    *(keys for _, keys in SCENARIOS.values()))
-TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
+    *map(builder_keys, SCENARIOS.values()))
 
 
 @dataclass
@@ -71,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "start:stop:count with count at most "
                                     f"{MAX_GRID_POINTS}")
     shared.add_argument("--beta", type=float, help="inverse temperature")
-    shared.add_argument("--seed", type=int, help="seed for the random scenario")
-    shared.add_argument("--dims", help="d_A,d_B,d_R for the random scenario")
+    shared.add_argument("--seed", type=int, help="seed, for a scenario that reads one")
+    shared.add_argument("--dims", help="d_A,d_B,d_R, for a scenario that reads them")
     shared.add_argument("--config", help="JSON config path")
     shared.add_argument("--tolerance", type=float, help="override equality/bound tolerance")
     shared.add_argument("--out", help="output path (default: stdout)")
@@ -139,8 +149,8 @@ def _guard_size(d_a: int, d_b: int, d_r: int) -> None:
 
 def _dims(value, name: str) -> None:
     """Three positive integers whose dense tuple table passes the size
-    guard: the one size check of the package, made before a random
-    system is drawn or an explicit one decoded."""
+    guard: the one size check of the package, made before any system
+    is drawn or decoded."""
     if not (isinstance(value, (list, tuple)) and len(value) == 3
             and all(_is_int(d) and d > 0 for d in value)):
         raise DomainError(f"{name}: expected three positive integers d_A,d_B,d_R, got {value!r}")
@@ -171,16 +181,10 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
         raise DomainError(f"unknown config keys {sorted(unknown)}")
     if "emit_tuples" in cfg and command != "run":
         raise DomainError(f"config key emit_tuples applies only to run, not {command}")
-    scenario = cfg.get("scenario")
-    if "system" in cfg:
-        where, reads = "an explicit system", {"system"}
-    elif isinstance(scenario, str) and scenario in SCENARIOS:
-        where, reads = f"the {scenario} scenario", {"scenario", *SCENARIOS[scenario][1]}
-    else:
-        raise DomainError(f"scenario: unknown or missing (got {scenario!r}); "
-                          "expected werner, counterexample, random, or an explicit system")
+    where, _, reads = _system(cfg)
     if command == "sweep" and "p" not in reads:
-        raise DomainError("sweep: only the werner and counterexample scenarios can be "
+        *rest, last = [name for name, b in SCENARIOS.items() if "p" in builder_keys(b)]
+        raise DomainError(f"sweep: only the {', '.join(rest)} and {last} scenarios can be "
                           f"swept, not {where}")
     stray = set(cfg) - reads - {"tolerance", "emit_tuples"}
     if stray:
@@ -281,12 +285,26 @@ def explicit_system(system, tol: Tolerances) -> Scenario:
     return Scenario("explicit", {"dims": list(dims)}, spectra, {})
 
 
+def _system(cfg: dict) -> tuple[str, Callable[..., Scenario], frozenset[str]]:
+    """The system a config names, as its error lines name it, its builder and
+    the config keys it reads: :func:`explicit_system` for a ``system`` block,
+    else the ``SCENARIOS`` entry that ``scenario`` names, reading it too."""
+    if "system" in cfg:
+        return "an explicit system", explicit_system, builder_keys(explicit_system)
+    name = cfg.get("scenario")
+    if isinstance(name, str) and name in SCENARIOS:
+        builder = SCENARIOS[name]
+        return f"the {name} scenario", builder, builder_keys(builder) | {"scenario"}
+    raise DomainError(f"scenario: unknown or missing (got {name!r}); "
+                      f"expected {', '.join(SCENARIOS)}, or an explicit system")
+
+
 def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
                    corruption: bool = False) -> tuple[Scenario, Analysis]:
     """The system a validated config names, at ``p``, one of the points
     :func:`validate_config` returns, and its evaluation."""
-    builder, keys = ((explicit_system, {"system"}) if "system" in cfg
-                     else SCENARIOS[cfg["scenario"]])
+    _, builder, _ = _system(cfg)
+    keys = builder_keys(builder)
     scenario = builder(**{k: p if k == "p" else cfg[k] for k in cfg.keys() & keys}, tol=tol)
     return scenario, evaluate(scenario.spectra, scenario.work, tol,
                               _reverse_corruption=corruption)
@@ -352,6 +370,15 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     return checks
 
 
+def dense_table(joint: FactoredJoint, table: np.ndarray) -> np.ndarray:
+    """The eight-index table table[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2 of
+    the global ``table``, as ``--emit-tuples`` writes it: C-ordered, as a
+    C-ordered global table makes the product, so the writer reads it flat."""
+    return (np.ascontiguousarray(table)[:, None, None, :, None, None, :, :]
+            * joint.initial.cond[:, :, :, None, None, None, None, None]
+            * joint.final.cond[None, None, None, :, :, :, None, None])
+
+
 def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analysis,
                     checks: list[Check], tol: Tolerances) -> dict:
     doc = {
@@ -369,13 +396,9 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
     }
     if cfg.get("emit_tuples", False):
         joint = analysis.joint
-        forward = joint.dense(joint.forward)
-        doc["tables"] = {
-            "axes": list(OutcomeTuple._fields),
-            "dims": list(forward.shape),
-            "forward": forward,
-            "reverse": joint.dense(joint.reverse),
-        }
+        forward, reverse = (dense_table(joint, table) for table in (joint.forward, joint.reverse))
+        doc["tables"] = {"axes": list(OutcomeTuple._fields), "dims": list(forward.shape),
+                         "forward": forward, "reverse": reverse}
     return doc
 
 

@@ -304,10 +304,9 @@ def random_scenario(seed: int = 0, dims=(2, 2, 2), beta: float = 1.0,
                     spectra_from_unitary(system, tol), reference)
 
 
-# Each named system's builder and the config keys it takes as keyword
-# arguments; the command line rejects any other key.
+# Each named system's builder; the config keys it reads are its keyword parameters but ``tol``.
 SCENARIOS = {
-    "werner": (werner_isothermal, {"p", "beta"}),
-    "counterexample": (bell_adiabatic_counterexample, {"p", "route"}),
-    "random": (random_scenario, {"beta", "seed", "dims", "rank_deficient"}),
+    "werner": werner_isothermal,
+    "counterexample": bell_adiabatic_counterexample,
+    "random": random_scenario,
 }

@@ -4,27 +4,19 @@ measurement of an open bipartite system.
 The protocol measures only the global AB eigenbasis and the reservoir
 energy basis at both endpoints; local A/B outcome labels are attached
 through conditional weights |<m|a,b>|^2 without any local measurement.
-Dense tables live on the full eight-index space with axis order
+So the trajectory (m, a, b, m', a', b', r, r'), primes labelling the
+final measurement point, has the weight
 
-    (m, a, b, m', a', b', r, r')
+    p[m,a,b,m',a',b',r,r'] = G[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2,
 
-where primes label the final measurement point.  The time-reversed table
-is stored on the *same* axes (entry [m,a,b,m',a',b',r,r'] holds the
-reverse weight for the trajectory that runs m' -> m), so forward and
-reverse entries for one trajectory sit at the same position and
-per-trajectory ratios are elementwise.
-
-Only the global states are measured, so every eight-index entry is a
-global two-point entry times the two conditional weights,
-
-    p[m,a,b,m',a',b',r,r'] = G[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
-
-``factored_joint`` builds the tables in this form (four-index ``G`` and
-``G_rev`` plus the two endpoints), and ``FactoredJoint.expectation``
-sums a functional that factors across the endpoints over the whole
-tuple space without building the eight-index tables.  The eight-index
-tables are ``joint.dense(joint.forward)`` and ``joint.dense(joint.reverse)``,
-formed only for ``--emit-tuples``.
+and ``factored_joint`` builds the tables in this form: the two-point
+table ``G``, the time-reversed ``G_rev`` on the *same* axes (entry
+[m,m',r,r'] holds the reverse weight of the trajectory that runs
+m' -> m, so per-trajectory ratios are elementwise) and the two
+endpoints.  ``FactoredJoint.expectation`` sums a functional that factors
+across the endpoints over the whole tuple space.  This module never
+forms an eight-index table; ``bift.cli.dense_table`` does, for
+``--emit-tuples``.
 
 Every table is built from one bundle of ingredients (``SystemSpectra``),
 which comes from one of two routes:
@@ -316,29 +308,15 @@ def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactoredJoint:
-    """Forward and time-reversed joint distributions in factored form:
-    the eight-index entry of either table is its four-index global entry
-    times ``initial.cond[m,a,b] * final.cond[m',a',b']``.  Holds the two
-    global tables, the two endpoints and the forward-support mask;
-    ``theorems.evaluate`` restricts the tables to that support."""
+    """Forward and time-reversed joint distributions in the factored form
+    of the module docstring: the two global tables, the two endpoints and
+    the forward-support mask, to which ``theorems.evaluate`` restricts them."""
 
     forward: np.ndarray              # G [m, m', r, r']
     reverse: np.ndarray              # G_rev on forward-aligned axes
     initial: Endpoint
     final: Endpoint
     forward_support: np.ndarray      # bool, shape (M, R)
-
-    def dense(self, table: np.ndarray) -> np.ndarray:
-        """The eight-index table of the global ``table``, with both
-        conditional weights attached:
-
-            p[m,a,b,m',a',b',r,r'] = table[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
-        """
-        # a C-ordered global table makes the product C-ordered, so a
-        # writer that reads it flat needs no copy
-        return (np.ascontiguousarray(table)[:, None, None, :, None, None, :, :]
-                * self.initial.cond[:, :, :, None, None, None, None, None]
-                * self.final.cond[None, None, None, :, :, :, None, None])
 
     @cached_property
     def unit_sums(self) -> tuple[np.ndarray, np.ndarray]:

@@ -135,9 +135,8 @@ class FTReport:
 class Analysis:
     """A system run end to end: ingredient bundle, both joint tables in
     factored form, the per-endpoint functionals and the assembled report.
-    The eight-index tables are ``joint.dense(joint.forward)`` and
-    ``joint.dense(joint.reverse)``, formed only for ``--emit-tuples``;
-    nothing here holds them."""
+    Nothing here holds an eight-index table; only the report's
+    ``--emit-tuples`` path forms them."""
 
     spectra: SystemSpectra
     joint: FactoredJoint

@@ -374,12 +374,23 @@ def _initial_support(spectra, tol=DEFAULT_TOL) -> np.ndarray:
     return factored_joint(spectra, tol).forward_support[:, None, None, None, None, None, :, None]
 
 
+def dense_view(joint, table) -> np.ndarray:
+    """The dense oracle of a factored table: the eight-index table of the
+    global ``table`` of ``joint``, with both conditional weights attached,
+
+        p[m,a,b,m',a',b',r,r'] = table[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
+    """
+    return (table[:, None, None, :, None, None, :, :]
+            * joint.initial.cond[:, :, :, None, None, None, None, None]
+            * joint.final.cond[None, None, None, :, :, :, None, None])
+
+
 def dense_tables(spectra, reverse_global=None):
     """(forward, reverse) eight-index distributions; ``reverse_global``
     replaces the reverse two-point table (e.g. a corrupted one)."""
     joint = factored_joint(spectra)
     reverse = joint.reverse if reverse_global is None else reverse_global
-    return joint.dense(joint.forward), joint.dense(reverse)
+    return dense_view(joint, joint.forward), dense_view(joint, reverse)
 
 
 def log_or_zero(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -26,6 +26,7 @@ from bift.theorems import evaluate
 
 from conftest import (
     dense_classical_reduction_check,
+    dense_view,
     evaluate_scenario,
     random_classical_instance,
     remix_derived_decompositions,
@@ -138,7 +139,7 @@ def test_criterion_7_random_instance_battery():
             analysis = evaluate(spectra)
             rep = analysis.report
             joint = analysis.joint
-            forward, reverse = joint.dense(joint.forward), joint.dense(joint.reverse)
+            forward, reverse = dense_view(joint, joint.forward), dense_view(joint, joint.reverse)
             worst["detailed"] = max(worst["detailed"], rep.detailed_max_residual)
             worst["integral"] = max(worst["integral"],
                                     abs(rep.integral_ft_lhs - rep.gamma_restricted))

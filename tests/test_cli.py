@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -407,20 +406,20 @@ class TestDenseTables:
         def refuse(*args):
             raise AssertionError("an eight-index table was built")
 
-        monkeypatch.setattr(bift.tables.FactoredJoint, "dense", refuse)
+        monkeypatch.setattr(bift.cli, "dense_table", refuse)
         # a random system has no p, so there is nothing to sweep
         want = 2 if command == "sweep" and "random" in scenario else 0
         assert main([command, *scenario, "--out", str(tmp_path / "out.txt")]) == want
 
     def test_emit_tuples_builds_each_once(self, tmp_path, monkeypatch):
         built = []
-        dense = bift.tables.FactoredJoint.dense
+        dense = bift.cli.dense_table
 
         def counted(joint, table):
             built.append(table.shape)
             return dense(joint, table)
 
-        monkeypatch.setattr(bift.tables.FactoredJoint, "dense", counted)
+        monkeypatch.setattr(bift.cli, "dense_table", counted)
         code, _ = run_cli(tmp_path, "run", "--scenario", "random", "--dims", "2,2,2",
                           "--emit-tuples")
         assert code == 0
@@ -556,12 +555,36 @@ TWO_QUBIT_SYSTEM = {"dims": [2, 2, 2], "rho_ab": encode_complex_matrix(np.eye(4)
                     "reservoir": {"energies": [0.0, 1.0], "beta": 1.0}}
 
 
-@pytest.mark.parametrize("name", sorted(bift.scenarios.SCENARIOS))
-def test_scenario_keys_are_builder_parameters(name):
-    # build_analysis passes a config's keys to the builder as keyword
-    # arguments: a key it does not take would be a TypeError, a traceback
-    builder, keys = bift.scenarios.SCENARIOS[name]
-    assert keys == set(inspect.signature(builder).parameters) - {"tol"}
+def test_scenario_table_names_every_system(tmp_path, monkeypatch, capsys):
+    # a builder added to SCENARIOS is accepted, listed and read by its
+    # keyword parameters with no other change
+    calls = []
+
+    def toy(p, seed=0, tol=DEFAULT_TOL):
+        calls.append((p, seed))
+        return werner_isothermal(p, tol=tol)
+
+    monkeypatch.setitem(bift.scenarios.SCENARIOS, "toy", toy)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", "toy", "--p", "0.5", "--out", "out.json"]) == 0
+    for argv, config, line in [
+        (("run",), {"scenario": "bogus"},
+         "scenario: unknown or missing (got 'bogus'); "
+         "expected werner, counterexample, random, toy, or an explicit system"),
+        (("sweep", "--scenario", "random"), {},
+         "sweep: only the werner, counterexample and toy scenarios can be swept, "
+         "not the random scenario"),
+        (("run", "--scenario", "toy", "--p", "0.5"), {"beta": 2.0},
+         "config keys ['beta'] do not apply to the toy scenario"),
+    ]:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main([*argv, "--config", "config.json"]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+    calls.clear()
+    cfg = {"scenario": "toy", "p": "0.1,0.9", "seed": 3}
+    tol, points = bift.cli.validate_config(cfg, "sweep")
+    assert bift.cli.build_analysis(cfg, tol, points[1])[0].name == "werner"
+    assert calls == [(0.9, 3)]
 
 
 class TestExitCodes:
@@ -710,8 +733,11 @@ class TestExitCodes:
          {"system": {**TWO_QUBIT_SYSTEM,
                      "unitary": encode_complex_matrix(np.diag([2.0] + [1.0] * 7))}},
          "error: system: operator deviates from unitary"),
+        # a system block is the config's system even beside a scenario name
+        (("run", "--config", "config.json"), {"system": ONE_LEVEL_SYSTEM, "scenario": "random"},
+         "error: config keys ['scenario'] do not apply to an explicit system"),
     ], ids=["grid-not-finite", "system-unknown-key", "system-propagator-dims",
-            "system-not-unitary"])
+            "system-not-unitary", "system-beside-scenario"])
     def test_error_line_names_the_input(self, tmp_path, monkeypatch, capsys, argv, config,
                                         message):
         monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bift import tables
-from bift.cli import _guard_size, build_analysis, validate_config
+from bift.cli import _guard_size, build_analysis, dense_table, validate_config
 from bift.errors import BiftError, ConsistencyError, DimensionError, SizeError
 from bift.linalg import (
     DEFAULT_TOL,
@@ -221,11 +221,11 @@ class TestForwardTable:
 
     @pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 4)])
     def test_dense_is_c_contiguous_broadcast_product(self, dims):
-        # the report writer reads the table flat, with no copy; its
-        # entries are the bits of the broadcast product
+        # the report writer reads the emitted table flat, with no copy;
+        # its entries are the bits of the broadcast product
         joint = factored_joint(spectra_from_unitary(random_instance(*dims, seed=3)))
         for table in (joint.forward, joint.reverse):
-            dense = joint.dense(table)
+            dense = dense_table(joint, table)
             assert dense.flags.c_contiguous
             assert np.array_equal(dense, table[:, None, None, :, None, None, :, :]
                                   * joint.initial.cond[:, :, :, None, None, None, None, None]

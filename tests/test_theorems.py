@@ -44,6 +44,7 @@ from conftest import (
     dense_support,
     dense_tables,
     dense_tuple_functionals,
+    dense_view,
     evaluate_scenario,
     random_classical_instance,
     remix_derived_decompositions,
@@ -263,7 +264,7 @@ class TestBounds:
         # -ln(1+3p) and -ln(1-p); the reverse-info bound must saturate
         analysis = evaluate_scenario(werner_isothermal(0.5))
         traj = dense_tuple_functionals(analysis.spectra)
-        forward = analysis.joint.dense(analysis.joint.forward)
+        forward = dense_view(analysis.joint, analysis.joint.forward)
         shape = forward.shape
         exponent = np.broadcast_to(traj.delta_s_a + traj.delta_s_b - traj.beta_q, shape)
         weighted = exponent[forward > 1e-12]
@@ -349,7 +350,7 @@ class TestClassicalReduction:
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-12)
         assert residual < 1e-12
         assert max_gap < 1e-12
-        forward = analysis.joint.dense(analysis.joint.forward)
+        forward = dense_view(analysis.joint, analysis.joint.forward)
         expo = np.broadcast_to(dense_tuple_functionals(analysis.spectra).ft_exponent(),
                                forward.shape)
         assert np.max(np.abs(expo[forward > 0.5])) < 1e-12
@@ -500,7 +501,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_werner(self, p):
         analysis = assert_matches_dense_oracle(werner_isothermal(p).spectra)
-        forward = analysis.joint.dense(analysis.joint.forward)
+        forward = dense_view(analysis.joint, analysis.joint.forward)
         assert np.array_equal(per_factor_support(analysis.joint), dense_support(forward))
 
     def test_support_rules_differ_on_small_products(self):
