@@ -172,6 +172,19 @@ MUTANTS = (
            "return (table[:, None, None, :, None, None, :, :]",
            ("tests/test_tables.py::TestForwardTable::"
             "test_dense_is_c_contiguous_broadcast_product",)),
+    Mutant("ln-column-not-logged", "src/bift/scenarios.py",
+           'return ln_or_neg_inf(report_value(report, key[len("ln_"):]))',
+           'return report_value(report, key[len("ln_"):])',
+           ("tests/test_scenarios.py::TestWernerScenario::test_report_value_keys",
+            "tests/test_cli.py::TestSweep::test_single_point_matches_run")),
+    Mutant("unset-flags-override-config", "src/bift/cli.py",
+           "if key in CONFIG_KEYS and value is not None)",
+           "if key in CONFIG_KEYS)",
+           ("tests/test_cli.py::TestSweep::test_p_forms_agree",)),
+    Mutant("worst-order-unreversed", "src/bift/theorems.py",
+           "first = np.lexsort(order[::-1])[0]",
+           "first = np.lexsort(order)[0]",
+           ("tests/test_theorems.py::TestFactoredExtremes::test_detailed_matches_brute_force",)),
     Mutant("heat-exponent-unchecked", "src/bift/tables.py",
            "if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):",
            "if False:",

@@ -39,8 +39,9 @@ from .linalg import (
 from .reportio import config_hash, decode_complex_matrix, load_config
 from .scenarios import SCENARIOS, Scenario, report_value
 from .tables import FactoredJoint, OutcomeTuple, UnitarySystem, spectra_from_unitary
-from .theorems import Analysis, evaluate, ln_or_neg_inf
+from .theorems import Analysis, evaluate
 
+# Each column after p is the report value of that name (``report_value``).
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
 TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "for open bipartite systems")
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", parents=[shared], help="run one system and emit a report")
-    run.add_argument("--emit-tuples", action="store_true",
+    run.add_argument("--emit-tuples", action="store_true", default=None,
                      help="include the dense per-trajectory tables in the report")
     run.set_defaults(handler=cmd_run)
     sweep = sub.add_parser("sweep", parents=[shared],
@@ -108,17 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args) -> dict:
+    """The config file's keys, each overridden by the given flag of that dest."""
     cfg = load_config(args.config) if args.config is not None else {}
-    for key in ("scenario", "p", "beta", "seed", "tolerance"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in CONFIG_KEYS and value is not None)
     if args.dims is not None:
         try:
             cfg["dims"] = [int(tok) for tok in args.dims.split(",")]
         except ValueError as exc:
             raise DomainError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
-    if getattr(args, "emit_tuples", False):
-        cfg["emit_tuples"] = True
     return cfg
 
 
@@ -456,11 +455,8 @@ def cmd_sweep(args, cfg: dict, tol: Tolerances, points: list[float]) -> int:
     all_ok = True
     for p in points:
         scenario, analysis = build_analysis(cfg, tol, p)
-        rep = analysis.report
         all_ok = all_ok and all(c.passed for c in core_checks(scenario, analysis, tol))
-        row = (p, rep.averages.delta_i, rep.ln_gamma, ln_or_neg_inf(rep.reverse_avg_exp_di),
-               rep.bound_gap, rep.bound("heat_bound_info_gamma").slack,
-               rep.bound("heat_bound_reverse_info").slack)
+        row = [p] + [report_value(analysis.report, key) for key in SWEEP_COLUMNS[1:]]
         lines.append(",".join(reportio.format_float(x) for x in row))
     with output(args.out) as write:
         write(("\n".join(lines) + "\n").encode("ascii"))

@@ -15,6 +15,7 @@ is what lets the theorems contract them against the factored tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,21 +77,24 @@ class EndpointFunctionals:
     final: EndpointTables
     beta_q: np.ndarray                # [r, r']
 
+    @cached_property
+    def exp_beta_q(self) -> np.ndarray:      # [r, r'], the pair factor of every triple
+        return np.exp(self.beta_q)
+
     def ft_factors(self):
         """exp(-ds_A - ds_B + dI + beta Q), the detailed-relation exponential."""
         i, f = self.initial, self.final
-        return (1.0 / (i.local[None] * i.info_ratio), f.local[None] * f.info_ratio,
-                np.exp(self.beta_q))
+        return 1.0 / (i.local[None] * i.info_ratio), f.local[None] * f.info_ratio, self.exp_beta_q
 
     def local_factors(self):
         """exp(-ds_A - ds_B + beta Q)."""
-        return 1.0 / self.initial.local[None], self.final.local[None], np.exp(self.beta_q)
+        return 1.0 / self.initial.local[None], self.final.local[None], self.exp_beta_q
 
     def classical_factors(self):
         """exp(-ds_A - ds_B + dJ + beta Q)."""
         i, f = self.initial, self.final
         return (1.0 / (i.local * i.classical_ratio)[None],
-                (f.local * f.classical_ratio)[None], np.exp(self.beta_q))
+                (f.local * f.classical_ratio)[None], self.exp_beta_q)
 
     def info_factors(self):
         """exp(-dI)."""

@@ -53,7 +53,7 @@ from .tables import (
     spectra_from_analytic,
     spectra_from_unitary,
 )
-from .theorems import WorkInputs
+from .theorems import WorkInputs, ln_or_neg_inf
 
 LN2 = math.log(2.0)
 
@@ -72,18 +72,20 @@ class Scenario:
 
 
 def report_value(report, key: str) -> float:
-    """Resolve a reference key against an FTReport: a scalar field
-    (``gamma_restricted``), an average (``<field>_avg``, a field of
-    ``report.averages``) or a bound's slack (``<bound name>_slack``)."""
+    """Resolve a reference key or sweep column against an FTReport, fields first: a scalar
+    field (``gamma_restricted``), an average (``<field>_avg``, a field of ``report.averages``),
+    a bound's slack (``<bound name>_slack``) or ``ln_or_neg_inf`` of ``<key>`` for ``ln_<key>``."""
     if key.endswith("_slack"):
         return report.bound(key[: -len("_slack")]).slack
     owner, name = report, key
     if key.endswith("_avg"):
         owner, name = report.averages, key[: -len("_avg")]
     value = getattr(owner, name, None)
-    if not isinstance(value, float):
-        raise KeyError(key)
-    return value
+    if isinstance(value, float):
+        return value
+    if key.startswith("ln_"):
+        return ln_or_neg_inf(report_value(report, key[len("ln_"):]))
+    raise KeyError(key)
 
 
 def bell_basis() -> np.ndarray:

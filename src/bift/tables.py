@@ -133,21 +133,17 @@ class UnitarySystem:
 def conditional_table(global_vectors: np.ndarray, a_vectors: np.ndarray,
                       b_vectors: np.ndarray) -> np.ndarray:
     """All |<m|a,b>|^2 at once; shape (M, A, B)."""
-    d_a = a_vectors.shape[1]
-    d_b = b_vectors.shape[1]
     ov = dagger(global_vectors) @ np.kron(a_vectors, b_vectors)
-    return (np.abs(ov) ** 2).reshape(global_vectors.shape[1], d_a, d_b)
+    return (np.abs(ov) ** 2).reshape(len(ov), a_vectors.shape[1], b_vectors.shape[1])
 
 
 def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int,
               tol: Tolerances) -> Endpoint:
     """The measurement point of the AB state ``rho_ab`` in the global
     eigenbasis ``dec``, with its local spectra and conditional weights."""
-    dec_a = spectral_decompose(partial_trace(rho_ab, (d_a, d_b), 0), tol)
-    dec_b = spectral_decompose(partial_trace(rho_ab, (d_a, d_b), 1), tol)
-    return Endpoint(p_m=np.clip(dec.probabilities, 0.0, None),
-                    p_a=np.clip(dec_a.probabilities, 0.0, None),
-                    p_b=np.clip(dec_b.probabilities, 0.0, None),
+    dec_a, dec_b = (spectral_decompose(partial_trace(rho_ab, (d_a, d_b), k), tol) for k in (0, 1))
+    p_m, p_a, p_b = (np.clip(d.probabilities, 0.0, None) for d in (dec, dec_a, dec_b))
+    return Endpoint(p_m=p_m, p_a=p_a, p_b=p_b,
                     cond=conditional_table(dec.vectors, dec_a.vectors, dec_b.vectors))
 
 
@@ -175,9 +171,7 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
     m_in = _kron_diagonal(initial_vectors, np.ones(dim_r))
     m_out = _kron_diagonal(final_vectors, np.ones(dim_r))
     amp = dagger(m_out) @ unitary @ m_in        # [(m',r'), (m,r)]
-    d_mf = final_vectors.shape[1]
-    d_mi = initial_vectors.shape[1]
-    k = (np.abs(amp) ** 2).reshape(d_mf, dim_r, d_mi, dim_r)
+    k = (np.abs(amp) ** 2).reshape(final_vectors.shape[1], dim_r, initial_vectors.shape[1], dim_r)
     return k.transpose(2, 3, 0, 1)
 
 
@@ -329,8 +323,10 @@ class FactoredJoint:
         each factor is a scalar or broadcasts against its endpoint's
         (M, A, B) or (R, R) table.  Costs O(M^2 R^2 + M A B).
 
-        A factor that is the float 1.0 is skipped: times 1.0 every float
-        keeps its bits, so the sum is the one the full product gives."""
+        A factor that is the float 1.0 is skipped: times 1.0 every float keeps its bits, so
+        the sum is the one the full product gives.  Batching these sums, or laying the product
+        out anew, moves bits: with a non-unit pair the sum runs in the product's memory order,
+        [m', m, r, r'] (module docstring), not in G's."""
         u_unit, v_unit = self.unit_sums
         u = u_unit if _is_one(initial) else (self.initial.cond * initial).sum(axis=(1, 2))
         v = v_unit if _is_one(final) else (self.final.cond * final).sum(axis=(1, 2))

@@ -198,8 +198,9 @@ def detailed_ft_check(joint: FactoredJoint, ft: tuple[np.ndarray, np.ndarray, np
                      e_i[m][None, :, :, None, None], e_f[n][:, None, None])
     k, a, b, af, bf = np.nonzero(sup_i[m][None, :, :, None, None] & sup_f[n][:, None, None]
                                  & (full == worst))
-    first = np.lexsort((s[k], r[k], bf, af, n[k], b, a))[0]
-    return worst, OutcomeTuple(m, *(int(x[first]) for x in (a, b, n[k], af, bf, r[k], s[k])))
+    order = (a, b, n[k], af, bf, r[k], s[k])      # the tuple's axes after m
+    first = np.lexsort(order[::-1])[0]
+    return worst, OutcomeTuple(m, *(int(x[first]) for x in order))
 
 
 def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averages:

@@ -270,16 +270,23 @@ class TestSweep:
             assert all(g < 0.0 for g in gaps)
 
     def test_single_point_matches_run(self, tmp_path):
-        code, text = run_cli(tmp_path, "sweep", "--scenario", "werner", "--p", "0.6")
-        assert code == 0
-        header, row = text.strip().splitlines()
-        values = dict(zip(header.split(","), (float(x) for x in row.split(","))))
-        _, run_text = run_cli(tmp_path, "run", "--scenario", "werner", "--p", "0.6")
-        doc = json.loads(run_text)
-        assert values["delta_i_avg"] == pytest.approx(
-            doc["report"]["averages"]["delta_i"], abs=1e-12)
-        assert values["bound_gap"] == pytest.approx(
-            doc["report"]["bound_gap"], abs=1e-12)
+        # every column, at points where ln gamma and ln <e^{-dI}>_rev are nonzero too
+        for scenario, p in (("werner", "0.6"), ("werner", "1"), ("counterexample", "0.3")):
+            code, text = run_cli(tmp_path, "sweep", "--scenario", scenario, "--p", p)
+            assert code == 0
+            header, row = text.strip().splitlines()
+            values = dict(zip(header.split(","), (float(x) for x in row.split(","))))
+            _, run_text = run_cli(tmp_path, "run", "--scenario", scenario, "--p", p)
+            rep = json.loads(run_text)["report"]
+            slack = {rec["name"]: rec["slack"] for rec in rep["bounds"]}
+            assert values == pytest.approx({
+                "p": float(p), "delta_i_avg": rep["averages"]["delta_i"],
+                "ln_gamma": rep["ln_gamma"],
+                "ln_reverse_avg_exp_di": math.log(rep["reverse_avg_exp_di"]),
+                "bound_gap": rep["bound_gap"],
+                "heat_bound_info_gamma_slack": slack["heat_bound_info_gamma"],
+                "heat_bound_reverse_info_slack": slack["heat_bound_reverse_info"],
+            }, abs=1e-12), (scenario, p)
 
     def test_needs_grid(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", "werner"]) == 2

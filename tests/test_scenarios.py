@@ -15,7 +15,7 @@ from bift.scenarios import (
     werner_isothermal,
 )
 from bift.tables import spectra_from_unitary
-from bift.theorems import evaluate
+from bift.theorems import evaluate, ln_or_neg_inf
 
 from conftest import dense_tables, evaluate_scenario, random_classical_instance, werner_state
 
@@ -60,10 +60,12 @@ class TestWernerScenario:
     def test_report_value_keys(self):
         rep = evaluate_scenario(werner_isothermal(0.5)).report
         assert report_value(rep, "ln_gamma") == rep.ln_gamma
+        assert report_value(rep, "ln_reverse_avg_exp_di") == \
+            ln_or_neg_inf(rep.reverse_avg_exp_di)
         assert report_value(rep, "delta_j_avg") == rep.averages.delta_j
         assert report_value(rep, "work_bound_info_gamma_slack") == \
             rep.bound("work_bound_info_gamma").slack
-        for key in ("nope", "nope_avg", "nope_slack", "averages", "bounds", "bound"):
+        for key in ("nope", "nope_avg", "nope_slack", "averages", "bounds", "bound", "ln_nope"):
             with pytest.raises(KeyError):
                 report_value(rep, key)
 
