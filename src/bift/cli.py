@@ -41,7 +41,6 @@ from .scenarios import SCENARIOS, Scenario, report_value
 from .tables import FactoredJoint, OutcomeTuple, UnitarySystem, spectra_from_unitary
 from .theorems import Analysis, evaluate
 
-# Each column after p is the report value of that name (``report_value``).
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
 TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args) -> dict:
-    """The config file's keys, each overridden by the given flag of that dest."""
+    """The config file's keys, overridden by each given flag of the same dest, --dims parsed."""
     cfg = load_config(args.config) if args.config is not None else {}
     cfg.update((key, value) for key, value in vars(args).items()
                if key in CONFIG_KEYS and value is not None)

@@ -171,7 +171,9 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
     m_in = _kron_diagonal(initial_vectors, np.ones(dim_r))
     m_out = _kron_diagonal(final_vectors, np.ones(dim_r))
     amp = dagger(m_out) @ unitary @ m_in        # [(m',r'), (m,r)]
-    k = (np.abs(amp) ** 2).reshape(final_vectors.shape[1], dim_r, initial_vectors.shape[1], dim_r)
+    d_mf = final_vectors.shape[1]
+    d_mi = initial_vectors.shape[1]
+    k = (np.abs(amp) ** 2).reshape(d_mf, dim_r, d_mi, dim_r)
     return k.transpose(2, 3, 0, 1)
 
 
