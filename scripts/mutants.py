@@ -90,11 +90,12 @@ MUTANTS = (
            "classical_lhs = joint.expectation(forward, *funcs.classical_factors())",
            "classical_lhs = joint.expectation(joint.forward, *funcs.classical_factors())",
            ("tests/test_theorems.py::TestClassicalReduction",)),
-    Mutant("within-strict", "src/bift/cli.py",
+    Mutant("within-strict", "src/bift/theorems.py",
            "return cls(name, value, value <= limit, detail)",
            "return cls(name, value, value < limit, detail)",
            ("tests/test_cli.py::TestVerify::test_residual_at_the_limit_passes",
-            "tests/test_cli.py::TestVerify::test_largest_deviation_of_an_array_pair_decides")),
+            "tests/test_cli.py::TestVerify::test_largest_deviation_of_an_array_pair_decides",
+            "tests/test_theorems.py::TestClassicalReduction::test_held_to_equality_tolerance")),
     Mutant("drop-two-product-error", "src/bift/reportio.py",
            "    err -= t\n",
            "",
@@ -178,9 +179,13 @@ MUTANTS = (
            ("tests/test_scenarios.py::TestWernerScenario::test_report_value_keys",
             "tests/test_cli.py::TestSweep::test_single_point_matches_run")),
     Mutant("unset-flags-override-config", "src/bift/cli.py",
-           "if key in CONFIG_KEYS and value is not None)",
-           "if key in CONFIG_KEYS)",
+           "if key in CONFIG_KEYS and value is not None}",
+           "if key in CONFIG_KEYS}",
            ("tests/test_cli.py::TestSweep::test_p_forms_agree",)),
+    Mutant("tolerance-flag-replaces", "src/bift/cli.py",
+           'flags["tolerance"] = {**cfg["tolerance"], "equality": tol, "bound": tol}',
+           'flags["tolerance"] = tol',
+           ("tests/test_cli.py::TestConfigs::test_tolerance_flag",)),
     Mutant("worst-order-unreversed", "src/bift/theorems.py",
            "first = np.lexsort(order[::-1])[0]",
            "first = np.lexsort(order)[0]",

@@ -22,7 +22,6 @@ import os
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .linalg import (
 from .reportio import config_hash, decode_complex_matrix, load_config
 from .scenarios import SCENARIOS, Scenario, report_value
 from .tables import FactoredJoint, OutcomeTuple, UnitarySystem, spectra_from_unitary
-from .theorems import Analysis, evaluate
+from .theorems import Analysis, Check, evaluate
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
@@ -56,22 +55,6 @@ def builder_keys(builder: Callable[..., Scenario]) -> frozenset[str]:
 # explicit ``system``, is an error instead of being ignored.
 CONFIG_KEYS = {"scenario", "system", "tolerance", "emit_tuples"}.union(
     *map(builder_keys, SCENARIOS.values()))
-
-
-@dataclass
-class Check:
-    name: str
-    value: float      # residual (equality) or slack (bound)
-    passed: bool
-    detail: str = ""
-
-    @classmethod
-    def close(cls, name: str, got, want, limit: float, detail: str = "") -> Check:
-        """An equality check of ``got`` against ``want`` (numbers, or arrays
-        that broadcast): its value is their largest absolute deviation,
-        and it passes when that is at most ``limit``, the limit included."""
-        value = float(np.max(np.abs(np.subtract(got, want))))
-        return cls(name, value, value <= limit, detail)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,10 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args) -> dict:
-    """The config file's keys, overridden by each given flag of the same dest, --dims parsed."""
+    """The config file's keys, overridden by each given flag of the same dest, --dims parsed.
+    Over a config's tolerance object, --tolerance sets its equality and bound."""
     cfg = load_config(args.config) if args.config is not None else {}
-    cfg.update((key, value) for key, value in vars(args).items()
-               if key in CONFIG_KEYS and value is not None)
+    flags = {key: value for key, value in vars(args).items()
+             if key in CONFIG_KEYS and value is not None}
+    tol = flags.get("tolerance")
+    if tol is not None and isinstance(cfg.get("tolerance"), dict):
+        flags["tolerance"] = {**cfg["tolerance"], "equality": tol, "bound": tol}
+    cfg.update(flags)
     if args.dims is not None:
         try:
             cfg["dims"] = [int(tok) for tok in args.dims.split(",")]

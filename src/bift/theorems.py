@@ -99,6 +99,24 @@ class BoundRecord:
     note: str = ""
 
 
+@dataclass
+class Check:
+    """One verdict of the front-end: an equality's residual or a bound's slack."""
+
+    name: str
+    value: float      # residual (equality) or slack (bound)
+    passed: bool
+    detail: str = ""
+
+    @classmethod
+    def close(cls, name: str, got, want, limit: float, detail: str = "") -> Check:
+        """An equality check of ``got`` against ``want`` (numbers, or arrays
+        that broadcast): its value is their largest absolute deviation,
+        and it passes when that is at most ``limit``, the limit included."""
+        value = float(np.max(np.abs(np.subtract(got, want))))
+        return cls(name, value, value <= limit, detail)
+
+
 @dataclass(frozen=True)
 class Averages:
     delta_s_a: float
@@ -249,23 +267,20 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
         sat = bool(slack >= -tol.bound) if applicable else None
         records.append(BoundRecord(name, "upper", lhs, rhs, slack, applicable, sat, note))
 
-    def equality(name, lhs, rhs, applicable=True, note=""):
-        slack = -abs(lhs - rhs) if applicable else math.nan
-        sat = bool(slack >= -tol.equality) if applicable else None
-        records.append(BoundRecord(name, "equality", lhs, rhs, slack, applicable, sat, note))
-
     # Heat bounds from the two integral relations, and the gamma-free form.
     upper("heat_bound_info_gamma", bq, ds_sum - averages.delta_i + ln_gamma)
     upper("heat_bound_reverse_info", bq, ds_sum + ln_rev)
     upper("heat_bound_info_plain", bq, ds_sum - averages.delta_i,
           note="gamma-free form; implied by heat_bound_info_gamma since ln gamma <= 0")
 
-    # Classical reduction (product eigenbases only).
+    # Classical reduction (product eigenbases only), an equality judged by Check.close.
     if classical_lhs is None:
-        equality("classical_ft", math.nan, math.nan, applicable=False,
-                 note="global eigenbases are not product bases")
+        classical = (math.nan, math.nan, math.nan, False, None,
+                     "global eigenbases are not product bases")
     else:
-        equality("classical_ft", classical_lhs, gamma)
+        check = Check.close("classical_ft", classical_lhs, gamma, tol.equality)
+        classical = (classical_lhs, gamma, -check.value, True, check.passed, "")
+    records.append(BoundRecord("classical_ft", "equality", *classical))
 
     # Memory-erasure forms: observer subsystem B unchanged.
     b_static = abs(averages.delta_s_b) <= tol.bound

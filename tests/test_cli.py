@@ -46,6 +46,7 @@ LN2 = math.log(2.0)
 def run_cli(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main(list(argv) + ["--out", str(out)])
+    assert out.exists(), f"exit status {code}, and no --out file written"
     return code, out.read_text()
 
 
@@ -548,11 +549,35 @@ class TestConfigs:
         assert main(["run", "--scenario", "random", "--dims", "2,2"]) == 2
         assert "dims" in capsys.readouterr().err
 
-    def test_tolerance_flag(self, tmp_path):
+    def test_tolerance_flag(self, tmp_path, capsys):
         code, text = run_cli(tmp_path, "run", "--scenario", "werner", "--p", "0.5",
                              "--tolerance", "1e-6")
         assert code == 0
-        assert json.loads(text)["tolerances"]["equality"] == pytest.approx(1e-6)
+        doc = json.loads(text)
+        assert doc["tolerances"]["equality"] == pytest.approx(1e-6)
+        # alone, the flag is the config's bare number, as it always was
+        assert doc["config_hash"] == reportio.config_hash(
+            {"scenario": "werner", "p": "0.5", "tolerance": 1e-6})
+
+        # over a tolerance object, the flag sets equality and bound and keeps
+        # every other field: a coarse support cutoff still fails the same checks
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "random", "tolerance": {"support": 0.1}}))
+        flag = ("--tolerance", "1e-10")
+        code, text = run_cli(tmp_path, "run", "--config", str(config), *flag)
+        assert code == 1
+        assert json.loads(text)["tolerances"] == {"equality": 1e-10, "bound": 1e-10,
+                                                  "support": 0.1}
+        alone = run_cli(tmp_path, "verify", "--config", str(config))
+        assert alone[0] == 1 and "FAIL overall" in alone[1]
+        assert run_cli(tmp_path, "verify", "--config", str(config), *flag) == alone
+
+        # and the object is still validated as a whole
+        config.write_text(json.dumps({"scenario": "werner", "p": 0.5,
+                                      "tolerance": {"equalty": 1e-6}}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), *flag]) == 2
+        assert capsys.readouterr().err == "error: tolerance: unknown fields ['equalty']\n"
 
 
 ONE_LEVEL_SYSTEM = {"dims": [1, 1, 1], "rho_ab": [[[1, 0]]], "unitary": [[[1, 0]]],

@@ -330,9 +330,15 @@ class TestClassicalReduction:
         assert rep.bound("classical_ft").satisfied
         gamma = rep.gamma_restricted
         lhs = math.nextafter(gamma, math.inf)
-        for tol, passed in ((Tolerances(bound=0.0), True), (Tolerances(equality=0.0), False)):
+        # the residual is one ulp of gamma, d, which passes at equality = d
+        # exactly and fails one float below it
+        d = lhs - gamma
+        for tol, passed in ((Tolerances(bound=0.0), True), (Tolerances(equality=0.0), False),
+                            (Tolerances(equality=d), True),
+                            (Tolerances(equality=math.nextafter(d, 0.0)), False)):
             records = inequality_suite(rep.averages, gamma, rep.reverse_avg_exp_di, lhs, tol=tol)
-            assert next(r for r in records if r.name == "classical_ft").satisfied is passed
+            rec = next(r for r in records if r.name == "classical_ft")
+            assert rec.satisfied is passed and rec.slack == -d
 
     def test_report_record_when_applicable(self):
         rep = analyze(random_classical_instance(2, 2, 2, 4)).report
