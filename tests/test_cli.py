@@ -575,7 +575,6 @@ class TestConfigs:
         # and the object is still validated as a whole
         config.write_text(json.dumps({"scenario": "werner", "p": 0.5,
                                       "tolerance": {"equalty": 1e-6}}))
-        capsys.readouterr()
         assert main(["run", "--config", str(config), *flag]) == 2
         assert capsys.readouterr().err == "error: tolerance: unknown fields ['equalty']\n"
 
