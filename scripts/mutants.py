@@ -68,6 +68,11 @@ MUTANTS = (
            "reverse_kernel=kernel.transpose(2, 3, 0, 1),",
            ("tests/test_theorems.py::TestDetailedFT",
             "tests/test_theorems.py::TestIntegralFT")),
+    Mutant("support-on-product", "src/bift/tables.py",
+           "forward_support=_above_cutoff(p_m, tol)[:, None] & _above_cutoff(p_r, tol)[None, :])",
+           "forward_support=_above_cutoff(p_m[:, None] * p_r[None, :], tol))",
+           ("tests/test_theorems.py::TestIntegralFT::"
+            "test_tiny_eigenvalue_beside_small_gibbs_weight_gives_unity",)),
     Mutant("gamma-unrestricted", "src/bift/theorems.py",
            "gamma = joint.expectation(reverse)",
            "gamma = joint.expectation(joint.reverse)",
@@ -186,6 +191,10 @@ MUTANTS = (
            'flags["tolerance"] = {**cfg["tolerance"], "equality": tol, "bound": tol}',
            'flags["tolerance"] = tol',
            ("tests/test_cli.py::TestConfigs::test_tolerance_flag",)),
+    Mutant("tolerance-flag-unchecked", "src/bift/cli.py",
+           '        _number(tol, "tolerance", positive=False)   # named as the flag, not as a field\n',
+           "",
+           ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input",)),
     Mutant("worst-order-unreversed", "src/bift/theorems.py",
            "first = np.lexsort(order[::-1])[0]",
            "first = np.lexsort(order)[0]",

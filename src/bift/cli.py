@@ -98,6 +98,7 @@ def merge_config(args) -> dict:
              if key in CONFIG_KEYS and value is not None}
     tol = flags.get("tolerance")
     if tol is not None and isinstance(cfg.get("tolerance"), dict):
+        _number(tol, "tolerance", positive=False)   # named as the flag, not as a field
         flags["tolerance"] = {**cfg["tolerance"], "equality": tol, "bound": tol}
     cfg.update(flags)
     if args.dims is not None:

@@ -342,11 +342,10 @@ def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> Fac
     ``forward`` is the two-point table G = K p_m p_r as [m, m', r, r'];
     ``reverse`` is the reversed process's table on the same axes, started
     from the final AB spectrum and the same reservoir Gibbs state p_r.
-    The forward support holds the initial (m, r) pairs whose two-point
-    weight p_m p_r sum_{m',r'} K is above the support cutoff.
+    The forward support holds the initial (m, r) pairs whose p_m and p_r
+    are each above the support cutoff of their own spectrum.
     """
     p_m, p_r = spectra.initial.p_m, spectra.p_r
-    weight = (p_m[:, None] * p_r[None, :]) * spectra.kernel.sum(axis=(2, 3))
     return FactoredJoint(
         forward=(spectra.kernel.transpose(0, 2, 1, 3)
                  * p_m[:, None, None, None] * p_r[None, None, :, None]),
@@ -354,4 +353,4 @@ def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> Fac
                  * spectra.final.p_m[None, :, None, None] * p_r[None, None, None, :]),
         initial=spectra.initial,
         final=spectra.final,
-        forward_support=_above_cutoff(weight, tol))
+        forward_support=_above_cutoff(p_m, tol)[:, None] & _above_cutoff(p_r, tol)[None, :])

@@ -16,8 +16,8 @@ average:
   extracted-work bounds when free-energy inputs are available.
 
 The integral, reverse-averaged and classical relations average over the
-forward support, as gamma does: the initial (m, r) pairs whose
-two-point weight is above the support cutoff.  ``evaluate`` alone
+forward support, as gamma does: the initial (m, r) pairs whose p_m and
+p_r each clear their own spectrum's support cutoff.  ``evaluate`` alone
 restricts the tables to it, forming each restricted table once.
 
 Every number is a contraction of the factored tables

@@ -767,8 +767,16 @@ class TestExitCodes:
         # a system block is the config's system even beside a scenario name
         (("run", "--config", "config.json"), {"system": ONE_LEVEL_SYSTEM, "scenario": "random"},
          "error: config keys ['scenario'] do not apply to an explicit system"),
+        # a bad --tolerance over a config's tolerance object is named as the flag
+        (("run", "--config", "config.json", "--tolerance", "-1"),
+         {"scenario": "random", "tolerance": {"support": 0.1}},
+         "error: tolerance: expected a finite non-negative number, got -1.0"),
+        (("run", "--config", "config.json", "--tolerance", "nan"),
+         {"scenario": "random", "tolerance": {"support": 0.1}},
+         "error: tolerance: expected a finite non-negative number, got nan"),
     ], ids=["grid-not-finite", "system-unknown-key", "system-propagator-dims",
-            "system-not-unitary", "system-beside-scenario"])
+            "system-not-unitary", "system-beside-scenario", "tolerance-flag-negative",
+            "tolerance-flag-nan"])
     def test_error_line_names_the_input(self, tmp_path, monkeypatch, capsys, argv, config,
                                         message):
         monkeypatch.chdir(tmp_path)

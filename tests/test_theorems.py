@@ -128,6 +128,21 @@ class TestIntegralFT:
         assert analysis.report.integral_ft_lhs == pytest.approx(1.0, abs=1e-10)
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_tiny_eigenvalue_beside_small_gibbs_weight_gives_unity(self, seed):
+        # each factor clears its own cutoff while p_m * p_r, 1e-11 * e^-3
+        # of the largest product, does not; the pair stays in the support
+        system = random_instance(2, 2, 2, seed)
+        v = system.rho_ab.decomposition.vectors
+        lam = np.array([1.0, 0.5, 0.3, 1e-11])     # in the instance's eigenbasis order
+        lam /= lam.sum()
+        analysis = analyze(dataclasses.replace(
+            system, rho_ab=density_operator((v * lam) @ v.conj().T),
+            reservoir=ReservoirSpec((0.0, 3.0), 1.0)))
+        assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-10)
+        assert analysis.report.integral_ft_lhs == pytest.approx(1.0, abs=1e-10)
+        assert analysis.joint.forward_support.sum() == 8
+
     @pytest.mark.parametrize("seed", [0, 1, 4, 8])
     def test_matches_restricted_mass_when_rank_deficient(self, seed):
         analysis = analyze(random_instance(2, 2, 2, seed, rank_deficient=True))
