@@ -17,7 +17,8 @@ own ``src`` first on ``PYTHONPATH``.
 
 An output is what a call writes to ``--out``, its exit status and its
 stderr.  Each prints as ``same`` or ``moved``.  For a moved report, sweep
-table or ``verify`` text, every moved field is listed with its largest
+table or ``verify`` text, the fields only one side holds are listed as
+removed or added, and every moved field shared by both with its largest
 absolute and relative change; list entries are named by their ``name``
 key when they have one and collapse to ``[*]`` otherwise.  Exit 0 when
 every output is the same, 1 when one moved, 2 on a usage error or when a
@@ -38,6 +39,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,16 +216,37 @@ class Moved:
     example: str = ""      # the first other change
 
 
+def occurrences(fields: list) -> dict:
+    """Each field by (path, k): the k-th field at its path, in order."""
+    seen: Counter = Counter()
+    out = {}
+    for path, value in fields:
+        out[path, seen[path]] = value
+        seen[path] += 1
+    return out
+
+
+def layout_changes(kind: str, keys) -> list[str]:
+    """One line per path among ``keys`` (pairs (path, k)), list entries'
+    names collapsed to ``[*]``, with how many fields it stands for."""
+    paths = Counter(re.sub(r"\[[^]]*\]", "[*]", path) for path, _ in keys)
+    return [f"{kind} {path}" + (f"  ({n} fields)" if n > 1 else "") for path, n in paths.items()]
+
+
 def moved_fields(old: list, new: list) -> list[str]:
-    """Each moved field path with its largest absolute and relative
-    change, or the first difference in layout."""
-    if [path for path, _ in old] != [path for path, _ in new]:
-        at = next((i for i, (a, b) in enumerate(zip(old, new)) if a[0] != b[0]),
-                  min(len(old), len(new)))
-        return [f"layout differs at field {at}: {old[at][0] if at < len(old) else '(end)'}"
-                f" -> {new[at][0] if at < len(new) else '(end)'}"]
+    """The field paths only one side holds, as removed or added, then each
+    path both hold whose value moved, with its largest absolute and
+    relative change.  The k-th field at a path on one side pairs with the
+    k-th at that path on the other, so a change of layout leaves every
+    shared field compared."""
+    old_at, new_at = occurrences(old), occurrences(new)
+    lines = (layout_changes("removed", [k for k in old_at if k not in new_at])
+             + layout_changes("added", [k for k in new_at if k not in old_at]))
     moved: dict[str, Moved] = {}
-    for (path, a), (_, b) in zip(old, new):
+    for (path, k), a in old_at.items():
+        if (path, k) not in new_at:
+            continue
+        b = new_at[path, k]
         if a == b or (isinstance(a, float) and isinstance(b, float)
                       and math.isnan(a) and math.isnan(b)):
             continue
@@ -234,11 +257,12 @@ def moved_fields(old: list, new: list) -> list[str]:
             m.rel = max(m.rel, abs(b - a) / abs(a) if a else math.inf)
         else:
             m.example = m.example or f"{a!r} -> {b!r}"
-    if not moved:
+    if not moved and not lines:
         return ["bytes differ, every parsed field is equal"]
-    return [f"{path}  ({m.count} moved)" + (f"  abs {m.abs:.3g}  rel {m.rel:.3g}" if m.abs else "")
-            + (f"  first other change {m.example}" if m.example else "")
-            for path, m in moved.items()]
+    return lines + [
+        f"{path}  ({m.count} moved)" + (f"  abs {m.abs:.3g}  rel {m.rel:.3g}" if m.abs else "")
+        + (f"  first other change {m.example}" if m.example else "")
+        for path, m in moved.items()]
 
 
 def compare(command: str, old: tuple, new: tuple) -> list[str] | None:

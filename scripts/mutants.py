@@ -101,6 +101,10 @@ MUTANTS = (
            ("tests/test_cli.py::TestVerify::test_residual_at_the_limit_passes",
             "tests/test_cli.py::TestVerify::test_largest_deviation_of_an_array_pair_decides",
             "tests/test_theorems.py::TestClassicalReduction::test_held_to_equality_tolerance")),
+    Mutant("bound-judge-strict", "src/bift/theorems.py",
+           "rec.slack >= -tol.bound",
+           "rec.slack > -tol.bound",
+           ("tests/test_theorems.py::TestBounds::test_upper_held_to_bound_tolerance",)),
     Mutant("drop-two-product-error", "src/bift/reportio.py",
            "    err -= t\n",
            "",

@@ -308,11 +308,7 @@ def core_checks(scenario: Scenario, analysis: Analysis, tol: Tolerances) -> list
         Check.close("detailed_ft", rep.detailed_max_residual, 0.0, tol.equality,
                     f"worst trajectory {tuple(rep.detailed_worst)}" if rep.detailed_worst else ""),
     ]
-    for rec in rep.bounds:
-        value, passed, detail = (
-            (rec.slack, bool(rec.satisfied), f"kind={rec.kind}") if rec.applicable
-            else (math.nan, True, f"not applicable: {rec.note}"))
-        checks.append(Check(f"bound:{rec.name}", value, passed, detail))
+    checks += [Check.bound(rec, tol) for rec in rep.bounds]
     checks += [Check.close(f"reference:{key}", report_value(rep, key), want, tol.equality)
                for key, want in sorted(scenario.reference.items())]
     return checks
@@ -369,11 +365,11 @@ def dense_table(joint: FactoredJoint, table: np.ndarray) -> np.ndarray:
 def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analysis,
                     checks: list[Check], tol: Tolerances) -> dict:
     doc = {
+        "schema": 2,        # the layout: bound records hold no verdict
         "command": command,
         "tool": {"name": "bift", "version": __version__},
         "config_hash": config_hash(cfg),
-        "tolerances": {"equality": tol.equality, "bound": tol.bound,
-                       "support": tol.support},
+        "tolerances": tol,
         "scenario": {"name": scenario.name, **scenario.params},
         "report": analysis.report,
         "reference_residuals": {c.name.removeprefix("reference:"): c.value

@@ -43,9 +43,9 @@ fixes the first axis, the residual is evaluated once over every
 (a, b, a', b') of that m's attaining blocks, and the supported hits are
 sorted by (a, b, m', a', b', r, r').
 
-Bound records carry lhs, rhs and slack = rhs - lhs (for equalities,
-slack = -|lhs - rhs|), so "satisfied" always means slack >= -tolerance.
-Inapplicable bounds are reported as such, never silently dropped.
+Bound records carry a relation only: lhs, rhs and whether it applies
+here.  Inapplicable bounds are reported as such, never silently dropped.
+``Check.bound`` alone gives a record's verdict.
 """
 
 from __future__ import annotations
@@ -81,22 +81,23 @@ class WorkInputs:
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """One checked relation.
-
-    kind is "upper" (lhs <= rhs, slack = rhs - lhs, satisfied when
-    slack >= -tol.bound) or "equality" (slack = -|lhs - rhs|, satisfied
-    when slack >= -tol.equality).  ``satisfied`` is None when the
-    relation's precondition does not hold here (see ``note``).
-    """
+    """One relation, "upper" (lhs <= rhs) or "equality" (lhs = rhs);
+    ``applicable`` is False when its precondition does not hold here
+    (see ``note``).  ``Check.bound`` judges it."""
 
     name: str
     kind: str
     lhs: float
     rhs: float
-    slack: float
     applicable: bool
-    satisfied: bool | None
     note: str = ""
+
+    @property
+    def slack(self) -> float:
+        """rhs - lhs (upper), -|lhs - rhs| (equality); NaN when not applicable."""
+        if not self.applicable:
+            return math.nan
+        return self.rhs - self.lhs if self.kind == "upper" else -abs(self.lhs - self.rhs)
 
 
 @dataclass
@@ -115,6 +116,18 @@ class Check:
         and it passes when that is at most ``limit``, the limit included."""
         value = float(np.max(np.abs(np.subtract(got, want))))
         return cls(name, value, value <= limit, detail)
+
+    @classmethod
+    def bound(cls, rec: BoundRecord, tol: Tolerances) -> Check:
+        """A bound record's verdict ``bound:<name>``, valued by its slack: an
+        upper bound passes when that is at least -``tol.bound``, an equality as
+        ``close`` judges it at ``tol.equality``, an inapplicable one always."""
+        name = f"bound:{rec.name}"
+        if not rec.applicable:
+            return cls(name, math.nan, True, f"not applicable: {rec.note}")
+        passed = (cls.close(name, rec.lhs, rec.rhs, tol.equality).passed
+                  if rec.kind == "equality" else bool(rec.slack >= -tol.bound))
+        return cls(name, rec.slack, passed, f"kind={rec.kind}")
 
 
 @dataclass(frozen=True)
@@ -244,28 +257,24 @@ def product_bases(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> bool
                for end in (spectra.initial, spectra.final))
 
 
-def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
-                     classical_lhs: float | None = None,
-                     work: WorkInputs | None = None,
+def inequality_suite(averages: Averages, gamma: float, ln_gamma: float, ln_rev: float,
+                     classical_lhs: float | None = None, work: WorkInputs | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> tuple[BoundRecord, ...]:
     """Assemble every bound record.
 
-    ``classical_lhs`` is the forward average of the classical-exponent
-    exponential when the product-basis precondition holds, else None.
-    Bounds built on ln gamma become vacuous when gamma == 0.
+    ``ln_gamma`` and ``ln_rev`` are ``ln_or_neg_inf`` of gamma and of
+    <exp(-dI)>_rev.  ``classical_lhs`` is the forward average of the
+    classical-exponent exponential when both eigenbases are product
+    bases, else None.  Bounds built on ln gamma are vacuous at gamma = 0.
     """
-    ln_gamma = ln_or_neg_inf(gamma)
     ds_sum = averages.delta_s_a + averages.delta_s_b
-    ln_rev = ln_or_neg_inf(reverse_avg)
     bq = averages.beta_q
     records = []
 
     def upper(name, lhs, rhs, applicable=True, note=""):
         if applicable and rhs == NEG_INF:
             applicable, note = False, "vacuous: empty forward-support overlap (gamma = 0)"
-        slack = (rhs - lhs) if applicable else math.nan
-        sat = bool(slack >= -tol.bound) if applicable else None
-        records.append(BoundRecord(name, "upper", lhs, rhs, slack, applicable, sat, note))
+        records.append(BoundRecord(name, "upper", lhs, rhs, applicable, note))
 
     # Heat bounds from the two integral relations, and the gamma-free form.
     upper("heat_bound_info_gamma", bq, ds_sum - averages.delta_i + ln_gamma)
@@ -273,13 +282,9 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
     upper("heat_bound_info_plain", bq, ds_sum - averages.delta_i,
           note="gamma-free form; implied by heat_bound_info_gamma since ln gamma <= 0")
 
-    # Classical reduction (product eigenbases only), an equality judged by Check.close.
-    if classical_lhs is None:
-        classical = (math.nan, math.nan, math.nan, False, None,
-                     "global eigenbases are not product bases")
-    else:
-        check = Check.close("classical_ft", classical_lhs, gamma, tol.equality)
-        classical = (classical_lhs, gamma, -check.value, True, check.passed, "")
+    # Classical reduction of the integral relation (product eigenbases only).
+    classical = ((math.nan, math.nan, False, "global eigenbases are not product bases")
+                 if classical_lhs is None else (classical_lhs, gamma, True))
     records.append(BoundRecord("classical_ft", "equality", *classical))
 
     # Memory-erasure forms: observer subsystem B unchanged.
@@ -301,10 +306,8 @@ def inequality_suite(averages: Averages, gamma: float, reverse_avg: float,
     else:
         w_sum = work.work_a + work.work_b
         f_sum = -(work.delta_f_a + work.delta_f_b)
-        upper("work_bound_info_gamma",
-              w_sum, f_sum + (-averages.delta_i + ln_gamma) / work.beta)
-        upper("work_bound_reverse_info",
-              w_sum, f_sum + ln_rev / work.beta)
+        upper("work_bound_info_gamma", w_sum, f_sum + (-averages.delta_i + ln_gamma) / work.beta)
+        upper("work_bound_reverse_info", w_sum, f_sum + ln_rev / work.beta)
 
     return tuple(records)
 
@@ -352,18 +355,19 @@ def evaluate(spectra: SystemSpectra,
     if product_bases(spectra, tol):
         classical_lhs = joint.expectation(forward, *funcs.classical_factors())
 
-    bounds = inequality_suite(averages, gamma, rev_rhs, classical_lhs, work_inputs, tol)
+    ln_gamma, ln_rev = ln_or_neg_inf(gamma), ln_or_neg_inf(rev_rhs)
+    bounds = inequality_suite(averages, gamma, ln_gamma, ln_rev, classical_lhs, work_inputs, tol)
 
     report = FTReport(
         integral_ft_lhs=int_lhs,
         gamma_restricted=gamma,
-        ln_gamma=ln_or_neg_inf(gamma),
+        ln_gamma=ln_gamma,
         reverse_ft_lhs=rev_lhs,
         reverse_avg_exp_di=rev_rhs,
         reverse_avg_exp_di_full=rev_full,
         detailed_max_residual=detail_resid,
         detailed_worst=detail_worst,
-        bound_gap=(-ln_or_neg_inf(rev_rhs)) - averages.delta_i,
+        bound_gap=-ln_rev - averages.delta_i,
         averages=averages,
         bounds=bounds,
     )

@@ -505,11 +505,12 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
     if product_bases(spectra, tol):
         classical_lhs = dense_restricted_average(spectra, forward,
                                                 traj.classical_exponent(), tol)
+    ln_gamma = math.log(gamma) if gamma > 0.0 else NEG_INF
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
     return FTReport(
         integral_ft_lhs=dense_integral_ft(spectra, forward, traj, tol),
         gamma_restricted=gamma,
-        ln_gamma=math.log(gamma) if gamma > 0.0 else NEG_INF,
+        ln_gamma=ln_gamma,
         reverse_ft_lhs=rev_lhs,
         reverse_avg_exp_di=rev_rhs,
         reverse_avg_exp_di_full=dense_average(reverse, np.exp(-traj.delta_i)),
@@ -517,7 +518,8 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
         detailed_worst=worst,
         bound_gap=(-ln_rev) - averages.delta_i,
         averages=averages,
-        bounds=inequality_suite(averages, gamma, rev_rhs, classical_lhs, work_inputs, tol))
+        bounds=inequality_suite(averages, gamma, ln_gamma, ln_rev, classical_lhs, work_inputs,
+                                tol))
 
 
 def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:

@@ -122,30 +122,31 @@ class TestRun:
 
 # sha256 of the output bytes; none of these cases draws a Haar sample.
 # werner-p0, werner-p1 and sweep-werner are the seed implementation's
-# bytes.  The other three carry rounding noise that the factored engine
-# sums in another order; test_golden_values holds their numbers to the
-# seed's.
+# bytes, the run reports in report schema 2: each bound record without its
+# slack and verdict, and the schema key and every tolerance added.  The
+# other three carry rounding noise that the factored engine sums in
+# another order; test_golden_values holds their numbers to the seed's.
 GOLDEN = {
     "werner-p0": (("run", "--scenario", "werner", "--p", "0"),
-                  "c6b09c46250bb7a033946c32423dd3f1e15cd5899833766c1985730d3f8f4c62"),
+                  "b64c78284e1e406bc708284000051a3b823f8c2030a6f2f024f6ebe87d447f45"),
     "werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37"),
-                     "2cb4e17656eb1bc6e0b5fd7a62ddb4c2b96f63d2bf2147e7fba3585729da6c78"),
+                     "5ceeeb3ee20b8e70e2ef4700bc67f334de0907872e0cb6613b8f2879c47b0075"),
     "werner-p1": (("run", "--scenario", "werner", "--p", "1"),
-                  "9f749c52d8d1e8451f18bad8bbd8e976db2acce7a006dc8727d64e1817982bcd"),
+                  "ee7b06ec7a12f05ebfbade194229587b4a94ba7343f5ad01e7e38590e82626e6"),
     "counterexample-unitary": (
         ("run", "--scenario", "counterexample", "--p", "0.5"),
-        "0cff9416dae7aaee8b7b4aea1adb9a6c761b171f77274850b3d2c18a1d29aa77"),
+        "cfd42371a5c3a803648a689e4407cecb68619b5d59f1bfc2424c302dcf984a16"),
     "counterexample-analytic": (
         ("run", "--scenario", "counterexample", "--p", "0.5", "--config", "analytic.json"),
-        "f2a767253aaa57318ab653815c95ac87dffa8a5cb97faeae7613eee64eb0ec7a"),
+        "1474f9ebd9628fc721053fd796388af9eb1474610a71d7c61d5789dfb5ceb4c3"),
     "sweep-werner": (("sweep", "--scenario", "werner", "--p", "0:1:11"),
                      "dc8b80773a5af83de32b7c95baaf7d51153ae4f94e9070005f641a1f91aebc28"),
     # the dense eight-index tables, built only for emission
     "emit-werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37", "--emit-tuples"),
-                          "fe30625c56cfef19db62563267dacf045a933c892d3996863d62f35685c23470"),
+                          "6eadf51d5ffeb36e9676d2124c5ade60057a1653fa466cf58bf3c61c34b443a8"),
     "emit-counterexample": (
         ("run", "--scenario", "counterexample", "--p", "0.5", "--emit-tuples"),
-        "4203792e623a339aba486eded9935f2c0567025e28eefff337a6bd6ca77037a1"),
+        "0adfebde15b86c0c4533c187cebe65a43a7ae0456919f112b2a7cfc812ac4431"),
     # the check lines of verify, rounding-noise residuals included
     "verify-werner-p0.37": (("verify", "--scenario", "werner", "--p", "0.37"),
                             "825d7d12e97918897f330f302843b577dce6b29afd0f18fb639ace8e73080932"),
@@ -278,8 +279,9 @@ class TestSweep:
             header, row = text.strip().splitlines()
             values = dict(zip(header.split(","), (float(x) for x in row.split(","))))
             _, run_text = run_cli(tmp_path, "run", "--scenario", scenario, "--p", p)
-            rep = json.loads(run_text)["report"]
-            slack = {rec["name"]: rec["slack"] for rec in rep["bounds"]}
+            doc = json.loads(run_text)
+            rep = doc["report"]
+            slack = {c["name"].removeprefix("bound:"): c["value"] for c in doc["checks"]}
             assert values == pytest.approx({
                 "p": float(p), "delta_i_avg": rep["averages"]["delta_i"],
                 "ln_gamma": rep["ln_gamma"],
@@ -516,6 +518,18 @@ class TestConfigs:
                     outputs.append(proc.stdout)
                 assert outputs[0] == outputs[1], (command, rank_deficient)
 
+    def test_every_tolerance_is_reported(self, tmp_path):
+        # a field beside equality, bound and support shows in the report,
+        # not only in its config hash
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "werner", "p": 0.5,
+                                      "tolerance": {"degeneracy": 1e-9}}))
+        code, text = run_cli(tmp_path, "run", "--config", str(config))
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["schema"] == 2
+        assert doc["tolerances"] == {**dataclasses.asdict(DEFAULT_TOL), "degeneracy": 1e-9}
+
     def test_trace_tolerance_reaches_state_check(self, tmp_path, capsys):
         path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9)
         assert main(["run", "--config", str(path)]) == 2
@@ -566,8 +580,9 @@ class TestConfigs:
         flag = ("--tolerance", "1e-10")
         code, text = run_cli(tmp_path, "run", "--config", str(config), *flag)
         assert code == 1
-        assert json.loads(text)["tolerances"] == {"equality": 1e-10, "bound": 1e-10,
-                                                  "support": 0.1}
+        assert json.loads(text)["tolerances"] == {
+            "hermiticity": 1e-10, "unitarity": 1e-10, "orthonormality": 1e-10, "trace": 1e-12,
+            "psd": 1e-12, "support": 0.1, "degeneracy": 1e-10, "equality": 1e-10, "bound": 1e-10}
         alone = run_cli(tmp_path, "verify", "--config", str(config))
         assert alone[0] == 1 and "FAIL overall" in alone[1]
         assert run_cli(tmp_path, "verify", "--config", str(config), *flag) == alone

@@ -67,6 +67,18 @@ class TestBytesDiff:
         assert proc.stderr.startswith(f"error: {tmp_path / parent}")
         assert proc.stdout == ""
 
+    def test_layout_change_keeps_shared_fields_compared(self, monkeypatch):
+        # a field removed before the shared ones and one added after them:
+        # the shared fields still pair up, the k-th at a path with the k-th
+        bytes_diff = load_bytes_diff(monkeypatch)
+        old = [("schema", 1), ("bounds[a].slack", 0.5), ("bounds[b].slack", 0.25),
+               ("xs[*]", 1.0), ("xs[*]", 2.0), ("passed", True)]
+        new = [("xs[*]", 1.0), ("xs[*]", 3.0), ("passed", True), ("tolerances.trace", 1e-12)]
+        assert bytes_diff.moved_fields(old, new) == [
+            "removed schema", "removed bounds[*].slack  (2 fields)",
+            "added tolerances.trace", "xs[*]  (1 moved)  abs 1  rel 0.5"]
+        assert bytes_diff.moved_fields(old, old) == ["bytes differ, every parsed field is equal"]
+
     def test_a_revision_that_does_not_export_exits_2(self, monkeypatch, capsys):
         bytes_diff = load_bytes_diff(monkeypatch)
 

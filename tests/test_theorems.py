@@ -29,11 +29,14 @@ from bift.tables import (
     spectra_from_unitary,
 )
 from bift.theorems import (
+    BoundRecord,
+    Check,
     _supports,
     corrupt_reverse,
     detailed_ft_check,
     evaluate,
     inequality_suite,
+    ln_or_neg_inf,
 )
 
 from conftest import (
@@ -226,7 +229,7 @@ class TestBounds:
             rep = evaluate_scenario(werner_isothermal(p)).report
             plain = rep.bound("heat_bound_info_plain")
             gamma_form = rep.bound("heat_bound_info_gamma")
-            assert plain.applicable and plain.satisfied
+            assert plain.applicable and Check.bound(plain, DEFAULT_TOL).passed
             assert plain.slack >= gamma_form.slack - 1e-12
 
     def test_jensen_never_violated_randomly(self):
@@ -243,10 +246,25 @@ class TestBounds:
         assert wa.slack == pytest.approx(0.0, abs=1e-10)
         assert wb.slack == pytest.approx(0.0, abs=1e-10)
 
+    def test_upper_held_to_bound_tolerance(self):
+        # an upper bound passes at slack -tol.bound exactly and fails one
+        # float below it, at bound tolerance or slack; equality plays no part
+        at = BoundRecord("b", "upper", 0.0, -1e-10, True)
+        below = BoundRecord("b", "upper", 0.0, math.nextafter(-1e-10, -math.inf), True)
+        assert at.slack == -1e-10
+        for rec, tol, passed in ((at, Tolerances(bound=1e-10, equality=0.0), True),
+                                 (at, Tolerances(bound=math.nextafter(1e-10, 0.0)), False),
+                                 (below, Tolerances(bound=1e-10), False)):
+            check = Check.bound(rec, tol)
+            assert check.passed is passed and check.value == rec.slack
+            assert (check.name, check.detail) == ("bound:b", "kind=upper")
+
     def test_work_bounds_absent_without_inputs(self):
         rep = evaluate_scenario(bell_adiabatic_counterexample(0.5)).report
         assert rep.bound("work_bound_info_gamma").applicable is False
-        assert rep.bound("work_bound_info_gamma").satisfied is None
+        check = Check.bound(rep.bound("work_bound_info_gamma"), DEFAULT_TOL)
+        assert check.passed and math.isnan(check.value)
+        assert check.detail == "not applicable: no work/free-energy inputs supplied"
 
     def test_erasure_bounds_marked_inapplicable_on_werner(self):
         rep = evaluate_scenario(werner_isothermal(0.5)).report
@@ -271,7 +289,7 @@ class TestBounds:
                      "erasure_bound_reverse_info"):
             rec = rep.bound(name)
             assert rec.applicable, name
-            assert rec.satisfied, name
+            assert Check.bound(rec, DEFAULT_TOL).passed, name
 
     def test_saturation_when_exponent_constant(self, rng):
         # the isothermal Werner process has ds_A + ds_B - beta Q == 0 on
@@ -321,7 +339,7 @@ class TestClassicalReduction:
         spectra = spectra_from_unitary(dataclasses.replace(
             random_classical_instance(2, 2, 2, seed), reservoir=ReservoirSpec((0.0, gap), 1.0)))
         rec = evaluate(spectra).report.bound("classical_ft")
-        assert rec.satisfied is not False
+        assert Check.bound(rec, DEFAULT_TOL).passed
         want = dense_evaluate(spectra).bound("classical_ft")
         assert rec.applicable == want.applicable
         if rec.applicable:
@@ -342,7 +360,7 @@ class TestClassicalReduction:
         # classical_ft is an equality: a rounding residual passes at
         # bound = 0, as integral_ft_vs_gamma does, and fails at equality = 0
         rep = analyze(random_classical_instance(2, 2, 2, 1), tol=Tolerances(bound=0.0)).report
-        assert rep.bound("classical_ft").satisfied
+        assert Check.bound(rep.bound("classical_ft"), Tolerances(bound=0.0)).passed
         gamma = rep.gamma_restricted
         lhs = math.nextafter(gamma, math.inf)
         # the residual is one ulp of gamma, d, which passes at equality = d
@@ -351,14 +369,15 @@ class TestClassicalReduction:
         for tol, passed in ((Tolerances(bound=0.0), True), (Tolerances(equality=0.0), False),
                             (Tolerances(equality=d), True),
                             (Tolerances(equality=math.nextafter(d, 0.0)), False)):
-            records = inequality_suite(rep.averages, gamma, rep.reverse_avg_exp_di, lhs, tol=tol)
+            records = inequality_suite(rep.averages, gamma, rep.ln_gamma,
+                                       ln_or_neg_inf(rep.reverse_avg_exp_di), lhs, tol=tol)
             rec = next(r for r in records if r.name == "classical_ft")
-            assert rec.satisfied is passed and rec.slack == -d
+            assert Check.bound(rec, tol).passed is passed and rec.slack == -d
 
     def test_report_record_when_applicable(self):
         rep = analyze(random_classical_instance(2, 2, 2, 4)).report
         rec = rep.bound("classical_ft")
-        assert rec.applicable and rec.satisfied
+        assert rec.applicable and Check.bound(rec, DEFAULT_TOL).passed
         assert rec.rhs == pytest.approx(rep.gamma_restricted)
 
     def test_pure_product_identity_process(self):
