@@ -73,6 +73,14 @@ MUTANTS = (
            "forward_support=_above_cutoff(p_m[:, None] * p_r[None, :], tol))",
            ("tests/test_theorems.py::TestIntegralFT::"
             "test_tiny_eigenvalue_beside_small_gibbs_weight_gives_unity",)),
+    Mutant("final-state-blocks-r-swapped", "src/bift/tables.py",
+           "u.reshape(d_m, d_r, d_m, d_r).transpose(1, 3, 0, 2)",
+           "u.reshape(d_m, d_r, d_m, d_r).transpose(3, 1, 0, 2)",
+           ("tests/test_tables.py::TestOperatorOracle",)),
+    Mutant("kernel-blocks-r-swapped", "src/bift/tables.py",
+           "return k.transpose(3, 2, 0, 1)",
+           "return k.transpose(3, 1, 0, 2)",
+           ("tests/test_tables.py::TestOperatorOracle",)),
     Mutant("gamma-unrestricted", "src/bift/theorems.py",
            "gamma = joint.expectation(reverse)",
            "gamma = joint.expectation(joint.reverse)",

@@ -34,13 +34,20 @@ Neither route refuses a system for its size; the size guard sits where
 a config enters (``bift.cli``).
 
 A ``.sum()`` reduces in the memory order numpy's iterator gives its
-operand, not in C order: the propagator route's ``G`` is laid out
-[m', r', m, r] in memory, and its product with an (R, R) pair factor
-[m', m, r, r'].  Identical inputs give identical bytes because these
-layouts are fixed on one numpy/BLAS build, at any BLAS thread count
-(measured with OpenBLAS at 1 and 2 threads); reordering a product, or
-copying it to C order, moves bits.  Only the random scenario's Haar
-draw (``linalg.haar_unitary``) changes with the thread count, from
+operand, not in C order.  On the propagator route (measured) ``G`` and
+``G_rev`` are laid out [m', r', r, m] in memory, the order in which
+``transition_kernel`` writes its amplitudes, and their product with an
+(R, R) pair factor [m', r, r', m]; the support-restricted copies that
+``theorems.evaluate`` makes with ``np.where`` are laid out [m', r', m, r],
+and their product with a pair factor [m', m, r, r'].  Identical inputs
+give identical bytes because these layouts are fixed on one numpy/BLAS
+build; reordering a product, or copying it to C order, moves bits.  They
+are also the same at any BLAS thread count (measured with OpenBLAS at 1
+and 2 threads), because every product that feeds a table or the final
+state sums over one AB index: OpenBLAS blocks a longer sum one way on one
+thread and another on two, and a single product over all R^2 blocks of
+the final state gave other bits at (5, 5, 3).  Only the random scenario's
+Haar draw (``linalg.haar_unitary``) changes with the thread count, from
 M R = 100 up.
 """
 
@@ -147,34 +154,24 @@ def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int
                     cond=conditional_table(dec.vectors, dec_a.vectors, dec_b.vectors))
 
 
-def _kron_diagonal(m: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """``np.kron(m, np.diag(diag))`` by block assignment: block (r, r) of
-    the reservoir axes is ``m`` times ``diag[r]``, every other entry zero.
-    Entries match ``np.kron``'s up to the sign of a zero."""
-    d_out, d_in = m.shape
-    d_r = len(diag)
-    out = np.zeros((d_out, d_r, d_in, d_r), dtype=complex)
-    for r, w in enumerate(diag.tolist()):
-        out[:, r, :, r] = m * w
-    return out.reshape(d_out * d_r, d_in * d_r)
-
-
 def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
                       dim_r: int, unitary: np.ndarray) -> np.ndarray:
     """|<m',r'| U |m,r>|^2 as an array [m, r, m', r'].
 
-    Reservoir kets are computational-basis vectors at both endpoints.
+    Reservoir kets are computational-basis vectors at both endpoints, so
+    each amplitude is <m'| U_{r'r} |m>, with U_{r'r} = <r'|U|r> an AB
+    block; all of them come from (V'^dag U) V as two single products.
     Because overlap moduli are invariant under the antiunitary time
     reversal, the same array also gives |<m,r| U^dag |m',r'>|^2, i.e. the
     reversed-process kernel aligned to forward axes.
     """
-    m_in = _kron_diagonal(initial_vectors, np.ones(dim_r))
-    m_out = _kron_diagonal(final_vectors, np.ones(dim_r))
-    amp = dagger(m_out) @ unitary @ m_in        # [(m',r'), (m,r)]
+    d_ab, d_mi = initial_vectors.shape
     d_mf = final_vectors.shape[1]
-    d_mi = initial_vectors.shape[1]
-    k = (np.abs(amp) ** 2).reshape(d_mf, dim_r, d_mi, dim_r)
-    return k.transpose(2, 3, 0, 1)
+    left = dagger(final_vectors) @ unitary.reshape(d_ab, -1)      # [m', (r', j, r)]
+    left = left.reshape(d_mf * dim_r, d_ab, dim_r).transpose(0, 2, 1)
+    amp = left.reshape(-1, d_ab) @ initial_vectors              # [(m', r', r), m]
+    k = (np.abs(amp) ** 2).reshape(d_mf, dim_r, dim_r, d_mi)
+    return k.transpose(3, 2, 0, 1)
 
 
 def _check_heat_exponents(beta_q: np.ndarray) -> np.ndarray:
@@ -206,9 +203,13 @@ def spectra_from_unitary(system: UnitarySystem,
     energies = np.asarray(system.reservoir.energies)
     beta_q = _check_heat_exponents(system.reservoir.beta * (energies[:, None] - energies[None, :]))
     p_r = system.reservoir.gibbs_probabilities()
-    rho_abr = _kron_diagonal(system.rho_ab.matrix, p_r)
-    rho_abr_final = u @ rho_abr @ dagger(u)
-    rho_ab_final = partial_trace(rho_abr_final, (d_m, d_r), keep=0)
+    # Tr_R[U (rho (x) diag p_r) U^dag] = sum_{r,r'} (U_{r'r} rho) (p_r U_{r'r}^dag) over the
+    # AB blocks U_{r'r} = <r'|U|r>: U rho in one product, then one product per block, so
+    # that each product sums over one AB index (module docstring)
+    blocks = np.ascontiguousarray(u.reshape(d_m, d_r, d_m, d_r).transpose(1, 3, 0, 2))  # [r', r, i, j]
+    u_rho = (blocks.reshape(-1, d_m) @ system.rho_ab.matrix).reshape(blocks.shape)
+    u_dag = blocks.conj().swapaxes(2, 3) * p_r[None, :, None, None]
+    rho_ab_final = (u_rho @ u_dag).sum(axis=(0, 1))
 
     fin = spectral_decompose(rho_ab_final, tol)
     kernel = transition_kernel(init.vectors, fin.vectors, d_r, u)
@@ -327,8 +328,8 @@ class FactoredJoint:
 
         A factor that is the float 1.0 is skipped: times 1.0 every float keeps its bits, so
         the sum is the one the full product gives.  Batching these sums, or laying the product
-        out anew, moves bits: with a non-unit pair the sum runs in the product's memory order,
-        [m', m, r, r'] (module docstring), not in G's."""
+        out anew, moves bits: with a non-unit pair the sum runs in the product's memory order
+        (module docstring), not in the table's."""
         u_unit, v_unit = self.unit_sums
         u = u_unit if _is_one(initial) else (self.initial.cond * initial).sum(axis=(1, 2))
         v = v_unit if _is_one(final) else (self.final.cond * final).sum(axis=(1, 2))

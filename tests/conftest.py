@@ -30,6 +30,7 @@ from bift.linalg import (
     degenerate_blocks,
     density_operator,
     haar_unitary,
+    spectral_decompose,
 )
 from bift.scenarios import _mixed_spectrum, bell_basis, werner_isothermal
 from bift.tables import OutcomeTuple, UnitarySystem, factored_joint
@@ -334,6 +335,47 @@ def oracle_reverse_table(spectra) -> np.ndarray:
                                         * spectra.initial.cond[m, a, b]
                                         * spectra.final.cond[mf, af, bf])
     return out
+
+
+def oracle_final_state(system: UnitarySystem) -> np.ndarray:
+    """Tr_R[U (rho (x) gamma) U^dag] from the dense Kronecker product,
+    summed over the reservoir's diagonal blocks."""
+    d_r = system.reservoir.dim
+    start = np.kron(system.rho_ab.matrix, np.diag(system.reservoir.gibbs_probabilities()))
+    full = system.unitary @ start @ dagger(system.unitary)
+    return sum(full[r::d_r, r::d_r] for r in range(d_r))
+
+
+def oracle_two_point_tables(system: UnitarySystem) -> tuple[np.ndarray, np.ndarray]:
+    """(G, G_rev) on axes [m, m', r, r'] from operator formulas, with the
+    projectors P_mr = |m><m| (x) |r><r| of the initial eigenbasis and P'
+    of the final one:
+
+        G[m,m',r,r']     = Tr[P'_m'r' U P_mr (rho (x) gamma) P_mr U^dag],
+        G_rev[m,m',r,r'] = Tr[T(P_mr) U~ T(P'_m'r') T(rho' (x) gamma) T(P'_m'r') U~^dag],
+
+    where T is complex conjugation in the computational basis (the
+    antiunitary time reversal), U~ = T(U^dag) the reversed propagator and
+    rho' the final AB state of ``oracle_final_state``.  The final
+    eigenbasis is the package's canonical one of that state, since a
+    degenerate block admits no other choice to compare against."""
+    d_m = system.dim_a * system.dim_b
+    d_r = system.reservoir.dim
+    gamma = np.diag(system.reservoir.gibbs_probabilities())
+    final = oracle_final_state(system)
+    bases = (system.rho_ab.decomposition.vectors, spectral_decompose(final).vectors)
+    proj = [[[np.kron(np.outer(v[:, m], v[:, m].conj()), np.diag(np.eye(d_r)[r]))
+              for r in range(d_r)] for m in range(d_m)] for v in bases]
+    u, u_rev = system.unitary, np.conj(dagger(system.unitary))
+    start, start_rev = np.kron(system.rho_ab.matrix, gamma), np.conj(np.kron(final, gamma))
+    forward = np.zeros((d_m, d_m, d_r, d_r))
+    reverse = np.zeros((d_m, d_m, d_r, d_r))
+    for m, mf, r, rf in np.ndindex(forward.shape):
+        p, q = proj[0][m][r], proj[1][mf][rf]
+        forward[m, mf, r, rf] = np.trace(q @ u @ p @ start @ p @ dagger(u)).real
+        p, q = np.conj(p), np.conj(q)
+        reverse[m, mf, r, rf] = np.trace(p @ u_rev @ q @ start_rev @ q @ dagger(u_rev)).real
+    return forward, reverse
 
 
 def time_reverse(decomp) -> SpectralDecomposition:

@@ -498,13 +498,14 @@ class TestConfigs:
         # An explicit system's report is the same at any BLAS thread count
         # (seen with OpenBLAS at 1 and 2 threads); only the random
         # scenario's Haar draw depends on it, from M * R = 100 up.  So the
-        # (4, 4, 8) systems, M * R = 128, are drawn once here and written
-        # out.  The rank-deficient one has a zero block of 10 levels, which
-        # the Gram-Schmidt pass fixes through BLAS dot products.
+        # systems are drawn once here and written out: (4, 4, 8), M * R =
+        # 128, full rank and rank-deficient, whose zero block of 10 levels
+        # the Gram-Schmidt pass fixes through BLAS dot products, and
+        # (3, 3, 30), M * R = 270, whose final state sums 900 reservoir blocks.
         assert np.sum(random_instance(4, 4, 8, seed=1, rank_deficient=True)
                       .rho_ab.decomposition.probabilities <= 1e-12) >= 8
-        for rank_deficient in (False, True):
-            path = self._explicit_config(tmp_path, dims=(4, 4, 8), seed=1,
+        for dims, rank_deficient in (((4, 4, 8), False), ((4, 4, 8), True), ((3, 3, 30), False)):
+            path = self._explicit_config(tmp_path, dims=dims, seed=1,
                                          rank_deficient=rank_deficient)
             for command in ("run", "verify"):
                 outputs = []
@@ -516,7 +517,7 @@ class TestConfigs:
                                           timeout=120)
                     assert proc.returncode == 0, proc.stderr
                     outputs.append(proc.stdout)
-                assert outputs[0] == outputs[1], (command, rank_deficient)
+                assert outputs[0] == outputs[1], (command, dims, rank_deficient)
 
     def test_every_tolerance_is_reported(self, tmp_path):
         # a field beside equality, bound and support shows in the report,

@@ -37,8 +37,10 @@ from bift.theorems import evaluate
 
 from conftest import (
     dense_tables,
+    oracle_final_state,
     oracle_forward_table,
     oracle_reverse_table,
+    oracle_two_point_tables,
     remix_derived_decompositions,
     remix_initial,
     replace_endpoint,
@@ -126,47 +128,50 @@ class TestGlobalTmpJoint:
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def numpy_kron_diagonal(m, diag):
-    """``tables._kron_diagonal`` as ``np.kron`` with the complex diagonal
-    matrix.  ``np.kron(V, np.eye(R))`` casts the identity to this complex
-    form too, so it is the kernel's ``np.kron`` as well."""
-    return np.kron(m, np.diag(diag).astype(complex))
+def reservoir_only(system):
+    """``system`` with a Haar propagator on the reservoir alone, so that the
+    final AB state is the initial one, degenerate blocks included."""
+    d_m, rng = system.dim_a * system.dim_b, np.random.default_rng(0)
+    return dataclasses.replace(
+        system, unitary=np.kron(np.eye(d_m), haar_unitary(system.reservoir.dim, rng)))
 
 
-def spectra_arrays(spectra):
-    """Every array of a ``SystemSpectra``, by field path."""
-    out = {}
-    for field in dataclasses.fields(spectra):
-        value = getattr(spectra, field.name)
-        if dataclasses.is_dataclass(value):
-            out.update({f"{field.name}.{k.name}": getattr(value, k.name)
-                        for k in dataclasses.fields(value)})
-        else:
-            out[field.name] = value
-    return out
+# Every system has M * R <= 16, where the operator formulas stay cheap.
+ORACLE_SYSTEMS = {
+    "(2,2,1)": lambda: random_instance(2, 2, 1, seed=5),
+    "(3,3,1)-rank-deficient": lambda: random_instance(3, 3, 1, seed=5, rank_deficient=True),
+    "(2,1,3)": lambda: random_instance(2, 1, 3, seed=5),
+    "(2,2,2)": lambda: random_instance(2, 2, 2, seed=5),
+    "(2,3,2)-rank-deficient": lambda: random_instance(2, 3, 2, seed=5, rank_deficient=True),
+    "(2,2,4)": lambda: random_instance(2, 2, 4, seed=5),
+    "(2,2,4)-rank-deficient": lambda: random_instance(2, 2, 4, seed=6, rank_deficient=True),
+    "(1,2,8)": lambda: random_instance(1, 2, 8, seed=5),
+    "(2,2,2)-degenerate": lambda: random_instance(2, 2, 2, seed=5, degenerate=True),
+    "(2,3,2)-degenerate-rank-deficient": lambda: random_instance(
+        2, 3, 2, seed=5, degenerate=True, rank_deficient=True),
+    "(2,2,4)-degenerate-final": lambda: reservoir_only(random_instance(
+        2, 2, 4, seed=5, degenerate=True, rank_deficient=True)),
+}
 
 
-class TestKronBlocks:
-    @pytest.mark.parametrize("rank_deficient", [False, True], ids=["full-rank", "rank-deficient"])
-    @pytest.mark.parametrize("dims", [(2, 3, 3), (3, 3, 2), (3, 3, 4), (4, 4, 4), (5, 5, 3),
-                                      (4, 4, 8), (6, 6, 2)], ids=str)
-    def test_same_bytes_as_np_kron(self, dims, rank_deficient, monkeypatch):
-        # Entries equal np.kron's up to the sign of a zero, which no
-        # product downstream keeps: the final state, the kernel and every
-        # other array of the spectra keep their bytes.
-        system = random_instance(*dims, seed=5, rank_deficient=rank_deficient)
-        rho, u = system.rho_ab.matrix, system.unitary
-        p_r = system.reservoir.gibbs_probabilities()
-        for diag in (p_r, np.ones(dims[2])):
-            assert np.array_equal(tables._kron_diagonal(rho, diag), numpy_kron_diagonal(rho, diag))
-        final = u @ tables._kron_diagonal(rho, p_r) @ dagger(u)
-        assert final.tobytes() == (u @ numpy_kron_diagonal(rho, p_r) @ dagger(u)).tobytes()
-        got = spectra_arrays(spectra_from_unitary(system))
-        monkeypatch.setattr(tables, "_kron_diagonal", numpy_kron_diagonal)
-        want = spectra_arrays(spectra_from_unitary(system))
-        assert got.keys() == want.keys()
-        for name in got:
-            assert got[name].tobytes() == want[name].tobytes(), name
+class TestOperatorOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+    def test_tables_and_final_state(self, name):
+        # the propagator route against projector traces that read
+        # neither the kernel nor ``transition_kernel``
+        system = ORACLE_SYSTEMS[name]()
+        spectra = spectra_from_unitary(system)
+        joint = factored_joint(spectra)
+        forward, reverse = oracle_two_point_tables(system)
+        for got, want in ((joint.forward, forward), (joint.reverse, reverse)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the final state, through its spectrum and those of its two marginals
+        d_a, d_b = system.dim_a, system.dim_b
+        final = oracle_final_state(system).reshape(d_a, d_b, d_a, d_b)
+        for got, state in ((spectra.final.p_m, final.reshape(d_a * d_b, -1)),
+                           (spectra.final.p_a, np.einsum("ajbj->ab", final)),
+                           (spectra.final.p_b, np.einsum("jajb->ab", final))):
+            assert np.max(np.abs(got - np.linalg.eigvalsh(state)[::-1])) <= 1e-13
 
 
 class TestForwardTable:
