@@ -10,9 +10,8 @@ Each side is a git revision of this repository, exported with ``git
 archive`` (committed files only), or a directory that holds a source
 tree; ``--change`` defaults to the working tree.  The corpus comes from
 the checkout that holds this script: the ``GOLDEN`` argv set of
-``tests/test_cli.py`` (with its ``analytic.json``), and the ops and
-negative controls of the three workloads of ``perfbench/workloads.py`` at
-seed 3.  Each side runs the whole corpus in one child process, with its
+``tests/test_cli.py``, and the ops and negative controls of the three
+workloads of ``perfbench/workloads.py`` at seed 3.  Each side runs the whole corpus in one child process, with its
 own ``src`` first on ``PYTHONPATH``.
 
 An output is what a call writes to ``--out``, its exit status and its
@@ -294,7 +293,6 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         workdir = tmp / "work"
         workdir.mkdir()
-        (workdir / "analytic.json").write_text(json.dumps({"route": "analytic"}))
         try:
             cases = golden_cases() + workload_cases(workdir)
             if args.cases is not None:

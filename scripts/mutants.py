@@ -215,7 +215,14 @@ MUTANTS = (
            "if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):",
            "if False:",
            ("tests/test_tables.py::TestGuardsAndOverrides::"
-            "test_unitary_route_refuses_overflowing_heat_exponents",)),
+            "test_unitary_route_refuses_overflowing_heat_exponents",
+            # its heat-exponent rows
+            "tests/test_cli.py::TestExitCodes::test_error_line_names_the_input")),
+    Mutant("counterexample-propagator-transposed", "src/bift/scenarios.py",
+           "u = bell_basis().astype(complex)",
+           "u = bell_basis().T.astype(complex)",
+           ("tests/test_scenarios.py::TestCounterexampleScenario::test_routes_agree",
+            "tests/test_scenarios.py::TestCounterexampleScenario::test_closed_forms_via_engine")),
 )
 
 

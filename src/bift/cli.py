@@ -30,7 +30,6 @@ from .errors import BiftError, DomainError, SizeError
 from .functionals import shannon_entropy
 from .linalg import (
     DEFAULT_TOL,
-    MAX_HEAT_EXPONENT,
     ReservoirSpec,
     Tolerances,
     density_operator,
@@ -160,9 +159,9 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
     """Reject malformed values where the config enters, so that a bad
     input exits 2 with a message instead of failing inside the numerics,
     and return the run's tolerances and ``p`` points ([None] for a system
-    without ``p``; one point unless sweeping).  Checks every key but the
-    route and ``system``, which their builders check, that the command and
-    the named system read every key given, and that a sweep names one with a ``p``."""
+    without ``p``; one point unless sweeping).  Checks every key but
+    ``system``, which its builder checks, that the command and the named
+    system read every key given, and that a sweep names one with a ``p``."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys {sorted(unknown)}")
@@ -258,10 +257,6 @@ def explicit_system(system, tol: Tolerances) -> Scenario:
         raise DomainError("system.reservoir.energies: expected a list of finite numbers")
     if len(energies) != dims[2]:
         raise DomainError("system.reservoir.energies: length must equal d_R")
-    exponent = beta * (float(max(energies)) - float(min(energies)))
-    if exponent > MAX_HEAT_EXPONENT:
-        raise DomainError(f"system.reservoir: beta * (max E - min E) = {exponent:.6g} "
-                          f"exceeds {MAX_HEAT_EXPONENT:.6g}, where exp overflows")
     rho, u = (decode_complex_matrix(system[key], f"system.{key}") for key in ("rho_ab", "unitary"))
     try:
         spectra = spectra_from_unitary(

@@ -21,8 +21,7 @@ random instances for property checks.
   -ln <exp(-dI)>_rev < <dI> on 0 < p < 1.  Closed forms:
   <dI> = (1+p) ln(1+p) + (1-p) ln(1-p) and
   <exp(-dI)>_rev = (1 + p - p^2) / ((1+p)^2 (1-p)).
-  Runs either through the generic propagator engine ("unitary" route)
-  or as an injected kernel ("analytic" route); both must agree.
+  Runs through the generic propagator engine.
 
 * ``random_instance`` -- reproducible generic systems (Haar-rotated
   spectra, thermal reservoir, Haar propagator) for equality checks, with
@@ -199,35 +198,12 @@ def _counterexample_unitary_system(p: float, tol: Tolerances) -> UnitarySystem:
                          unitary=u)
 
 
-def _counterexample_analytic_spectra(p: float, tol: Tolerances) -> SystemSpectra:
-    p_m = _werner_spectrum(p)
-    kernel = np.zeros((4, 1, 4, 1))
-    for m in range(4):
-        kernel[m, 0, m, 0] = 1.0              # adiabatic: each level follows itself
-    local = np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0])
-    return spectra_from_analytic(SystemSpectra(
-        # initial basis is the product basis, final basis the Bell basis
-        initial=Endpoint(p_m=p_m, p_a=local, p_b=local, cond=_product_conditionals()),
-        final=Endpoint(p_m=p_m.copy(), p_a=np.array([0.5, 0.5]),
-                       p_b=np.array([0.5, 0.5]), cond=_bell_conditionals()),
-        p_r=np.array([1.0]),
-        kernel=kernel, reverse_kernel=kernel.copy(),
-        beta_q=np.array([[0.0]]),
-    ), tol)
-
-
-def bell_adiabatic_counterexample(p: float, route: str = "unitary",
-                                  tol: Tolerances = DEFAULT_TOL) -> Scenario:
+def bell_adiabatic_counterexample(p: float, tol: Tolerances = DEFAULT_TOL) -> Scenario:
     """Adiabatic product-to-Bell dynamics where the reverse-averaged
     information bound loses to the plain one."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"counterexample fraction must lie in (0, 1), got {p}")
-    if route == "unitary":
-        spectra = spectra_from_unitary(_counterexample_unitary_system(p, tol), tol)
-    elif route == "analytic":
-        spectra = _counterexample_analytic_spectra(p, tol)
-    else:
-        raise DomainError(f"unknown route {route!r}; expected 'unitary' or 'analytic'")
+    spectra = spectra_from_unitary(_counterexample_unitary_system(p, tol), tol)
     di = counterexample_delta_i_avg(p)
     rev = counterexample_reverse_avg(p)
     reference = {
@@ -238,7 +214,7 @@ def bell_adiabatic_counterexample(p: float, route: str = "unitary",
         "beta_q_avg": 0.0,
         "bound_gap": -math.log(rev) - di,
     }
-    return Scenario("counterexample", {"p": p, "route": route}, spectra, reference)
+    return Scenario("counterexample", {"p": p}, spectra, reference)
 
 
 def _mixed_spectrum(rng: np.random.Generator, dim: int, floor: float = 1e-6) -> np.ndarray:

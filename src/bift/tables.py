@@ -177,8 +177,8 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
 def _check_heat_exponents(beta_q: np.ndarray) -> np.ndarray:
     """``beta_q``, refused when an entry is not finite or its exp overflows."""
     if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):
-        raise ConsistencyError(f"beta_q entries must be finite and at most "
-                               f"{MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
+        raise ConsistencyError(f"heat exponents beta * (E_r - E_r') must be finite and at "
+                               f"most {MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
     return beta_q
 
 
@@ -187,7 +187,8 @@ def spectra_from_unitary(system: UnitarySystem,
     """Assemble the full ingredient bundle from an explicit propagator.
 
     The initial decomposition is the state's own; the final and local
-    decompositions are derived here; ``beta_q`` is checked before the Gibbs weights.
+    decompositions are derived here.  ``beta_q`` is checked before the
+    propagator's unitarity, the one (M·R)^3 product, and the Gibbs weights.
     """
     d_a, d_b = system.dim_a, system.dim_b
     d_m = d_a * d_b
@@ -195,13 +196,15 @@ def spectra_from_unitary(system: UnitarySystem,
     dim = system.rho_ab.matrix.shape[0]
     if dim != d_m:
         raise DimensionError(f"rho_AB dim {dim} != {d_a} x {d_b}")
+    energies = np.asarray(system.reservoir.energies)
+    with np.errstate(over="ignore"):        # an overflow reads inf, which the check refuses
+        beta_q = _check_heat_exponents(
+            system.reservoir.beta * (energies[:, None] - energies[None, :]))
     u = check_unitary(system.unitary, tol)
     if u.shape[0] != d_m * d_r:
         raise DimensionError(f"propagator dim {u.shape[0]} != {d_m} x {d_r}")
 
     init = system.rho_ab.decomposition
-    energies = np.asarray(system.reservoir.energies)
-    beta_q = _check_heat_exponents(system.reservoir.beta * (energies[:, None] - energies[None, :]))
     p_r = system.reservoir.gibbs_probabilities()
     # Tr_R[U (rho (x) diag p_r) U^dag] = sum_{r,r'} (U_{r'r} rho) (p_r U_{r'r}^dag) over the
     # AB blocks U_{r'r} = <r'|U|r>: U rho in one product, then one product per block, so

@@ -33,7 +33,14 @@ from bift.linalg import (
     spectral_decompose,
 )
 from bift.scenarios import _mixed_spectrum, bell_basis, werner_isothermal
-from bift.tables import OutcomeTuple, UnitarySystem, factored_joint
+from bift.tables import (
+    Endpoint,
+    OutcomeTuple,
+    SystemSpectra,
+    UnitarySystem,
+    factored_joint,
+    spectra_from_analytic,
+)
 from bift.theorems import (
     NEG_INF,
     Averages,
@@ -282,6 +289,27 @@ def werner_spectra(p: float = 0.5, **fields):
     """The Werner scenario's spectra with ``fields`` swapped in (not
     re-validated)."""
     return dataclasses.replace(werner_isothermal(p).spectra, **fields)
+
+
+def oracle_counterexample_spectra(p: float):
+    """The counterexample scenario as an injected kernel, the reference for
+    its propagator: the product basis |00>, |01>, |10>, |11> carried level
+    by level onto the Bell basis of ``bell_basis``, with no reservoir
+    exchange, from the state diagonal in the product basis with
+    eigenvalues (1+3p)/4, (1-p)/4, (1-p)/4, (1-p)/4."""
+    p_m = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
+    local = np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0])
+    kernel = np.eye(4).reshape(4, 1, 4, 1)          # adiabatic: each level follows itself
+    return spectra_from_analytic(SystemSpectra(
+        initial=Endpoint(p_m=p_m, p_a=local, p_b=local.copy(),
+                         cond=np.eye(4).reshape(4, 2, 2)),
+        # bell_basis() holds <a,b|bell_m> at [(a, b), m]
+        final=Endpoint(p_m=p_m.copy(), p_a=np.full(2, 0.5), p_b=np.full(2, 0.5),
+                       cond=(bell_basis() ** 2).T.reshape(4, 2, 2)),
+        p_r=np.array([1.0]),
+        kernel=kernel, reverse_kernel=kernel.copy(),
+        beta_q=np.zeros((1, 1)),
+    ))
 
 
 def replace_endpoint(spectra, side: str, **fields):

@@ -21,17 +21,23 @@ import bift.cli
 import bift.scenarios
 import bift.tables
 from bift import reportio
-from bift.cli import invariant_checks, main
+from bift.cli import core_checks, invariant_checks, main
 from bift.errors import DomainError
-from bift.linalg import DEFAULT_TOL
-from bift.scenarios import bell_adiabatic_counterexample, random_instance, werner_isothermal
+from bift.linalg import DEFAULT_TOL, MAX_HEAT_EXPONENT
+from bift.scenarios import (
+    Scenario,
+    bell_adiabatic_counterexample,
+    random_instance,
+    werner_isothermal,
+)
 from bift.tables import OutcomeTuple, factored_joint, spectra_from_unitary
-from bift.theorems import BoundRecord, FTReport
+from bift.theorems import BoundRecord, FTReport, evaluate
 
 from conftest import (
     dense_tables,
     encode_complex_matrix,
     evaluate_scenario,
+    oracle_counterexample_spectra,
     oracle_dump,
     oracle_forward_table,
     oracle_reverse_table,
@@ -135,10 +141,7 @@ GOLDEN = {
                   "ee7b06ec7a12f05ebfbade194229587b4a94ba7343f5ad01e7e38590e82626e6"),
     "counterexample-unitary": (
         ("run", "--scenario", "counterexample", "--p", "0.5"),
-        "cfd42371a5c3a803648a689e4407cecb68619b5d59f1bfc2424c302dcf984a16"),
-    "counterexample-analytic": (
-        ("run", "--scenario", "counterexample", "--p", "0.5", "--config", "analytic.json"),
-        "1474f9ebd9628fc721053fd796388af9eb1474610a71d7c61d5789dfb5ceb4c3"),
+        "553beea6b56e0ad30ea11c893c21eda7234b0734c034de9349054fcec6466817"),
     "sweep-werner": (("sweep", "--scenario", "werner", "--p", "0:1:11"),
                      "dc8b80773a5af83de32b7c95baaf7d51153ae4f94e9070005f641a1f91aebc28"),
     # the dense eight-index tables, built only for emission
@@ -146,7 +149,7 @@ GOLDEN = {
                           "6eadf51d5ffeb36e9676d2124c5ade60057a1653fa466cf58bf3c61c34b443a8"),
     "emit-counterexample": (
         ("run", "--scenario", "counterexample", "--p", "0.5", "--emit-tuples"),
-        "0adfebde15b86c0c4533c187cebe65a43a7ae0456919f112b2a7cfc812ac4431"),
+        "b0919af88a4bcd003ce0e8fb7cceb7ac225413cf28b1e3783e68c38df1c29128"),
     # the check lines of verify, rounding-noise residuals included
     "verify-werner-p0.37": (("verify", "--scenario", "werner", "--p", "0.37"),
                             "825d7d12e97918897f330f302843b577dce6b29afd0f18fb639ace8e73080932"),
@@ -157,10 +160,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_bytes(tmp_path, monkeypatch, case):
+def test_golden_bytes(tmp_path, case):
     argv, digest = GOLDEN[case]
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "analytic.json").write_text(json.dumps({"route": "analytic"}))
     code, text = run_cli(tmp_path, *argv)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -188,13 +189,14 @@ def test_stdout_holds_the_out_bytes(tmp_path, argv):
 # Reports whose bytes carry rounding noise: a detailed residual of order
 # 1e-16 and the trajectory attaining it.  The stored documents
 # (tests/golden/) are the seed implementation's output; every other
-# number must match them to 1e-14.
+# number must match them to 1e-14.  counterexample-analytic is the
+# injected-kernel reference, which no command runs: its report alone is
+# held to the stored document's.
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECTRA = {
     "werner-p0.37": lambda: werner_isothermal(0.37).spectra,
     "counterexample-unitary": lambda: bell_adiabatic_counterexample(0.5).spectra,
-    "counterexample-analytic":
-        lambda: bell_adiabatic_counterexample(0.5, route="analytic").spectra,
+    "counterexample-analytic": lambda: oracle_counterexample_spectra(0.5),
 }
 
 
@@ -218,23 +220,27 @@ def _assert_close(got, want, where=""):
 
 
 def _detailed_fields(doc):
-    """Remove and return (residual, worst tuple) from a report document."""
+    """Remove and return (residual, worst tuple) from a report document,
+    and the same two from its detailed_ft check when it holds checks."""
     resid = doc["report"].pop("detailed_max_residual")
     worst = doc["report"].pop("detailed_worst")
-    (check,) = [c for c in doc["checks"] if c["name"] == "detailed_ft"]
-    assert check.pop("value") == resid
-    check.pop("detail")
+    if "checks" in doc:
+        (check,) = [c for c in doc["checks"] if c["name"] == "detailed_ft"]
+        assert check.pop("value") == resid
+        check.pop("detail")
     return resid, worst
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_SPECTRA))
-def test_golden_values(tmp_path, monkeypatch, case):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "analytic.json").write_text(json.dumps({"route": "analytic"}))
-    code, text = run_cli(tmp_path, *GOLDEN[case][0])
-    assert code == 0
-    got = json.loads(text)
+def test_golden_values(tmp_path, case):
     want = json.loads((GOLDEN_DIR / f"{case}.json").read_text())
+    if case in GOLDEN:
+        code, text = run_cli(tmp_path, *GOLDEN[case][0])
+        assert code == 0
+        got = json.loads(text)
+    else:
+        got = {"report": json.loads(report_text(evaluate(GOLDEN_SPECTRA[case]()).report))}
+        want = {"report": want["report"]}
     resid, worst = _detailed_fields(got)
     _detailed_fields(want)
     assert resid <= 1e-14
@@ -364,10 +370,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("route", ["unitary", "analytic"])
     def test_corrupted_counterexample_fails_named(self, tmp_path, route):
-        # the route reaches verify only through a config file
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"scenario": "counterexample", "route": route}))
-        code, text = run_cli(tmp_path, "verify", "--config", str(path), "--p", "0.5",
+        # the propagator through verify, the injected-kernel reference
+        # through the checks verify judges
+        if route == "analytic":
+            spectra = oracle_counterexample_spectra(0.5)
+            analysis = evaluate(spectra, _reverse_corruption=True)
+            checks = core_checks(Scenario("counterexample", {"p": 0.5}, spectra, {}), analysis,
+                                 DEFAULT_TOL)
+            (check,) = [c for c in checks if c.name == "detailed_ft"]
+            assert not check.passed
+            return
+        code, text = run_cli(tmp_path, "verify", "--scenario", "counterexample", "--p", "0.5",
                              "--corrupt-reverse")
         assert code == 1
         assert "FAIL detailed_ft" in text
@@ -479,7 +492,7 @@ class TestConfigs:
         # beta * (max E - min E) just under the limit: e^{beta Q} nears
         # the float maximum on the pairs whose blocks lie below the cutoff,
         # and no product with it may overflow (warnings are errors)
-        path = self._explicit_config(tmp_path, energies=[0.0, bift.cli.MAX_HEAT_EXPONENT])
+        path = self._explicit_config(tmp_path, energies=[0.0, MAX_HEAT_EXPONENT])
         code, text = run_cli(tmp_path, "verify", "--config", str(path))
         assert code in (0, 1)
         assert "PASS detailed_ft" in text
@@ -790,9 +803,29 @@ class TestExitCodes:
         (("run", "--config", "config.json", "--tolerance", "nan"),
          {"scenario": "random", "tolerance": {"support": 0.1}},
          "error: tolerance: expected a finite non-negative number, got nan"),
+        # a key no system reads
+        (("run", "--config", "config.json"), {"scenario": "counterexample", "p": 0.5,
+                                              "route": "analytic"},
+         "error: unknown config keys ['route']"),
+        (("run", "--config", "config.json"), {"scenario": "werner", "p": 0.5,
+                                              "route": "analytic"},
+         "error: unknown config keys ['route']"),
+        # heat exponents whose exp overflows, one past the limit and one
+        # whose energy difference overflows (warnings are errors)
+        (("run", "--config", "config.json"),
+         {"system": {**ONE_LEVEL_SYSTEM, "dims": [1, 1, 2],
+                     "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                     "reservoir": {"energies": [0.0, 709.79], "beta": 1.0}}},
+         "error: system: heat exponents beta * (E_r - E_r') must be finite"),
+        (("run", "--config", "config.json"),
+         {"system": {**ONE_LEVEL_SYSTEM, "dims": [1, 1, 2],
+                     "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                     "reservoir": {"energies": [-1e308, 1e308], "beta": 1.0}}},
+         "error: system: heat exponents beta * (E_r - E_r') must be finite"),
     ], ids=["grid-not-finite", "system-unknown-key", "system-propagator-dims",
             "system-not-unitary", "system-beside-scenario", "tolerance-flag-negative",
-            "tolerance-flag-nan"])
+            "tolerance-flag-nan", "counterexample-route", "werner-route",
+            "heat-exponent-past-limit", "heat-exponent-difference-overflows"])
     def test_error_line_names_the_input(self, tmp_path, monkeypatch, capsys, argv, config,
                                         message):
         monkeypatch.chdir(tmp_path)
@@ -1294,19 +1327,17 @@ class TestReportIO:
     @pytest.mark.parametrize("argv", [
         ("--scenario", "werner", "--p", "0.37"),
         ("--scenario", "counterexample", "--p", "0.5"),
-        ("--scenario", "counterexample", "--p", "0.5", "--config", "analytic.json"),
         ("--scenario", "random", "--dims", "3,3,2", "--seed", "7"),
         ("--config", "rank-deficient.json"),
         ("--config", "explicit.json"),
         ("--scenario", "random", "--dims", "2,3,2", "--seed", "7", "--emit-tuples"),
-    ], ids=["werner", "counterexample-unitary", "counterexample-analytic", "random",
+    ], ids=["werner", "counterexample-unitary", "random",
             "random-rank-deficient", "explicit", "random-emit-tuples"])
     def test_run_documents_hold_only_report_kinds(self, tmp_path, monkeypatch, argv):
         # what the writer takes is closed: a numpy scalar that reached a
         # report would be a TypeError, which exits 1 as a failed check would
         monkeypatch.chdir(tmp_path)
-        configs = {"analytic.json": {"route": "analytic"},
-                   "rank-deficient.json": {"scenario": "random", "dims": [3, 3, 2], "seed": 7,
+        configs = {"rank-deficient.json": {"scenario": "random", "dims": [3, 3, 2], "seed": 7,
                                            "rank_deficient": True},
                    "explicit.json": {"system": VALID_SYSTEM}}
         for name, cfg in configs.items():
@@ -1336,7 +1367,7 @@ SCALARS = st.one_of(
     st.sampled_from([-1, 0, 1, 2, 3, 10**6]),
     st.sampled_from([0.0, 0.37, 1.0, -0.5, 1e-12, math.nan, math.inf, -math.inf]),
     st.sampled_from(["", "x", "0.5", "0:1:3", "0.2,0.8", "1:0:0", "werner", "random",
-                     "counterexample", "unitary", "analytic"]),
+                     "counterexample"]),
     st.booleans(),
     st.none(),
 )
@@ -1369,7 +1400,6 @@ FUZZ_VALUES = {
     "tolerance": _either([0.0, 1e-6], st.dictionaries(
         st.sampled_from([f.name for f in dataclasses.fields(DEFAULT_TOL)] + ["equalty"]),
         SCALARS, max_size=2)),
-    "route": _either(["unitary", "analytic"]),
     "rank_deficient": VALUES,
     "emit_tuples": VALUES,
     "system": _either([VALID_SYSTEM], _optional({
@@ -1383,7 +1413,7 @@ FUZZ_VALUES = {
 VALID_CONFIGS = [
     {"scenario": "werner", "p": 0.37},
     {"scenario": "werner", "p": "0:1:3", "beta": 2.0, "tolerance": 0.0},
-    {"scenario": "counterexample", "p": 0.5, "route": "analytic"},
+    {"scenario": "counterexample", "p": 0.5},
     {"scenario": "random", "seed": 7, "dims": [3, 3, 3], "rank_deficient": True},
     {"scenario": "random", "dims": [1, 2, 3], "tolerance": {"equality": 0.0}},
     {"system": VALID_SYSTEM, "emit_tuples": True},

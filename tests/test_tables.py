@@ -38,6 +38,7 @@ from conftest import (
     oracle_final_state,
     oracle_forward_table,
     oracle_reverse_table,
+    oracle_counterexample_spectra,
     oracle_two_point_tables,
     remix_derived_decompositions,
     remix_initial,
@@ -416,7 +417,7 @@ class TestAnalyticValidation:
         value = data.draw(HEAT_EXPONENTS_OUT_OF_RANGE if name == "beta_q"
                           else IMPOSSIBLE_WEIGHTS)
         spectra = (werner_spectra() if scenario == "werner"
-                   else bell_adiabatic_counterexample(0.3, "analytic").spectra)
+                   else oracle_counterexample_spectra(0.3))
         owner = getattr(spectra, side) if side else spectra
         arr = np.array(getattr(owner, name), dtype=float)
         arr.flat[index % arr.size] = value
@@ -451,7 +452,7 @@ class TestGuardsAndOverrides:
         # at beta Q = 710, e^{beta Q} overflows and the averages read NaN
         system = dataclasses.replace(random_instance(2, 2, 2, seed=1),
                                      reservoir=ReservoirSpec((0.0, 710.0), 1.0))
-        with pytest.raises(ConsistencyError, match="beta_q"):
+        with pytest.raises(ConsistencyError, match=r"heat exponents beta \* \(E_r - E_r'\)"):
             spectra_from_unitary(system)
 
     def test_unitary_route_evaluates_the_largest_heat_exponent(self):
@@ -478,8 +479,8 @@ class TestGuardsAndOverrides:
 
 class TestCounterexampleTables:
     def test_routes_share_global_marginals(self):
-        a, b = (dense_tables(bell_adiabatic_counterexample(0.4, r).spectra)[0]
-                for r in ("unitary", "analytic"))
+        a, b = (dense_tables(spectra)[0] for spectra in (
+            bell_adiabatic_counterexample(0.4).spectra, oracle_counterexample_spectra(0.4)))
         # per-tuple tables differ by the degenerate-block gauge, but the
         # endpoint marginals must agree
         for drop in ((1, 2, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7), (0, 1, 2, 3, 6, 7)):
@@ -488,7 +489,7 @@ class TestCounterexampleTables:
             assert np.max(np.abs(np.sort(ga.ravel()) - np.sort(gb.ravel()))) < 1e-10
 
     def test_unitary_route_uses_bell_image(self):
-        a = bell_adiabatic_counterexample(0.4, route="unitary")
+        a = bell_adiabatic_counterexample(0.4)
         # final local states are maximally mixed
         assert np.max(np.abs(a.spectra.final.p_a - 0.5)) < 1e-12
         assert np.max(np.abs(a.spectra.final.p_b - 0.5)) < 1e-12

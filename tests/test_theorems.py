@@ -49,6 +49,7 @@ from conftest import (
     dense_tuple_functionals,
     dense_view,
     evaluate_scenario,
+    oracle_counterexample_spectra,
     random_classical_instance,
     remix_derived_decompositions,
     remix_initial,
@@ -352,9 +353,9 @@ class TestClassicalReduction:
         assert rec.applicable is False
 
     def test_not_applicable_for_counterexample_final_basis(self):
-        scenario = bell_adiabatic_counterexample(0.5, route="analytic")
-        assert dense_classical_reduction_check(scenario.spectra) is None
-        assert evaluate_scenario(scenario).report.bound("classical_ft").applicable is False
+        spectra = oracle_counterexample_spectra(0.5)
+        assert dense_classical_reduction_check(spectra) is None
+        assert evaluate(spectra).report.bound("classical_ft").applicable is False
 
     def test_held_to_equality_tolerance(self):
         # classical_ft is an equality: a rounding residual passes at
@@ -581,7 +582,8 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("route", ["unitary", "analytic"])
     def test_counterexample(self, route):
-        assert_matches_dense_oracle(bell_adiabatic_counterexample(0.5, route).spectra)
+        assert_matches_dense_oracle(bell_adiabatic_counterexample(0.5).spectra
+                                    if route == "unitary" else oracle_counterexample_spectra(0.5))
 
     def test_rank_deficient_gamma_below_one(self):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, 1, rank_deficient=True))
@@ -613,8 +615,7 @@ class TestExpectationBits:
                 random_instance(4, 4, 3, seed=1, rank_deficient=True)),
             "classical": lambda: spectra_from_unitary(random_classical_instance(2, 3, 2, 4)),
             "werner": lambda: werner_isothermal(0.37).spectra,
-            "counterexample-analytic":
-                lambda: bell_adiabatic_counterexample(0.5, route="analytic").spectra,
+            "counterexample-analytic": lambda: oracle_counterexample_spectra(0.5),
         }[case]()
         calls = []
         expectation = FactoredJoint.expectation
