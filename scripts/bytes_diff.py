@@ -11,8 +11,9 @@ archive`` (committed files only), or a directory that holds a source
 tree; ``--change`` defaults to the working tree.  The corpus comes from
 the checkout that holds this script: the ``GOLDEN`` argv set of
 ``tests/test_cli.py``, and the ops and negative controls of the three
-workloads of ``perfbench/workloads.py`` at seed 3.  Each side runs the whole corpus in one child process, with its
-own ``src`` first on ``PYTHONPATH``.
+workloads of ``perfbench/workloads.py`` at seed 3.  Each side runs the
+whole corpus in one child process, with its own ``src`` first on
+``PYTHONPATH``.
 
 An output is what a call writes to ``--out``, its exit status and its
 stderr.  Each prints as ``same`` or ``moved``.  For a moved report, sweep

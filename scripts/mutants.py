@@ -216,8 +216,7 @@ MUTANTS = (
            "if False:",
            ("tests/test_tables.py::TestGuardsAndOverrides::"
             "test_unitary_route_refuses_overflowing_heat_exponents",
-            # its heat-exponent rows
-            "tests/test_cli.py::TestExitCodes::test_error_line_names_the_input")),
+            "tests/test_cli.py::TestExitCodes::test_error_line_names_the_input")),  # its heat rows
     Mutant("counterexample-propagator-transposed", "src/bift/scenarios.py",
            "u = bell_basis().astype(complex)",
            "u = bell_basis().T.astype(complex)",

@@ -372,18 +372,17 @@ class TestVerify:
     def test_corrupted_counterexample_fails_named(self, tmp_path, route):
         # the propagator through verify, the injected-kernel reference
         # through the checks verify judges
-        if route == "analytic":
+        if route == "unitary":
+            code, text = run_cli(tmp_path, "verify", "--scenario", "counterexample",
+                                 "--p", "0.5", "--corrupt-reverse")
+            assert code == 1
+            assert "FAIL detailed_ft" in text
+        else:
             spectra = oracle_counterexample_spectra(0.5)
-            analysis = evaluate(spectra, _reverse_corruption=True)
-            checks = core_checks(Scenario("counterexample", {"p": 0.5}, spectra, {}), analysis,
-                                 DEFAULT_TOL)
+            checks = core_checks(Scenario("counterexample", {"p": 0.5}, spectra, {}),
+                                 evaluate(spectra, _reverse_corruption=True), DEFAULT_TOL)
             (check,) = [c for c in checks if c.name == "detailed_ft"]
             assert not check.passed
-            return
-        code, text = run_cli(tmp_path, "verify", "--scenario", "counterexample", "--p", "0.5",
-                             "--corrupt-reverse")
-        assert code == 1
-        assert "FAIL detailed_ft" in text
 
     @pytest.mark.parametrize("dims", ["2,2,2", "4,4,4"])
     @pytest.mark.parametrize("seed", ["0", "11"])

@@ -129,12 +129,13 @@ class TestCounterexampleScenario:
         # reference but the worst trajectory, which ties at rounding noise
         unitary = evaluate_scenario(bell_adiabatic_counterexample(p)).report
         analytic = evaluate(oracle_counterexample_spectra(p)).report
-        for name in ("integral_ft_lhs", "gamma_restricted", "ln_gamma", "reverse_ft_lhs",
-                     "reverse_avg_exp_di", "reverse_avg_exp_di_full", "bound_gap"):
-            assert getattr(unitary, name) == pytest.approx(getattr(analytic, name), abs=1e-10), name
-        for field in dataclasses.fields(Averages):
-            assert getattr(unitary.averages, field.name) == pytest.approx(
-                getattr(analytic.averages, field.name), abs=1e-10), field.name
+        pairs = [(name, getattr(unitary, name), getattr(analytic, name)) for name in (
+            "integral_ft_lhs", "gamma_restricted", "ln_gamma", "reverse_ft_lhs",
+            "reverse_avg_exp_di", "reverse_avg_exp_di_full", "bound_gap")]
+        pairs += [(f.name, getattr(unitary.averages, f.name), getattr(analytic.averages, f.name))
+                  for f in dataclasses.fields(Averages)]
+        for name, got, want in pairs:
+            assert got == pytest.approx(want, abs=1e-10), name
         assert [rec.name for rec in unitary.bounds] == [rec.name for rec in analytic.bounds]
         for got, want in zip(unitary.bounds, analytic.bounds):
             assert (got.lhs, got.rhs) == pytest.approx((want.lhs, want.rhs), abs=1e-10,

@@ -35,10 +35,10 @@ from bift.theorems import evaluate
 
 from conftest import (
     dense_tables,
+    oracle_counterexample_spectra,
     oracle_final_state,
     oracle_forward_table,
     oracle_reverse_table,
-    oracle_counterexample_spectra,
     oracle_two_point_tables,
     remix_derived_decompositions,
     remix_initial,

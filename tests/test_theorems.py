@@ -582,8 +582,9 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("route", ["unitary", "analytic"])
     def test_counterexample(self, route):
-        assert_matches_dense_oracle(bell_adiabatic_counterexample(0.5).spectra
-                                    if route == "unitary" else oracle_counterexample_spectra(0.5))
+        spectra = (bell_adiabatic_counterexample(0.5).spectra if route == "unitary"
+                   else oracle_counterexample_spectra(0.5))
+        assert_matches_dense_oracle(spectra)
 
     def test_rank_deficient_gamma_below_one(self):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, 1, rank_deficient=True))
