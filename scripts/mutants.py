@@ -76,11 +76,13 @@ MUTANTS = (
     Mutant("final-state-blocks-r-swapped", "src/bift/tables.py",
            "u.reshape(d_m, d_r, d_m, d_r).transpose(1, 3, 0, 2)",
            "u.reshape(d_m, d_r, d_m, d_r).transpose(3, 1, 0, 2)",
-           ("tests/test_tables.py::TestOperatorOracle",)),
+           ("tests/test_tables.py::TestOperatorOracle::test_tables_and_final_state",
+            "tests/test_tables.py::TestOperatorOracle::test_tables_at_50_digits")),
     Mutant("kernel-blocks-r-swapped", "src/bift/tables.py",
            "return k.transpose(3, 2, 0, 1)",
            "return k.transpose(3, 1, 0, 2)",
-           ("tests/test_tables.py::TestOperatorOracle",)),
+           ("tests/test_tables.py::TestOperatorOracle::test_tables_and_final_state",
+            "tests/test_tables.py::TestOperatorOracle::test_tables_at_50_digits")),
     Mutant("gamma-unrestricted", "src/bift/theorems.py",
            "gamma = joint.expectation(reverse)",
            "gamma = joint.expectation(joint.reverse)",
@@ -216,7 +218,10 @@ MUTANTS = (
            "if False:",
            ("tests/test_tables.py::TestGuardsAndOverrides::"
             "test_unitary_route_refuses_overflowing_heat_exponents",
-            "tests/test_cli.py::TestExitCodes::test_error_line_names_the_input")),  # its heat rows
+            "tests/test_cli.py::TestExitCodes::"
+            "test_error_line_names_the_input[heat-exponent-past-limit]",
+            "tests/test_cli.py::TestExitCodes::"
+            "test_error_line_names_the_input[heat-exponent-difference-overflows]")),
     Mutant("counterexample-propagator-transposed", "src/bift/scenarios.py",
            "u = bell_basis().astype(complex)",
            "u = bell_basis().T.astype(complex)",

@@ -87,15 +87,17 @@ def report_value(report, key: str) -> float:
     raise KeyError(key)
 
 
+# The Bell states' signs, rows (a, b) and columns m: |bell_m> = sum_ab s[ab, m] |a,b> / sqrt2.
+_BELL_SIGNS = np.array([[1.0, 1.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 1.0],
+                        [0.0, 0.0, 1.0, -1.0],
+                        [1.0, -1.0, 0.0, 0.0]])
+
+
 def bell_basis() -> np.ndarray:
     """The four maximally entangled two-qubit states as columns:
     (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2."""
-    b = np.zeros((4, 4))
-    b[:, 0] = (1, 0, 0, 1)
-    b[:, 1] = (1, 0, 0, -1)
-    b[:, 2] = (0, 1, 1, 0)
-    b[:, 3] = (0, 1, -1, 0)
-    return b / math.sqrt(2.0)
+    return _BELL_SIGNS / math.sqrt(2.0)
 
 
 def werner_delta_i_avg(p: float) -> float:
@@ -113,23 +115,6 @@ def _werner_spectrum(p: float) -> np.ndarray:
     return np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
 
 
-def _bell_conditionals() -> np.ndarray:
-    """|<bell_m|a,b>|^2 as [m, a, b], in the order of :func:`bell_basis`."""
-    cond = np.zeros((4, 2, 2))
-    cond[0, 0, 0] = cond[0, 1, 1] = 0.5   # (|00>+|11>)/sqrt2
-    cond[1, 0, 0] = cond[1, 1, 1] = 0.5   # (|00>-|11>)/sqrt2
-    cond[2, 0, 1] = cond[2, 1, 0] = 0.5   # (|01>+|10>)/sqrt2
-    cond[3, 0, 1] = cond[3, 1, 0] = 0.5   # (|01>-|10>)/sqrt2
-    return cond
-
-
-def _product_conditionals() -> np.ndarray:
-    """|<m|a,b>|^2 as [m, a, b] for the product basis |00>, |01>, |10>, |11>."""
-    cond = np.zeros((4, 2, 2))
-    cond[0, 0, 0] = cond[1, 0, 1] = cond[2, 1, 0] = cond[3, 1, 1] = 1.0
-    return cond
-
-
 def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
     kernel = np.zeros((4, 1, 4, 1))
     kernel[:, 0, 0, 0] = 1.0                  # every m relaxes to the final ground state
@@ -138,9 +123,11 @@ def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
     return spectra_from_analytic(SystemSpectra(
         # initial basis is the Bell basis, final basis the product basis
         initial=Endpoint(p_m=_werner_spectrum(p), p_a=np.array([0.5, 0.5]),
-                         p_b=np.array([0.5, 0.5]), cond=_bell_conditionals()),
+                         p_b=np.array([0.5, 0.5]),
+                         # |<bell_m|a,b>|^2 as [m, a, b]: exactly 0.5 and 0.0
+                         cond=np.ascontiguousarray((_BELL_SIGNS ** 2 / 2.0).T.reshape(4, 2, 2))),
         final=Endpoint(p_m=np.array([1.0, 0.0, 0.0, 0.0]), p_a=np.array([1.0, 0.0]),
-                       p_b=np.array([1.0, 0.0]), cond=_product_conditionals()),
+                       p_b=np.array([1.0, 0.0]), cond=np.eye(4).reshape(4, 2, 2)),
         p_r=np.array([1.0]),
         kernel=kernel, reverse_kernel=reverse_kernel,
         # Quasi-static heat bookkeeping: each qubit absorbs -ln2 / beta,
@@ -217,15 +204,14 @@ def bell_adiabatic_counterexample(p: float, tol: Tolerances = DEFAULT_TOL) -> Sc
     return Scenario("counterexample", {"p": p}, spectra, reference)
 
 
-def _mixed_spectrum(rng: np.random.Generator, dim: int, floor: float = 1e-6) -> np.ndarray:
+def _mixed_spectrum(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Dirichlet spectrum mixed 10% toward uniform.
 
     The mixing keeps every level above 0.1/dim, which keeps reverse/forward
     probability ratios (and hence the detailed-relation residual) well
-    inside double-precision headroom; the absolute floor is a backstop.
+    inside double-precision headroom.
     """
     lam = 0.9 * rng.dirichlet(np.ones(dim)) + 0.1 / dim
-    lam = np.maximum(lam, floor)
     return lam / lam.sum()
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import bift
 from bift import reportio, tables
@@ -325,10 +326,13 @@ def spectra_dims(spectra) -> tuple[int, int, int, int]:
     return d_m, d_a, d_b, len(spectra.p_r)
 
 
-def oracle_forward_table(spectra) -> np.ndarray:
-    """Eight nested loops: kernel * p_m * p_r * both conditionals."""
+def oracle_loop_tables(spectra) -> tuple[np.ndarray, np.ndarray]:
+    """Both eight-index tables in eight nested loops: each kernel times the
+    spectra its process starts from (p_m p_r forward, p_m' p_r' reversed)
+    times both conditionals."""
     d_m, d_a, d_b, d_r = spectra_dims(spectra)
-    out = np.zeros((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
+    forward = np.zeros((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
+    reverse = np.zeros_like(forward)
     for m in range(d_m):
         for a in range(d_a):
             for b in range(d_b):
@@ -337,32 +341,16 @@ def oracle_forward_table(spectra) -> np.ndarray:
                         for bf in range(d_b):
                             for r in range(d_r):
                                 for rf in range(d_r):
-                                    out[m, a, b, mf, af, bf, r, rf] = (
-                                        spectra.kernel[m, r, mf, rf]
-                                        * spectra.initial.p_m[m] * spectra.p_r[r]
-                                        * spectra.initial.cond[m, a, b]
-                                        * spectra.final.cond[mf, af, bf])
-    return out
-
-
-def oracle_reverse_table(spectra) -> np.ndarray:
-    d_m, d_a, d_b, d_r = spectra_dims(spectra)
-    out = np.zeros((d_m, d_a, d_b, d_m, d_a, d_b, d_r, d_r))
-    for m in range(d_m):
-        for a in range(d_a):
-            for b in range(d_b):
-                for mf in range(d_m):
-                    for af in range(d_a):
-                        for bf in range(d_b):
-                            for r in range(d_r):
-                                for rf in range(d_r):
-                                    out[m, a, b, mf, af, bf, r, rf] = (
-                                        spectra.reverse_kernel[m, r, mf, rf]
-                                        * spectra.final.p_m[mf]
-                                        * spectra.p_r[rf]
-                                        * spectra.initial.cond[m, a, b]
-                                        * spectra.final.cond[mf, af, bf])
-    return out
+                                    at = m, a, b, mf, af, bf, r, rf
+                                    forward[at] = (spectra.kernel[m, r, mf, rf]
+                                                   * spectra.initial.p_m[m] * spectra.p_r[r]
+                                                   * spectra.initial.cond[m, a, b]
+                                                   * spectra.final.cond[mf, af, bf])
+                                    reverse[at] = (spectra.reverse_kernel[m, r, mf, rf]
+                                                   * spectra.final.p_m[mf] * spectra.p_r[rf]
+                                                   * spectra.initial.cond[m, a, b]
+                                                   * spectra.final.cond[mf, af, bf])
+    return forward, reverse
 
 
 def oracle_final_state(system: UnitarySystem) -> np.ndarray:
@@ -403,6 +391,58 @@ def oracle_two_point_tables(system: UnitarySystem) -> tuple[np.ndarray, np.ndarr
         forward[m, mf, r, rf] = np.trace(q @ u @ p @ start @ p @ dagger(u)).real
         p, q = np.conj(p), np.conj(q)
         reverse[m, mf, r, rf] = np.trace(p @ u_rev @ q @ start_rev @ q @ dagger(u_rev)).real
+    return forward, reverse
+
+
+def oracle_two_point_tables_50_digits(system: UnitarySystem) -> tuple[np.ndarray, np.ndarray]:
+    """(G, G_rev) of ``oracle_two_point_tables`` in 50-digit mpmath
+    arithmetic that calls no bift code, rounded to float at the end.
+
+    The float64 rho, U, reservoir energies and beta are taken as exact.
+    The eigenbases of rho and of rho' = Tr_R[U (rho (x) gamma) U^dag] come
+    from ``mp.eighe``, sorted by descending eigenvalue, so the projectors
+    are defined only when neither spectrum is degenerate.  Every
+    projector is rank one, P_mr = |x><x| with x = |m>|r> and P'_m'r' =
+    |y><y| with y = |m'>|r'>, so the traces reduce to
+
+        G[m,m',r,r']     = <x|rho (x) gamma|x>  |<y|U|x>|^2 = p_m gamma_r |<y|U|x>|^2,
+        G_rev[m,m',r,r'] = <y|rho' (x) gamma|y> |<y|U|x>|^2 = p'_m' gamma_r' |<y|U|x>|^2,
+
+    with p and p' the 50-digit eigenvalues; the reverse amplitude is
+    <y|U|x> since U~ = T(U^dag) = U^T gives <T x|U~|T y> = <y|U|x>."""
+    d_m = system.dim_a * system.dim_b
+    d_r = len(system.reservoir.energies)
+    with mp.workdps(50):
+        beta = mp.mpf(system.reservoir.beta)
+        weights = [mp.exp(-beta * mp.mpf(e)) for e in system.reservoir.energies]
+        gamma = [w / mp.fsum(weights) for w in weights]
+        u = mp.matrix(system.unitary.tolist())
+        rho = mp.matrix(system.rho_ab.matrix.tolist())
+        start = mp.matrix(d_m * d_r, d_m * d_r)
+        for i, j, r in np.ndindex(d_m, d_m, d_r):
+            start[i * d_r + r, j * d_r + r] = rho[i, j] * gamma[r]
+        full = u * start * u.H
+        final = mp.matrix(d_m, d_m)
+        for i, j, r in np.ndindex(d_m, d_m, d_r):
+            final[i, j] += full[i * d_r + r, j * d_r + r]
+
+        def eigenbasis(state):
+            values, vectors = mp.eighe(state)
+            order = sorted(range(d_m), key=lambda k: -values[k])
+            basis = mp.matrix(d_m * d_r, d_m * d_r)        # columns |m>|r>, m descending
+            for k, m in enumerate(order):
+                for i, r in np.ndindex(d_m, d_r):
+                    basis[i * d_r + r, k * d_r + r] = vectors[i, m]
+            return basis, [values[m] for m in order]
+
+        (v, p_m), (w, p_mf) = eigenbasis(rho), eigenbasis(final)
+        amp = w.H * u * v                                   # [(m', r'), (m, r)]
+        forward = np.zeros((d_m, d_m, d_r, d_r))
+        reverse = np.zeros((d_m, d_m, d_r, d_r))
+        for m, mf, r, rf in np.ndindex(forward.shape):
+            overlap = abs(amp[mf * d_r + rf, m * d_r + r]) ** 2
+            forward[m, mf, r, rf] = float(p_m[m] * gamma[r] * overlap)
+            reverse[m, mf, r, rf] = float(p_mf[mf] * gamma[rf] * overlap)
     return forward, reverse
 
 

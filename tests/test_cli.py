@@ -39,8 +39,7 @@ from conftest import (
     evaluate_scenario,
     oracle_counterexample_spectra,
     oracle_dump,
-    oracle_forward_table,
-    oracle_reverse_table,
+    oracle_loop_tables,
     python_command,
     replace_endpoint,
     report_text,
@@ -104,12 +103,11 @@ class TestRun:
         assert code == 0
         tables = json.loads(text)["tables"]
         spectra = spectra_from_unitary(random_instance(2, 3, 2, 7), tol=DEFAULT_TOL)
-        for key, oracle in (("forward", oracle_forward_table),
-                            ("reverse", oracle_reverse_table)):
+        for key, want in zip(("forward", "reverse"), oracle_loop_tables(spectra)):
             table = np.asarray(tables[key])
             assert table.shape == (6, 2, 3, 6, 2, 3, 2, 2)
             assert table.sum() == pytest.approx(1.0, abs=1e-10)
-            np.testing.assert_allclose(table, oracle(spectra), rtol=1e-14, atol=0)
+            np.testing.assert_allclose(table, want, rtol=1e-14, atol=0)
 
     def test_emit_tuples_config_key(self, tmp_path):
         path = tmp_path / "config.json"

@@ -14,6 +14,17 @@ from conftest import python_command
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def names_a_test(node: str) -> bool:
+    """Whether each class and function a pytest node id names is defined in
+    its file; a parametrized row, ``name[row]``, counts as its function."""
+    path, *names = node.split("::")
+    if names:
+        names[-1] = re.sub(r"\[.*\]$", "", names[-1])
+    text = (ROOT / path).read_text()
+    return all(re.search(rf"^\s*(class|def) {re.escape(name)}\b", text, re.M)
+               for name in names)
+
+
 class TestMutants:
     def test_every_mutant_applies_once(self):
         # scripts/mutants.py runs outside tier-1; this keeps each mutant's
@@ -23,10 +34,19 @@ class TestMutants:
         for mutant in mutants["MUTANTS"]:
             assert (ROOT / mutant.path).read_text().count(mutant.old) == 1, mutant.name
             for node in mutant.tests:
-                path, *names = node.split("::")
-                text = (ROOT / path).read_text()
-                assert all(re.search(rf"^\s*(class|def) {name}\b", text, re.M)
-                           for name in names), node
+                assert names_a_test(node), node
+
+    @pytest.mark.parametrize("node, named", [
+        ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input", True),
+        ("tests/test_cli.py::TestExitCodes::"
+         "test_error_line_names_the_input[heat-exponent-past-limit]", True),
+        ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input[a-z]", True),
+        ("tests/test_cli.py::TestExitCodes::test_error_line_names_the[heat-exponent]", False),
+        ("tests/test_cli.py::TestNoSuchClass", False),
+    ])
+    def test_node_ids_with_rows(self, node, named):
+        # a row id holds characters that are not literal in a pattern
+        assert names_a_test(node) is named
 
 
 def load_bytes_diff(monkeypatch):

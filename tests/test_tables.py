@@ -37,9 +37,9 @@ from conftest import (
     dense_tables,
     oracle_counterexample_spectra,
     oracle_final_state,
-    oracle_forward_table,
-    oracle_reverse_table,
+    oracle_loop_tables,
     oracle_two_point_tables,
+    oracle_two_point_tables_50_digits,
     remix_derived_decompositions,
     remix_initial,
     replace_endpoint,
@@ -172,13 +172,24 @@ class TestOperatorOracle:
                            (spectra.final.p_b, np.einsum("jajb->ab", final))):
             assert np.max(np.abs(got - np.linalg.eigvalsh(state)[::-1])) <= 1e-13
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 4)])
+    def test_tables_at_50_digits(self, dims, seed):
+        # an oracle that calls no bift code, on spectra without degenerate
+        # levels: every entry of both tables to 1e-12 of its own size
+        system = random_instance(*dims, seed=seed)
+        joint = factored_joint(spectra_from_unitary(system))
+        forward, reverse = oracle_two_point_tables_50_digits(system)
+        for got, want in ((joint.forward, forward), (joint.reverse, reverse)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
 
 class TestForwardTable:
     def test_matches_loop_oracle(self):
         system = random_instance(2, 2, 2, seed=11)
         spectra = spectra_from_unitary(system)
         fwd = dense_tables(spectra)[0]
-        assert np.max(np.abs(fwd - oracle_forward_table(spectra))) < 1e-15
+        assert np.max(np.abs(fwd - oracle_loop_tables(spectra)[0])) < 1e-15
 
     def test_marginal_over_primed_indices(self):
         system = random_instance(2, 2, 2, seed=12)
@@ -241,7 +252,7 @@ class TestReverseTable:
         system = random_instance(2, 2, 2, seed=13)
         spectra = spectra_from_unitary(system)
         rev = dense_tables(spectra)[1]
-        assert np.max(np.abs(rev - oracle_reverse_table(spectra))) < 1e-15
+        assert np.max(np.abs(rev - oracle_loop_tables(spectra)[1])) < 1e-15
 
     def test_werner_pure_restricted_quarter(self):
         rep = evaluate(werner_spectra(1.0)).report

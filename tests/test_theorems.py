@@ -567,7 +567,10 @@ class TestDenseOracle:
     def test_coarse_cutoff_leaves_blocks_without_tuples(self):
         # At support 0.5 some supported blocks have an endpoint with no
         # supported (a, b); the worst trajectory is still taken over the
-        # supported tuples only.
+        # supported tuples only (unsupported ones read -1 below).  Every
+        # supported residual here is rounding noise, so another exact
+        # summation order may pick another tuple: the reported one need
+        # only be a dense maximum, to the tolerance of the value.
         tol = dataclasses.replace(DEFAULT_TOL, support=0.5)
         analysis = evaluate(spectra_from_unitary(random_instance(3, 3, 3, seed=7), tol=tol),
                             tol=tol)
@@ -576,8 +579,8 @@ class TestDenseOracle:
         mask = per_factor_support(analysis.joint, tol)
         resid = np.where(mask, np.abs(reverse / np.where(mask, forward, 1.0)
                                       - np.exp(expo)), -1.0)
-        worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(resid)), resid.shape))
-        assert tuple(analysis.report.detailed_worst) == worst
+        at_worst = resid[tuple(analysis.report.detailed_worst)]
+        assert at_worst == pytest.approx(resid.max(), abs=1e-15)
         assert analysis.report.detailed_max_residual == pytest.approx(resid.max(), abs=1e-15)
 
     @pytest.mark.parametrize("route", ["unitary", "analytic"])
