@@ -104,6 +104,27 @@ def random_classical_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
                          unitary=u_local @ p_mat)
 
 
+def log_uniform_spectrum(rng: np.random.Generator, dim: int, lo: float) -> np.ndarray:
+    """``dim`` eigenvalues proportional to 10^U(lo, 0), summing to 1."""
+    lam = 10.0 ** rng.uniform(lo, 0.0, size=dim)
+    return lam / lam.sum()
+
+
+def pinned_energies(rng: np.random.Generator, dim_r: int, top: float) -> tuple[float, ...]:
+    """``dim_r`` >= 2 reservoir energies, the lowest 0 and the highest
+    ``top``, the others uniform between them."""
+    inner = np.sort(rng.uniform(0.0, top, size=dim_r - 2))
+    return (0.0, *(float(e) for e in inner), float(top))
+
+
+def respectrum(system: UnitarySystem, lam: np.ndarray) -> UnitarySystem:
+    """``system`` with the eigenvalues of its state replaced by ``lam``
+    (in the order of its eigenbasis), the eigenbasis kept."""
+    v = system.rho_ab.decomposition.vectors
+    rho = (v * lam) @ v.conj().T
+    return dataclasses.replace(system, rho_ab=density_operator(0.5 * (rho + rho.conj().T)))
+
+
 def oracle_canonical_block_basis(block: np.ndarray) -> np.ndarray:
     """``linalg._canonical_block_basis`` as a loop per vector: left-looking
     Gram-Schmidt, each candidate taking every accepted vector in turn, then

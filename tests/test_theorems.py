@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bift.cli import invariant_checks
+from bift.cli import core_checks, invariant_checks
 from bift.functionals import EndpointFunctionals, EndpointTables
 from bift.linalg import (
     DEFAULT_TOL,
@@ -16,6 +16,7 @@ from bift.linalg import (
     haar_unitary,
 )
 from bift.scenarios import (
+    Scenario,
     bell_adiabatic_counterexample,
     random_instance,
     werner_isothermal,
@@ -49,10 +50,13 @@ from conftest import (
     dense_tuple_functionals,
     dense_view,
     evaluate_scenario,
+    log_uniform_spectrum,
     oracle_counterexample_spectra,
+    pinned_energies,
     random_classical_instance,
     remix_derived_decompositions,
     remix_initial,
+    respectrum,
     werner_state,
 )
 
@@ -174,6 +178,53 @@ class TestIntegralFT:
         gammas = [analyze(random_instance(2, 2, 2, s, rank_deficient=True))
                   .report.gamma_restricted for s in range(6)]
         assert any(g < 1.0 - 1e-6 for g in gammas)
+
+    def test_noise_eigenvalue_stays_out_of_the_support(self):
+        # the zeroed tail of this state decomposes to a noise eigenvalue of
+        # 9.1e-17, not to 0: counted as support, it would lift gamma to 1
+        system = random_instance(2, 2, 2, seed=5, rank_deficient=True)
+        assert 0.0 < system.rho_ab.decomposition.probabilities[-1] < 1e-16
+        gamma = analyze(system).report.gamma_restricted
+        assert gamma == pytest.approx(0.76169607280965, rel=0.0, abs=1e-12)
+
+
+class TestFullRankDraws:
+    """Full-rank systems where rounding and range are hardest: Haar
+    systems whose eigenvalues span nine decades, Haar systems whose
+    reservoir spans beta dE = 700, and permutation systems (product
+    eigenbases, so the classical reduction applies) at beta dE in
+    [300, 700].  On each, every check of ``verify`` passes and gamma = 1."""
+
+    @staticmethod
+    def draw(kind, dims, seed):
+        rng = np.random.default_rng([seed, 1])
+        d_m, d_r = dims[0] * dims[1], dims[2]
+        if kind == "classical":
+            system = random_classical_instance(*dims, seed)
+            lam, top = log_uniform_spectrum(rng, d_m, -6.0), rng.uniform(300.0, 700.0)
+        else:
+            system = random_instance(*dims, seed)
+            lam = log_uniform_spectrum(rng, d_m, -9.0)
+            top = 700.0 if kind == "steep" else 5.0
+        system = respectrum(system, lam)
+        return dataclasses.replace(
+            system, reservoir=ReservoirSpec(pinned_energies(rng, d_r, top), 1.0))
+
+    @given(seed=st.integers(0, 10_000),
+           dims=st.sampled_from([(2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 3, 2), (2, 2, 4)]),
+           kind=st.sampled_from(["spread", "steep", "classical"]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_check_passes(self, seed, dims, kind):
+        spectra = spectra_from_unitary(self.draw(kind, dims, seed))
+        analysis = evaluate(spectra)
+        scenario = Scenario("random", {}, spectra,
+                            {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0})
+        checks = (core_checks(scenario, analysis, DEFAULT_TOL)
+                  + invariant_checks(analysis, DEFAULT_TOL))
+        assert [(c.name, c.value) for c in checks if not c.passed] == []
+        assert abs(analysis.report.gamma_restricted - 1.0) <= 1e-10
+        if kind == "classical":
+            assert analysis.report.bound("classical_ft").applicable
 
 
 class TestReverseAveragedFT:
