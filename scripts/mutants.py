@@ -68,11 +68,19 @@ MUTANTS = (
            "reverse_kernel=kernel.transpose(2, 3, 0, 1),",
            ("tests/test_theorems.py::TestDetailedFT",
             "tests/test_theorems.py::TestIntegralFT")),
-    Mutant("support-on-product", "src/bift/tables.py",
-           "forward_support=_above_cutoff(p_m, tol)[:, None] & _above_cutoff(p_r, tol)[None, :])",
-           "forward_support=_above_cutoff(p_m[:, None] * p_r[None, :], tol))",
+    Mutant("support-cut-relative", "src/bift/tables.py",
+           "(p_m > 0.0)[None, :, None]",
+           "(p_m > 1e-12 * p_m.max())[None, :, None]",
+           ("tests/test_cli.py::TestVerify::test_werner_near_pure_passes",)),
+    Mutant("final-level-unrestricted", "src/bift/tables.py",
+           "(p_mf > 0.0)[:, None, None] & ",
+           "",
+           ("tests/test_theorems.py::TestClassicalReduction::test_steep_reservoir_classical_ft",)),
+    Mutant("noise-floor-dropped", "src/bift/tables.py",
+           "return np.where(p > 8.0 * dim * np.finfo(float).eps * np.max(p), p, 0.0)",
+           "return p",
            ("tests/test_theorems.py::TestIntegralFT::"
-            "test_tiny_eigenvalue_beside_small_gibbs_weight_gives_unity",)),
+            "test_noise_eigenvalue_stays_out_of_the_support",)),
     Mutant("final-state-blocks-r-swapped", "src/bift/tables.py",
            "u.reshape(d_m, d_r, d_m, d_r).transpose(1, 3, 0, 2)",
            "u.reshape(d_m, d_r, d_m, d_r).transpose(3, 1, 0, 2)",

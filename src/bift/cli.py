@@ -193,7 +193,7 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
     for key, value in fields.items():
         _number(value, f"tolerance.{key}" if isinstance(tol, dict) else "tolerance",
                 positive=False)
-        if key in ("support", "degeneracy") and value >= 1:    # see Tolerances
+        if key == "degeneracy" and value >= 1:    # see Tolerances
             raise DomainError(f"tolerance.{key}: a relative cutoff must be below 1, got {value!r}")
     points = p_values(cfg) if "p" in reads else [None]
     if command != "sweep" and len(points) != 1:

@@ -1,10 +1,10 @@
 """Per-trajectory informational and thermodynamic functionals.
 
 All logarithms are natural (values in nats).  Zero-probability
-convention: the log of a weight at or below the support cutoff (relative
-to the largest weight of its distribution) is set to 0, and the info
-content of a trajectory whose global weight is zero is set to 0
-outright.  Every functional is finite, so a zero-weight trajectory adds
+convention: the log of a zero weight is set to 0, and the info content of
+a trajectory whose global weight is zero is set to 0 outright.  A weight
+is zero when it is 0.0: ``tables`` zeroes the rounding noise of every
+decomposition where it is made, and injected spectra are exact.  Every functional is finite, so a zero-weight trajectory adds
 exactly 0 to any sum over the tuple space and the convention can never
 leak into a result.
 
@@ -19,16 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerances
-from .tables import Endpoint, SystemSpectra, _above_cutoff
+from .tables import Endpoint, SystemSpectra
 
 
-def _or_one(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """p with every entry at or below the support cutoff (relative to the
-    largest entry of ``p``) set to 1: the multiplicative form of
+def _or_one(p) -> np.ndarray:
+    """p with every zero entry set to 1: the multiplicative form of
     ln 0 := 0."""
     arr = np.asarray(p, dtype=float)
-    return np.where(_above_cutoff(arr, tol), arr, 1.0)
+    return np.where(arr > 0.0, arr, 1.0)
 
 
 def shannon_entropy(probabilities) -> float:
@@ -101,31 +99,30 @@ class EndpointFunctionals:
         return self.initial.info_ratio, 1.0 / self.final.info_ratio, 1.0
 
 
-def endpoint_functionals(spectra: SystemSpectra,
-                         tol: Tolerances = DEFAULT_TOL) -> EndpointFunctionals:
+def endpoint_functionals(spectra: SystemSpectra) -> EndpointFunctionals:
     """The per-endpoint tables of every functional of ``spectra``."""
-    return EndpointFunctionals(initial=_endpoint_tables(spectra.initial, tol),
-                               final=_endpoint_tables(spectra.final, tol),
+    return EndpointFunctionals(initial=_endpoint_tables(spectra.initial),
+                               final=_endpoint_tables(spectra.final),
                                beta_q=np.asarray(spectra.beta_q, dtype=float))
 
 
-def _endpoint_tables(end: Endpoint, tol: Tolerances) -> EndpointTables:
-    w_a, w_b = _or_one(end.p_a, tol), _or_one(end.p_b, tol)
+def _endpoint_tables(end: Endpoint) -> EndpointTables:
+    w_a, w_b = _or_one(end.p_a), _or_one(end.p_b)
     l_pa, l_pb = np.log(w_a), np.log(w_b)
     local = w_a[:, None] * w_b[None, :]
-    info, info_ratio = _content(end.p_m[:, None, None], l_pa, l_pb, local, tol)
-    classical, classical_ratio = _content(end.classical_joint(), l_pa, l_pb, local, tol)
+    info, info_ratio = _content(end.p_m[:, None, None], l_pa, l_pb, local)
+    classical, classical_ratio = _content(end.classical_joint(), l_pa, l_pb, local)
     return EndpointTables(l_pa=l_pa, l_pb=l_pb, info=info, classical=classical,
                           local=local, info_ratio=info_ratio,
                           classical_ratio=classical_ratio)
 
 
-def _content(p: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarray, local: np.ndarray,
-             tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _content(p: np.ndarray, l_pa: np.ndarray, l_pb: np.ndarray,
+             local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The content table ln p - ln p_a - ln p_b over the local labels
     (a, b) and its exponential p / (p_a p_b), 0 and 1 outright where ``p``
-    is at or below its cutoff: the classical content J[a, b] for
-    p = p_{a,b}, the info content I[m, a, b] for p = p_m[:, None, None]."""
-    keep = _above_cutoff(p, tol)
+    is zero: the classical content J[a, b] for p = p_{a,b}, the info
+    content I[m, a, b] for p = p_m[:, None, None]."""
+    keep = p > 0.0
     content = np.where(keep, np.log(np.where(keep, p, 1.0)) - l_pa[:, None] - l_pb[None, :], 0.0)
     return content, np.where(keep, p / local, 1.0)

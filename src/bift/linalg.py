@@ -46,15 +46,15 @@ from .errors import ConsistencyError, DimensionError, HermiticityError, Unitarit
 class Tolerances:
     """Numerical tolerances used across the package.
 
-    ``support`` is relative to the largest eigenvalue of the operator at
-    hand.  ``degeneracy`` is relative to max(1, largest |eigenvalue|): an
+    ``degeneracy`` is relative to max(1, largest |eigenvalue|): an
     eigenvalue joins a degenerate block when it lies within
-    ``degeneracy`` times that scale of the block's first value.  Both
-    must be below 1: no entry lies above a support cutoff of 1, and a
-    degeneracy cutoff of 1 puts a whole density spectrum in one block.
-    The rest are absolute, sized for double precision, and a valid system
-    can fail them: ``verify --scenario counterexample --p 0.999999``
-    (M R = 4) fails ``reference:reverse_avg_exp_di`` at 1.16e-10 (ROADMAP.md items 2-4).
+    ``degeneracy`` times that scale of the block's first value.  It must
+    be below 1, where a whole density spectrum falls in one block.  No
+    field decides which weights are zero: ``tables`` zeroes rounding noise
+    where it is made.  The rest are absolute, sized for double precision,
+    and a valid system can fail them: ``verify --scenario counterexample
+    --p 0.999999`` (M R = 4) fails ``reference:reverse_avg_exp_di`` at
+    1.16e-10, 4.7e-16 of its value (ROADMAP.md item 3).
     """
 
     hermiticity: float = 1e-10
@@ -62,7 +62,6 @@ class Tolerances:
     orthonormality: float = 1e-10
     trace: float = 1e-12
     psd: float = 1e-12
-    support: float = 1e-12
     degeneracy: float = 1e-10
     equality: float = 1e-10   # fluctuation-theorem equalities
     bound: float = 1e-10      # inequality slacks

@@ -144,14 +144,22 @@ def conditional_table(global_vectors: np.ndarray, a_vectors: np.ndarray,
     return (np.abs(ov) ** 2).reshape(len(ov), a_vectors.shape[1], b_vectors.shape[1])
 
 
+def _zero_noise(p: np.ndarray, dim: int) -> np.ndarray:
+    """``p`` with every entry at or below 8 ``dim`` eps of its largest set
+    to 0.0: the rounding noise of an exact zero of a decomposition or
+    propagator of dimension ``dim``.  Every support is then ``p > 0``."""
+    return np.where(p > 8.0 * dim * np.finfo(float).eps * np.max(p), p, 0.0)
+
+
 def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int,
               tol: Tolerances) -> Endpoint:
     """The measurement point of the AB state ``rho_ab`` in the global
-    eigenbasis ``dec``, with its local spectra and conditional weights."""
+    eigenbasis ``dec``, with its local spectra and conditional weights, noise zeroed."""
     dec_a, dec_b = (spectral_decompose(partial_trace(rho_ab, (d_a, d_b), k), tol) for k in (0, 1))
-    p_m, p_a, p_b = (np.clip(d.probabilities, 0.0, None) for d in (dec, dec_a, dec_b))
-    return Endpoint(p_m=p_m, p_a=p_a, p_b=p_b,
-                    cond=conditional_table(dec.vectors, dec_a.vectors, dec_b.vectors))
+    p_m, p_a, p_b = (_zero_noise(np.clip(d.probabilities, 0.0, None), d_a * d_b)
+                     for d in (dec, dec_a, dec_b))
+    return Endpoint(p_m=p_m, p_a=p_a, p_b=p_b, cond=_zero_noise(
+        conditional_table(dec.vectors, dec_a.vectors, dec_b.vectors), d_a * d_b))
 
 
 def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
@@ -215,7 +223,7 @@ def spectra_from_unitary(system: UnitarySystem,
     rho_ab_final = (u_rho @ u_dag).sum(axis=(0, 1))
 
     fin = spectral_decompose(rho_ab_final, tol)
-    kernel = transition_kernel(init.vectors, fin.vectors, d_r, u)
+    kernel = _zero_noise(transition_kernel(init.vectors, fin.vectors, d_r, u), d_m * d_r)
     return SystemSpectra(
         initial=_endpoint(system.rho_ab.matrix, init, d_a, d_b, tol),
         final=_endpoint(rho_ab_final, fin, d_a, d_b, tol),
@@ -299,24 +307,17 @@ def _is_one(factor) -> bool:
     return isinstance(factor, float) and factor == 1.0
 
 
-def _above_cutoff(p: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Entries above the support cutoff, ``tol.support`` times the largest
-    entry (or 0 when no entry is positive): the one support rule of the
-    package."""
-    return p > tol.support * max(float(np.max(p)), 0.0)
-
-
 @dataclass(frozen=True)
 class FactoredJoint:
     """Forward and time-reversed joint distributions in the factored form
     of the module docstring: the two global tables, the two endpoints and
-    the forward-support mask, to which ``theorems.evaluate`` restricts them."""
+    the support mask, to which ``theorems.evaluate`` restricts them."""
 
     forward: np.ndarray              # G [m, m', r, r']
     reverse: np.ndarray              # G_rev on forward-aligned axes
     initial: Endpoint
     final: Endpoint
-    forward_support: np.ndarray      # bool, shape (M, R)
+    support: np.ndarray              # bool [m, m', r, 1]: p_m > 0, p'_m' > 0 and p_r > 0
 
     @cached_property
     def unit_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -340,21 +341,25 @@ class FactoredJoint:
         return float((weighted if _is_one(pair) else weighted * pair).sum())
 
 
-def factored_joint(spectra: SystemSpectra, tol: Tolerances = DEFAULT_TOL) -> FactoredJoint:
+def factored_joint(spectra: SystemSpectra) -> FactoredJoint:
     """Both joint distributions of ``spectra`` in factored form.
 
     ``forward`` is the two-point table G = K p_m p_r as [m, m', r, r'];
     ``reverse`` is the reversed process's table on the same axes, started
     from the final AB spectrum and the same reservoir Gibbs state p_r.
-    The forward support holds the initial (m, r) pairs whose p_m and p_r
-    are each above the support cutoff of their own spectrum.
+    The support holds the blocks whose initial weights p_m and p_r and
+    final weight p'_m' are positive: a forward trajectory that ends on an
+    empty final level has no reversed counterpart.
     """
-    p_m, p_r = spectra.initial.p_m, spectra.p_r
+    p_m, p_mf, p_r = spectra.initial.p_m, spectra.final.p_m, spectra.p_r
     return FactoredJoint(
         forward=(spectra.kernel.transpose(0, 2, 1, 3)
                  * p_m[:, None, None, None] * p_r[None, None, :, None]),
         reverse=(spectra.reverse_kernel.transpose(0, 2, 1, 3)
-                 * spectra.final.p_m[None, :, None, None] * p_r[None, None, None, :]),
+                 * p_mf[None, :, None, None] * p_r[None, None, None, :]),
         initial=spectra.initial,
         final=spectra.final,
-        forward_support=_above_cutoff(p_m, tol)[:, None] & _above_cutoff(p_r, tol)[None, :])
+        # laid out [m', m, r] in memory, so that the copies ``np.where``
+        # restricts to it take the layout of the module docstring
+        support=((p_mf > 0.0)[:, None, None] & (p_m > 0.0)[None, :, None]
+                 & (p_r > 0.0)[None, None, :]).transpose(1, 0, 2)[:, :, :, None])

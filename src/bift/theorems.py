@@ -16,27 +16,24 @@ average:
   extracted-work bounds when free-energy inputs are available.
 
 The integral, reverse-averaged and classical relations average over the
-forward support, as gamma does: the initial (m, r) pairs whose p_m and
-p_r each clear their own spectrum's support cutoff.  ``evaluate`` alone
-restricts the tables to it, forming each restricted table once.
+support, as gamma does: the blocks [m, m', r, r'] whose p_m, p'_m' and p_r
+are positive (``FactoredJoint.support``).  ``evaluate`` alone restricts
+the tables to it, forming each restricted table once.
 
 Every number is a contraction of the factored tables
 (``tables.FactoredJoint``) with the per-endpoint functionals
 (``functionals.EndpointFunctionals``); no eight-index table is built.
 
-Support rule of the per-trajectory check (the detailed relation): a
-trajectory counts as supported when each of its three factors is above
-the support cutoff relative to the largest entry of its own table --
-the global block G[m,m',r,r'], the initial weight |<m|a,b>|^2 and the
-final weight |<m'|a',b'>|^2.  (Dense tables would
-instead cut their product relative to the largest product.  On the
-random systems tested, the rules differed only on trajectories whose
-factors clear their own cutoffs while the product falls below the
-product cutoff, and the relation holds there too.)
-Within one supported block the detailed ratio p_rev/p_fwd is the single
-number G_rev/G and the exponential is e^{beta Q} E_i[m,a,b] E_f[m',a',b']
-with positive E, so the block's largest residual sits at the largest or
-the smallest product E_i E_f.  The reported worst trajectory is the first
+The detailed relation p_rev/p_fwd = e^{beta Q} E_i[m,a,b] E_f[m',a',b'] is
+checked as the quotient of its sides on the trajectories of the support
+with a positive kernel entry and positive weights |<m|a,b>|^2, |<m'|a',b'>|^2:
+with kernels K, K_rev the residual is |(K_rev/K) (p_r' / (p_r e^{beta Q}))
+x_i y_f - 1|, x_i = 1/(p_m E_i) and y_f = p'_m'/E_f.  On the propagator
+route each factor is 1 up to rounding, and none is read off the subnormal
+G_rev of a steep reservoir.  Within one block the residual is
+|c x_i y_f - 1| with c >= 0 and positive x_i, y_f, so the block's largest
+residual sits at the largest or the smallest product x_i y_f.  The
+reported worst trajectory is the first
 supported tuple in C order of (m, a, b, m', a', b', r, r') attaining the
 maximum.  One search finds it: the smallest m with an attaining block
 fixes the first axis, the residual is evaluated once over every
@@ -55,9 +52,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functionals import EndpointFunctionals, endpoint_functionals
+from .functionals import EndpointFunctionals, _or_one, endpoint_functionals
 from .linalg import DEFAULT_TOL, Tolerances
-from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, _above_cutoff, factored_joint
+from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, factored_joint
 
 NEG_INF = float("-inf")
 
@@ -175,48 +172,43 @@ class Analysis:
     report: FTReport
 
 
-def _supports(joint: FactoredJoint, tol: Tolerances):
-    """Per-factor supports (see the module docstring): blocks [m,m',r,r'],
-    initial [m,a,b] and final [m',a',b'] weights above cutoff."""
-    return (_above_cutoff(joint.forward, tol), _above_cutoff(joint.initial.cond, tol),
-            _above_cutoff(joint.final.cond, tol))
-
-
 def _extremes(values: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Per-row largest and smallest of an (M, A, B) table over ``support``,
-    stacked as (2, M)."""
-    return np.stack([np.where(support, values, -np.inf).max(axis=(1, 2)),
-                     np.where(support, values, np.inf).min(axis=(1, 2))])
+    stacked as (2, M); 1.0 for a row with no supported entry, whose blocks
+    the check drops."""
+    ext = np.stack([np.where(support, values, -np.inf).max(axis=(1, 2)),
+                    np.where(support, values, np.inf).min(axis=(1, 2))])
+    return np.where(support.any(axis=(1, 2)), ext, 1.0)
 
 
-def _residual(ratio, pair, e_i, e_f):
-    """|p_rev/p_fwd - e^{beta Q} E_i E_f|; both callers evaluate it with
-    this one expression, so a block maximum equals a tuple's residual bit
-    for bit."""
-    return np.abs(ratio - pair * (e_i * e_f))
+def _residual(ratio, x_i, y_f):
+    """|ratio x_i y_f - 1|; both callers evaluate it with this one
+    expression, so a block maximum equals a tuple's residual bit for bit."""
+    return np.abs(ratio * (x_i * y_f) - 1.0)
 
 
-def detailed_ft_check(joint: FactoredJoint, ft: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      tol: Tolerances = DEFAULT_TOL):
-    """Max over the forward support of
-    | p_rev/p_fwd - exp(-ds_A - ds_B + dI + beta Q) |,
-    together with the trajectory attaining it; ``ft`` is the exponential's
-    factor triple, ``EndpointFunctionals.ft_factors()``.  Costs
-    O(M^2 R^2 + M A B)."""
-    block, sup_i, sup_f = _supports(joint, tol)
+def detailed_ft_check(spectra: SystemSpectra, joint: FactoredJoint,
+                      ft: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """Max over the supported trajectories of
+    | (p_rev/p_fwd) / exp(-ds_A - ds_B + dI + beta Q) - 1 |
+    in the factored form of the module docstring, together with the
+    trajectory attaining it; ``ft`` is the exponential's factor triple,
+    ``EndpointFunctionals.ft_factors()``.  Costs O(M^2 R^2 + M A B)."""
+    kernel = spectra.kernel.transpose(0, 2, 1, 3)               # [m, m', r, r']
+    sup_i, sup_f = joint.initial.cond > 0.0, joint.final.cond > 0.0
     # a block holds a supported tuple only if both endpoints have a supported (a, b)
-    block &= (sup_i.any(axis=(1, 2))[:, None, None, None]
-              & sup_f.any(axis=(1, 2))[None, :, None, None])
+    block = (joint.support & (kernel > 0.0) & sup_i.any(axis=(1, 2))[:, None, None, None]
+             & sup_f.any(axis=(1, 2))[None, :, None, None])
     if not block.any():
         return 0.0, None
     e_i, e_f, pair = ft                          # (M, A, B), (M, A, B), (R, R)
-    ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
-    # e^{beta Q} nears the float limit only when the initial reservoir
-    # level's Gibbs weight lies below the cutoff, i.e. in a dropped block;
-    # keep it out of those blocks so their products cannot overflow.
-    per_block = _residual(ratio, np.where(block, pair, 1.0),
-                          _extremes(e_i, sup_i)[:, :, None, None, None],
-                          _extremes(e_f, sup_f)[:, None, :, None, None]).max(axis=0)
+    ratio = (np.where(block, spectra.reverse_kernel.transpose(0, 2, 1, 3)
+                      / np.where(block, kernel, 1.0), 0.0)
+             * (spectra.p_r[None, :] / (_or_one(spectra.p_r)[:, None] * pair)))
+    x_i = 1.0 / (_or_one(joint.initial.p_m)[:, None, None] * e_i)
+    y_f = _or_one(joint.final.p_m)[:, None, None] / e_f
+    per_block = _residual(ratio, _extremes(x_i, sup_i)[:, :, None, None, None],
+                          _extremes(y_f, sup_f)[:, None, :, None, None]).max(axis=0)
     per_block = np.where(block, per_block, -1.0)
     worst = float(per_block.max())
 
@@ -225,8 +217,7 @@ def detailed_ft_check(joint: FactoredJoint, ft: tuple[np.ndarray, np.ndarray, np
     m = int(np.argmax(attain.reshape(attain.shape[0], -1).any(axis=1)))
     n, r, s = np.nonzero(attain[m])
     full = _residual(ratio[m, n, r, s][:, None, None, None, None],
-                     pair[r, s][:, None, None, None, None],
-                     e_i[m][None, :, :, None, None], e_f[n][:, None, None])
+                     x_i[m][None, :, :, None, None], y_f[n][:, None, None])
     k, a, b, af, bf = np.nonzero(sup_i[m][None, :, :, None, None] & sup_f[n][:, None, None]
                                  & (full == worst))
     order = (a, b, n[k], af, bf, r[k], s[k])      # the tuple's axes after m
@@ -312,13 +303,15 @@ def inequality_suite(averages: Averages, gamma: float, ln_gamma: float, ln_rev: 
     return tuple(records)
 
 
-def corrupt_reverse(joint: FactoredJoint) -> FactoredJoint:
-    """Negative-control helper: scale the largest entry of the global
-    reverse table (the first in C order) by 1.5 so the detailed relation
-    must fail.  Debug use only."""
-    reverse = joint.reverse.copy()
-    reverse.flat[int(np.argmax(reverse))] *= 1.5
-    return replace(joint, reverse=reverse)
+def corrupt_reverse(spectra: SystemSpectra) -> SystemSpectra:
+    """Negative-control helper: scale by 1.5 the reverse-kernel entry
+    under the largest entry of the global reverse table (the first in C
+    order), so the detailed relation must fail.  Debug use only."""
+    reverse = factored_joint(spectra).reverse
+    m, n, r, s = np.unravel_index(int(np.argmax(reverse)), reverse.shape)
+    kernel = spectra.reverse_kernel.copy()
+    kernel[m, r, n, s] *= 1.5
+    return replace(spectra, reverse_kernel=kernel)
 
 
 def evaluate(spectra: SystemSpectra,
@@ -328,19 +321,17 @@ def evaluate(spectra: SystemSpectra,
     """Run a system through the factored tables, the functionals and
     every check.
 
-    ``_reverse_corruption`` applies ``corrupt_reverse`` to the reverse
-    table before checking (debug flag wiring).
+    ``_reverse_corruption`` applies ``corrupt_reverse`` to the system
+    before anything is built from it (debug flag wiring).
     """
-    joint = factored_joint(spectra, tol)
     if _reverse_corruption:
-        joint = corrupt_reverse(joint)
-    funcs = endpoint_functionals(spectra, tol)
+        spectra = corrupt_reverse(spectra)
+    joint = factored_joint(spectra)
+    funcs = endpoint_functionals(spectra)
 
-    # both tables with the blocks whose initial (m, r) lies outside the
-    # forward support set to zero
-    keep = joint.forward_support[:, None, :, None]
-    forward = np.where(keep, joint.forward, 0.0)
-    reverse = np.where(keep, joint.reverse, 0.0)
+    # both tables with the blocks outside the support set to zero
+    forward = np.where(joint.support, joint.forward, 0.0)
+    reverse = np.where(joint.support, joint.reverse, 0.0)
     ft, info = funcs.ft_factors(), funcs.info_factors()
 
     gamma = joint.expectation(reverse)
@@ -348,7 +339,7 @@ def evaluate(spectra: SystemSpectra,
     rev_lhs = joint.expectation(forward, *funcs.local_factors())
     rev_rhs = joint.expectation(reverse, *info)
     rev_full = joint.expectation(joint.reverse, *info)
-    detail_resid, detail_worst = detailed_ft_check(joint, ft, tol)
+    detail_resid, detail_worst = detailed_ft_check(spectra, joint, ft)
     averages = forward_averages(joint, funcs)
 
     classical_lhs = None

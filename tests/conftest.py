@@ -19,7 +19,7 @@ from mpmath import mp
 
 import bift
 from bift import reportio, tables
-from bift.functionals import _or_one, shannon_entropy
+from bift.functionals import shannon_entropy
 from bift.errors import DomainError
 from bift.linalg import (
     _ACCEPT_NORM,
@@ -480,7 +480,9 @@ def time_reverse(decomp) -> SpectralDecomposition:
 @dataclasses.dataclass(frozen=True)
 class TrajectoryFunctional:
     """Per-trajectory quantities entering the fluctuation relations, as
-    arrays broadcastable against the eight-index tables."""
+    arrays broadcastable against the eight-index tables.  Each exponent
+    holds beta Q unless ``heat`` is False: an average in ratio form
+    (``dense_restricted_average``) applies e^{beta Q} apart."""
 
     delta_s_a: np.ndarray
     delta_s_b: np.ndarray
@@ -488,21 +490,28 @@ class TrajectoryFunctional:
     beta_q: np.ndarray
     delta_j: np.ndarray
 
-    def ft_exponent(self):
+    def _heat(self, heat: bool):
+        return self.beta_q if heat else 0.0
+
+    def ft_exponent(self, heat=True):
         """-ds_A - ds_B + dI + beta Q, the detailed-relation exponent."""
-        return -self.delta_s_a - self.delta_s_b + self.delta_i + self.beta_q
+        return -self.delta_s_a - self.delta_s_b + self.delta_i + self._heat(heat)
 
-    def local_exponent(self):
+    def local_exponent(self, heat=True):
         """-ds_A - ds_B + beta Q (no information content)."""
-        return -self.delta_s_a - self.delta_s_b + self.beta_q
+        return -self.delta_s_a - self.delta_s_b + self._heat(heat)
 
-    def classical_exponent(self):
+    def classical_exponent(self, heat=True):
         """-ds_A - ds_B + dJ + beta Q (classical info content)."""
-        return -self.delta_s_a - self.delta_s_b + self.delta_j + self.beta_q
+        return -self.delta_s_a - self.delta_s_b + self.delta_j + self._heat(heat)
 
-def _initial_support(spectra, tol=DEFAULT_TOL) -> np.ndarray:
-    """The (m, r) forward-support mask broadcast over the eight axes."""
-    return factored_joint(spectra, tol).forward_support[:, None, None, None, None, None, :, None]
+
+def dense_support(spectra) -> np.ndarray:
+    """The support over the eight axes: trajectories whose p_m, p'_m' and
+    p_r are positive."""
+    return ((spectra.initial.p_m > 0.0)[:, None, None, None, None, None, None, None]
+            & (spectra.final.p_m > 0.0)[None, None, None, :, None, None, None, None]
+            & (spectra.p_r > 0.0)[None, None, None, None, None, None, :, None])
 
 
 def dense_view(joint, table) -> np.ndarray:
@@ -524,36 +533,32 @@ def dense_tables(spectra, reverse_global=None):
     return dense_view(joint, joint.forward), dense_view(joint, reverse)
 
 
-def log_or_zero(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """ln p with ln 0 := 0; anything at or below the support cutoff
-    (relative to the largest entry of ``p``) counts as zero."""
-    return np.log(_or_one(p, tol))
+def log_or_zero(p) -> np.ndarray:
+    """ln p with ln 0 := 0; every positive weight keeps its log."""
+    p = np.asarray(p, dtype=float)
+    return np.log(np.where(p > 0.0, p, 1.0))
 
 
-def dense_content_table(p, l_pa, l_pb, tol=DEFAULT_TOL) -> np.ndarray:
-    """ln p - ln p_a - ln p_b over (a, b), 0 where ``p`` is at or below
-    its cutoff; ``p`` is p_{a,b} (classical) or p_m[:, None, None] (info)."""
-    cut = tol.support * max(float(np.max(p)), 0.0)
-    return np.where(p > cut, log_or_zero(p, tol=tol) - l_pa[:, None] - l_pb[None, :], 0.0)
+def dense_content_table(p, l_pa, l_pb) -> np.ndarray:
+    """ln p - ln p_a - ln p_b over (a, b), 0 where ``p`` is 0; ``p`` is
+    p_{a,b} (classical) or p_m[:, None, None] (info)."""
+    return np.where(p > 0.0, log_or_zero(p) - l_pa[:, None] - l_pb[None, :], 0.0)
 
 
-def dense_tuple_functionals(spectra, tol=DEFAULT_TOL) -> TrajectoryFunctional:
+def dense_tuple_functionals(spectra) -> TrajectoryFunctional:
     """Every functional on the whole tuple space, as eight-axis
     broadcastable arrays over (m, a, b, m', a', b', r, r')."""
     d_m, d_a, d_b, d_r = spectra_dims(spectra)
     ini, fin = spectra.initial, spectra.final
-    l_pa = log_or_zero(ini.p_a, tol=tol)
-    l_pb = log_or_zero(ini.p_b, tol=tol)
-    l_paf = log_or_zero(fin.p_a, tol=tol)
-    l_pbf = log_or_zero(fin.p_b, tol=tol)
+    l_pa, l_pb, l_paf, l_pbf = map(log_or_zero, (ini.p_a, ini.p_b, fin.p_a, fin.p_b))
     ds_a = (l_pa[:, None] - l_paf[None, :]).reshape(1, d_a, 1, 1, d_a, 1, 1, 1)
     ds_b = (l_pb[:, None] - l_pbf[None, :]).reshape(1, 1, d_b, 1, 1, d_b, 1, 1)
-    info_i = dense_content_table(ini.p_m[:, None, None], l_pa, l_pb, tol)
-    info_f = dense_content_table(fin.p_m[:, None, None], l_paf, l_pbf, tol)
+    info_i = dense_content_table(ini.p_m[:, None, None], l_pa, l_pb)
+    info_f = dense_content_table(fin.p_m[:, None, None], l_paf, l_pbf)
     d_i = (info_f[None, None, None, :, :, :]
            - info_i[:, :, :, None, None, None]).reshape(d_m, d_a, d_b, d_m, d_a, d_b, 1, 1)
-    j_i = dense_content_table(ini.classical_joint(), l_pa, l_pb, tol)
-    j_f = dense_content_table(fin.classical_joint(), l_paf, l_pbf, tol)
+    j_i = dense_content_table(ini.classical_joint(), l_pa, l_pb)
+    j_f = dense_content_table(fin.classical_joint(), l_paf, l_pbf)
     d_j = (j_f[None, None, :, :] - j_i[:, :, None, None]).reshape(1, d_a, d_b, 1, d_a, d_b, 1, 1)
     b_q = np.asarray(spectra.beta_q, dtype=float).reshape(1, 1, 1, 1, 1, 1, d_r, d_r)
     return TrajectoryFunctional(delta_s_a=ds_a, delta_s_b=ds_b,
@@ -566,43 +571,40 @@ def dense_average(dist, values) -> float:
     return float(np.sum(np.where(dist > 0.0, dist * f, 0.0)))
 
 
-def dense_restricted_average(spectra, dist, exponent, tol=DEFAULT_TOL) -> float:
-    """Average of exp(``exponent``) restricted to trajectories whose
-    initial (m, r) lies in the forward support; over the reverse table of
-    ``exponent`` = 0, the absolute-irreversibility factor gamma.  Only the
-    supported exponents are exponentiated: outside the support beta Q can
-    reach the float limit and the exponential overflow."""
-    mask = _initial_support(spectra, tol)
-    f = np.exp(np.where(mask, exponent, 0.0))
-    return float(np.sum(np.where((dist > 0.0) & mask, dist * f, 0.0)))
+def dense_restricted_average(spectra, dist, exponent, beta_q=0.0) -> float:
+    """Average of exp(``exponent`` + ``beta_q``) over the support; over
+    the reverse table with both 0, the absolute-irreversibility factor
+    gamma.  In ratio form: e^{beta Q} multiplies ``dist`` first, which
+    carries p_r, and p_r e^{beta Q} = p_r' is at most 1, so no product
+    overflows at a heat exponent up to the float limit."""
+    weight = dist * np.exp(beta_q)
+    return float(np.sum(np.where((dist > 0.0) & dense_support(spectra),
+                                 weight * np.exp(exponent), 0.0)))
 
 
-def dense_support(forward, tol=DEFAULT_TOL) -> np.ndarray:
-    """Entries above the cutoff relative to the largest entry."""
-    return forward > tol.support * float(forward.max())
-
-
-def dense_detailed_ft_check(forward, reverse, traj, tol=DEFAULT_TOL):
-    """Max over the forward support of |p_rev/p_fwd - exp(exponent)| and
-    the first trajectory attaining it."""
-    mask = dense_support(forward, tol)
+def dense_detailed_ft_check(spectra, forward, reverse, traj):
+    """Max over the supported trajectories of positive forward weight of
+    |(p_rev/p_fwd) / exp(exponent) - 1| and the first trajectory attaining
+    it.  In ratio form: p_rev e^{-beta Q} e^{-(exponent - beta Q)} is formed
+    first, which equals p_fwd on a valid system, then divided by it."""
+    mask = dense_support(spectra) & (forward > 0.0)
     if not mask.any():
         return 0.0, None
-    expo = np.exp(np.where(mask, traj.ft_exponent(), 0.0))
-    ratio = np.where(mask, reverse / np.where(mask, forward, 1.0), 0.0)
-    resid = np.abs(np.where(mask, ratio - expo, 0.0))
+    back = reverse * np.exp(-traj.beta_q) * np.exp(-traj.ft_exponent(heat=False))
+    resid = np.where(mask, np.abs(back / np.where(mask, forward, 1.0) - 1.0), 0.0)
     flat = int(np.argmax(resid))
     worst = OutcomeTuple(*(int(i) for i in np.unravel_index(flat, forward.shape)))
     return float(resid.flat[flat]), worst
 
 
-def dense_integral_ft(spectra, forward, traj, tol=DEFAULT_TOL) -> float:
-    return dense_restricted_average(spectra, forward, traj.ft_exponent(), tol)
+def dense_integral_ft(spectra, forward, traj) -> float:
+    return dense_restricted_average(spectra, forward, traj.ft_exponent(heat=False), traj.beta_q)
 
 
-def dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol=DEFAULT_TOL):
-    lhs = dense_restricted_average(spectra, forward, traj.local_exponent(), tol)
-    rhs = dense_restricted_average(spectra, reverse, -traj.delta_i, tol)
+def dense_reverse_averaged_ft(spectra, forward, reverse, traj):
+    lhs = dense_restricted_average(spectra, forward, traj.local_exponent(heat=False),
+                                   traj.beta_q)
+    rhs = dense_restricted_average(spectra, reverse, -traj.delta_i)
     return lhs, rhs
 
 
@@ -614,11 +616,12 @@ def dense_classical_reduction_check(spectra, tol=DEFAULT_TOL):
     if not product_bases(spectra, tol):
         return None
     forward, reverse = dense_tables(spectra)
-    traj = dense_tuple_functionals(spectra, tol)
-    lhs = dense_restricted_average(spectra, forward, traj.classical_exponent(), tol)
-    residual = abs(lhs - dense_restricted_average(spectra, reverse, 0.0, tol))
+    traj = dense_tuple_functionals(spectra)
+    lhs = dense_restricted_average(spectra, forward, traj.classical_exponent(heat=False),
+                                   traj.beta_q)
+    residual = abs(lhs - dense_restricted_average(spectra, reverse, 0.0))
     gap = np.abs(np.broadcast_to(traj.delta_i - traj.delta_j, forward.shape))
-    max_gap = float(np.max(np.where(dense_support(forward, tol), gap, 0.0)))
+    max_gap = float(np.max(np.where(dense_support(spectra) & (forward > 0.0), gap, 0.0)))
     return residual, max_gap
 
 
@@ -626,20 +629,20 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
                    reverse_global=None) -> FTReport:
     """``theorems.evaluate``'s report, summed over the dense tables."""
     forward, reverse = dense_tables(spectra, reverse_global)
-    traj = dense_tuple_functionals(spectra, tol)
-    gamma = dense_restricted_average(spectra, reverse, 0.0, tol)
-    rev_lhs, rev_rhs = dense_reverse_averaged_ft(spectra, forward, reverse, traj, tol)
-    resid, worst = dense_detailed_ft_check(forward, reverse, traj, tol)
+    traj = dense_tuple_functionals(spectra)
+    gamma = dense_restricted_average(spectra, reverse, 0.0)
+    rev_lhs, rev_rhs = dense_reverse_averaged_ft(spectra, forward, reverse, traj)
+    resid, worst = dense_detailed_ft_check(spectra, forward, reverse, traj)
     averages = Averages(*(dense_average(forward, x) for x in (
         traj.delta_s_a, traj.delta_s_b, traj.delta_i, traj.delta_j, traj.beta_q)))
     classical_lhs = None
     if product_bases(spectra, tol):
-        classical_lhs = dense_restricted_average(spectra, forward,
-                                                traj.classical_exponent(), tol)
+        classical_lhs = dense_restricted_average(
+            spectra, forward, traj.classical_exponent(heat=False), traj.beta_q)
     ln_gamma = math.log(gamma) if gamma > 0.0 else NEG_INF
     ln_rev = math.log(rev_rhs) if rev_rhs > 0.0 else NEG_INF
     return FTReport(
-        integral_ft_lhs=dense_integral_ft(spectra, forward, traj, tol),
+        integral_ft_lhs=dense_integral_ft(spectra, forward, traj),
         gamma_restricted=gamma,
         ln_gamma=ln_gamma,
         reverse_ft_lhs=rev_lhs,
@@ -653,12 +656,12 @@ def dense_evaluate(spectra, work_inputs=None, tol=DEFAULT_TOL,
                                 tol))
 
 
-def dense_invariant_values(spectra, forward, reverse, tol=DEFAULT_TOL) -> dict:
+def dense_invariant_values(spectra, forward, reverse) -> dict:
     """The values of ``cli.invariant_checks``, on the dense tables."""
     s, ini = spectra, spectra.initial
     g = forward.sum(axis=(1, 2, 4, 5))                # local labels summed out
-    info_i = dense_content_table(ini.p_m[:, None, None], log_or_zero(ini.p_a, tol=tol),
-                                 log_or_zero(ini.p_b, tol=tol), tol)
+    info_i = dense_content_table(ini.p_m[:, None, None], log_or_zero(ini.p_a),
+                                 log_or_zero(ini.p_b))
     want = ini.cond[:, :, :, None] * ini.p_m[:, None, None, None] * s.p_r[None, None, None, :]
     return {
         "forward_normalization": abs(float(forward.sum()) - 1.0),

@@ -127,33 +127,34 @@ class TestRun:
 # sha256 of the output bytes; none of these cases draws a Haar sample.
 # werner-p0, werner-p1 and sweep-werner are the seed implementation's
 # bytes, the run reports in report schema 2: each bound record without its
-# slack and verdict, and the schema key and every tolerance added.  The
+# slack and verdict, the schema key and every tolerance added, and the
+# support tolerance, no longer a field, taken out again.  The
 # other three carry rounding noise that the factored engine sums in
 # another order; test_golden_values holds their numbers to the seed's.
 GOLDEN = {
     "werner-p0": (("run", "--scenario", "werner", "--p", "0"),
-                  "b64c78284e1e406bc708284000051a3b823f8c2030a6f2f024f6ebe87d447f45"),
+                  "77230137ab3a376d8b49c17341999f50806e67eedace2cdc3d6f86488da01caf"),
     "werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37"),
-                     "5ceeeb3ee20b8e70e2ef4700bc67f334de0907872e0cb6613b8f2879c47b0075"),
+                     "85f4917835576aedfce2225e9e64e5d4278609d3bc009f13b8842f998be33e66"),
     "werner-p1": (("run", "--scenario", "werner", "--p", "1"),
-                  "ee7b06ec7a12f05ebfbade194229587b4a94ba7343f5ad01e7e38590e82626e6"),
+                  "f9303a21acc98551bc4e0fae94934fd77ba8daaafef3d2fdbb00290bfbd8b5a9"),
     "counterexample-unitary": (
         ("run", "--scenario", "counterexample", "--p", "0.5"),
-        "553beea6b56e0ad30ea11c893c21eda7234b0734c034de9349054fcec6466817"),
+        "83cfff54455f6b2e4c5c181d068be426b3040be1d02fc6c17af23c1f174a69bd"),
     "sweep-werner": (("sweep", "--scenario", "werner", "--p", "0:1:11"),
                      "dc8b80773a5af83de32b7c95baaf7d51153ae4f94e9070005f641a1f91aebc28"),
     # the dense eight-index tables, built only for emission
     "emit-werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37", "--emit-tuples"),
-                          "6eadf51d5ffeb36e9676d2124c5ade60057a1653fa466cf58bf3c61c34b443a8"),
+                          "6b76b4625680c253dfcbd6df12d0a27abb1eef9758ff5facb961aa4537725091"),
     "emit-counterexample": (
         ("run", "--scenario", "counterexample", "--p", "0.5", "--emit-tuples"),
-        "b0919af88a4bcd003ce0e8fb7cceb7ac225413cf28b1e3783e68c38df1c29128"),
+        "823bcfee929ed35425a3b7faabf450bb12cfd6607ea3ebe94d6b2925e680d913"),
     # the check lines of verify, rounding-noise residuals included
     "verify-werner-p0.37": (("verify", "--scenario", "werner", "--p", "0.37"),
                             "825d7d12e97918897f330f302843b577dce6b29afd0f18fb639ace8e73080932"),
     "verify-counterexample": (
         ("verify", "--scenario", "counterexample", "--p", "0.5"),
-        "cbc48de33d5debe80ef6012875555fa6467a4a535a9b3ef9b1e9011f587aa3b4"),
+        "da99f12601ad1c7e527b2e0f6ae31042678e7b5af1b8277427d51f6f10df88f6"),
 }
 
 
@@ -243,7 +244,7 @@ def test_golden_values(tmp_path, case):
     _detailed_fields(want)
     assert resid <= 1e-14
     table = dense_tables(GOLDEN_SPECTRA[case]())[0]
-    assert table[tuple(worst)] > DEFAULT_TOL.support * table.max()
+    assert table[tuple(worst)] > 1e-12 * table.max()     # a real weight, not kernel noise
     _assert_close(got, want)
 
 
@@ -345,6 +346,14 @@ class TestVerify:
         assert "FAIL" not in text
         assert "forward_factorization" in text
         assert "info_avg_is_mutual_information" in text
+
+    @pytest.mark.parametrize("p", ["0.999999999997", "0.999999999999", "0.9999999999999999"])
+    def test_werner_near_pure_passes(self, tmp_path, p):
+        # the three small eigenvalues (1 - p)/4, down to 2.8e-17, are exact
+        # analytic weights: they stay in the support, and gamma and the
+        # integral relation read 1
+        code, text = run_cli(tmp_path, "verify", "--scenario", "werner", "--p", p)
+        assert code == 0, text
 
     def test_corrupted_reverse_fails_named(self, tmp_path):
         out = tmp_path / "v.txt"
@@ -487,17 +496,18 @@ class TestConfigs:
 
     def test_heat_exponent_at_limit_overflows_nothing(self, tmp_path):
         # beta * (max E - min E) just under the limit: e^{beta Q} nears
-        # the float maximum on the pairs whose blocks lie below the cutoff,
-        # and no product with it may overflow (warnings are errors)
+        # the float maximum on the pairs out of the upper level, whose Gibbs
+        # weight stays in the support, and no product with it may overflow
+        # (warnings are errors)
         path = self._explicit_config(tmp_path, energies=[0.0, MAX_HEAT_EXPONENT])
         code, text = run_cli(tmp_path, "verify", "--config", str(path))
         assert code in (0, 1)
         assert "PASS detailed_ft" in text
 
     def test_steep_reservoir_passes_integral_relations(self, tmp_path):
-        # at beta * dE = 29 the upper level's Gibbs weight lies below the
-        # support cutoff, so gamma drops its (m, r) rows; both integral
-        # relations must average over the same forward support
+        # at beta * dE = 29 the upper level's Gibbs weight is 2.5e-13 of the
+        # lower one's, a real weight that stays in the support: gamma is 1
+        # and both integral relations average over the same support
         path = self._explicit_config(tmp_path, energies=[0.0, 29.0])
         code, text = run_cli(tmp_path, "verify", "--config", str(path))
         assert code == 0
@@ -530,7 +540,7 @@ class TestConfigs:
                 assert outputs[0] == outputs[1], (command, dims, rank_deficient)
 
     def test_every_tolerance_is_reported(self, tmp_path):
-        # a field beside equality, bound and support shows in the report,
+        # a field beside equality and bound shows in the report,
         # not only in its config hash
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"scenario": "werner", "p": 0.5,
@@ -585,15 +595,16 @@ class TestConfigs:
             {"scenario": "werner", "p": "0.5", "tolerance": 1e-6})
 
         # over a tolerance object, the flag sets equality and bound and keeps
-        # every other field: a coarse support cutoff still fails the same checks
+        # every other field: a coarse degeneracy cutoff still fails the same
+        # invariant checks of verify (run judges only the core checks)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"scenario": "random", "tolerance": {"support": 0.1}}))
+        config.write_text(json.dumps({"scenario": "random", "tolerance": {"degeneracy": 0.1}}))
         flag = ("--tolerance", "1e-10")
         code, text = run_cli(tmp_path, "run", "--config", str(config), *flag)
-        assert code == 1
+        assert code == 0
         assert json.loads(text)["tolerances"] == {
             "hermiticity": 1e-10, "unitarity": 1e-10, "orthonormality": 1e-10, "trace": 1e-12,
-            "psd": 1e-12, "support": 0.1, "degeneracy": 1e-10, "equality": 1e-10, "bound": 1e-10}
+            "psd": 1e-12, "degeneracy": 0.1, "equality": 1e-10, "bound": 1e-10}
         alone = run_cli(tmp_path, "verify", "--config", str(config))
         assert alone[0] == 1 and "FAIL overall" in alone[1]
         assert run_cli(tmp_path, "verify", "--config", str(config), *flag) == alone
@@ -743,9 +754,10 @@ class TestExitCodes:
                                                          "rho_ab": [[[10 ** 400, 0]]]}}),
         (("run", "--config", "config.json"), {"scenario": "random", "beta": 10 ** 400}),
         (("sweep", "--scenario", "werner", "--p", "0.1,x"), None),
-        # relative cutoffs that leave no support or one degenerate block
+        # a support cutoff, which is no field, and a relative cutoff that
+        # leaves one degenerate block
         (("verify", "--config", "config.json"), {"scenario": "random",
-                                                 "tolerance": {"support": 1.0}}),
+                                                 "tolerance": {"support": 0.1}}),
         (("verify", "--config", "config.json"), {"scenario": "random",
                                                  "tolerance": {"degeneracy": 1.0}}),
         # explicit systems whose state or propagator does not fit dims
@@ -795,11 +807,14 @@ class TestExitCodes:
          "error: config keys ['scenario'] do not apply to an explicit system"),
         # a bad --tolerance over a config's tolerance object is named as the flag
         (("run", "--config", "config.json", "--tolerance", "-1"),
-         {"scenario": "random", "tolerance": {"support": 0.1}},
+         {"scenario": "random", "tolerance": {"trace": 1e-12}},
          "error: tolerance: expected a finite non-negative number, got -1.0"),
         (("run", "--config", "config.json", "--tolerance", "nan"),
-         {"scenario": "random", "tolerance": {"support": 0.1}},
+         {"scenario": "random", "tolerance": {"trace": 1e-12}},
          "error: tolerance: expected a finite non-negative number, got nan"),
+        # the support cutoff is gone: every positive weight counts
+        (("run", "--config", "config.json"), {"scenario": "random", "tolerance": {"support": 0.1}},
+         "error: tolerance: unknown fields ['support']"),
         # a key no system reads
         (("run", "--config", "config.json"), {"scenario": "counterexample", "p": 0.5,
                                               "route": "analytic"},
@@ -821,7 +836,7 @@ class TestExitCodes:
          "error: system: heat exponents beta * (E_r - E_r') must be finite"),
     ], ids=["grid-not-finite", "system-unknown-key", "system-propagator-dims",
             "system-not-unitary", "system-beside-scenario", "tolerance-flag-negative",
-            "tolerance-flag-nan", "counterexample-route", "werner-route",
+            "tolerance-flag-nan", "tolerance-support-gone", "counterexample-route", "werner-route",
             "heat-exponent-past-limit", "heat-exponent-difference-overflows"])
     def test_error_line_names_the_input(self, tmp_path, monkeypatch, capsys, argv, config,
                                         message):

@@ -117,10 +117,11 @@ class TestScalarFunctionals:
             math.log(p_r[1]) - math.log(p_r[0]), abs=1e-10)
 
     def test_log_or_zero_threshold(self):
+        # only 0.0 is zero: a weight of 1e-20 keeps its log
         vals = log_or_zero(np.array([0.5, 0.0, 1e-20]))
         assert vals[0] == pytest.approx(math.log(0.5))
         assert vals[1] == 0.0
-        assert vals[2] == 0.0
+        assert vals[2] == math.log(1e-20)
 
 
 class TestAverages:

@@ -284,7 +284,7 @@ class TestReverseTable:
     def test_support_monotonicity_full_rank(self, seed):
         system = random_instance(2, 2, 2, seed=seed)
         analysis = evaluate(spectra_from_unitary(system))
-        assert analysis.joint.forward_support.all()
+        assert analysis.joint.support.all()
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-10)
 
 

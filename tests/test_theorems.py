@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bift.cli import core_checks, invariant_checks
-from bift.functionals import EndpointFunctionals, EndpointTables
+from bift.functionals import EndpointFunctionals, EndpointTables, endpoint_functionals
 from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
@@ -24,6 +24,7 @@ from bift.scenarios import (
 from bift.tables import (
     Endpoint,
     FactoredJoint,
+    SystemSpectra,
     UnitarySystem,
     factored_joint,
     spectra_from_analytic,
@@ -32,7 +33,6 @@ from bift.tables import (
 from bift.theorems import (
     BoundRecord,
     Check,
-    _supports,
     corrupt_reverse,
     detailed_ft_check,
     evaluate,
@@ -118,7 +118,8 @@ class TestDetailedFT:
 
     def test_reports_worst_trajectory(self):
         analysis = analyze(random_instance(2, 2, 2, 7))
-        resid, worst = detailed_ft_check(analysis.joint, analysis.functionals.ft_factors())
+        resid, worst = detailed_ft_check(analysis.spectra, analysis.joint,
+                                         analysis.functionals.ft_factors())
         assert resid == analysis.report.detailed_max_residual
         assert worst is not None
         assert all(isinstance(i, int) for i in worst)
@@ -138,8 +139,8 @@ class TestIntegralFT:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tiny_eigenvalue_beside_small_gibbs_weight_gives_unity(self, seed):
-        # each factor clears its own cutoff while p_m * p_r, 1e-11 * e^-3
-        # of the largest product, does not; the pair stays in the support
+        # a 1e-11 eigenvalue beside a Gibbs weight of e^-3 is a real weight,
+        # however small their product: every block stays in the support
         system = random_instance(2, 2, 2, seed)
         v = system.rho_ab.decomposition.vectors
         lam = np.array([1.0, 0.5, 0.3, 1e-11])     # in the instance's eigenbasis order
@@ -149,7 +150,7 @@ class TestIntegralFT:
             reservoir=ReservoirSpec((0.0, 3.0), 1.0)))
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-10)
         assert analysis.report.integral_ft_lhs == pytest.approx(1.0, abs=1e-10)
-        assert analysis.joint.forward_support.sum() == 8
+        assert analysis.joint.support.all()
 
     @pytest.mark.parametrize("seed", [0, 1, 4, 8])
     def test_matches_restricted_mass_when_rank_deficient(self, seed):
@@ -161,9 +162,9 @@ class TestIntegralFT:
     @example(seed=0, gap=707.0)
     @settings(max_examples=40, deadline=None)
     def test_steep_reservoir_averages_over_forward_support(self, seed, gap):
-        # beta * dE up to the overflow limit: from about 27.6 on, the
-        # upper level's Gibbs weight falls below the support cutoff and
-        # its rows leave the forward support that gamma is summed over
+        # beta * dE up to the overflow limit: the upper level's Gibbs weight
+        # falls to e^-709, a real weight that stays in the support, where
+        # e^{beta Q} nears the float maximum (warnings are errors)
         spectra = spectra_from_unitary(dataclasses.replace(
             random_instance(2, 2, 2, seed), reservoir=ReservoirSpec((0.0, gap), 1.0)))
         rep = evaluate(spectra).report
@@ -191,9 +192,8 @@ class TestIntegralFT:
 class TestFullRankDraws:
     """Full-rank systems where rounding and range are hardest: Haar
     systems whose eigenvalues span nine decades, Haar systems whose
-    reservoir spans beta dE = 700, and permutation systems (product
-    eigenbases, so the classical reduction applies) at beta dE in
-    [300, 700].  On each, every check of ``verify`` passes and gamma = 1."""
+    reservoir spans beta dE = 700, and permutation systems, whose kernels
+    hold exact zeros, at beta dE in [300, 700].  On each, every check of ``verify`` passes and gamma = 1."""
 
     @staticmethod
     def draw(kind, dims, seed):
@@ -223,8 +223,6 @@ class TestFullRankDraws:
                   + invariant_checks(analysis, DEFAULT_TOL))
         assert [(c.name, c.value) for c in checks if not c.passed] == []
         assert abs(analysis.report.gamma_restricted - 1.0) <= 1e-10
-        if kind == "classical":
-            assert analysis.report.bound("classical_ft").applicable
 
 
 class TestReverseAveragedFT:
@@ -476,24 +474,44 @@ class TestEdgesAndControls:
         assert rep.reverse_avg_exp_di == pytest.approx(1.0, abs=1e-12)
         assert rep.reverse_avg_exp_di_full == pytest.approx(1.75, abs=1e-12)
 
-    def test_corrupted_reverse_breaks_detailed(self):
-        analysis = evaluate_scenario(werner_isothermal(0.8))
-        bad = corrupt_reverse(analysis.joint)
-        resid, worst = detailed_ft_check(bad, analysis.functionals.ft_factors())
-        assert resid > 1e-3
+    @pytest.mark.parametrize("system", ["werner", "random"])
+    def test_corrupted_reverse_breaks_detailed(self, system):
+        # the reverse kernel times 1.5 at one supported block: the ratio of
+        # the relation's two sides reads 1.5 there
+        spectra = (werner_isothermal(0.8).spectra if system == "werner"
+                   else spectra_from_unitary(random_instance(2, 3, 2, seed=3)))
+        bad = corrupt_reverse(spectra)
+        resid, worst = detailed_ft_check(bad, factored_joint(bad),
+                                         endpoint_functionals(bad).ft_factors())
+        assert resid == pytest.approx(0.5, rel=1e-14)
         assert worst is not None
+
+    def test_zero_reverse_weight_reads_one(self):
+        # a supported block whose reverse kernel entry is 0: no reverse
+        # trajectory answers the forward one, the ratio reads 0
+        spectra = werner_isothermal(0.8).spectra
+        rkernel = spectra.reverse_kernel.copy()
+        rkernel[2, 0, 0, 0] = 0.0
+        bad = dataclasses.replace(spectra, reverse_kernel=rkernel)
+        resid, worst = detailed_ft_check(bad, factored_joint(bad),
+                                         endpoint_functionals(bad).ft_factors())
+        assert resid == 1.0 and worst.m == 2
 
     def test_werner_pure_corruption_lands_in_support(self):
         # the (0, 0, 0, 0) block is the only forward block at p = 1, and the
-        # largest reverse entry (the first in C order) is that block
-        joint = factored_joint(werner_isothermal(1.0).spectra)
+        # largest reverse entry (the first in C order) is that block: its
+        # reverse kernel entry, and so its reverse weight, is scaled
+        spectra = werner_isothermal(1.0).spectra
+        joint = factored_joint(spectra)
         assert np.argwhere(joint.forward > 0.0).tolist() == [[0, 0, 0, 0]]
-        bad = corrupt_reverse(joint)
-        assert np.argwhere(bad.reverse != joint.reverse).tolist() == [[0, 0, 0, 0]]
-        assert bad.reverse[0, 0, 0, 0] == 1.5 * joint.reverse[0, 0, 0, 0]
-        assert joint.forward_support[0, 0]
-        rep = evaluate(werner_isothermal(1.0).spectra, _reverse_corruption=True).report
+        bad = corrupt_reverse(spectra)
+        assert np.argwhere(bad.reverse_kernel != spectra.reverse_kernel).tolist() == [[0, 0, 0, 0]]
+        assert bad.reverse_kernel[0, 0, 0, 0] == 1.5 * spectra.reverse_kernel[0, 0, 0, 0]
+        assert np.argwhere(factored_joint(bad).reverse != joint.reverse).tolist() == [[0, 0, 0, 0]]
+        assert joint.support[0, 0, 0, 0]
+        rep = evaluate(spectra, _reverse_corruption=True).report
         assert rep.gamma_restricted == pytest.approx(0.375)
+        assert rep.detailed_max_residual == pytest.approx(0.5, rel=1e-14)
 
     def test_corruption_flag_threads_through_evaluate(self):
         bad = evaluate(werner_isothermal(0.8).spectra, _reverse_corruption=True)
@@ -560,12 +578,14 @@ def assert_matches_dense_oracle(spectra, corruption=False, **kwargs):
     return analysis
 
 
-def per_factor_support(joint, tol=DEFAULT_TOL) -> np.ndarray:
-    """The detailed check's support rule, broadcast over the eight axes."""
-    block, sup_i, sup_f = _supports(joint, tol)
+def detailed_support(spectra, joint) -> np.ndarray:
+    """The trajectories the detailed check takes, over the eight axes: a
+    block in the support with a positive kernel entry, and positive
+    conditional weights at both ends."""
+    block = joint.support & (spectra.kernel.transpose(0, 2, 1, 3) > 0.0)
     return (block[:, None, None, :, None, None, :, :]
-            & sup_i[:, :, :, None, None, None, None, None]
-            & sup_f[None, None, None, :, :, :, None, None])
+            & (joint.initial.cond > 0.0)[:, :, :, None, None, None, None, None]
+            & (joint.final.cond > 0.0)[None, None, None, :, :, :, None, None])
 
 
 class TestDenseOracle:
@@ -587,52 +607,32 @@ class TestDenseOracle:
         assert analysis.report.detailed_max_residual < 1e-10
         fwd, rev = dense_tables(analysis.spectra)
         traj = dense_tuple_functionals(analysis.spectra)
-        dense_resid, _ = dense_detailed_ft_check(fwd, rev, traj)
+        dense_resid, _ = dense_detailed_ft_check(analysis.spectra, fwd, rev, traj)
         assert dense_resid < 1e-10
 
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_werner(self, p):
         analysis = assert_matches_dense_oracle(werner_isothermal(p).spectra)
         forward = dense_view(analysis.joint, analysis.joint.forward)
-        assert np.array_equal(per_factor_support(analysis.joint), dense_support(forward))
+        assert np.array_equal(detailed_support(analysis.spectra, analysis.joint),
+                              dense_support(analysis.spectra) & (forward > 0.0))
 
-    def test_support_rules_differ_on_small_products(self):
-        # Each factor of this trajectory is well above its own cutoff (the
-        # block is 1.0e-5 of the largest block, the conditional weights
-        # are 2.5e-5 and 2.0e-3) but the product is 6.2e-13 of the largest
-        # dense entry: only the per-factor rule keeps it, and the detailed
-        # relation holds there to rounding.
+    def test_small_products_stay_in_the_support(self):
+        # This trajectory's block is 1.0e-5 of the largest block and its
+        # conditional weights are 2.5e-5 and 2.0e-3, so its weight is 6.2e-13
+        # of the largest dense entry: a real weight, which both engines
+        # keep, and the detailed relation holds there to rounding.
         spectra = spectra_from_unitary(random_instance(2, 2, 3, seed=54))
         analysis = assert_matches_dense_oracle(spectra)
         forward, reverse = dense_tables(spectra)
-        extra = per_factor_support(analysis.joint) & ~dense_support(forward)
-        assert [tuple(int(i) for i in idx) for idx in np.argwhere(extra)] == [
-            (3, 0, 0, 3, 0, 0, 2, 0)]
-        assert not (dense_support(forward) & ~per_factor_support(analysis.joint)).any()
         idx = (3, 0, 0, 3, 0, 0, 2, 0)
+        assert forward[idx] < 1e-12 * forward.max()
+        assert np.array_equal(detailed_support(spectra, analysis.joint),
+                              dense_support(spectra) & (forward > 0.0))
         expo = np.broadcast_to(dense_tuple_functionals(spectra).ft_exponent(),
                                forward.shape)[idx]
-        assert abs(reverse[idx] / forward[idx] - math.exp(expo)) < 1e-10
+        assert abs(reverse[idx] / forward[idx] / math.exp(expo) - 1.0) < 1e-10
         assert analysis.report.detailed_max_residual < 1e-10
-
-    def test_coarse_cutoff_leaves_blocks_without_tuples(self):
-        # At support 0.5 some supported blocks have an endpoint with no
-        # supported (a, b); the worst trajectory is still taken over the
-        # supported tuples only (unsupported ones read -1 below).  Every
-        # supported residual here is rounding noise, so another exact
-        # summation order may pick another tuple: the reported one need
-        # only be a dense maximum, to the tolerance of the value.
-        tol = dataclasses.replace(DEFAULT_TOL, support=0.5)
-        analysis = evaluate(spectra_from_unitary(random_instance(3, 3, 3, seed=7), tol=tol),
-                            tol=tol)
-        forward, reverse = dense_tables(analysis.spectra)
-        expo = dense_tuple_functionals(analysis.spectra).ft_exponent()
-        mask = per_factor_support(analysis.joint, tol)
-        resid = np.where(mask, np.abs(reverse / np.where(mask, forward, 1.0)
-                                      - np.exp(expo)), -1.0)
-        at_worst = resid[tuple(analysis.report.detailed_worst)]
-        assert at_worst == pytest.approx(resid.max(), abs=1e-15)
-        assert analysis.report.detailed_max_residual == pytest.approx(resid.max(), abs=1e-15)
 
     @pytest.mark.parametrize("route", ["unitary", "analytic"])
     def test_counterexample(self, route):
@@ -698,7 +698,9 @@ class TestFactoredExtremes:
     """The block-extremes shortcut of the detailed check against a
     brute-force pass over all eight axes, on arbitrary factored inputs
     whose factors depend on the local labels (the physical ones cancel
-    them up to rounding) and that tie often."""
+    them up to rounding), that tie often, and whose weights and
+    conditional rows are often empty, so that some blocks hold no
+    supported tuple."""
 
     @staticmethod
     def pieces(seed, d_m=4, d_a=2, d_b=2, d_r=2):
@@ -709,22 +711,16 @@ class TestFactoredExtremes:
             x = rng.integers(1, 4, size=shape) / 2.0
             return np.where(rng.random(shape) < zeros, 0.0, x)
 
-        cond_i = coarse((d_m, d_a, d_b), zeros=0.4)
-        cond_f = coarse((d_m, d_a, d_b), zeros=0.4)
-        cond_i[:, 0, 0] += 1.0        # no empty rows
-        cond_f[:, 0, 0] += 1.0
-
-        def endpoint(cond):
-            # only the conditional weights enter the contractions
-            return Endpoint(p_m=np.full(d_m, 1.0 / d_m), p_a=np.full(d_a, 1.0 / d_a),
-                            p_b=np.full(d_b, 1.0 / d_b), cond=cond)
-        joint = FactoredJoint(forward=coarse((d_m, d_m, d_r, d_r), zeros=0.3),
-                              reverse=coarse((d_m, d_m, d_r, d_r)),
-                              initial=endpoint(cond_i), final=endpoint(cond_f),
-                              forward_support=np.ones((d_m, d_r), dtype=bool))
+        def endpoint():
+            # the weights p_m and the conditional weights enter the check
+            return Endpoint(p_m=coarse(d_m, zeros=0.2), p_a=np.full(d_a, 1.0 / d_a),
+                            p_b=np.full(d_b, 1.0 / d_b), cond=coarse((d_m, d_a, d_b), zeros=0.4))
+        spectra = SystemSpectra(initial=endpoint(), final=endpoint(), p_r=coarse(d_r, zeros=0.2),
+                                kernel=coarse((d_m, d_r, d_m, d_r), zeros=0.3),
+                                reverse_kernel=coarse((d_m, d_r, d_m, d_r), zeros=0.1),
+                                beta_q=np.log(coarse((d_r, d_r))))
         info = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
         classical = coarse((d_a, d_b)), coarse((d_a, d_b))
-        beta_q = np.log(coarse((d_r, d_r)))
         local = coarse((d_a, d_b)), coarse((d_a, d_b))
         info_ratio = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
         initial, final = (EndpointTables(l_pa=np.zeros(d_a), l_pb=np.zeros(d_b), info=info[k],
@@ -732,7 +728,8 @@ class TestFactoredExtremes:
                                          info_ratio=info_ratio[k],
                                          classical_ratio=np.ones((d_a, d_b)))
                           for k in (0, 1))
-        return joint, EndpointFunctionals(initial=initial, final=final, beta_q=beta_q)
+        funcs = EndpointFunctionals(initial=initial, final=final, beta_q=spectra.beta_q)
+        return spectra, factored_joint(spectra), funcs
 
     @given(seed=st.integers(0, 10_000),
            dims=st.sampled_from([(4, 2, 2, 2), (6, 2, 3, 1), (6, 3, 2, 3), (3, 1, 3, 2),
@@ -740,14 +737,22 @@ class TestFactoredExtremes:
     @settings(max_examples=60, deadline=None)
     def test_detailed_matches_brute_force(self, seed, dims):
         # (d_m, d_a, d_b, d_r); d_a != d_b catches a swapped local label
-        joint, funcs = self.pieces(seed, *dims)
+        spectra, joint, funcs = self.pieces(seed, *dims)
         e_i, e_f, pair = funcs.ft_factors()
-        resid, worst = detailed_ft_check(joint, (e_i, e_f, pair))
-        block = joint.forward > DEFAULT_TOL.support * joint.forward.max()
-        ratio = np.where(block, joint.reverse / np.where(block, joint.forward, 1.0), 0.0)
+        resid, worst = detailed_ft_check(spectra, joint, (e_i, e_f, pair))
+        mask = detailed_support(spectra, joint)
+        if not mask.any():
+            assert (resid, worst) == (0.0, None)
+            return
+        kernel = spectra.kernel.transpose(0, 2, 1, 3)
+        p_m, p_mf, p_r = (np.where(p > 0.0, p, 1.0)
+                          for p in (spectra.initial.p_m, spectra.final.p_m, spectra.p_r))
+        ratio = (spectra.reverse_kernel.transpose(0, 2, 1, 3) / np.where(kernel > 0.0, kernel, 1.0)
+                 * (spectra.p_r[None, :] / (p_r[:, None] * pair)))
+        x_i, y_f = 1.0 / (p_m[:, None, None] * e_i), p_mf[:, None, None] / e_f
         every = np.abs(ratio[:, None, None, :, None, None, :, :]
-                       - pair * (e_i[:, :, :, None, None, None, None, None]
-                                 * e_f[None, None, None, :, :, :, None, None]))
-        every = np.where(per_factor_support(joint), every, -1.0)
+                       * (x_i[:, :, :, None, None, None, None, None]
+                          * y_f[None, None, None, :, :, :, None, None]) - 1.0)
+        every = np.where(mask, every, -1.0)
         assert resid == every.max()
         assert worst == tuple(int(i) for i in np.unravel_index(np.argmax(every), every.shape))
