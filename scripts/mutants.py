@@ -75,7 +75,9 @@ MUTANTS = (
     Mutant("final-level-unrestricted", "src/bift/tables.py",
            "(p_mf > 0.0)[:, None, None] & ",
            "",
-           ("tests/test_theorems.py::TestClassicalReduction::test_steep_reservoir_classical_ft",)),
+           ("tests/test_theorems.py::TestIntegralFT::"
+            "test_forward_weight_on_an_empty_final_level_leaves_the_support",
+            "tests/test_theorems.py::TestClassicalReduction::test_steep_reservoir_classical_ft")),
     Mutant("noise-floor-dropped", "src/bift/tables.py",
            "return np.where(p > 8.0 * dim * np.finfo(float).eps * np.max(p), p, 0.0)",
            "return p",
@@ -108,7 +110,7 @@ MUTANTS = (
            "rev_lhs = joint.expectation(forward, *funcs.local_factors())",
            "rev_lhs = joint.expectation(joint.forward, *funcs.local_factors())",
            ("tests/test_theorems.py::TestIntegralFT::"
-            "test_steep_reservoir_averages_over_forward_support",)),
+            "test_forward_weight_on_an_empty_final_level_leaves_the_support",)),
     Mutant("classical-unrestricted", "src/bift/theorems.py",
            "classical_lhs = joint.expectation(forward, *funcs.classical_factors())",
            "classical_lhs = joint.expectation(joint.forward, *funcs.classical_factors())",
@@ -126,7 +128,7 @@ MUTANTS = (
     Mutant("drop-two-product-error", "src/bift/reportio.py",
            "    err -= t\n",
            "",
-           ("tests/test_cli.py::test_golden_bytes",)),
+           ("tests/test_cli.py::TestReportIO::test_format_floats_is_format_float",)),
     Mutant("skip-slow-fallback", "src/bift/reportio.py",
            "if slow.size:",
            "if False:",

@@ -174,11 +174,9 @@ class Analysis:
 
 def _extremes(values: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Per-row largest and smallest of an (M, A, B) table over ``support``,
-    stacked as (2, M); 1.0 for a row with no supported entry, whose blocks
-    the check drops."""
-    ext = np.stack([np.where(support, values, -np.inf).max(axis=(1, 2)),
-                    np.where(support, values, np.inf).min(axis=(1, 2))])
-    return np.where(support.any(axis=(1, 2)), ext, 1.0)
+    stacked as (2, M)."""
+    return np.stack([np.where(support, values, -np.inf).max(axis=(1, 2)),
+                     np.where(support, values, np.inf).min(axis=(1, 2))])
 
 
 def _residual(ratio, x_i, y_f):
@@ -195,10 +193,8 @@ def detailed_ft_check(spectra: SystemSpectra, joint: FactoredJoint,
     trajectory attaining it; ``ft`` is the exponential's factor triple,
     ``EndpointFunctionals.ft_factors()``.  Costs O(M^2 R^2 + M A B)."""
     kernel = spectra.kernel.transpose(0, 2, 1, 3)               # [m, m', r, r']
-    sup_i, sup_f = joint.initial.cond > 0.0, joint.final.cond > 0.0
-    # a block holds a supported tuple only if both endpoints have a supported (a, b)
-    block = (joint.support & (kernel > 0.0) & sup_i.any(axis=(1, 2))[:, None, None, None]
-             & sup_f.any(axis=(1, 2))[None, :, None, None])
+    sup_i, sup_f = joint.initial.cond > 0.0, joint.final.cond > 0.0   # no row is empty
+    block = joint.support & (kernel > 0.0)
     if not block.any():
         return 0.0, None
     e_i, e_f, pair = ft                          # (M, A, B), (M, A, B), (R, R)

@@ -175,6 +175,20 @@ class TestIntegralFT:
                      "reverse_avg_exp_di"):
             assert getattr(rep, name) == pytest.approx(getattr(dense, name), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("gap", [300.0, 707.0])
+    def test_forward_weight_on_an_empty_final_level_leaves_the_support(self, gap):
+        # the permutation carries weight from the upper reservoir level onto
+        # a final level of weight ~e^-gap, below the noise floor and zeroed
+        # with it; e^{beta Q} = e^gap lifts that forward weight back to
+        # 2.5e-2, so both integral relations must drop it, as gamma does
+        spectra = spectra_from_unitary(dataclasses.replace(
+            random_classical_instance(2, 2, 2, 0), reservoir=ReservoirSpec((0.0, gap), 1.0)))
+        empty = spectra.final.p_m == 0.0
+        assert empty.any() and factored_joint(spectra).forward[:, empty].sum() > 0.0
+        rep = evaluate(spectra).report
+        assert abs(rep.integral_ft_lhs - rep.gamma_restricted) <= DEFAULT_TOL.equality
+        assert abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di) <= DEFAULT_TOL.equality
+
     def test_rank_deficiency_can_break_unity(self):
         gammas = [analyze(random_instance(2, 2, 2, s, rank_deficient=True))
                   .report.gamma_restricted for s in range(6)]
@@ -474,17 +488,16 @@ class TestEdgesAndControls:
         assert rep.reverse_avg_exp_di == pytest.approx(1.0, abs=1e-12)
         assert rep.reverse_avg_exp_di_full == pytest.approx(1.75, abs=1e-12)
 
-    @pytest.mark.parametrize("system", ["werner", "random"])
-    def test_corrupted_reverse_breaks_detailed(self, system):
+    def test_corrupted_reverse_breaks_detailed(self):
         # the reverse kernel times 1.5 at one supported block: the ratio of
         # the relation's two sides reads 1.5 there
-        spectra = (werner_isothermal(0.8).spectra if system == "werner"
-                   else spectra_from_unitary(random_instance(2, 3, 2, seed=3)))
-        bad = corrupt_reverse(spectra)
-        resid, worst = detailed_ft_check(bad, factored_joint(bad),
-                                         endpoint_functionals(bad).ft_factors())
-        assert resid == pytest.approx(0.5, rel=1e-14)
-        assert worst is not None
+        for spectra in (werner_isothermal(0.8).spectra,
+                        spectra_from_unitary(random_instance(2, 3, 2, seed=3))):
+            bad = corrupt_reverse(spectra)
+            resid, worst = detailed_ft_check(bad, factored_joint(bad),
+                                             endpoint_functionals(bad).ft_factors())
+            assert resid == pytest.approx(0.5, rel=1e-14)
+            assert worst is not None
 
     def test_zero_reverse_weight_reads_one(self):
         # a supported block whose reverse kernel entry is 0: no reverse
@@ -698,9 +711,7 @@ class TestFactoredExtremes:
     """The block-extremes shortcut of the detailed check against a
     brute-force pass over all eight axes, on arbitrary factored inputs
     whose factors depend on the local labels (the physical ones cancel
-    them up to rounding), that tie often, and whose weights and
-    conditional rows are often empty, so that some blocks hold no
-    supported tuple."""
+    them up to rounding), that tie often, and whose weights are often 0."""
 
     @staticmethod
     def pieces(seed, d_m=4, d_a=2, d_b=2, d_r=2):
@@ -713,8 +724,10 @@ class TestFactoredExtremes:
 
         def endpoint():
             # the weights p_m and the conditional weights enter the check
+            cond = coarse((d_m, d_a, d_b), zeros=0.4)
+            cond[:, 0, 0] += 1.0        # no empty rows
             return Endpoint(p_m=coarse(d_m, zeros=0.2), p_a=np.full(d_a, 1.0 / d_a),
-                            p_b=np.full(d_b, 1.0 / d_b), cond=coarse((d_m, d_a, d_b), zeros=0.4))
+                            p_b=np.full(d_b, 1.0 / d_b), cond=cond)
         spectra = SystemSpectra(initial=endpoint(), final=endpoint(), p_r=coarse(d_r, zeros=0.2),
                                 kernel=coarse((d_m, d_r, d_m, d_r), zeros=0.3),
                                 reverse_kernel=coarse((d_m, d_r, d_m, d_r), zeros=0.1),
