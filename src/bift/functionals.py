@@ -22,7 +22,7 @@ import numpy as np
 from .tables import Endpoint, SystemSpectra
 
 
-def _or_one(p) -> np.ndarray:
+def or_one(p) -> np.ndarray:
     """p with every zero entry set to 1: the multiplicative form of
     ln 0 := 0."""
     arr = np.asarray(p, dtype=float)
@@ -107,7 +107,7 @@ def endpoint_functionals(spectra: SystemSpectra) -> EndpointFunctionals:
 
 
 def _endpoint_tables(end: Endpoint) -> EndpointTables:
-    w_a, w_b = _or_one(end.p_a), _or_one(end.p_b)
+    w_a, w_b = or_one(end.p_a), or_one(end.p_b)
     l_pa, l_pb = np.log(w_a), np.log(w_b)
     local = w_a[:, None] * w_b[None, :]
     info, info_ratio = _content(end.p_m[:, None, None], l_pa, l_pb, local)

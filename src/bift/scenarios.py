@@ -259,7 +259,7 @@ def random_scenario(seed: int = 0, dims=(2, 2, 2), beta: float = 1.0,
                     rank_deficient: bool = False,
                     tol: Tolerances = DEFAULT_TOL) -> Scenario:
     """``random_instance(*dims, seed)`` as a Scenario.  At full rank the
-    forward support is the whole space, so the restricted reverse mass
+    support is the whole space, so the restricted reverse mass
     and the integral relation's left side are 1."""
     beta = float(beta)
     system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient, tol=tol)

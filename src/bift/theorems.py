@@ -5,7 +5,7 @@ functionals, this module checks, trajectory by trajectory and on
 average:
 
 * the detailed relation  p_rev / p_fwd = exp(-ds_A - ds_B + dI + beta Q)
-  on the forward support;
+  on the support;
 * the integral relation  <exp(-ds_A - ds_B + dI + beta Q)> = gamma,
   where gamma is the support-restricted reverse mass (absolute
   irreversibility factor);
@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functionals import EndpointFunctionals, _or_one, endpoint_functionals
+from .functionals import EndpointFunctionals, endpoint_functionals, or_one
 from .linalg import DEFAULT_TOL, Tolerances
 from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, factored_joint
 
@@ -200,9 +200,9 @@ def detailed_ft_check(spectra: SystemSpectra, joint: FactoredJoint,
     e_i, e_f, pair = ft                          # (M, A, B), (M, A, B), (R, R)
     ratio = (np.where(block, spectra.reverse_kernel.transpose(0, 2, 1, 3)
                       / np.where(block, kernel, 1.0), 0.0)
-             * (spectra.p_r[None, :] / (_or_one(spectra.p_r)[:, None] * pair)))
-    x_i = 1.0 / (_or_one(joint.initial.p_m)[:, None, None] * e_i)
-    y_f = _or_one(joint.final.p_m)[:, None, None] / e_f
+             * (spectra.p_r[None, :] / (or_one(spectra.p_r)[:, None] * pair)))
+    x_i = 1.0 / (or_one(joint.initial.p_m)[:, None, None] * e_i)
+    y_f = or_one(joint.final.p_m)[:, None, None] / e_f
     per_block = _residual(ratio, _extremes(x_i, sup_i)[:, :, None, None, None],
                           _extremes(y_f, sup_f)[:, None, :, None, None]).max(axis=0)
     per_block = np.where(block, per_block, -1.0)
