@@ -36,9 +36,13 @@ residual sits at the largest or the smallest product x_i y_f.  The
 reported worst trajectory is the first
 supported tuple in C order of (m, a, b, m', a', b', r, r') attaining the
 maximum.  One search finds it: the smallest m with an attaining block
-fixes the first axis, the residual is evaluated once over every
-(a, b, a', b') of that m's attaining blocks, and the supported hits are
-sorted by (a, b, m', a', b', r, r').
+fixes the first axis; by the same monotony, a supported (a, b) of one of
+its attaining blocks holds an attaining tuple exactly when its residual
+at the largest or the smallest y_f does, and the first such (a, b) fixes
+the next two; at that (a, b) the residual is evaluated over every
+(a', b') of the blocks that hold one, and the hits are sorted by
+(m', a', b', r, r').  Residuals near 1e-16 tie often, so the search never
+evaluates every (a, b, a', b') of every attaining block.
 
 Bound records carry a relation only: lhs, rhs and whether it applies
 here.  Inapplicable bounds are reported as such, never silently dropped.
@@ -212,13 +216,16 @@ def detailed_ft_check(spectra: SystemSpectra, joint: FactoredJoint,
     attain = per_block == worst
     m = int(np.argmax(attain.reshape(attain.shape[0], -1).any(axis=1)))
     n, r, s = np.nonzero(attain[m])
-    full = _residual(ratio[m, n, r, s][:, None, None, None, None],
-                     x_i[m][None, :, :, None, None], y_f[n][:, None, None])
-    k, a, b, af, bf = np.nonzero(sup_i[m][None, :, :, None, None] & sup_f[n][:, None, None]
-                                 & (full == worst))
-    order = (a, b, n[k], af, bf, r[k], s[k])      # the tuple's axes after m
+    ext_f = _extremes(y_f, sup_f)[:, n].T[:, None, None, :]             # (k, 1, 1, 2)
+    hit = sup_i[m] & (_residual(ratio[m, n, r, s][:, None, None, None],
+                                x_i[m][None, :, :, None], ext_f) == worst).any(axis=3)
+    a, b = (int(i) for i in np.argwhere(hit.any(axis=0))[0])
+    n, r, s = (x[hit[:, a, b]] for x in (n, r, s))
+    full = _residual(ratio[m, n, r, s][:, None, None], x_i[m, a, b], y_f[n])
+    k, af, bf = np.nonzero(sup_f[n] & (full == worst))
+    order = (n[k], af, bf, r[k], s[k])      # the tuple's axes after (m, a, b)
     first = np.lexsort(order[::-1])[0]
-    return worst, OutcomeTuple(m, *(int(x[first]) for x in order))
+    return worst, OutcomeTuple(m, a, b, *(int(x[first]) for x in order))
 
 
 def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averages:
