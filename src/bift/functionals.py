@@ -4,9 +4,9 @@ All logarithms are natural (values in nats).  Zero-probability
 convention: the log of a zero weight is set to 0, and the info content of
 a trajectory whose global weight is zero is set to 0 outright.  A weight
 is zero when it is 0.0: ``tables`` zeroes the rounding noise of every
-decomposition where it is made, and injected spectra are exact.  Every functional is finite, so a zero-weight trajectory adds
-exactly 0 to any sum over the tuple space and the convention can never
-leak into a result.
+decomposition where it is made, and injected spectra are exact.  Every
+functional is finite, so a zero-weight trajectory adds exactly 0 to any
+sum over the tuple space and the convention can never leak into a result.
 
 Each functional splits by endpoint (:class:`EndpointFunctionals`), which
 is what lets the theorems contract them against the factored tables.

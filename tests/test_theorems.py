@@ -207,7 +207,8 @@ class TestFullRankDraws:
     """Full-rank systems where rounding and range are hardest: Haar
     systems whose eigenvalues span nine decades, Haar systems whose
     reservoir spans beta dE = 700, and permutation systems, whose kernels
-    hold exact zeros, at beta dE in [300, 700].  On each, every check of ``verify`` passes and gamma = 1."""
+    hold exact zeros, at beta dE in [300, 700].  On each, every check of
+    ``verify`` passes and gamma = 1."""
 
     @staticmethod
     def draw(kind, dims, seed):
