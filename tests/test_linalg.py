@@ -104,6 +104,19 @@ class TestSpectralDecompose:
         dec2 = spectral_decompose((u @ rho @ dagger(u)).copy())
         assert np.max(np.abs(dec1.vectors - dec2.vectors)) == 0.0
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_close_small_eigenvalues_stay_apart(self, seed):
+        # distinct eigenvalues 1e-11 to 1e-10 apart, far above rounding:
+        # each is a block of its own, and the basis is an eigenbasis
+        lam = np.array([0.6, 0.4 - 5.7e-10, 3.25e-10, 2.25e-10, 2.0e-11, 0.0])
+        u = haar_unitary(len(lam), np.random.default_rng(seed))
+        rho = (u * lam) @ dagger(u)
+        dec = spectral_decompose(rho)
+        n = len(lam)
+        assert degenerate_blocks(dec.probabilities) == [(k, k + 1) for k in range(n)]
+        residual = np.max(np.abs(rho @ dec.vectors - dec.vectors * dec.probabilities))
+        assert residual <= 8 * n * np.finfo(float).eps
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
