@@ -79,10 +79,18 @@ MUTANTS = (
             "test_forward_weight_on_an_empty_final_level_leaves_the_support",
             "tests/test_theorems.py::TestClassicalReduction::test_steep_reservoir_classical_ft")),
     Mutant("noise-floor-dropped", "src/bift/tables.py",
-           "return np.where(p > 8.0 * dim * np.finfo(float).eps * np.max(p), p, 0.0)",
+           "return np.where(p > rounding_floor(p, dim), p, 0.0)",
            "return p",
            ("tests/test_theorems.py::TestIntegralFT::"
             "test_noise_eigenvalue_stays_out_of_the_support",)),
+    Mutant("degeneracy-cut-absolute", "src/bift/linalg.py",
+           "n, floor = len(arr), rounding_floor(arr, len(arr))",
+           "n, floor = len(arr), 1e-10",
+           ("tests/test_theorems.py::TestFullRankDraws::test_every_check_passes",)),
+    Mutant("degeneracy-cut-exact", "src/bift/linalg.py",
+           "n, floor = len(arr), rounding_floor(arr, len(arr))",
+           "n, floor = len(arr), 0.0",
+           ("tests/test_linalg.py::TestSpectralDecompose::test_gauge_passes_match_loop_oracle",)),
     Mutant("final-state-blocks-r-swapped", "src/bift/tables.py",
            "u.reshape(d_m, d_r, d_m, d_r).transpose(1, 3, 0, 2)",
            "u.reshape(d_m, d_r, d_m, d_r).transpose(3, 1, 0, 2)",

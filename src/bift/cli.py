@@ -193,8 +193,6 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
     for key, value in fields.items():
         _number(value, f"tolerance.{key}" if isinstance(tol, dict) else "tolerance",
                 positive=False)
-        if key == "degeneracy" and value >= 1:    # see Tolerances
-            raise DomainError(f"tolerance.{key}: a relative cutoff must be below 1, got {value!r}")
     points = p_values(cfg) if "p" in reads else [None]
     if command != "sweep" and len(points) != 1:
         raise DomainError(f"p: expected a single value, got {len(points)}")

@@ -46,15 +46,12 @@ from .errors import ConsistencyError, DimensionError, HermiticityError, Unitarit
 class Tolerances:
     """Numerical tolerances used across the package.
 
-    ``degeneracy`` is relative to max(1, largest |eigenvalue|): an
-    eigenvalue joins a degenerate block when it lies within
-    ``degeneracy`` times that scale of the block's first value.  It must
-    be below 1, where a whole density spectrum falls in one block.  No
-    field decides which weights are zero: ``tables`` zeroes rounding noise
-    where it is made.  The rest are absolute, sized for double precision,
-    and a valid system can fail them: ``verify --scenario counterexample
-    --p 0.999999`` (M R = 4) fails ``reference:reverse_avg_exp_di`` at
-    1.16e-10, 4.7e-16 of its value (ROADMAP.md item 3).
+    No field decides the system under test: ``rounding_floor`` decides
+    both the degenerate blocks and the zero weights.  The fields are
+    absolute, sized for double precision, and a valid system can fail
+    them: ``verify --scenario counterexample --p 0.999999`` (M R = 4) fails
+    ``reference:reverse_avg_exp_di`` at 1.16e-10, 4.7e-16 of its value
+    (ROADMAP.md item 3).
     """
 
     hermiticity: float = 1e-10
@@ -62,7 +59,6 @@ class Tolerances:
     orthonormality: float = 1e-10
     trace: float = 1e-12
     psd: float = 1e-12
-    degeneracy: float = 1e-10
     equality: float = 1e-10   # fluctuation-theorem equalities
     bound: float = 1e-10      # inequality slacks
 
@@ -143,13 +139,11 @@ class ReservoirSpec:
 def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Decompose a Hermitian matrix with a deterministic eigenbasis.
 
-    Eigenvalues come out descending.  Degenerate blocks (each eigenvalue
-    within ``tol.degeneracy`` times max(1, largest |eigenvalue|) of its
-    block's first value; see ``degenerate_blocks``) get the canonical
-    Gram-Schmidt basis described in the module docstring, and every
-    vector's phase is fixed; the 1x1 blocks are fixed together in one
-    array pass.  Raises HermiticityError if the input is not Hermitian
-    within ``tol.hermiticity``.
+    Eigenvalues come out descending.  Degenerate blocks (see
+    ``degenerate_blocks``) get the canonical Gram-Schmidt basis described
+    in the module docstring, and every vector's phase is fixed; the 1x1
+    blocks are fixed together in one array pass.  Raises HermiticityError
+    if the input is not Hermitian within ``tol.hermiticity``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -164,7 +158,7 @@ def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spe
     vals, vecs = vals[::-1].copy(), vecs[:, ::-1]
 
     fixed, done = _canonical_columns(vecs)
-    for i, j in degenerate_blocks(vals, tol):
+    for i, j in degenerate_blocks(vals):
         if j > i + 1 or not done[i]:
             fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
     return SpectralDecomposition(probabilities=vals, vectors=fixed)
@@ -285,20 +279,26 @@ def check_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return u
 
 
-def degenerate_blocks(probabilities: np.ndarray,
-                      tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, int]]:
+def rounding_floor(values: np.ndarray, dim: int) -> float:
+    """8 ``dim`` eps of the largest |value|: the rounding noise of an exact
+    zero or tie in a spectrum, table or kernel computed at dimension
+    ``dim``, the form of eigh's eigenvalue error bound c n eps ||A||_2
+    (LAPACK Users' Guide, section 4.7)."""
+    return float(8.0 * dim * np.finfo(float).eps * np.max(np.abs(values), initial=0.0))
+
+
+def degenerate_blocks(probabilities: np.ndarray) -> list[tuple[int, int]]:
     """[start, stop) index ranges of degenerate eigenvalue blocks
     (descending spectrum assumed): a block takes each next value within
-    ``tol.degeneracy`` times max(1, largest |value|) of its first one."""
+    ``rounding_floor(probabilities, n)`` of its first one, n values."""
     arr = np.asarray(probabilities, dtype=float)
-    n = len(arr)
-    scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
+    n, floor = len(arr), rounding_floor(arr, len(arr))
     p = arr.tolist()  # Python floats: a numpy scalar costs more per comparison
     blocks = []
     i = 0
     while i < n:
         j = i + 1
-        while j < n and abs(p[j] - p[i]) <= tol.degeneracy * scale:
+        while j < n and abs(p[j] - p[i]) <= floor:
             j += 1
         blocks.append((i, j))
         i = j

@@ -70,6 +70,7 @@ from .linalg import (
     check_unitary,
     dagger,
     partial_trace,
+    rounding_floor,
     spectral_decompose,
 )
 
@@ -145,10 +146,10 @@ def conditional_table(global_vectors: np.ndarray, a_vectors: np.ndarray,
 
 
 def _zero_noise(p: np.ndarray, dim: int) -> np.ndarray:
-    """``p`` with every entry at or below 8 ``dim`` eps of its largest set
-    to 0.0: the rounding noise of an exact zero of a decomposition or
+    """``p`` with every entry at or below ``rounding_floor(p, dim)`` set to
+    0.0: the rounding noise of an exact zero of a decomposition or
     propagator of dimension ``dim``.  Every support is then ``p > 0``."""
-    return np.where(p > 8.0 * dim * np.finfo(float).eps * np.max(p), p, 0.0)
+    return np.where(p > rounding_floor(p, dim), p, 0.0)
 
 
 def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int,

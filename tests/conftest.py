@@ -26,7 +26,6 @@ from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
     SpectralDecomposition,
-    Tolerances,
     dagger,
     degenerate_blocks,
     density_operator,
@@ -167,8 +166,7 @@ def oracle_canonical_columns(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (unit * np.conj(phases)[:, None]).T, done
 
 
-def oracle_spectral_decompose(matrix: np.ndarray,
-                              tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def oracle_spectral_decompose(matrix: np.ndarray) -> SpectralDecomposition:
     """``spectral_decompose`` block by block: eigh, sort descending, then
     ``oracle_canonical_block_basis`` on every degenerate block, 1x1 ones
     too.
@@ -183,7 +181,7 @@ def oracle_spectral_decompose(matrix: np.ndarray,
     vals = vals[order]
     vecs = vecs[:, order]
     fixed = np.zeros_like(vecs)
-    for i, j in degenerate_blocks(vals, tol):
+    for i, j in degenerate_blocks(vals):
         fixed[:, i:j] = oracle_canonical_block_basis(vecs[:, i:j])
     return SpectralDecomposition(probabilities=vals, vectors=fixed)
 
@@ -193,15 +191,15 @@ def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
     return (decomp.vectors * decomp.probabilities) @ dagger(decomp.vectors)
 
 
-def remix_degenerate_blocks(decomp: SpectralDecomposition, rng: np.random.Generator,
-                            tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def remix_degenerate_blocks(decomp: SpectralDecomposition,
+                            rng: np.random.Generator) -> SpectralDecomposition:
     """Rotate each degenerate eigenvalue block by a Haar-random unitary.
 
     The result decomposes the same operator; it deliberately bypasses the
     canonical gauge, which is exactly what gauge-robustness checks need.
     """
     vecs = decomp.vectors.copy()
-    for i, j in degenerate_blocks(decomp.probabilities, tol):
+    for i, j in degenerate_blocks(decomp.probabilities):
         if j - i > 1:
             vecs[:, i:j] = vecs[:, i:j] @ haar_unitary(j - i, rng)
     return SpectralDecomposition(decomp.probabilities.copy(), vecs)
@@ -222,7 +220,7 @@ def remix_derived_decompositions(monkeypatch, rng: np.random.Generator) -> None:
     derive = tables.spectral_decompose
 
     def remixed(matrix, tol=DEFAULT_TOL):
-        return remix_degenerate_blocks(derive(matrix, tol), rng, tol)
+        return remix_degenerate_blocks(derive(matrix, tol), rng)
 
     monkeypatch.setattr(tables, "spectral_decompose", remixed)
 

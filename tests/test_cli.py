@@ -128,27 +128,27 @@ class TestRun:
 # werner-p0, werner-p1 and sweep-werner are the seed implementation's
 # bytes, the run reports in report schema 2: each bound record without its
 # slack and verdict, the schema key and every tolerance added, and the
-# support tolerance, no longer a field, taken out again.  The
+# support and degeneracy tolerances, no longer fields, taken out again.  The
 # other three carry rounding noise that the factored engine sums in
 # another order; test_golden_values holds their numbers to the seed's.
 GOLDEN = {
     "werner-p0": (("run", "--scenario", "werner", "--p", "0"),
-                  "77230137ab3a376d8b49c17341999f50806e67eedace2cdc3d6f86488da01caf"),
+                  "f38188a1689290a58523380561d277887506a6587e527c02c5f9f6945fe31127"),
     "werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37"),
-                     "85f4917835576aedfce2225e9e64e5d4278609d3bc009f13b8842f998be33e66"),
+                     "cc5ce9f9d96f00e13079c86abb27c157f8dfa88b097dcf86727068f37bb280a5"),
     "werner-p1": (("run", "--scenario", "werner", "--p", "1"),
-                  "f9303a21acc98551bc4e0fae94934fd77ba8daaafef3d2fdbb00290bfbd8b5a9"),
+                  "ff54dd55e9becb6bae372be5d467eb82601246624569e8c261d2849e5f4602c6"),
     "counterexample-unitary": (
         ("run", "--scenario", "counterexample", "--p", "0.5"),
-        "83cfff54455f6b2e4c5c181d068be426b3040be1d02fc6c17af23c1f174a69bd"),
+        "caae9b09329d6e8d8b2f5fcd62218bb22369f6b4b12fef1f34c2380736d2c7a6"),
     "sweep-werner": (("sweep", "--scenario", "werner", "--p", "0:1:11"),
                      "dc8b80773a5af83de32b7c95baaf7d51153ae4f94e9070005f641a1f91aebc28"),
     # the dense eight-index tables, built only for emission
     "emit-werner-p0.37": (("run", "--scenario", "werner", "--p", "0.37", "--emit-tuples"),
-                          "6b76b4625680c253dfcbd6df12d0a27abb1eef9758ff5facb961aa4537725091"),
+                          "35e1e781079d0e00ea6a0d7566c1870ad435caf51dc0ca4249a608737f28b066"),
     "emit-counterexample": (
         ("run", "--scenario", "counterexample", "--p", "0.5", "--emit-tuples"),
-        "823bcfee929ed35425a3b7faabf450bb12cfd6607ea3ebe94d6b2925e680d913"),
+        "9772b1b03699ff0ca891d7940efdc1227a5d128bd5f7bcf112910df6a2ff0784"),
     # the check lines of verify, rounding-noise residuals included
     "verify-werner-p0.37": (("verify", "--scenario", "werner", "--p", "0.37"),
                             "825d7d12e97918897f330f302843b577dce6b29afd0f18fb639ace8e73080932"),
@@ -544,12 +544,12 @@ class TestConfigs:
         # not only in its config hash
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"scenario": "werner", "p": 0.5,
-                                      "tolerance": {"degeneracy": 1e-9}}))
+                                      "tolerance": {"psd": 1e-9}}))
         code, text = run_cli(tmp_path, "run", "--config", str(config))
         assert code == 0
         doc = json.loads(text)
         assert doc["schema"] == 2
-        assert doc["tolerances"] == {**dataclasses.asdict(DEFAULT_TOL), "degeneracy": 1e-9}
+        assert doc["tolerances"] == {**dataclasses.asdict(DEFAULT_TOL), "psd": 1e-9}
 
     def test_trace_tolerance_reaches_state_check(self, tmp_path, capsys):
         path = self._explicit_config(tmp_path, rho_scale=1 + 1e-9)
@@ -595,19 +595,15 @@ class TestConfigs:
             {"scenario": "werner", "p": "0.5", "tolerance": 1e-6})
 
         # over a tolerance object, the flag sets equality and bound and keeps
-        # every other field: a coarse degeneracy cutoff still fails the same
-        # invariant checks of verify (run judges only the core checks)
+        # every other field
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"scenario": "random", "tolerance": {"degeneracy": 0.1}}))
+        config.write_text(json.dumps({"scenario": "random", "tolerance": {"trace": 1e-9}}))
         flag = ("--tolerance", "1e-10")
         code, text = run_cli(tmp_path, "run", "--config", str(config), *flag)
         assert code == 0
         assert json.loads(text)["tolerances"] == {
-            "hermiticity": 1e-10, "unitarity": 1e-10, "orthonormality": 1e-10, "trace": 1e-12,
-            "psd": 1e-12, "degeneracy": 0.1, "equality": 1e-10, "bound": 1e-10}
-        alone = run_cli(tmp_path, "verify", "--config", str(config))
-        assert alone[0] == 1 and "FAIL overall" in alone[1]
-        assert run_cli(tmp_path, "verify", "--config", str(config), *flag) == alone
+            "hermiticity": 1e-10, "unitarity": 1e-10, "orthonormality": 1e-10, "trace": 1e-9,
+            "psd": 1e-12, "equality": 1e-10, "bound": 1e-10}
 
         # and the object is still validated as a whole
         config.write_text(json.dumps({"scenario": "werner", "p": 0.5,
@@ -754,8 +750,7 @@ class TestExitCodes:
                                                          "rho_ab": [[[10 ** 400, 0]]]}}),
         (("run", "--config", "config.json"), {"scenario": "random", "beta": 10 ** 400}),
         (("sweep", "--scenario", "werner", "--p", "0.1,x"), None),
-        # a support cutoff, which is no field, and a relative cutoff that
-        # leaves one degenerate block
+        # a support or degeneracy cutoff, neither of which is a field
         (("verify", "--config", "config.json"), {"scenario": "random",
                                                  "tolerance": {"support": 0.1}}),
         (("verify", "--config", "config.json"), {"scenario": "random",
@@ -815,6 +810,10 @@ class TestExitCodes:
         # the support cutoff is gone: every positive weight counts
         (("run", "--config", "config.json"), {"scenario": "random", "tolerance": {"support": 0.1}},
          "error: tolerance: unknown fields ['support']"),
+        # and so is the degeneracy cutoff: rounding_floor decides the blocks
+        (("verify", "--config", "config.json"),
+         {"scenario": "random", "tolerance": {"degeneracy": 0.1}},
+         "error: tolerance: unknown fields ['degeneracy']"),
         # a key no system reads
         (("run", "--config", "config.json"), {"scenario": "counterexample", "p": 0.5,
                                               "route": "analytic"},
@@ -836,7 +835,8 @@ class TestExitCodes:
          "error: system: heat exponents beta * (E_r - E_r') must be finite"),
     ], ids=["grid-not-finite", "system-unknown-key", "system-propagator-dims",
             "system-not-unitary", "system-beside-scenario", "tolerance-flag-negative",
-            "tolerance-flag-nan", "tolerance-support-gone", "counterexample-route", "werner-route",
+            "tolerance-flag-nan", "tolerance-support-gone", "tolerance-degeneracy-gone",
+            "counterexample-route", "werner-route",
             "heat-exponent-past-limit", "heat-exponent-difference-overflows"])
     def test_error_line_names_the_input(self, tmp_path, monkeypatch, capsys, argv, config,
                                         message):
