@@ -109,10 +109,10 @@ class TestSpectralDecompose:
         # distinct eigenvalues 1e-11 to 1e-10 apart, far above rounding:
         # each is a block of its own, and the basis is an eigenbasis
         lam = np.array([0.6, 0.4 - 5.7e-10, 3.25e-10, 2.25e-10, 2.0e-11, 0.0])
-        u = haar_unitary(len(lam), np.random.default_rng(seed))
+        n = len(lam)
+        u = haar_unitary(n, np.random.default_rng(seed))
         rho = (u * lam) @ dagger(u)
         dec = spectral_decompose(rho)
-        n = len(lam)
         assert degenerate_blocks(dec.probabilities) == [(k, k + 1) for k in range(n)]
         residual = np.max(np.abs(rho @ dec.vectors - dec.vectors * dec.probabilities))
         assert residual <= 8 * n * np.finfo(float).eps
