@@ -126,8 +126,7 @@ def respectrum(system: UnitarySystem, lam: np.ndarray) -> UnitarySystem:
 
 def oracle_canonical_block_basis(block: np.ndarray) -> np.ndarray:
     """``linalg._canonical_block_basis`` as a loop per vector: left-looking
-    Gram-Schmidt, each candidate taking every accepted vector in turn, then
-    one phase fixed per column with a scalar ``abs``."""
+    Gram-Schmidt, each candidate taking every accepted vector in turn."""
     n, k = block.shape
     proj = block @ dagger(block)
     accepted: list[np.ndarray] = []
@@ -140,49 +139,27 @@ def oracle_canonical_block_basis(block: np.ndarray) -> np.ndarray:
             accepted.append(cand / norm)
         if len(accepted) == k:
             break
-    out = np.column_stack(accepted)
-    for col in range(k):
-        v = out[:, col]
-        kmax = int(np.argmax(np.abs(v)))
-        phase = v[kmax] / abs(v[kmax])
-        out[:, col] = v * np.conj(phase)
-    return out
-
-
-def oracle_canonical_columns(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``linalg._canonical_columns`` with one norm and one phase per
-    column, summed and divided as Python scalars."""
-    if not vecs.size:
-        return vecs.copy(), np.ones(0, dtype=bool)
-    rows = np.ascontiguousarray(vecs.T)
-    cand = rows * np.conj(rows[:, :1]) + 0.0
-    norms = np.array([math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag)) for c in cand])
-    done = norms > _ACCEPT_NORM
-    if not done.all():
-        cand[~done], norms[~done] = 1.0, 1.0
-    unit = cand / norms[:, None]
-    peaks = unit[np.arange(len(unit)), np.argmax(np.abs(unit), axis=1)]
-    phases = np.array([t / abs(t) for t in peaks])
-    return (unit * np.conj(phases)[:, None]).T, done
+    return np.column_stack(accepted)
 
 
 def oracle_spectral_decompose(matrix: np.ndarray) -> SpectralDecomposition:
-    """``spectral_decompose`` block by block: eigh, sort descending, then
-    ``oracle_canonical_block_basis`` on every degenerate block, 1x1 ones
-    too.
+    """``spectral_decompose`` block by block: eigh, sort descending, keep
+    eigh's columns as an F-ordered copy, then put
+    ``oracle_canonical_block_basis`` on every degenerate block of two or
+    more.
 
-    Each block goes in as the slice ``vecs[:, i:j]`` of the sorted
-    eigenvectors, not a copy, so that its projector ``block @ dagger(block)``
-    is formed from the same layout as in the per-block pass.
+    Each block goes in as the slice ``fixed[:, i:j]`` of that copy, so
+    that its projector ``block @ dagger(block)`` is formed from the same
+    layout as in ``spectral_decompose``.
     """
     m = np.asarray(matrix, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
     order = np.argsort(vals, kind="stable")[::-1]
     vals = vals[order]
-    vecs = vecs[:, order]
-    fixed = np.zeros_like(vecs)
+    fixed = np.array(vecs[:, order], order="F")
     for i, j in degenerate_blocks(vals):
-        fixed[:, i:j] = oracle_canonical_block_basis(vecs[:, i:j])
+        if j - i > 1:
+            fixed[:, i:j] = oracle_canonical_block_basis(fixed[:, i:j])
     return SpectralDecomposition(probabilities=vals, vectors=fixed)
 
 
@@ -193,15 +170,15 @@ def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
 
 def remix_degenerate_blocks(decomp: SpectralDecomposition,
                             rng: np.random.Generator) -> SpectralDecomposition:
-    """Rotate each degenerate eigenvalue block by a Haar-random unitary.
+    """Rotate each degenerate eigenvalue block by a Haar-random unitary,
+    and so each lone eigenvector by a random phase.
 
     The result decomposes the same operator; it deliberately bypasses the
     canonical gauge, which is exactly what gauge-robustness checks need.
     """
     vecs = decomp.vectors.copy()
     for i, j in degenerate_blocks(decomp.probabilities):
-        if j - i > 1:
-            vecs[:, i:j] = vecs[:, i:j] @ haar_unitary(j - i, rng)
+        vecs[:, i:j] = vecs[:, i:j] @ haar_unitary(j - i, rng)
     return SpectralDecomposition(decomp.probabilities.copy(), vecs)
 
 

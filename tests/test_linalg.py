@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bift.errors import ConsistencyError, DimensionError, HermiticityError, UnitarityError
@@ -10,7 +10,6 @@ from bift.functionals import shannon_entropy
 from bift.linalg import (
     ReservoirSpec,
     _canonical_block_basis,
-    _canonical_columns,
     check_unitary,
     dagger,
     degenerate_blocks,
@@ -23,7 +22,6 @@ from bift.linalg import (
 from conftest import (
     bell_ket,
     oracle_canonical_block_basis,
-    oracle_canonical_columns,
     oracle_spectral_decompose,
     random_density,
     random_hermitian,
@@ -133,15 +131,32 @@ class TestSpectralDecompose:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
            spectrum=st.sampled_from(["full-rank", "zero-tail", "paired"]))
     @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=1, spectrum="full-rank")
+    @example(seed=0, n=5, spectrum="permuted-diagonal")
+    @example(seed=0, n=6, spectrum="product-basis")
+    @example(seed=0, n=4, spectrum="bell-diagonal")
     def test_matches_per_block_oracle(self, seed, n, spectrum):
+        # At n = 1 the vectors are a copy, not eigh's reversed view.  The
+        # last three examples are non-degenerate states of dimension n
+        # whose eigenvectors have zero (or, for the product basis, eigh's
+        # dust) first components.
         rng = np.random.default_rng(seed)
-        lam = rng.random(n)
-        if spectrum == "zero-tail":
-            lam[rng.integers(0, n):] = 0.0
-        elif spectrum == "paired":
-            lam = np.repeat(lam[: (n + 1) // 2], 2)[:n]
-        u = haar_unitary(n, rng)
-        h = (u * lam) @ dagger(u)
+        if spectrum == "permuted-diagonal":
+            h = np.diag(rng.permutation([0.4, 0.3, 0.2, 0.1, 0.0])).astype(complex)
+        elif spectrum == "product-basis":
+            u = haar_unitary(2, rng)
+            h = np.kron((u * [0.7, 0.3]) @ dagger(u), np.diag([0.5, 0.3, 0.2]))
+        elif spectrum == "bell-diagonal":
+            h = sum(w * np.outer(bell_ket(k), bell_ket(k).conj())
+                    for k, w in enumerate([0.4, 0.3, 0.2, 0.1]))
+        else:
+            lam = rng.random(n)
+            if spectrum == "zero-tail":
+                lam[rng.integers(0, n):] = 0.0
+            elif spectrum == "paired":
+                lam = np.repeat(lam[: (n + 1) // 2], 2)[:n]
+            u = haar_unitary(n, rng)
+            h = (u * lam) @ dagger(u)
         self.assert_same_bits(spectral_decompose(h), oracle_spectral_decompose(h))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), k=st.integers(1, 30),
@@ -151,9 +166,7 @@ class TestSpectralDecompose:
         # A k-fold block at the bottom of the spectrum: a degenerate level
         # or the zero block of a rank-deficient state.  With
         # ``first_zero`` the first basis vector is an eigenvector of its
-        # own, so every other column's first component is ~0: the columns
-        # pass hands them on, and the block pass rejects its first
-        # candidate.
+        # own, so the block pass rejects its first candidate.
         rng = np.random.default_rng(seed)
         first_zero = first_zero and n > 1
         m = n - 1 if first_zero else n
@@ -170,30 +183,6 @@ class TestSpectralDecompose:
         block = vecs[:, n - k:]
         got, want = _canonical_block_basis(block), oracle_canonical_block_basis(block)
         assert got.tobytes() == want.tobytes()
-        (got, got_done), (want, want_done) = _canonical_columns(vecs), oracle_canonical_columns(vecs)
-        assert np.array_equal(got_done, want_done)
-        assert got.tobytes() == want.tobytes() and got.strides == want.strides
-        if first_zero:
-            assert got_done[0] and not got_done[1:].any()
-
-    @pytest.mark.parametrize("state", ["permuted-diagonal", "product-basis", "bell-diagonal"])
-    def test_zero_first_component_matches_oracle(self, state, rng):
-        # Non-degenerate eigenvectors whose first component is zero (or,
-        # for the product basis, eigh's dust): the one-pass gauge fix
-        # cannot use that component and hands the column to the
-        # Gram-Schmidt pass.
-        if state == "permuted-diagonal":
-            h = np.diag(rng.permutation([0.4, 0.3, 0.2, 0.1, 0.0])).astype(complex)
-        elif state == "product-basis":
-            u = haar_unitary(2, rng)
-            h = np.kron((u * [0.7, 0.3]) @ dagger(u), np.diag([0.5, 0.3, 0.2]))
-        else:
-            h = sum(w * np.outer(bell_ket(k), bell_ket(k).conj())
-                    for k, w in enumerate([0.4, 0.3, 0.2, 0.1]))
-        dec = spectral_decompose(h)
-        assert len(set(dec.probabilities)) == len(dec.probabilities)
-        assert np.any(np.abs(dec.vectors[0]) <= 1e-8)
-        self.assert_same_bits(dec, oracle_spectral_decompose(h))
 
 
 class TestDensityOperator:
