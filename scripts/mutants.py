@@ -42,13 +42,13 @@ GAUGE_TESTS = (
 )
 
 MUTANTS = (
-    Mutant("hypot-to-abs", "src/bift/linalg.py",
-           "phases = peaks / np.hypot(peaks.real, peaks.imag)",
-           "phases = peaks / np.abs(peaks)",
+    Mutant("gauge-fix-singletons", "src/bift/linalg.py",
+           "if j > i + 1:",
+           "if j > i:",
            GAUGE_TESTS),
-    Mutant("drop-plus-zero", "src/bift/linalg.py",
-           "cand = rows * np.conj(rows[:, :1]) + 0.0",
-           "cand = rows * np.conj(rows[:, :1])",
+    Mutant("block-basis-skipped", "src/bift/linalg.py",
+           "vecs[:, i:j] = _canonical_block_basis(vecs[:, i:j])",
+           "pass",
            GAUGE_TESTS),
     Mutant("vecdot-to-gemv", "src/bift/linalg.py",
            "rest -= u * np.vecdot(u, rest)[:, None]",

@@ -9,26 +9,21 @@ arrays are never views into their inputs.
 Conventions
 -----------
 * Kets are columns; an eigenbasis is stored as the columns of a matrix.
-* Spectra are sorted descending.  Inside a degenerate eigenvalue block the
-  basis is fixed deterministically: project the computational basis onto
-  the block, Gram-Schmidt in order, and rotate each vector's global phase
-  so its largest-modulus component is real positive.  This makes
-  decompositions reproducible run to run; every physical result checked
-  downstream is independent of the choice (verified separately).
-* A non-degenerate eigenvector v needs no Gram-Schmidt: its block's first
-  projected basis vector is v conj(v_0).  ``spectral_decompose`` fixes all
-  such columns of one decomposition in one array pass, with the same bits
-  the per-block pass gives; only the degenerate blocks, and the rare column
-  whose first component is ~0 (projected norm <= 1e-8), take the
-  per-block Gram-Schmidt pass.
-* Both passes are array passes that repeat the floating-point operations
-  of a per-vector loop in the same order, so they give its bits.  The
-  Gram-Schmidt pass is right-looking: each accepted vector is removed from
-  every later candidate at once, one ``np.vecdot`` (a conjugated dot per
-  row) for all of them, so each candidate meets the accepted vectors in
-  order of acceptance.  A phase divides by ``np.hypot`` of its real and
-  imaginary parts: that is the modulus a scalar ``abs`` gives, while
-  ``np.abs`` of a complex array rounds some entries differently.
+* Spectra are sorted descending.  Every use of an eigenbasis is a squared
+  overlap modulus, |<m|a,b>|^2 or |<m',r'|U|m,r>|^2, so an eigenvector's
+  phase is free and is left as ``eigh`` gives it.  The basis inside a
+  degenerate eigenvalue block is fixed deterministically: project the
+  computational basis onto the block and Gram-Schmidt in order.  Each
+  vector comes from one basis vector e_c as P' e_c / |P' e_c|, with P'
+  the projector onto the part of the block the earlier vectors miss, so
+  its entry at c is |P' e_c| > 0 and its phase is fixed too.  This
+  makes decompositions reproducible run to run.  The relations hold in
+  any basis of a block, but per-trajectory values, the reverse averages
+  and the product-basis decision move with the choice.
+* The Gram-Schmidt pass is right-looking: each accepted vector is removed
+  from every later candidate at once, one ``np.vecdot`` (a conjugated dot
+  per row) for all of them, so each candidate meets the accepted vectors
+  in order of acceptance, with the bits of a per-vector loop.
 """
 
 from __future__ import annotations
@@ -84,8 +79,8 @@ class SpectralDecomposition:
     """Eigen-decomposition rho = sum_k p_k |k><k|.
 
     probabilities -- eigenvalues, descending
-    vectors       -- orthonormal eigenvectors as columns, deterministically
-                     phase- and gauge-fixed
+    vectors       -- orthonormal eigenvectors as columns, F-ordered, with
+                     the basis of each degenerate block fixed
     """
 
     probabilities: np.ndarray
@@ -139,11 +134,11 @@ class ReservoirSpec:
 def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Decompose a Hermitian matrix with a deterministic eigenbasis.
 
-    Eigenvalues come out descending.  Degenerate blocks (see
-    ``degenerate_blocks``) get the canonical Gram-Schmidt basis described
-    in the module docstring, and every vector's phase is fixed; the 1x1
-    blocks are fixed together in one array pass.  Raises HermiticityError
-    if the input is not Hermitian within ``tol.hermiticity``.
+    Eigenvalues come out descending, eigenvectors as a fresh F-ordered
+    copy of ``eigh``'s columns.  Each degenerate block of two or more
+    (see ``degenerate_blocks``) gets the canonical Gram-Schmidt basis
+    described in the module docstring.  Raises HermiticityError if the
+    input is not Hermitian within ``tol.hermiticity``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -153,59 +148,23 @@ def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Spe
         raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
 
     vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
-    # eigh gives the eigenvalues ascending; the copy keeps the reported
-    # probabilities contiguous
-    vals, vecs = vals[::-1].copy(), vecs[:, ::-1]
-
-    fixed, done = _canonical_columns(vecs)
+    # eigh gives the eigenvalues ascending; the copies are fresh arrays,
+    # not reversed views
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy(order="F")
     for i, j in degenerate_blocks(vals):
-        if j > i + 1 or not done[i]:
-            fixed[:, i:j] = _canonical_block_basis(vecs[:, i:j])
-    return SpectralDecomposition(probabilities=vals, vectors=fixed)
+        if j > i + 1:
+            vecs[:, i:j] = _canonical_block_basis(vecs[:, i:j])
+    return SpectralDecomposition(probabilities=vals, vectors=vecs)
 
 
 # A projected basis vector enters the Gram-Schmidt basis when its norm
-# exceeds this; both gauge-fixing passes must use the same cut.
+# exceeds this.
 _ACCEPT_NORM = 1e-8
-
-
-def _canonical_columns(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_canonical_block_basis`` of every column of ``vecs`` taken as a
-    block of its own, in one array pass and to the bit.
-
-    For one column v the projected computational basis is v conj(v_c), and
-    the first candidate, c = 0, is taken when its norm exceeds
-    ``_ACCEPT_NORM``.  The product gets ``+ 0.0`` as the matmul's
-    accumulator gives it, so a -0 becomes +0.  Each norm is summed as
-    ``np.linalg.norm`` sums it, real parts then imaginary parts, with
-    ``np.vecdot`` per row; the phases are fixed by ``_phase_fixed``.
-    Returns the fixed columns and a mask of the columns done; the others
-    (first component ~0) hold placeholders.
-    """
-    if not vecs.size:  # argmax has nothing to search
-        return vecs.copy(), np.ones(0, dtype=bool)
-    rows = np.ascontiguousarray(vecs.T)
-    cand = rows * np.conj(rows[:, :1]) + 0.0
-    norms = np.sqrt(np.vecdot(cand.real, cand.real) + np.vecdot(cand.imag, cand.imag))
-    done = norms > _ACCEPT_NORM
-    if not done.all():
-        cand[~done], norms[~done] = 1.0, 1.0
-    return _phase_fixed(cand / norms[:, None]).T, done
-
-
-def _phase_fixed(rows: np.ndarray) -> np.ndarray:
-    """Each row times the conjugate phase of its largest-modulus entry,
-    which makes that entry real positive.  The phase is the entry divided
-    by ``np.hypot`` of its parts, the bits of a scalar ``t / abs(t)``."""
-    peaks = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
-    phases = peaks / np.hypot(peaks.real, peaks.imag)
-    return rows * np.conj(phases)[:, None]
 
 
 def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of span(block): ordered Gram-Schmidt
-    of the projected computational basis, phases fixed to make the
-    largest-modulus component real positive.
+    of the projected computational basis.
 
     Right-looking: the candidates are the rows of ``proj.T``, and each
     accepted vector u is removed from all later rows at once, row -=
@@ -228,7 +187,7 @@ def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
     # residual would be <= _ACCEPT_NORM, yet their squared norms sum to
     # tr Q = k - j >= 1,
     # where Q projects onto the part of the block the j vectors miss.
-    return _phase_fixed(np.array(accepted)).T
+    return np.array(accepted).T
 
 
 def density_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
