@@ -37,7 +37,7 @@ from .linalg import (
 from .reportio import config_hash, decode_complex_matrix, load_config
 from .scenarios import SCENARIOS, Scenario, report_value
 from .tables import FactoredJoint, OutcomeTuple, UnitarySystem, spectra_from_unitary
-from .theorems import Analysis, Check, evaluate
+from .theorems import Analysis, Check, corrupt_reverse, evaluate
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
                  "heat_bound_info_gamma_slack", "heat_bound_reverse_info_slack")
@@ -282,12 +282,13 @@ def _system(cfg: dict) -> tuple[str, Callable[..., Scenario], frozenset[str]]:
 def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
                    corruption: bool = False) -> tuple[Scenario, Analysis]:
     """The system a validated config names, at ``p``, one of the points
-    :func:`validate_config` returns, and its evaluation."""
+    :func:`validate_config` returns, and its evaluation, of the system
+    under ``corrupt_reverse`` when ``corruption`` is set."""
     _, builder, _ = _system(cfg)
     keys = builder_keys(builder)
     scenario = builder(**{k: p if k == "p" else cfg[k] for k in cfg.keys() & keys}, tol=tol)
-    return scenario, evaluate(scenario.spectra, scenario.work, tol,
-                              _reverse_corruption=corruption)
+    spectra = corrupt_reverse(scenario.spectra) if corruption else scenario.spectra
+    return scenario, evaluate(spectra, scenario.work, tol)
 
 
 def core_checks(scenario: Scenario, analysis: Analysis, tol: Tolerances) -> list[Check]:

@@ -319,16 +319,9 @@ def corrupt_reverse(spectra: SystemSpectra) -> SystemSpectra:
 
 def evaluate(spectra: SystemSpectra,
              work_inputs: WorkInputs | None = None,
-             tol: Tolerances = DEFAULT_TOL,
-             _reverse_corruption: bool = False) -> Analysis:
+             tol: Tolerances = DEFAULT_TOL) -> Analysis:
     """Run a system through the factored tables, the functionals and
-    every check.
-
-    ``_reverse_corruption`` applies ``corrupt_reverse`` to the system
-    before anything is built from it (debug flag wiring).
-    """
-    if _reverse_corruption:
-        spectra = corrupt_reverse(spectra)
+    every check."""
     joint = factored_joint(spectra)
     funcs = endpoint_functionals(spectra)
 

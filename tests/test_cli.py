@@ -31,7 +31,7 @@ from bift.scenarios import (
     werner_isothermal,
 )
 from bift.tables import OutcomeTuple, factored_joint, spectra_from_unitary
-from bift.theorems import BoundRecord, FTReport, evaluate
+from bift.theorems import BoundRecord, FTReport, corrupt_reverse, evaluate
 
 from conftest import (
     dense_tables,
@@ -387,7 +387,7 @@ class TestVerify:
         else:
             spectra = oracle_counterexample_spectra(0.5)
             checks = core_checks(Scenario("counterexample", {"p": 0.5}, spectra, {}),
-                                 evaluate(spectra, _reverse_corruption=True), DEFAULT_TOL)
+                                 evaluate(corrupt_reverse(spectra)), DEFAULT_TOL)
             (check,) = [c for c in checks if c.name == "detailed_ft"]
             assert not check.passed
 

@@ -524,13 +524,9 @@ class TestEdgesAndControls:
         assert bad.reverse_kernel[0, 0, 0, 0] == 1.5 * spectra.reverse_kernel[0, 0, 0, 0]
         assert np.argwhere(factored_joint(bad).reverse != joint.reverse).tolist() == [[0, 0, 0, 0]]
         assert joint.support[0, 0, 0, 0]
-        rep = evaluate(spectra, _reverse_corruption=True).report
+        rep = evaluate(bad).report
         assert rep.gamma_restricted == pytest.approx(0.375)
         assert rep.detailed_max_residual == pytest.approx(0.5, rel=1e-14)
-
-    def test_corruption_flag_threads_through_evaluate(self):
-        bad = evaluate(werner_isothermal(0.8).spectra, _reverse_corruption=True)
-        assert bad.report.detailed_max_residual > 1e-3
 
     def test_empty_support_overlap_reports_sentinel(self):
         # artificial kernels whose reversed flow never returns to the
@@ -572,7 +568,7 @@ def assert_matches_dense_oracle(spectra, corruption=False, **kwargs):
     The detailed residual is each engine's own rounding noise on a clean
     system (up to ~1e-12 for the dense one at (3, 3, 3)), so it is held
     to the check's tolerance, 1e-10, instead."""
-    analysis = evaluate(spectra, _reverse_corruption=corruption, **kwargs)
+    analysis = evaluate(corrupt_reverse(spectra) if corruption else spectra, **kwargs)
     reverse_global = analysis.joint.reverse if corruption else None
     got = report_numbers(analysis.report)
     want = report_numbers(dense_evaluate(spectra, reverse_global=reverse_global, **kwargs))
