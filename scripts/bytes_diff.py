@@ -20,10 +20,14 @@ stderr.  Each prints as ``same`` or ``moved``.  For a moved report, sweep
 table or ``verify`` text, the fields only one side holds are listed as
 removed or added, and every moved field shared by both with its largest
 absolute and relative change; list entries are named by their ``name``
-key when they have one and collapse to ``[*]`` otherwise.  Exit 0 when
-every output is the same, 1 when one moved, 2 on a usage error or when a
-side cannot run: a revision that does not export, a tree whose corpus
-does not run, or a corpus that cannot be read.
+key when they have one and collapse to ``[*]`` otherwise.  After the
+count of moved outputs comes one ``across`` line per path that moved
+anywhere, with the number of outputs that moved it and its largest
+absolute change: exit status and stderr first, then the rest, the path
+moved in most outputs first.  Exit 0 when every output is the same, 1
+when one moved, 2 on a usage error or when a side cannot run: a revision
+that does not export, a tree whose corpus does not run, or a corpus that
+cannot be read.
 """
 
 from __future__ import annotations
@@ -226,22 +230,26 @@ def occurrences(fields: list) -> dict:
     return out
 
 
-def layout_changes(kind: str, keys) -> list[str]:
-    """One line per path among ``keys`` (pairs (path, k)), list entries'
-    names collapsed to ``[*]``, with how many fields it stands for."""
-    paths = Counter(re.sub(r"\[[^]]*\]", "[*]", path) for path, _ in keys)
-    return [f"{kind} {path}" + (f"  ({n} fields)" if n > 1 else "") for path, n in paths.items()]
+def layout_changes(kind: str, keys) -> Counter:
+    """``kind`` and each path among ``keys`` (pairs (path, k)), list
+    entries' names collapsed to ``[*]``, with how many fields it stands
+    for."""
+    return Counter(kind + " " + re.sub(r"\[[^]]*\]", "[*]", path) for path, _ in keys)
 
 
-def moved_fields(old: list, new: list) -> list[str]:
+EQUAL_FIELDS = "bytes differ, every parsed field is equal"
+
+
+def moved_fields(old: list, new: list) -> tuple[list[str], dict[str, float]]:
     """The field paths only one side holds, as removed or added, then each
     path both hold whose value moved, with its largest absolute and
     relative change.  The k-th field at a path on one side pairs with the
     k-th at that path on the other, so a change of layout leaves every
-    shared field compared."""
+    shared field compared.  Returns the lines, and each line's path with
+    its largest absolute change (0.0 where none is numeric)."""
     old_at, new_at = occurrences(old), occurrences(new)
-    lines = (layout_changes("removed", [k for k in old_at if k not in new_at])
-             + layout_changes("added", [k for k in new_at if k not in old_at]))
+    layout = (layout_changes("removed", [k for k in old_at if k not in new_at])
+              + layout_changes("added", [k for k in new_at if k not in old_at]))
     moved: dict[str, Moved] = {}
     for (path, k), a in old_at.items():
         if (path, k) not in new_at:
@@ -257,29 +265,53 @@ def moved_fields(old: list, new: list) -> list[str]:
             m.rel = max(m.rel, abs(b - a) / abs(a) if a else math.inf)
         else:
             m.example = m.example or f"{a!r} -> {b!r}"
-    if not moved and not lines:
-        return ["bytes differ, every parsed field is equal"]
-    return lines + [
+    if not moved and not layout:
+        return [EQUAL_FIELDS], {EQUAL_FIELDS: 0.0}
+    lines = [key + (f"  ({n} fields)" if n > 1 else "") for key, n in layout.items()] + [
         f"{path}  ({m.count} moved)" + (f"  abs {m.abs:.3g}  rel {m.rel:.3g}" if m.abs else "")
         + (f"  first other change {m.example}" if m.example else "")
         for path, m in moved.items()]
+    return lines, dict.fromkeys(layout, 0.0) | {path: m.abs for path, m in moved.items()}
 
 
-def compare(command: str, old: tuple, new: tuple) -> list[str] | None:
-    """None when the two outputs are the same, else their differences."""
+def compare(command: str, old: tuple, new: tuple) -> tuple[list[str], dict[str, float]] | None:
+    """None when the two outputs are the same, else their differences as
+    lines, and what moved as ``moved_fields`` gives it, after ``exit
+    status`` and ``stderr`` when those moved."""
     (old_path, old_status, old_err), (new_path, new_status, new_err) = old, new
     old_bytes = old_path.read_bytes() if old_path.exists() else b""
     new_bytes = new_path.read_bytes() if new_path.exists() else b""
     if (old_bytes, old_status, old_err) == (new_bytes, new_status, new_err):
         return None
-    lines = []
+    lines, what = [], {}
     if old_status != new_status:
         lines.append(f"exit status {old_status!r} -> {new_status!r}")
+        what["exit status"] = 0.0
     if old_err != new_err:
         lines.append(f"stderr {old_err.strip()!r} -> {new_err.strip()!r}")
+        what["stderr"] = 0.0
     if old_bytes != new_bytes:
-        lines += moved_fields(leaves(command, old_bytes), leaves(command, new_bytes))
-    return lines
+        field_lines, fields = moved_fields(leaves(command, old_bytes), leaves(command, new_bytes))
+        lines += field_lines
+        what |= fields
+    return lines, what
+
+
+def summary(moves: list[dict[str, float]]) -> list[str]:
+    """One line per path that moved in any output, given what moved in
+    each moved output: how many outputs moved it and its largest absolute
+    change.  Exit status and stderr come first, then the other paths by
+    outputs, most first."""
+    outputs: Counter = Counter()
+    largest: dict[str, float] = {}
+    for what in moves:
+        outputs.update(what.keys())
+        for path, change in what.items():
+            largest[path] = max(largest.get(path, 0.0), change)
+    first = [path for path in ("exit status", "stderr") if path in outputs]
+    rest = sorted(outputs.keys() - set(first), key=lambda path: (-outputs[path], path))
+    return [f"{path}  ({outputs[path]} outputs)"
+            + (f"  abs {largest[path]:.3g}" if largest[path] else "") for path in first + rest]
 
 
 def main(argv=None) -> int:
@@ -311,16 +343,19 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-        moved = 0
+        moves = []
         for case in cases:
-            lines = compare(case.argv[0], runs[0][case.name], runs[1][case.name])
-            print(f"{'same ' if lines is None else 'moved'} {case.name}")
-            for line in lines or ():
-                print(f"      {line}")
-            moved += lines is not None
-    print(f"{len(cases)} outputs: {len(cases) - moved} same, {moved} moved "
+            diff = compare(case.argv[0], runs[0][case.name], runs[1][case.name])
+            print(f"{'same ' if diff is None else 'moved'} {case.name}")
+            if diff is not None:
+                for line in diff[0]:
+                    print(f"      {line}")
+                moves.append(diff[1])
+    print(f"{len(cases)} outputs: {len(cases) - len(moves)} same, {len(moves)} moved "
           f"(parent {sides[0][1]}, change {sides[1][1]})")
-    return 1 if moved else 0
+    for line in summary(moves):
+        print(f"across {line}")
+    return 1 if moves else 0
 
 
 if __name__ == "__main__":

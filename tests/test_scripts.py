@@ -1,6 +1,7 @@
 """The scripts under ``scripts/``, run as a user runs them."""
 
 import importlib.util
+import json
 import re
 import runpy
 import subprocess
@@ -94,10 +95,49 @@ class TestBytesDiff:
         old = [("schema", 1), ("bounds[a].slack", 0.5), ("bounds[b].slack", 0.25),
                ("xs[*]", 1.0), ("xs[*]", 2.0), ("passed", True)]
         new = [("xs[*]", 1.0), ("xs[*]", 3.0), ("passed", True), ("tolerances.trace", 1e-12)]
-        assert bytes_diff.moved_fields(old, new) == [
+        lines, moved = bytes_diff.moved_fields(old, new)
+        assert lines == [
             "removed schema", "removed bounds[*].slack  (2 fields)",
             "added tolerances.trace", "xs[*]  (1 moved)  abs 1  rel 0.5"]
-        assert bytes_diff.moved_fields(old, old) == ["bytes differ, every parsed field is equal"]
+        assert moved == {"removed schema": 0.0, "removed bounds[*].slack": 0.0,
+                         "added tolerances.trace": 0.0, "xs[*]": 1.0}
+        equal = "bytes differ, every parsed field is equal"
+        assert bytes_diff.moved_fields(old, old) == ([equal], {equal: 0.0})
+
+    def test_summary_counts_outputs_per_moved_path(self, monkeypatch, capsys):
+        # "a" moves its exit status, its stderr and x; "b" moves x further
+        # and one check; "c" stays the same
+        bytes_diff = load_bytes_diff(monkeypatch)
+        check = [{"name": "c", "value": 0.5}]
+        outputs = {
+            "parent": {"a": ({"x": 1.0, "checks": check}, 0, ""),
+                       "b": ({"x": 1.0, "checks": check}, 0, ""),
+                       "c": ({"x": 1.0}, 0, "")},
+            "change": {"a": ({"x": 1.25, "checks": check}, 1, "warning\n"),
+                       "b": ({"x": 1.5, "checks": [{"name": "c", "value": 0.75}]}, 0, ""),
+                       "c": ({"x": 1.0}, 0, "")},
+        }
+
+        def run_side(tree, cases, workdir, outdir):
+            outdir.mkdir()
+            results = {}
+            for case in cases:
+                doc, status, err = outputs[outdir.name.removeprefix("out-")][case.name]
+                (outdir / case.name).write_text(json.dumps(doc))
+                results[case.name] = (outdir / case.name, status, err)
+            return results
+
+        monkeypatch.setattr(bytes_diff, "golden_cases",
+                            lambda: [bytes_diff.Case(name, ("run",)) for name in "abc"])
+        monkeypatch.setattr(bytes_diff, "workload_cases", lambda workdir: [])
+        monkeypatch.setattr(bytes_diff, "run_side", run_side)
+        assert bytes_diff.main(["--parent", str(ROOT), "--change", str(ROOT)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-5].startswith("3 outputs: 1 same, 2 moved")
+        assert out[-4:] == ["across exit status  (1 outputs)",
+                            "across stderr  (1 outputs)",
+                            "across x  (2 outputs)  abs 0.5",
+                            "across checks[c].value  (1 outputs)  abs 0.25"]
 
     def test_a_revision_that_does_not_export_exits_2(self, monkeypatch, capsys):
         bytes_diff = load_bytes_diff(monkeypatch)
