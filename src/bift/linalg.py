@@ -41,9 +41,14 @@ from .errors import ConsistencyError, DimensionError, HermiticityError, Unitarit
 class Tolerances:
     """Numerical tolerances used across the package.
 
-    No field decides the system under test: ``rounding_floor`` decides
-    both the degenerate blocks and the zero weights.  The fields are
-    absolute, sized for double precision, and a valid system can fail
+    ``rounding_floor``, not a field, decides the degenerate blocks and
+    the zero weights.  One field decides which checks apply:
+    ``orthonormality`` decides whether both eigenbases are product bases,
+    and so whether ``classical_ft`` is judged.  Set too coarse, it judges
+    that relation where it does not hold: ``verify`` on the random
+    scenario, seed 7, dims (2, 2, 2), fails ``bound:classical_ft`` at
+    -2.4e-3 with ``orthonormality`` 1.0 (ROADMAP.md item 5).  The fields
+    are absolute, sized for double precision, and a valid system can fail
     them: ``verify --scenario counterexample --p 0.999999`` (M R = 4) fails
     ``reference:reverse_avg_exp_di`` at 1.16e-10, 4.7e-16 of its value
     (ROADMAP.md item 3).
