@@ -58,21 +58,17 @@ MUTANTS = (
            "rest -= u * np.vecdot(u, rest)[:, None]",
            "pass",
            GAUGE_TESTS),
-    Mutant("unit-skip-any-scalar", "src/bift/tables.py",
-           "return isinstance(factor, float) and factor == 1.0",
-           "return isinstance(factor, float)",
-           ("tests/test_theorems.py::TestExpectationBits",)),
     Mutant("transposed-reverse-kernel", "src/bift/tables.py",
            "reverse_kernel=kernel,",
            "reverse_kernel=kernel.transpose(2, 3, 0, 1),",
            ("tests/test_theorems.py::TestDetailedFT",
             "tests/test_theorems.py::TestIntegralFT")),
     Mutant("support-cut-relative", "src/bift/tables.py",
-           "(p_m > 0.0)[None, :, None]",
-           "(p_m > 1e-12 * p_m.max())[None, :, None]",
+           "(p_m > 0.0)[:, None, None]",
+           "(p_m > 1e-12 * p_m.max())[:, None, None]",
            ("tests/test_cli.py::TestVerify::test_werner_near_pure_passes",)),
     Mutant("final-level-unrestricted", "src/bift/tables.py",
-           "(p_mf > 0.0)[:, None, None] & ",
+           " & (p_mf > 0.0)[None, :, None]",
            "",
            ("tests/test_theorems.py::TestIntegralFT::"
             "test_forward_weight_on_an_empty_final_level_leaves_the_support",
@@ -102,25 +98,33 @@ MUTANTS = (
             "tests/test_tables.py::TestOperatorOracle::test_tables_at_50_digits")),
     Mutant("gamma-unrestricted", "src/bift/theorems.py",
            "gamma = joint.expectation(reverse)",
-           "gamma = joint.expectation(joint.reverse)",
+           "gamma = joint.expectation(joint.block_sums(reverse=True))",
            ("tests/test_tables.py::TestReverseTable",
             "tests/test_theorems.py::TestIntegralFT")),
     Mutant("integral-unrestricted", "src/bift/theorems.py",
-           "int_lhs = joint.expectation(forward, *ft)",
-           "int_lhs = joint.expectation(joint.forward, *ft)",
+           "int_lhs = joint.expectation(forward, *funcs.ft_factors())",
+           "int_lhs = joint.expectation(joint.block_sums(pair=funcs.exp_beta_q), "
+           "*funcs.ft_factors())",
            ("tests/test_theorems.py::TestIntegralFT",)),
+    Mutant("integral-weight-on-table", "src/bift/theorems.py",
+           "forward = joint.block_sums(pair=funcs.exp_beta_q, restricted=True)",
+           "forward = joint.block_sums()._replace(initial=1.0, sums=np.where("
+           "joint.support, joint.forward * funcs.exp_beta_q, 0.0).sum(axis=(2, 3)))",
+           ("tests/test_theorems.py::TestFullRankDraws::test_every_check_passes",)),
     Mutant("reverse-rhs-unrestricted", "src/bift/theorems.py",
            "rev_rhs = joint.expectation(reverse, *info)",
-           "rev_rhs = joint.expectation(joint.reverse, *info)",
+           "rev_rhs = joint.expectation(joint.block_sums(reverse=True), *info)",
            ("tests/test_theorems.py::TestReverseAveragedFT",)),
     Mutant("reverse-lhs-unrestricted", "src/bift/theorems.py",
            "rev_lhs = joint.expectation(forward, *funcs.local_factors())",
-           "rev_lhs = joint.expectation(joint.forward, *funcs.local_factors())",
+           "rev_lhs = joint.expectation(joint.block_sums(pair=funcs.exp_beta_q), "
+           "*funcs.local_factors())",
            ("tests/test_theorems.py::TestIntegralFT::"
             "test_forward_weight_on_an_empty_final_level_leaves_the_support",)),
     Mutant("classical-unrestricted", "src/bift/theorems.py",
            "classical_lhs = joint.expectation(forward, *funcs.classical_factors())",
-           "classical_lhs = joint.expectation(joint.forward, *funcs.classical_factors())",
+           "classical_lhs = joint.expectation(joint.block_sums(pair=funcs.exp_beta_q), "
+           "*funcs.classical_factors())",
            ("tests/test_theorems.py::TestClassicalReduction",)),
     Mutant("within-strict", "src/bift/theorems.py",
            "return cls(name, value, value <= limit, detail)",

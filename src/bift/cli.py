@@ -316,12 +316,13 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     joint = analysis.joint
     checks = []
 
-    for name, table in (("forward_normalization", joint.forward),
-                        ("reverse_normalization", joint.reverse)):
-        checks.append(Check.close(name, joint.expectation(table), 1.0, tol.equality))
+    forward = joint.block_sums()
+    for name, block in (("forward_normalization", forward),
+                        ("reverse_normalization", joint.block_sums(reverse=True))):
+        checks.append(Check.close(name, joint.expectation(block), 1.0, tol.equality))
 
     # Summing the local labels out of the augmented table returns G.
-    sum_i, sum_f = joint.unit_sums
+    sum_i, sum_f = (end.cond.sum(axis=(1, 2)) for end in (init, joint.final))
     outer = sum_i[:, None, None, None] * sum_f[None, :, None, None]
     checks.append(Check.close("forward_factorization", joint.forward * (outer - 1.0), 0.0,
                               tol.trace))
@@ -336,7 +337,7 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     checks.append(Check.close("local_marginal_identity", got.sum(axis=(0, 2, 3)), init.p_a,
                               tol.equality))
 
-    avg_info = joint.expectation(joint.forward, initial=analysis.functionals.initial.info)
+    avg_info = joint.expectation(forward, initial=analysis.functionals.initial.info)
     qmi = shannon_entropy(init.p_a) + shannon_entropy(init.p_b) - shannon_entropy(init.p_m)
     checks.append(Check.close("info_avg_is_mutual_information", avg_info, qmi, tol.equality))
 

@@ -62,8 +62,9 @@ class EndpointFunctionals:
         beta Q = beta_q[r, r']
 
     so each exponential entering the relations is a product of an
-    initial, a final and a reservoir-pair factor; the ``*_factors``
-    methods return that triple, ready for ``FactoredJoint.expectation``.
+    initial, a final and a reservoir-pair factor.  The ``*_factors``
+    methods return the first two, for ``FactoredJoint.expectation``; the
+    pair factor (``exp_beta_q``, 1 for ``info_factors``) enters the block sums.
     The factors are formed from the probabilities themselves -- ``local``
     is p_a p_b and ``*_ratio`` the ratio whose log is the content, each
     under the zero conventions -- not as exponentials of the logs, so a
@@ -76,27 +77,26 @@ class EndpointFunctionals:
     beta_q: np.ndarray                # [r, r']
 
     @cached_property
-    def exp_beta_q(self) -> np.ndarray:      # [r, r'], the pair factor of every triple
+    def exp_beta_q(self) -> np.ndarray:      # [r, r']
         return np.exp(self.beta_q)
 
     def ft_factors(self):
         """exp(-ds_A - ds_B + dI + beta Q), the detailed-relation exponential."""
         i, f = self.initial, self.final
-        return 1.0 / (i.local[None] * i.info_ratio), f.local[None] * f.info_ratio, self.exp_beta_q
+        return 1.0 / (i.local[None] * i.info_ratio), f.local[None] * f.info_ratio
 
     def local_factors(self):
         """exp(-ds_A - ds_B + beta Q)."""
-        return 1.0 / self.initial.local[None], self.final.local[None], self.exp_beta_q
+        return 1.0 / self.initial.local[None], self.final.local[None]
 
     def classical_factors(self):
         """exp(-ds_A - ds_B + dJ + beta Q)."""
         i, f = self.initial, self.final
-        return (1.0 / (i.local * i.classical_ratio)[None],
-                (f.local * f.classical_ratio)[None], self.exp_beta_q)
+        return 1.0 / (i.local * i.classical_ratio)[None], (f.local * f.classical_ratio)[None]
 
     def info_factors(self):
         """exp(-dI)."""
-        return self.initial.info_ratio, 1.0 / self.final.info_ratio, 1.0
+        return self.initial.info_ratio, 1.0 / self.final.info_ratio
 
 
 def endpoint_functionals(spectra: SystemSpectra) -> EndpointFunctionals:

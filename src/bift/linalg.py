@@ -47,9 +47,12 @@ class Tolerances:
     and so whether ``classical_ft`` is judged.  Set too coarse, it judges
     that relation where it does not hold: ``verify`` on the random
     scenario, seed 7, dims (2, 2, 2), fails ``bound:classical_ft`` at
-    -2.4e-3 with ``orthonormality`` 1.0 (ROADMAP.md item 5).  The fields
-    are absolute, sized for double precision, and a valid system can fail
-    them: ``verify --scenario counterexample --p 0.999999`` (M R = 4) fails
+    -2.4e-3 with ``orthonormality`` 1.0.  That, like a zero ``equality``,
+    ``bound`` or ``trace`` (``forward_factorization`` reads 1.17e-16 on
+    the counterexample at p = 0.37), is the user's own demand, and its
+    exit 1 is honest.  The fields are absolute, sized for double
+    precision, and a valid system can fail the defaults:
+    ``verify --scenario counterexample --p 0.999999`` (M R = 4) fails
     ``reference:reverse_avg_exp_di`` at 1.16e-10, 4.7e-16 of its value
     (ROADMAP.md item 3).
     """

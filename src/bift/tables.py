@@ -12,9 +12,9 @@ final measurement point, has the weight
 and ``factored_joint`` builds the tables in this form: the two-point
 table ``G``, the time-reversed ``G_rev`` on the *same* axes (entry
 [m,m',r,r'] holds the reverse weight of the trajectory that runs
-m' -> m, so per-trajectory ratios are elementwise) and the two
-endpoints.  ``FactoredJoint.expectation`` sums a functional that factors
-across the endpoints over the whole tuple space.  This module never
+m' -> m), both kernels on these axes and the two endpoints.  Every
+average over the tuple space is u B v (``FactoredJoint.expectation``),
+with B[m, m'] a kernel summed over the reservoir pair.  This module never
 forms an eight-index table; ``bift.cli.dense_table`` does, for
 ``--emit-tuples``.
 
@@ -33,28 +33,18 @@ which comes from one of two routes:
 Neither route refuses a system for its size; the size guard sits where
 a config enters (``bift.cli``).
 
-A ``.sum()`` reduces in the memory order numpy's iterator gives its
-operand, not in C order.  On the propagator route (measured) ``G`` and
-``G_rev`` are laid out [m', r', r, m] in memory, the order in which
-``transition_kernel`` writes its amplitudes, and their product with an
-(R, R) pair factor [m', r, r', m]; the support-restricted copies that
-``theorems.evaluate`` makes with ``np.where`` are laid out [m', r', m, r],
-and their product with a pair factor [m', m, r, r'].  Identical inputs
-give identical bytes because these layouts are fixed on one numpy/BLAS
-build; reordering a product, or copying it to C order, moves bits.  They
-are also the same at any BLAS thread count (measured with OpenBLAS at 1
-and 2 threads), because every product that feeds a table or the final
-state sums over one AB index: OpenBLAS blocks a longer sum one way on one
-thread and another on two, and a single product over all R^2 blocks of
-the final state gave other bits at (5, 5, 3).  Only the random scenario's
-Haar draw (``linalg.haar_unitary``) changes with the thread count, from
-M R = 100 up.
+Sums reduce in the memory order numpy's iterator gives their operands,
+which is fixed for fixed inputs, so identical inputs give identical bytes.
+They do not depend on the BLAS thread count either: every product that
+feeds a table or the final state sums over one AB index, and the block
+sums and expectations are elementwise products and sums.  Only the random
+scenario's Haar draw (``linalg.haar_unitary``) changes with the thread
+count, from M R = 100 up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -302,44 +292,49 @@ def spectra_from_analytic(spectra: SystemSpectra,
                          reverse_kernel=rkernel, beta_q=_check_heat_exponents(beta_q))
 
 
-def _is_one(factor) -> bool:
-    """True for a float equal to 1.0, the default factor of
-    ``FactoredJoint.expectation``; an array never counts."""
-    return isinstance(factor, float) and factor == 1.0
+class BlockSums(NamedTuple):
+    """A process's block sums and the AB start weights that
+    ``FactoredJoint.expectation`` puts into its endpoint vectors."""
+
+    initial: np.ndarray | float      # p_m forward, 1.0 reversed
+    sums: np.ndarray                 # B [m, m']
+    final: np.ndarray | float        # 1.0 forward, p'_m' reversed
 
 
 @dataclass(frozen=True)
 class FactoredJoint:
     """Forward and time-reversed joint distributions in the factored form
-    of the module docstring: the two global tables, the two endpoints and
-    the support mask, to which ``theorems.evaluate`` restricts them."""
+    of the module docstring, with the support mask."""
 
     forward: np.ndarray              # G [m, m', r, r']
     reverse: np.ndarray              # G_rev on forward-aligned axes
+    kernel: np.ndarray               # K [m, m', r, r']
+    reverse_kernel: np.ndarray       # K_rev on the same axes
+    p_r: np.ndarray
     initial: Endpoint
     final: Endpoint
     support: np.ndarray              # bool [m, m', r, 1]: p_m > 0, p'_m' > 0 and p_r > 0
 
-    @cached_property
-    def unit_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """sum_{a,b} |<m|a,b>|^2 per m at the initial and the final point."""
-        return self.initial.cond.sum(axis=(1, 2)), self.final.cond.sum(axis=(1, 2))
+    def block_sums(self, reverse: bool = False, pair=1.0, restricted: bool = False) -> BlockSums:
+        """B[m, m'] = sum_{r,r'} K w pair[r, r'], over the support when
+        ``restricted``: K the forward kernel and w = p_r, or with ``reverse``
+        K_rev and w = p_r'.  w pair is formed first, so p_r e^{beta Q} (p_r'
+        for Gibbs weights) never passes through a subnormal p_m p_r."""
+        weight = self.p_r[None, :] if reverse else self.p_r[:, None]
+        terms = (self.reverse_kernel if reverse else self.kernel) * (weight * pair)
+        sums = (np.where(self.support, terms, 0.0) if restricted else terms).sum(axis=(2, 3))
+        if reverse:
+            return BlockSums(1.0, sums, self.final.p_m)
+        return BlockSums(self.initial.p_m, sums, 1.0)
 
-    def expectation(self, table: np.ndarray, initial=1.0, final=1.0, pair=1.0) -> float:
-        """Sum over the tuple space of the eight-index table built from
-        the global ``table`` times initial[m,a,b] final[m',a',b'] pair[r,r'];
-        each factor is a scalar or broadcasts against its endpoint's
-        (M, A, B) or (R, R) table.  Costs O(M^2 R^2 + M A B).
-
-        A factor that is the float 1.0 is skipped: times 1.0 every float keeps its bits, so
-        the sum is the one the full product gives.  Batching these sums, or laying the product
-        out anew, moves bits: with a non-unit pair the sum runs in the product's memory order
-        (module docstring), not in the table's."""
-        u_unit, v_unit = self.unit_sums
-        u = u_unit if _is_one(initial) else (self.initial.cond * initial).sum(axis=(1, 2))
-        v = v_unit if _is_one(final) else (self.final.cond * final).sum(axis=(1, 2))
-        weighted = table * u[:, None, None, None] * v[None, :, None, None]
-        return float((weighted if _is_one(pair) else weighted * pair).sum())
+    def expectation(self, block: BlockSums, initial=1.0, final=1.0) -> float:
+        """u B v: the tuple-space sum of initial[m,a,b] final[m',a',b'] and
+        the pair factor of ``block``, with u[m] = sum_{a,b} |<m|a,b>|^2
+        initial[m,a,b] times its start weight, and v likewise.  Each factor
+        is a scalar or broadcasts against its endpoint's (M, A, B) table."""
+        u = (self.initial.cond * initial).sum(axis=(1, 2)) * block.initial
+        v = (self.final.cond * final).sum(axis=(1, 2)) * block.final
+        return float((u[:, None] * block.sums * v[None, :]).sum())
 
 
 def factored_joint(spectra: SystemSpectra) -> FactoredJoint:
@@ -353,14 +348,12 @@ def factored_joint(spectra: SystemSpectra) -> FactoredJoint:
     empty final level has no reversed counterpart.
     """
     p_m, p_mf, p_r = spectra.initial.p_m, spectra.final.p_m, spectra.p_r
+    kernel, rkernel = (k.transpose(0, 2, 1, 3) for k in (spectra.kernel, spectra.reverse_kernel))
     return FactoredJoint(
-        forward=(spectra.kernel.transpose(0, 2, 1, 3)
-                 * p_m[:, None, None, None] * p_r[None, None, :, None]),
-        reverse=(spectra.reverse_kernel.transpose(0, 2, 1, 3)
-                 * p_mf[None, :, None, None] * p_r[None, None, None, :]),
+        forward=kernel * p_m[:, None, None, None] * p_r[None, None, :, None],
+        reverse=rkernel * p_mf[None, :, None, None] * p_r[None, None, None, :],
+        kernel=kernel, reverse_kernel=rkernel, p_r=p_r,
         initial=spectra.initial,
         final=spectra.final,
-        # laid out [m', m, r] in memory, so that the copies ``np.where``
-        # restricts to it take the layout of the module docstring
-        support=((p_mf > 0.0)[:, None, None] & (p_m > 0.0)[None, :, None]
-                 & (p_r > 0.0)[None, None, :]).transpose(1, 0, 2)[:, :, :, None])
+        support=((p_m > 0.0)[:, None, None] & (p_mf > 0.0)[None, :, None]
+                 & (p_r > 0.0)[None, None, :])[:, :, :, None])

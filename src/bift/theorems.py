@@ -17,10 +17,9 @@ average:
 
 The integral, reverse-averaged and classical relations average over the
 support, as gamma does: the blocks [m, m', r, r'] whose p_m, p'_m' and p_r
-are positive (``FactoredJoint.support``).  ``evaluate`` alone restricts
-the tables to it, forming each restricted table once.
+are positive (``FactoredJoint.support``).
 
-Every number is a contraction of the factored tables
+Every average is one u B v of the block sums B of a kernel
 (``tables.FactoredJoint``) with the per-endpoint functionals
 (``functionals.EndpointFunctionals``); no eight-index table is built.
 
@@ -189,22 +188,18 @@ def _residual(ratio, x_i, y_f):
     return np.abs(ratio * (x_i * y_f) - 1.0)
 
 
-def detailed_ft_check(spectra: SystemSpectra, joint: FactoredJoint,
-                      ft: tuple[np.ndarray, np.ndarray, np.ndarray]):
+def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals):
     """Max over the supported trajectories of
     | (p_rev/p_fwd) / exp(-ds_A - ds_B + dI + beta Q) - 1 |
     in the factored form of the module docstring, together with the
-    trajectory attaining it; ``ft`` is the exponential's factor triple,
-    ``EndpointFunctionals.ft_factors()``.  Costs O(M^2 R^2 + M A B)."""
-    kernel = spectra.kernel.transpose(0, 2, 1, 3)               # [m, m', r, r']
+    trajectory attaining it.  Costs O(M^2 R^2 + M A B)."""
     sup_i, sup_f = joint.initial.cond > 0.0, joint.final.cond > 0.0   # no row is empty
-    block = joint.support & (kernel > 0.0)
+    block = joint.support & (joint.kernel > 0.0)
     if not block.any():
         return 0.0, None
-    e_i, e_f, pair = ft                          # (M, A, B), (M, A, B), (R, R)
-    ratio = (np.where(block, spectra.reverse_kernel.transpose(0, 2, 1, 3)
-                      / np.where(block, kernel, 1.0), 0.0)
-             * (spectra.p_r[None, :] / (or_one(spectra.p_r)[:, None] * pair)))
+    (e_i, e_f), pair = funcs.ft_factors(), funcs.exp_beta_q     # (M, A, B) twice, (R, R)
+    ratio = (np.where(block, joint.reverse_kernel / np.where(block, joint.kernel, 1.0), 0.0)
+             * (joint.p_r[None, :] / (or_one(joint.p_r)[:, None] * pair)))
     x_i = 1.0 / (or_one(joint.initial.p_m)[:, None, None] * e_i)
     y_f = or_one(joint.final.p_m)[:, None, None] / e_f
     per_block = _residual(ratio, _extremes(x_i, sup_i)[:, :, None, None, None],
@@ -230,8 +225,10 @@ def detailed_ft_check(spectra: SystemSpectra, joint: FactoredJoint,
 
 def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averages:
     """Forward averages of the five functionals, endpoint part by part."""
+    forward = joint.block_sums()
+
     def mean(**factor):
-        return joint.expectation(joint.forward, **factor)
+        return joint.expectation(forward, **factor)
 
     i, f = funcs.initial, funcs.final
     return Averages(
@@ -239,7 +236,7 @@ def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averag
         delta_s_b=mean(initial=i.l_pb[None, None, :]) - mean(final=f.l_pb[None, None, :]),
         delta_i=mean(final=f.info) - mean(initial=i.info),
         delta_j=mean(final=f.classical[None]) - mean(initial=i.classical[None]),
-        beta_q=mean(pair=funcs.beta_q),
+        beta_q=joint.expectation(joint.block_sums(pair=funcs.beta_q)),
     )
 
 
@@ -325,17 +322,17 @@ def evaluate(spectra: SystemSpectra,
     joint = factored_joint(spectra)
     funcs = endpoint_functionals(spectra)
 
-    # both tables with the blocks outside the support set to zero
-    forward = np.where(joint.support, joint.forward, 0.0)
-    reverse = np.where(joint.support, joint.reverse, 0.0)
-    ft, info = funcs.ft_factors(), funcs.info_factors()
+    # the forward relations' block sums at e^{beta Q}, the reverse ones' at 1
+    forward = joint.block_sums(pair=funcs.exp_beta_q, restricted=True)
+    reverse = joint.block_sums(reverse=True, restricted=True)
+    info = funcs.info_factors()
 
     gamma = joint.expectation(reverse)
-    int_lhs = joint.expectation(forward, *ft)
+    int_lhs = joint.expectation(forward, *funcs.ft_factors())
     rev_lhs = joint.expectation(forward, *funcs.local_factors())
     rev_rhs = joint.expectation(reverse, *info)
-    rev_full = joint.expectation(joint.reverse, *info)
-    detail_resid, detail_worst = detailed_ft_check(spectra, joint, ft)
+    rev_full = joint.expectation(joint.block_sums(reverse=True), *info)
+    detail_resid, detail_worst = detailed_ft_check(joint, funcs)
     averages = forward_averages(joint, funcs)
 
     classical_lhs = None

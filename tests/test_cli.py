@@ -140,7 +140,7 @@ GOLDEN = {
                   "ff54dd55e9becb6bae372be5d467eb82601246624569e8c261d2849e5f4602c6"),
     "counterexample-unitary": (
         ("run", "--scenario", "counterexample", "--p", "0.5"),
-        "caae9b09329d6e8d8b2f5fcd62218bb22369f6b4b12fef1f34c2380736d2c7a6"),
+        "13d9b36d2a9d8729891840321973ccd8ce9acd365f48c634eb5c7ead8a4b83be"),
     "sweep-werner": (("sweep", "--scenario", "werner", "--p", "0:1:11"),
                      "dc8b80773a5af83de32b7c95baaf7d51153ae4f94e9070005f641a1f91aebc28"),
     # the dense eight-index tables, built only for emission
@@ -148,13 +148,13 @@ GOLDEN = {
                           "35e1e781079d0e00ea6a0d7566c1870ad435caf51dc0ca4249a608737f28b066"),
     "emit-counterexample": (
         ("run", "--scenario", "counterexample", "--p", "0.5", "--emit-tuples"),
-        "9772b1b03699ff0ca891d7940efdc1227a5d128bd5f7bcf112910df6a2ff0784"),
+        "c369da3835c869db9eb88ee18bd1848cd5c2c76af575ab44f1d71e2eb84b0310"),
     # the check lines of verify, rounding-noise residuals included
     "verify-werner-p0.37": (("verify", "--scenario", "werner", "--p", "0.37"),
                             "825d7d12e97918897f330f302843b577dce6b29afd0f18fb639ace8e73080932"),
     "verify-counterexample": (
         ("verify", "--scenario", "counterexample", "--p", "0.5"),
-        "da99f12601ad1c7e527b2e0f6ae31042678e7b5af1b8277427d51f6f10df88f6"),
+        "6ab5023b0d43dca75579adbaae6c5811cc79101240554408551dee14acfe6342"),
 }
 
 
@@ -518,26 +518,33 @@ class TestConfigs:
         # An explicit system's report is the same at any BLAS thread count
         # (seen with OpenBLAS at 1 and 2 threads); only the random
         # scenario's Haar draw depends on it, from M * R = 100 up.  So the
-        # systems are drawn once here and written out: (4, 4, 8), M * R =
-        # 128, full rank and rank-deficient, whose zero block of 10 levels
-        # the Gram-Schmidt pass fixes through BLAS dot products, and
+        # random scenario runs as itself at (4, 4, 4), M * R = 64, and the
+        # larger systems are drawn once here and written out: (4, 4, 8),
+        # M * R = 128, full rank and rank-deficient, whose zero block of 10
+        # levels the Gram-Schmidt pass fixes through BLAS dot products, and
         # (3, 3, 30), M * R = 270, whose final state sums 900 reservoir blocks.
         assert np.sum(random_instance(4, 4, 8, seed=1, rank_deficient=True)
                       .rho_ab.decomposition.probabilities <= 1e-12) >= 8
-        for dims, rank_deficient in (((4, 4, 8), False), ((4, 4, 8), True), ((3, 3, 30), False)):
-            path = self._explicit_config(tmp_path, dims=dims, seed=1,
-                                         rank_deficient=rank_deficient)
+
+        def systems():
+            yield "--scenario", "random", "--dims", "4,4,4"
+            for dims, rank_deficient in (((4, 4, 8), False), ((4, 4, 8), True),
+                                         ((3, 3, 30), False)):
+                yield "--config", str(self._explicit_config(tmp_path, dims=dims, seed=1,
+                                                            rank_deficient=rank_deficient))
+
+        for system in systems():
             for command in ("run", "verify"):
                 outputs = []
                 for threads in ("1", "2"):
-                    cmd, env = python_command("-m", "bift.cli", command, "--config", str(path),
+                    cmd, env = python_command("-m", "bift.cli", command, *system,
                                               OPENBLAS_NUM_THREADS=threads,
                                               OMP_NUM_THREADS=threads)
                     proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
                                           timeout=120)
                     assert proc.returncode == 0, proc.stderr
                     outputs.append(proc.stdout)
-                assert outputs[0] == outputs[1], (command, dims, rank_deficient)
+                assert outputs[0] == outputs[1], (command, system)
 
     def test_every_tolerance_is_reported(self, tmp_path):
         # a field beside equality and bound shows in the report,
@@ -1409,9 +1416,9 @@ FUZZ_VALUES = {
     "beta": _either([0.5, 2.0]),
     "seed": _either([0, 7, 2**40]),
     "dims": _either([[2, 2, 2], [3, 3, 3], [1, 2, 3]], st.lists(SCALARS, min_size=3, max_size=3)),
-    "tolerance": _either([0.0, 1e-6], st.dictionaries(
+    "tolerance": _either([0.0, 1e-6, 1e-3, 0.1], st.dictionaries(
         st.sampled_from([f.name for f in dataclasses.fields(DEFAULT_TOL)] + ["equalty"]),
-        SCALARS, max_size=2)),
+        st.one_of(st.sampled_from([1e-3, 0.1]), SCALARS), max_size=2)),
     "rank_deficient": VALUES,
     "emit_tuples": VALUES,
     "system": _either([VALID_SYSTEM], _optional({
@@ -1449,7 +1456,7 @@ FUZZ_FLAG_VALUES = {
     "--beta": ["1", "0.5", "0", "-1", "nan", "inf", "1e308", "1e-310", "x"],
     "--seed": ["0", "7", "-1", "x", str(2**70)],
     "--dims": ["2,2,2", "1,1,2", "1,2,3", "3,3,3", "0,2,2", "2,2", "x", "100000,100000,1"],
-    "--tolerance": ["0", "1e-6", "-1", "nan", "1e308"],
+    "--tolerance": ["0", "1e-6", "1e-3", "0.1", "-1", "nan", "1e308"],
 }
 FUZZ_FLAGS = st.lists(st.one_of(
     st.sampled_from(sorted(FUZZ_FLAG_VALUES)).flatmap(
@@ -1467,12 +1474,18 @@ def test_fuzz_draws_every_config_key():
          flags=[("--scenario", "werner"), ("--p", "0:1:1000000000000000")])
 @example(command="run", flags=[], config={"system": {
     **VALID_SYSTEM, "reservoir": {"energies": [0.0, 1e308], "beta": 1e308}}})
+# forward_factorization reads 1.17e-16 here, which a zero trace tolerance fails
+@example(command="verify", flags=[],
+         config={"scenario": "counterexample", "p": 0.37, "tolerance": {"trace": 0.0}})
 @settings(max_examples=150, deadline=None)
 def test_config_fuzz_exit_contract(tmp_path_factory, command, config, flags):
     """0, 1 or 2 and nothing raised; 2 carries one ``error:`` line (after
     the usage line when argparse rejects the flags), 1 a failed check: a
     ``FAIL`` line (verify), ``"passed": false`` (run), or a complete table
-    (sweep, whose CSV has no pass column)."""
+    (sweep, whose CSV has no pass column).  A valid system exits 1 only
+    on the user's own demand: an equality, bound or trace tolerance below
+    1e-15, an orthonormality tolerance above its default, or
+    ``--corrupt-reverse``."""
     work = tmp_path_factory.mktemp("fuzz")
     (work / "config.json").write_text(json.dumps(config))
     out = work / "out.txt"
@@ -1491,6 +1504,12 @@ def test_config_fuzz_exit_contract(tmp_path_factory, command, config, flags):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         return
     assert code in (0, 1) and err.getvalue() == ""
+    if code == 1:
+        tol, _ = bift.cli.validate_config(
+            bift.cli.merge_config(bift.cli.build_parser().parse_args(argv)), command)
+        assert (min(tol.equality, tol.bound, tol.trace) < 1e-15
+                or tol.orthonormality > DEFAULT_TOL.orthonormality
+                or ("--corrupt-reverse",) in flags), tol
     text = out.read_text()
     if command == "run":
         assert json.loads(text)["passed"] is (code == 0)

@@ -127,7 +127,7 @@ class TestScalarFunctionals:
 class TestAverages:
     def test_average_of_one(self):
         joint = factored_joint(werner_isothermal(0.4).spectra)
-        assert joint.expectation(joint.forward) == pytest.approx(1.0, abs=1e-12)
+        assert joint.expectation(joint.block_sums()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_info_average_is_quantum_mutual_information(self, seed):
@@ -136,7 +136,7 @@ class TestAverages:
         funcs = endpoint_functionals(spectra)
         for side, end, info in (("initial", spectra.initial, funcs.initial.info),
                                 ("final", spectra.final, funcs.final.info)):
-            got = joint.expectation(joint.forward, **{side: info})
+            got = joint.expectation(joint.block_sums(), **{side: info})
             want = (shannon_entropy(end.p_a) + shannon_entropy(end.p_b)
                     - shannon_entropy(end.p_m))
             assert got == pytest.approx(want, abs=1e-10)
@@ -159,14 +159,16 @@ class TestAverages:
         # a functional that explodes off the support must not leak in
         weight_i = spectra.initial.p_m[:, None, None] * spectra.initial.cond
         spiked = np.where(weight_i > 0.0, 1.0, 1e300)
-        assert joint.expectation(joint.forward, initial=spiked) == pytest.approx(1.0, abs=1e-12)
+        forward = joint.block_sums()
+        assert joint.expectation(forward, initial=spiked) == pytest.approx(1.0, abs=1e-12)
         spiked_f = np.where(spectra.final.cond > 0.0, 1.0, 1e300)
-        assert joint.expectation(joint.forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
+        assert joint.expectation(forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
 
     def test_restricted_vs_full_reverse_average(self):
         analysis = evaluate(werner_isothermal(1.0).spectra)
         assert analysis.report.gamma_restricted == pytest.approx(0.25)
-        assert analysis.joint.expectation(analysis.joint.reverse) == pytest.approx(1.0)
+        joint = analysis.joint
+        assert joint.expectation(joint.block_sums(reverse=True)) == pytest.approx(1.0)
 
 
 class TestTupleFunctionals:
@@ -189,11 +191,12 @@ class TestTupleFunctionals:
         assert np.max(np.abs(traj.ft_exponent() - manual)) == 0.0
         # the factors multiply back to the exponential on every tuple
         funcs = endpoint_functionals(spectra)
-        for factors, exponent in ((funcs.ft_factors(), traj.ft_exponent()),
-                                  (funcs.local_factors(), traj.local_exponent()),
-                                  (funcs.classical_factors(), traj.classical_exponent()),
-                                  (funcs.info_factors(), -traj.delta_i)):
-            e_i, e_f, pair = (np.asarray(x, dtype=float) for x in factors)
+        for factors, pair, exponent in (
+                (funcs.ft_factors(), funcs.exp_beta_q, traj.ft_exponent()),
+                (funcs.local_factors(), funcs.exp_beta_q, traj.local_exponent()),
+                (funcs.classical_factors(), funcs.exp_beta_q, traj.classical_exponent()),
+                (funcs.info_factors(), 1.0, -traj.delta_i)):
+            e_i, e_f, pair = (np.asarray(x, dtype=float) for x in (*factors, pair))
             e_i = np.broadcast_to(e_i, spectra.initial.cond.shape)
             e_f = np.broadcast_to(e_f, spectra.final.cond.shape)
             pair = np.broadcast_to(pair, spectra.beta_q.shape)
