@@ -328,7 +328,7 @@ class FactoredJoint:
         return BlockSums(self.initial.p_m, sums, 1.0)
 
     def expectation(self, block: BlockSums, initial=1.0, final=1.0) -> float:
-        """u B v: the tuple-space sum of initial[m,a,b] final[m',a',b'] and
+        """u B v: the tuple-space sum of initial[m,a,b] final[m',a',b'] times
         the pair factor of ``block``, with u[m] = sum_{a,b} |<m|a,b>|^2
         initial[m,a,b] times its start weight, and v likewise.  Each factor
         is a scalar or broadcasts against its endpoint's (M, A, B) table."""

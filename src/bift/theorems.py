@@ -322,7 +322,7 @@ def evaluate(spectra: SystemSpectra,
     joint = factored_joint(spectra)
     funcs = endpoint_functionals(spectra)
 
-    # the forward relations' block sums at e^{beta Q}, the reverse ones' at 1
+    # the relations average over the support; the forward ones carry e^{beta Q}
     forward = joint.block_sums(pair=funcs.exp_beta_q, restricted=True)
     reverse = joint.block_sums(reverse=True, restricted=True)
     info = funcs.info_factors()
