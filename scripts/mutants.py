@@ -60,7 +60,7 @@ MUTANTS = (
            GAUGE_TESTS),
     Mutant("transposed-reverse-kernel", "src/bift/tables.py",
            "reverse_kernel=kernel,",
-           "reverse_kernel=kernel.transpose(2, 3, 0, 1),",
+           "reverse_kernel=kernel.transpose(1, 0, 3, 2),",
            ("tests/test_theorems.py::TestDetailedFT",
             "tests/test_theorems.py::TestIntegralFT")),
     Mutant("support-cut-relative", "src/bift/tables.py",
@@ -92,40 +92,45 @@ MUTANTS = (
            ("tests/test_tables.py::TestOperatorOracle::test_tables_and_final_state",
             "tests/test_tables.py::TestOperatorOracle::test_tables_at_50_digits")),
     Mutant("kernel-blocks-r-swapped", "src/bift/tables.py",
-           "return k.transpose(3, 2, 0, 1)",
-           "return k.transpose(3, 1, 0, 2)",
+           "return k.transpose(3, 0, 2, 1)",
+           "return k.transpose(3, 0, 1, 2)",
            ("tests/test_tables.py::TestOperatorOracle::test_tables_and_final_state",
             "tests/test_tables.py::TestOperatorOracle::test_tables_at_50_digits")),
     Mutant("gamma-unrestricted", "src/bift/theorems.py",
-           "gamma = joint.expectation(reverse)",
-           "gamma = joint.expectation(joint.block_sums(reverse=True))",
+           "gamma = spectra.expectation(reverse)",
+           "gamma = spectra.expectation(spectra.block_sums(reverse=True))",
            ("tests/test_tables.py::TestReverseTable",
             "tests/test_theorems.py::TestIntegralFT")),
     Mutant("integral-unrestricted", "src/bift/theorems.py",
-           "int_lhs = joint.expectation(forward, *funcs.ft_factors())",
-           "int_lhs = joint.expectation(joint.block_sums(pair=funcs.exp_beta_q), "
+           "int_lhs = spectra.expectation(forward, *funcs.ft_factors())",
+           "int_lhs = spectra.expectation(spectra.block_sums(pair=funcs.exp_beta_q), "
            "*funcs.ft_factors())",
            ("tests/test_theorems.py::TestIntegralFT",)),
     Mutant("integral-weight-on-table", "src/bift/theorems.py",
-           "forward = joint.block_sums(pair=funcs.exp_beta_q, restricted=True)",
-           "forward = joint.block_sums()._replace(initial=1.0, sums=np.where("
-           "joint.support, joint.forward * funcs.exp_beta_q, 0.0).sum(axis=(2, 3)))",
+           "forward = spectra.block_sums(pair=funcs.exp_beta_q, restricted=True)",
+           "forward = spectra.block_sums()._replace(initial=1.0, sums=np.where("
+           "spectra.support, spectra.two_point() * funcs.exp_beta_q, 0.0).sum(axis=(2, 3)))",
            ("tests/test_theorems.py::TestFullRankDraws::test_every_check_passes",)),
     Mutant("reverse-rhs-unrestricted", "src/bift/theorems.py",
-           "rev_rhs = joint.expectation(reverse, *info)",
-           "rev_rhs = joint.expectation(joint.block_sums(reverse=True), *info)",
+           "rev_rhs = spectra.expectation(reverse, *info)",
+           "rev_rhs = spectra.expectation(spectra.block_sums(reverse=True), *info)",
            ("tests/test_theorems.py::TestReverseAveragedFT",)),
     Mutant("reverse-lhs-unrestricted", "src/bift/theorems.py",
-           "rev_lhs = joint.expectation(forward, *funcs.local_factors())",
-           "rev_lhs = joint.expectation(joint.block_sums(pair=funcs.exp_beta_q), "
+           "rev_lhs = spectra.expectation(forward, *funcs.local_factors())",
+           "rev_lhs = spectra.expectation(spectra.block_sums(pair=funcs.exp_beta_q), "
            "*funcs.local_factors())",
            ("tests/test_theorems.py::TestIntegralFT::"
             "test_forward_weight_on_an_empty_final_level_leaves_the_support",)),
     Mutant("classical-unrestricted", "src/bift/theorems.py",
-           "classical_lhs = joint.expectation(forward, *funcs.classical_factors())",
-           "classical_lhs = joint.expectation(joint.block_sums(pair=funcs.exp_beta_q), "
+           "classical_lhs = spectra.expectation(forward, *funcs.classical_factors())",
+           "classical_lhs = spectra.expectation(spectra.block_sums(pair=funcs.exp_beta_q), "
            "*funcs.classical_factors())",
            ("tests/test_theorems.py::TestClassicalReduction",)),
+    Mutant("corrupt-reverse-axes", "src/bift/theorems.py",
+           "kernel[m, n, r, s] *= 1.5",
+           "kernel[m, r, n, s] *= 1.5",
+           ("tests/test_theorems.py::TestEdgesAndControls::"
+            "test_random_corruption_scales_one_reverse_kernel_entry",)),
     Mutant("within-strict", "src/bift/theorems.py",
            "return cls(name, value, value <= limit, detail)",
            "return cls(name, value, value < limit, detail)",

@@ -36,7 +36,7 @@ from .linalg import (
 )
 from .reportio import config_hash, decode_complex_matrix, load_config
 from .scenarios import SCENARIOS, Scenario, report_value
-from .tables import FactoredJoint, OutcomeTuple, UnitarySystem, spectra_from_unitary
+from .tables import OutcomeTuple, SystemSpectra, UnitarySystem, spectra_from_unitary
 from .theorems import Analysis, Check, corrupt_reverse, evaluate
 
 SWEEP_COLUMNS = ("p", "delta_i_avg", "ln_gamma", "ln_reverse_avg_exp_di", "bound_gap",
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=cmd_sweep)
     verify = sub.add_parser("verify", parents=[shared], help="run the full invariant suite")
     verify.add_argument("--corrupt-reverse", action="store_true",
-                        help="debug: corrupt the reverse table so the "
-                             "detailed check must fail (negative control)")
+                        help="negative control: scale one entry of the reverse kernel "
+                             "by 1.5 so the detailed check must fail")
     verify.set_defaults(handler=cmd_verify)
     return ap
 
@@ -309,27 +309,26 @@ def core_checks(scenario: Scenario, analysis: Analysis, tol: Tolerances) -> list
 
 
 def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
-    """Structural identities re-derived from the ingredient bundle, on
-    the factored tables."""
+    """Structural identities re-derived from the system's record: its
+    block sums and its two-point table G."""
     s = analysis.spectra
     init = s.initial
-    joint = analysis.joint
+    g = s.two_point()
     checks = []
 
-    forward = joint.block_sums()
+    forward = s.block_sums()
     for name, block in (("forward_normalization", forward),
-                        ("reverse_normalization", joint.block_sums(reverse=True))):
-        checks.append(Check.close(name, joint.expectation(block), 1.0, tol.equality))
+                        ("reverse_normalization", s.block_sums(reverse=True))):
+        checks.append(Check.close(name, s.expectation(block), 1.0, tol.equality))
 
     # Summing the local labels out of the augmented table returns G.
-    sum_i, sum_f = (end.cond.sum(axis=(1, 2)) for end in (init, joint.final))
+    sum_i, sum_f = (end.cond.sum(axis=(1, 2)) for end in (init, s.final))
     outer = sum_i[:, None, None, None] * sum_f[None, :, None, None]
-    checks.append(Check.close("forward_factorization", joint.forward * (outer - 1.0), 0.0,
-                              tol.trace))
+    checks.append(Check.close("forward_factorization", g * (outer - 1.0), 0.0, tol.trace))
 
     # Forward marginal over (m, a, b, r): the conditional weight times the
     # final-side sum of G.
-    w_mr = np.einsum("mnrs,n->mr", joint.forward, sum_f)
+    w_mr = np.einsum("mnrs,n->mr", g, sum_f)
     got = init.cond[:, :, :, None] * w_mr[:, None, None, :]
     want = (init.cond[:, :, :, None]
             * init.p_m[:, None, None, None] * s.p_r[None, None, None, :])
@@ -337,7 +336,7 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     checks.append(Check.close("local_marginal_identity", got.sum(axis=(0, 2, 3)), init.p_a,
                               tol.equality))
 
-    avg_info = joint.expectation(forward, initial=analysis.functionals.initial.info)
+    avg_info = s.expectation(forward, initial=analysis.functionals.initial.info)
     qmi = shannon_entropy(init.p_a) + shannon_entropy(init.p_b) - shannon_entropy(init.p_m)
     checks.append(Check.close("info_avg_is_mutual_information", avg_info, qmi, tol.equality))
 
@@ -348,13 +347,13 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     return checks
 
 
-def dense_table(joint: FactoredJoint, table: np.ndarray) -> np.ndarray:
+def dense_table(spectra: SystemSpectra, table: np.ndarray) -> np.ndarray:
     """The eight-index table table[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2 of
     the global ``table``, as ``--emit-tuples`` writes it: C-ordered, as a
     C-ordered global table makes the product, so the writer reads it flat."""
     return (np.ascontiguousarray(table)[:, None, None, :, None, None, :, :]
-            * joint.initial.cond[:, :, :, None, None, None, None, None]
-            * joint.final.cond[None, None, None, :, :, :, None, None])
+            * spectra.initial.cond[:, :, :, None, None, None, None, None]
+            * spectra.final.cond[None, None, None, :, :, :, None, None])
 
 
 def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analysis,
@@ -373,8 +372,8 @@ def report_document(command: str, cfg: dict, scenario: Scenario, analysis: Analy
         "passed": all(c.passed for c in checks),
     }
     if cfg.get("emit_tuples", False):
-        joint = analysis.joint
-        forward, reverse = (dense_table(joint, table) for table in (joint.forward, joint.reverse))
+        s = analysis.spectra
+        forward, reverse = (dense_table(s, s.two_point(reverse)) for reverse in (False, True))
         doc["tables"] = {"axes": list(OutcomeTuple._fields), "dims": list(forward.shape),
                          "forward": forward, "reverse": reverse}
     return doc

@@ -63,7 +63,7 @@ class EndpointFunctionals:
 
     so each exponential entering the relations is a product of an
     initial, a final and a reservoir-pair factor.  The ``*_factors``
-    methods return the first two, for ``FactoredJoint.expectation``; the
+    methods return the first two, for ``SystemSpectra.expectation``; the
     pair factor (``exp_beta_q``, 1 for ``info_factors``) enters the block sums.
     The factors are formed from the probabilities themselves -- ``local``
     is p_a p_b and ``*_ratio`` the ratio whose log is the content, each

@@ -116,9 +116,9 @@ def _werner_spectrum(p: float) -> np.ndarray:
 
 
 def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
-    kernel = np.zeros((4, 1, 4, 1))
+    kernel = np.zeros((4, 4, 1, 1))
     kernel[:, 0, 0, 0] = 1.0                  # every m relaxes to the final ground state
-    reverse_kernel = np.full((4, 1, 4, 1), 0.25)  # re-expansion is uniform over m
+    reverse_kernel = np.full((4, 4, 1, 1), 0.25)  # re-expansion is uniform over m
 
     return spectra_from_analytic(SystemSpectra(
         # initial basis is the Bell basis, final basis the product basis

@@ -1,5 +1,5 @@
-"""Forward and time-reversed joint outcome tables for the two-point
-measurement of an open bipartite system.
+"""The record of an open bipartite system under the two-point
+measurement, and the forward and time-reversed tables read from it.
 
 The protocol measures only the global AB eigenbasis and the reservoir
 energy basis at both endpoints; local A/B outcome labels are attached
@@ -9,17 +9,17 @@ final measurement point, has the weight
 
     p[m,a,b,m',a',b',r,r'] = G[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2,
 
-and ``factored_joint`` builds the tables in this form: the two-point
-table ``G``, the time-reversed ``G_rev`` on the *same* axes (entry
-[m,m',r,r'] holds the reverse weight of the trajectory that runs
-m' -> m), both kernels on these axes and the two endpoints.  Every
-average over the tuple space is u B v (``FactoredJoint.expectation``),
-with B[m, m'] a kernel summed over the reservoir pair.  This module never
-forms an eight-index table; ``bift.cli.dense_table`` does, for
-``--emit-tuples``.
+with G = K p_m p_r the two-point table of the forward kernel K.
+``SystemSpectra`` is the one record of a system: both kernels on the
+axes [m, m', r, r'] (the reverse kernel's entry [m, m', r, r'] belongs to
+the reversed trajectory m' -> m), p_r and the two endpoints.  Every
+average over the tuple space is u B v (``SystemSpectra.expectation``),
+with B[m, m'] a kernel summed over the reservoir pair.
+``SystemSpectra.two_point`` forms G or G_rev when a caller asks; this
+module never forms an eight-index table, ``bift.cli.dense_table`` does,
+for ``--emit-tuples``.
 
-Every table is built from one bundle of ingredients (``SystemSpectra``),
-which comes from one of two routes:
+A ``SystemSpectra`` comes from one of two routes:
 
 * ``spectra_from_unitary`` -- an explicit global propagator on AB (x) R
   (``UnitarySystem``); the initial decomposition is the one attached to
@@ -94,26 +94,73 @@ class Endpoint:
         return np.einsum("m,mab->ab", self.p_m, self.cond)
 
 
+class BlockSums(NamedTuple):
+    """A process's block sums and the AB start weights that
+    ``SystemSpectra.expectation`` puts into its endpoint vectors."""
+
+    initial: np.ndarray | float      # p_m forward, 1.0 reversed
+    sums: np.ndarray                 # B [m, m']
+    final: np.ndarray | float        # 1.0 forward, p'_m' reversed
+
+
 @dataclass(frozen=True)
 class SystemSpectra:
-    """Everything the tuple-space machinery needs, route-independent:
-    built by :func:`spectra_from_unitary`, or injected directly and
-    checked by :func:`spectra_from_analytic`.
+    """The one record of a system, route-independent: built by
+    :func:`spectra_from_unitary`, or injected directly and checked by
+    :func:`spectra_from_analytic`.
 
-    Kernels are *conditional* transition probabilities.  ``kernel`` has
-    axes [m, r, m', r'] with rows (m, r) summing to 1;
-    ``reverse_kernel`` is aligned to the same axes, i.e. entry
-    [m, r, m', r'] is the probability that the reversed process starting
-    from (m', r') lands on (m, r).  ``beta_q`` holds the dimensionless
-    heat exponent per (r, r') pair.
+    Kernels are *conditional* transition probabilities on the axes
+    [m, m', r, r'].  ``kernel`` rows (m, r) sum to 1 over (m', r');
+    ``reverse_kernel`` entry [m, m', r, r'] is the probability that the
+    reversed process starting from (m', r') lands on (m, r).  ``beta_q``
+    holds the dimensionless heat exponent per (r, r') pair.
     """
 
     initial: Endpoint
     final: Endpoint               # its cond is indexed [m', a', b']
     p_r: np.ndarray               # reservoir Gibbs state, initial for both processes
-    kernel: np.ndarray
-    reverse_kernel: np.ndarray
+    kernel: np.ndarray            # K [m, m', r, r']
+    reverse_kernel: np.ndarray    # K_rev on the same axes
     beta_q: np.ndarray            # [r, r']
+
+    @property
+    def support(self) -> np.ndarray:
+        """bool [m, m', r, 1]: the blocks whose initial weights p_m and p_r
+        and final weight p'_m' are positive.  A forward trajectory that ends
+        on an empty final level has no reversed counterpart."""
+        p_m, p_mf = self.initial.p_m, self.final.p_m
+        return ((p_m > 0.0)[:, None, None] & (p_mf > 0.0)[None, :, None]
+                & (self.p_r > 0.0)[None, None, :])[:, :, :, None]
+
+    def two_point(self, reverse: bool = False) -> np.ndarray:
+        """The two-point table G = K p_m p_r, or with ``reverse`` the
+        reversed process's G_rev = K_rev p'_m' p_r', started from the final
+        AB spectrum and the same Gibbs state; both on [m, m', r, r']."""
+        if reverse:
+            return (self.reverse_kernel * self.final.p_m[None, :, None, None]
+                    * self.p_r[None, None, None, :])
+        return self.kernel * self.initial.p_m[:, None, None, None] * self.p_r[None, None, :, None]
+
+    def block_sums(self, reverse: bool = False, pair=1.0, restricted: bool = False) -> BlockSums:
+        """B[m, m'] = sum_{r,r'} K w pair[r, r'], over the support when
+        ``restricted``: K the forward kernel and w = p_r, or with ``reverse``
+        K_rev and w = p_r'.  w pair is formed first, so p_r e^{beta Q} (p_r'
+        for Gibbs weights) never passes through a subnormal p_m p_r."""
+        weight = self.p_r[None, :] if reverse else self.p_r[:, None]
+        terms = (self.reverse_kernel if reverse else self.kernel) * (weight * pair)
+        sums = (np.where(self.support, terms, 0.0) if restricted else terms).sum(axis=(2, 3))
+        if reverse:
+            return BlockSums(1.0, sums, self.final.p_m)
+        return BlockSums(self.initial.p_m, sums, 1.0)
+
+    def expectation(self, block: BlockSums, initial=1.0, final=1.0) -> float:
+        """u B v: the tuple-space sum of initial[m,a,b] final[m',a',b'] times
+        the pair factor of ``block``, with u[m] = sum_{a,b} |<m|a,b>|^2
+        initial[m,a,b] times its start weight, and v likewise.  Each factor
+        is a scalar or broadcasts against its endpoint's (M, A, B) table."""
+        u = (self.initial.cond * initial).sum(axis=(1, 2)) * block.initial
+        v = (self.final.cond * final).sum(axis=(1, 2)) * block.final
+        return float((u[:, None] * block.sums * v[None, :]).sum())
 
 
 @dataclass(frozen=True)
@@ -155,14 +202,16 @@ def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int
 
 def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
                       dim_r: int, unitary: np.ndarray) -> np.ndarray:
-    """|<m',r'| U |m,r>|^2 as an array [m, r, m', r'].
+    """|<m',r'| U |m,r>|^2 as an array [m, m', r, r'].
 
     Reservoir kets are computational-basis vectors at both endpoints, so
     each amplitude is <m'| U_{r'r} |m>, with U_{r'r} = <r'|U|r> an AB
     block; all of them come from (V'^dag U) V as two single products.
     Because overlap moduli are invariant under the antiunitary time
     reversal, the same array also gives |<m,r| U^dag |m',r'>|^2, i.e. the
-    reversed-process kernel aligned to forward axes.
+    reversed-process kernel aligned to forward axes.  The array is a
+    transposed view of the product's buffer, not a C-order copy: the
+    block sums reduce in its memory order.
     """
     d_ab, d_mi = initial_vectors.shape
     d_mf = final_vectors.shape[1]
@@ -170,7 +219,7 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
     left = left.reshape(d_mf * dim_r, d_ab, dim_r).transpose(0, 2, 1)
     amp = left.reshape(-1, d_ab) @ initial_vectors              # [(m', r', r), m]
     k = (np.abs(amp) ** 2).reshape(d_mf, dim_r, dim_r, d_mi)
-    return k.transpose(3, 2, 0, 1)
+    return k.transpose(3, 0, 2, 1)
 
 
 def _check_heat_exponents(beta_q: np.ndarray) -> np.ndarray:
@@ -274,13 +323,13 @@ def spectra_from_analytic(spectra: SystemSpectra,
 
     initial, final = endpoint(spectra.initial, "initial"), endpoint(spectra.final, "final")
     p_r = np.clip(distribution(spectra.p_r, (d_r,), "p_r"), 0.0, None)
-    shape = (d_m, d_r, d_m, d_r)
-    kernel = distribution(spectra.kernel, shape, "forward kernel", axes=(2, 3))
-    rkernel = distribution(spectra.reverse_kernel, shape, "reverse kernel", axes=(0, 1))
+    shape = (d_m, d_m, d_r, d_r)
+    kernel = distribution(spectra.kernel, shape, "forward kernel", axes=(1, 3))
+    rkernel = distribution(spectra.reverse_kernel, shape, "reverse kernel", axes=(0, 2))
 
     # Final-state consistency: the forward process must land on the
     # attached final spectrum (there is no propagator to guarantee it).
-    image = np.einsum("m,r,mrns->n", initial.p_m, p_r, kernel)
+    image = np.einsum("m,r,mnrs->n", initial.p_m, p_r, kernel)
     if np.max(np.abs(image - final.p_m)) > tol.equality:
         raise ConsistencyError("forward kernel image disagrees with final spectrum")
 
@@ -290,70 +339,3 @@ def spectra_from_analytic(spectra: SystemSpectra,
 
     return SystemSpectra(initial=initial, final=final, p_r=p_r, kernel=kernel,
                          reverse_kernel=rkernel, beta_q=_check_heat_exponents(beta_q))
-
-
-class BlockSums(NamedTuple):
-    """A process's block sums and the AB start weights that
-    ``FactoredJoint.expectation`` puts into its endpoint vectors."""
-
-    initial: np.ndarray | float      # p_m forward, 1.0 reversed
-    sums: np.ndarray                 # B [m, m']
-    final: np.ndarray | float        # 1.0 forward, p'_m' reversed
-
-
-@dataclass(frozen=True)
-class FactoredJoint:
-    """Forward and time-reversed joint distributions in the factored form
-    of the module docstring, with the support mask."""
-
-    forward: np.ndarray              # G [m, m', r, r']
-    reverse: np.ndarray              # G_rev on forward-aligned axes
-    kernel: np.ndarray               # K [m, m', r, r']
-    reverse_kernel: np.ndarray       # K_rev on the same axes
-    p_r: np.ndarray
-    initial: Endpoint
-    final: Endpoint
-    support: np.ndarray              # bool [m, m', r, 1]: p_m > 0, p'_m' > 0 and p_r > 0
-
-    def block_sums(self, reverse: bool = False, pair=1.0, restricted: bool = False) -> BlockSums:
-        """B[m, m'] = sum_{r,r'} K w pair[r, r'], over the support when
-        ``restricted``: K the forward kernel and w = p_r, or with ``reverse``
-        K_rev and w = p_r'.  w pair is formed first, so p_r e^{beta Q} (p_r'
-        for Gibbs weights) never passes through a subnormal p_m p_r."""
-        weight = self.p_r[None, :] if reverse else self.p_r[:, None]
-        terms = (self.reverse_kernel if reverse else self.kernel) * (weight * pair)
-        sums = (np.where(self.support, terms, 0.0) if restricted else terms).sum(axis=(2, 3))
-        if reverse:
-            return BlockSums(1.0, sums, self.final.p_m)
-        return BlockSums(self.initial.p_m, sums, 1.0)
-
-    def expectation(self, block: BlockSums, initial=1.0, final=1.0) -> float:
-        """u B v: the tuple-space sum of initial[m,a,b] final[m',a',b'] times
-        the pair factor of ``block``, with u[m] = sum_{a,b} |<m|a,b>|^2
-        initial[m,a,b] times its start weight, and v likewise.  Each factor
-        is a scalar or broadcasts against its endpoint's (M, A, B) table."""
-        u = (self.initial.cond * initial).sum(axis=(1, 2)) * block.initial
-        v = (self.final.cond * final).sum(axis=(1, 2)) * block.final
-        return float((u[:, None] * block.sums * v[None, :]).sum())
-
-
-def factored_joint(spectra: SystemSpectra) -> FactoredJoint:
-    """Both joint distributions of ``spectra`` in factored form.
-
-    ``forward`` is the two-point table G = K p_m p_r as [m, m', r, r'];
-    ``reverse`` is the reversed process's table on the same axes, started
-    from the final AB spectrum and the same reservoir Gibbs state p_r.
-    The support holds the blocks whose initial weights p_m and p_r and
-    final weight p'_m' are positive: a forward trajectory that ends on an
-    empty final level has no reversed counterpart.
-    """
-    p_m, p_mf, p_r = spectra.initial.p_m, spectra.final.p_m, spectra.p_r
-    kernel, rkernel = (k.transpose(0, 2, 1, 3) for k in (spectra.kernel, spectra.reverse_kernel))
-    return FactoredJoint(
-        forward=kernel * p_m[:, None, None, None] * p_r[None, None, :, None],
-        reverse=rkernel * p_mf[None, :, None, None] * p_r[None, None, None, :],
-        kernel=kernel, reverse_kernel=rkernel, p_r=p_r,
-        initial=spectra.initial,
-        final=spectra.final,
-        support=((p_m > 0.0)[:, None, None] & (p_mf > 0.0)[None, :, None]
-                 & (p_r > 0.0)[None, None, :])[:, :, :, None])

@@ -1,6 +1,6 @@
 """Fluctuation-theorem equalities and thermodynamic inequalities.
 
-Given the forward and time-reversed joint tables and the per-trajectory
+Given a system's record (``tables.SystemSpectra``) and the per-trajectory
 functionals, this module checks, trajectory by trajectory and on
 average:
 
@@ -17,11 +17,12 @@ average:
 
 The integral, reverse-averaged and classical relations average over the
 support, as gamma does: the blocks [m, m', r, r'] whose p_m, p'_m' and p_r
-are positive (``FactoredJoint.support``).
+are positive (``SystemSpectra.support``).
 
 Every average is one u B v of the block sums B of a kernel
-(``tables.FactoredJoint``) with the per-endpoint functionals
-(``functionals.EndpointFunctionals``); no eight-index table is built.
+(``SystemSpectra.block_sums``) with the per-endpoint functionals
+(``functionals.EndpointFunctionals``); neither G, G_rev nor an
+eight-index table is built.
 
 The detailed relation p_rev/p_fwd = e^{beta Q} E_i[m,a,b] E_f[m',a',b'] is
 checked as the quotient of its sides on the trajectories of the support
@@ -57,7 +58,7 @@ import numpy as np
 
 from .functionals import EndpointFunctionals, endpoint_functionals, or_one
 from .linalg import DEFAULT_TOL, Tolerances
-from .tables import FactoredJoint, OutcomeTuple, SystemSpectra, factored_joint
+from .tables import OutcomeTuple, SystemSpectra
 
 NEG_INF = float("-inf")
 
@@ -164,13 +165,12 @@ class FTReport:
 
 @dataclass(frozen=True)
 class Analysis:
-    """A system run end to end: ingredient bundle, both joint tables in
-    factored form, the per-endpoint functionals and the assembled report.
-    Nothing here holds an eight-index table; only the report's
-    ``--emit-tuples`` path forms them."""
+    """A system run end to end: its record, the per-endpoint functionals
+    and the assembled report.  Nothing here holds G, G_rev or an
+    eight-index table; ``SystemSpectra.two_point`` forms the two-point
+    tables for the callers that read them."""
 
     spectra: SystemSpectra
-    joint: FactoredJoint
     functionals: EndpointFunctionals
     report: FTReport
 
@@ -188,20 +188,20 @@ def _residual(ratio, x_i, y_f):
     return np.abs(ratio * (x_i * y_f) - 1.0)
 
 
-def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals):
+def detailed_ft_check(spectra: SystemSpectra, funcs: EndpointFunctionals):
     """Max over the supported trajectories of
     | (p_rev/p_fwd) / exp(-ds_A - ds_B + dI + beta Q) - 1 |
     in the factored form of the module docstring, together with the
     trajectory attaining it.  Costs O(M^2 R^2 + M A B)."""
-    sup_i, sup_f = joint.initial.cond > 0.0, joint.final.cond > 0.0   # no row is empty
-    block = joint.support & (joint.kernel > 0.0)
+    sup_i, sup_f = spectra.initial.cond > 0.0, spectra.final.cond > 0.0   # no row is empty
+    block = spectra.support & (spectra.kernel > 0.0)
     if not block.any():
         return 0.0, None
     (e_i, e_f), pair = funcs.ft_factors(), funcs.exp_beta_q     # (M, A, B) twice, (R, R)
-    ratio = (np.where(block, joint.reverse_kernel / np.where(block, joint.kernel, 1.0), 0.0)
-             * (joint.p_r[None, :] / (or_one(joint.p_r)[:, None] * pair)))
-    x_i = 1.0 / (or_one(joint.initial.p_m)[:, None, None] * e_i)
-    y_f = or_one(joint.final.p_m)[:, None, None] / e_f
+    ratio = (np.where(block, spectra.reverse_kernel / np.where(block, spectra.kernel, 1.0), 0.0)
+             * (spectra.p_r[None, :] / (or_one(spectra.p_r)[:, None] * pair)))
+    x_i = 1.0 / (or_one(spectra.initial.p_m)[:, None, None] * e_i)
+    y_f = or_one(spectra.final.p_m)[:, None, None] / e_f
     per_block = _residual(ratio, _extremes(x_i, sup_i)[:, :, None, None, None],
                           _extremes(y_f, sup_f)[:, None, :, None, None]).max(axis=0)
     per_block = np.where(block, per_block, -1.0)
@@ -223,12 +223,12 @@ def detailed_ft_check(joint: FactoredJoint, funcs: EndpointFunctionals):
     return worst, OutcomeTuple(m, a, b, *(int(x[first]) for x in order))
 
 
-def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averages:
+def forward_averages(spectra: SystemSpectra, funcs: EndpointFunctionals) -> Averages:
     """Forward averages of the five functionals, endpoint part by part."""
-    forward = joint.block_sums()
+    forward = spectra.block_sums()
 
     def mean(**factor):
-        return joint.expectation(forward, **factor)
+        return spectra.expectation(forward, **factor)
 
     i, f = funcs.initial, funcs.final
     return Averages(
@@ -236,7 +236,7 @@ def forward_averages(joint: FactoredJoint, funcs: EndpointFunctionals) -> Averag
         delta_s_b=mean(initial=i.l_pb[None, None, :]) - mean(final=f.l_pb[None, None, :]),
         delta_i=mean(final=f.info) - mean(initial=i.info),
         delta_j=mean(final=f.classical[None]) - mean(initial=i.classical[None]),
-        beta_q=joint.expectation(joint.block_sums(pair=funcs.beta_q)),
+        beta_q=spectra.expectation(spectra.block_sums(pair=funcs.beta_q)),
     )
 
 
@@ -304,40 +304,40 @@ def inequality_suite(averages: Averages, gamma: float, ln_gamma: float, ln_rev: 
 
 
 def corrupt_reverse(spectra: SystemSpectra) -> SystemSpectra:
-    """Negative-control helper: scale by 1.5 the reverse-kernel entry
-    under the largest entry of the global reverse table (the first in C
-    order), so the detailed relation must fail.  Debug use only."""
-    reverse = factored_joint(spectra).reverse
+    """The negative control of ``verify --corrupt-reverse``: ``spectra``
+    with one reverse-kernel entry scaled by 1.5, the one under the largest
+    entry of G_rev (the first in C order), so the detailed relation must
+    fail there."""
+    reverse = spectra.two_point(reverse=True)
     m, n, r, s = np.unravel_index(int(np.argmax(reverse)), reverse.shape)
     kernel = spectra.reverse_kernel.copy()
-    kernel[m, r, n, s] *= 1.5
+    kernel[m, n, r, s] *= 1.5
     return replace(spectra, reverse_kernel=kernel)
 
 
 def evaluate(spectra: SystemSpectra,
              work_inputs: WorkInputs | None = None,
              tol: Tolerances = DEFAULT_TOL) -> Analysis:
-    """Run a system through the factored tables, the functionals and
-    every check."""
-    joint = factored_joint(spectra)
+    """Run a system through its block sums, the functionals and every
+    check."""
     funcs = endpoint_functionals(spectra)
 
     # the relations average over the support; the forward ones carry e^{beta Q}
-    forward = joint.block_sums(pair=funcs.exp_beta_q, restricted=True)
-    reverse = joint.block_sums(reverse=True, restricted=True)
+    forward = spectra.block_sums(pair=funcs.exp_beta_q, restricted=True)
+    reverse = spectra.block_sums(reverse=True, restricted=True)
     info = funcs.info_factors()
 
-    gamma = joint.expectation(reverse)
-    int_lhs = joint.expectation(forward, *funcs.ft_factors())
-    rev_lhs = joint.expectation(forward, *funcs.local_factors())
-    rev_rhs = joint.expectation(reverse, *info)
-    rev_full = joint.expectation(joint.block_sums(reverse=True), *info)
-    detail_resid, detail_worst = detailed_ft_check(joint, funcs)
-    averages = forward_averages(joint, funcs)
+    gamma = spectra.expectation(reverse)
+    int_lhs = spectra.expectation(forward, *funcs.ft_factors())
+    rev_lhs = spectra.expectation(forward, *funcs.local_factors())
+    rev_rhs = spectra.expectation(reverse, *info)
+    rev_full = spectra.expectation(spectra.block_sums(reverse=True), *info)
+    detail_resid, detail_worst = detailed_ft_check(spectra, funcs)
+    averages = forward_averages(spectra, funcs)
 
     classical_lhs = None
     if product_bases(spectra, tol):
-        classical_lhs = joint.expectation(forward, *funcs.classical_factors())
+        classical_lhs = spectra.expectation(forward, *funcs.classical_factors())
 
     ln_gamma, ln_rev = ln_or_neg_inf(gamma), ln_or_neg_inf(rev_rhs)
     bounds = inequality_suite(averages, gamma, ln_gamma, ln_rev, classical_lhs, work_inputs, tol)
@@ -355,4 +355,4 @@ def evaluate(spectra: SystemSpectra,
         averages=averages,
         bounds=bounds,
     )
-    return Analysis(spectra, joint, funcs, report)
+    return Analysis(spectra, funcs, report)

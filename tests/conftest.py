@@ -38,7 +38,6 @@ from bift.tables import (
     OutcomeTuple,
     SystemSpectra,
     UnitarySystem,
-    factored_joint,
     spectra_from_analytic,
 )
 from bift.theorems import (
@@ -296,7 +295,7 @@ def oracle_counterexample_spectra(p: float):
     eigenvalues (1+3p)/4, (1-p)/4, (1-p)/4, (1-p)/4."""
     p_m = np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
     local = np.array([(1.0 + p) / 2.0, (1.0 - p) / 2.0])
-    kernel = np.eye(4).reshape(4, 1, 4, 1)          # adiabatic: each level follows itself
+    kernel = np.eye(4).reshape(4, 4, 1, 1)          # adiabatic: each level follows itself
     return spectra_from_analytic(SystemSpectra(
         initial=Endpoint(p_m=p_m, p_a=local, p_b=local.copy(),
                          cond=np.eye(4).reshape(4, 2, 2)),
@@ -338,11 +337,11 @@ def oracle_loop_tables(spectra) -> tuple[np.ndarray, np.ndarray]:
                             for r in range(d_r):
                                 for rf in range(d_r):
                                     at = m, a, b, mf, af, bf, r, rf
-                                    forward[at] = (spectra.kernel[m, r, mf, rf]
+                                    forward[at] = (spectra.kernel[m, mf, r, rf]
                                                    * spectra.initial.p_m[m] * spectra.p_r[r]
                                                    * spectra.initial.cond[m, a, b]
                                                    * spectra.final.cond[mf, af, bf])
-                                    reverse[at] = (spectra.reverse_kernel[m, r, mf, rf]
+                                    reverse[at] = (spectra.reverse_kernel[m, mf, r, rf]
                                                    * spectra.final.p_m[mf] * spectra.p_r[rf]
                                                    * spectra.initial.cond[m, a, b]
                                                    * spectra.final.cond[mf, af, bf])
@@ -489,23 +488,22 @@ def dense_support(spectra) -> np.ndarray:
             & (spectra.p_r > 0.0)[None, None, None, None, None, None, :, None])
 
 
-def dense_view(joint, table) -> np.ndarray:
-    """The dense oracle of a factored table: the eight-index table of the
-    global ``table`` of ``joint``, with both conditional weights attached,
+def dense_view(spectra, table) -> np.ndarray:
+    """The dense oracle of a two-point table: the eight-index table of the
+    global ``table`` of ``spectra``, with both conditional weights attached,
 
         p[m,a,b,m',a',b',r,r'] = table[m,m',r,r'] |<m|a,b>|^2 |<m'|a',b'>|^2.
     """
     return (table[:, None, None, :, None, None, :, :]
-            * joint.initial.cond[:, :, :, None, None, None, None, None]
-            * joint.final.cond[None, None, None, :, :, :, None, None])
+            * spectra.initial.cond[:, :, :, None, None, None, None, None]
+            * spectra.final.cond[None, None, None, :, :, :, None, None])
 
 
 def dense_tables(spectra, reverse_global=None):
     """(forward, reverse) eight-index distributions; ``reverse_global``
     replaces the reverse two-point table (e.g. a corrupted one)."""
-    joint = factored_joint(spectra)
-    reverse = joint.reverse if reverse_global is None else reverse_global
-    return dense_view(joint, joint.forward), dense_view(joint, reverse)
+    reverse = spectra.two_point(reverse=True) if reverse_global is None else reverse_global
+    return dense_view(spectra, spectra.two_point()), dense_view(spectra, reverse)
 
 
 def log_or_zero(p) -> np.ndarray:
@@ -642,7 +640,7 @@ def dense_invariant_values(spectra, forward, reverse) -> dict:
         "forward_normalization": abs(float(forward.sum()) - 1.0),
         "reverse_normalization": abs(float(reverse.sum()) - 1.0),
         "forward_factorization": float(np.max(np.abs(
-            g - (s.kernel.transpose(0, 2, 1, 3) * ini.p_m[:, None, None, None]
+            g - (s.kernel * ini.p_m[:, None, None, None]
                  * s.p_r[None, None, :, None])))),
         "initial_marginal_identity": float(np.max(np.abs(
             forward.sum(axis=(3, 4, 5, 7)) - want))),

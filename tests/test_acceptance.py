@@ -140,8 +140,8 @@ def test_criterion_7_random_instance_battery():
             spectra = spectra_from_unitary(system)
             analysis = evaluate(spectra)
             rep = analysis.report
-            joint = analysis.joint
-            forward, reverse = dense_view(joint, joint.forward), dense_view(joint, joint.reverse)
+            forward, reverse = (dense_view(spectra, spectra.two_point(reverse))
+                                for reverse in (False, True))
             gammas.append(rep.gamma_restricted)
             worst["detailed"] = max(worst["detailed"], rep.detailed_max_residual)
             worst["integral"] = max(worst["integral"],

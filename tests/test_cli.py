@@ -30,7 +30,7 @@ from bift.scenarios import (
     random_instance,
     werner_isothermal,
 )
-from bift.tables import OutcomeTuple, factored_joint, spectra_from_unitary
+from bift.tables import OutcomeTuple, spectra_from_unitary
 from bift.theorems import BoundRecord, FTReport, corrupt_reverse, evaluate
 
 from conftest import (
@@ -405,7 +405,7 @@ class TestVerify:
         analysis = evaluate_scenario(werner_isothermal(0.5))
         spectra = replace_endpoint(analysis.spectra, "initial",
                                    cond=analysis.spectra.initial.cond * (1 + 1e-10))
-        bent = dataclasses.replace(analysis, spectra=spectra, joint=factored_joint(spectra))
+        bent = dataclasses.replace(analysis, spectra=spectra)
 
         def passed(tol):
             (check,) = [c for c in invariant_checks(bent, tol) if c.name == "forward_factorization"]
@@ -444,9 +444,9 @@ class TestDenseTables:
         built = []
         dense = bift.cli.dense_table
 
-        def counted(joint, table):
+        def counted(spectra, table):
             built.append(table.shape)
-            return dense(joint, table)
+            return dense(spectra, table)
 
         monkeypatch.setattr(bift.cli, "dense_table", counted)
         code, _ = run_cli(tmp_path, "run", "--scenario", "random", "--dims", "2,2,2",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bift.functionals import endpoint_functionals, shannon_entropy
 from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
-from bift.tables import UnitarySystem, factored_joint, spectra_from_unitary
+from bift.tables import UnitarySystem, spectra_from_unitary
 from bift.theorems import evaluate, forward_averages
 
 from conftest import (
@@ -126,17 +126,16 @@ class TestScalarFunctionals:
 
 class TestAverages:
     def test_average_of_one(self):
-        joint = factored_joint(werner_isothermal(0.4).spectra)
-        assert joint.expectation(joint.block_sums()) == pytest.approx(1.0, abs=1e-12)
+        spectra = werner_isothermal(0.4).spectra
+        assert spectra.expectation(spectra.block_sums()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_info_average_is_quantum_mutual_information(self, seed):
         spectra = spectra_from_unitary(random_instance(2, 3, 2, seed))
-        joint = factored_joint(spectra)
         funcs = endpoint_functionals(spectra)
         for side, end, info in (("initial", spectra.initial, funcs.initial.info),
                                 ("final", spectra.final, funcs.final.info)):
-            got = joint.expectation(joint.block_sums(), **{side: info})
+            got = spectra.expectation(spectra.block_sums(), **{side: info})
             want = (shannon_entropy(end.p_a) + shannon_entropy(end.p_b)
                     - shannon_entropy(end.p_m))
             assert got == pytest.approx(want, abs=1e-10)
@@ -144,7 +143,7 @@ class TestAverages:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_classical_average_is_shannon_mutual_information(self, seed):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, seed))
-        averages = forward_averages(factored_joint(spectra), endpoint_functionals(spectra))
+        averages = forward_averages(spectra, endpoint_functionals(spectra))
         # delta_j averages to MI(final joint) - MI(initial joint)
         def mi(end):
             return (shannon_entropy(end.p_a) + shannon_entropy(end.p_b)
@@ -155,20 +154,19 @@ class TestAverages:
 
     def test_zero_weight_tuples_contribute_nothing(self):
         spectra = werner_isothermal(1.0).spectra
-        joint = factored_joint(spectra)
         # a functional that explodes off the support must not leak in
         weight_i = spectra.initial.p_m[:, None, None] * spectra.initial.cond
         spiked = np.where(weight_i > 0.0, 1.0, 1e300)
-        forward = joint.block_sums()
-        assert joint.expectation(forward, initial=spiked) == pytest.approx(1.0, abs=1e-12)
+        forward = spectra.block_sums()
+        assert spectra.expectation(forward, initial=spiked) == pytest.approx(1.0, abs=1e-12)
         spiked_f = np.where(spectra.final.cond > 0.0, 1.0, 1e300)
-        assert joint.expectation(forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
+        assert spectra.expectation(forward, final=spiked_f) == pytest.approx(1.0, abs=1e-12)
 
     def test_restricted_vs_full_reverse_average(self):
         analysis = evaluate(werner_isothermal(1.0).spectra)
         assert analysis.report.gamma_restricted == pytest.approx(0.25)
-        joint = analysis.joint
-        assert joint.expectation(joint.block_sums(reverse=True)) == pytest.approx(1.0)
+        spectra = analysis.spectra
+        assert spectra.expectation(spectra.block_sums(reverse=True)) == pytest.approx(1.0)
 
 
 class TestTupleFunctionals:

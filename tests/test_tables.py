@@ -22,11 +22,11 @@ from bift.scenarios import (
     bell_adiabatic_counterexample,
     bell_basis,
     random_instance,
+    random_scenario,
 )
 from bift.tables import (
     UnitarySystem,
     conditional_table,
-    factored_joint,
     spectra_from_analytic,
     spectra_from_unitary,
 )
@@ -81,12 +81,12 @@ class TestConditionalLocal:
 
 
 class TestGlobalTmpJoint:
-    """The global two-point table p_{m,m';r,r'} (``factored_joint(s).forward``)."""
+    """The global two-point table p_{m,m';r,r'} (``SystemSpectra.two_point``)."""
 
     def test_identity_propagator_delta_structure(self, rng):
         system = random_instance(2, 2, 2, seed=5)
         system = dataclasses.replace(system, unitary=np.eye(8, dtype=complex))
-        table = factored_joint(spectra_from_unitary(system)).forward
+        table = spectra_from_unitary(system).two_point()
         # with U = I the endpoint bases coincide, so the kernel part is
         # the identity permutation on (m, r)
         for m in range(4):
@@ -105,7 +105,7 @@ class TestGlobalTmpJoint:
             for b in range(2):
                 swap[2 * b + a, 2 * a + b] = 1.0
         system = UnitarySystem(2, 2, rho, ReservoirSpec((0.0,), 1.0), swap.astype(complex))
-        got = factored_joint(spectra_from_unitary(system)).forward
+        got = spectra_from_unitary(system).two_point()
         # oracle: explicit enumeration over the 4x4 outcome pairs;
         # eigenvalues sort descending so eigenvector k is computational
         # state order[k]
@@ -123,7 +123,7 @@ class TestGlobalTmpJoint:
         assert np.max(np.abs(got - oracle)) < 1e-14
 
     def test_sums_to_one(self, rng):
-        table = factored_joint(spectra_from_unitary(random_instance(2, 3, 2, seed=9))).forward
+        table = spectra_from_unitary(random_instance(2, 3, 2, seed=9)).two_point()
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -160,9 +160,9 @@ class TestOperatorOracle:
         # neither the kernel nor ``transition_kernel``
         system = ORACLE_SYSTEMS[name]()
         spectra = spectra_from_unitary(system)
-        joint = factored_joint(spectra)
         forward, reverse = oracle_two_point_tables(system)
-        for got, want in ((joint.forward, forward), (joint.reverse, reverse)):
+        for got, want in ((spectra.two_point(), forward),
+                          (spectra.two_point(reverse=True), reverse)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # the final state, through its spectrum and those of its two marginals
         d_a, d_b = system.dim_a, system.dim_b
@@ -178,9 +178,10 @@ class TestOperatorOracle:
         # an oracle that calls no bift code, on spectra without degenerate
         # levels: every entry of both tables to 1e-12 of its own size
         system = random_instance(*dims, seed=seed)
-        joint = factored_joint(spectra_from_unitary(system))
+        spectra = spectra_from_unitary(system)
         forward, reverse = oracle_two_point_tables_50_digits(system)
-        for got, want in ((joint.forward, forward), (joint.reverse, reverse)):
+        for got, want in ((spectra.two_point(), forward),
+                          (spectra.two_point(reverse=True), reverse)):
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
@@ -238,13 +239,14 @@ class TestForwardTable:
     def test_dense_is_c_contiguous_broadcast_product(self, dims):
         # the report writer reads the emitted table flat, with no copy;
         # its entries are the bits of the broadcast product
-        joint = factored_joint(spectra_from_unitary(random_instance(*dims, seed=3)))
-        for table in (joint.forward, joint.reverse):
-            dense = dense_table(joint, table)
+        spectra = spectra_from_unitary(random_instance(*dims, seed=3))
+        for reverse in (False, True):
+            table = spectra.two_point(reverse)
+            dense = dense_table(spectra, table)
             assert dense.flags.c_contiguous
             assert np.array_equal(dense, table[:, None, None, :, None, None, :, :]
-                                  * joint.initial.cond[:, :, :, None, None, None, None, None]
-                                  * joint.final.cond[None, None, None, :, :, :, None, None])
+                                  * spectra.initial.cond[:, :, :, None, None, None, None, None]
+                                  * spectra.final.cond[None, None, None, :, :, :, None, None])
 
 
 class TestReverseTable:
@@ -284,7 +286,7 @@ class TestReverseTable:
     def test_support_monotonicity_full_rank(self, seed):
         system = random_instance(2, 2, 2, seed=seed)
         analysis = evaluate(spectra_from_unitary(system))
-        assert analysis.joint.support.all()
+        assert analysis.spectra.support.all()
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-10)
 
 
@@ -324,6 +326,19 @@ _HUGE = st.floats(min_value=MAX_HEAT_EXPONENT, exclude_min=True, allow_infinity=
 HEAT_EXPONENTS_OUT_OF_RANGE = NON_FINITE | _HUGE | _HUGE.map(lambda x: -x)
 
 
+def row_bundles():
+    """Valid bundles for the kernels' row checks, each accepted with its
+    arrays unchanged: Werner, where R = 1 and the two r axes have size 1,
+    and a propagator's bundle at R = 3, which only the rows over (m', r')
+    forward and (m, r) reverse accept."""
+    bundles = [werner_spectra(), random_scenario(0, (2, 2, 3)).spectra]
+    for s in bundles:
+        accepted = spectra_from_analytic(s)
+        for name in ("kernel", "reverse_kernel"):
+            assert np.array_equal(getattr(accepted, name), getattr(s, name))
+    return bundles
+
+
 class TestAnalyticValidation:
     """``spectra_from_analytic`` on an injected-kernel ``SystemSpectra``."""
 
@@ -334,19 +349,19 @@ class TestAnalyticValidation:
             spectra_from_analytic(bad)
 
     def test_kernel_rows_must_be_stochastic(self):
-        s = werner_spectra()
-        bad_kernel = s.kernel.copy()
-        bad_kernel[0, 0, 0, 0] = 0.5
-        with pytest.raises(ConsistencyError):
-            spectra_from_analytic(dataclasses.replace(s, kernel=bad_kernel))
+        for s in row_bundles():
+            bad_kernel = s.kernel.copy()
+            bad_kernel[0, 0, 0, 0] = 0.5
+            with pytest.raises(ConsistencyError):
+                spectra_from_analytic(dataclasses.replace(s, kernel=bad_kernel))
 
     def test_reverse_kernel_rows_must_be_stochastic(self):
-        # the reversed process from (m', r') = (0, 0) lands with mass 1.25
-        s = werner_spectra()
-        bad_kernel = s.reverse_kernel.copy()
-        bad_kernel[0, 0, 0, 0] = 0.5
-        with pytest.raises(ConsistencyError, match="reverse kernel rows do not sum to 1"):
-            spectra_from_analytic(dataclasses.replace(s, reverse_kernel=bad_kernel))
+        # the reversed process from (m', r') = (0, 0) lands with a mass that is not 1
+        for s in row_bundles():
+            bad_kernel = s.reverse_kernel.copy()
+            bad_kernel[0, 0, 0, 0] = 0.5
+            with pytest.raises(ConsistencyError, match="reverse kernel rows do not sum to 1"):
+                spectra_from_analytic(dataclasses.replace(s, reverse_kernel=bad_kernel))
 
     @pytest.mark.parametrize("name", ["kernel", "reverse_kernel"])
     def test_kernel_shape(self, name):
@@ -451,7 +466,7 @@ class TestGuardsAndOverrides:
         system = UnitarySystem(6, 6, rho,
                                ReservoirSpec(tuple(range(8)), 1.0),
                                np.eye(36 * 8, dtype=complex))
-        assert spectra_from_unitary(system).kernel.shape == (36, 8, 36, 8)
+        assert spectra_from_unitary(system).kernel.shape == (36, 36, 8, 8)
 
     def test_size_guard_counts_exactly(self):
         # (M·A·B·R)² = 2**128 entries: a fixed-width product wraps to 0

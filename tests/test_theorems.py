@@ -19,14 +19,13 @@ from bift.scenarios import (
     Scenario,
     bell_adiabatic_counterexample,
     random_instance,
+    random_scenario,
     werner_isothermal,
 )
 from bift.tables import (
     Endpoint,
-    FactoredJoint,
     SystemSpectra,
     UnitarySystem,
-    factored_joint,
     spectra_from_analytic,
     spectra_from_unitary,
 )
@@ -119,7 +118,7 @@ class TestDetailedFT:
 
     def test_reports_worst_trajectory(self):
         analysis = analyze(random_instance(2, 2, 2, 7))
-        resid, worst = detailed_ft_check(analysis.joint, analysis.functionals)
+        resid, worst = detailed_ft_check(analysis.spectra, analysis.functionals)
         assert resid == analysis.report.detailed_max_residual
         assert worst is not None
         assert all(isinstance(i, int) for i in worst)
@@ -150,7 +149,7 @@ class TestIntegralFT:
             reservoir=ReservoirSpec((0.0, 3.0), 1.0)))
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-10)
         assert analysis.report.integral_ft_lhs == pytest.approx(1.0, abs=1e-10)
-        assert analysis.joint.support.all()
+        assert analysis.spectra.support.all()
 
     @pytest.mark.parametrize("seed", [0, 1, 4, 8])
     def test_matches_restricted_mass_when_rank_deficient(self, seed):
@@ -184,7 +183,7 @@ class TestIntegralFT:
         spectra = spectra_from_unitary(dataclasses.replace(
             random_classical_instance(2, 2, 2, 0), reservoir=ReservoirSpec((0.0, gap), 1.0)))
         empty = spectra.final.p_m == 0.0
-        assert empty.any() and factored_joint(spectra).forward[:, empty].sum() > 0.0
+        assert empty.any() and spectra.two_point()[:, empty].sum() > 0.0
         rep = evaluate(spectra).report
         assert abs(rep.integral_ft_lhs - rep.gamma_restricted) <= DEFAULT_TOL.equality
         assert abs(rep.reverse_ft_lhs - rep.reverse_avg_exp_di) <= DEFAULT_TOL.equality
@@ -364,7 +363,7 @@ class TestBounds:
         # -ln(1+3p) and -ln(1-p); the reverse-info bound must saturate
         analysis = evaluate_scenario(werner_isothermal(0.5))
         traj = dense_tuple_functionals(analysis.spectra)
-        forward = dense_view(analysis.joint, analysis.joint.forward)
+        forward = dense_view(analysis.spectra, analysis.spectra.two_point())
         shape = forward.shape
         exponent = np.broadcast_to(traj.delta_s_a + traj.delta_s_b - traj.beta_q, shape)
         weighted = exponent[forward > 1e-12]
@@ -457,7 +456,7 @@ class TestClassicalReduction:
         assert analysis.report.gamma_restricted == pytest.approx(1.0, abs=1e-12)
         assert residual < 1e-12
         assert max_gap < 1e-12
-        forward = dense_view(analysis.joint, analysis.joint.forward)
+        forward = dense_view(analysis.spectra, analysis.spectra.two_point())
         expo = np.broadcast_to(dense_tuple_functionals(analysis.spectra).ft_exponent(),
                                forward.shape)
         assert np.max(np.abs(expo[forward > 0.5])) < 1e-12
@@ -497,7 +496,7 @@ class TestEdgesAndControls:
         for spectra in (werner_isothermal(0.8).spectra,
                         spectra_from_unitary(random_instance(2, 3, 2, seed=3))):
             bad = corrupt_reverse(spectra)
-            resid, worst = detailed_ft_check(factored_joint(bad), endpoint_functionals(bad))
+            resid, worst = detailed_ft_check(bad, endpoint_functionals(bad))
             assert resid == pytest.approx(0.5, rel=1e-14)
             assert worst is not None
 
@@ -508,7 +507,7 @@ class TestEdgesAndControls:
         rkernel = spectra.reverse_kernel.copy()
         rkernel[2, 0, 0, 0] = 0.0
         bad = dataclasses.replace(spectra, reverse_kernel=rkernel)
-        resid, worst = detailed_ft_check(factored_joint(bad), endpoint_functionals(bad))
+        resid, worst = detailed_ft_check(bad, endpoint_functionals(bad))
         assert resid == 1.0 and worst.m == 2
 
     def test_werner_pure_corruption_lands_in_support(self):
@@ -516,24 +515,34 @@ class TestEdgesAndControls:
         # largest reverse entry (the first in C order) is that block: its
         # reverse kernel entry, and so its reverse weight, is scaled
         spectra = werner_isothermal(1.0).spectra
-        joint = factored_joint(spectra)
-        assert np.argwhere(joint.forward > 0.0).tolist() == [[0, 0, 0, 0]]
+        assert np.argwhere(spectra.two_point() > 0.0).tolist() == [[0, 0, 0, 0]]
         bad = corrupt_reverse(spectra)
         assert np.argwhere(bad.reverse_kernel != spectra.reverse_kernel).tolist() == [[0, 0, 0, 0]]
         assert bad.reverse_kernel[0, 0, 0, 0] == 1.5 * spectra.reverse_kernel[0, 0, 0, 0]
-        assert np.argwhere(factored_joint(bad).reverse != joint.reverse).tolist() == [[0, 0, 0, 0]]
-        assert joint.support[0, 0, 0, 0]
+        assert (np.argwhere(bad.two_point(reverse=True) != spectra.two_point(reverse=True))
+                .tolist() == [[0, 0, 0, 0]])
+        assert spectra.support[0, 0, 0, 0]
         rep = evaluate(bad).report
         assert rep.gamma_restricted == pytest.approx(0.375)
         assert rep.detailed_max_residual == pytest.approx(0.5, rel=1e-14)
+
+    def test_random_corruption_scales_one_reverse_kernel_entry(self):
+        # at R = 2 the largest reverse entry sits at (m, m', r, r') = (2, 0, 1, 0),
+        # where swapping the m' and r axes names another entry
+        spectra = random_scenario(1, (2, 2, 2)).spectra
+        reverse = spectra.two_point(reverse=True)
+        assert np.unravel_index(np.argmax(reverse), reverse.shape) == (2, 0, 1, 0)
+        bad = corrupt_reverse(spectra)
+        assert np.argwhere(bad.reverse_kernel != spectra.reverse_kernel).tolist() == [[2, 0, 1, 0]]
+        assert bad.reverse_kernel[2, 0, 1, 0] == 1.5 * spectra.reverse_kernel[2, 0, 1, 0]
 
     def test_empty_support_overlap_reports_sentinel(self):
         # artificial kernels whose reversed flow never returns to the
         # forward support: the factor is 0, its log the -inf sentinel,
         # and the log-based bounds are flagged vacuous
         base = werner_isothermal(1.0).spectra   # both endpoints' p_m = (1, 0, 0, 0)
-        rkernel = np.zeros((4, 1, 4, 1))
-        rkernel[3, 0, :, 0] = 1.0     # reverse flow lands on the empty level
+        rkernel = np.zeros((4, 4, 1, 1))
+        rkernel[3, :, 0, 0] = 1.0     # reverse flow lands on the empty level
         system = dataclasses.replace(
             base,
             final=dataclasses.replace(base.final, p_a=np.array([0.5, 0.5]),
@@ -568,7 +577,7 @@ def assert_matches_dense_oracle(spectra, corruption=False, **kwargs):
     system (up to ~1e-12 for the dense one at (3, 3, 3)), so it is held
     to the check's tolerance, 1e-10, instead."""
     analysis = evaluate(corrupt_reverse(spectra) if corruption else spectra, **kwargs)
-    reverse_global = analysis.joint.reverse if corruption else None
+    reverse_global = analysis.spectra.two_point(reverse=True) if corruption else None
     got = report_numbers(analysis.report)
     want = report_numbers(dense_evaluate(spectra, reverse_global=reverse_global, **kwargs))
     assert got.keys() == want.keys()
@@ -588,14 +597,14 @@ def assert_matches_dense_oracle(spectra, corruption=False, **kwargs):
     return analysis
 
 
-def detailed_support(spectra, joint) -> np.ndarray:
+def detailed_support(spectra) -> np.ndarray:
     """The trajectories the detailed check takes, over the eight axes: a
     block in the support with a positive kernel entry, and positive
     conditional weights at both ends."""
-    block = joint.support & (spectra.kernel.transpose(0, 2, 1, 3) > 0.0)
+    block = spectra.support & (spectra.kernel > 0.0)
     return (block[:, None, None, :, None, None, :, :]
-            & (joint.initial.cond > 0.0)[:, :, :, None, None, None, None, None]
-            & (joint.final.cond > 0.0)[None, None, None, :, :, :, None, None])
+            & (spectra.initial.cond > 0.0)[:, :, :, None, None, None, None, None]
+            & (spectra.final.cond > 0.0)[None, None, None, :, :, :, None, None])
 
 
 class TestDenseOracle:
@@ -623,8 +632,8 @@ class TestDenseOracle:
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_werner(self, p):
         analysis = assert_matches_dense_oracle(werner_isothermal(p).spectra)
-        forward = dense_view(analysis.joint, analysis.joint.forward)
-        assert np.array_equal(detailed_support(analysis.spectra, analysis.joint),
+        forward = dense_view(analysis.spectra, analysis.spectra.two_point())
+        assert np.array_equal(detailed_support(analysis.spectra),
                               dense_support(analysis.spectra) & (forward > 0.0))
 
     def test_small_products_stay_in_the_support(self):
@@ -637,7 +646,7 @@ class TestDenseOracle:
         forward, reverse = dense_tables(spectra)
         idx = (3, 0, 0, 3, 0, 0, 2, 0)
         assert forward[idx] < 1e-12 * forward.max()
-        assert np.array_equal(detailed_support(spectra, analysis.joint),
+        assert np.array_equal(detailed_support(spectra),
                               dense_support(spectra) & (forward > 0.0))
         expo = np.broadcast_to(dense_tuple_functionals(spectra).ft_exponent(),
                                forward.shape)[idx]
@@ -662,11 +671,11 @@ class TestDenseOracle:
         assert analysis.report.detailed_max_residual > 1e-3
 
 
-def full_product_expectation(joint, table, initial=1.0, final=1.0, pair=1.0) -> float:
+def full_product_expectation(spectra, table, initial=1.0, final=1.0, pair=1.0) -> float:
     """The tuple-space sum of the global ``table`` times every factor,
     each multiplied into the [m, m', r, r'] table."""
-    u = (joint.initial.cond * initial).sum(axis=(1, 2))
-    v = (joint.final.cond * final).sum(axis=(1, 2))
+    u = (spectra.initial.cond * initial).sum(axis=(1, 2))
+    v = (spectra.final.cond * final).sum(axis=(1, 2))
     return float((table * u[:, None, None, None] * v[None, :, None, None] * pair).sum())
 
 
@@ -688,34 +697,34 @@ class TestExpectationBits:
             "counterexample-analytic": lambda: oracle_counterexample_spectra(0.5),
         }[case]()
         made, calls = {}, []
-        block_sums, expectation = FactoredJoint.block_sums, FactoredJoint.expectation
+        block_sums, expectation = SystemSpectra.block_sums, SystemSpectra.expectation
 
-        def recorded_sums(joint, reverse=False, pair=1.0, restricted=False):
-            block = block_sums(joint, reverse, pair, restricted)
-            table = joint.reverse if reverse else joint.forward
-            made[id(block.sums)] = (block, np.where(joint.support, table, 0.0)
+        def recorded_sums(spectra, reverse=False, pair=1.0, restricted=False):
+            block = block_sums(spectra, reverse, pair, restricted)
+            table = spectra.two_point(reverse)
+            made[id(block.sums)] = (block, np.where(spectra.support, table, 0.0)
                                     if restricted else table, pair)
             return block
 
-        def recorded(joint, block, initial=1.0, final=1.0):
-            got = expectation(joint, block, initial, final)
-            calls.append((joint, *made[id(block.sums)][1:], initial, final, got))
+        def recorded(spectra, block, initial=1.0, final=1.0):
+            got = expectation(spectra, block, initial, final)
+            calls.append((spectra, *made[id(block.sums)][1:], initial, final, got))
             return got
 
-        monkeypatch.setattr(FactoredJoint, "block_sums", recorded_sums)
-        monkeypatch.setattr(FactoredJoint, "expectation", recorded)
+        monkeypatch.setattr(SystemSpectra, "block_sums", recorded_sums)
+        monkeypatch.setattr(SystemSpectra, "expectation", recorded)
         invariant_checks(evaluate(spectra), DEFAULT_TOL)
         assert len(calls) >= 17
-        for joint, table, pair, initial, final, got in calls:
-            want = full_product_expectation(joint, table, initial, final, pair)
+        for spectra, table, pair, initial, final, got in calls:
+            want = full_product_expectation(spectra, table, initial, final, pair)
             assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
     def test_scalar_factors_multiply_in(self):
-        joint = factored_joint(spectra_from_unitary(random_instance(2, 3, 2, seed=4)))
+        spectra = spectra_from_unitary(random_instance(2, 3, 2, seed=4))
         for initial, final, pair in ((2.0, 1.0, 1.0), (1.0, 0.5, 1.0), (1.0, 1.0, 3.0),
                                      (2.0, 0.5, 3.0)):
-            got = joint.expectation(joint.block_sums(pair=pair), initial, final)
-            want = full_product_expectation(joint, joint.forward, initial, final, pair)
+            got = spectra.expectation(spectra.block_sums(pair=pair), initial, final)
+            want = full_product_expectation(spectra, spectra.two_point(), initial, final, pair)
             assert abs(got - want) <= 1e-14 * abs(want)
             assert got == pytest.approx(initial * final * pair, rel=1e-12)
 
@@ -741,9 +750,14 @@ class TestFactoredExtremes:
             cond[:, 0, 0] += 1.0        # no empty rows
             return Endpoint(p_m=coarse(d_m, zeros=0.2), p_a=np.full(d_a, 1.0 / d_a),
                             p_b=np.full(d_b, 1.0 / d_b), cond=cond)
+
+        def kernel(zeros):
+            # drawn as [m, r, m', r'], then put on the kernel axes: the draws
+            # that the examples below were picked for
+            return coarse((d_m, d_r, d_m, d_r), zeros).transpose(0, 2, 1, 3)
+
         spectra = SystemSpectra(initial=endpoint(), final=endpoint(), p_r=coarse(d_r, zeros=0.2),
-                                kernel=coarse((d_m, d_r, d_m, d_r), zeros=0.3),
-                                reverse_kernel=coarse((d_m, d_r, d_m, d_r), zeros=0.1),
+                                kernel=kernel(zeros=0.3), reverse_kernel=kernel(zeros=0.1),
                                 beta_q=np.log(coarse((d_r, d_r))))
         info = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
         classical = coarse((d_a, d_b)), coarse((d_a, d_b))
@@ -755,7 +769,7 @@ class TestFactoredExtremes:
                                          classical_ratio=np.ones((d_a, d_b)))
                           for k in (0, 1))
         funcs = EndpointFunctionals(initial=initial, final=final, beta_q=spectra.beta_q)
-        return spectra, factored_joint(spectra), funcs
+        return spectra, funcs
 
     @given(seed=st.integers(0, 10_000),
            dims=st.sampled_from([(4, 2, 2, 2), (6, 2, 3, 1), (6, 3, 2, 3), (3, 1, 3, 2),
@@ -767,17 +781,17 @@ class TestFactoredExtremes:
         # (d_m, d_a, d_b, d_r); d_a != d_b catches a swapped local label; each
         # example holds attaining tuples whose first in C order is not first
         # when the axes after (m, a, b) are compared from the last one
-        spectra, joint, funcs = self.pieces(seed, *dims)
+        spectra, funcs = self.pieces(seed, *dims)
         (e_i, e_f), pair = funcs.ft_factors(), funcs.exp_beta_q
-        resid, worst = detailed_ft_check(joint, funcs)
-        mask = detailed_support(spectra, joint)
+        resid, worst = detailed_ft_check(spectra, funcs)
+        mask = detailed_support(spectra)
         if not mask.any():
             assert (resid, worst) == (0.0, None)
             return
-        kernel = spectra.kernel.transpose(0, 2, 1, 3)
+        kernel = spectra.kernel
         p_m, p_mf, p_r = (np.where(p > 0.0, p, 1.0)
                           for p in (spectra.initial.p_m, spectra.final.p_m, spectra.p_r))
-        ratio = (spectra.reverse_kernel.transpose(0, 2, 1, 3) / np.where(kernel > 0.0, kernel, 1.0)
+        ratio = (spectra.reverse_kernel / np.where(kernel > 0.0, kernel, 1.0)
                  * (spectra.p_r[None, :] / (p_r[:, None] * pair)))
         x_i, y_f = 1.0 / (p_m[:, None, None] * e_i), p_mf[:, None, None] / e_f
         every = np.abs(ratio[:, None, None, :, None, None, :, :]
