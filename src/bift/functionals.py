@@ -9,7 +9,7 @@ functional is finite, so a zero-weight trajectory adds exactly 0 to any
 sum over the tuple space and the convention can never leak into a result.
 
 Each functional splits by endpoint (:class:`EndpointFunctionals`), which
-is what lets the theorems contract them against the factored tables.
+is what lets the theorems contract them against the kernels' block sums.
 """
 
 from __future__ import annotations

@@ -536,6 +536,16 @@ class TestEdgesAndControls:
         assert np.argwhere(bad.reverse_kernel != spectra.reverse_kernel).tolist() == [[2, 0, 1, 0]]
         assert bad.reverse_kernel[2, 0, 1, 0] == 1.5 * spectra.reverse_kernel[2, 0, 1, 0]
 
+    def test_evaluate_forms_no_two_point_table(self, monkeypatch):
+        # every relation and average is read from the kernels' block sums
+        def refuse(*args, **kwargs):
+            raise AssertionError("a two-point table was formed")
+
+        monkeypatch.setattr(SystemSpectra, "two_point", refuse)
+        for spectra in (werner_isothermal(0.5).spectra,
+                        spectra_from_unitary(random_instance(2, 3, 2, seed=3))):
+            assert evaluate(spectra).report.detailed_max_residual < 1e-10
+
     def test_empty_support_overlap_reports_sentinel(self):
         # artificial kernels whose reversed flow never returns to the
         # forward support: the factor is 0, its log the -inf sentinel,
