@@ -102,29 +102,29 @@ MUTANTS = (
            ("tests/test_tables.py::TestReverseTable",
             "tests/test_theorems.py::TestIntegralFT")),
     Mutant("integral-unrestricted", "src/bift/theorems.py",
-           "int_lhs = spectra.expectation(forward, *funcs.ft_factors())",
-           "int_lhs = spectra.expectation(spectra.block_sums(pair=funcs.exp_beta_q), "
-           "*funcs.ft_factors())",
+           "int_lhs = spectra.expectation(forward, *ft_factors(spectra))",
+           "int_lhs = spectra.expectation(spectra.block_sums(pair=spectra.exp_beta_q), "
+           "*ft_factors(spectra))",
            ("tests/test_theorems.py::TestIntegralFT",)),
     Mutant("integral-weight-on-table", "src/bift/theorems.py",
-           "forward = spectra.block_sums(pair=funcs.exp_beta_q, restricted=True)",
+           "forward = spectra.block_sums(pair=spectra.exp_beta_q, restricted=True)",
            "forward = spectra.block_sums()._replace(initial=1.0, sums=np.where("
-           "spectra.support, spectra.two_point() * funcs.exp_beta_q, 0.0).sum(axis=(2, 3)))",
+           "spectra.support, spectra.two_point() * spectra.exp_beta_q, 0.0).sum(axis=(2, 3)))",
            ("tests/test_theorems.py::TestFullRankDraws::test_every_check_passes",)),
     Mutant("reverse-rhs-unrestricted", "src/bift/theorems.py",
            "rev_rhs = spectra.expectation(reverse, *info)",
            "rev_rhs = spectra.expectation(spectra.block_sums(reverse=True), *info)",
            ("tests/test_theorems.py::TestReverseAveragedFT",)),
     Mutant("reverse-lhs-unrestricted", "src/bift/theorems.py",
-           "rev_lhs = spectra.expectation(forward, *funcs.local_factors())",
-           "rev_lhs = spectra.expectation(spectra.block_sums(pair=funcs.exp_beta_q), "
-           "*funcs.local_factors())",
+           "rev_lhs = spectra.expectation(forward, *local_factors(spectra))",
+           "rev_lhs = spectra.expectation(spectra.block_sums(pair=spectra.exp_beta_q), "
+           "*local_factors(spectra))",
            ("tests/test_theorems.py::TestIntegralFT::"
             "test_forward_weight_on_an_empty_final_level_leaves_the_support",)),
     Mutant("classical-unrestricted", "src/bift/theorems.py",
-           "classical_lhs = spectra.expectation(forward, *funcs.classical_factors())",
-           "classical_lhs = spectra.expectation(spectra.block_sums(pair=funcs.exp_beta_q), "
-           "*funcs.classical_factors())",
+           "classical_lhs = spectra.expectation(forward, *classical_factors(spectra))",
+           "classical_lhs = spectra.expectation(spectra.block_sums(pair=spectra.exp_beta_q), "
+           "*classical_factors(spectra))",
            ("tests/test_theorems.py::TestClassicalReduction",)),
     Mutant("corrupt-reverse-axes", "src/bift/theorems.py",
            "kernel[m, n, r, s] *= 1.5",
@@ -239,6 +239,10 @@ MUTANTS = (
            "first = np.lexsort(order[::-1])[0]",
            "first = np.lexsort(order)[0]",
            ("tests/test_theorems.py::TestFactoredExtremes::test_detailed_matches_brute_force",)),
+    Mutant("local-from-p_a-twice", "src/bift/tables.py",
+           "or_one(self.p_a)[:, None] * or_one(self.p_b)[None, :]",
+           "or_one(self.p_a)[:, None] * or_one(self.p_a)[None, :]",
+           ("tests/test_functionals.py::TestTupleFunctionals::test_exponent_composition",)),
     Mutant("heat-exponent-unchecked", "src/bift/tables.py",
            "if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):",
            "if False:",

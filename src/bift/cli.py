@@ -336,7 +336,7 @@ def invariant_checks(analysis: Analysis, tol: Tolerances) -> list[Check]:
     checks.append(Check.close("local_marginal_identity", got.sum(axis=(0, 2, 3)), init.p_a,
                               tol.equality))
 
-    avg_info = s.expectation(forward, initial=analysis.functionals.initial.info)
+    avg_info = s.expectation(forward, initial=init.info)
     qmi = shannon_entropy(init.p_a) + shannon_entropy(init.p_b) - shannon_entropy(init.p_m)
     checks.append(Check.close("info_avg_is_mutual_information", avg_info, qmi, tol.equality))
 

@@ -53,8 +53,8 @@ class Tolerances:
     exit 1 is honest.  The fields are absolute, sized for double
     precision, and a valid system can fail the defaults:
     ``verify --scenario counterexample --p 0.999999`` (M R = 4) fails
-    ``reference:reverse_avg_exp_di`` at 1.16e-10, 4.7e-16 of its value
-    (ROADMAP.md item 3).
+    ``reference:reverse_avg_exp_di`` at 1.46e-10, 5.8e-16 of its value
+    of about 2.5e5 (ROADMAP.md item 2).
     """
 
     hermiticity: float = 1e-10

@@ -45,11 +45,13 @@ count, from M R = 100 up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError
+from .functionals import content, or_one
 from .linalg import (
     DEFAULT_TOL,
     MAX_HEAT_EXPONENT,
@@ -82,7 +84,7 @@ class OutcomeTuple(NamedTuple):
 class Endpoint:
     """One measurement point: the global AB spectrum, both local spectra
     and the conditional weights that attach the local labels to the
-    global outcomes."""
+    global outcomes, with the functional tables read from them."""
 
     p_m: np.ndarray
     p_a: np.ndarray
@@ -92,6 +94,33 @@ class Endpoint:
     def classical_joint(self) -> np.ndarray:
         """p_{a,b} = <a,b| rho_AB |a,b> = sum_m p_m |<m|a,b>|^2."""
         return np.einsum("m,mab->ab", self.p_m, self.cond)
+
+    # The tables of ``bift.functionals``, each built on first read.
+
+    @cached_property
+    def l_pa(self) -> np.ndarray:                # [a] = ln p_a
+        return np.log(or_one(self.p_a))
+
+    @cached_property
+    def l_pb(self) -> np.ndarray:                # [b]
+        return np.log(or_one(self.p_b))
+
+    @cached_property
+    def local(self) -> np.ndarray:               # [a, b] = p_a p_b
+        return or_one(self.p_a)[:, None] * or_one(self.p_b)[None, :]
+
+    @cached_property
+    def _info(self):                             # the info content and p_m / (p_a p_b)
+        return content(self.p_m[:, None, None], self.l_pa, self.l_pb, self.local)
+
+    @cached_property
+    def _classical(self):                        # the classical content and p_ab / (p_a p_b)
+        return content(self.classical_joint(), self.l_pa, self.l_pb, self.local)
+
+    info = property(lambda self: self._info[0])                   # [m, a, b]
+    info_ratio = property(lambda self: self._info[1])             # [m, a, b]
+    classical = property(lambda self: self._classical[0])         # [a, b]
+    classical_ratio = property(lambda self: self._classical[1])   # [a, b]
 
 
 class BlockSums(NamedTuple):
@@ -122,6 +151,10 @@ class SystemSpectra:
     kernel: np.ndarray            # K [m, m', r, r']
     reverse_kernel: np.ndarray    # K_rev on the same axes
     beta_q: np.ndarray            # [r, r']
+
+    @cached_property
+    def exp_beta_q(self) -> np.ndarray:      # [r, r']
+        return np.exp(self.beta_q)
 
     @property
     def support(self) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Fluctuation-theorem equalities and thermodynamic inequalities.
 
-Given a system's record (``tables.SystemSpectra``) and the per-trajectory
-functionals, this module checks, trajectory by trajectory and on
-average:
+Given a system's record (``tables.SystemSpectra``), whose endpoints carry
+the per-trajectory functionals, this module checks, trajectory by
+trajectory and on average:
 
 * the detailed relation  p_rev / p_fwd = exp(-ds_A - ds_B + dI + beta Q)
   on the support;
@@ -20,9 +20,9 @@ support, as gamma does: the blocks [m, m', r, r'] whose p_m, p'_m' and p_r
 are positive (``SystemSpectra.support``).
 
 Every average is one u B v of the block sums B of a kernel
-(``SystemSpectra.block_sums``) with the per-endpoint functionals
-(``functionals.EndpointFunctionals``); neither G, G_rev nor an
-eight-index table is built.
+(``SystemSpectra.block_sums``) with the endpoint factors of
+``bift.functionals``; neither G, G_rev nor an eight-index table is
+built.
 
 The detailed relation p_rev/p_fwd = e^{beta Q} E_i[m,a,b] E_f[m',a',b'] is
 checked as the quotient of its sides on the trajectories of the support
@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functionals import EndpointFunctionals, endpoint_functionals, or_one
+from .functionals import classical_factors, ft_factors, info_factors, local_factors, or_one
 from .linalg import DEFAULT_TOL, Tolerances
 from .tables import OutcomeTuple, SystemSpectra
 
@@ -165,13 +165,12 @@ class FTReport:
 
 @dataclass(frozen=True)
 class Analysis:
-    """A system run end to end: its record, the per-endpoint functionals
-    and the assembled report.  Nothing here holds G, G_rev or an
-    eight-index table; ``SystemSpectra.two_point`` forms the two-point
-    tables for the callers that read them."""
+    """A system run end to end: its record, whose endpoints hold the
+    functional tables the run built, and the assembled report.  Nothing
+    here holds G, G_rev or an eight-index table; ``SystemSpectra.two_point``
+    forms the two-point tables for the callers that read them."""
 
     spectra: SystemSpectra
-    functionals: EndpointFunctionals
     report: FTReport
 
 
@@ -188,7 +187,7 @@ def _residual(ratio, x_i, y_f):
     return np.abs(ratio * (x_i * y_f) - 1.0)
 
 
-def detailed_ft_check(spectra: SystemSpectra, funcs: EndpointFunctionals):
+def detailed_ft_check(spectra: SystemSpectra):
     """Max over the supported trajectories of
     | (p_rev/p_fwd) / exp(-ds_A - ds_B + dI + beta Q) - 1 |
     in the factored form of the module docstring, together with the
@@ -197,7 +196,7 @@ def detailed_ft_check(spectra: SystemSpectra, funcs: EndpointFunctionals):
     block = spectra.support & (spectra.kernel > 0.0)
     if not block.any():
         return 0.0, None
-    (e_i, e_f), pair = funcs.ft_factors(), funcs.exp_beta_q     # (M, A, B) twice, (R, R)
+    (e_i, e_f), pair = ft_factors(spectra), spectra.exp_beta_q   # (M, A, B) twice, (R, R)
     ratio = (np.where(block, spectra.reverse_kernel / np.where(block, spectra.kernel, 1.0), 0.0)
              * (spectra.p_r[None, :] / (or_one(spectra.p_r)[:, None] * pair)))
     x_i = 1.0 / (or_one(spectra.initial.p_m)[:, None, None] * e_i)
@@ -223,20 +222,20 @@ def detailed_ft_check(spectra: SystemSpectra, funcs: EndpointFunctionals):
     return worst, OutcomeTuple(m, a, b, *(int(x[first]) for x in order))
 
 
-def forward_averages(spectra: SystemSpectra, funcs: EndpointFunctionals) -> Averages:
+def forward_averages(spectra: SystemSpectra) -> Averages:
     """Forward averages of the five functionals, endpoint part by part."""
     forward = spectra.block_sums()
 
     def mean(**factor):
         return spectra.expectation(forward, **factor)
 
-    i, f = funcs.initial, funcs.final
+    i, f = spectra.initial, spectra.final
     return Averages(
         delta_s_a=mean(initial=i.l_pa[None, :, None]) - mean(final=f.l_pa[None, :, None]),
         delta_s_b=mean(initial=i.l_pb[None, None, :]) - mean(final=f.l_pb[None, None, :]),
         delta_i=mean(final=f.info) - mean(initial=i.info),
         delta_j=mean(final=f.classical[None]) - mean(initial=i.classical[None]),
-        beta_q=spectra.expectation(spectra.block_sums(pair=funcs.beta_q)),
+        beta_q=spectra.expectation(spectra.block_sums(pair=spectra.beta_q)),
     )
 
 
@@ -320,24 +319,22 @@ def evaluate(spectra: SystemSpectra,
              tol: Tolerances = DEFAULT_TOL) -> Analysis:
     """Run a system through its block sums, the functionals and every
     check."""
-    funcs = endpoint_functionals(spectra)
-
     # the relations average over the support; the forward ones carry e^{beta Q}
-    forward = spectra.block_sums(pair=funcs.exp_beta_q, restricted=True)
+    forward = spectra.block_sums(pair=spectra.exp_beta_q, restricted=True)
     reverse = spectra.block_sums(reverse=True, restricted=True)
-    info = funcs.info_factors()
+    info = info_factors(spectra)
 
     gamma = spectra.expectation(reverse)
-    int_lhs = spectra.expectation(forward, *funcs.ft_factors())
-    rev_lhs = spectra.expectation(forward, *funcs.local_factors())
+    int_lhs = spectra.expectation(forward, *ft_factors(spectra))
+    rev_lhs = spectra.expectation(forward, *local_factors(spectra))
     rev_rhs = spectra.expectation(reverse, *info)
     rev_full = spectra.expectation(spectra.block_sums(reverse=True), *info)
-    detail_resid, detail_worst = detailed_ft_check(spectra, funcs)
-    averages = forward_averages(spectra, funcs)
+    detail_resid, detail_worst = detailed_ft_check(spectra)
+    averages = forward_averages(spectra)
 
     classical_lhs = None
     if product_bases(spectra, tol):
-        classical_lhs = spectra.expectation(forward, *funcs.classical_factors())
+        classical_lhs = spectra.expectation(forward, *classical_factors(spectra))
 
     ln_gamma, ln_rev = ln_or_neg_inf(gamma), ln_or_neg_inf(rev_rhs)
     bounds = inequality_suite(averages, gamma, ln_gamma, ln_rev, classical_lhs, work_inputs, tol)
@@ -355,4 +352,4 @@ def evaluate(spectra: SystemSpectra,
         averages=averages,
         bounds=bounds,
     )
-    return Analysis(spectra, funcs, report)
+    return Analysis(spectra, report)

@@ -162,7 +162,7 @@ def test_criterion_7_random_instance_battery():
                 float(np.max(np.abs(forward.sum(axis=(0, 2, 3, 4, 5, 6, 7))
                                     - init.p_a))))
             # <I> equals the quantum mutual information
-            info_i = analysis.functionals.initial.info
+            info_i = analysis.spectra.initial.info
             avg_info = float(np.sum(np.where(
                 forward > 0,
                 forward * info_i[:, :, :, None, None, None, None, None], 0.0)))

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bift.functionals import endpoint_functionals, shannon_entropy
+from bift.functionals import (
+    classical_factors,
+    ft_factors,
+    info_factors,
+    local_factors,
+    shannon_entropy,
+)
 from bift.linalg import ReservoirSpec, density_operator
 from bift.scenarios import random_instance, werner_isothermal
 from bift.tables import UnitarySystem, spectra_from_unitary
@@ -34,7 +40,7 @@ def reservoir_spectra(reservoir: ReservoirSpec):
 
 class TestScalarFunctionals:
     """Per-outcome entries of the table functionals: entropy changes
-    (``log_or_zero``), info contents (``endpoint_functionals``) and the
+    (``log_or_zero``), info contents (``Endpoint.info``) and the
     heat exponent (``beta_q``)."""
 
     def test_entropy_change_examples(self):
@@ -45,26 +51,26 @@ class TestScalarFunctionals:
     def test_entropy_change_no_change(self, q):
         local = np.array([q, 1.0 - q])
         spectra = replace_endpoint(werner_spectra(), "initial", p_a=local)
-        funcs = endpoint_functionals(replace_endpoint(spectra, "final", p_a=local))
+        spectra = replace_endpoint(spectra, "final", p_a=local)
         for a in range(2):
-            assert funcs.initial.l_pa[a] - funcs.final.l_pa[a] == 0.0
+            assert spectra.initial.l_pa[a] - spectra.final.l_pa[a] == 0.0
 
     def test_entropy_change_zero_convention(self):
         spectra = replace_endpoint(werner_spectra(), "initial", p_a=np.array([1.0, 0.0]))
-        funcs = endpoint_functionals(replace_endpoint(spectra, "final", p_a=np.array([0.5, 0.5])))
+        spectra = replace_endpoint(spectra, "final", p_a=np.array([0.5, 0.5]))
         # ln 0 := 0 for the vanished initial weight
-        assert funcs.initial.l_pa[1] - funcs.final.l_pa[0] == pytest.approx(LN2)
+        assert spectra.initial.l_pa[1] - spectra.final.l_pa[0] == pytest.approx(LN2)
 
     @pytest.mark.parametrize("p", [0.2, 0.6, 1.0])
     def test_info_content_werner_rows(self, p):
-        info_i = endpoint_functionals(werner_spectra(p)).initial.info
+        info_i = werner_spectra(p).initial.info
         assert np.all(np.abs(info_i[0] - math.log(1 + 3 * p)) < 1e-12)
         if p < 1.0:
             assert np.all(np.abs(info_i[1:] - math.log(1 - p)) < 1e-12)
 
     def test_info_content_zero_outright(self):
         # a vanished global weight zeroes the whole content, not just one log
-        info_i = endpoint_functionals(werner_spectra(1.0)).initial.info
+        info_i = werner_spectra(1.0).initial.info
         assert np.all(info_i[1:] == 0.0)
 
     @given(pa=finite_probs, pb=finite_probs)
@@ -73,7 +79,7 @@ class TestScalarFunctionals:
         p_b = np.array([pb, 1.0 - pb])
         spectra = replace_endpoint(werner_spectra(), "initial",
                                    p_m=np.kron(p_a, p_b), p_a=p_a, p_b=p_b)
-        info_i = endpoint_functionals(spectra).initial.info
+        info_i = spectra.initial.info
         for a in range(2):
             for b in range(2):
                 assert info_i[2 * a + b, a, b] == pytest.approx(0.0, abs=1e-10)
@@ -82,8 +88,7 @@ class TestScalarFunctionals:
         # the final Werner joint is a point mass with J = 0 on it, so
         # -delta_j over (a, b) with (a', b') = (0, 0) is the initial J table
         def minus_delta_j(spectra):
-            funcs = endpoint_functionals(spectra)
-            return funcs.initial.classical - funcs.final.classical[0, 0]
+            return spectra.initial.classical - spectra.final.classical[0, 0]
 
         j_pure = minus_delta_j(werner_spectra(1.0))
         assert j_pure[0, 0] == pytest.approx(LN2)       # p_ab = 1/2
@@ -98,8 +103,8 @@ class TestScalarFunctionals:
         joint = dense_tables(spectra)[0].sum(axis=(0, 3, 4, 5, 6, 7))
         assert joint[0, 0] == pytest.approx(0.5)
         assert np.max(np.abs(joint - spectra.initial.classical_joint())) < 1e-15
-        funcs = endpoint_functionals(spectra)
-        assert funcs.initial.classical[0, 0] - funcs.final.classical[0, 0] == pytest.approx(LN2)
+        assert (spectra.initial.classical[0, 0] - spectra.final.classical[0, 0]
+                == pytest.approx(LN2))
 
     def test_heat_exponent(self):
         beta_q = reservoir_spectra(ReservoirSpec((0.0, 3.0), 2.0)).beta_q
@@ -132,10 +137,9 @@ class TestAverages:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_info_average_is_quantum_mutual_information(self, seed):
         spectra = spectra_from_unitary(random_instance(2, 3, 2, seed))
-        funcs = endpoint_functionals(spectra)
-        for side, end, info in (("initial", spectra.initial, funcs.initial.info),
-                                ("final", spectra.final, funcs.final.info)):
-            got = spectra.expectation(spectra.block_sums(), **{side: info})
+        for side in ("initial", "final"):
+            end = getattr(spectra, side)
+            got = spectra.expectation(spectra.block_sums(), **{side: end.info})
             want = (shannon_entropy(end.p_a) + shannon_entropy(end.p_b)
                     - shannon_entropy(end.p_m))
             assert got == pytest.approx(want, abs=1e-10)
@@ -143,7 +147,7 @@ class TestAverages:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_classical_average_is_shannon_mutual_information(self, seed):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, seed))
-        averages = forward_averages(spectra, endpoint_functionals(spectra))
+        averages = forward_averages(spectra)
         # delta_j averages to MI(final joint) - MI(initial joint)
         def mi(end):
             return (shannon_entropy(end.p_a) + shannon_entropy(end.p_b)
@@ -170,17 +174,16 @@ class TestAverages:
 
 
 class TestTupleFunctionals:
-    """The per-endpoint tables (``endpoint_functionals``) against the
+    """The per-endpoint tables (``Endpoint``'s) against the
     dense eight-axis functionals of the test oracle."""
 
     def test_werner_fields(self):
         spectra = werner_isothermal(0.5).spectra
-        funcs = endpoint_functionals(spectra)
         # every trajectory drops both local surprisals by ln 2
-        i, f = funcs.initial, funcs.final
+        i, f = spectra.initial, spectra.final
         assert np.max(np.abs(np.subtract.outer(i.l_pa, f.l_pa) + LN2)) < 1e-12
         assert np.max(np.abs(np.subtract.outer(i.l_pb, f.l_pb) + LN2)) < 1e-12
-        assert funcs.beta_q.ravel()[0] == pytest.approx(-2 * LN2)
+        assert spectra.beta_q.ravel()[0] == pytest.approx(-2 * LN2)
 
     def test_exponent_composition(self, rng):
         spectra = spectra_from_unitary(random_instance(2, 2, 2, seed=17))
@@ -188,12 +191,11 @@ class TestTupleFunctionals:
         manual = -traj.delta_s_a - traj.delta_s_b + traj.delta_i + traj.beta_q
         assert np.max(np.abs(traj.ft_exponent() - manual)) == 0.0
         # the factors multiply back to the exponential on every tuple
-        funcs = endpoint_functionals(spectra)
         for factors, pair, exponent in (
-                (funcs.ft_factors(), funcs.exp_beta_q, traj.ft_exponent()),
-                (funcs.local_factors(), funcs.exp_beta_q, traj.local_exponent()),
-                (funcs.classical_factors(), funcs.exp_beta_q, traj.classical_exponent()),
-                (funcs.info_factors(), 1.0, -traj.delta_i)):
+                (ft_factors(spectra), spectra.exp_beta_q, traj.ft_exponent()),
+                (local_factors(spectra), spectra.exp_beta_q, traj.local_exponent()),
+                (classical_factors(spectra), spectra.exp_beta_q, traj.classical_exponent()),
+                (info_factors(spectra), 1.0, -traj.delta_i)):
             e_i, e_f, pair = (np.asarray(x, dtype=float) for x in (*factors, pair))
             e_i = np.broadcast_to(e_i, spectra.initial.cond.shape)
             e_f = np.broadcast_to(e_f, spectra.final.cond.shape)

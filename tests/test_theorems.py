@@ -1,13 +1,14 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bift.cli import core_checks, invariant_checks
-from bift.functionals import EndpointFunctionals, EndpointTables, endpoint_functionals
+from bift.cli import build_analysis, core_checks, invariant_checks, validate_config
+from bift.functionals import content, ft_factors
 from bift.linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
@@ -93,8 +94,8 @@ class TestDetailedFT:
                                forward.shape)[idx]
         assert expo == pytest.approx(-2 * LN2)
         assert p_rev / p_fwd == pytest.approx(math.exp(expo), abs=1e-12)
-        e_i, e_f = analysis.functionals.ft_factors()
-        pair = analysis.functionals.exp_beta_q
+        e_i, e_f = ft_factors(analysis.spectra)
+        pair = analysis.spectra.exp_beta_q
         assert e_i[0, 0, 0] * e_f[0, 0, 0] * pair[0, 0] == pytest.approx(math.exp(expo))
         assert analysis.report.detailed_max_residual < 1e-10
 
@@ -118,7 +119,7 @@ class TestDetailedFT:
 
     def test_reports_worst_trajectory(self):
         analysis = analyze(random_instance(2, 2, 2, 7))
-        resid, worst = detailed_ft_check(analysis.spectra, analysis.functionals)
+        resid, worst = detailed_ft_check(analysis.spectra)
         assert resid == analysis.report.detailed_max_residual
         assert worst is not None
         assert all(isinstance(i, int) for i in worst)
@@ -496,7 +497,7 @@ class TestEdgesAndControls:
         for spectra in (werner_isothermal(0.8).spectra,
                         spectra_from_unitary(random_instance(2, 3, 2, seed=3))):
             bad = corrupt_reverse(spectra)
-            resid, worst = detailed_ft_check(bad, endpoint_functionals(bad))
+            resid, worst = detailed_ft_check(bad)
             assert resid == pytest.approx(0.5, rel=1e-14)
             assert worst is not None
 
@@ -507,7 +508,7 @@ class TestEdgesAndControls:
         rkernel = spectra.reverse_kernel.copy()
         rkernel[2, 0, 0, 0] = 0.0
         bad = dataclasses.replace(spectra, reverse_kernel=rkernel)
-        resid, worst = detailed_ft_check(bad, endpoint_functionals(bad))
+        resid, worst = detailed_ft_check(bad)
         assert resid == 1.0 and worst.m == 2
 
     def test_werner_pure_corruption_lands_in_support(self):
@@ -545,6 +546,23 @@ class TestEdgesAndControls:
         for spectra in (werner_isothermal(0.5).spectra,
                         spectra_from_unitary(random_instance(2, 3, 2, seed=3))):
             assert evaluate(spectra).report.detailed_max_residual < 1e-10
+
+    @pytest.mark.parametrize("corruption", [False, True])
+    def test_one_table_build_per_endpoint(self, corruption):
+        # the content rule runs for info and classical at each endpoint, and
+        # every later reader, the negative control included, reuses the
+        # tables the record's endpoints hold
+        cfg = {"scenario": "random", "seed": 5, "dims": [2, 3, 2]}
+        tol, points = validate_config(cfg, "verify")
+        with mock.patch("bift.tables.content", wraps=content) as rule:
+            scenario, analysis = build_analysis(cfg, tol, *points, corruption=corruption)
+            core_checks(scenario, analysis, tol)
+            invariant_checks(analysis, tol)
+        assert rule.call_count == 4
+        assert analysis.spectra.initial is scenario.spectra.initial
+        assert analysis.spectra.final is scenario.spectra.final
+        bad = corrupt_reverse(scenario.spectra)
+        assert bad.initial is scenario.spectra.initial and bad.final is scenario.spectra.final
 
     def test_empty_support_overlap_reports_sentinel(self):
         # artificial kernels whose reversed flow never returns to the
@@ -769,17 +787,14 @@ class TestFactoredExtremes:
         spectra = SystemSpectra(initial=endpoint(), final=endpoint(), p_r=coarse(d_r, zeros=0.2),
                                 kernel=kernel(zeros=0.3), reverse_kernel=kernel(zeros=0.1),
                                 beta_q=np.log(coarse((d_r, d_r))))
-        info = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
-        classical = coarse((d_a, d_b)), coarse((d_a, d_b))
+        # the info and classical tables are no longer read, but are still
+        # drawn, so the examples below keep their draws
+        for shape in ((d_m, d_a, d_b),) * 2 + ((d_a, d_b),) * 2:
+            coarse(shape)
         local = coarse((d_a, d_b)), coarse((d_a, d_b))
         info_ratio = coarse((d_m, d_a, d_b)), coarse((d_m, d_a, d_b))
-        initial, final = (EndpointTables(l_pa=np.zeros(d_a), l_pb=np.zeros(d_b), info=info[k],
-                                         classical=classical[k], local=local[k],
-                                         info_ratio=info_ratio[k],
-                                         classical_ratio=np.ones((d_a, d_b)))
-                          for k in (0, 1))
-        funcs = EndpointFunctionals(initial=initial, final=final, beta_q=spectra.beta_q)
-        return spectra, funcs
+        factors = (1.0 / (local[0][None] * info_ratio[0]), local[1][None] * info_ratio[1])
+        return spectra, factors
 
     @given(seed=st.integers(0, 10_000),
            dims=st.sampled_from([(4, 2, 2, 2), (6, 2, 3, 1), (6, 3, 2, 3), (3, 1, 3, 2),
@@ -791,9 +806,11 @@ class TestFactoredExtremes:
         # (d_m, d_a, d_b, d_r); d_a != d_b catches a swapped local label; each
         # example holds attaining tuples whose first in C order is not first
         # when the axes after (m, a, b) are compared from the last one
-        spectra, funcs = self.pieces(seed, *dims)
-        (e_i, e_f), pair = funcs.ft_factors(), funcs.exp_beta_q
-        resid, worst = detailed_ft_check(spectra, funcs)
+        spectra, (e_i, e_f) = self.pieces(seed, *dims)
+        pair = spectra.exp_beta_q
+        # the check reads factors that do not cancel the kernels' ratio
+        with mock.patch("bift.theorems.ft_factors", return_value=(e_i, e_f)):
+            resid, worst = detailed_ft_check(spectra)
         mask = detailed_support(spectra)
         if not mask.any():
             assert (resid, worst) == (0.0, None)
