@@ -9,14 +9,16 @@ and say, per output, whether its bytes moved.
 Each side is a git revision of this repository, exported with ``git
 archive`` (committed files only), or a directory that holds a source
 tree; ``--change`` defaults to the working tree.  The corpus comes from
-the checkout that holds this script: the ``GOLDEN`` argv set of
-``tests/test_cli.py``, and the ops and negative controls of the three
-workloads of ``perfbench/workloads.py`` at seed 3.  Each side runs the
-whole corpus in one child process, with its own ``src`` first on
-``PYTHONPATH``.
+the checkout that holds this script: the ``GOLDEN`` argv set and the
+``CONFIG_ERRORS`` table of ``tests/test_cli.py``, and the ops and
+negative controls of the three workloads of ``perfbench/workloads.py``
+at seed 3.  The configs of both tables' cases are written into one work
+directory, where every call runs.  Each side runs the whole corpus in
+one child process, with its own ``src`` first on ``PYTHONPATH``.
 
 An output is what a call writes to ``--out``, its exit status and its
-stderr.  Each prints as ``same`` or ``moved``.  For a moved report, sweep
+stderr; a case that names its own ``--out`` keeps it, and only its
+status and stderr are compared.  Each prints as ``same`` or ``moved``.  For a moved report, sweep
 table or ``verify`` text, the fields only one side holds are listed as
 removed or added, and every moved field shared by both with its largest
 absolute and relative change; list entries are named by their ``name``
@@ -47,6 +49,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from mutants import export
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,7 +72,7 @@ for name, argv, path in json.loads(Path(cases).read_text()):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         try:
-            status = bift.cli.main([*argv, "--out", path])
+            status = bift.cli.main(argv if "--out" in argv else [*argv, "--out", path])
         except SystemExit as exc:
             status = exc.code
         except Exception as exc:
@@ -88,15 +92,48 @@ class Case:
     argv: tuple[str, ...]
 
 
+def definitions(path: Path, names: set[str], namespace: dict) -> dict:
+    """``namespace`` after running the top-level assignments and functions
+    of ``path`` that bind ``names``, in file order: a test module's tables
+    without its imports, so without importing ``bift``."""
+    nodes = [node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name in names
+             or isinstance(node, ast.Assign) and any(
+                 isinstance(t, ast.Name) and t.id in names for t in node.targets)]
+    exec(compile(ast.Module(nodes, type_ignores=[]), str(path), "exec"), namespace)
+    missing = names - namespace.keys()
+    if missing:
+        raise UsageError(f"{path.relative_to(ROOT)} defines no {', '.join(sorted(missing))}")
+    return namespace
+
+
+def cli_tables() -> dict:
+    """The ``GOLDEN`` and ``CONFIG_ERRORS`` tables of tests/test_cli.py."""
+    tests = ROOT / "tests"
+    namespace = definitions(tests / "conftest.py", {"encode_complex_matrix"}, {"np": np})
+    return definitions(tests / "test_cli.py",
+                       {"ONE_LEVEL_SYSTEM", "TWO_QUBIT_SYSTEM", "GOLDEN", "CONFIG_ERRORS"},
+                       namespace)
+
+
 def golden_cases() -> list[Case]:
-    """The ``GOLDEN`` argv set of tests/test_cli.py, read without importing it."""
-    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "GOLDEN" for t in node.targets):
-            return [Case(name, tuple(argv))
-                    for name, (argv, _digest) in ast.literal_eval(node.value).items()]
-    raise UsageError("tests/test_cli.py holds no GOLDEN table")
+    """The ``GOLDEN`` argv set of tests/test_cli.py."""
+    return [Case(name, tuple(argv)) for name, (argv, _digest) in cli_tables()["GOLDEN"].items()]
+
+
+def error_cases(workdir: Path) -> list[Case]:
+    """The ``CONFIG_ERRORS`` table of tests/test_cli.py, each case's config
+    written into ``workdir`` under the case's name, which its argv then
+    reads in place of ``config.json``."""
+    cases = []
+    for i, (argv, config) in enumerate(cli_tables()["CONFIG_ERRORS"]):
+        name = f"config-error-{i}"
+        if config is not None:
+            path = workdir / f"{name}.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = [path.name if arg == "config.json" else arg for arg in argv]
+        cases.append(Case(name, tuple(argv)))
+    return cases
 
 
 def workload_cases(workdir: Path) -> list[Case]:
@@ -327,7 +364,7 @@ def main(argv=None) -> int:
         workdir = tmp / "work"
         workdir.mkdir()
         try:
-            cases = golden_cases() + workload_cases(workdir)
+            cases = golden_cases() + error_cases(workdir) + workload_cases(workdir)
             if args.cases is not None:
                 wanted = args.cases.split(",")
                 unknown = set(wanted) - {c.name for c in cases}

@@ -189,7 +189,7 @@ MUTANTS = (
            "n = math.prod((d_a * d_b, d_a, d_b, d_r))",
            ("tests/test_tables.py::TestGuardsAndOverrides::test_size_guard",)),
     Mutant("system-unknown-keys-pass", "src/bift/cli.py",
-           'raise DomainError(f"{where}: unknown keys {sorted(unknown)}")',
+           'raise BiftError(f"{where}: unknown keys {sorted(unknown)}")',
            "pass",
            ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input",)),
     Mutant("builder-keys-keep-tol", "src/bift/cli.py",
@@ -252,6 +252,15 @@ MUTANTS = (
             "test_error_line_names_the_input[heat-exponent-past-limit]",
             "tests/test_cli.py::TestExitCodes::"
             "test_error_line_names_the_input[heat-exponent-difference-overflows]")),
+    Mutant("derived-state-validated", "src/bift/tables.py",
+           "fin = spectral_decompose(rho_ab_final)",
+           "from .linalg import density_operator; "
+           "fin = density_operator(rho_ab_final, tol).decomposition",
+           ("tests/test_cli.py::TestExitCodes::test_only_the_input_state_is_judged",)),
+    Mutant("hermiticity-check-skipped", "src/bift/linalg.py",
+           "if dev > tol.hermiticity:",
+           "if False:",
+           ("tests/test_linalg.py::TestDensityOperator::test_rejects_non_hermitian",)),
     Mutant("counterexample-propagator-transposed", "src/bift/scenarios.py",
            "u = bell_basis().astype(complex)",
            "u = bell_basis().T.astype(complex)",

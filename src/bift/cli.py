@@ -26,7 +26,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 
 from . import __version__, reportio
-from .errors import BiftError, DomainError, SizeError
+from .errors import BiftError
 from .functionals import shannon_entropy
 from .linalg import (
     DEFAULT_TOL,
@@ -104,7 +104,7 @@ def merge_config(args) -> dict:
         try:
             cfg["dims"] = [int(tok) for tok in args.dims.split(",")]
         except ValueError as exc:
-            raise DomainError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
+            raise BiftError(f"dims: expected integers d_A,d_B,d_R ({exc})") from exc
     return cfg
 
 
@@ -123,14 +123,14 @@ def _is_finite(value) -> bool:
 def _number(value, name: str, positive: bool) -> None:
     if not (_is_finite(value) and (value > 0 if positive else value >= 0)):
         kind = "positive" if positive else "non-negative"
-        raise DomainError(f"{name}: expected a finite {kind} number, got {value!r}")
+        raise BiftError(f"{name}: expected a finite {kind} number, got {value!r}")
 
 
 def _guard_size(d_a: int, d_b: int, d_r: int) -> None:
     """Refuse dense tuple tables over the guard, counting in exact integers."""
     n = math.prod((d_a * d_b, d_a, d_b, d_r)) ** 2
     if n > TABLE_SIZE_GUARD:
-        raise SizeError(f"dense tuple table would hold {n} > {TABLE_SIZE_GUARD} entries")
+        raise BiftError(f"dense tuple table would hold {n} > {TABLE_SIZE_GUARD} entries")
 
 
 def _dims(value, name: str) -> None:
@@ -139,20 +139,20 @@ def _dims(value, name: str) -> None:
     is drawn or decoded."""
     if not (isinstance(value, (list, tuple)) and len(value) == 3
             and all(_is_int(d) and d > 0 for d in value)):
-        raise DomainError(f"{name}: expected three positive integers d_A,d_B,d_R, got {value!r}")
+        raise BiftError(f"{name}: expected three positive integers d_A,d_B,d_R, got {value!r}")
     _guard_size(*value)
 
 
 def _fields(value, names: tuple[str, ...], where: str) -> None:
     """An object holding exactly the keys ``names``."""
     if not isinstance(value, dict):
-        raise DomainError(f"{where}: expected an object, got {value!r}")
+        raise BiftError(f"{where}: expected an object, got {value!r}")
     for name in names:
         if name not in value:
-            raise DomainError(f"{where}.{name}: missing")
+            raise BiftError(f"{where}.{name}: missing")
     unknown = set(value) - set(names)
     if unknown:
-        raise DomainError(f"{where}: unknown keys {sorted(unknown)}")
+        raise BiftError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | None]]:
@@ -164,38 +164,38 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
     system read every key given, and that a sweep names one with a ``p``."""
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
-        raise DomainError(f"unknown config keys {sorted(unknown)}")
+        raise BiftError(f"unknown config keys {sorted(unknown)}")
     if "emit_tuples" in cfg and command != "run":
-        raise DomainError(f"config key emit_tuples applies only to run, not {command}")
+        raise BiftError(f"config key emit_tuples applies only to run, not {command}")
     where, _, reads = _system(cfg)
     if command == "sweep" and "p" not in reads:
         *rest, last = [name for name, b in SCENARIOS.items() if "p" in builder_keys(b)]
-        raise DomainError(f"sweep: only the {', '.join(rest)} and {last} scenarios can be "
-                          f"swept, not {where}")
+        raise BiftError(f"sweep: only the {', '.join(rest)} and {last} scenarios can be "
+                        f"swept, not {where}")
     stray = set(cfg) - reads - {"tolerance", "emit_tuples"}
     if stray:
-        raise DomainError(f"config keys {sorted(stray)} do not apply to {where}")
+        raise BiftError(f"config keys {sorted(stray)} do not apply to {where}")
     if "beta" in cfg:
         _number(cfg["beta"], "beta", positive=True)
     if "dims" in cfg:
         _dims(cfg["dims"], "dims")
     if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
-        raise DomainError(f"seed: expected a non-negative integer, got {cfg['seed']!r}")
+        raise BiftError(f"seed: expected a non-negative integer, got {cfg['seed']!r}")
     for key in ("rank_deficient", "emit_tuples"):
         if not isinstance(cfg.get(key, False), bool):
-            raise DomainError(f"{key}: expected true or false, got {cfg[key]!r}")
+            raise BiftError(f"{key}: expected true or false, got {cfg[key]!r}")
     tol = cfg.get("tolerance")       # a bare number sets equality and bound
     fields = (tol if isinstance(tol, dict) else {} if tol is None
               else {"equality": tol, "bound": tol})
     unknown = set(fields) - {f.name for f in dataclasses.fields(Tolerances)}
     if unknown:
-        raise DomainError(f"tolerance: unknown fields {sorted(unknown)}")
+        raise BiftError(f"tolerance: unknown fields {sorted(unknown)}")
     for key, value in fields.items():
         _number(value, f"tolerance.{key}" if isinstance(tol, dict) else "tolerance",
                 positive=False)
     points = p_values(cfg) if "p" in reads else [None]
     if command != "sweep" and len(points) != 1:
-        raise DomainError(f"p: expected a single value, got {len(points)}")
+        raise BiftError(f"p: expected a single value, got {len(points)}")
     return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in fields.items()}), points
 
 
@@ -213,30 +213,30 @@ def p_values(cfg: dict) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise DomainError(f"grid {text!r}: expected start:stop:count")
+            raise BiftError(f"grid {text!r}: expected start:stop:count")
         try:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise DomainError(f"grid {text!r}: {exc}") from exc
+            raise BiftError(f"grid {text!r}: {exc}") from exc
         if not 1 <= count <= MAX_GRID_POINTS:
-            raise DomainError(f"grid {text!r}: count must lie in [1, {MAX_GRID_POINTS}]")
+            raise BiftError(f"grid {text!r}: count must lie in [1, {MAX_GRID_POINTS}]")
         if not math.isfinite(stop - start):     # an end that is not finite, or too far apart
-            raise DomainError(f"grid {text!r}: stop - start must be finite")
+            raise BiftError(f"grid {text!r}: stop - start must be finite")
         values = [float(x) for x in np.linspace(start, stop, count)]
     elif isinstance(raw, str):
         try:
             values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
         except ValueError as exc:
-            raise DomainError(f"grid {text!r}: {exc}") from exc
+            raise BiftError(f"grid {text!r}: {exc}") from exc
     elif isinstance(raw, list) and all(_is_finite(v) for v in raw):
         values = [float(v) for v in raw]
     elif _is_finite(raw):
         values = [float(raw)]
     else:
-        raise DomainError(f"p: expected a number, a list of numbers or a start:stop:count "
-                          f"grid, got {raw!r}")
+        raise BiftError(f"p: expected a number, a list of numbers or a start:stop:count "
+                        f"grid, got {raw!r}")
     if not values:
-        raise DomainError("p: the grid is empty")
+        raise BiftError("p: the grid is empty")
     return values
 
 
@@ -252,16 +252,16 @@ def explicit_system(system, tol: Tolerances) -> Scenario:
     beta, energies = res["beta"], res["energies"]
     _number(beta, "system.reservoir.beta", positive=True)
     if not (isinstance(energies, list) and all(_is_finite(e) for e in energies)):
-        raise DomainError("system.reservoir.energies: expected a list of finite numbers")
+        raise BiftError("system.reservoir.energies: expected a list of finite numbers")
     if len(energies) != dims[2]:
-        raise DomainError("system.reservoir.energies: length must equal d_R")
+        raise BiftError("system.reservoir.energies: length must equal d_R")
     rho, u = (decode_complex_matrix(system[key], f"system.{key}") for key in ("rho_ab", "unitary"))
     try:
         spectra = spectra_from_unitary(
             UnitarySystem(dims[0], dims[1], density_operator(rho, tol),
                           ReservoirSpec(tuple(energies), float(beta)), u), tol)
     except BiftError as exc:
-        raise DomainError(f"system: {exc}") from exc
+        raise BiftError(f"system: {exc}") from exc
     return Scenario("explicit", {"dims": list(dims)}, spectra, {})
 
 
@@ -275,8 +275,8 @@ def _system(cfg: dict) -> tuple[str, Callable[..., Scenario], frozenset[str]]:
     if isinstance(name, str) and name in SCENARIOS:
         builder = SCENARIOS[name]
         return f"the {name} scenario", builder, builder_keys(builder) | {"scenario"}
-    raise DomainError(f"scenario: unknown or missing (got {name!r}); "
-                      f"expected {', '.join(SCENARIOS)}, or an explicit system")
+    raise BiftError(f"scenario: unknown or missing (got {name!r}); "
+                    f"expected {', '.join(SCENARIOS)}, or an explicit system")
 
 
 def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
@@ -389,7 +389,7 @@ def output(out: str | None) -> Iterator[Callable[[bytes], object]]:
     buffer under it (an ``io.StringIO``), is a usage error."""
     where = "stdout" if out is None else f"out {out}"
     if out is None and not hasattr(sys.stdout, "buffer"):
-        raise DomainError(f"{where}: a text-only stream, which cannot take the report's bytes")
+        raise BiftError(f"{where}: a text-only stream, which cannot take the report's bytes")
     try:
         if out is None:
             sys.stdout.flush()
@@ -403,7 +403,7 @@ def output(out: str | None) -> Iterator[Callable[[bytes], object]]:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise DomainError(f"{where}: {exc.strerror or exc}") from exc
+        raise BiftError(f"{where}: {exc.strerror or exc}") from exc
 
 
 def cmd_run(args, cfg: dict, tol: Tolerances, points: list[float | None]) -> int:

@@ -3,8 +3,10 @@
 Everything here works on plain ``numpy`` arrays at the sizes the size
 guard in ``bift.cli`` admits (total dimension M R up to 3162, reached at
 d_A d_B = 1): validated states and propagators, partial traces, spectra
-and Haar-random unitaries.  All functions are pure; returned
-arrays are never views into their inputs.
+and Haar-random unitaries.  All functions are pure.  Spectra, partial
+traces and Haar draws are fresh arrays; ``check_unitary`` returns its
+input itself, and ``density_operator`` keeps it as ``matrix``, when it
+is already a complex array.
 
 Conventions
 -----------
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, HermiticityError, UnitarityError
+from .errors import BiftError
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,12 @@ class Tolerances:
     -2.4e-3 with ``orthonormality`` 1.0.  That, like a zero ``equality``,
     ``bound`` or ``trace`` (``forward_factorization`` reads 1.17e-16 on
     the counterexample at p = 0.37), is the user's own demand, and its
-    exit 1 is honest.  The fields are absolute, sized for double
+    exit 1 is honest.  A system's own states are held to the same
+    fields where they are read in, so a field too tight for them refuses
+    the system itself, exit 2: ``verify --scenario werner --p 0.37
+    --tolerance 0`` stops at ``initial.p_m sums to 1.000000000000, not
+    1``, as 39 of the 101 points of ``0:1:101`` do, while p = 0.1 exits
+    1.  The fields are absolute, sized for double
     precision, and a valid system can fail the defaults:
     ``verify --scenario counterexample --p 0.999999`` (M R = 4) fails
     ``reference:reverse_avg_exp_di`` at 1.46e-10, 5.8e-16 of its value
@@ -124,9 +131,9 @@ class ReservoirSpec:
 
     def __post_init__(self):
         if self.beta <= 0:
-            raise ConsistencyError(f"beta must be positive, got {self.beta}")
+            raise BiftError(f"beta must be positive, got {self.beta}")
         if len(self.energies) == 0:
-            raise DimensionError("reservoir needs at least one level")
+            raise BiftError("reservoir needs at least one level")
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
 
     @property
@@ -139,22 +146,20 @@ class ReservoirSpec:
         return w / w.sum()
 
 
-def spectral_decompose(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
-    """Decompose a Hermitian matrix with a deterministic eigenbasis.
+def spectral_decompose(matrix: np.ndarray) -> SpectralDecomposition:
+    """Decompose the Hermitian part of a square matrix with a
+    deterministic eigenbasis.
 
     Eigenvalues come out descending, eigenvectors as a fresh F-ordered
     copy of ``eigh``'s columns.  Each degenerate block of two or more
     (see ``degenerate_blocks``) gets the canonical Gram-Schmidt basis
-    described in the module docstring.  Raises HermiticityError if the
-    input is not Hermitian within ``tol.hermiticity``.
+    described in the module docstring.  No tolerance is applied: a state
+    is judged where it enters, by ``density_operator``, and a state
+    derived from it is decomposed, not judged again.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-    if dev > tol.hermiticity:
-        raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
-
+        raise BiftError(f"expected a square matrix, got shape {m.shape}")
     vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
     # eigh gives the eigenvalues ascending; the copies are fresh arrays,
     # not reversed views
@@ -201,18 +206,22 @@ def _canonical_block_basis(block: np.ndarray) -> np.ndarray:
 def density_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     """Validate and wrap a density matrix.
 
-    Checks Hermiticity, unit trace and positive semidefiniteness, then
-    attaches the canonical spectral decomposition with eigenvalues clipped
-    to [0, 1] (clipping only ever removes numerical dust below tol.psd).
+    Checks the shape, then Hermiticity, unit trace and positive
+    semidefiniteness, then attaches the canonical spectral decomposition
+    with eigenvalues clipped to [0, 1] (clipping only ever removes
+    numerical dust below tol.psd).
     """
     m = np.asarray(matrix, dtype=complex)
-    dec = spectral_decompose(m, tol)  # raises HermiticityError if needed
+    dec = spectral_decompose(m)
+    dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    if dev > tol.hermiticity:
+        raise BiftError(f"matrix deviates from Hermitian by {dev:.3e}")
     tr = float(np.real(np.trace(m)))
     if abs(tr - 1.0) > tol.trace:
-        raise ConsistencyError(f"trace deviates from 1 by {tr - 1.0:.3e}")
+        raise BiftError(f"trace deviates from 1 by {tr - 1.0:.3e}")
     lo = float(dec.probabilities.min())
     if lo < -tol.psd:
-        raise ConsistencyError(f"negative eigenvalue {lo:.3e} below PSD tolerance")
+        raise BiftError(f"negative eigenvalue {lo:.3e} below PSD tolerance")
     probs = np.clip(dec.probabilities, 0.0, 1.0)
     dec = SpectralDecomposition(probs, dec.vectors)
     return DensityOperator(matrix=m, decomposition=dec)
@@ -226,23 +235,23 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
     """
     d1, d2 = int(dims[0]), int(dims[1])
     if keep not in (0, 1):
-        raise DimensionError(f"keep must be 0 or 1, got {keep}")
+        raise BiftError(f"keep must be 0 or 1, got {keep}")
     m = np.asarray(rho, dtype=complex)
     if m.shape != (d1 * d2, d1 * d2):
-        raise DimensionError(f"state of shape {m.shape} does not factor as {d1}x{d2}")
+        raise BiftError(f"state of shape {m.shape} does not factor as {d1}x{d2}")
     r = m.reshape(d1, d2, d1, d2)
     return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
 def check_unitary(u: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Return ``u`` as a complex array, raising UnitarityError if
-    u^dag u deviates from the identity beyond tolerance."""
+    """Return ``u`` as a complex array (``u`` itself when it is one),
+    refused if u^dag u deviates from the identity beyond tolerance."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {u.shape}")
+        raise BiftError(f"expected a square matrix, got shape {u.shape}")
     dev = float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
     if dev > tol.unitarity:
-        raise UnitarityError(f"operator deviates from unitary by {dev:.3e}")
+        raise BiftError(f"operator deviates from unitary by {dev:.3e}")
     return u
 
 

@@ -45,7 +45,7 @@ from typing import Any, Callable, Collection
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BiftError
 
 
 def format_float(x: float) -> str:
@@ -339,22 +339,22 @@ def load_config(path: str) -> dict:
     """The JSON object in the UTF-8 file ``path``; any file that does not
     hold one (unreadable, not UTF-8, not JSON, an integer longer than
     Python converts, nested deeper than the decoder recurses, not an
-    object) is a DomainError."""
+    object) is a BiftError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise DomainError(f"config {path}: {exc.strerror or exc}") from exc
+        raise BiftError(f"config {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DomainError(f"config {path}: not UTF-8 text ({exc})") from exc
+        raise BiftError(f"config {path}: not UTF-8 text ({exc})") from exc
     try:
         cfg = json.loads(text)
     except ValueError as exc:       # JSONDecodeError, or int's digit limit
-        raise DomainError(f"config {path}: invalid JSON ({exc})") from exc
+        raise BiftError(f"config {path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
-        raise DomainError(f"config {path}: JSON nested too deeply") from exc
+        raise BiftError(f"config {path}: JSON nested too deeply") from exc
     if not isinstance(cfg, dict):
-        raise DomainError(f"config {path}: top level must be an object")
+        raise BiftError(f"config {path}: top level must be an object")
     return cfg
 
 
@@ -370,14 +370,14 @@ def decode_complex_matrix(entries, where: str) -> np.ndarray:
             raise TypeError
         arr = arr.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{where}: entries must be numbers") from exc
+        raise BiftError(f"{where}: entries must be numbers") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise DomainError(
+        raise BiftError(
             f"{where}: expected rows x cols x [re, im], got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise DomainError(f"{where}: entries must be finite")
+        raise BiftError(f"{where}: entries must be finite")
     limit = math.sqrt(sys.float_info.max / (2 * max(arr.shape)))
     if arr.size and np.abs(arr).max() > limit:
-        raise DomainError(f"{where}: entries must not exceed {limit:.6g} in modulus")
+        raise BiftError(f"{where}: entries must not exceed {limit:.6g} in modulus")
     return arr[..., 0] + 1j * arr[..., 1]
 

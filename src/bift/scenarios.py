@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BiftError
 from .linalg import (
     DEFAULT_TOL,
     ReservoirSpec,
@@ -141,9 +141,9 @@ def werner_isothermal(p: float, beta: float = 1.0,
     """Isothermal gap sweep on both halves of a Werner state."""
     beta = float(beta)
     if not 0.0 <= p <= 1.0:
-        raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
+        raise BiftError(f"werner fraction must lie in [0, 1], got {p}")
     if not (beta > 0.0 and math.isfinite(LN2 / beta)):
-        raise DomainError(f"beta must be positive with ln2/beta finite, got {beta}")
+        raise BiftError(f"beta must be positive with ln2/beta finite, got {beta}")
     # The dimensionless heat exponent -2 ln 2 does not depend on beta;
     # beta only scales the work/free-energy bookkeeping below.
     spectra = _werner_spectra(p, tol)
@@ -189,7 +189,7 @@ def bell_adiabatic_counterexample(p: float, tol: Tolerances = DEFAULT_TOL) -> Sc
     """Adiabatic product-to-Bell dynamics where the reverse-averaged
     information bound loses to the plain one."""
     if not 0.0 < p < 1.0:
-        raise DomainError(f"counterexample fraction must lie in (0, 1), got {p}")
+        raise BiftError(f"counterexample fraction must lie in (0, 1), got {p}")
     spectra = spectra_from_unitary(_counterexample_unitary_system(p, tol), tol)
     di = counterexample_delta_i_avg(p)
     rev = counterexample_reverse_avg(p)
@@ -229,10 +229,10 @@ def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
     validated and decomposed at ``tol``.
     """
     if not (beta > 0.0 and math.isfinite(5.0 / beta)):
-        raise DomainError(f"beta must be positive with 5/beta finite, got {beta}")
+        raise BiftError(f"beta must be positive with 5/beta finite, got {beta}")
     d_m = dim_a * dim_b
     if rank_deficient and d_m < 2:
-        raise DomainError("rank_deficient needs d_A * d_B >= 2")
+        raise BiftError("rank_deficient needs d_A * d_B >= 2")
     rng = np.random.default_rng(seed)
     lam = _mixed_spectrum(rng, d_m)
     if degenerate:

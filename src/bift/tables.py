@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError
+from .errors import BiftError
 from .functionals import content, or_one
 from .linalg import (
     DEFAULT_TOL,
@@ -222,11 +222,10 @@ def _zero_noise(p: np.ndarray, dim: int) -> np.ndarray:
     return np.where(p > rounding_floor(p, dim), p, 0.0)
 
 
-def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int,
-              tol: Tolerances) -> Endpoint:
+def _endpoint(rho_ab: np.ndarray, dec: SpectralDecomposition, d_a: int, d_b: int) -> Endpoint:
     """The measurement point of the AB state ``rho_ab`` in the global
     eigenbasis ``dec``, with its local spectra and conditional weights, noise zeroed."""
-    dec_a, dec_b = (spectral_decompose(partial_trace(rho_ab, (d_a, d_b), k), tol) for k in (0, 1))
+    dec_a, dec_b = (spectral_decompose(partial_trace(rho_ab, (d_a, d_b), k)) for k in (0, 1))
     p_m, p_a, p_b = (_zero_noise(np.clip(d.probabilities, 0.0, None), d_a * d_b)
                      for d in (dec, dec_a, dec_b))
     return Endpoint(p_m=p_m, p_a=p_a, p_b=p_b, cond=_zero_noise(
@@ -258,8 +257,8 @@ def transition_kernel(initial_vectors: np.ndarray, final_vectors: np.ndarray,
 def _check_heat_exponents(beta_q: np.ndarray) -> np.ndarray:
     """``beta_q``, refused when an entry is not finite or its exp overflows."""
     if not np.all(np.abs(beta_q) <= MAX_HEAT_EXPONENT):
-        raise ConsistencyError(f"heat exponents beta * (E_r - E_r') must be finite and at "
-                               f"most {MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
+        raise BiftError(f"heat exponents beta * (E_r - E_r') must be finite and at "
+                        f"most {MAX_HEAT_EXPONENT:.6g} in modulus, where exp overflows")
     return beta_q
 
 
@@ -268,22 +267,23 @@ def spectra_from_unitary(system: UnitarySystem,
     """Assemble the full ingredient bundle from an explicit propagator.
 
     The initial decomposition is the state's own; the final and local
-    decompositions are derived here.  ``beta_q`` is checked before the
-    propagator's unitarity, the one (M·R)^3 product, and the Gibbs weights.
+    decompositions are derived here and not judged.  ``beta_q`` is
+    checked before the propagator's unitarity, the one (M·R)^3 product,
+    and the Gibbs weights.
     """
     d_a, d_b = system.dim_a, system.dim_b
     d_m = d_a * d_b
     d_r = system.reservoir.dim
     dim = system.rho_ab.matrix.shape[0]
     if dim != d_m:
-        raise DimensionError(f"rho_AB dim {dim} != {d_a} x {d_b}")
+        raise BiftError(f"rho_AB dim {dim} != {d_a} x {d_b}")
     energies = np.asarray(system.reservoir.energies)
     with np.errstate(over="ignore"):        # an overflow reads inf, which the check refuses
         beta_q = _check_heat_exponents(
             system.reservoir.beta * (energies[:, None] - energies[None, :]))
     u = check_unitary(system.unitary, tol)
     if u.shape[0] != d_m * d_r:
-        raise DimensionError(f"propagator dim {u.shape[0]} != {d_m} x {d_r}")
+        raise BiftError(f"propagator dim {u.shape[0]} != {d_m} x {d_r}")
 
     init = system.rho_ab.decomposition
     p_r = system.reservoir.gibbs_probabilities()
@@ -295,11 +295,11 @@ def spectra_from_unitary(system: UnitarySystem,
     u_dag = blocks.conj().swapaxes(2, 3) * p_r[None, :, None, None]
     rho_ab_final = (u_rho @ u_dag).sum(axis=(0, 1))
 
-    fin = spectral_decompose(rho_ab_final, tol)
+    fin = spectral_decompose(rho_ab_final)
     kernel = _zero_noise(transition_kernel(init.vectors, fin.vectors, d_r, u), d_m * d_r)
     return SystemSpectra(
-        initial=_endpoint(system.rho_ab.matrix, init, d_a, d_b, tol),
-        final=_endpoint(rho_ab_final, fin, d_a, d_b, tol),
+        initial=_endpoint(system.rho_ab.matrix, init, d_a, d_b),
+        final=_endpoint(rho_ab_final, fin, d_a, d_b),
         p_r=p_r,
         kernel=kernel,
         reverse_kernel=kernel,
@@ -315,18 +315,18 @@ def spectra_from_analytic(spectra: SystemSpectra,
     The sizes come from ``initial.p_a``, ``initial.p_b`` and ``p_r``,
     which must be vectors.  Every probability vector, conditional table
     and kernel then passes one rule: a float array of the shape those
-    sizes give (DimensionError), finite, with no entry below
-    ``-tol.psd``, that sums to 1 -- a vector in total, a conditional
-    table over (a, b), the forward kernel over (m', r') and the reverse
-    kernel over (m, r) (ConsistencyError).  Every heat exponent must be
-    finite with ``|beta_q| <= MAX_HEAT_EXPONENT``, and the forward
-    kernel's image marginal must equal the attached final spectrum
-    (ConsistencyError).  Sums are compared to ``tol.equality``.
+    sizes give, finite, with no entry below ``-tol.psd``, that sums to
+    1 -- a vector in total, a conditional table over (a, b), the forward
+    kernel over (m', r') and the reverse kernel over (m, r).  Every heat
+    exponent must be finite with ``|beta_q| <= MAX_HEAT_EXPONENT``, and
+    the forward kernel's image marginal must equal the attached final
+    spectrum.  Sums are compared to ``tol.equality``, so a zero
+    ``equality`` can refuse a system whose sums carry rounding.
     """
     shapes = [np.shape(v) for v in (spectra.initial.p_a, spectra.initial.p_b, spectra.p_r)]
     if any(len(shape) != 1 for shape in shapes):
-        raise DimensionError(f"initial.p_a, initial.p_b and p_r must be one-dimensional, "
-                             f"got shapes {shapes}")
+        raise BiftError(f"initial.p_a, initial.p_b and p_r must be one-dimensional, "
+                        f"got shapes {shapes}")
     (d_a,), (d_b,), (d_r,) = shapes
     d_m = d_a * d_b
 
@@ -335,17 +335,17 @@ def spectra_from_analytic(spectra: SystemSpectra,
         # total stays a scalar, compared without an array pass.
         arr = np.asarray(x, dtype=float)
         if arr.shape != shape:
-            raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
+            raise BiftError(f"{name} must have shape {shape}, got {arr.shape}")
         # NaN fails every comparison, so finiteness is checked on its own.
         if not np.isfinite(arr).all():
-            raise ConsistencyError(f"{name} has non-finite entries")
+            raise BiftError(f"{name} has non-finite entries")
         if np.any(arr < -tol.psd):
-            raise ConsistencyError(f"{name} has negative entries")
+            raise BiftError(f"{name} has negative entries")
         total = arr.sum(axis=axes)
         if axes is None and abs(total - 1.0) > tol.equality:
-            raise ConsistencyError(f"{name} sums to {total:.12f}, not 1")
+            raise BiftError(f"{name} sums to {total:.12f}, not 1")
         if axes is not None and np.max(np.abs(total - 1.0)) > tol.equality:
-            raise ConsistencyError(f"{name} rows do not sum to 1")
+            raise BiftError(f"{name} rows do not sum to 1")
         return arr
 
     def endpoint(end: Endpoint, side: str) -> Endpoint:
@@ -364,11 +364,11 @@ def spectra_from_analytic(spectra: SystemSpectra,
     # attached final spectrum (there is no propagator to guarantee it).
     image = np.einsum("m,r,mnrs->n", initial.p_m, p_r, kernel)
     if np.max(np.abs(image - final.p_m)) > tol.equality:
-        raise ConsistencyError("forward kernel image disagrees with final spectrum")
+        raise BiftError("forward kernel image disagrees with final spectrum")
 
     beta_q = np.asarray(spectra.beta_q, dtype=float)
     if beta_q.shape != (d_r, d_r):
-        raise DimensionError(f"beta_q must have shape ({d_r},{d_r})")
+        raise BiftError(f"beta_q must have shape ({d_r},{d_r})")
 
     return SystemSpectra(initial=initial, final=final, p_r=p_r, kernel=kernel,
                          reverse_kernel=rkernel, beta_q=_check_heat_exponents(beta_q))

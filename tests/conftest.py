@@ -20,7 +20,7 @@ from mpmath import mp
 import bift
 from bift import reportio, tables
 from bift.functionals import shannon_entropy
-from bift.errors import DomainError
+from bift.errors import BiftError
 from bift.linalg import (
     _ACCEPT_NORM,
     DEFAULT_TOL,
@@ -77,7 +77,7 @@ def bell_ket(k: int) -> np.ndarray:
 def werner_state(p: float) -> np.ndarray:
     """p |bell_0><bell_0| + (1-p)/4 I as a 4x4 matrix."""
     if not 0.0 <= p <= 1.0:
-        raise DomainError(f"werner fraction must lie in [0, 1], got {p}")
+        raise BiftError(f"werner fraction must lie in [0, 1], got {p}")
     b0 = bell_basis()[:, 0]
     return p * np.outer(b0, b0) + (1.0 - p) / 4.0 * np.eye(4)
 
@@ -195,8 +195,8 @@ def remix_derived_decompositions(monkeypatch, rng: np.random.Generator) -> None:
     by :func:`remix_degenerate_blocks`."""
     derive = tables.spectral_decompose
 
-    def remixed(matrix, tol=DEFAULT_TOL):
-        return remix_degenerate_blocks(derive(matrix, tol), rng)
+    def remixed(matrix):
+        return remix_degenerate_blocks(derive(matrix), rng)
 
     monkeypatch.setattr(tables, "spectral_decompose", remixed)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bift.errors import ConsistencyError, DimensionError, HermiticityError, UnitarityError
+from bift.errors import BiftError
 from bift.functionals import shannon_entropy
 from bift.linalg import (
     ReservoirSpec,
@@ -60,9 +60,9 @@ class TestPartialTrace:
         assert np.max(np.abs(got - 0.5 * np.eye(2))) < 1e-15
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(BiftError, match=r"state of shape \(6, 6\) does not factor as 2x2"):
             partial_trace(random_density(6, rng), (2, 2), keep=0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(BiftError, match="keep must be 0 or 1, got 2"):
             partial_trace(random_density(4, rng), (2, 2), keep=2)
 
 
@@ -114,10 +114,6 @@ class TestSpectralDecompose:
         assert degenerate_blocks(dec.probabilities) == [(k, k + 1) for k in range(n)]
         residual = np.max(np.abs(rho @ dec.vectors - dec.vectors * dec.probabilities))
         assert residual <= 8 * n * np.finfo(float).eps
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -189,12 +185,21 @@ class TestSpectralDecompose:
 
 
 class TestDensityOperator:
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(BiftError, match="matrix deviates from Hermitian by 1.000e[+]00"):
+            density_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_square_first(self):
+        # the shape is checked before Hermiticity, which a 2x3 matrix cannot be asked
+        with pytest.raises(BiftError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            density_operator(np.eye(2, 3))
+
     def test_validates_trace(self):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(BiftError, match="trace deviates from 1 by 1.000e[+]00"):
             density_operator(np.eye(2))
 
     def test_validates_psd(self):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(BiftError, match="negative eigenvalue -5.000e-01 below PSD tolerance"):
             density_operator(np.diag([1.5, -0.5]))
 
     def test_clips_dust(self):
@@ -225,17 +230,17 @@ class TestGibbs:
         assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_beta_must_be_positive(self):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(BiftError, match="beta must be positive, got 0.0"):
             ReservoirSpec(energies=(0.0,), beta=0.0)
 
     def test_needs_a_level(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(BiftError, match="reservoir needs at least one level"):
             ReservoirSpec(energies=(), beta=1.0)
 
 
 class TestCheckUnitary:
     def test_rejects_non_unitary(self):
-        with pytest.raises(UnitarityError):
+        with pytest.raises(BiftError, match="operator deviates from unitary by 3.000e[+]00"):
             check_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 

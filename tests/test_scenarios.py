@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bift.errors import DomainError
+from bift.errors import BiftError
 from bift.scenarios import (
     bell_adiabatic_counterexample,
     bell_basis,
@@ -92,11 +92,11 @@ class TestWernerScenario:
         assert np.max(np.abs(b.T @ b - np.eye(4))) < 1e-15
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(BiftError, match=r"werner fraction must lie in \[0, 1\], got -0.1"):
             werner_isothermal(-0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(BiftError, match=r"werner fraction must lie in \[0, 1\], got 1.1"):
             werner_isothermal(1.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(BiftError, match="beta must be positive with ln2/beta finite, got 0.0"):
             werner_isothermal(0.5, beta=0.0)
 
     def test_beta_scales_work_bounds_only(self):
@@ -153,7 +153,7 @@ class TestCounterexampleScenario:
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(DomainError):
+            with pytest.raises(BiftError, match=r"counterexample fraction must lie in \(0, 1\)"):
                 bell_adiabatic_counterexample(bad)
 
 
@@ -210,5 +210,5 @@ class TestRandomInstances:
         assert np.max(np.abs(off)) == 0.0
 
     def test_beta_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(BiftError, match="beta must be positive with 5/beta finite, got -1.0"):
             random_instance(2, 2, 2, seed=0, beta=-1.0)

@@ -88,6 +88,26 @@ class TestBytesDiff:
         assert proc.stderr.startswith(f"error: {tmp_path / parent}")
         assert proc.stdout == ""
 
+    def test_error_cases_exit_2_as_in_the_tests(self, monkeypatch, tmp_path):
+        # every CONFIG_ERRORS case of tests/test_cli.py is in the corpus and
+        # runs as TestExitCodes runs it: it reads its own config file, and
+        # the case that names its own --out keeps it
+        bytes_diff = load_bytes_diff(monkeypatch)
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        cases = bytes_diff.error_cases(workdir)
+        assert len(cases) == len(bytes_diff.cli_tables()["CONFIG_ERRORS"])
+        results = bytes_diff.run_side(ROOT, cases, workdir, tmp_path / "out")
+        for case in cases:
+            _, status, err = results[case.name]
+            assert status == 2 and err.startswith("error: ") and err.count("\n") == 1, case
+            configs = [arg for arg in case.argv if (workdir / arg).is_file()]
+            if configs:
+                assert f"config {configs[0]}: No such file" not in err, case
+        [own_out] = [case for case in cases if "--out" in case.argv]
+        assert results[own_out.name][2] == \
+            "error: out missing/out.json: No such file or directory\n"
+
     def test_layout_change_keeps_shared_fields_compared(self, monkeypatch):
         # a field removed before the shared ones and one added after them:
         # the shared fields still pair up, the k-th at a path with the k-th
@@ -129,6 +149,7 @@ class TestBytesDiff:
 
         monkeypatch.setattr(bytes_diff, "golden_cases",
                             lambda: [bytes_diff.Case(name, ("run",)) for name in "abc"])
+        monkeypatch.setattr(bytes_diff, "error_cases", lambda workdir: [])
         monkeypatch.setattr(bytes_diff, "workload_cases", lambda workdir: [])
         monkeypatch.setattr(bytes_diff, "run_side", run_side)
         assert bytes_diff.main(["--parent", str(ROOT), "--change", str(ROOT)]) == 1

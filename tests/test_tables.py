@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bift.cli import _guard_size, build_analysis, dense_table, validate_config
-from bift.errors import BiftError, ConsistencyError, DimensionError, SizeError
+from bift.errors import BiftError
 from bift.linalg import (
     DEFAULT_TOL,
     MAX_HEAT_EXPONENT,
@@ -75,7 +75,8 @@ class TestConditionalLocal:
         # on either endpoint
         s = werner_spectra()
         for side in ("initial", "final"):
-            with pytest.raises(DimensionError):
+            with pytest.raises(BiftError, match=rf"{side}\.cond must have shape \(4, 2, 2\), "
+                                                r"got \(3, 2, 2\)"):
                 spectra_from_analytic(
                     replace_endpoint(s, side, cond=getattr(s, side).cond[:3]))
 
@@ -345,14 +346,14 @@ class TestAnalyticValidation:
     def test_kernel_image_must_match_final(self):
         bad = replace_endpoint(werner_spectra(), "final",
                                p_m=np.array([0.0, 1.0, 0.0, 0.0]))  # wrong target
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(BiftError, match="forward kernel image disagrees with final spectrum"):
             spectra_from_analytic(bad)
 
     def test_kernel_rows_must_be_stochastic(self):
         for s in row_bundles():
             bad_kernel = s.kernel.copy()
             bad_kernel[0, 0, 0, 0] = 0.5
-            with pytest.raises(ConsistencyError):
+            with pytest.raises(BiftError, match="forward kernel rows do not sum to 1"):
                 spectra_from_analytic(dataclasses.replace(s, kernel=bad_kernel))
 
     def test_reverse_kernel_rows_must_be_stochastic(self):
@@ -360,23 +361,24 @@ class TestAnalyticValidation:
         for s in row_bundles():
             bad_kernel = s.reverse_kernel.copy()
             bad_kernel[0, 0, 0, 0] = 0.5
-            with pytest.raises(ConsistencyError, match="reverse kernel rows do not sum to 1"):
+            with pytest.raises(BiftError, match="reverse kernel rows do not sum to 1"):
                 spectra_from_analytic(dataclasses.replace(s, reverse_kernel=bad_kernel))
 
     @pytest.mark.parametrize("name", ["kernel", "reverse_kernel"])
     def test_kernel_shape(self, name):
         s = werner_spectra()
-        with pytest.raises(DimensionError):
+        with pytest.raises(BiftError, match=rf"{name.replace('_', ' ')} must have shape "
+                                            r"\(4, 4, 1, 1\), got \(3, 4, 1, 1\)"):
             spectra_from_analytic(dataclasses.replace(s, **{name: getattr(s, name)[:3]}))
 
     def test_heat_exponent_shape(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(BiftError, match=r"beta_q must have shape \(1,1\)"):
             spectra_from_analytic(werner_spectra(beta_q=np.zeros((2, 2))))
 
     @pytest.mark.parametrize("side", ["initial", "final"])
     def test_global_spectrum_length(self, side):
         s = werner_spectra()
-        with pytest.raises(DimensionError):
+        with pytest.raises(BiftError, match=rf"{side}\.p_m must have shape \(4,\), got \(3,\)"):
             spectra_from_analytic(replace_endpoint(s, side, p_m=np.array([0.5, 0.25, 0.25])))
 
     def test_equality_tolerance_reaches_kernel_checks(self):
@@ -385,7 +387,7 @@ class TestAnalyticValidation:
         off[0, 0, 0, 0] += 1e-11
         near = dataclasses.replace(s, kernel=off)
         spectra_from_analytic(near)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(BiftError, match="forward kernel rows do not sum to 1"):
             spectra_from_analytic(near, Tolerances(equality=1e-12))
 
     @pytest.mark.parametrize("side", ["initial", "final"])
@@ -393,7 +395,7 @@ class TestAnalyticValidation:
     def test_probabilities_must_sum_to_one(self, side, name):
         s = werner_spectra()
         bad = replace_endpoint(s, side, **{name: getattr(getattr(s, side), name) * 1.01})
-        with pytest.raises(ConsistencyError, match="sums to"):
+        with pytest.raises(BiftError, match=rf"{side}\.{name} sums to 1\.01"):
             spectra_from_analytic(bad)
 
     @pytest.mark.parametrize("side", ["initial", "final"])
@@ -404,21 +406,22 @@ class TestAnalyticValidation:
         p = getattr(getattr(s, side), name).copy()
         p[0], p[1] = p[0] + p[1] + 0.25, -0.25
         bad = replace_endpoint(s, side, **{name: p})
-        with pytest.raises(ConsistencyError, match="negative entries"):
+        with pytest.raises(BiftError, match=rf"{side}\.{name} has negative entries"):
             spectra_from_analytic(bad)
 
     @pytest.mark.parametrize("side", ["initial", "final"])
     def test_conditional_rows_must_sum_to_one(self, side):
         s = werner_spectra()
         bad = replace_endpoint(s, side, cond=getattr(s, side).cond * 1.01)
-        with pytest.raises(ConsistencyError, match="rows do not sum to 1"):
+        with pytest.raises(BiftError, match=rf"{side}\.cond rows do not sum to 1"):
             spectra_from_analytic(bad)
 
     @pytest.mark.parametrize("side", ["initial", "final"])
     def test_conditional_shape(self, side):
         s = werner_spectra()
         cond = getattr(s, side).cond
-        with pytest.raises(DimensionError):
+        with pytest.raises(BiftError, match=rf"{side}\.cond must have shape \(4, 2, 2\), "
+                                            r"got \(4, 2, 1\)"):
             spectra_from_analytic(replace_endpoint(s, side, cond=cond[:, :, :1]))
 
     @pytest.mark.parametrize("side, name", [("initial", "p_a"), ("initial", "p_b"),
@@ -431,7 +434,8 @@ class TestAnalyticValidation:
         column = np.asarray(getattr(owner, name))[:, None]
         bad = (replace_endpoint(s, side, **{name: column}) if side
                else dataclasses.replace(s, **{name: column}))
-        with pytest.raises(DimensionError, match="one-dimensional"):
+        with pytest.raises(BiftError, match="initial.p_a, initial.p_b and p_r must be "
+                                            "one-dimensional"):
             spectra_from_analytic(bad)
 
     @given(scenario=st.sampled_from(["werner", "counterexample"]),
@@ -460,7 +464,8 @@ class TestGuardsAndOverrides:
         explicit = {"system": {"dims": [6, 6, 8], "rho_ab": [], "unitary": [],
                                "reservoir": {"energies": list(range(8)), "beta": 1.0}}}
         tol, points = validate_config(explicit, "run")
-        with pytest.raises(SizeError):
+        with pytest.raises(BiftError,
+                           match="dense tuple table would hold 107495424 > 10000000 entries"):
             build_analysis(explicit, tol, *points)
         rho = density_operator(np.eye(36, dtype=complex) / 36)
         system = UnitarySystem(6, 6, rho,
@@ -470,7 +475,7 @@ class TestGuardsAndOverrides:
 
     def test_size_guard_counts_exactly(self):
         # (M·A·B·R)² = 2**128 entries: a fixed-width product wraps to 0
-        with pytest.raises(SizeError):
+        with pytest.raises(BiftError, match=f"dense tuple table would hold {2 ** 128} > "):
             _guard_size(65536, 65536, 1)
         _guard_size(3, 3, 3)
 
@@ -478,7 +483,7 @@ class TestGuardsAndOverrides:
         # at beta Q = 710, e^{beta Q} overflows and the averages read NaN
         system = dataclasses.replace(random_instance(2, 2, 2, seed=1),
                                      reservoir=ReservoirSpec((0.0, 710.0), 1.0))
-        with pytest.raises(ConsistencyError, match=r"heat exponents beta \* \(E_r - E_r'\)"):
+        with pytest.raises(BiftError, match=r"heat exponents beta \* \(E_r - E_r'\)"):
             spectra_from_unitary(system)
 
     def test_unitary_route_evaluates_the_largest_heat_exponent(self):
