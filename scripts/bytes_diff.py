@@ -18,18 +18,18 @@ one child process, with its own ``src`` first on ``PYTHONPATH``.
 
 An output is what a call writes to ``--out``, its exit status and its
 stderr; a case that names its own ``--out`` keeps it, and only its
-status and stderr are compared.  Each prints as ``same`` or ``moved``.  For a moved report, sweep
-table or ``verify`` text, the fields only one side holds are listed as
-removed or added, and every moved field shared by both with its largest
-absolute and relative change; list entries are named by their ``name``
-key when they have one and collapse to ``[*]`` otherwise.  After the
-count of moved outputs comes one ``across`` line per path that moved
-anywhere, with the number of outputs that moved it and its largest
-absolute change: exit status and stderr first, then the rest, the path
-moved in most outputs first.  Exit 0 when every output is the same, 1
-when one moved, 2 on a usage error or when a side cannot run: a revision
-that does not export, a tree whose corpus does not run, or a corpus that
-cannot be read.
+status and stderr are compared.  Each prints as ``same`` or ``moved``.
+For a moved report, sweep table or ``verify`` text, the fields only one
+side holds are listed as removed or added, and every moved field shared
+by both with its largest absolute and relative change; list entries are
+named by their ``name`` key when they have one and collapse to ``[*]``
+otherwise.  After the count of moved outputs comes one ``across`` line
+per path that moved anywhere, with the number of outputs that moved it
+and its largest absolute change: exit status and stderr first, then the
+rest, the path moved in most outputs first.  Exit 0 when every output is
+the same, 1 when one moved, 2 on a usage error or when a side cannot
+run: a revision that does not export, a tree whose corpus does not run,
+or a corpus that cannot be read.
 """
 
 from __future__ import annotations

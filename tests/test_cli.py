@@ -959,8 +959,9 @@ class TestExitCodes:
         # the final state and the partial traces are computed from the
         # input, so they carry rounding that the input's tolerances do not
         # judge: this system's state is exactly Hermitian, its final state
-        # off by 2.6e-17.  The off-Hermitian state, admitted at 1e-3, is
-        # off by 1e-6, as its final state then is.
+        # off by 2.6e-17 and the final partial traces by up to 4.0e-17.  The
+        # off-Hermitian state, admitted at 1e-3, is off by 1e-6, its final
+        # state by 3.4e-7.
         system = random_instance(2, 2, 2, 3)
         rho = system.rho_ab.matrix.copy()
         if source == "explicit-off-hermitian":
