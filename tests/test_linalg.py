@@ -190,7 +190,7 @@ class TestDensityOperator:
             density_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square_first(self):
-        # the shape is checked before Hermiticity, which a 2x3 matrix cannot be asked
+        # a 2x3 matrix has no Hermiticity to judge: its shape is refused first
         with pytest.raises(BiftError, match=r"expected a square matrix, got shape \(2, 3\)"):
             density_operator(np.eye(2, 3))
 
