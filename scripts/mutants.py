@@ -192,18 +192,18 @@ MUTANTS = (
            'raise BiftError(f"{where}: unknown keys {sorted(unknown)}")',
            "pass",
            ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input",)),
-    Mutant("builder-keys-keep-tol", "src/bift/cli.py",
-           'return frozenset(inspect.signature(builder).parameters) - {"tol"}',
-           "return frozenset(inspect.signature(builder).parameters)",
-           ("tests/test_cli.py::test_fuzz_draws_every_config_key",)),
     Mutant("scenario-name-not-read", "src/bift/cli.py",
-           'builder, builder_keys(builder) | {"scenario"}',
-           "builder, builder_keys(builder)",
+           'builder_keys(SCENARIOS[name]) | {"scenario"}',
+           "builder_keys(SCENARIOS[name])",
            ("tests/test_cli.py::test_scenario_table_names_every_system",)),
     Mutant("scenario-before-system", "src/bift/cli.py",
-           'if "system" in cfg:',
-           'if "system" in cfg and "scenario" not in cfg:',
+           'if "system" in cfg:\n        return "an explicit system"',
+           'if "system" in cfg and "scenario" not in cfg:\n        return "an explicit system"',
            ("tests/test_cli.py::TestExitCodes::test_error_line_names_the_input",)),
+    Mutant("explicit-state-at-default-tol", "src/bift/cli.py",
+           "density_operator(rho, tol)",
+           "density_operator(rho)",
+           ("tests/test_cli.py::TestConfigs::test_trace_tolerance_reaches_state_check",)),
     Mutant("scenario-list-restated", "src/bift/cli.py",
            "expected {', '.join(SCENARIOS)}, or an explicit system",
            "expected werner, counterexample, random, or an explicit system",
@@ -252,6 +252,10 @@ MUTANTS = (
             "test_error_line_names_the_input[heat-exponent-past-limit]",
             "tests/test_cli.py::TestExitCodes::"
             "test_error_line_names_the_input[heat-exponent-difference-overflows]")),
+    Mutant("analytic-sums-exact", "src/bift/tables.py",
+           "if axes is None and abs(total - 1.0) > DEFAULT_TOL.equality:",
+           "if axes is None and abs(total - 1.0) > 0.0:",
+           ("tests/test_cli.py::TestExitCodes::test_werner_grid_at_zero_tolerance_runs",)),
     Mutant("derived-state-validated", "src/bift/tables.py",
            "fin = spectral_decompose(rho_ab_final)",
            "from .linalg import density_operator; "

@@ -46,8 +46,8 @@ TABLE_SIZE_GUARD = 10_000_000  # max number of dense tuple-table entries
 
 @functools.cache
 def builder_keys(builder: Callable[..., Scenario]) -> frozenset[str]:
-    """The config keys a system's builder reads: its keyword parameters but ``tol``."""
-    return frozenset(inspect.signature(builder).parameters) - {"tol"}
+    """The config keys a scenario's builder reads: its keyword parameters."""
+    return frozenset(inspect.signature(builder).parameters)
 
 
 # Any parameter a scenario does not read, and any of them beside an
@@ -167,7 +167,7 @@ def validate_config(cfg: dict, command: str) -> tuple[Tolerances, list[float | N
         raise BiftError(f"unknown config keys {sorted(unknown)}")
     if "emit_tuples" in cfg and command != "run":
         raise BiftError(f"config key emit_tuples applies only to run, not {command}")
-    where, _, reads = _system(cfg)
+    where, reads = _system(cfg)
     if command == "sweep" and "p" not in reads:
         *rest, last = [name for name, b in SCENARIOS.items() if "p" in builder_keys(b)]
         raise BiftError(f"sweep: only the {', '.join(rest)} and {last} scenarios can be "
@@ -265,16 +265,15 @@ def explicit_system(system, tol: Tolerances) -> Scenario:
     return Scenario("explicit", {"dims": list(dims)}, spectra, {})
 
 
-def _system(cfg: dict) -> tuple[str, Callable[..., Scenario], frozenset[str]]:
-    """The system a config names, as its error lines name it, its builder and
-    the config keys it reads: :func:`explicit_system` for a ``system`` block,
-    else the ``SCENARIOS`` entry that ``scenario`` names, reading it too."""
+def _system(cfg: dict) -> tuple[str, frozenset[str]]:
+    """The system a config names, as its error lines name it, and the config
+    keys it reads: an explicit ``system`` block, else the ``SCENARIOS`` entry
+    that ``scenario`` names, reading it too."""
     if "system" in cfg:
-        return "an explicit system", explicit_system, builder_keys(explicit_system)
+        return "an explicit system", frozenset({"system"})
     name = cfg.get("scenario")
     if isinstance(name, str) and name in SCENARIOS:
-        builder = SCENARIOS[name]
-        return f"the {name} scenario", builder, builder_keys(builder) | {"scenario"}
+        return f"the {name} scenario", builder_keys(SCENARIOS[name]) | {"scenario"}
     raise BiftError(f"scenario: unknown or missing (got {name!r}); "
                     f"expected {', '.join(SCENARIOS)}, or an explicit system")
 
@@ -283,10 +282,15 @@ def build_analysis(cfg: dict, tol: Tolerances, p: float | None = None,
                    corruption: bool = False) -> tuple[Scenario, Analysis]:
     """The system a validated config names, at ``p``, one of the points
     :func:`validate_config` returns, and its evaluation, of the system
-    under ``corrupt_reverse`` when ``corruption`` is set."""
-    _, builder, _ = _system(cfg)
-    keys = builder_keys(builder)
-    scenario = builder(**{k: p if k == "p" else cfg[k] for k in cfg.keys() & keys}, tol=tol)
+    under ``corrupt_reverse`` when ``corruption`` is set.  Only an explicit
+    system's state and propagator are judged at ``tol``: a scenario's are
+    the program's own."""
+    if "system" in cfg:
+        scenario = explicit_system(cfg["system"], tol)
+    else:
+        builder = SCENARIOS[cfg["scenario"]]
+        scenario = builder(**{k: p if k == "p" else cfg[k]
+                              for k in cfg.keys() & builder_keys(builder)})
     spectra = corrupt_reverse(scenario.spectra) if corruption else scenario.spectra
     return scenario, evaluate(spectra, scenario.work, tol)
 

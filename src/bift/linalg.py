@@ -52,13 +52,12 @@ class Tolerances:
     -2.4e-3 with ``orthonormality`` 1.0.  That, like a zero ``equality``,
     ``bound`` or ``trace`` (``forward_factorization`` reads 1.17e-16 on
     the counterexample at p = 0.37), is the user's own demand, and its
-    exit 1 is honest.  A system's own states are held to the same
+    exit 1 is honest.  An explicit system's states are held to the same
     fields where they are read in, so a field too tight for them refuses
-    the system itself, exit 2: ``verify --scenario werner --p 0.37
-    --tolerance 0`` stops at ``initial.p_m sums to 1.000000000000, not
-    1``, as 39 of the 101 points of ``0:1:101`` do, while p = 0.1 exits
-    1.  The fields are absolute, sized for double
-    precision, and a valid system can fail the defaults:
+    that system itself, exit 2; a built-in scenario's states are the
+    program's own and are not held to them (``verify --scenario werner
+    --p 0.37 --tolerance 0`` exits 1).  The fields are absolute, sized
+    for double precision, and a valid system can fail the defaults:
     ``verify --scenario counterexample --p 0.999999`` (M R = 4) fails
     ``reference:reverse_avg_exp_di`` at 1.46e-10, 5.8e-16 of its value
     of about 2.5e5 (ROADMAP.md item 2).

@@ -38,13 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiftError
-from .linalg import (
-    DEFAULT_TOL,
-    ReservoirSpec,
-    Tolerances,
-    density_operator,
-    haar_unitary,
-)
+from .linalg import ReservoirSpec, density_operator, haar_unitary
 from .tables import (
     Endpoint,
     SystemSpectra,
@@ -115,7 +109,7 @@ def _werner_spectrum(p: float) -> np.ndarray:
     return np.array([(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3)
 
 
-def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
+def _werner_spectra(p: float) -> SystemSpectra:
     kernel = np.zeros((4, 4, 1, 1))
     kernel[:, 0, 0, 0] = 1.0                  # every m relaxes to the final ground state
     reverse_kernel = np.full((4, 4, 1, 1), 0.25)  # re-expansion is uniform over m
@@ -133,11 +127,10 @@ def _werner_spectra(p: float, tol: Tolerances) -> SystemSpectra:
         # Quasi-static heat bookkeeping: each qubit absorbs -ln2 / beta,
         # deterministic along every trajectory.
         beta_q=np.array([[-2.0 * LN2]]),
-    ), tol)
+    ))
 
 
-def werner_isothermal(p: float, beta: float = 1.0,
-                      tol: Tolerances = DEFAULT_TOL) -> Scenario:
+def werner_isothermal(p: float, beta: float = 1.0) -> Scenario:
     """Isothermal gap sweep on both halves of a Werner state."""
     beta = float(beta)
     if not 0.0 <= p <= 1.0:
@@ -146,7 +139,7 @@ def werner_isothermal(p: float, beta: float = 1.0,
         raise BiftError(f"beta must be positive with ln2/beta finite, got {beta}")
     # The dimensionless heat exponent -2 ln 2 does not depend on beta;
     # beta only scales the work/free-energy bookkeeping below.
-    spectra = _werner_spectra(p, tol)
+    spectra = _werner_spectra(p)
     # Work done on each qubit is ln2 / beta, so extracted work is its
     # negative; each subsystem free energy rises by ln2 / beta.
     work = WorkInputs(work_a=-LN2 / beta, work_b=-LN2 / beta,
@@ -177,20 +170,20 @@ def counterexample_reverse_avg(p: float) -> float:
     return (1.0 + p - p * p) / ((1.0 + p) ** 2 * (1.0 - p))
 
 
-def _counterexample_unitary_system(p: float, tol: Tolerances) -> UnitarySystem:
-    rho = density_operator(np.diag(_werner_spectrum(p)).astype(complex), tol)
+def _counterexample_unitary_system(p: float) -> UnitarySystem:
+    rho = density_operator(np.diag(_werner_spectrum(p)).astype(complex))
     u = bell_basis().astype(complex)          # |product_m> -> |bell_m>
     return UnitarySystem(dim_a=2, dim_b=2, rho_ab=rho,
                          reservoir=ReservoirSpec(energies=(0.0,), beta=1.0),
                          unitary=u)
 
 
-def bell_adiabatic_counterexample(p: float, tol: Tolerances = DEFAULT_TOL) -> Scenario:
+def bell_adiabatic_counterexample(p: float) -> Scenario:
     """Adiabatic product-to-Bell dynamics where the reverse-averaged
     information bound loses to the plain one."""
     if not 0.0 < p < 1.0:
         raise BiftError(f"counterexample fraction must lie in (0, 1), got {p}")
-    spectra = spectra_from_unitary(_counterexample_unitary_system(p, tol), tol)
+    spectra = spectra_from_unitary(_counterexample_unitary_system(p))
     di = counterexample_delta_i_avg(p)
     rev = counterexample_reverse_avg(p)
     reference = {
@@ -218,15 +211,13 @@ def _mixed_spectrum(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
                     beta: float = 1.0,
                     rank_deficient: bool = False,
-                    degenerate: bool = False,
-                    tol: Tolerances = DEFAULT_TOL) -> UnitarySystem:
+                    degenerate: bool = False) -> UnitarySystem:
     """Reproducible generic system: Haar-rotated spectrum, reservoir
     energies uniform on [0, 5/beta], Haar propagator on the whole space.
 
     ``rank_deficient`` zeroes a random tail of the spectrum so the
     restricted reverse mass can drop below 1; ``degenerate`` duplicates
-    eigenvalues in pairs so the eigenbasis gauge is free.  The state is
-    validated and decomposed at ``tol``.
+    eigenvalues in pairs so the eigenbasis gauge is free.
     """
     if not (beta > 0.0 and math.isfinite(5.0 / beta)):
         raise BiftError(f"beta must be positive with 5/beta finite, got {beta}")
@@ -250,25 +241,24 @@ def random_instance(dim_a: int, dim_b: int, dim_r: int, seed: int,
     energies = np.sort(rng.uniform(0.0, 5.0 / beta, size=dim_r))
     u = haar_unitary(d_m * dim_r, rng)
     return UnitarySystem(dim_a=dim_a, dim_b=dim_b,
-                         rho_ab=density_operator(rho, tol),
+                         rho_ab=density_operator(rho),
                          reservoir=ReservoirSpec(energies=tuple(energies), beta=beta),
                          unitary=u)
 
 
 def random_scenario(seed: int = 0, dims=(2, 2, 2), beta: float = 1.0,
-                    rank_deficient: bool = False,
-                    tol: Tolerances = DEFAULT_TOL) -> Scenario:
+                    rank_deficient: bool = False) -> Scenario:
     """``random_instance(*dims, seed)`` as a Scenario.  At full rank the
     support is the whole space, so the restricted reverse mass
     and the integral relation's left side are 1."""
     beta = float(beta)
-    system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient, tol=tol)
+    system = random_instance(*dims, seed, beta=beta, rank_deficient=rank_deficient)
     reference = {} if rank_deficient else {"gamma_restricted": 1.0, "integral_ft_lhs": 1.0}
     return Scenario("random", {"seed": seed, "dims": list(dims), "beta": beta},
-                    spectra_from_unitary(system, tol), reference)
+                    spectra_from_unitary(system), reference)
 
 
-# Each named system's builder; the config keys it reads are its keyword parameters but ``tol``.
+# Each named system's builder; the config keys it reads are its keyword parameters.
 SCENARIOS = {
     "werner": werner_isothermal,
     "counterexample": bell_adiabatic_counterexample,

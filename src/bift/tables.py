@@ -307,21 +307,19 @@ def spectra_from_unitary(system: UnitarySystem,
     )
 
 
-def spectra_from_analytic(spectra: SystemSpectra,
-                          tol: Tolerances = DEFAULT_TOL) -> SystemSpectra:
+def spectra_from_analytic(spectra: SystemSpectra) -> SystemSpectra:
     """Validate an injected-kernel bundle and return it with float arrays
     and clipped probabilities.
 
     The sizes come from ``initial.p_a``, ``initial.p_b`` and ``p_r``,
     which must be vectors.  Every probability vector, conditional table
     and kernel then passes one rule: a float array of the shape those
-    sizes give, finite, with no entry below ``-tol.psd``, that sums to
-    1 -- a vector in total, a conditional table over (a, b), the forward
-    kernel over (m', r') and the reverse kernel over (m, r).  Every heat
-    exponent must be finite with ``|beta_q| <= MAX_HEAT_EXPONENT``, and
-    the forward kernel's image marginal must equal the attached final
-    spectrum.  Sums are compared to ``tol.equality``, so a zero
-    ``equality`` can refuse a system whose sums carry rounding.
+    sizes give, finite, with no entry below ``-DEFAULT_TOL.psd``, that
+    sums to 1 within ``DEFAULT_TOL.equality`` -- a vector in total, a
+    conditional table over (a, b), the forward kernel over (m', r') and
+    the reverse kernel over (m, r).  Every heat exponent must be finite
+    with ``|beta_q| <= MAX_HEAT_EXPONENT``, and the forward kernel's image
+    marginal must equal the attached final spectrum.
     """
     shapes = [np.shape(v) for v in (spectra.initial.p_a, spectra.initial.p_b, spectra.p_r)]
     if any(len(shape) != 1 for shape in shapes):
@@ -339,12 +337,12 @@ def spectra_from_analytic(spectra: SystemSpectra,
         # NaN fails every comparison, so finiteness is checked on its own.
         if not np.isfinite(arr).all():
             raise BiftError(f"{name} has non-finite entries")
-        if np.any(arr < -tol.psd):
+        if np.any(arr < -DEFAULT_TOL.psd):
             raise BiftError(f"{name} has negative entries")
         total = arr.sum(axis=axes)
-        if axes is None and abs(total - 1.0) > tol.equality:
+        if axes is None and abs(total - 1.0) > DEFAULT_TOL.equality:
             raise BiftError(f"{name} sums to {total:.12f}, not 1")
-        if axes is not None and np.max(np.abs(total - 1.0)) > tol.equality:
+        if axes is not None and np.max(np.abs(total - 1.0)) > DEFAULT_TOL.equality:
             raise BiftError(f"{name} rows do not sum to 1")
         return arr
 
@@ -363,7 +361,7 @@ def spectra_from_analytic(spectra: SystemSpectra,
     # Final-state consistency: the forward process must land on the
     # attached final spectrum (there is no propagator to guarantee it).
     image = np.einsum("m,r,mnrs->n", initial.p_m, p_r, kernel)
-    if np.max(np.abs(image - final.p_m)) > tol.equality:
+    if np.max(np.abs(image - final.p_m)) > DEFAULT_TOL.equality:
         raise BiftError("forward kernel image disagrees with final spectrum")
 
     beta_q = np.asarray(spectra.beta_q, dtype=float)

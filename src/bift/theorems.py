@@ -201,8 +201,9 @@ def detailed_ft_check(spectra: SystemSpectra):
              * (spectra.p_r[None, :] / (or_one(spectra.p_r)[:, None] * pair)))
     x_i = 1.0 / (or_one(spectra.initial.p_m)[:, None, None] * e_i)
     y_f = or_one(spectra.final.p_m)[:, None, None] / e_f
+    ext_f = _extremes(y_f, sup_f)                                       # (2, M)
     per_block = _residual(ratio, _extremes(x_i, sup_i)[:, :, None, None, None],
-                          _extremes(y_f, sup_f)[:, None, :, None, None]).max(axis=0)
+                          ext_f[:, None, :, None, None]).max(axis=0)
     per_block = np.where(block, per_block, -1.0)
     worst = float(per_block.max())
 
@@ -210,9 +211,8 @@ def detailed_ft_check(spectra: SystemSpectra):
     attain = per_block == worst
     m = int(np.argmax(attain.reshape(attain.shape[0], -1).any(axis=1)))
     n, r, s = np.nonzero(attain[m])
-    ext_f = _extremes(y_f, sup_f)[:, n].T[:, None, None, :]             # (k, 1, 1, 2)
-    hit = sup_i[m] & (_residual(ratio[m, n, r, s][:, None, None, None],
-                                x_i[m][None, :, :, None], ext_f) == worst).any(axis=3)
+    hit = sup_i[m] & (_residual(ratio[m, n, r, s][:, None, None, None], x_i[m][None, :, :, None],
+                                ext_f[:, n].T[:, None, None, :]) == worst).any(axis=3)
     a, b = (int(i) for i in np.argwhere(hit.any(axis=0))[0])
     n, r, s = (x[hit[:, a, b]] for x in (n, r, s))
     full = _residual(ratio[m, n, r, s][:, None, None], x_i[m, a, b], y_f[n])

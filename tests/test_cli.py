@@ -631,9 +631,9 @@ def test_scenario_table_names_every_system(tmp_path, monkeypatch, capsys):
     # keyword parameters with no other change
     calls = []
 
-    def toy(p, seed=0, tol=DEFAULT_TOL):
+    def toy(p, seed=0):
         calls.append((p, seed))
-        return werner_isothermal(p, tol=tol)
+        return werner_isothermal(p)
 
     monkeypatch.setitem(bift.scenarios.SCENARIOS, "toy", toy)
     monkeypatch.chdir(tmp_path)
@@ -934,9 +934,11 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_tolerance_reaches_random_state(self, tmp_path):
-        # the random scenario validates its state at the run's tolerances,
-        # as the same system written out as an explicit config does
+    def test_tolerance_judges_only_outside_input(self, tmp_path):
+        # the random scenario's state is the program's own and is not judged
+        # at the run's tolerances (this system passes every check at them);
+        # the same system written out as an explicit config is an input, and
+        # is refused
         system = random_instance(2, 2, 2, 3, rank_deficient=True)
         tolerance = {"psd": 0, "trace": 0}
         configs = [
@@ -948,7 +950,16 @@ class TestExitCodes:
             path = tmp_path / "config.json"
             path.write_text(json.dumps({**cfg, "tolerance": tolerance}))
             codes.append(main(["run", "--config", str(path), "--out", str(tmp_path / "out")]))
-        assert codes == [2, 2]
+        assert codes == [0, 2]
+
+    def test_werner_grid_at_zero_tolerance_runs(self, tmp_path, capsys):
+        # a zero tolerance is a demand on the checks, not on the Werner
+        # system's own spectra, whose sums carry rounding: every point runs
+        for p in np.linspace(0.0, 1.0, 101):
+            code = main(["verify", "--scenario", "werner", "--p", repr(float(p)),
+                         "--tolerance", "0", "--out", str(tmp_path / "out")])
+            assert code in (0, 1), p
+            assert capsys.readouterr().err == "", p
 
     @pytest.mark.parametrize("source, tolerance", [
         ("random", {"hermiticity": 0}),

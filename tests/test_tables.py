@@ -13,7 +13,6 @@ from bift.linalg import (
     DEFAULT_TOL,
     MAX_HEAT_EXPONENT,
     ReservoirSpec,
-    Tolerances,
     density_operator,
     haar_unitary,
     spectral_decompose,
@@ -381,14 +380,19 @@ class TestAnalyticValidation:
         with pytest.raises(BiftError, match=rf"{side}\.p_m must have shape \(4,\), got \(3,\)"):
             spectra_from_analytic(replace_endpoint(s, side, p_m=np.array([0.5, 0.25, 0.25])))
 
-    def test_equality_tolerance_reaches_kernel_checks(self):
+    def test_kernel_checks_at_default_equality(self):
+        # the injected route is the program's own, judged at the default
+        # equality tolerance (1e-10) whatever a run's tolerances are
         s = werner_spectra()
-        off = s.kernel.copy()
-        off[0, 0, 0, 0] += 1e-11
-        near = dataclasses.replace(s, kernel=off)
-        spectra_from_analytic(near)
+
+        def off_by(offset):
+            kernel = s.kernel.copy()
+            kernel[0, 0, 0, 0] += offset
+            return dataclasses.replace(s, kernel=kernel)
+
+        spectra_from_analytic(off_by(1e-11))
         with pytest.raises(BiftError, match="forward kernel rows do not sum to 1"):
-            spectra_from_analytic(near, Tolerances(equality=1e-12))
+            spectra_from_analytic(off_by(1e-9))
 
     @pytest.mark.parametrize("side", ["initial", "final"])
     @pytest.mark.parametrize("name", ["p_m", "p_a", "p_b"])

@@ -699,6 +699,43 @@ class TestDenseOracle:
         assert analysis.report.detailed_max_residual > 1e-3
 
 
+def swap_ab(system: UnitarySystem) -> UnitarySystem:
+    """``system`` with A and B exchanged, at dims (d_B, d_A, d_R): the state
+    conjugated by SWAP, which takes |a, b> to |b, a>, and the propagator by
+    SWAP (x) I_R."""
+    d_a, d_b, d_r = system.dim_a, system.dim_b, system.reservoir.dim
+    a, b = np.divmod(np.arange(d_a * d_b), d_b)
+    swap = np.zeros((d_a * d_b,) * 2)
+    swap[b * d_a + a, a * d_b + b] = 1.0
+    full = np.kron(swap, np.eye(d_r))
+    return UnitarySystem(d_b, d_a, density_operator(swap @ system.rho_ab.matrix @ swap.T),
+                         system.reservoir, full @ system.unitary @ full.T)
+
+
+class TestMetamorphic:
+    """How a report must move when its system is transformed: relations
+    that need no second implementation of the formulas."""
+
+    @given(seed=st.integers(0, 10_000),
+           dims=st.sampled_from([(2, 3, 2), (3, 2, 3), (2, 2, 4), (2, 3, 3)]),
+           rank_deficient=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_swap_a_and_b(self, seed, dims, rank_deficient):
+        # The relations are symmetric in A and B: every scalar and average
+        # stays, with <dS_A> and <dS_B> exchanged.  The bounds are left
+        # out, as the erasure bounds single out B.
+        system = random_instance(*dims, seed=seed, rank_deficient=rank_deficient)
+        want, got = (
+            {k: v for k, v in report_numbers(analyze(s).report).items()
+             if "." not in k or k.startswith("averages.")}
+            for s in (system, swap_ab(system)))
+        got["averages.delta_s_a"], got["averages.delta_s_b"] = \
+            got["averages.delta_s_b"], got["averages.delta_s_a"]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-13 * max(1.0, abs(value)), (key, got[key], value)
+
+
 def full_product_expectation(spectra, table, initial=1.0, final=1.0, pair=1.0) -> float:
     """The tuple-space sum of the global ``table`` times every factor,
     each multiplied into the [m, m', r, r'] table."""
